@@ -55,15 +55,18 @@ miri:
 		echo "miri: component not installed, skipping (CI covers this)"; \
 	fi
 
-# ThreadSanitizer build of the rayon detection/diagnosis tests. Needs a
-# nightly toolchain with rust-src; skips when unavailable — CI covers it.
+# ThreadSanitizer build of the persistent pool's own tests, the
+# analysis-stage tests that run on it (help-while-wait, panic hand-back)
+# and the rayon detection/diagnosis equivalence tests. Needs a nightly
+# toolchain with rust-src; skips when unavailable — CI covers it.
 tsan:
 	@if rustc +nightly --version >/dev/null 2>&1 \
 		&& rustup +nightly component list 2>/dev/null | grep -q "rust-src (installed)"; then \
-		RUSTFLAGS="-Zsanitizer=thread" RUST_TEST_THREADS=2 PROPTEST_CASES=8 \
-			$(CARGO) +nightly test $(OFFLINE) -Zbuild-std -p vapro-core \
-			--target $$(rustc -vV | sed -n 's/host: //p') \
-			--lib parallel; \
+		export RUSTFLAGS="-Zsanitizer=thread" RUST_TEST_THREADS=2 PROPTEST_CASES=8; \
+		host=$$(rustc -vV | sed -n 's/host: //p'); \
+		$(CARGO) +nightly test $(OFFLINE) -Zbuild-std -p rayon --target $$host --lib \
+		&& $(CARGO) +nightly test $(OFFLINE) -Zbuild-std -p vapro-core --target $$host \
+			--lib -- parallel stage::tests; \
 	else \
 		echo "tsan: nightly toolchain with rust-src not installed, skipping (CI covers this)"; \
 	fi

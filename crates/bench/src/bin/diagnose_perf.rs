@@ -8,9 +8,11 @@
 //! Defaults measure the acceptance configuration: a 4-rank synthetic run
 //! over 18 call sites (36 merged STG locations), diagnosing the detected
 //! variance regions plus an 8-column × rank selection grid. On release
-//! builds two targets are enforced loudly: the batched path must be ≥5×
-//! faster than the naive per-region loop, and it must perform zero
-//! `Fragment` clones (proved by the `clone-count` feature's counter).
+//! builds three targets are enforced loudly: the batched path must be
+//! ≥5× faster than the naive per-region loop, it must perform zero
+//! `Fragment` clones (proved by the `clone-count` feature's counter),
+//! and on a one-thread runner the fan-out must run at ≥0.95 of the
+//! sequential batch.
 //! If a previous `BENCH_diagnose.json` exists at the output path,
 //! throughput drops beyond 20 % are reported as warnings before the file
 //! is overwritten.
@@ -78,6 +80,15 @@ fn main() {
                 "FAIL: batch path cloned {} Fragments (target 0)",
                 report.batch_fragment_clones
             );
+            failed = true;
+        }
+        if let Some(failure) = regression::one_thread_fanout_failure(
+            "batched diagnosis fan-out",
+            report.threads,
+            (report.batch_regions_per_sec, report.batch_noise_frac),
+            (report.batch_seq_regions_per_sec, report.batch_seq_noise_frac),
+        ) {
+            eprintln!("FAIL: {failure}");
             failed = true;
         }
         if failed {

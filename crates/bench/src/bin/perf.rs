@@ -11,7 +11,8 @@
 //! `BENCH_detect.json` exists at the output path, throughput drops
 //! beyond the measured noise (20 % floor) are reported as warnings and
 //! its trend history is carried into the fresh file before it is
-//! overwritten.
+//! overwritten. Release builds hard-fail (exit 1) when, on a one-thread
+//! runner, the fan-out runs below 0.95 of the sequential path.
 
 use vapro_bench::{perf, regression, stats};
 
@@ -52,6 +53,19 @@ fn main() {
 
     let mut report = perf::measure(ranks, fragments.max(ranks) / ranks, 32, 64, reps, 100_000);
     print!("{}", perf::summary(&report));
+
+    // Optimised builds only: debug-mode ratios are not meaningful.
+    if !cfg!(debug_assertions) {
+        if let Some(failure) = regression::one_thread_fanout_failure(
+            "parallel detect",
+            report.threads,
+            (report.par_fragments_per_sec, report.par_noise_frac),
+            (report.seq_fragments_per_sec, report.seq_noise_frac),
+        ) {
+            eprintln!("FAIL: {failure}");
+            std::process::exit(1);
+        }
+    }
 
     let previous = regression::load_previous_perf(&out);
     if let Some(previous) = &previous {

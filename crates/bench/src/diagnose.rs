@@ -85,7 +85,8 @@ pub struct DiagnosePerf {
     pub parallel_speedup: Option<f64>,
     /// [`Fragment`] clones one full naive pass performs.
     pub naive_fragment_clones: u64,
-    /// [`Fragment`] clones one full batch pass performs (must be 0).
+    /// [`Fragment`] clones one full sequential batch pass performs on
+    /// the measuring thread (must be 0).
     pub batch_fragment_clones: u64,
     /// One headline point per harness run, carried forward from the
     /// previous BENCH file (bounded; see [`stats::MAX_TREND_POINTS`]).
@@ -280,26 +281,32 @@ pub fn measure(
     assert_eq!(batch_seq_out, batch_out, "parallel batch diverged from sequential");
     let diagnosed = batch_out.iter().filter(|r| r.is_some()).count();
 
-    // Clone accounting per full pass — process-wide, so rayon worker
-    // threads are included on the batch side.
-    let before = clone_count::in_process();
+    // Clone accounting per full pass, on this thread only: both loops
+    // below are single-threaded, and the process-wide counter would
+    // also count whatever sibling tests clone meanwhile. The fan-out
+    // runs the same `diagnose` per region (asserted equal above), so
+    // the sequential batch stands for it.
+    let before = clone_count::on_this_thread();
     std::hint::black_box(rois.iter().filter_map(|r| naive_diagnose_region(&stgs, r, &cfg)).count());
-    let naive_fragment_clones = clone_count::in_process() - before;
-    let before = clone_count::in_process();
-    std::hint::black_box(diagnose_regions(&merged, &rois, &cfg).len());
-    let batch_fragment_clones = clone_count::in_process() - before;
+    let naive_fragment_clones = clone_count::on_this_thread() - before;
+    let before = clone_count::on_this_thread();
+    std::hint::black_box(diagnose_regions_seq(&merged, &rois, &cfg).len());
+    let batch_fragment_clones = clone_count::on_this_thread() - before;
 
     let naive = stats::sample_ns(reps, || {
         rois.iter().filter_map(|r| naive_diagnose_region(&stgs, r, &cfg)).count()
     });
-    let batch_seq = stats::sample_ns(reps, || {
-        let m = merge_stgs(&stgs);
-        diagnose_regions_seq(&m, &rois, &cfg).len()
-    });
-    let batch = stats::sample_ns(reps, || {
-        let m = merge_stgs(&stgs);
-        diagnose_regions(&m, &rois, &cfg).len()
-    });
+    let (batch_seq, batch) = stats::sample_pair_ns(
+        reps,
+        || {
+            let m = merge_stgs(&stgs);
+            diagnose_regions_seq(&m, &rois, &cfg).len()
+        },
+        || {
+            let m = merge_stgs(&stgs);
+            diagnose_regions(&m, &rois, &cfg).len()
+        },
+    );
 
     let threads = detected_threads();
     let per_sec = |count: usize, ns: f64| count as f64 / (ns / 1e9);

@@ -198,8 +198,11 @@ pub fn measure(
     assert_eq!(seq_out.series, par_out.series, "parallel detect diverged");
     assert_eq!(seq_out.rare_paths, par_out.rare_paths, "parallel detect diverged");
 
-    let seq = stats::sample_ns(reps, || detect_seq(&stgs, nranks, bins, &cfg));
-    let par = stats::sample_ns(reps, || detect(&stgs, nranks, bins, &cfg));
+    let (seq, par) = stats::sample_pair_ns(
+        reps,
+        || detect_seq(&stgs, nranks, bins, &cfg),
+        || detect(&stgs, nranks, bins, &cfg),
+    );
 
     // The clustering kernel is measured over the lane matrix it runs on
     // in production: the columnar pool already stores workload vectors

@@ -246,6 +246,39 @@ fn threads_comparable(prev: usize, cur: usize) -> bool {
     prev == cur
 }
 
+/// How far a fan-out may trail its sequential twin at one thread.
+pub const ONE_THREAD_FANOUT_FLOOR: f64 = 0.95;
+
+/// With one hardware thread the pool has no workers and every fan-out
+/// is a plain loop on the caller, so the "parallel" throughput may fall
+/// short of the sequential one by measurement noise only. (With the
+/// spawn-per-call executor it was 9.6M against 13.6M fragments/s and
+/// 77k against 121k regions/s.) Each side is `(median per second, MAD
+/// noise fraction)` from [`crate::stats::sample_pair_ns`]'s alternated
+/// samples, and gets the benefit of its own measured noise before the
+/// floor applies. Returns the failure line, if any; at more than one
+/// thread the pair is a speedup, not a gate.
+pub fn one_thread_fanout_failure(
+    metric: &str,
+    threads: usize,
+    fanout: (f64, f64),
+    sequential: (f64, f64),
+) -> Option<String> {
+    let best_fanout = fanout.0 * (1.0 + fanout.1);
+    let worst_sequential = sequential.0 * (1.0 - sequential.1);
+    (threads == 1 && best_fanout < ONE_THREAD_FANOUT_FLOOR * worst_sequential).then(|| {
+        format!(
+            "{metric} at one thread runs at {:.2} of its sequential twin \
+             ({:.0}/s ±{:.0}% vs {:.0}/s ±{:.0}%, floor {ONE_THREAD_FANOUT_FLOOR})",
+            fanout.0 / sequential.0,
+            fanout.0,
+            fanout.1 * 100.0,
+            sequential.0,
+            sequential.1 * 100.0,
+        )
+    })
+}
+
 /// Compare a fresh detection report against the previous one. Returns
 /// one warning line per throughput metric that regressed by more than
 /// [`PERF_REGRESSION_TOLERANCE`]; empty means no regression.
@@ -423,6 +456,21 @@ mod tests {
                 assert_eq!(r.regressions, 0, "{r:?}");
             }
         }
+    }
+
+    #[test]
+    fn one_thread_fanout_gate_can_fail() {
+        // The numbers the spawn-per-call executor produced, at the MAD
+        // the harness typically measures.
+        let line = one_thread_fanout_failure("parallel detect", 1, (9.6e6, 0.04), (13.6e6, 0.04))
+            .expect("a fan-out 30% behind its twin at one thread must fail");
+        assert!(line.contains("0.71"), "{line}");
+        // 6% behind with 4% noise on each side is within the floor…
+        assert!(one_thread_fanout_failure("d", 1, (12.8e6, 0.04), (13.6e6, 0.04)).is_none());
+        // …and is not on a quiet machine.
+        assert!(one_thread_fanout_failure("d", 1, (12.8e6, 0.0), (13.6e6, 0.0)).is_some());
+        // At two threads the same pair is a (bad) speedup, not this gate.
+        assert!(one_thread_fanout_failure("d", 2, (9.6e6, 0.0), (13.6e6, 0.0)).is_none());
     }
 
     fn perf_fixture(seq: f64, par: f64, cluster: f64, threads: usize) -> DetectPerf {

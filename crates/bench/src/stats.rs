@@ -128,6 +128,36 @@ pub fn sample_ns<R>(samples: usize, mut f: impl FnMut() -> R) -> SampleStats {
     summarize(&mut times)
 }
 
+/// [`sample_ns`] for two implementations of one job that are reported
+/// against each other (a fan-out and its sequential twin): the timed
+/// executions alternate, swapping which goes first each round, so both
+/// medians summarise the same stretch of wall time. Sampled one after
+/// the other instead, a host that changes speed between the two phases
+/// (frequency step, a neighbour waking up) reads as a 30 % difference
+/// between identical code paths.
+pub fn sample_pair_ns<A, B>(
+    samples: usize,
+    mut f: impl FnMut() -> A,
+    mut g: impl FnMut() -> B,
+) -> (SampleStats, SampleStats) {
+    let samples = samples.max(MIN_SAMPLES);
+    for _ in 0..WARMUP_SAMPLES {
+        std::hint::black_box(f());
+        std::hint::black_box(g());
+    }
+    let (mut f_times, mut g_times) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for round in 0..samples {
+        if round % 2 == 0 {
+            f_times.push(time_ns(&mut f));
+            g_times.push(time_ns(&mut g));
+        } else {
+            g_times.push(time_ns(&mut g));
+            f_times.push(time_ns(&mut f));
+        }
+    }
+    (summarize(&mut f_times), summarize(&mut g_times))
+}
+
 /// Steady-state flatness of a chronological per-step timing series:
 /// `(median of the last quarter / median of the second quarter, relative
 /// MAD of everything past the first quarter)`. The first quarter is
@@ -224,6 +254,16 @@ mod tests {
         assert_eq!(one.median_ns, 42.0);
         assert_eq!(one.mad_ns, 0.0);
         assert_eq!(SampleStats::default().noise_frac(), 0.0);
+    }
+
+    #[test]
+    fn sample_pair_ns_runs_both_sides_equally_often() {
+        let (mut f_calls, mut g_calls) = (0usize, 0usize);
+        let (f, g) = sample_pair_ns(1, || f_calls += 1, || g_calls += 1);
+        assert_eq!(f.samples, MIN_SAMPLES);
+        assert_eq!(g.samples, MIN_SAMPLES);
+        assert_eq!(f_calls, WARMUP_SAMPLES + MIN_SAMPLES);
+        assert_eq!(g_calls, f_calls);
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //!   possible if eviction reclaims closed history instead of retaining
 //!   the stream;
 //! * **zero fragment clones** — the whole admission→seal→analyze path,
-//!   pipeline workers included, never clones a `Fragment`
-//!   (`clone_count::in_process()` sees every thread).
+//!   pool workers included, never clones a `Fragment`
+//!   (`clone_count::in_process()` sees every thread — which is why the
+//!   two tests here take [`ONE_AT_A_TIME`]: each one's one-shot
+//!   reference analysis clones fragments, and would be counted against
+//!   whichever sibling is streaming at that moment).
 //!
 //! The small variant runs everywhere; the full ≥1000-window variant is
 //! `#[ignore]`d under debug builds (it would take minutes unoptimised)
 //! and runs in release via `make soak`, with an internal wall-clock cap
 //! so a quadratic regression fails loudly instead of hanging CI.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use vapro_bench::chaos::reports_identical;
 use vapro_bench::perf::synthetic_stgs;
@@ -31,6 +35,10 @@ use vapro_core::{
     WindowedIngestor,
 };
 use vapro_sim::VirtualTime;
+
+/// Held by each test for its whole body: the clone proof is
+/// process-wide, so nothing else in the process may clone meanwhile.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Latest fragment end across the run, ns.
 fn t_end_ns(stgs: &[Stg]) -> u64 {
@@ -182,6 +190,7 @@ fn soak_fleet(periods: usize, frags_per_rank: usize) -> usize {
 /// builds, covering the same three guarantees as the full soak.
 #[test]
 fn soak_small_stream_and_fleet() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (windows, _) = soak_windowed(25, 1500);
     assert!(windows >= 45, "only {windows} windows closed");
     let fleet_windows = soak_fleet(10, 300);
@@ -196,6 +205,7 @@ fn soak_small_stream_and_fleet() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via `make soak`")]
 fn soak_thousand_windows_bounded_and_identical() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let started = Instant::now();
     let (windows, hw_long) = soak_windowed(520, 24_000);
     assert!(windows >= 1000, "only {windows} windows closed");

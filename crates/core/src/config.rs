@@ -126,8 +126,8 @@ pub struct VaproConfig {
     pub fault: FaultTolerance,
     /// How many sealed windows the streaming ingestor may hold in its
     /// pipelined analysis stage at once. With a positive depth,
-    /// admission keeps draining frames while clustering runs on stage
-    /// workers; reports are still emitted strictly in window order, so
+    /// admission keeps draining frames while clustering runs on the
+    /// shared pool; reports are still emitted strictly in window order, so
     /// the union of all reports stays bit-identical to the one-shot
     /// analysis. `0` analyses windows inline on the admission thread
     /// (the pre-pipeline behaviour — useful when per-push report

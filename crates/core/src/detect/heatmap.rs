@@ -16,6 +16,20 @@ use vapro_sim::VirtualTime;
 /// more to the fan-out than they gain.
 const PAR_POINTS_MIN: usize = 2048;
 
+/// Below this many fragment rows in one window the per-location
+/// (detection) and per-region (diagnosis) fan-outs stay sequential
+/// loops. Offering a batch to a parked pool worker costs ≈13 µs before
+/// the worker contributes (futex wake plus the owner waiting out the
+/// helper's last item), which breaks even near 100 µs of batch work and
+/// reaches ≥1.5× on two cores near 0.7 ms. The benchmark's trace table
+/// prices a row at ≈87 ns (`clustering.ns_per_vector` 71 +
+/// `normalize.ns_per_frag` 16 on `stream_quiet`), so 0.7 ms is ≈8k
+/// rows. Windows below that — every window of the four benchmark
+/// workloads (≈1.5k and ≈48 rows) — are parallel *across* windows on
+/// the analysis stage instead, where there is no hand-off per window.
+/// DESIGN.md §13 has the measurement.
+pub(crate) const PAR_ROWS_MIN: usize = 8192;
+
 /// Deposit one point into its rank's row slices, distributing its weight
 /// across the bins its span overlaps. Row-local so the sequential path
 /// and the per-rank parallel path run *the same* code on the same
@@ -157,10 +171,11 @@ impl HeatMap {
     /// task. A cell is only ever touched by its own rank's points, so
     /// every cell sees the exact accumulation sequence the sequential
     /// pass produces — unlike a fold+[`HeatMap::merge`] scheme, which
-    /// would reassociate the f64 additions. Small sets (or single-row
-    /// maps) take the sequential loop directly.
+    /// would reassociate the f64 additions. Small sets, single-row maps
+    /// and one-thread pools (where grouping by rank buys nothing) take
+    /// the sequential loop directly.
     pub fn add_points_par(&mut self, points: &[PerfPoint]) {
-        if points.len() < PAR_POINTS_MIN || self.ranks < 2 {
+        if points.len() < PAR_POINTS_MIN || self.ranks < 2 || rayon::current_num_threads() < 2 {
             return self.add_points(points);
         }
         let mut by_rank: Vec<(usize, Vec<&PerfPoint>)> =

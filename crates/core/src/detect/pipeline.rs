@@ -10,7 +10,7 @@
 use crate::clustering::{cluster_pool, Cluster, ClusterOutcome};
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
-use crate::detect::heatmap::HeatMap;
+use crate::detect::heatmap::{HeatMap, PAR_ROWS_MIN};
 use crate::detect::normalize::{normalize_cluster_outcome_view, CategorySeries};
 use crate::detect::region::{grow_regions, VarianceRegion};
 use crate::detect::window::Window;
@@ -318,9 +318,10 @@ pub(crate) fn detect_columnar_impl(
 }
 
 /// Locations (vertices, then edges, both in key order) are analysed
-/// independently — in parallel when `parallel` is set — and the
-/// per-location results are folded *sequentially in location order*, so
-/// the output is identical whichever path (or representation) ran.
+/// independently — in parallel when `parallel` is set and the window
+/// holds at least [`PAR_ROWS_MIN`] rows — and the per-location results
+/// are folded *sequentially in location order*, so the output is
+/// identical whichever path (or representation) ran.
 fn detect_locations_impl<V: PoolView + Sync>(
     locations: &[(Location<'_>, V)],
     nranks: usize,
@@ -331,7 +332,8 @@ fn detect_locations_impl<V: PoolView + Sync>(
 ) -> DetectionResult {
     // Fan out: each location's cluster → normalise chain is independent.
     // Results come back in input order either way.
-    let analyses: Vec<LocationAnalysis> = if parallel && locations.len() > 1 {
+    let rows: usize = locations.iter().map(|(_, pool)| pool.len()).sum();
+    let analyses: Vec<LocationAnalysis> = if parallel && rows >= PAR_ROWS_MIN {
         locations
             .par_iter()
             .map(|(_, pool)| analyze_pool(pool, cfg, rank_override))
@@ -405,7 +407,7 @@ fn detect_locations_impl<V: PoolView + Sync>(
     let comm_regions = grow_regions(&comm_map, cfg.perf_threshold);
     let io_regions = grow_regions(&io_map, cfg.perf_threshold);
 
-    rare_paths.sort_by(|a, b| b.total_ns.partial_cmp(&a.total_ns).expect("finite"));
+    sort_rare_paths(&mut rare_paths);
 
     DetectionResult {
         comp_map,
@@ -433,6 +435,13 @@ pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> De
 /// baseline of the benchmark harness.
 pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
     detect_impl(stgs, nranks, bins, cfg, false, None)
+}
+
+/// Longest total first. `total_cmp`, so a NaN total sorts ahead of the
+/// finite ones instead of panicking the pool worker that is analysing
+/// the window.
+fn sort_rare_paths(paths: &mut [RarePath]) {
+    paths.sort_by(|a, b| b.total_ns.total_cmp(&a.total_ns));
 }
 
 fn cluster_time<P: PoolView + ?Sized>(pool: &P, cluster: &Cluster) -> f64 {
@@ -587,6 +596,16 @@ mod tests {
     }
 
     #[test]
+    fn rare_path_order_survives_a_nan_total() {
+        let path = |total_ns: f64| RarePath { location: "x".into(), count: 1, total_ns };
+        let mut paths = vec![path(1.0), path(f64::NAN), path(3.0), path(2.0)];
+        sort_rare_paths(&mut paths);
+        assert!(paths[0].total_ns.is_nan());
+        let finite: Vec<f64> = paths[1..].iter().map(|p| p.total_ns).collect();
+        assert_eq!(finite, [3.0, 2.0, 1.0]);
+    }
+
+    #[test]
     fn rare_paths_are_reported_with_time() {
         let mut stg = stg_with_loop(0, &[100; 10], 1000.0);
         // One huge, once-executed fragment on a separate edge.
@@ -631,6 +650,29 @@ mod tests {
         assert_eq!(par.edge_clusters, seq.edge_clusters);
         // One outcome per merged edge pool, in edge order.
         assert_eq!(par.edge_clusters.len(), merge_stgs(&stgs).edges.len());
+    }
+
+    /// Same identity on a population big enough to really fan out (the
+    /// small one above stays under [`PAR_ROWS_MIN`] and runs the plain
+    /// loop on both sides).
+    #[test]
+    fn parallel_fanout_above_the_row_threshold_is_identical() {
+        let iters = PAR_ROWS_MIN / 16 + 10;
+        let mut stgs: Vec<Stg> =
+            (0..8).map(|r| stg_with_loop(r, &vec![100; iters], 1000.0)).collect();
+        stgs[3] = stg_with_loop(3, &vec![250; iters], 1000.0);
+        assert!(merge_stgs(&stgs).total_fragments() >= PAR_ROWS_MIN);
+        let cfg = VaproConfig::default();
+        let par = detect(&stgs, 8, 16, &cfg);
+        let seq = detect_seq(&stgs, 8, 16, &cfg);
+        assert_eq!(par.series, seq.series);
+        assert_eq!(par.rare_paths, seq.rare_paths);
+        assert_eq!(par.comp_map, seq.comp_map);
+        assert_eq!(par.comm_map, seq.comm_map);
+        assert_eq!(par.comp_regions, seq.comp_regions);
+        assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
+        assert_eq!(par.edge_clusters, seq.edge_clusters);
+        assert!(!par.comp_regions.is_empty(), "the slow rank must be flagged");
     }
 
     #[test]

@@ -945,13 +945,13 @@ pub struct WindowedIngestor {
     /// Recycled per-window columnar scratch: each closing window pops a
     /// pool, refills it from its view, and pushes it back with capacity
     /// intact — steady-state window close allocates no new lanes. Shared
-    /// with the analysis stage's workers (they return finished pools),
+    /// with the analysis stage's pool tasks (they return finished pools),
     /// and guarded by the vendored non-poisoning `parking_lot::Mutex`:
     /// recycling can never be silently disabled by a poisoned lock.
     scratch_pools: Arc<Mutex<Vec<ColumnarPool>>>,
     /// How many scratch pools have ever been allocated (pop found the
-    /// stack empty). Bounded by the pipeline depth + worker count in
-    /// steady state — the recycling proof the tests assert.
+    /// stack empty). Bounded by the pipeline depth plus the one being
+    /// sealed in steady state — the recycling proof the tests assert.
     scratch_pools_allocated: AtomicU64,
     /// The bounded in-order analysis pipeline (tentpole layer 3),
     /// spawned lazily on the first sealed window when
@@ -1233,7 +1233,7 @@ impl WindowedIngestor {
     /// Inline (depth-0) analysis: seal and analyse on the calling
     /// thread, windows fanning out on rayon. The pipelined path routes
     /// the identical seal + [`analyze_view_columnar`] sequence through
-    /// stage workers instead.
+    /// the stage's pool tasks instead.
     fn analyze(&self, windows: Vec<(Window, WindowCoverage)>) -> Vec<WindowReport> {
         windows
             .into_par_iter()
@@ -1299,7 +1299,7 @@ impl WindowedIngestor {
     }
 
     /// Windows sealed into the pipeline but not yet emitted (in flight
-    /// on a worker, or parked awaiting an earlier window). Bounded by
+    /// on the pool, or parked awaiting an earlier window). Bounded by
     /// `cfg.pipeline_depth`; always 0 on the inline path.
     pub fn pending_windows(&self) -> u64 {
         self.stage.as_ref().map_or(0, AnalysisStage::pending)
@@ -1817,7 +1817,7 @@ mod tests {
     fn pipelined_reports_match_inline_reports() {
         // The tentpole invariant for layer 3: the pipelined default and
         // the inline depth-0 path emit bit-identical report sequences
-        // over the same stream — workers may finish out of order, the
+        // over the same stream — tasks may finish out of order, the
         // reorder buffer may defer emission across pushes, but the
         // concatenation of everything push + finish return is the same
         // window-ordered sequence. The stage also never holds more than
@@ -2175,10 +2175,14 @@ mod tests {
             reports.iter().any(|r| r.window.start.ns() >= 3 * period_ns),
             "no window past the death closed mid-stream"
         );
-        // The revived rank's late frame is dropped and accounted.
-        ingestor
-            .push_encoded(&late_frame.unwrap())
-            .expect("late frames are a policy drop, not an error");
+        // The revived rank's late frame is dropped and accounted. The
+        // call still harvests whichever windows finished analysis since
+        // the last push, like any other.
+        reports.extend(
+            ingestor
+                .push_encoded(&late_frame.unwrap())
+                .expect("late frames are a policy drop, not an error"),
+        );
         assert_eq!(ingestor.stats().dropped_late_frames, 1);
 
         reports.extend(ingestor.finish());

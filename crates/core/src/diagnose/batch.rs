@@ -33,6 +33,7 @@
 use crate::clustering::{cluster_pool, ClusterOutcome};
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
+use crate::detect::heatmap::PAR_ROWS_MIN;
 use crate::detect::pipeline::MergedStg;
 use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::{
@@ -313,11 +314,16 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
         )
     }
 
-    /// Diagnose every region, fanning out across the thread pool. The
-    /// per-region work is independent and the memoised clustering is
+    /// Diagnose every region, fanning out across the thread pool when
+    /// the batch indexes at least [`PAR_ROWS_MIN`] rows. The per-region
+    /// work is independent and the memoised clustering is
     /// deterministic, so the output is identical to
     /// [`DiagnosisBatch::diagnose_all_seq`].
     pub fn diagnose_all(&self, rois: &[RegionOfInterest]) -> Vec<Option<DiagnosisReport>> {
+        let rows: usize = self.indexes.iter().map(|index| index.starts.len()).sum();
+        if rows < PAR_ROWS_MIN {
+            return self.diagnose_all_seq(rois);
+        }
         rois.par_iter().map(|roi| self.diagnose(roi)).collect()
     }
 
@@ -412,6 +418,20 @@ mod tests {
             diagnose_regions(&merged, &rois, &cfg),
             diagnose_regions_seq(&merged, &rois, &cfg)
         );
+    }
+
+    /// Same identity on a batch big enough to really fan out (the small
+    /// one above stays under [`PAR_ROWS_MIN`] and runs the plain loop).
+    #[test]
+    fn parallel_fanout_above_the_row_threshold_is_identical() {
+        let stgs = stgs_with_noise(8, PAR_ROWS_MIN / 8 + 50, 1, (100_000_000, 400_000_000));
+        let cfg = VaproConfig::default();
+        let merged = merge_stgs(&stgs);
+        assert!(merged.total_fragments() >= PAR_ROWS_MIN);
+        let rois = rois_grid(8, 1_000_000_000, 4);
+        let par = diagnose_regions(&merged, &rois, &cfg);
+        assert_eq!(par, diagnose_regions_seq(&merged, &rois, &cfg));
+        assert!(par.iter().any(Option::is_some));
     }
 
     #[test]

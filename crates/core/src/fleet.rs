@@ -186,6 +186,15 @@ impl Shard {
             job.record(&reports);
             out.extend(reports.into_iter().map(|report| FleetWindow { key: q.key, report }));
         }
+        // Whoever waits, helps (`detect::stage`): the windows sealed
+        // above are queued on the pool behind the shard drainers
+        // themselves. Run queued jobs until none is left, so the harvest
+        // below finds them analysed instead of leaving every one of them
+        // to the next drain. Never parks: a window still running on
+        // another thread is simply harvested next time.
+        while self.jobs.values().any(|job| job.ingestor.pending_windows() > 0)
+            && rayon::yield_now() == Some(rayon::Yield::Executed)
+        {}
         // Join the analysis stages: windows whose pipelined analysis
         // completed since the last drain are harvested here (still in
         // per-job window order), including for jobs that had no frames

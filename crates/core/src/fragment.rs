@@ -48,13 +48,28 @@ pub mod clone_count {
     /// snapshot this, run a single-threaded pipeline, and assert the
     /// delta — the thread-local keeps concurrently-running tests from
     /// polluting each other's counts.
+    ///
+    /// Which threads that covers: only the caller. Work the caller hands
+    /// to the pool is counted on whichever thread runs it — the
+    /// caller's own share of a `collect()`, and any queued job it runs
+    /// while waiting on the analysis stage, land here; a pool worker's
+    /// share lands on that worker's counter, which lives as long as the
+    /// process and is never read. So a zero delta proves a path
+    /// clone-free only if the path is sequential (`detect_seq`,
+    /// `diagnose_regions_seq`, a depth-0 ingestor below the fan-out row
+    /// threshold).
     pub fn on_this_thread() -> u64 {
         CLONES.with(Cell::get)
     }
 
-    /// Fragment clones performed by *any* thread in this process so far.
-    /// Benches snapshot this around a rayon-parallel pipeline, where the
-    /// thread-local count would miss worker-thread clones.
+    /// Fragment clones performed by *any* thread in this process so far:
+    /// the caller, the long-lived pool workers, and every other test
+    /// running in the same binary. Use it where the pipeline under
+    /// measurement really is multi-threaded *and* nothing else in the
+    /// process clones fragments meanwhile (the soak binary, whose tests
+    /// take a lock to run one at a time); a unit test with cloning
+    /// siblings wants [`on_this_thread`] around a sequential twin
+    /// instead.
     pub fn in_process() -> u64 {
         TOTAL.load(Ordering::Relaxed)
     }

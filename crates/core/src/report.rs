@@ -36,6 +36,12 @@ pub struct RegionReport {
     pub diagnosis_periods: usize,
 }
 
+/// Largest loss first. `total_cmp`, so a NaN loss sorts ahead of the
+/// finite ones instead of panicking whichever thread builds the report.
+fn sort_by_loss(regions: &mut [RegionReport]) {
+    regions.sort_by(|a, b| b.loss_s.total_cmp(&a.loss_s));
+}
+
 /// Data provenance of one closed streaming window: which ranks actually
 /// contributed, and what the transport lost on the way. Downstream
 /// consumers use it to distinguish "rank 3 is slow" (a finding) from
@@ -158,7 +164,7 @@ impl VaproReport {
                 });
             }
         }
-        regions.sort_by(|a, b| b.loss_s.partial_cmp(&a.loss_s).expect("finite loss"));
+        sort_by_loss(&mut regions);
         VaproReport {
             coverage: detection.coverage,
             regions,
@@ -309,6 +315,25 @@ mod tests {
         let report = VaproReport::build(&det, &stgs, &cfg);
         assert!(report.regions.is_empty());
         assert!(report.to_text().contains("no performance variance"));
+    }
+
+    #[test]
+    fn region_order_survives_a_nan_loss() {
+        let region = |loss_s: f64| RegionReport {
+            category: "computation",
+            ranks: (0, 0),
+            t_start_s: 0.0,
+            t_end_s: 1.0,
+            mean_perf: 0.5,
+            loss_s,
+            culprits: Vec::new(),
+            factor_impacts: Vec::new(),
+            diagnosis_periods: 0,
+        };
+        let mut regions = vec![region(0.5), region(f64::NAN), region(2.0)];
+        sort_by_loss(&mut regions);
+        assert!(regions[0].loss_s.is_nan());
+        assert_eq!((regions[1].loss_s, regions[2].loss_s), (2.0, 0.5));
     }
 
     #[test]

@@ -73,7 +73,7 @@ const KNOWN_TOTAL: &[&str] = &[
     // Option/Result plumbing.
     "unwrap_or", "unwrap_or_else", "unwrap_or_default", "ok", "err", "ok_or",
     "ok_or_else", "map_err", "and_then", "or_else", "is_some", "is_none", "is_ok",
-    "is_err", "as_ref", "as_mut", "as_deref", "take", "replace", "get_or_insert_with",
+    "is_err", "as_ref", "as_mut", "as_deref", "take", "replace", "get_or_insert", "get_or_insert_with",
     "get_or_init", "unwrap_unchecked_never", "into_inner", "map_or", "map_or_else",
     // Containers and slices (total surface).
     "get", "get_mut", "len", "is_empty", "iter", "iter_mut", "into_iter", "push",
@@ -122,12 +122,16 @@ const KNOWN_TOTAL: &[&str] = &[
     "elapsed", "duration_since_never", "as_nanos", "as_micros", "as_millis",
     "as_secs", "as_secs_f64", "saturating_duration_since", "min_stack_never",
     "current_num_threads", "available_parallelism", "hash_one", "finish",
+    "catch_unwind",
     "write_u64", "write_u32", "write_u8", "write_usize",
     // Rayon (vendored stub and real crate alike: totality is the
     // closure's business, and closure bodies are scanned inline).
-    "par_iter", "into_par_iter", "par_chunks", "par_bridge",
-    // `thread::Builder::spawn` / `serde_json::from_slice` return
-    // `Result`; the caller's unwrap/expect is what R5 flags.
+    // `rayon::spawn` only queues its closure and `yield_now` runs a
+    // queued job under `catch_unwind`: neither can panic the caller.
+    "par_iter", "into_par_iter", "par_chunks", "par_bridge", "yield_now",
+    // `rayon::spawn` (above); `thread::Builder::spawn` /
+    // `serde_json::from_slice` return `Result`, and the caller's
+    // unwrap/expect is what R5 flags.
     "spawn", "from_slice",
     // Free fns / assoc constructors commonly called bare.
     "Some", "Ok", "Err", "None", "size_of", "align_of", "drop", "min_of", "max_of",
@@ -145,6 +149,11 @@ const STD_TYPES: &[&str] = &[
     "PathBuf", "Path", "Ordering", "Range", "RangeInclusive", "DefaultHasher",
     "JoinHandle", "Builder", "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard",
 ];
+
+/// Std smart pointers that deref to a workspace type: a method that is
+/// not one of their own (total) methods lands on the pointee, whose
+/// type the field table does not record — resolve it by name.
+const DEREF_TYPES: &[&str] = &["Arc", "Rc", "Box"];
 
 fn is_total(name: &str) -> bool {
     KNOWN_TOTAL.iter().any(|x| x == &name)
@@ -296,6 +305,8 @@ impl<'a> Graph<'a> {
                 _ => {
                     // A closure binding shadows any same-named free fn;
                     // its body was already scanned inline in the caller.
+                    // So was the body behind an `impl Fn*` parameter: in
+                    // whichever function built the closure.
                     let closure = qualifier.is_none()
                         && self
                             .item(caller)
@@ -303,7 +314,9 @@ impl<'a> Graph<'a> {
                             .iter()
                             .rev()
                             .find(|(n, _)| n == callee)
-                            .is_some_and(|(_, t)| t == CLOSURE_TY);
+                            .is_some_and(|(_, t)| {
+                                matches!(t.as_str(), CLOSURE_TY | "Fn" | "FnMut" | "FnOnce")
+                            });
                     if closure {
                         return Target::External { total: true };
                     }
@@ -320,6 +333,9 @@ impl<'a> Graph<'a> {
                 None => Target::External { total: true },
             },
             Recv::Chain(chain) => match self.chain_type(caller, chain) {
+                Some(ty) if DEREF_TYPES.contains(&ty) && !is_total(callee) => {
+                    self.fallback(callee)
+                }
                 Some(ty) if STD_TYPES.contains(&ty) => {
                     Target::External { total: is_total(callee) }
                 }
@@ -870,6 +886,38 @@ mod tests {
         let walk = graph.walk(entry, &[]);
         assert_eq!(walk.order.len(), 2, "entry should reach Inner::go");
         assert!(raws.iter().all(|r| r.rule != "R5"));
+    }
+
+    #[test]
+    fn methods_resolve_through_an_arc_field() {
+        let fs = files(&[(
+            "a.rs",
+            "pub struct Stage { shared: Arc<Shared> }\n\
+             impl Stage {\n\
+                 pub fn entry(&self, v: &[u8]) { self.shared.run(v); self.shared.clone(); }\n\
+             }\n\
+             pub struct Shared;\n\
+             impl Shared {\n\
+                 fn run(&self, v: &[u8]) -> u8 { *v.first().unwrap() }\n\
+             }\n",
+        )]);
+        let (raws, stats) = run_transitive(&fs, &cfg_r5("a.rs", "entry"));
+        assert!(
+            raws.iter().any(|r| r.rule == "R5" && r.message.contains("entry → run")),
+            "the pointee's method must be walked: {raws:?}"
+        );
+        assert_eq!(stats[0].reachable_fns, 2, "Arc's own total methods stay external");
+    }
+
+    #[test]
+    fn a_call_through_an_impl_fn_parameter_is_not_an_external() {
+        let fs = files(&[(
+            "a.rs",
+            "pub fn entry(v: &[u8]) -> bool { wait_until(|| v.is_empty()) }\n\
+             fn wait_until(ready: impl Fn() -> bool) -> bool { ready() }\n",
+        )]);
+        let (raws, _) = run_transitive(&fs, &cfg_r5("a.rs", "entry"));
+        assert!(raws.is_empty(), "{raws:?}");
     }
 
     #[test]

@@ -116,9 +116,11 @@ pub struct LockRegion {
 
 /// Methods that enter a rayon parallel region.
 const RAYON_METHODS: &[&str] = &["par_iter", "into_par_iter", "par_chunks", "par_bridge"];
-/// Free/path calls that enter a rayon parallel region when qualified
-/// with `rayon::`.
-const RAYON_FREE: &[&str] = &["join", "scope", "spawn"];
+/// Free/path calls that enter the rayon pool when qualified with
+/// `rayon::`. `spawn` hands the closure to another thread and
+/// `yield_now` runs somebody else's queued job on this one: either way
+/// code that may want the held lock runs before the guard is dropped.
+const RAYON_FREE: &[&str] = &["join", "scope", "spawn", "yield_now"];
 /// Channel-send method names.
 const SEND_METHODS: &[&str] = &["send", "try_send", "send_timeout"];
 /// Pseudo-type recorded for `let f = |..| ..` closure bindings; a call

@@ -91,8 +91,10 @@ pub struct EntryLine {
 ///   server-admission, fleet-routing and VOPR-oracle entry points must
 ///   be panic-free across their whole reachable call trees. The walk
 ///   stops at the sealed-data frontier (`analyze_view_columnar`,
-///   `refill_from_merged`): past admission, data is validated and the
-///   analysis tree is covered dynamically by chaos/VOPR/soak instead.
+///   `refill_from_merged`, and the stage's `surface_failure`, which
+///   only re-raises a panic from behind that frontier on the owner's
+///   thread): past admission, data is validated and the analysis tree
+///   is covered dynamically by chaos/VOPR/soak instead.
 /// * R6 extends R1/R4 along the steady-state window-close tree rooted
 ///   at `close_ready`; files already under per-body R1/R4 budgets are
 ///   skipped so one allocation never needs two waivers.
@@ -185,7 +187,13 @@ pub fn workspace_config() -> LintConfig {
         ],
         r4_files,
         r5_entries: vec![wire_scope, server_scope, fleet_scope, vopr_scope],
-        r5_frontier: vec!["analyze_view_columnar".into(), "refill_from_merged".into()],
+        r5_frontier: vec![
+            "analyze_view_columnar".into(),
+            "refill_from_merged".into(),
+            // Re-raises, on the stage's owner, a panic that an analysis
+            // task raised beyond the frontier above.
+            "surface_failure".into(),
+        ],
         r6_entries: vec![FnScope {
             file: "crates/core/src/detect/server.rs".into(),
             funcs: vec!["close_ready".into()],

@@ -115,6 +115,8 @@ const R6_BAD: &str = include_str!("fixtures/r6_bad.rs");
 const R6_GOOD: &str = include_str!("fixtures/r6_good.rs");
 const R7_BAD: &str = include_str!("fixtures/r7_bad.rs");
 const R7_GOOD: &str = include_str!("fixtures/r7_good.rs");
+const R7_SPAWN_BAD: &str = include_str!("fixtures/r7_spawn_bad.rs");
+const R7_SPAWN_GOOD: &str = include_str!("fixtures/r7_spawn_good.rs");
 
 fn r5_cfg() -> LintConfig {
     LintConfig {
@@ -190,6 +192,28 @@ fn r7_guard_across_rayon_join_is_found() {
         .expect("guard across rayon::join must be reported");
     assert!(hit.finding.waived.is_none());
     assert!(hit.finding.message.contains("guard `m`"), "message: {}", hit.finding.message);
+}
+
+#[test]
+fn r7_guard_across_spawn_and_yield_now_is_found() {
+    let report = run_files(&[("fix/r7.rs", R7_SPAWN_BAD)], &r7_cfg());
+    for (entry, func) in [("rayon::spawn", "hand_off"), ("rayon::yield_now", "wait_for_items")] {
+        let hit = report
+            .findings
+            .iter()
+            .find(|f| f.finding.rule == "R7" && f.finding.message.contains(entry))
+            .unwrap_or_else(|| panic!("guard across {entry} must be reported"));
+        assert!(hit.finding.waived.is_none());
+        assert!(hit.finding.message.contains("guard `m`"), "message: {}", hit.finding.message);
+        assert_eq!(hit.path.last().map(|h| h.func.as_str()), Some(func));
+    }
+}
+
+#[test]
+fn r7_guard_dropped_before_spawn_and_yield_now_is_clean() {
+    let report = run_files(&[("fix/r7.rs", R7_SPAWN_GOOD)], &r7_cfg());
+    let shown = render(&report, |f| f.finding.rule == "R7");
+    assert!(shown.is_empty(), "good fixture flagged:\n{shown}");
 }
 
 #[test]
