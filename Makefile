@@ -4,13 +4,14 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf chaos soak vopr vopr-nightly bench clippy clean
+.PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf soak vopr vopr-nightly bench clippy clean
 
 # The full gate: release build, tests, workspace clippy with warnings
 # denied, the static-analysis pass, sanitizer runs (skipped gracefully
-# where the toolchain component is absent), the chaos fault-injection
-# suite, then all three throughput harnesses (each compares against its
-# previous BENCH_*.json and warns on >20% drops).
+# where the toolchain component is absent), the long-stream soak, the
+# four throughput harnesses (each compares against its previous
+# BENCH_*.json and warns on >20% drops), then the VOPR fault-injection
+# simulation.
 check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
@@ -18,7 +19,6 @@ check:
 	$(MAKE) lint
 	$(MAKE) miri
 	$(MAKE) tsan
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin chaos
 	$(MAKE) soak
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin ingest_perf
@@ -102,15 +102,12 @@ diagnose-perf:
 fleet-perf:
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin fleet_perf
 
-# Seeded fault-injection suite against the streaming ingestor: clean
-# transports must stay bit-identical to the one-shot analysis, hostile
-# ones (drops, duplicates, reordering, corruption, rank deaths) must
-# keep the window cover and the coverage accounting sound.
-chaos:
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin chaos
-
-# VOPR deterministic simulation run (PR profile, canaries compiled):
-# gates on >=80% fault-point coverage, every required invariant
+# VOPR deterministic simulation run (PR profile, canaries compiled) —
+# the one seeded fault-injection harness: clean transports must stay
+# bit-identical to the one-shot analysis, hostile ones (drops,
+# duplicates, reordering, bit flips, rank deaths and births) must keep
+# the window cover and the delivery accounting sound, every push
+# predicted by the admission oracle. Gates on >=80% fault-point coverage, every required invariant
 # executed, zero violations, same-seed determinism and a 100%
 # canary-mutation score; rewrites the committed VOPR_report.json so CI
 # can `git diff --exit-code` it as a ratchet.

@@ -71,7 +71,7 @@ fn bench_windowed_server(c: &mut Criterion) {
 /// synthetic 4-rank/8k-fragment STG. Meaningful speedup needs a
 /// multi-core runner; the outputs are identical either way.
 fn bench_seq_vs_par(c: &mut Criterion) {
-    let stgs = vapro_bench::perf::synthetic_stgs(4, 2000, 32, 0xBE7C);
+    let stgs = vapro_vopr::plan::synthetic_stgs(4, 2000, 32, 0xBE7C);
     let cfg = VaproConfig::default();
     let mut g = c.benchmark_group("detect/seq_vs_par");
     g.sample_size(10);

@@ -96,7 +96,7 @@ fn main() {
         }
     }
 
-    let previous = regression::load_previous_diagnose(&out);
+    let previous = regression::load_previous::<diagnose::DiagnosePerf>(&out);
     if let Some(previous) = &previous {
         let warnings = regression::diagnose_regression_warnings(previous, &report);
         if warnings.is_empty() {

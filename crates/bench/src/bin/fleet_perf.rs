@@ -93,7 +93,7 @@ fn main() {
         }
     }
 
-    let previous = regression::load_previous_fleet(&out);
+    let previous = regression::load_previous::<fleet::FleetPerf>(&out);
     if let Some(previous) = &previous {
         let warnings = regression::fleet_regression_warnings(previous, &report);
         if warnings.is_empty() {

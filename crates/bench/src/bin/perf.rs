@@ -67,7 +67,7 @@ fn main() {
         }
     }
 
-    let previous = regression::load_previous_perf(&out);
+    let previous = regression::load_previous::<perf::DetectPerf>(&out);
     if let Some(previous) = &previous {
         let warnings = regression::perf_regression_warnings(previous, &report);
         if warnings.is_empty() {

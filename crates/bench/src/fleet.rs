@@ -2,7 +2,7 @@
 //! `BENCH_fleet.json`.
 //!
 //! Measures the sharded multi-tenant plane ([`FleetIngestor`]) over a
-//! synthetic fleet of jobs, each a multi-rank run shipped as periodic v3
+//! synthetic fleet of jobs, each a multi-rank run shipped as periodic
 //! frames:
 //!
 //! * aggregate ingest throughput at 1 shard vs N shards, in
@@ -18,16 +18,16 @@
 //! ≥30 samples, median + MAD. The shard comparison and the overhead
 //! comparison both run as interleaved back-to-back pairs so machine
 //! noise cannot masquerade as a (or hide a real) difference — the same
-//! discipline as the integrity-overhead measurement in
-//! [`crate::ingest`].
+//! discipline as the seq/par pairs of the detection harness.
 
-use crate::perf::{detected_threads, synthetic_stgs};
+use crate::perf::detected_threads;
 use crate::stats::{self, TrendPoint};
 use serde::{Deserialize, Serialize};
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FragmentBatch;
 use vapro_core::{FleetConfig, FleetIngestor, Stg, VaproConfig, WindowedIngestor};
 use vapro_sim::VirtualTime;
+use vapro_vopr::plan::{reports_identical, synthetic_stgs};
 
 /// One harness run, serialised to `BENCH_fleet.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct FleetPerf {
     pub ranks_per_job: usize,
     /// Total fragments across all jobs.
     pub fragments: usize,
-    /// v3 frames shipped per fleet run.
+    /// Frames shipped per fleet run.
     pub frames: usize,
     /// Windows the N-shard fleet run closed (all jobs).
     pub windows: usize,
@@ -109,7 +109,7 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Slice one job's run into per-rank, per-period v3 frames stamped with
+/// Slice one job's run into per-rank, per-period frames stamped with
 /// the job's routing identity, in period-major order (each rank's
 /// sequence numbers stay monotonic — the fleet plane preserves
 /// per-job arrival order, so this is the order a live client would
@@ -157,7 +157,7 @@ fn interleave(per_job: &[Vec<Vec<u8>>]) -> Vec<&[u8]> {
 }
 
 /// Tenant id a job index reports under (a few tenants sharing the
-/// fleet, none of them the pre-v3 default).
+/// fleet, none of them the unstamped default).
 fn tenant_of(job: usize) -> u32 {
     1 + (job as u32 % 3)
 }
@@ -244,7 +244,7 @@ pub fn measure(
     let n = stats::summarize(&mut n_times);
 
     // Single-job overhead vs a bare ingestor, same pairing discipline.
-    // Both sides consume job 0's v3 frames; the outputs must be
+    // Both sides consume job 0's frames; the outputs must be
     // bit-identical before the timing means anything.
     let solo = &per_job[0];
     let bins = fleet_cfg(1).bins_per_window;
@@ -266,7 +266,7 @@ pub fn measure(
         reports.extend(fleet.finish());
         reports.into_iter().map(|w| w.report).collect::<Vec<_>>()
     };
-    crate::chaos::reports_identical(&run_solo_fleet(), &run_bare())
+    reports_identical(&run_solo_fleet(), &run_bare())
         .expect("single-job fleet output must be bit-identical to the bare ingestor");
     for _ in 0..stats::WARMUP_SAMPLES {
         std::hint::black_box(run_solo_fleet().len());
@@ -387,7 +387,7 @@ mod tests {
             .iter()
             .map(|f| FragmentBatch::decode(f).expect("own frame").len())
             .sum();
-        assert_eq!(shipped, total, "periodic v3 shipping must cover exactly once");
+        assert_eq!(shipped, total, "periodic shipping must cover exactly once");
         for f in &frames {
             let b = FragmentBatch::decode(f).expect("own frame");
             assert_eq!((b.tenant_id, b.job_id), (2, 9));

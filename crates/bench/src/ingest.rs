@@ -4,8 +4,9 @@
 //! Measures, on the same synthetic multi-rank run as the detection
 //! harness:
 //!
-//! * encode/decode throughput of the columnar binary wire format and of
-//!   the JSON debugging fallback, in fragments/second;
+//! * encode/decode throughput of the columnar binary wire format, in
+//!   fragments/second, beside the same batches through `serde_json` —
+//!   a comparator that lives only here, not a transport;
 //! * bytes per fragment on each encoding and the binary's size advantage
 //!   (the wire format targets ≥4× smaller and ≥5× faster decode than
 //!   JSON);
@@ -19,13 +20,14 @@
 //! against the previous file under the same noise-aware tolerance as the
 //! detection gate.
 
-use crate::perf::{detected_threads, synthetic_stgs};
+use crate::perf::detected_threads;
 use crate::stats::{self, TrendPoint};
 use serde::{Deserialize, Serialize};
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FragmentBatch;
 use vapro_core::{Stg, VaproConfig, WindowedIngestor};
 use vapro_sim::VirtualTime;
+use vapro_vopr::plan::synthetic_stgs;
 
 /// One harness run, serialised to `BENCH_ingest.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,24 +73,11 @@ pub struct IngestPerf {
     /// Binary over JSON decode throughput.
     pub decode_speedup: f64,
     /// End-to-end ingest (decode + arena + windowed detection),
-    /// fragments/second, from the median over the timed pairs. Frames
-    /// are format v2: CRC-32 verified and sequence-deduplicated on
-    /// admission.
+    /// fragments/second, from the median. Frames are CRC-32 verified
+    /// and sequence-deduplicated on admission.
     pub ingest_fragments_per_sec: f64,
-    /// Relative noise of the v2 end-to-end timing (MAD/median).
+    /// Relative noise of the end-to-end timing (MAD/median).
     pub ingest_noise_frac: f64,
-    /// The same end-to-end measurement over legacy v1 frames — no
-    /// checksum, no sequence numbers, integrity checking skipped.
-    pub ingest_v1_fragments_per_sec: f64,
-    /// Fractional end-to-end cost of integrity checking: the best
-    /// (smallest) `1 − v1_ns / v2_ns` over interleaved back-to-back
-    /// v2/v1 pairs, reported **unclamped** — a negative value means even
-    /// the friendliest pairing never saw v1 beat v2, i.e. the cost is
-    /// below the noise floor. (An earlier revision clamped this at 0,
-    /// which could report "free" while the headline v1/v2 rates showed a
-    /// measurable gap.) The robustness acceptance gate requires `< 0.10`
-    /// on release builds.
-    pub integrity_overhead_frac: f64,
     /// Reporting periods in the long-stream steady-state measurement
     /// (the run re-sliced so the stream closes ≥200 half-overlapped
     /// windows).
@@ -135,7 +124,7 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
 /// Slice the run into per-rank, per-period start-partitioned batches —
 /// what each client ships each reporting period, in period-major order.
 /// Each rank's batches carry its monotonic sequence number (period
-/// index + 1), so the v2 frames exercise the full integrity path:
+/// index + 1), so the frames exercise the full integrity path:
 /// checksum verification plus sequence tracking.
 fn periodic_batches(stgs: &[Stg], period_ns: u64) -> Vec<FragmentBatch> {
     let t_end = t_end_ns(stgs);
@@ -180,8 +169,9 @@ pub fn measure(
     };
 
     // Size accounting, once.
-    let frames: Vec<Vec<u8>> = batches.iter().map(FragmentBatch::encode).collect();
-    let jsons: Vec<Vec<u8>> = batches.iter().map(FragmentBatch::to_json_bytes).collect();
+    let to_json = |b: &FragmentBatch| serde_json::to_vec(b).expect("serialisable batch");
+    let frames: Vec<Vec<u8>> = batches.iter().map(FragmentBatch::encode_v3).collect();
+    let jsons: Vec<Vec<u8>> = batches.iter().map(to_json).collect();
     let binary_bytes: usize = frames.iter().map(Vec::len).sum();
     let json_bytes: usize = jsons.iter().map(Vec::len).sum();
 
@@ -196,7 +186,7 @@ pub fn measure(
         let mut buf = Vec::with_capacity(binary_bytes);
         for b in &batches {
             buf.clear();
-            b.encode_into(&mut buf);
+            b.encode_into_v3(&mut buf);
         }
         buf.len()
     });
@@ -207,64 +197,29 @@ pub fn measure(
             .sum::<usize>()
     });
     let json_encode = stats::sample_ns(reps, || {
-        batches.iter().map(|b| b.to_json_bytes().len()).sum::<usize>()
+        batches.iter().map(|b| to_json(b).len()).sum::<usize>()
     });
     let json_decode = stats::sample_ns(reps, || {
         jsons
             .iter()
-            .map(|j| FragmentBatch::from_json_bytes(j).expect("own json").len())
+            .map(|j| serde_json::from_slice::<FragmentBatch>(j).expect("own json").len())
             .sum::<usize>()
     });
 
-    // End-to-end: every frame decoded into the arena, windows analysed as
-    // the shipping low-watermark closes them. Measured over v2 frames
-    // (checksum verified, sequences tracked) and over legacy v1 frames
-    // (no integrity work) — to price the integrity checking. The two
-    // variants run in interleaved back-to-back pairs: each pair sees the
-    // same machine state, so a noisy-neighbour burst during one phase
-    // cannot masquerade as integrity cost (back-to-back the two runs
-    // differ by microseconds; phase-separated best-ofs were seen 25
-    // points apart on a busy host). The headline rates are medians over
-    // the pairs; the overhead is the best pairwise ratio, unclamped.
-    let frames_v1: Vec<Vec<u8>> = batches.iter().map(FragmentBatch::encode_v1).collect();
+    // End-to-end: every frame decoded into the arena (checksum verified,
+    // sequences tracked), windows analysed as the shipping low-watermark
+    // closes them.
     let mut windows = 0usize;
-    let run_v2 = |windows: &mut usize| {
+    let ingest = stats::sample_ns(reps, || {
         let mut ingestor = WindowedIngestor::new(nranks, 16, cfg.clone());
         let mut reports = Vec::new();
         for frame in &frames {
             reports.extend(ingestor.push_encoded(frame).expect("own frame"));
         }
         reports.extend(ingestor.finish());
-        *windows = reports.len();
+        windows = reports.len();
         reports.len()
-    };
-    let run_v1 = |windows: usize| {
-        let mut ingestor = WindowedIngestor::new(nranks, 16, cfg.clone());
-        let mut reports = Vec::new();
-        for frame in &frames_v1 {
-            reports.extend(ingestor.push_encoded(frame).expect("own v1 frame"));
-        }
-        reports.extend(ingestor.finish());
-        assert_eq!(reports.len(), windows, "v1 ingest closed different windows");
-        reports.len()
-    };
-    let pairs = reps.max(stats::MIN_SAMPLES);
-    for _ in 0..stats::WARMUP_SAMPLES {
-        std::hint::black_box(run_v2(&mut windows));
-        std::hint::black_box(run_v1(windows));
-    }
-    let mut v2_times = Vec::with_capacity(pairs);
-    let mut v1_times = Vec::with_capacity(pairs);
-    let mut overhead_frac = f64::INFINITY;
-    for _ in 0..pairs {
-        let v2_ns = stats::time_ns(|| run_v2(&mut windows));
-        let v1_ns = stats::time_ns(|| run_v1(windows));
-        v2_times.push(v2_ns);
-        v1_times.push(v1_ns);
-        overhead_frac = overhead_frac.min(1.0 - v1_ns / v2_ns);
-    }
-    let ingest = stats::summarize(&mut v2_times);
-    let ingest_v1 = stats::summarize(&mut v1_times);
+    });
 
     // Long-stream steady state: the same run re-sliced into enough
     // reporting periods for ≥200 half-overlapped windows, streamed once
@@ -276,7 +231,7 @@ pub fn measure(
     let long_periods = periods.max(101);
     let long_period_ns = (t_end_ns(&stgs) / long_periods as u64).max(1);
     let long_frames: Vec<Vec<u8>> =
-        periodic_batches(&stgs, long_period_ns).iter().map(FragmentBatch::encode).collect();
+        periodic_batches(&stgs, long_period_ns).iter().map(FragmentBatch::encode_v3).collect();
     let long_cfg = VaproConfig {
         report_period: VirtualTime::from_ns(long_period_ns),
         ..VaproConfig::default()
@@ -331,8 +286,6 @@ pub fn measure(
         decode_speedup: json_decode.median_ns / decode.median_ns,
         ingest_fragments_per_sec: per_sec(fragments, ingest.median_ns),
         ingest_noise_frac: ingest.noise_frac(),
-        ingest_v1_fragments_per_sec: per_sec(fragments, ingest_v1.median_ns),
-        integrity_overhead_frac: overhead_frac,
         long_stream_periods: per_period.len(),
         long_stream_windows: long_windows,
         steady_state_flatness,
@@ -358,7 +311,6 @@ pub fn summary(p: &IngestPerf) -> String {
          encode: {:>10.0} fragments/s binary (±{:.1}% MAD), {:>10.0} fragments/s JSON\n\
          decode: {:>10.0} fragments/s binary (±{:.1}% MAD), {:>10.0} fragments/s JSON ({:.1}x faster)\n\
          ingest: {:>10.0} fragments/s end-to-end (±{:.1}% MAD, decode + windowed detection)\n\
-         integrity: {:>7.0} fragments/s without checks (v1), overhead {:.1}% (best pair, unclamped)\n\
          steady state: {} windows over {} periods, flatness {:.3} (±{:.1}% MAD),\n\
                        arena high water {} B, plateau ratio {:.3}\n",
         p.fragments,
@@ -379,8 +331,6 @@ pub fn summary(p: &IngestPerf) -> String {
         p.decode_speedup,
         p.ingest_fragments_per_sec,
         p.ingest_noise_frac * 100.0,
-        p.ingest_v1_fragments_per_sec,
-        p.integrity_overhead_frac * 100.0,
         p.long_stream_windows,
         p.long_stream_periods,
         p.steady_state_flatness,
@@ -418,13 +368,6 @@ mod tests {
         assert!(p.decode_speedup > 1.0, "decode speedup {:.2}", p.decode_speedup);
         assert!(p.encode_fragments_per_sec > 0.0);
         assert!(p.ingest_fragments_per_sec > 0.0);
-        assert!(p.ingest_v1_fragments_per_sec > 0.0);
-        // Debug builds can't gate the 10 % target, but the fraction must
-        // at least be a sane ratio of the two measured rates — and it is
-        // deliberately NOT clamped at zero: a best pair where v1 came
-        // out slower reports as negative, not as "free".
-        assert!(p.integrity_overhead_frac < 1.0, "{}", p.integrity_overhead_frac);
-        assert!(p.integrity_overhead_frac.is_finite());
         assert!(p.samples >= crate::stats::MIN_SAMPLES);
         assert!(p.ingest_noise_frac.is_finite() && p.ingest_noise_frac >= 0.0);
         // The long stream must actually be long: ≥200 half-overlapped

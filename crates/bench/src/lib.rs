@@ -12,7 +12,6 @@
 //! paper's scale.
 
 pub mod ablation;
-pub mod chaos;
 pub mod common;
 pub mod diagnose;
 pub mod fig01_cg_repeat;

@@ -27,9 +27,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use vapro_core::clustering::{cluster_lanes, cluster_vectors_unpruned};
 use vapro_core::detect::pipeline::{detect, detect_seq};
-use vapro_core::{Fragment, FragmentKind, StateKey, Stg, VaproConfig};
-use vapro_pmu::{CounterDelta, CounterId};
-use vapro_sim::{CallSite, VirtualTime};
+use vapro_core::{Stg, VaproConfig};
+use vapro_vopr::plan::synthetic_stgs;
 
 /// One harness run, serialised to `BENCH_detect.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,75 +79,6 @@ pub struct DetectPerf {
     /// One headline point per harness run, carried forward from the
     /// previous BENCH file (bounded; see [`stats::MAX_TREND_POINTS`]).
     pub history: Vec<TrendPoint>,
-}
-
-/// Build per-rank STGs for the throughput measurement: `sites` call
-/// sites per rank, each a self-loop carrying computation fragments of a
-/// site-specific workload class (±0.3 % PMU-style jitter), with an
-/// invocation fragment every few iterations. One rank runs 2× slower in
-/// the middle third so region growing has real work to do.
-pub fn synthetic_stgs(nranks: usize, frags_per_rank: usize, sites: usize, seed: u64) -> Vec<Stg> {
-    let sites = sites.max(1);
-    let names: Vec<&'static str> = (0..sites)
-        .map(|j| &*Box::leak(format!("perf:site{j:02}").into_boxed_str()))
-        .collect();
-    (0..nranks)
-        .map(|rank| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9E37));
-            let mut stg = Stg::new();
-            let start = stg.state(StateKey::Start);
-            let states: Vec<_> = names
-                .iter()
-                .map(|&n| stg.state(StateKey::Site(CallSite(n))))
-                .collect();
-            let loops: Vec<_> = states.iter().map(|&s| stg.transition(s, s)).collect();
-            stg.transition(start, states[0]);
-            let mut t = 0u64;
-            for i in 0..frags_per_rank {
-                let j = i % sites;
-                let base_ins = 1_000.0 * 1.3f64.powi(j as i32);
-                let jitter = 1.0 + rng.gen_range(-0.003..0.003);
-                let ins = base_ins * jitter;
-                let mut base_dur = (base_ins / 10.0) * jitter;
-                // The slow window: rank `nranks-1`, middle third of its
-                // iterations, computing at half speed.
-                if rank == nranks - 1 && (frags_per_rank / 3..2 * frags_per_rank / 3).contains(&i)
-                {
-                    base_dur *= 2.0;
-                }
-                let dur = base_dur.max(1.0) as u64;
-                let mut c = CounterDelta::default();
-                c.put(CounterId::TotIns, ins);
-                stg.attach_edge_fragment(
-                    loops[j],
-                    Fragment {
-                        rank,
-                        kind: FragmentKind::Computation,
-                        start: VirtualTime::from_ns(t),
-                        end: VirtualTime::from_ns(t + dur),
-                        counters: c,
-                        args: vec![],
-                    },
-                );
-                t += dur;
-                if i % 8 == 0 {
-                    stg.attach_vertex_fragment(
-                        states[j],
-                        Fragment {
-                            rank,
-                            kind: FragmentKind::Communication,
-                            start: VirtualTime::from_ns(t),
-                            end: VirtualTime::from_ns(t + 10),
-                            counters: CounterDelta::default(),
-                            args: vec![64.0, 1.0],
-                        },
-                    );
-                    t += 10;
-                }
-            }
-            stg
-        })
-        .collect()
 }
 
 /// Workload vectors with `classes` well-separated classes — the
@@ -282,20 +212,6 @@ pub fn summary(p: &DetectPerf) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn synthetic_stgs_hit_the_fragment_budget() {
-        let stgs = synthetic_stgs(4, 160, 8, 1);
-        assert_eq!(stgs.len(), 4);
-        let total: usize = stgs.iter().map(Stg::total_fragments).sum();
-        // 160 computation + 20 invocation fragments per rank.
-        assert_eq!(total, 4 * 180);
-        // All ranks share the same states, so merging pools across ranks.
-        let merged = vapro_core::merge_stgs(&stgs);
-        for (_, pool) in &merged.vertices {
-            assert!(pool.iter().map(|f| f.rank).collect::<std::collections::HashSet<_>>().len() > 1);
-        }
-    }
 
     #[test]
     fn measure_produces_consistent_throughput() {

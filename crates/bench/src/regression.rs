@@ -112,114 +112,12 @@ use crate::stats::variance_tolerance;
 /// noise-free metric (20 %) — the floor of the variance-aware tolerance.
 pub const PERF_REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// Patch the keys the multi-sample methodology added (`samples`, the
-/// per-metric `*_noise_frac`s, `history`) into a report written before
-/// they existed: zeroed noise keeps the gate at its tolerance floor, an
-/// absent history starts empty. The vendored serde derive has no
-/// `#[serde(default)]`, so absence is repaired here, at load time.
-fn patch_missing_stats(value: &mut serde_json::Value, noise_keys: &[&str]) {
-    if let serde_json::Value::Object(map) = value {
-        for key in noise_keys {
-            map.entry(key.to_string())
-                .or_insert(serde_json::Value::Number(serde_json::Number::Float(0.0)));
-        }
-        map.entry("samples".to_string())
-            .or_insert(serde_json::Value::Number(serde_json::Number::PosInt(0)));
-        map.entry("history".to_string()).or_insert(serde_json::Value::Array(Vec::new()));
-    }
-}
-
-/// Load the previous harness report, if a readable one exists at `path`.
-/// Reports predating the multi-sample methodology still load (see
-/// [`patch_missing_stats`]).
-pub fn load_previous_perf(path: &str) -> Option<DetectPerf> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    patch_missing_stats(
-        &mut value,
-        &["seq_noise_frac", "par_noise_frac", "cluster_noise_frac"],
-    );
-    serde_json::from_value(&value).ok()
-}
-
-/// Load the previous ingest report, if a readable one exists at `path`.
-/// Reports written before the integrity fields or the multi-sample
-/// methodology existed still load: the missing metrics default to zero,
-/// which [`check_drop`] skips (a zero `prev` gates nothing), so the
-/// first post-upgrade run establishes the baseline instead of failing
-/// to parse.
-pub fn load_previous_ingest(path: &str) -> Option<IngestPerf> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    if let serde_json::Value::Object(map) = &mut value {
-        for key in ["ingest_v1_fragments_per_sec", "integrity_overhead_frac"] {
-            map.entry(key.to_string())
-                .or_insert(serde_json::Value::Number(serde_json::Number::Float(0.0)));
-        }
-        // Steady-state fields (long-stream flatness + arena plateau):
-        // reports predating bounded-memory streaming load with neutral
-        // values — counts at zero (gating nothing), ratios at 0.0 so the
-        // first post-upgrade run seeds the baseline.
-        for key in ["steady_state_flatness", "arena_plateau_ratio"] {
-            map.entry(key.to_string())
-                .or_insert(serde_json::Value::Number(serde_json::Number::Float(0.0)));
-        }
-        for key in ["long_stream_periods", "long_stream_windows", "arena_high_water_bytes"] {
-            map.entry(key.to_string())
-                .or_insert(serde_json::Value::Number(serde_json::Number::PosInt(0)));
-        }
-    }
-    patch_missing_stats(
-        &mut value,
-        &[
-            "encode_noise_frac",
-            "decode_noise_frac",
-            "ingest_noise_frac",
-            "long_stream_noise_frac",
-        ],
-    );
-    serde_json::from_value(&value).ok()
-}
-
-/// Load the previous fleet report, if a readable one exists at `path`.
-/// A missing or unreadable file returns `None` — the first `fleet_perf`
-/// run on a fresh checkout seeds the baseline instead of failing — and
-/// reports written by a build predating any later noise field still
-/// load (see [`patch_missing_stats`]).
-pub fn load_previous_fleet(path: &str) -> Option<FleetPerf> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    if let serde_json::Value::Object(map) = &mut value {
-        // Steady-state fields added with bounded-memory streaming: see
-        // the matching patch in [`load_previous_ingest`].
-        map.entry("steady_state_flatness".to_string())
-            .or_insert(serde_json::Value::Number(serde_json::Number::Float(0.0)));
-        map.entry("arena_high_water_bytes".to_string())
-            .or_insert(serde_json::Value::Number(serde_json::Number::PosInt(0)));
-    }
-    patch_missing_stats(
-        &mut value,
-        &[
-            "fleet_1shard_noise_frac",
-            "fleet_nshard_noise_frac",
-            "bare_noise_frac",
-            "single_job_noise_frac",
-        ],
-    );
-    serde_json::from_value(&value).ok()
-}
-
-/// Load the previous diagnosis report, if a readable one exists at
-/// `path`. Reports predating the multi-sample methodology still load
-/// (see [`patch_missing_stats`]).
-pub fn load_previous_diagnose(path: &str) -> Option<DiagnosePerf> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    patch_missing_stats(
-        &mut value,
-        &["naive_noise_frac", "batch_seq_noise_frac", "batch_noise_frac"],
-    );
-    serde_json::from_value(&value).ok()
+/// Load the previous harness report of type `T`, if one exists at `path`
+/// and parses under the current struct. Anything else — no file, other
+/// JSON, a report written by an older layout — is "no baseline": the run
+/// seeds a fresh one instead of failing.
+pub fn load_previous<T: serde::Deserialize>(path: &str) -> Option<T> {
+    serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
 }
 
 /// One throughput comparison: warn when `cur` dropped more than the
@@ -539,33 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn previous_perf_loads_reports_predating_the_stats_fields() {
-        // A BENCH_detect.json written before the multi-sample
-        // methodology: strip the new keys and the loader must still
-        // parse it, with zeroed noise (gating at the 20 % floor) and an
-        // empty history.
-        let fixture = perf_fixture(1_000_000.0, 2_000_000.0, 5_000_000.0, 4);
-        let mut value = serde_json::to_value(&fixture).expect("serialises");
-        if let serde_json::Value::Object(map) = &mut value {
-            for key in
-                ["samples", "seq_noise_frac", "par_noise_frac", "cluster_noise_frac", "history"]
-            {
-                map.remove(key);
-            }
-        }
-        let dir = std::env::temp_dir().join("vapro_perf_stats_gate_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_detect.json");
-        std::fs::write(&path, serde_json::to_string(&value).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_perf(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded.samples, 0);
-        assert_eq!(loaded.seq_noise_frac, 0.0);
-        assert!(loaded.history.is_empty());
-        assert!(perf_regression_warnings(&loaded, &fixture).is_empty());
-    }
-
-    #[test]
     fn perf_gate_skips_parallel_metrics_across_thread_counts() {
         // An 8-thread baseline replayed on a 1-core runner: the parallel
         // throughput collapse is environmental, not a code regression —
@@ -602,8 +473,6 @@ mod tests {
             decode_speedup: 8.0,
             ingest_fragments_per_sec: e2e,
             ingest_noise_frac: 0.0,
-            ingest_v1_fragments_per_sec: e2e * 1.05,
-            integrity_overhead_frac: 1.0 - 1.0 / 1.05,
             long_stream_periods: 101,
             long_stream_windows: 202,
             steady_state_flatness: 1.02,
@@ -736,107 +605,32 @@ mod tests {
     }
 
     #[test]
-    fn previous_fleet_loads_from_json_and_tolerates_absence() {
-        // A missing baseline seeds cleanly: the very first fleet_perf
-        // run must not fail for lack of a BENCH_fleet.json.
-        assert!(load_previous_fleet("/nonexistent/BENCH_fleet.json").is_none());
-        let dir = std::env::temp_dir().join("vapro_fleet_gate_test");
+    fn previous_reports_load_and_anything_else_is_no_baseline() {
+        // A missing baseline seeds cleanly: the very first run must not
+        // fail for lack of a BENCH file.
+        assert!(load_previous::<FleetPerf>("/nonexistent/BENCH_fleet.json").is_none());
+        let dir = std::env::temp_dir().join("vapro_bench_gate_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        // Unreadable garbage also seeds cleanly instead of crashing.
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "{not json").expect("writes");
-        assert!(load_previous_fleet(garbage.to_str().expect("utf8 path")).is_none());
-        let path = dir.join("BENCH_fleet.json");
-        let prev = fleet_fixture(1e6, 2.2e6, 9e5, 8);
-        std::fs::write(&path, serde_json::to_string(&prev).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_fleet(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded, prev);
-        assert!(fleet_regression_warnings(&loaded, &prev).is_empty());
-    }
+        let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_string();
+        // Unreadable garbage also seeds cleanly instead of crashing…
+        std::fs::write(path("garbage.json"), "{not json").expect("writes");
+        assert!(load_previous::<FleetPerf>(&path("garbage.json")).is_none());
 
-    #[test]
-    fn previous_ingest_loads_reports_predating_the_integrity_fields() {
-        // A BENCH_ingest.json written before the integrity metrics
-        // existed: serialise a current fixture, strip the new keys, and
-        // the loader must still parse it with zeroed (non-gating)
-        // defaults.
-        let fixture = ingest_fixture(9e6, 8e6, 6.0, 2e6, 4);
-        let mut value = serde_json::to_value(&fixture).expect("serialises");
-        if let serde_json::Value::Object(map) = &mut value {
-            for key in [
-                "ingest_v1_fragments_per_sec",
-                "integrity_overhead_frac",
-                "long_stream_periods",
-                "long_stream_windows",
-                "steady_state_flatness",
-                "long_stream_noise_frac",
-                "arena_high_water_bytes",
-                "arena_plateau_ratio",
-            ] {
-                map.remove(key);
-            }
-        }
-        let dir = std::env::temp_dir().join("vapro_ingest_gate_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_ingest.json");
-        std::fs::write(&path, serde_json::to_string(&value).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_ingest(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded.ingest_fragments_per_sec, fixture.ingest_fragments_per_sec);
-        assert_eq!(loaded.ingest_v1_fragments_per_sec, 0.0);
-        assert_eq!(loaded.integrity_overhead_frac, 0.0);
-        // The steady-state fields added with bounded-memory streaming
-        // default to their neutral values.
-        assert_eq!(loaded.long_stream_windows, 0);
-        assert_eq!(loaded.steady_state_flatness, 0.0);
-        assert_eq!(loaded.arena_high_water_bytes, 0);
-        // Zero baselines gate nothing.
-        assert!(ingest_regression_warnings(&loaded, &fixture).is_empty());
-    }
-
-    #[test]
-    fn previous_fleet_loads_reports_predating_the_steady_state_fields() {
-        let fixture = fleet_fixture(1e6, 2.2e6, 9e5, 8);
-        let mut value = serde_json::to_value(&fixture).expect("serialises");
-        if let serde_json::Value::Object(map) = &mut value {
-            map.remove("arena_high_water_bytes");
-            map.remove("steady_state_flatness");
-        }
-        let dir = std::env::temp_dir().join("vapro_fleet_gate_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_fleet_presteady.json");
-        std::fs::write(&path, serde_json::to_string(&value).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_fleet(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded.arena_high_water_bytes, 0);
-        assert_eq!(loaded.steady_state_flatness, 0.0);
-        assert!(fleet_regression_warnings(&loaded, &fixture).is_empty());
-    }
-
-    #[test]
-    fn previous_diagnose_loads_from_json_and_tolerates_absence() {
-        assert!(load_previous_diagnose("/nonexistent/BENCH_diagnose.json").is_none());
-        let dir = std::env::temp_dir().join("vapro_diagnose_gate_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_diagnose.json");
-        let prev = diagnose_fixture(1.0, 2.0, 3.0, 4);
-        std::fs::write(&path, serde_json::to_string(&prev).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_diagnose(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded, prev);
-    }
-
-    #[test]
-    fn previous_perf_loads_from_json_and_tolerates_absence() {
-        assert!(load_previous_perf("/nonexistent/BENCH_detect.json").is_none());
-        let dir = std::env::temp_dir().join("vapro_perf_gate_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_detect.json");
-        let prev = perf_fixture(1.0, 2.0, 3.0, 4);
-        std::fs::write(&path, serde_json::to_string(&prev).expect("serialises"))
-            .expect("writes");
-        let loaded = load_previous_perf(path.to_str().expect("utf8 path")).expect("loads");
-        assert_eq!(loaded, prev);
+        let detect = perf_fixture(1.0, 2.0, 3.0, 4);
+        let ingest = ingest_fixture(9e6, 8e6, 6.0, 2e6, 4);
+        let diagnose = diagnose_fixture(1.0, 2.0, 3.0, 4);
+        let fleet = fleet_fixture(1e6, 2.2e6, 9e5, 8);
+        let write = |name: &str, json: String| std::fs::write(path(name), json).expect("writes");
+        write("detect.json", serde_json::to_string(&detect).expect("serialises"));
+        write("ingest.json", serde_json::to_string(&ingest).expect("serialises"));
+        write("diagnose.json", serde_json::to_string(&diagnose).expect("serialises"));
+        write("fleet.json", serde_json::to_string(&fleet).expect("serialises"));
+        assert_eq!(load_previous::<DetectPerf>(&path("detect.json")), Some(detect));
+        assert_eq!(load_previous::<IngestPerf>(&path("ingest.json")), Some(ingest));
+        assert_eq!(load_previous::<DiagnosePerf>(&path("diagnose.json")), Some(diagnose));
+        assert_eq!(load_previous::<FleetPerf>(&path("fleet.json")), Some(fleet.clone()));
+        assert!(fleet_regression_warnings(&fleet, &fleet).is_empty());
+        // …as does a report of another layout (here: another harness's).
+        assert!(load_previous::<FleetPerf>(&path("detect.json")).is_none());
     }
 }

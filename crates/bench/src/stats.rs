@@ -104,9 +104,9 @@ pub fn summarize(times: &mut [f64]) -> SampleStats {
 }
 
 /// One raw wall-time measurement, ns. The building block for callers
-/// that need the individual samples (the ingest harness times v2/v1
-/// back-to-back *pairs*, so the pairing — not this function — is the
-/// unit the statistics summarise).
+/// that need the individual samples (the fleet harness times
+/// fleet/bare back-to-back *pairs*, so the pairing — not this function —
+/// is the unit the statistics summarise).
 pub fn time_ns<R>(f: impl FnOnce() -> R) -> f64 {
     let t = Instant::now();
     std::hint::black_box(f());

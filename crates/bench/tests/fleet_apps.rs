@@ -1,6 +1,6 @@
 //! Registry mini-apps through the fleet plane: three applications (NPB
 //! CG, HPL, PageRank) run under the collector, are sliced into
-//! sequenced v3 wire frames, and stream — interleaved, as separate jobs
+//! sequenced wire frames, and stream — interleaved, as separate jobs
 //! of separate tenants — through one sharded [`FleetIngestor`]. Each
 //! job's streamed output must be bit-identical to the one-shot windowed
 //! analysis of its own run ([`ServerPool::analyze_windows`]): the fleet
@@ -8,7 +8,7 @@
 
 use vapro::harness::run_under_vapro;
 use vapro_apps::{find_app, AppParams};
-use vapro_bench::chaos::reports_identical;
+use vapro_vopr::plan::reports_identical;
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FragmentBatch;
 use vapro_core::{FleetConfig, FleetIngestor, JobKey, ServerPool, Stg, VaproConfig};
@@ -30,7 +30,7 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Slice one app run into sequenced per-rank, per-period v3 frames
+/// Slice one app run into sequenced per-rank, per-period frames
 /// stamped with the job's routing identity, in period-major order.
 fn frames_of(stgs: &[Stg], period_ns: u64, tenant: u32, job: u32) -> Vec<Vec<u8>> {
     let t_end = t_end_ns(stgs);

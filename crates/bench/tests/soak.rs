@@ -25,8 +25,7 @@
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use vapro_bench::chaos::reports_identical;
-use vapro_bench::perf::synthetic_stgs;
+use vapro_vopr::plan::{reports_identical, synthetic_stgs};
 use vapro_core::detect::window::Window;
 use vapro_core::fragment::clone_count;
 use vapro_core::wire::FragmentBatch;
@@ -55,7 +54,7 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
 }
 
 /// Per-rank, per-period frames in period-major shipping order. `job`
-/// stamps v3 routing (fleet path); `None` encodes plain v2 frames.
+/// stamps the fleet routing identity; `None` ships unstamped.
 fn periodic_frames(stgs: &[Stg], period_ns: u64, job: Option<(u32, u32)>) -> Vec<Vec<u8>> {
     let t_end = t_end_ns(stgs);
     let mut out = Vec::new();
@@ -70,9 +69,10 @@ fn periodic_frames(stgs: &[Stg], period_ns: u64, job: Option<(u32, u32)>) -> Vec
             let batch = FragmentBatch::from_stg_starting_in(stg, rank, period)
                 .with_seq(period_index + 1);
             out.push(match job {
-                Some((tenant, job)) => batch.with_job(tenant, job).encode_v3(),
-                None => batch.encode(),
-            });
+                Some((tenant, job)) => batch.with_job(tenant, job),
+                None => batch,
+            }
+            .encode_v3());
         }
         start += period_ns;
         period_index += 1;

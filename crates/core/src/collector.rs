@@ -368,7 +368,7 @@ mod tests {
             start: VirtualTime::ZERO,
             end: VirtualTime::from_ns(u64::MAX),
         };
-        let encoded = FragmentBatch::from_stg(c.stg(), 0, window).encode();
+        let encoded = FragmentBatch::from_stg(c.stg(), 0, window).encode_v3();
         let recorded = c.bytes_recorded() as f64;
         let actual = encoded.len() as f64;
         let err = (recorded - actual).abs() / actual;

@@ -372,24 +372,6 @@ impl ServerPool {
         max - min
     }
 
-    /// Analyse one window's shipped [`FragmentBatch`]es — the wire-format
-    /// entry point a networked deployment would use: clients serialise
-    /// batches ([`FragmentBatch::encode`]), the server decodes them into
-    /// an [`IngestArena`] and runs detection on the borrowed pools.
-    pub fn analyze_batches(
-        &self,
-        batches: Vec<FragmentBatch>,
-        nranks: usize,
-        bins: usize,
-        cfg: &VaproConfig,
-    ) -> DetectionResult {
-        let mut arena = IngestArena::new();
-        for b in batches {
-            arena.push_batch(b);
-        }
-        detect_merged(&arena.full_view(), nranks, bins, cfg)
-    }
-
     /// Analyse the run in overlapped windows of `cfg.report_period`:
     /// each window's fragments (from every rank's STG) are detected
     /// independently; windows run in parallel. Per-window populations are
@@ -562,20 +544,26 @@ impl IngestArena {
         IngestArena::default()
     }
 
+    /// The arena id of `label`. Only a label this arena has never seen
+    /// goes to the process-wide interner (and its lock): after a
+    /// location's first batch the lookup stays in `key_ids`.
     fn key_id(&mut self, label: &str) -> usize {
+        if let Some(&id) = self.key_ids.get(label) {
+            return id;
+        }
         let leaked = leak_label(label);
-        *self.key_ids.entry(leaked).or_insert_with(|| {
-            self.keys.push(StateKey::Site(CallSite(leaked)));
-            self.keys.len() - 1
-        })
+        let id = self.keys.len();
+        self.keys.push(StateKey::Site(CallSite(leaked)));
+        self.key_ids.insert(leaked, id);
+        id
     }
 
     /// Absorb one decoded batch, *moving* its fragments into the pools.
     ///
     /// Group label ids are re-checked against the batch's own label
-    /// table: the binary decoder validates them (`check_label`), but the
-    /// JSON fallback deserialises `FragmentBatch` structurally, so an
-    /// out-of-range id can arrive here. Such groups are dropped — a
+    /// table: the decoder validates them (`check_label`), but
+    /// `FragmentBatch`'s fields are public, so a hand-built batch with
+    /// an out-of-range id can arrive here. Such groups are dropped — a
     /// malformed monitoring batch must never panic the ingest plane.
     pub fn push_batch(&mut self, batch: FragmentBatch) {
         let FragmentBatch { labels, vertex_groups, edge_groups, .. } = batch;
@@ -920,7 +908,7 @@ impl IngestArena {
 /// rank's by more than the horizon is declared [`RankHealth::Dead`] and
 /// excluded from the low-watermark, so one crashed client can no longer
 /// stall window closing forever; its subsequent frames are re-admitted
-/// or dropped per [`LateDataPolicy`]. Sequenced frames (wire v2) are
+/// or dropped per [`LateDataPolicy`]. Sequenced frames are
 /// deduplicated and advance the shipping mark only along the contiguous
 /// sequence prefix, so reordered delivery can never close a window whose
 /// data is still in flight. Every rejected frame is counted in
@@ -1610,7 +1598,7 @@ mod tests {
         let cfg = VaproConfig::default();
         let stg = looped_stg(0, 20, 1_000_000, 0..0);
         let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
-        let encoded = FragmentBatch::from_stg(&stg, 0, window).encode();
+        let encoded = FragmentBatch::from_stg(&stg, 0, window).encode_v3();
         let mut arena = IngestArena::new();
         // Decoding constructs fragments (it doesn't clone), pushing moves
         // them, and every window view after that is borrows only.
@@ -1624,6 +1612,28 @@ mod tests {
             let _ = detect_merged_impl(&arena.window_view(w), 1, 8, &cfg, false, None);
         }
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on ingest path");
+    }
+
+    #[test]
+    fn known_labels_stay_off_the_process_wide_interner() {
+        // A location's first batch interns its labels; every later batch
+        // with the same labels must resolve them in the arena's own map
+        // and never reach `leak_label`'s global lock.
+        use crate::wire::LEAK_LABEL_CALLS;
+        let stg = looped_stg(0, 20, 1_000_000, 0..0);
+        let period = |k: u64| Window {
+            start: VirtualTime::from_ns(k * 10_000_000),
+            end: VirtualTime::from_ns((k + 1) * 10_000_000),
+        };
+        let mut arena = IngestArena::new();
+        arena.push_batch(FragmentBatch::from_stg_starting_in(&stg, 0, period(0)));
+        let (keys, calls) = (arena.keys.len(), LEAK_LABEL_CALLS.get());
+        assert!(keys > 0 && calls > 0, "first batch interned nothing");
+        let second = FragmentBatch::from_stg_starting_in(&stg, 0, period(1));
+        assert!(!second.is_empty());
+        arena.push_batch(second);
+        assert_eq!(arena.keys.len(), keys, "a known label was issued a second id");
+        assert_eq!(LEAK_LABEL_CALLS.get(), calls, "a known label went back to the global lock");
     }
 
     #[test]
@@ -1659,7 +1669,7 @@ mod tests {
             for (rank, stg) in stgs.iter().enumerate() {
                 let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
                 reports.extend(
-                    ingestor.push_encoded(&batch.encode()).expect("valid frame"),
+                    ingestor.push_encoded(&batch.encode_v3()).expect("valid frame"),
                 );
             }
         }
@@ -1709,7 +1719,7 @@ mod tests {
             };
             for (rank, stg) in stgs.iter().enumerate() {
                 let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
-                streamed.extend(ingestor.push_encoded(&batch.encode()).expect("valid frame"));
+                streamed.extend(ingestor.push_encoded(&batch.encode_v3()).expect("valid frame"));
             }
         }
         streamed.extend(ingestor.finish());
@@ -1788,7 +1798,7 @@ mod tests {
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
             let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
-            let reports = ingestor.push_encoded(&batch.encode()).expect("valid frame");
+            let reports = ingestor.push_encoded(&batch.encode_v3()).expect("valid frame");
             closed_during_stream += reports.len();
         }
         assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
@@ -1918,7 +1928,7 @@ mod tests {
                 end: VirtualTime::from_ns(u64::MAX),
             };
             let batch = FragmentBatch::from_stg(stg, rank, span);
-            sorted_arena.push_batch(FragmentBatch::decode(&batch.encode()).unwrap());
+            sorted_arena.push_batch(FragmentBatch::decode(&batch.encode_v3()).unwrap());
             lazy_arena.push_batch(batch);
         }
         sorted_arena.ensure_sorted();
@@ -1979,7 +1989,7 @@ mod tests {
         // able to kill the server).
         let stg = looped_stg(7, 5, 1_000_000, 0..0);
         let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
-        let encoded = FragmentBatch::from_stg(&stg, 7, window).encode();
+        let encoded = FragmentBatch::from_stg(&stg, 7, window).encode_v3();
         let mut ingestor = WindowedIngestor::new(2, 8, VaproConfig::default());
         let err = ingestor.push_encoded(&encoded).unwrap_err();
         assert_eq!(err, WireError::UnknownRank { rank: 7, nranks: 2 });
@@ -1989,7 +1999,7 @@ mod tests {
         assert_eq!(ingestor.stats().frames_admitted, 0);
         // The stream stays healthy afterwards: a valid rank still admits.
         let ok = FragmentBatch::from_stg(&looped_stg(1, 5, 1_000_000, 0..0), 1, window);
-        let _ = ingestor.push_encoded(&ok.encode()).expect("valid rank admits");
+        let _ = ingestor.push_encoded(&ok.encode_v3()).expect("valid rank admits");
         assert_eq!(ingestor.stats().frames_admitted, 1);
     }
 
@@ -2059,12 +2069,15 @@ mod tests {
             .map(|(rank, stg)| {
                 // Through the binary wire and back, as a real client
                 // would ship it.
-                let bytes = FragmentBatch::from_stg(stg, rank, window).encode();
+                let bytes = FragmentBatch::from_stg(stg, rank, window).encode_v3();
                 FragmentBatch::decode(&bytes).expect("parse")
             })
             .collect();
-        let pool = ServerPool::new(1, 4);
-        let via_wire = pool.analyze_batches(batches, 4, 16, &cfg);
+        let mut arena = IngestArena::new();
+        for b in batches {
+            arena.push_batch(b);
+        }
+        let via_wire = detect_merged(&arena.full_view(), 4, 16, &cfg);
 
         assert_eq!(direct.comp_regions.len(), via_wire.comp_regions.len());
         let (a, b) = (&direct.comp_regions[0], &via_wire.comp_regions[0]);
@@ -2073,7 +2086,7 @@ mod tests {
         assert!((direct.coverage - via_wire.coverage).abs() < 1e-9);
     }
 
-    /// Ship `stg`'s data period-major as sequenced v2 frames; returns
+    /// Ship `stg`'s data period-major as sequenced frames; returns
     /// the per-rank frames of each period.
     fn period_frames(stgs: &[Stg], nperiods: u64, period_ns: u64) -> Vec<Vec<Vec<u8>>> {
         (0..nperiods)
@@ -2087,7 +2100,7 @@ mod tests {
                     .map(|(rank, stg)| {
                         FragmentBatch::from_stg_starting_in(stg, rank, period)
                             .with_seq(k + 1)
-                            .encode()
+                            .encode_v3()
                     })
                     .collect()
             })
@@ -2335,7 +2348,7 @@ mod tests {
         let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(5) };
         let frame = FragmentBatch::from_stg_starting_in(&stg, 0, window)
             .with_seq(1)
-            .encode();
+            .encode_v3();
 
         let mut ingestor = WindowedIngestor::new(1, 8, cfg);
         // Corrupt frame: counted as corrupt, error names the claimed

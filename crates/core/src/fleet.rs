@@ -2,7 +2,7 @@
 //!
 //! One [`crate::detect::server::WindowedIngestor`] serves exactly one
 //! job. Production monitoring serves a *fleet*: thousands of jobs across
-//! many tenants, all shipping v3 frames (see [`crate::wire`]) into one
+//! many tenants, all shipping frames (see [`crate::wire`]) into one
 //! plane. The [`FleetIngestor`] scales that out in three layers:
 //!
 //! * **Routing** — each decoded frame carries a `(tenant_id, job_id)`
@@ -41,8 +41,8 @@ use crate::wire::{FragmentBatch, WireError, DEFAULT_TENANT};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// Identity of one monitored job: the `(tenant_id, job_id)` pair a v3
-/// frame carries. Pre-v3 frames map to the all-default key.
+/// Identity of one monitored job: the `(tenant_id, job_id)` pair every
+/// frame carries. Unstamped batches carry the all-default key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey {
     /// Owning tenant.
@@ -52,7 +52,7 @@ pub struct JobKey {
 }
 
 impl JobKey {
-    /// The key every pre-v3 frame routes to.
+    /// The key every unstamped frame routes to.
     pub fn default_job() -> JobKey {
         JobKey { tenant: DEFAULT_TENANT, job: crate::wire::DEFAULT_JOB }
     }
@@ -80,7 +80,7 @@ pub struct FleetConfig {
     /// Frames one shard buffers before a fleet-wide drain is triggered.
     /// Batching amortises the fan-out: the admission path only enqueues.
     pub queue_capacity_frames: usize,
-    /// Byte budget of the pre-registered default tenant (pre-v3 senders).
+    /// Byte budget of the pre-registered default tenant (unstamped senders).
     pub default_tenant_budget_bytes: u64,
 }
 
@@ -293,7 +293,7 @@ pub struct FleetIngestor {
 
 impl FleetIngestor {
     /// A fresh plane. The default tenant is pre-registered with
-    /// `cfg.default_tenant_budget_bytes` so pre-v3 senders keep working.
+    /// `cfg.default_tenant_budget_bytes` so unstamped senders keep working.
     pub fn new(cfg: FleetConfig) -> FleetIngestor {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.queue_capacity_frames > 0, "need a nonzero queue capacity");

@@ -73,4 +73,4 @@ pub use fleet::{
 pub use fragment::{Fragment, FragmentKind};
 pub use report::{VaproReport, WindowCoverage};
 pub use stg::{StateKey, Stg};
-pub use wire::{FragmentBatch, ReassembledPools, WireError};
+pub use wire::{FragmentBatch, WireError};

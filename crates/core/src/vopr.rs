@@ -17,7 +17,7 @@
 //!   and armed one at a time at runtime. The harness MUST flag each
 //!   within a bounded number of seeds — the canary-mutation score
 //!   (caught/total) is the measured falsification power of the whole
-//!   chaos apparatus. Without the feature, [`canary::armed`] is a
+//!   harness. Without the feature, [`canary::armed`] is a
 //!   `const false` and every canary branch folds away; production
 //!   builds carry zero canary code.
 //!
@@ -40,7 +40,8 @@ pub mod fault_points {
         /// Wire decode rejected a frame whose CRC did not match.
         WireCorruptReject = 0,
         /// Wire decode rejected a structurally malformed frame
-        /// (truncation, bad magic, count mismatch, trailing bytes...).
+        /// (truncation, bad magic or version byte, count mismatch,
+        /// trailing bytes...).
         WireStructuralReject = 1,
         /// Admission rejected a duplicate sequence number.
         SeqDuplicateReject = 2,

@@ -8,22 +8,20 @@
 //! Edges are `(from, to)` id pairs, so a state label containing `" -> "`
 //! can never collide with a transition label.
 //!
-//! Two serialisations exist:
-//!
-//! * [`FragmentBatch::encode`] — the production path: a compact
-//!   **columnar (SoA) binary layout** with length-prefixed framing
-//!   (see the module constants and `DESIGN.md` §“Wire format”). Fragments
-//!   are written as contiguous columns (ranks, kinds, starts, ends,
-//!   counter sets, counter values, argument vectors), which is both
-//!   several times smaller and several times faster to decode than JSON.
-//! * [`FragmentBatch::to_json_bytes`] — a JSON fallback kept for
-//!   debugging; it serialises the same structure via serde.
+//! There is one serialisation, [`FragmentBatch::encode_v3`]: a compact
+//! **columnar (SoA) binary layout** with length-prefixed framing (see
+//! the module constants and `DESIGN.md` §“Wire format”). Fragments are
+//! written as contiguous columns (ranks, kinds, starts, ends, counter
+//! sets, counter values, argument vectors), which is both several times
+//! smaller and several times faster to decode than a self-describing
+//! encoding such as JSON.
 //!
 //! ```text
 //! frame   := payload_len:u32 payload
-//! payload := magic "VPRW" | version:u8 (=2)
+//! payload := magic "VPRW" | version:u8 (=3)
 //!          | crc32:u32             -- IEEE CRC-32 of every payload byte
 //!          | seq:u64                  after the crc field (0 = unsequenced)
+//!          | tenant_id:u32 | job_id:u32   -- fleet routing stamp
 //!          | rank:u32 | window_start_ns:u64 | window_end_ns:u64
 //!          | nlabels:u32 | nlabels × (len:u32, utf-8 bytes)
 //!          | nvgroups:u32 | nvgroups × (label:u32, count:u32)
@@ -41,23 +39,24 @@
 //!
 //! All integers and floats are little-endian.
 //!
-//! **Integrity (format v2).** Each frame carries an IEEE CRC-32 over the
-//! payload (computed over everything after the checksum field) so a
-//! bit-flipped frame is rejected as [`WireError::BadChecksum`] instead of
-//! being misparsed, plus a per-rank monotonic sequence number so the
-//! server can deduplicate retransmitted batches and detect gaps left by
-//! dropped frames. Sequence `0` means "unsequenced": the frame opts out
-//! of duplicate/gap tracking (and every decoded v1 frame reports it).
-//! Version-1 frames (no checksum, no sequence number) still decode; the
-//! legacy layout can be produced with [`FragmentBatch::encode_v1`] for
-//! compatibility tests and overhead baselines.
+//! **Integrity.** Each frame carries an IEEE CRC-32 over everything
+//! after the checksum field, so a bit-flipped frame is rejected as
+//! [`WireError::BadChecksum`] instead of being misparsed, plus a per-rank
+//! monotonic sequence number so the server can deduplicate retransmitted
+//! batches and detect gaps left by dropped frames. Sequence `0` means
+//! "unsequenced": the frame opts out of duplicate/gap tracking. The
+//! magic and the version byte sit *before* the checksum field and are
+//! **validated, not checksummed**: the decoder accepts exactly one value
+//! for each ([`WIRE_MAGIC`], [`WIRE_VERSION`]) and rejects anything else
+//! as [`WireError::BadMagic`] / [`WireError::BadVersion`], so no
+//! single-byte change anywhere in a frame can decode.
 
 use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::intern::{Sym, SymbolTable};
 use crate::stg::Stg;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 use vapro_pmu::{CounterDelta, CounterId};
@@ -65,22 +64,16 @@ use vapro_sim::VirtualTime;
 
 /// Frame magic: identifies a Vapro wire payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"VPRW";
-/// Current wire-format version byte (CRC-32 + sequence numbers).
-pub const WIRE_VERSION: u8 = 2;
-/// The legacy pre-integrity version byte; still decodable.
-pub const WIRE_VERSION_V1: u8 = 1;
-/// The fleet version byte: the v2 layout plus a `(tenant_id, job_id)`
-/// routing header between the sequence number and the body, so one
-/// ingest plane can serve many jobs across tenants. v1/v2 frames still
-/// decode, mapping to [`DEFAULT_TENANT`]/[`DEFAULT_JOB`].
-pub const WIRE_VERSION_V3: u8 = 3;
+/// The one wire-format version byte this codec writes and accepts:
+/// CRC-32, sequence number and `(tenant_id, job_id)` routing stamp.
+pub const WIRE_VERSION: u8 = 3;
 /// The sequence number meaning "unsequenced": the sender opted out of
-/// duplicate and gap tracking. Decoded v1 frames always carry it.
+/// duplicate and gap tracking.
 pub const SEQ_UNSEQUENCED: u64 = 0;
-/// The tenant every pre-v3 frame decodes to: single-tenant deployments
-/// never mention tenancy and keep working unchanged.
+/// The tenant of a batch nobody stamped ([`FragmentBatch::with_job`]):
+/// single-tenant deployments never mention tenancy.
 pub const DEFAULT_TENANT: u32 = 0;
-/// The job every pre-v3 frame decodes to.
+/// The job of a batch nobody stamped.
 pub const DEFAULT_JOB: u32 = 0;
 
 /// IEEE CRC-32 (the Ethernet/zlib polynomial), slice-by-8 so checksum
@@ -202,10 +195,10 @@ pub struct FragmentBatch {
     /// Per-rank monotonic sequence number; [`SEQ_UNSEQUENCED`] (0) opts
     /// out of duplicate/gap tracking. Sequenced senders start at 1.
     pub seq: u64,
-    /// Owning tenant, for fleet routing and admission. Only carried on
-    /// the wire by v3 frames; v1/v2 decode to [`DEFAULT_TENANT`].
+    /// Owning tenant, for fleet routing and admission
+    /// ([`DEFAULT_TENANT`] until stamped).
     pub tenant_id: u32,
-    /// Job within the tenant; v1/v2 frames decode to [`DEFAULT_JOB`].
+    /// Job within the tenant ([`DEFAULT_JOB`] until stamped).
     pub job_id: u32,
     /// Window start, ns.
     pub window_start_ns: u64,
@@ -236,11 +229,11 @@ pub enum WireError {
     Truncated,
     /// The payload does not start with [`WIRE_MAGIC`].
     BadMagic,
-    /// The version byte is not one this decoder understands.
+    /// The version byte is not [`WIRE_VERSION`].
     BadVersion {
         /// The version byte found on the wire.
         got: u8,
-        /// The newest version this decoder supports.
+        /// The only version this decoder accepts.
         supported: u8,
     },
     /// The payload checksum does not match its CRC-32 field: the frame
@@ -308,7 +301,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated wire frame"),
             WireError::BadMagic => write!(f, "bad wire magic"),
             WireError::BadVersion { got, supported } => {
-                write!(f, "unsupported wire version {got} (decoder supports <= {supported})")
+                write!(f, "unsupported wire version {got} (decoder accepts only {supported})")
             }
             WireError::BadChecksum { rank, seq } => write!(
                 f,
@@ -513,9 +506,6 @@ impl FragmentBatch {
     }
 
     /// Stamp the batch with its fleet routing identity (builder style).
-    /// Only v3 frames carry the stamp on the wire; encoding a stamped
-    /// batch as v1/v2 silently drops it (the decoder restores the
-    /// defaults), so fleet senders must encode v3.
     pub fn with_job(mut self, tenant_id: u32, job_id: u32) -> FragmentBatch {
         self.tenant_id = tenant_id;
         self.job_id = job_id;
@@ -548,36 +538,13 @@ impl FragmentBatch {
     /// Append one length-prefixed binary frame to `out`. This is the
     /// allocation-lean streaming entry point: the caller reuses one
     /// buffer across batches.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_pos = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
-        let payload_start = out.len();
-
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.push(WIRE_VERSION);
-        let crc_pos = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes()); // checksum, patched below
-        let checked_start = out.len();
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        self.encode_body(out);
-
-        let crc = crc32::checksum(&out[checked_start..]);
-        out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
-        let payload_len = u32::try_from(out.len() - payload_start).expect("frame fits u32");
-        out[len_pos..len_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
-    }
-
-    /// Append one length-prefixed **v3** frame: the v2 layout plus the
-    /// `(tenant_id, job_id)` routing header between the sequence number
-    /// and the body, both covered by the checksum. The entry point fleet
-    /// senders use; single-tenant senders can keep shipping v2.
     pub fn encode_into_v3(&self, out: &mut Vec<u8>) {
         let len_pos = out.len();
         out.extend_from_slice(&0u32.to_le_bytes()); // patched below
         let payload_start = out.len();
 
         out.extend_from_slice(&WIRE_MAGIC);
-        out.push(WIRE_VERSION_V3);
+        out.push(WIRE_VERSION);
         let crc_pos = out.len();
         out.extend_from_slice(&0u32.to_le_bytes()); // checksum, patched below
         let checked_start = out.len();
@@ -592,7 +559,7 @@ impl FragmentBatch {
         out[len_pos..len_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
     }
 
-    /// Serialise to one length-prefixed **v3** binary frame (see
+    /// Serialise to one length-prefixed binary frame (see
     /// [`FragmentBatch::encode_into_v3`]).
     pub fn encode_v3(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.len() * 40);
@@ -600,31 +567,7 @@ impl FragmentBatch {
         out
     }
 
-    /// Append one frame in the **legacy v1 layout** (no checksum, no
-    /// sequence number). Kept for cross-version compatibility tests and
-    /// for measuring the integrity overhead against a v1 baseline.
-    pub fn encode_into_v1(&self, out: &mut Vec<u8>) {
-        let len_pos = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
-        let payload_start = out.len();
-
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.push(WIRE_VERSION_V1);
-        self.encode_body(out);
-
-        let payload_len = u32::try_from(out.len() - payload_start).expect("frame fits u32");
-        out[len_pos..len_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
-    }
-
-    /// Serialise to one length-prefixed **v1** binary frame (see
-    /// [`FragmentBatch::encode_into_v1`]).
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.len() * 40);
-        self.encode_into_v1(&mut out);
-        out
-    }
-
-    /// The version-independent payload body: rank, window bounds, label
+    /// The payload body after the header: rank, window bounds, label
     /// dictionary, group heads and fragment columns.
     fn encode_body(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&u32::try_from(self.rank).expect("rank fits u32").to_le_bytes());
@@ -704,15 +647,7 @@ impl FragmentBatch {
         }
     }
 
-    /// Serialise to one length-prefixed binary frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.len() * 40);
-        self.encode_into(&mut out);
-        out
-    }
-
     /// Decode exactly one binary frame; trailing bytes are an error.
-    /// For a buffer holding several frames use [`decode_stream`].
     ///
     /// This is the ingest-facing entry point (solo and fleet admission
     /// both come through here), so it is where wire rejections register
@@ -720,26 +655,19 @@ impl FragmentBatch {
     /// (everything else) rejects are counted separately.
     pub fn decode(bytes: &[u8]) -> Result<FragmentBatch, WireError> {
         use crate::vopr::fault_points::{hit, FaultPoint};
-        let (batch, consumed) = match Self::decode_frame(bytes) {
-            Ok(ok) => ok,
-            Err(e) => {
-                hit(match e {
-                    WireError::BadChecksum { .. } => FaultPoint::WireCorruptReject,
-                    _ => FaultPoint::WireStructuralReject,
-                });
-                return Err(e);
-            }
-        };
-        if consumed != bytes.len() {
-            hit(FaultPoint::WireStructuralReject);
-            return Err(WireError::TrailingBytes);
+        let decoded = Self::decode_frame(bytes);
+        if let Err(e) = &decoded {
+            hit(match e {
+                WireError::BadChecksum { .. } => FaultPoint::WireCorruptReject,
+                _ => FaultPoint::WireStructuralReject,
+            });
         }
-        Ok(batch)
+        decoded
     }
 
-    /// Decode the first frame of `bytes`, returning the batch and the
-    /// number of bytes consumed (frame prefix included).
-    pub fn decode_frame(bytes: &[u8]) -> Result<(FragmentBatch, usize), WireError> {
+    /// Split the length prefix off, decode the payload it declares and
+    /// insist the buffer ends where the frame does.
+    fn decode_frame(bytes: &[u8]) -> Result<FragmentBatch, WireError> {
         let prefix: [u8; 4] = bytes
             .get(..4)
             .and_then(|p| p.try_into().ok())
@@ -750,7 +678,10 @@ impl FragmentBatch {
             .get(4..declared)
             .ok_or(WireError::ShortFrame { declared, available: bytes.len() })?;
         let batch = Self::decode_payload(payload)?;
-        Ok((batch, declared))
+        if declared != bytes.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(batch)
     }
 
     fn decode_payload(payload: &[u8]) -> Result<FragmentBatch, WireError> {
@@ -758,40 +689,34 @@ impl FragmentBatch {
         if r.take(4)? != WIRE_MAGIC {
             return Err(WireError::BadMagic);
         }
-        let version = r.u8()?;
-        let (seq, tenant_id, job_id) = match version {
-            WIRE_VERSION_V1 => (SEQ_UNSEQUENCED, DEFAULT_TENANT, DEFAULT_JOB),
-            WIRE_VERSION | WIRE_VERSION_V3 => {
-                let claimed_crc = r.u32()?;
-                // Everything after the checksum field is covered: verify
-                // before trusting a single body byte. The `SkipCrcCheck`
-                // canary (vopr-canary builds only) suppresses exactly
-                // this rejection; the VOPR harness must notice the
-                // corrupt frames it then admits.
-                if crc32::checksum(r.buf) != claimed_crc
-                    && !crate::vopr::canary::armed(crate::vopr::canary::Canary::SkipCrcCheck)
-                {
-                    // Best-effort attribution from the (untrusted) header
-                    // for log lines; zeros if the frame is too short.
-                    let mut peek = Reader { buf: r.buf };
-                    let seq = peek.u64().unwrap_or(0);
-                    if version == WIRE_VERSION_V3 {
-                        // Skip the routing header to reach the rank.
-                        let _ = peek.u32();
-                        let _ = peek.u32();
-                    }
-                    let rank = peek.u32().unwrap_or(0);
-                    return Err(WireError::BadChecksum { rank, seq });
-                }
-                let seq = r.u64()?;
-                if version == WIRE_VERSION_V3 {
-                    (seq, r.u32()?, r.u32()?)
-                } else {
-                    (seq, DEFAULT_TENANT, DEFAULT_JOB)
-                }
-            }
-            got => return Err(WireError::BadVersion { got, supported: WIRE_VERSION_V3 }),
-        };
+        // The version byte is outside checksum coverage, so it is held
+        // to exactly one value: accepting a second layout here would let
+        // a one-bit flip re-interpret a valid frame.
+        let got = r.u8()?;
+        if got != WIRE_VERSION {
+            return Err(WireError::BadVersion { got, supported: WIRE_VERSION });
+        }
+        let claimed_crc = r.u32()?;
+        // Everything after the checksum field is covered: verify before
+        // trusting a single body byte. The `SkipCrcCheck` canary
+        // (vopr-canary builds only) suppresses exactly this rejection;
+        // the VOPR harness must notice the corrupt frames it then admits.
+        if crc32::checksum(r.buf) != claimed_crc
+            && !crate::vopr::canary::armed(crate::vopr::canary::Canary::SkipCrcCheck)
+        {
+            // Best-effort attribution from the (untrusted) header for
+            // log lines; zeros if the frame is too short.
+            let mut peek = Reader { buf: r.buf };
+            let seq = peek.u64().unwrap_or(0);
+            // Skip the routing stamp to reach the rank.
+            let _ = peek.u32();
+            let _ = peek.u32();
+            let rank = peek.u32().unwrap_or(0);
+            return Err(WireError::BadChecksum { rank, seq });
+        }
+        let seq = r.u64()?;
+        let tenant_id = r.u32()?;
+        let job_id = r.u32()?;
         let rank = r.u32()? as usize;
         let window_start_ns = r.u64()?;
         let window_end_ns = r.u64()?;
@@ -947,40 +872,6 @@ impl FragmentBatch {
             edge_groups,
         })
     }
-
-    /// Serialise to JSON (the debugging fallback; the §6.2 storage-rate
-    /// numbers account the binary encoding).
-    pub fn to_json_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("serialisable batch")
-    }
-
-    /// Parse the JSON fallback.
-    pub fn from_json_bytes(bytes: &[u8]) -> Result<FragmentBatch, serde_json::Error> {
-        serde_json::from_slice(bytes)
-    }
-}
-
-/// Iterate the length-prefixed frames of a byte stream. Yields batches
-/// until the buffer is exhausted; a malformed frame yields its error and
-/// ends the iteration.
-pub fn decode_stream(bytes: &[u8]) -> impl Iterator<Item = Result<FragmentBatch, WireError>> + '_ {
-    let mut rest = bytes;
-    let mut dead = false;
-    std::iter::from_fn(move || {
-        if dead || rest.is_empty() {
-            return None;
-        }
-        match FragmentBatch::decode_frame(rest) {
-            Ok((batch, consumed)) => {
-                rest = rest.get(consumed..).unwrap_or_default();
-                Some(Ok(batch))
-            }
-            Err(e) => {
-                dead = true;
-                Some(Err(e))
-            }
-        }
-    })
 }
 
 /// Intern a label into a process-lifetime string. Crossing the
@@ -989,6 +880,8 @@ pub fn decode_stream(bytes: &[u8]) -> impl Iterator<Item = Result<FragmentBatch,
 /// ever seen, however many batches, windows or arenas are processed.
 pub fn leak_label(label: &str) -> &'static str {
     static LABELS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    #[cfg(test)]
+    LEAK_LABEL_CALLS.set(LEAK_LABEL_CALLS.get() + 1);
     // A panicking holder can only have been between `get` and `insert`;
     // both leave the set coherent, so the poisoned state is usable.
     let mut set = LABELS
@@ -1005,55 +898,12 @@ pub fn leak_label(label: &str) -> &'static str {
     }
 }
 
-/// Server-side pools reassembled from many ranks' batches: label →
-/// fragments, merged across ranks — the population the clustering and
-/// detection stages consume. Edge pools are keyed by the `(from, to)`
-/// label *pair*, so state labels containing `" -> "` stay unambiguous.
-#[derive(Debug, Default, PartialEq)]
-pub struct ReassembledPools {
-    /// Invocation pools by state label.
-    pub vertices: BTreeMap<String, Vec<Fragment>>,
-    /// Computation pools by `(from, to)` transition label pair.
-    pub edges: BTreeMap<(String, String), Vec<Fragment>>,
-}
-
-impl ReassembledPools {
-    /// Merge a set of batches (any ranks, same window). Consumes the
-    /// batches so every fragment *moves* into its pool — reassembly
-    /// never copies a population.
-    pub fn from_batches<I>(batches: I) -> ReassembledPools
-    where
-        I: IntoIterator<Item = FragmentBatch>,
-    {
-        let mut out = ReassembledPools::default();
-        for b in batches {
-            let FragmentBatch { labels, vertex_groups, edge_groups, .. } = b;
-            let name = |id: Sym| -> String {
-                labels.get(id as usize).map(String::as_str).unwrap_or_default().to_string()
-            };
-            for g in vertex_groups {
-                out.vertices.entry(name(g.label)).or_default().extend(g.fragments);
-            }
-            for g in edge_groups {
-                out.edges
-                    .entry((name(g.from), name(g.to)))
-                    .or_default()
-                    .extend(g.fragments);
-            }
-        }
-        out
-    }
-
-    /// Total fragments across pools.
-    pub fn len(&self) -> usize {
-        self.vertices.values().map(Vec::len).sum::<usize>()
-            + self.edges.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+#[cfg(test)]
+thread_local! {
+    /// [`leak_label`] calls made by this thread: lets a test show a code
+    /// path stayed off the process-wide lock.
+    pub(crate) static LEAK_LABEL_CALLS: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1134,54 +984,34 @@ mod tests {
         assert!(o1.len() + o2.len() > stg.total_fragments());
     }
 
+    /// The sample frame every codec test mutates: rank 2, sequence 7,
+    /// routed to tenant 5 / job 6.
+    fn stamped_batch() -> FragmentBatch {
+        FragmentBatch::from_stg(&sample_stg(2), 2, full_window()).with_seq(7).with_job(5, 6)
+    }
+
     #[test]
     fn binary_roundtrip_is_lossless() {
         let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
-        let bytes = batch.encode();
-        let back = FragmentBatch::decode(&bytes).unwrap();
-        assert_eq!(batch, back);
+        assert_eq!((batch.seq, batch.tenant_id, batch.job_id), (0, DEFAULT_TENANT, DEFAULT_JOB));
+        let bytes = batch.encode_v3();
+        assert_eq!(bytes[8], WIRE_VERSION);
+        assert_eq!(FragmentBatch::decode(&bytes).unwrap(), batch);
+        // Sequence number and routing stamp ride in the header.
+        let stamped = batch.with_seq(u64::MAX).with_job(7, u32::MAX);
+        let back = FragmentBatch::decode(&stamped.encode_v3()).unwrap();
+        assert_eq!((back.seq, back.tenant_id, back.job_id), (u64::MAX, 7, u32::MAX));
+        assert_eq!(back, stamped);
     }
 
     #[test]
-    fn json_fallback_roundtrip_is_lossless() {
+    fn binary_framing_overhead_is_small() {
+        // The frame costs the §6.2 per-record accounting plus a fixed
+        // header and dictionary, not a per-fragment tax.
         let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
-        let back = FragmentBatch::from_json_bytes(&batch.to_json_bytes()).unwrap();
-        assert_eq!(batch, back);
-    }
-
-    #[test]
-    fn binary_is_several_times_smaller_than_json() {
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
-        let binary = batch.encode().len();
-        let json = batch.to_json_bytes().len();
-        assert!(
-            json as f64 / binary as f64 >= 4.0,
-            "binary {binary} B vs json {json} B"
-        );
-        // And in the ballpark of the §6.2 per-record accounting.
-        let accounted: u64 = batch
-            .vertex_groups
-            .iter()
-            .flat_map(|g| g.fragments.iter())
-            .chain(batch.edge_groups.iter().flat_map(|g| g.fragments.iter()))
-            .map(fragment_wire_bytes)
-            .sum();
-        let overhead = binary as u64 - accounted;
+        let accounted: u64 = batch.fragments().map(fragment_wire_bytes).sum();
+        let overhead = batch.encode_v3().len() as u64 - accounted;
         assert!(overhead < 200, "fixed overhead {overhead} B");
-    }
-
-    #[test]
-    fn framed_stream_decodes_batch_by_batch() {
-        let mut buf = Vec::new();
-        let batches: Vec<FragmentBatch> = (0..3)
-            .map(|r| FragmentBatch::from_stg(&sample_stg(r), r, full_window()))
-            .collect();
-        for b in &batches {
-            b.encode_into(&mut buf);
-        }
-        let decoded: Vec<FragmentBatch> =
-            decode_stream(&buf).collect::<Result<_, _>>().unwrap();
-        assert_eq!(decoded, batches);
     }
 
     #[test]
@@ -1190,43 +1020,64 @@ mod tests {
             FragmentBatch::decode(&[]).unwrap_err(),
             WireError::ShortFrame { declared: 4, available: 0 }
         );
-        let mut bytes = FragmentBatch::from_stg(&sample_stg(0), 0, full_window()).encode();
-        // Flip the magic.
-        bytes[4] = b'X';
+        let clean = stamped_batch().encode_v3();
+        let mut bytes = clean.clone();
+        bytes[4] = b'X'; // magic
         assert_eq!(FragmentBatch::decode(&bytes).unwrap_err(), WireError::BadMagic);
-        let mut bytes = FragmentBatch::from_stg(&sample_stg(0), 0, full_window()).encode();
-        bytes[8] = 99; // version byte
         assert_eq!(
-            FragmentBatch::decode(&bytes).unwrap_err(),
-            WireError::BadVersion { got: 99, supported: WIRE_VERSION_V3 }
+            FragmentBatch::decode(&clean[..clean.len() - 3]).unwrap_err(),
+            WireError::ShortFrame { declared: clean.len(), available: clean.len() - 3 }
         );
-        let bytes = FragmentBatch::from_stg(&sample_stg(0), 0, full_window()).encode();
-        assert_eq!(
-            FragmentBatch::decode(&bytes[..bytes.len() - 3]).unwrap_err(),
-            WireError::ShortFrame { declared: bytes.len(), available: bytes.len() - 3 }
-        );
+        let mut bytes = clean.clone();
+        bytes.push(0);
+        assert_eq!(FragmentBatch::decode(&bytes).unwrap_err(), WireError::TrailingBytes);
         // Arbitrary truncations never panic.
-        for cut in 0..bytes.len() {
-            let _ = FragmentBatch::decode(&bytes[..cut]);
+        for cut in 0..clean.len() {
+            let _ = FragmentBatch::decode(&clean[..cut]);
         }
     }
 
     #[test]
-    fn corrupted_payload_bytes_fail_the_checksum() {
-        let batch = FragmentBatch::from_stg(&sample_stg(2), 2, full_window()).with_seq(7);
-        let clean = batch.encode();
+    fn every_other_version_byte_is_rejected_and_counted() {
+        // The version byte is outside checksum coverage, so the decoder
+        // must hold it to one value: the retired layouts 1 and 2, a
+        // single-bit flip of 3, and everything else are `BadVersion` —
+        // counted as such by the ingest stats and as a structural reject
+        // by the VOPR fault-point registry.
+        use crate::vopr::fault_points::{snapshot, FaultPoint};
+        let structural_hits = || snapshot()[FaultPoint::WireStructuralReject as usize];
+        let clean = stamped_batch().encode_v3();
+        let mut stats = crate::detect::server::IngestStats::default();
+        let before = structural_hits();
+        for got in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
+            let mut bytes = clean.clone();
+            bytes[8] = got;
+            let err = FragmentBatch::decode(&bytes).unwrap_err();
+            assert_eq!(err, WireError::BadVersion { got, supported: WIRE_VERSION });
+            stats.count_decode_error(&err);
+        }
+        assert_eq!(stats.bad_version_frames, 255);
+        assert_eq!(stats.frames_rejected(), 255);
+        // Other tests bump the process-wide counter too: at least ours.
+        assert!(structural_hits() >= before + 255);
+    }
+
+    #[test]
+    fn corrupted_payload_bytes_fail_the_checksum_with_attribution() {
+        let batch = stamped_batch();
+        let clean = batch.encode_v3();
         assert_eq!(FragmentBatch::decode(&clean).unwrap(), batch);
-        // Flip one bit in every checksum-covered byte (after prefix,
-        // magic, version and the crc field itself): all must be caught,
-        // and the error names the claimed rank and sequence when the
-        // corruption leaves the header intact.
+        // Checksum coverage starts after prefix (4) + magic (4) +
+        // version (1) + crc (4) = byte 13. Flip one bit in every covered
+        // byte: all must be caught, and once seq (8) + tenant (4) +
+        // job (4) + rank (4) are untouched the error still attributes
+        // the true rank and sequence.
         for pos in 13..clean.len() {
             let mut bytes = clean.clone();
             bytes[pos] ^= 0x40;
             match FragmentBatch::decode(&bytes).unwrap_err() {
                 WireError::BadChecksum { rank, seq } => {
-                    if pos >= 13 + 12 {
-                        // Header (seq + rank) untouched: attribution exact.
+                    if pos >= 13 + 20 {
                         assert_eq!((rank, seq), (2, 7), "flip at {pos}");
                     }
                 }
@@ -1243,91 +1094,12 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_roundtrip() {
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
-        assert_eq!(batch.seq, SEQ_UNSEQUENCED);
-        let stamped = batch.with_seq(u64::MAX);
-        let back = FragmentBatch::decode(&stamped.encode()).unwrap();
-        assert_eq!(back.seq, u64::MAX);
-        assert_eq!(back, stamped);
-    }
-
-    #[test]
-    fn legacy_v1_frames_still_decode() {
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window()).with_seq(42);
-        let v1 = batch.encode_v1();
-        assert_eq!(v1[8], WIRE_VERSION_V1);
-        // v1 carries no sequence number, so the roundtrip reports 0 but
-        // is otherwise lossless.
-        let back = FragmentBatch::decode(&v1).unwrap();
-        assert_eq!(back.seq, SEQ_UNSEQUENCED);
-        assert_eq!(back, batch.clone().with_seq(SEQ_UNSEQUENCED));
-        // And the v2 frame costs exactly the integrity fields extra:
-        // crc32 (4) + seq (8).
-        assert_eq!(batch.encode().len(), v1.len() + 12);
-    }
-
-    #[test]
-    fn v3_routing_header_roundtrips() {
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window())
-            .with_seq(42)
-            .with_job(7, u32::MAX);
-        let v3 = batch.encode_v3();
-        assert_eq!(v3[8], WIRE_VERSION_V3);
-        let back = FragmentBatch::decode(&v3).unwrap();
-        assert_eq!((back.tenant_id, back.job_id, back.seq), (7, u32::MAX, 42));
-        assert_eq!(back, batch);
-        // The routing header costs exactly tenant (4) + job (4) over v2.
-        assert_eq!(v3.len(), batch.encode().len() + 8);
-    }
-
-    #[test]
-    fn pre_v3_frames_decode_to_the_default_tenant() {
-        // A stamped batch encoded as v1 or v2 loses the stamp on the
-        // wire; the decoder restores the default identity, so legacy
-        // single-tenant senders route to the default job unchanged.
-        let batch = FragmentBatch::from_stg(&sample_stg(2), 2, full_window())
-            .with_seq(3)
-            .with_job(9, 12);
-        let v2 = FragmentBatch::decode(&batch.encode()).unwrap();
-        assert_eq!((v2.tenant_id, v2.job_id), (DEFAULT_TENANT, DEFAULT_JOB));
-        assert_eq!(v2.seq, 3);
-        let v1 = FragmentBatch::decode(&batch.encode_v1()).unwrap();
-        assert_eq!((v1.tenant_id, v1.job_id), (DEFAULT_TENANT, DEFAULT_JOB));
-    }
-
-    #[test]
-    fn corrupted_v3_bytes_fail_the_checksum_with_attribution() {
-        let batch = FragmentBatch::from_stg(&sample_stg(2), 2, full_window())
-            .with_seq(7)
-            .with_job(5, 6);
-        let clean = batch.encode_v3();
-        assert_eq!(FragmentBatch::decode(&clean).unwrap(), batch);
-        // Checksum coverage starts after prefix (4) + magic (4) +
-        // version (1) + crc (4) = byte 13, as in v2.
-        for pos in 13..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[pos] ^= 0x40;
-            match FragmentBatch::decode(&bytes).unwrap_err() {
-                WireError::BadChecksum { rank, seq } => {
-                    if pos >= 13 + 20 {
-                        // seq + tenant + job + rank untouched: the error
-                        // still attributes the true rank and sequence.
-                        assert_eq!((rank, seq), (2, 7), "flip at {pos}");
-                    }
-                }
-                other => panic!("flip at {pos}: unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn display_messages_name_rank_and_sequence() {
         let msg = WireError::BadChecksum { rank: 3, seq: 17 }.to_string();
         assert!(msg.contains("rank 3") && msg.contains("seq 17"), "{msg}");
         let msg = WireError::DuplicateSequence { rank: 5, seq: 9 }.to_string();
         assert!(msg.contains("rank 5") && msg.contains("seq 9"), "{msg}");
-        let msg = WireError::BadVersion { got: 9, supported: WIRE_VERSION_V3 }.to_string();
+        let msg = WireError::BadVersion { got: 9, supported: WIRE_VERSION }.to_string();
         assert!(msg.contains('9') && msg.contains('3'), "{msg}");
         let msg = WireError::UnknownTenant { tenant: 11 }.to_string();
         assert!(msg.contains("tenant 11"), "{msg}");
@@ -1343,43 +1115,33 @@ mod tests {
     #[test]
     fn huge_claimed_fragment_count_is_rejected_before_allocating() {
         // A tiny frame whose group heads claim ~4 billion fragments must
-        // return Truncated, not attempt multi-GB column allocations. The
-        // guard must hold on both wire versions, so build the malicious
-        // body once and frame it both ways (the v2 copy with a *valid*
-        // checksum, so the anti-OOM check is what rejects it).
-        let mut body = Vec::new();
-        body.extend_from_slice(&0u32.to_le_bytes()); // rank
-        body.extend_from_slice(&0u64.to_le_bytes()); // window start
-        body.extend_from_slice(&0u64.to_le_bytes()); // window end
-        body.extend_from_slice(&1u32.to_le_bytes()); // nlabels
-        body.extend_from_slice(&1u32.to_le_bytes()); // label length
-        body.push(b'a');
-        body.extend_from_slice(&1u32.to_le_bytes()); // nvgroups
-        body.extend_from_slice(&0u32.to_le_bytes()); // group label id
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // claimed pool size
-        body.extend_from_slice(&0u32.to_le_bytes()); // negroups
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // nfrags
-
-        let mut v1_payload = Vec::new();
-        v1_payload.extend_from_slice(&WIRE_MAGIC);
-        v1_payload.push(WIRE_VERSION_V1);
-        v1_payload.extend_from_slice(&body);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&u32::try_from(v1_payload.len()).unwrap().to_le_bytes());
-        frame.extend_from_slice(&v1_payload);
-        assert_eq!(FragmentBatch::decode(&frame).unwrap_err(), WireError::Truncated);
-
+        // return Truncated, not attempt multi-GB column allocations. It
+        // carries a *valid* checksum, so the anti-OOM check is what
+        // rejects it.
         let mut checked = Vec::new();
         checked.extend_from_slice(&1u64.to_le_bytes()); // seq
-        checked.extend_from_slice(&body);
-        let mut v2_payload = Vec::new();
-        v2_payload.extend_from_slice(&WIRE_MAGIC);
-        v2_payload.push(WIRE_VERSION);
-        v2_payload.extend_from_slice(&crc32::checksum(&checked).to_le_bytes());
-        v2_payload.extend_from_slice(&checked);
+        checked.extend_from_slice(&0u32.to_le_bytes()); // tenant
+        checked.extend_from_slice(&0u32.to_le_bytes()); // job
+        checked.extend_from_slice(&0u32.to_le_bytes()); // rank
+        checked.extend_from_slice(&0u64.to_le_bytes()); // window start
+        checked.extend_from_slice(&0u64.to_le_bytes()); // window end
+        checked.extend_from_slice(&1u32.to_le_bytes()); // nlabels
+        checked.extend_from_slice(&1u32.to_le_bytes()); // label length
+        checked.push(b'a');
+        checked.extend_from_slice(&1u32.to_le_bytes()); // nvgroups
+        checked.extend_from_slice(&0u32.to_le_bytes()); // group label id
+        checked.extend_from_slice(&u32::MAX.to_le_bytes()); // claimed pool size
+        checked.extend_from_slice(&0u32.to_le_bytes()); // negroups
+        checked.extend_from_slice(&u32::MAX.to_le_bytes()); // nfrags
+
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&WIRE_MAGIC);
+        payload.push(WIRE_VERSION);
+        payload.extend_from_slice(&crc32::checksum(&checked).to_le_bytes());
+        payload.extend_from_slice(&checked);
         let mut frame = Vec::new();
-        frame.extend_from_slice(&u32::try_from(v2_payload.len()).unwrap().to_le_bytes());
-        frame.extend_from_slice(&v2_payload);
+        frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        frame.extend_from_slice(&payload);
         assert_eq!(FragmentBatch::decode(&frame).unwrap_err(), WireError::Truncated);
     }
 
@@ -1408,54 +1170,22 @@ mod tests {
         stg.attach_edge_fragment(self_e, mk(1.0));
         stg.attach_edge_fragment(ab, mk(2.0));
         let batch = FragmentBatch::from_stg(&stg, 0, full_window());
-        let pools = ReassembledPools::from_batches([batch.clone()]);
-        // Two distinct edge pools: ("a -> b","a -> b") and ("a","b").
-        assert_eq!(pools.edges.len(), 2);
-        let weird_pool = &pools.edges[&("a -> b".to_string(), "a -> b".to_string())];
-        assert_eq!(weird_pool.len(), 1);
-        assert_eq!(weird_pool[0].counters.get(CounterId::TotIns), Some(1.0));
-        let plain_pool = &pools.edges[&("a".to_string(), "b".to_string())];
-        assert_eq!(plain_pool[0].counters.get(CounterId::TotIns), Some(2.0));
-        // And the roundtrip preserves the distinction.
-        let back = FragmentBatch::decode(&batch.encode()).unwrap();
+        // Two distinct edge groups survive the roundtrip, keyed by label
+        // *pairs*: ("a -> b","a -> b") and ("a","b").
+        let back = FragmentBatch::decode(&batch.encode_v3()).unwrap();
         assert_eq!(back, batch);
-    }
-
-    #[test]
-    fn reassembly_pools_across_ranks() {
-        let batches: Vec<FragmentBatch> = (0..4)
-            .map(|r| FragmentBatch::from_stg(&sample_stg(r), r, full_window()))
-            .collect();
-        let pools = ReassembledPools::from_batches(batches);
-        assert_eq!(pools.len(), 4 * 20);
-        // All ranks' computation fragments share one transition pool.
-        let edge_pool = pools
-            .edges
-            .get(&("w:MPI_Barrier".to_string(), "w:MPI_Barrier".to_string()))
-            .expect("pooled edge");
-        assert_eq!(edge_pool.len(), 40);
-        let ranks: std::collections::BTreeSet<usize> =
-            edge_pool.iter().map(|f| f.rank).collect();
-        assert_eq!(ranks.len(), 4);
-    }
-
-    #[test]
-    fn pooled_batches_cluster_like_the_direct_path() {
-        // The server can run Algorithm 1 on reassembled pools and get the
-        // same answer as the in-process path.
-        let batches: Vec<FragmentBatch> = (0..3)
-            .map(|r| FragmentBatch::from_stg(&sample_stg(r), r, full_window()))
-            .collect();
-        let pools = ReassembledPools::from_batches(batches);
-        let pool = &pools.edges[&("w:MPI_Barrier".to_string(), "w:MPI_Barrier".to_string())];
-        let outcome = crate::clustering::cluster_fragments(
-            pool,
-            &crate::fragment::DEFAULT_PROXY,
-            0.05,
-            5,
-        );
-        assert_eq!(outcome.usable.len(), 1);
-        assert_eq!(outcome.usable[0].len(), 30);
+        assert_eq!(back.edge_groups.len(), 2);
+        let ins_of = |from: &str, to: &str| {
+            let g = back
+                .edge_groups
+                .iter()
+                .find(|g| back.label(g.from) == from && back.label(g.to) == to)
+                .expect("edge group");
+            assert_eq!(g.fragments.len(), 1);
+            g.fragments[0].counters.get(CounterId::TotIns)
+        };
+        assert_eq!(ins_of("a -> b", "a -> b"), Some(1.0));
+        assert_eq!(ins_of("a", "b"), Some(2.0));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Fleet-plane equivalence and fairness properties.
 //!
 //! * A single-job fleet — any shard count, any queue capacity — is
-//!   bit-identical to a bare `WindowedIngestor` fed the same frames.
-//! * Pre-v3 frames route to the default tenant/job and close the same
-//!   windows they would on a bare ingestor.
+//!   bit-identical to a bare `WindowedIngestor` fed the same frames,
+//!   the unstamped default tenant/job included.
 //! * An over-budget tenant is rejected with structured errors while a
 //!   clean tenant's windows keep closing on time.
 //! * Unknown tenants are structured rejections, never panics and never
@@ -51,7 +50,7 @@ fn looped_stg(rank: usize, n: usize, period_ns: u64, slow_range: std::ops::Range
     stg
 }
 
-/// Period-major v3 frames for one job: every rank ships period `k`
+/// Period-major frames for one job: every rank ships period `k`
 /// before any rank ships `k+1`, sequenced from 1.
 fn job_frames(stgs: &[Stg], periods: u64, period: VirtualTime, key: JobKey) -> Vec<Vec<u8>> {
     let mut frames = Vec::new();
@@ -129,9 +128,8 @@ proptest! {
         let mut bare = WindowedIngestor::new(nranks, 8, cfg.clone());
         let mut want = Vec::new();
         for f in &frames {
-            // The bare ingestor sees the identical decoded batches: v3
-            // decode differs from the fleet path only in the routing
-            // stamp, which the ingestor ignores.
+            // The bare ingestor sees the identical decoded batches; it
+            // ignores the routing stamp the fleet path routes on.
             want.extend(bare.push(FragmentBatch::decode(f).expect("valid")));
         }
         want.extend(bare.finish());
@@ -150,45 +148,6 @@ proptest! {
         let got_reports: Vec<WindowReport> = got.into_iter().map(|w| w.report).collect();
         assert_reports_identical(&got_reports, &want);
     }
-}
-
-#[test]
-fn pre_v3_frames_route_to_the_default_job() {
-    let cfg = VaproConfig {
-        report_period: VirtualTime::from_secs(5),
-        ..VaproConfig::default()
-    };
-    let stgs: Vec<Stg> = (0..2).map(|r| looped_stg(r, 20, 1_000_000_000, 5..9)).collect();
-
-    let mut bare = WindowedIngestor::new(2, 8, cfg.clone());
-    let mut fleet_cfg = FleetConfig::new(cfg.clone());
-    fleet_cfg.shards = 3;
-    fleet_cfg.default_nranks = 2;
-    let mut fleet = FleetIngestor::new(fleet_cfg);
-
-    let mut want = Vec::new();
-    let mut got = Vec::new();
-    for k in 0..10u64 {
-        let w = Window {
-            start: VirtualTime::from_secs(5 * k),
-            end: VirtualTime::from_secs(5 * (k + 1)),
-        };
-        for (rank, stg) in stgs.iter().enumerate() {
-            let batch = FragmentBatch::from_stg_starting_in(stg, rank, w).with_seq(k + 1);
-            // Alternate v1 and v2 encodings: both predate tenancy and
-            // must land on the default job.
-            let bytes = if (k as usize + rank).is_multiple_of(2) { batch.encode() } else { batch.encode_v1() };
-            want.extend(bare.push_encoded(&bytes).expect("valid"));
-            got.extend(fleet.push_encoded(&bytes).expect("valid"));
-        }
-    }
-    want.extend(bare.finish());
-    got.extend(fleet.finish());
-
-    assert!(!got.is_empty(), "windows closed through the fleet");
-    assert!(got.iter().all(|w| w.key == JobKey::default_job()));
-    let got_reports: Vec<WindowReport> = got.into_iter().map(|w| w.report).collect();
-    assert_reports_identical(&got_reports, &want);
 }
 
 #[test]

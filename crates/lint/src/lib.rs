@@ -94,7 +94,7 @@ pub struct EntryLine {
 ///   `refill_from_merged`, and the stage's `surface_failure`, which
 ///   only re-raises a panic from behind that frontier on the owner's
 ///   thread): past admission, data is validated and the analysis tree
-///   is covered dynamically by chaos/VOPR/soak instead.
+///   is covered dynamically by VOPR/soak instead.
 /// * R6 extends R1/R4 along the steady-state window-close tree rooted
 ///   at `close_ready`; files already under per-body R1/R4 budgets are
 ///   skipped so one allocation never needs two waivers.
@@ -113,9 +113,7 @@ pub fn workspace_config() -> LintConfig {
         "decode",
         "decode_frame",
         "decode_payload",
-        "decode_stream",
         "kind_from_byte",
-        "from_json_bytes",
     ];
     let server_fns = ["push_encoded", "admit", "is_duplicate", "gaps", "count_decode_error"];
     let fleet_fns = [

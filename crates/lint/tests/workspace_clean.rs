@@ -107,6 +107,53 @@ fn waiver_budget_stays_reviewed() {
     assert!(waived <= BUDGET, "waiver budget exceeded: {waived} > {BUDGET}");
 }
 
+/// Lines of `manifest` that name any of `crates` outside a dev-dependency
+/// table. Table headers count too: `[dependencies.vapro-bench]` and
+/// `[target.'cfg(..)'.dependencies.vapro-bench]` declare a dependency in
+/// the header itself.
+fn forbidden_dependencies(manifest: &str, crates: &[&str]) -> Vec<String> {
+    let mut section = "";
+    let mut hits = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        }
+        if !section.contains("dev-dependencies")
+            && !line.starts_with('#')
+            && crates.iter().any(|c| line.contains(c))
+        {
+            hits.push(format!("{section}: {line}"));
+        }
+    }
+    hits
+}
+
+#[test]
+fn dependency_arrows_point_one_way() {
+    // core ← vopr ← bench. The harnesses build on the library and the
+    // bench may borrow the simulation tester's model (`reports_identical`,
+    // `synthetic_stgs`) — never the other way round.
+    let manifest = |krate: &str| {
+        std::fs::read_to_string(workspace_root().join("crates").join(krate).join("Cargo.toml"))
+            .expect("crate manifest")
+    };
+    let vopr = forbidden_dependencies(&manifest("vopr"), &["vapro-bench"]);
+    assert!(vopr.is_empty(), "crates/vopr depends on the bench: {vopr:?}");
+    let core = forbidden_dependencies(&manifest("core"), &["vapro-bench", "vapro-vopr"]);
+    assert!(core.is_empty(), "crates/core depends on a harness: {core:?}");
+
+    // The guard itself can fail: a bench dependency is caught in every
+    // table but the dev ones, whether it is a key or the table's own name.
+    let bad = "[package]\nname = \"x\"\n[dependencies]\nvapro-bench = { path = \"../bench\" }\n\
+               [dev-dependencies]\nvapro-bench = { path = \"../bench\" }\n\
+               [dev-dependencies.vapro-bench]\npath = \"../bench\"\n\
+               [dependencies.vapro-bench]\npath = \"../bench\"\n\
+               [target.'cfg(unix)'.dependencies.vapro-bench]\npath = \"../bench\"\n\
+               [target.'cfg(unix)'.dev-dependencies]\nvapro-bench = { path = \"../bench\" }\n";
+    let hits = forbidden_dependencies(bad, &["vapro-bench"]);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+}
+
 // ---- transitive-rule fixtures --------------------------------------
 
 const R5_BAD: &str = include_str!("fixtures/r5_bad.rs");

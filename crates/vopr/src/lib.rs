@@ -5,9 +5,9 @@
 //!
 //! One seeded event loop drives ranks, the wire codec, the
 //! `WindowedIngestor`/`AnalysisStage` pipeline, and the `FleetIngestor`
-//! through a single interleaved fault schedule (reusing the chaos
-//! harness's [`TransportEvent`] model). Three registries make a run
-//! auditable instead of merely green:
+//! through a single interleaved fault schedule (the [`plan`] module's
+//! [`TransportEvent`] model). Three registries make a run auditable
+//! instead of merely green:
 //!
 //! * **Fault points** — every server-side rejection/recovery site
 //!   (`vapro_core::vopr::fault_points`) counts its executions; the
@@ -36,6 +36,7 @@
 pub mod invariant;
 pub mod journal;
 pub mod model;
+pub mod plan;
 pub mod report;
 
 use invariant::InvariantTracker;
@@ -44,17 +45,16 @@ use model::{outcome_name, AdmissionModel, Delivery, Outcome};
 use report::{CanaryOutcome, VoprReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
-use vapro_bench::chaos::{
-    birth_equivalence, fleet_job_events, fleet_period_ns, one_shot_reference, plan_config,
-    plan_events, plan_period_ns, plan_summary, reports_identical, FaultPlan, FleetPlan, JobPlan,
-    TransportEvent,
+use plan::{
+    fleet_job_events, one_shot_reference, plan_config, plan_events, report_pair_identical,
+    reports_identical, synthetic_stgs, FaultPlan, FleetPlan, FrameMeta, JobPlan, TransportEvent,
 };
-use vapro_bench::perf::synthetic_stgs;
+use std::collections::BTreeMap;
 use vapro_core::detect::window::{windows_covering, Window};
 use vapro_core::vopr::{canary, fault_points};
 use vapro_core::{
-    FleetConfig, FleetIngestor, FragmentBatch, IngestStats, VaproConfig, WindowReport,
-    WindowedIngestor, WireError,
+    FleetConfig, FleetIngestor, FleetReport, FragmentBatch, IngestStats, JobKey, VaproConfig,
+    WindowReport, WindowedIngestor, WireError,
 };
 use vapro_sim::VirtualTime;
 
@@ -135,11 +135,26 @@ impl Cx<'_> {
     }
 }
 
-/// An extra delivery injected by a scenario around the plan's schedule
-/// (hostile structural garbage, zombie late data).
-struct Extra {
-    bytes: Vec<u8>,
-    delivery: Delivery,
+/// What one solo drive replays: a deployment, its ingest policy and a
+/// transport schedule (scenarios splice their hostile or late extras
+/// straight into `events`).
+struct Schedule {
+    nranks: usize,
+    cfg: VaproConfig,
+    events: Vec<TransportEvent>,
+    /// One-line description of the plan behind it, printed with a
+    /// violation.
+    summary: String,
+}
+
+impl Schedule {
+    /// A plan's own schedule at the given analysis-pipeline depth (`0` =
+    /// inline analysis on the admission thread).
+    fn of_plan(plan: &FaultPlan, pipeline_depth: usize) -> Schedule {
+        let mut cfg = VaproConfig { pipeline_depth, ..plan_config(plan.period_ns()) };
+        cfg.fault.max_buffered_bytes = plan.max_buffered_bytes;
+        Schedule { nranks: plan.nranks, cfg, events: plan_events(plan), summary: plan.summary() }
+    }
 }
 
 /// What one driven run produced.
@@ -147,81 +162,57 @@ struct Drive {
     reports: Vec<WindowReport>,
     delivered: u64,
     stats: IngestStats,
-    /// Per-outcome tallies as observed (post-agreement they equal the
-    /// oracle's predictions).
-    dropped_late: u64,
-    dropped_backpressure: u64,
+    /// The arena's `(resident, high-water)` bytes once the stream ended.
+    arena_bytes: (u64, u64),
     /// The run aborted on a model disagreement (canary behaviour);
     /// end-of-stream checks were skipped.
     poisoned: bool,
 }
 
-/// Drive one plan's schedule (plus scenario extras) through a
-/// `WindowedIngestor`, predicting every delivery with the admission
-/// oracle and checking the per-push invariants. The loop aborts on the
-/// first model disagreement: once the server has observably diverged
-/// from the specification (only canary mutations do), its subsequent
-/// state — possibly holding garbage data — is not worth simulating.
-fn drive_solo(
-    cx: &mut Cx<'_>,
-    label: &str,
-    plan: &FaultPlan,
-    pipeline_depth: usize,
-    extras_pre: &[Extra],
-    extras_post: &[Extra],
-) -> Drive {
-    let period_ns = plan_period_ns(plan);
-    let mut cfg = VaproConfig { pipeline_depth, ..plan_config(period_ns) };
-    cfg.fault.max_buffered_bytes = plan.max_buffered_bytes;
-    let cap = cfg.fault.max_buffered_bytes;
-
-    let mut ing = WindowedIngestor::new(plan.nranks, 8, cfg.clone());
-    let mut oracle = AdmissionModel::new(plan.nranks, &cfg);
-    let (events, _) = plan_events(plan);
+/// Drive one schedule through a `WindowedIngestor`, predicting every
+/// delivery with the admission oracle and checking the per-push
+/// invariants. The loop aborts on the first model disagreement: once the
+/// server has observably diverged from the specification (only canary
+/// mutations do), its subsequent state — possibly holding garbage data —
+/// is not worth simulating.
+fn drive_solo(cx: &mut Cx<'_>, label: &str, run: &Schedule) -> Drive {
+    let cap = run.cfg.fault.max_buffered_bytes;
+    let mut ing = WindowedIngestor::new(run.nranks, 8, run.cfg.clone());
+    let mut oracle = AdmissionModel::new(run.nranks, &run.cfg);
 
     let mut reports = Vec::new();
     let mut delivered = 0u64;
-    let (mut dropped_late, mut dropped_backpressure) = (0u64, 0u64);
     let mut prev_watermark = 0u64;
     let mut poisoned = false;
 
-    let frame_steps = extras_pre
-        .iter()
-        .map(|e| (e.bytes.clone(), e.delivery))
-        .map(Some)
-        .map(|f| (f, None))
-        .chain(events.into_iter().map(|ev| match ev {
-            TransportEvent::Frame(f) => {
-                let d = Delivery {
-                    rank: f.rank,
-                    seq: f.seq,
-                    window_start_ns: f.window_start_ns,
-                    window_end_ns: f.window_end_ns,
-                    frame_bytes: f.bytes.len() as u64,
-                    corrupted: f.corrupted,
-                    malformed: f.malformed,
-                };
-                (Some((f.bytes, d)), None)
+    for event in &run.events {
+        let f = match event {
+            TransportEvent::Birth { rank: scheduled } => {
+                let got = ing.add_rank();
+                let predicted = oracle.record_birth();
+                cx.inv.check(
+                    "birth_registration",
+                    got == *scheduled && predicted == *scheduled,
+                    || format!("birth assigned rank {got}, oracle {predicted}, schedule {scheduled}"),
+                );
+                cx.note(format!("{label} birth rank={got}"));
+                continue;
             }
-            TransportEvent::Birth { rank } => (None, Some(rank)),
-        }))
-        .chain(extras_post.iter().map(|e| (Some((e.bytes.clone(), e.delivery)), None)));
-
-    for (frame, birth) in frame_steps {
-        if let Some(scheduled) = birth {
-            let got = ing.add_rank();
-            let predicted = oracle.record_birth();
-            cx.inv.check("birth_registration", got == scheduled && predicted == scheduled, || {
-                format!("birth assigned rank {got}, oracle {predicted}, schedule {scheduled}")
-            });
-            cx.note(format!("{label} birth rank={got}"));
-            continue;
-        }
-        let Some((bytes, d)) = frame else { continue };
+            TransportEvent::Frame(f) => f,
+        };
+        let d = Delivery {
+            rank: f.rank,
+            seq: f.seq,
+            window_start_ns: f.window_start_ns,
+            window_end_ns: f.window_end_ns,
+            frame_bytes: f.bytes.len() as u64,
+            corrupted: f.corrupted,
+            malformed: f.malformed,
+        };
         delivered += 1;
         let predicted = oracle.predict(&d);
         let before = ing.stats().clone();
-        let (actual, closed) = match ing.push_encoded(&bytes) {
+        let (actual, closed) = match ing.push_encoded(&f.bytes) {
             Ok(closed) => {
                 let after = ing.stats();
                 let outcome = if after.frames_admitted > before.frames_admitted {
@@ -240,11 +231,6 @@ fn drive_solo(
             Err(WireError::UnknownRank { .. }) => (Outcome::RejectedUnknownRank, Vec::new()),
             Err(_) => (Outcome::RejectedMalformed, Vec::new()),
         };
-        match actual {
-            Outcome::DroppedLate => dropped_late += 1,
-            Outcome::DroppedBackpressure => dropped_backpressure += 1,
-            _ => {}
-        }
         let watermark = ing.watermark_ns();
         cx.note(format!(
             "{label} frame rank={} seq={} -> {} wm={}",
@@ -271,7 +257,7 @@ fn drive_solo(
                 d.seq,
                 outcome_name(predicted),
                 outcome_name(actual),
-                plan_summary(plan)
+                run.summary
             )
         });
         cx.inv.check("watermark_agreement", watermark == oracle.watermark_ns(), || {
@@ -316,18 +302,12 @@ fn drive_solo(
 
     let stats = ing.stats().clone();
     let max_seen_ns = ing.arena().max_end_ns();
+    let arena_bytes = (ing.arena().resident_bytes(), ing.arena().high_water_bytes());
     if poisoned {
         // Dropping the ingestor joins the analysis stage without
         // analysing the tail — the diverged server may hold garbage
         // (e.g. admitted corrupt fragments) that is unsafe to simulate.
-        return Drive {
-            reports,
-            delivered,
-            stats,
-            dropped_late,
-            dropped_backpressure,
-            poisoned,
-        };
+        return Drive { reports, delivered, stats, arena_bytes, poisoned };
     }
     reports.extend(ing.finish());
 
@@ -348,7 +328,7 @@ fn drive_solo(
     let expected = windows_covering(
         VirtualTime::ZERO,
         VirtualTime::from_ns(max_seen_ns),
-        VirtualTime::from_ns(period_ns),
+        run.cfg.report_period,
     );
     let tiled = reports.len() == expected.len()
         && reports.iter().zip(&expected).all(|(r, w)| r.window == *w);
@@ -358,63 +338,303 @@ fn drive_solo(
             reports.len(),
             expected.len(),
             max_seen_ns,
-            plan_summary(plan)
+            run.summary
         )
     });
-    // Every delivery is admitted, rejected, or a counted policy drop.
+    // Every delivery is admitted, rejected, or a counted policy drop,
+    // and what each window reports of that accounting is sound.
     let accounted = stats.frames_admitted + stats.frames_rejected();
     cx.inv.check("delivery_accounting", accounted == delivered, || {
         format!("{delivered} deliveries but {accounted} accounted: {stats}")
     });
+    let births = run.events.iter().filter(|e| matches!(e, TransportEvent::Birth { .. })).count();
+    cx.inv.check_result(
+        "delivery_accounting",
+        coverage_sound(&reports, run.nranks, run.nranks + births),
+    );
+    // A run that absorbed any fragment registered an arena peak.
+    cx.inv.check("eviction_safety", max_seen_ns == 0 || arena_bytes.1 > 0, || {
+        format!("data up to {max_seen_ns} ns absorbed but the arena high water never moved")
+    });
 
-    Drive { reports, delivered, stats, dropped_late, dropped_backpressure, poisoned }
+    Drive { reports, delivered, stats, arena_bytes, poisoned }
 }
 
-/// A structurally broken (truncated) frame plus its oracle metadata.
-fn truncated_extra(period_ns: u64) -> Extra {
-    let bytes = template_frame_bytes(0, period_ns);
-    let cut = bytes.len() / 2;
-    Extra {
-        bytes: bytes.into_iter().take(cut).collect(),
-        delivery: Delivery {
-            rank: 0,
-            seq: 0,
-            window_start_ns: 0,
-            window_end_ns: period_ns,
-            frame_bytes: cut as u64,
-            corrupted: false,
-            malformed: true,
-        },
+/// Window-by-window sanity of the coverage a drive reported. The
+/// deployment width starts at `initial` ranks, never exceeds `total`
+/// (initial plus born) and never shrinks across close order; rank lists
+/// and the completeness fraction stay in range; the transport counters
+/// are cumulative at close time, so nondecreasing in window order.
+fn coverage_sound(reports: &[WindowReport], initial: usize, total: usize) -> Result<(), String> {
+    let mut prev_width = initial;
+    let mut prev_counters = (0u64, 0u64, 0u64);
+    for r in reports {
+        let c = &r.coverage;
+        if c.nranks < prev_width || c.nranks > total {
+            return Err(format!(
+                "coverage width {} after {prev_width}, outside [{initial}, {total}]",
+                c.nranks
+            ));
+        }
+        prev_width = c.nranks;
+        if c.ranks_complete > c.nranks
+            || !(0.0..=1.0).contains(&c.completeness)
+            || c.ranks_absent.iter().chain(&c.ranks_dead).any(|&r| r >= c.nranks)
+        {
+            return Err(format!("out-of-range coverage {c:?}"));
+        }
+        let counters = (c.corrupt_frames, c.duplicate_frames, c.dropped_late_frames);
+        if counters.0 < prev_counters.0
+            || counters.1 < prev_counters.1
+            || counters.2 < prev_counters.2
+        {
+            return Err(format!(
+                "cumulative coverage counters went backwards: {counters:?} after {prev_counters:?}"
+            ));
+        }
+        prev_counters = counters;
     }
+    Ok(())
+}
+
+/// A valid batch for `rank` covering the first period — the template
+/// the hostile extras stamp, encode and mutate.
+fn template_batch(rank: usize, period_ns: u64) -> FragmentBatch {
+    let stgs = synthetic_stgs(1, 40, 8, 0xE81A);
+    FragmentBatch::from_stg_starting_in(&stgs[0], rank, first_period(period_ns)).with_seq(1)
+}
+
+/// A scenario's own delivery, in the schedule's event type: `bytes` as
+/// shipped by `rank` under `seq` for `window`, untouched by the transport
+/// unless the scenario says it is `malformed`.
+fn extra_frame(
+    bytes: Vec<u8>,
+    rank: usize,
+    seq: u64,
+    window: Window,
+    malformed: bool,
+) -> TransportEvent {
+    let period_ns = (window.end.ns() - window.start.ns()).max(1);
+    TransportEvent::Frame(FrameMeta {
+        bytes,
+        rank,
+        period: (window.start.ns() / period_ns) as usize,
+        seq,
+        window_start_ns: window.start.ns(),
+        window_end_ns: window.end.ns(),
+        corrupted: false,
+        retransmit: false,
+        delayed: 0,
+        reordered: false,
+        malformed,
+    })
+}
+
+/// The first reporting period.
+fn first_period(period_ns: u64) -> Window {
+    Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(period_ns) }
+}
+
+/// A structurally broken (truncated) frame.
+fn truncated_extra(period_ns: u64) -> TransportEvent {
+    let mut bytes = template_batch(0, period_ns).encode_v3();
+    bytes.truncate(bytes.len() / 2);
+    extra_frame(bytes, 0, 0, first_period(period_ns), true)
 }
 
 /// A well-formed frame claiming a rank far outside the deployment.
-fn unknown_rank_extra(period_ns: u64) -> Extra {
-    let bytes = template_frame_bytes(250, period_ns);
-    let frame_bytes = bytes.len() as u64;
-    Extra {
-        bytes,
-        delivery: Delivery {
-            rank: 250,
-            seq: 1,
-            window_start_ns: 0,
-            window_end_ns: period_ns,
-            frame_bytes,
-            corrupted: false,
-            malformed: false,
-        },
-    }
+fn unknown_rank_extra(period_ns: u64) -> TransportEvent {
+    let bytes = template_batch(250, period_ns).encode_v3();
+    extra_frame(bytes, 250, 1, first_period(period_ns), false)
 }
 
-/// A valid encoded frame for `rank` covering the first period — the
-/// template the hostile extras mutate.
-fn template_frame_bytes(rank: usize, period_ns: u64) -> Vec<u8> {
-    let stgs = synthetic_stgs(1, 40, 8, 0xE81A);
-    let window = Window {
-        start: VirtualTime::ZERO,
-        end: VirtualTime::from_ns(period_ns),
+// ---------------------------------------------------------------------
+// The fleet driver: several jobs' schedules interleaved through one
+// sharded plane, every job then held to its own solo drive.
+
+/// What one fleet drive produced.
+struct FleetDrive {
+    /// The plane's final aggregate report.
+    report: FleetReport,
+    /// Frames the plane refused over their tenant's byte budget.
+    over_budget: u64,
+}
+
+/// What the plane did with one job's scheduled frames.
+#[derive(Clone, Default)]
+struct JobTally {
+    /// Frames the transport scheduled for the job.
+    scheduled: u64,
+    /// Frames refused over the tenant's byte budget.
+    over_budget: u64,
+    /// The deliveries the plane accepted for the job's ingestor.
+    offered: Vec<TransportEvent>,
+}
+
+/// Drive one fleet plan end to end: every job's faulted stream
+/// generated, the streams interleaved round-robin through a sharded
+/// `FleetIngestor` (tenants unlimited unless `budgets` says otherwise;
+/// `prelude` may inject hostile frames ahead of the stream), all windows
+/// flushed and attributed back per job.
+///
+/// The check is isolation by construction. The plane must refuse at
+/// decode exactly the frames the transport damaged — frame by frame, as
+/// the metadata predicts, all of them counted unattributed (a damaged
+/// frame names no trustworthy job) — and every job's fleet output must be
+/// bit-identical to a [`drive_solo`] run — oracle and per-push invariants
+/// included — over the deliveries that were left, so a chaotic or starved
+/// tenant can neither corrupt nor stall another.
+fn drive_fleet(
+    cx: &mut Cx<'_>,
+    label: &str,
+    plan: &FleetPlan,
+    budgets: &[(u32, u64)],
+    prelude: impl FnOnce(&mut Cx<'_>, &mut FleetIngestor),
+) -> FleetDrive {
+    let period_ns = plan.period_ns();
+    let cfg = plan_config(period_ns);
+    let mut fleet = FleetIngestor::new(FleetConfig {
+        shards: plan.shards,
+        default_nranks: 1,
+        bins_per_window: 8,
+        vapro: cfg.clone(),
+        queue_capacity_frames: plan.queue_capacity_frames,
+        default_tenant_budget_bytes: u64::MAX,
+    });
+    for jp in &plan.jobs {
+        let budget = budgets.iter().find(|&&(t, _)| t == jp.tenant).map_or(u64::MAX, |&(_, b)| b);
+        fleet.register_tenant(jp.tenant, budget);
+        fleet.register_job(jp.key(), jp.nranks, jp.tenant);
+    }
+    prelude(cx, &mut fleet);
+    let unattributed_before = fleet.unattributed_stats().frames_rejected();
+
+    let mut streams: Vec<_> = plan
+        .jobs
+        .iter()
+        .map(|jp| fleet_job_events(plan, jp, period_ns).into_iter())
+        .collect();
+    let mut tallies = vec![JobTally::default(); plan.jobs.len()];
+    let mut undecodable = 0u64;
+    let mut windows = Vec::new();
+    loop {
+        let mut delivered_any = false;
+        for (stream, tally) in streams.iter_mut().zip(&mut tallies) {
+            let Some(event) = stream.next() else { continue };
+            delivered_any = true;
+            let TransportEvent::Frame(f) = &event else { continue };
+            tally.scheduled += 1;
+            let (rank, seq, damaged) = (f.rank, f.seq, f.corrupted || f.malformed);
+            let refused_at_decode = match fleet.push_encoded(&f.bytes) {
+                Ok(closed) => {
+                    windows.extend(closed);
+                    tally.offered.push(event);
+                    false
+                }
+                Err(WireError::TenantOverBudget { tenant, .. }) => {
+                    tally.over_budget += 1;
+                    cx.note(format!("{label} over-budget reject tenant={tenant}"));
+                    false
+                }
+                Err(_) => {
+                    undecodable += 1;
+                    true
+                }
+            };
+            cx.inv.check("tenant_isolation", refused_at_decode == damaged, || {
+                format!(
+                    "{label}: frame rank={rank} seq={seq} damaged in transit: {damaged}, \
+                     refused at decode: {refused_at_decode}"
+                )
+            });
+        }
+        if !delivered_any {
+            break;
+        }
+    }
+    let (report, flushed) = fleet.into_report();
+    windows.extend(flushed);
+    let mut by_key: BTreeMap<JobKey, Vec<WindowReport>> = BTreeMap::new();
+    for w in windows {
+        by_key.entry(w.key).or_default().push(w.report);
+    }
+
+    let mut over_budget = 0u64;
+    for (jp, tally) in plan.jobs.iter().zip(tallies) {
+        let key = jp.key();
+        let reports = by_key.remove(&key).unwrap_or_default();
+        let name = format!("{label} job t{}j{}", key.tenant, key.job);
+        cx.note(format!(
+            "{name} scheduled={} offered={} windows={}",
+            tally.scheduled,
+            tally.offered.len(),
+            reports.len()
+        ));
+        for r in &reports {
+            cx.note(format!(
+                "{name} report [{}..{}) complete={}/{}",
+                r.window.start.ns(),
+                r.window.end.ns(),
+                r.coverage.ranks_complete,
+                r.coverage.nranks
+            ));
+        }
+        over_budget += tally.over_budget;
+        let solo_run = Schedule {
+            nranks: jp.nranks,
+            cfg: cfg.clone(),
+            events: tally.offered,
+            summary: format!("{jp:?}"),
+        };
+        let solo = drive_solo(cx, &format!("{name} solo"), &solo_run);
+        if solo.poisoned {
+            continue;
+        }
+        // A clean job's transport loses nothing: short of its tenant's
+        // budget, every scheduled frame is admitted.
+        let kept = solo.stats.frames_admitted + tally.over_budget;
+        cx.inv.check("tenant_isolation", !jp.is_fault_free() || kept == tally.scheduled, || {
+            format!(
+                "{name}: clean job lost frames: {} scheduled, {} over budget, {} admitted",
+                tally.scheduled, tally.over_budget, solo.stats.frames_admitted
+            )
+        });
+        let isolated = job_isolated(jp, &reports, &solo, &report);
+        cx.inv.check_result("tenant_isolation", isolated.map_err(|e| format!("{name}: {e}")));
+    }
+    // Every decode rejection is accounted to the unattributed bucket.
+    let unattributed = report.unattributed.frames_rejected() - unattributed_before;
+    cx.inv.check("tenant_isolation", unattributed == undecodable, || {
+        format!(
+            "{label}: {undecodable} decode rejections but the unattributed bucket \
+             counted {unattributed}"
+        )
+    });
+    FleetDrive { report, over_budget }
+}
+
+/// One job's side of the isolation claim: its fleet output against the
+/// solo drive over the same offered deliveries.
+fn job_isolated(
+    jp: &JobPlan,
+    fleet_reports: &[WindowReport],
+    solo: &Drive,
+    report: &FleetReport,
+) -> Result<(), String> {
+    reports_identical(fleet_reports, &solo.reports)
+        .map_err(|e| format!("diverged from its solo run: {e}"))?;
+    // The fleet report attributes the job with the right close count.
+    let Some(summary) = report.jobs.iter().find(|j| j.key == jp.key()) else {
+        return Err("missing from the fleet report".to_string());
     };
-    FragmentBatch::from_stg_starting_in(&stgs[0], rank, window).with_seq(1).encode()
+    if summary.windows_closed != fleet_reports.len() {
+        return Err(format!(
+            "report says {} windows closed, {} observed",
+            summary.windows_closed,
+            fleet_reports.len()
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -427,38 +647,67 @@ fn default_depth() -> usize {
     VaproConfig::default().pipeline_depth
 }
 
-/// Clean transport: the oracle agrees on every delivery, the stream is
-/// bit-identical to the one-shot analysis, and the pipelined stage
-/// emits exactly what inline analysis does.
-fn clean_solo(cx: &mut Cx<'_>) {
-    cx.inv.enter("clean_solo", cx.seed);
-    let plan = FaultPlan::fault_free(cx.seed);
-    let piped = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
+/// Any solo plan, hostile or clean, behind a scenario's `prelude` of
+/// extra deliveries: the oracle must predict every outcome, the windows
+/// must tile the admitted data, and the bounded pipelined stage must
+/// emit, account and reclaim exactly what inline analysis does. Returns
+/// the pipelined drive unless a model disagreement aborted it.
+fn solo_plan(cx: &mut Cx<'_>, plan: &FaultPlan, prelude: &[TransportEvent]) -> Option<Drive> {
+    let schedule = |depth| {
+        let mut run = Schedule::of_plan(plan, depth);
+        run.events.splice(0..0, prelude.iter().cloned());
+        run
+    };
+    let piped = drive_solo(cx, DEFAULT_DEPTH_LABEL, &schedule(default_depth()));
     if piped.poisoned {
-        return;
+        return None;
     }
-    let inline = drive_solo(cx, "inline", &plan, 0, &[], &[]);
-    cx.inv.check_result(
-        "stream_one_shot_identity",
-        reports_identical(&piped.reports, &one_shot_reference(&plan)),
-    );
+    let inline = drive_solo(cx, "inline", &schedule(0));
     cx.inv.check_result(
         "pipeline_inline_equivalence",
         reports_identical(&piped.reports, &inline.reports),
     );
-    cx.inv.check("clean_no_loss", piped.stats.frames_admitted == piped.delivered, || {
+    // Sealing snapshots windows out of the arena, so the accounting and
+    // the resident/high-water bytes are independent of where analysis
+    // runs.
+    cx.inv.check(
+        "pipeline_inline_equivalence",
+        piped.stats == inline.stats && piped.arena_bytes == inline.arena_bytes,
+        || {
+            format!(
+                "pipelined accounting [{}] arena {:?} vs inline [{}] arena {:?}",
+                piped.stats, piped.arena_bytes, inline.stats, inline.arena_bytes
+            )
+        },
+    );
+    Some(piped)
+}
+
+/// `clean_no_loss`: a clean transport admits every delivery.
+fn check_no_loss(cx: &mut Cx<'_>, drive: &Drive) {
+    cx.inv.check("clean_no_loss", drive.stats.frames_admitted == drive.delivered, || {
         format!(
             "clean plan lost frames: {} delivered, {} admitted",
-            piped.delivered, piped.stats.frames_admitted
+            drive.delivered, drive.stats.frames_admitted
         )
     });
 }
 
+/// Clean transport: on top of [`solo_plan`], the stream is bit-identical
+/// to the one-shot analysis and nothing is lost.
+fn clean_solo(cx: &mut Cx<'_>) {
+    let plan = FaultPlan::fault_free(cx.seed);
+    let Some(piped) = solo_plan(cx, &plan, &[]) else { return };
+    cx.inv.check_result(
+        "stream_one_shot_identity",
+        reports_identical(&piped.reports, &one_shot_reference(&plan)),
+    );
+    check_no_loss(cx, &piped);
+}
+
 /// Hostile transport: every fault axis at once plus structurally broken
-/// and unknown-rank extras; the oracle must still predict every outcome
-/// and the pipelined/inline runs must still agree bit for bit.
+/// and unknown-rank extras.
 fn hostile_solo(cx: &mut Cx<'_>) {
-    cx.inv.enter("hostile_solo", cx.seed);
     let mut plan = FaultPlan::random(cx.seed);
     plan.drop = plan.drop.max(0.1);
     plan.duplicate = plan.duplicate.max(0.25);
@@ -468,64 +717,42 @@ fn hostile_solo(cx: &mut Cx<'_>) {
     if plan.deaths.is_empty() {
         plan.deaths = vec![(0, 1)];
     }
-    let period_ns = plan_period_ns(&plan);
-    let extras = [truncated_extra(period_ns), unknown_rank_extra(period_ns)];
-    let piped = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &extras, &[]);
-    if piped.poisoned {
-        return;
-    }
-    let inline = drive_solo(cx, "inline", &plan, 0, &extras, &[]);
-    cx.inv.check_result(
-        "pipeline_inline_equivalence",
-        reports_identical(&piped.reports, &inline.reports),
-    );
+    let period_ns = plan.period_ns();
+    solo_plan(cx, &plan, &[truncated_extra(period_ns), unknown_rank_extra(period_ns)]);
 }
 
 /// Zombie rank: a rank dies mid-run, is latched dead, and then its
 /// stale frames arrive *after* the latch — they must be acknowledged
 /// but dropped, exactly as the oracle predicts.
 fn zombie_solo(cx: &mut Cx<'_>) {
-    cx.inv.enter("zombie_solo", cx.seed);
     let dead_rank = 1usize;
     let last_period = 1usize;
     let plan =
         FaultPlan { deaths: vec![(dead_rank, last_period)], ..FaultPlan::fault_free(cx.seed) };
-    let period_ns = plan_period_ns(&plan);
-    let stgs = synthetic_stgs(plan.nranks, plan.frags_per_rank, 8, plan.seed ^ 0xBAD_F00D);
-    let late: Vec<Extra> = (1..=2u64)
-        .map(|i| {
-            let k = last_period as u64 + i;
-            let window = Window {
-                start: VirtualTime::from_ns(k * period_ns),
-                end: VirtualTime::from_ns((k + 1) * period_ns),
-            };
-            let bytes = FragmentBatch::from_stg_starting_in(&stgs[dead_rank], dead_rank, window)
-                .with_seq(k + 1)
-                .encode();
-            let frame_bytes = bytes.len() as u64;
-            Extra {
-                bytes,
-                delivery: Delivery {
-                    rank: dead_rank,
-                    seq: k + 1,
-                    window_start_ns: window.start.ns(),
-                    window_end_ns: window.end.ns(),
-                    frame_bytes,
-                    corrupted: false,
-                    malformed: false,
-                },
-            }
-        })
-        .collect();
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &late);
+    let period_ns = plan.period_ns();
+    let stgs = plan.stgs();
+    const LATE_FRAMES: u64 = 2;
+    let mut run = Schedule::of_plan(&plan, default_depth());
+    run.events.extend((1..=LATE_FRAMES).map(|i| {
+        let k = last_period as u64 + i;
+        let window = Window {
+            start: VirtualTime::from_ns(k * period_ns),
+            end: VirtualTime::from_ns((k + 1) * period_ns),
+        };
+        let bytes = FragmentBatch::from_stg_starting_in(&stgs[dead_rank], dead_rank, window)
+            .with_seq(k + 1)
+            .encode_v3();
+        extra_frame(bytes, dead_rank, k + 1, window, false)
+    }));
+    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &run);
     if drive.poisoned {
         return;
     }
-    cx.inv.check("late_data_dropped", drive.dropped_late >= late.len() as u64, || {
+    let dropped_late = drive.stats.dropped_late_frames;
+    cx.inv.check("late_data_dropped", dropped_late >= LATE_FRAMES, || {
         format!(
-            "{} late zombie frames delivered but only {} dropped under the late policy",
-            late.len(),
-            drive.dropped_late
+            "{LATE_FRAMES} late zombie frames delivered but only {dropped_late} dropped under \
+             the late policy"
         )
     });
 }
@@ -534,221 +761,162 @@ fn zombie_solo(cx: &mut Cx<'_>) {
 /// and reorder must shed frames — and the buffered bytes must never
 /// exceed the cap at any push.
 fn backpressure_solo(cx: &mut Cx<'_>) {
-    cx.inv.enter("backpressure_solo", cx.seed);
     let plan = FaultPlan {
         reorder: 0.7,
         delay: 0.6,
         max_buffered_bytes: Some(2_048),
         ..FaultPlan::fault_free(cx.seed)
     };
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
+    let run = Schedule::of_plan(&plan, default_depth());
+    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &run);
     if drive.poisoned {
         return;
     }
-    cx.inv.check("backpressure_engaged", drive.dropped_backpressure > 0, || {
+    cx.inv.check("backpressure_engaged", drive.stats.dropped_backpressure_frames > 0, || {
         "the byte cap never shed a frame; shrink the cap or raise the delay axis".to_string()
     });
 }
 
-/// Elastic membership: a rank born mid-stream widens coverage exactly
-/// once, and every post-birth window is bit-identical to a run where
-/// the rank was always present.
+/// Elastic membership: a rank born mid-stream, on an otherwise clean
+/// transport, widens coverage exactly once and perturbs nothing from
+/// its join point on. Every window starting at or after the birth must
+/// be bit-identical — detection, diagnoses and coverage — to a
+/// reference drive where the same rank was a (silent) member from the
+/// start, shipping the exact same frames. Windows closing entirely
+/// before the birth may legitimately differ in deployment width (that
+/// is the elastic-membership contract), which is why the comparison is
+/// anchored at the birth boundary rather than window zero. The birth
+/// lands within the dead horizon (4 periods), so the silent member of
+/// the reference is never latched dead.
 fn birth_solo(cx: &mut Cx<'_>) {
-    cx.inv.enter("birth_solo", cx.seed);
     let first = 1 + (cx.seed % 3) as usize;
     let plan = FaultPlan { births: vec![first], ..FaultPlan::fault_free(cx.seed) };
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
-    if drive.poisoned {
+    let born_run = Schedule::of_plan(&plan, default_depth());
+    let born = drive_solo(cx, DEFAULT_DEPTH_LABEL, &born_run);
+    if born.poisoned {
         return;
     }
-    cx.inv.check_result("birth_equivalence", birth_equivalence(&plan));
-    let widened = drive
-        .reports
-        .last()
-        .is_some_and(|r| r.coverage.nranks == plan.total_ranks());
+    check_no_loss(cx, &born);
+    let mut member_run = born_run;
+    member_run.nranks = plan.total_ranks();
+    member_run.events.retain(|e| matches!(e, TransportEvent::Frame(_)));
+    let member = drive_solo(cx, "member", &member_run);
+    if member.poisoned {
+        return;
+    }
+    let birth_ns = first as u64 * plan.period_ns();
+    cx.inv.check_result(
+        "birth_equivalence",
+        post_birth_identical(&born.reports, &member.reports, birth_ns, plan.total_ranks()),
+    );
+    let widened = born.reports.last().is_some_and(|r| r.coverage.nranks == plan.total_ranks());
     cx.inv.check("birth_widening", widened, || {
         format!(
             "final window closed at width {:?}, expected {}",
-            drive.reports.last().map(|r| r.coverage.nranks),
+            born.reports.last().map(|r| r.coverage.nranks),
             plan.total_ranks()
         )
     });
 }
 
+/// Every window starting at or after `birth_ns` is identical between the
+/// born run and the always-a-member reference, at full width.
+fn post_birth_identical(
+    born: &[WindowReport],
+    member: &[WindowReport],
+    birth_ns: u64,
+    total_ranks: usize,
+) -> Result<(), String> {
+    if born.len() != member.len() {
+        return Err(format!(
+            "born run closed {} windows, always-present reference closed {}",
+            born.len(),
+            member.len()
+        ));
+    }
+    let mut compared = 0usize;
+    for (g, w) in born.iter().zip(member).filter(|(g, _)| g.window.start.ns() >= birth_ns) {
+        compared += 1;
+        if g.coverage.nranks != total_ranks {
+            return Err(format!(
+                "post-birth window {:?} closed with width {} (expected {total_ranks})",
+                g.window, g.coverage.nranks
+            ));
+        }
+        report_pair_identical(g, w)
+            .map_err(|e| format!("born run diverged from always-present reference: {e}"))?;
+    }
+    if compared == 0 {
+        return Err("no post-birth windows to compare; grow the plan's periods".to_string());
+    }
+    Ok(())
+}
+
 /// Clean fleet: several tenants through the sharded plane, each job
 /// bit-identical to its solo run.
 fn clean_fleet(cx: &mut Cx<'_>) {
-    cx.inv.enter("clean_fleet", cx.seed);
     let plan = FleetPlan::fault_free(cx.seed, 3);
-    fleet_scenario(cx, "clean_fleet", &plan);
+    drive_fleet(cx, "clean_fleet", &plan, &[], |_, _| {});
 }
 
 /// Hostile fleet: random per-job fault mixes (job 0 clean); isolation
 /// must hold regardless.
 fn hostile_fleet(cx: &mut Cx<'_>) {
-    cx.inv.enter("hostile_fleet", cx.seed);
     let plan = FleetPlan::random(cx.seed);
-    fleet_scenario(cx, "hostile_fleet", &plan);
-}
-
-fn fleet_scenario(cx: &mut Cx<'_>, label: &str, plan: &FleetPlan) {
-    let outcome = vapro_bench::chaos::run_fleet_plan(plan);
-    for j in &outcome.per_job {
-        cx.note(format!(
-            "{label} job t{}j{} delivered={} rejected={} windows={}",
-            j.key.tenant,
-            j.key.job,
-            j.delivered,
-            j.rejected_decode,
-            j.reports.len()
-        ));
-        for r in &j.reports {
-            cx.note(format!(
-                "{label} job t{}j{} report [{}..{}) complete={}/{}",
-                j.key.tenant,
-                j.key.job,
-                r.window.start.ns(),
-                r.window.end.ns(),
-                r.coverage.ranks_complete,
-                r.coverage.nranks
-            ));
-        }
-    }
-    cx.inv.check_result(
-        "tenant_isolation",
-        vapro_bench::chaos::check_fleet_invariants(plan, &outcome),
-    );
+    drive_fleet(cx, "hostile_fleet", &plan, &[], |_, _| {});
 }
 
 /// Tenant budgets: a starved tenant's frames are rejected over budget,
 /// an unregistered tenant is rejected outright, structural garbage
-/// lands in the unattributed bucket — and the well-budgeted tenant's
-/// output stays bit-identical to its solo run through all of it.
+/// lands in the unattributed bucket — and every job's output, the
+/// well-budgeted tenant's above all, stays bit-identical to a solo run
+/// over the frames the plane let through.
 fn budget_fleet(cx: &mut Cx<'_>) {
-    cx.inv.enter("budget_fleet", cx.seed);
+    const STARVED: u32 = 2;
     let plan = FleetPlan {
         seed: cx.seed,
         shards: 2,
         queue_capacity_frames: 4,
         periods: 6,
-        jobs: vec![JobPlan::clean(1, 0), JobPlan::clean(2, 1)],
+        jobs: vec![JobPlan::clean(1, 0), JobPlan::clean(STARVED, 1)],
     };
-    let period_ns = fleet_period_ns(&plan);
-    let cfg = plan_config(period_ns);
-    let mut fleet = FleetIngestor::new(FleetConfig {
-        shards: plan.shards,
-        default_nranks: 1,
-        bins_per_window: 8,
-        vapro: cfg.clone(),
-        queue_capacity_frames: plan.queue_capacity_frames,
-        default_tenant_budget_bytes: u64::MAX,
+    let period_ns = plan.period_ns();
+    // A budget of a frame or two per drain.
+    let drive = drive_fleet(cx, "budget_fleet", &plan, &[(STARVED, 1_000)], |cx, fleet| {
+        // Hostile injections: an unregistered tenant and a truncated frame.
+        let ghost = template_batch(0, period_ns).with_job(99, 0).encode_v3();
+        let ghost_rejected =
+            matches!(fleet.push_encoded(&ghost), Err(WireError::UnknownTenant { .. }));
+        cx.inv.check("unknown_tenant_rejected", ghost_rejected, || {
+            "a frame from unregistered tenant 99 was not rejected as UnknownTenant".to_string()
+        });
+        let truncated_rejected = fleet.push_encoded(&ghost[..ghost.len() / 2]).is_err();
+        cx.inv.check("structural_garbage_rejected", truncated_rejected, || {
+            "a truncated frame was accepted by the fleet plane".to_string()
+        });
     });
-    fleet.register_tenant(1, u64::MAX);
-    fleet.register_tenant(2, 1_000); // starved: a frame or two per drain
-    for jp in &plan.jobs {
-        fleet.register_job(jp.key(), jp.nranks, jp.tenant);
-    }
-
-    let streams: Vec<Vec<Vec<u8>>> = plan
-        .jobs
+    let counted = drive
+        .report
+        .tenants
         .iter()
-        .map(|jp| {
-            fleet_job_events(&plan, jp, period_ns)
-                .0
-                .into_iter()
-                .filter_map(|e| match e {
-                    TransportEvent::Frame(f) => Some(f.bytes),
-                    TransportEvent::Birth { .. } => None,
-                })
-                .collect()
-        })
-        .collect();
-
-    // Hostile injections: an unregistered tenant and a truncated frame.
-    let stgs = synthetic_stgs(1, 40, 8, cx.seed ^ 0x99);
-    let w0 = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(period_ns) };
-    let ghost = FragmentBatch::from_stg_starting_in(&stgs[0], 0, w0)
-        .with_seq(1)
-        .with_job(99, 0)
-        .encode_v3();
-    let truncated: Vec<u8> = ghost.iter().copied().take(ghost.len() / 2).collect();
-    let ghost_rejected = matches!(fleet.push_encoded(&ghost), Err(WireError::UnknownTenant { .. }));
-    cx.inv.check("unknown_tenant_rejected", ghost_rejected, || {
-        "a frame from unregistered tenant 99 was not rejected as UnknownTenant".to_string()
-    });
-    let truncated_rejected = fleet.push_encoded(&truncated).is_err();
-    cx.inv.check("structural_garbage_rejected", truncated_rejected, || {
-        "a truncated frame was accepted by the fleet plane".to_string()
-    });
-
-    let mut windows = Vec::new();
-    let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
-    let mut over_budget_seen = 0u64;
-    for i in 0..longest {
-        for stream in &streams {
-            let Some(bytes) = stream.get(i) else { continue };
-            match fleet.push_encoded(bytes) {
-                Ok(closed) => windows.extend(closed),
-                Err(WireError::TenantOverBudget { tenant, .. }) => {
-                    over_budget_seen += 1;
-                    cx.note(format!("budget_fleet over-budget reject tenant={tenant}"));
-                }
-                Err(e) => cx.note(format!("budget_fleet unexpected rejection: {e:?}")),
-            }
-        }
-    }
+        .find(|t| t.tenant == STARVED)
+        .map(|t| t.stats.over_budget_frames);
     cx.inv.check(
         "budget_enforced",
-        over_budget_seen > 0
-            && fleet.tenant_stats(2).is_some_and(|s| s.over_budget_frames == over_budget_seen),
+        drive.over_budget > 0 && counted == Some(drive.over_budget),
         || {
             format!(
-                "expected over-budget rejections on tenant 2, saw {} (stats {:?})",
-                over_budget_seen,
-                fleet.tenant_stats(2).map(|s| s.over_budget_frames)
+                "expected over-budget rejections on tenant {STARVED}, saw {} (stats {counted:?})",
+                drive.over_budget
             )
         },
     );
-    let unattributed = fleet.unattributed_stats().clone();
+    let unattributed = &drive.report.unattributed;
     cx.inv.check(
         "structural_garbage_unattributed",
         unattributed.malformed_frames >= 1 && unattributed.unknown_tenant_frames >= 1,
         || format!("unattributed bucket did not absorb the injections: {unattributed}"),
     );
-    let (_report, flushed) = fleet.into_report();
-    windows.extend(flushed);
-
-    // The well-budgeted tenant's output is bit-identical to a solo
-    // ingestor fed exactly its delivery sequence — the starved tenant's
-    // rejections cannot leak across.
-    let clean_key = plan.jobs[0].key();
-    let clean_reports: Vec<WindowReport> = windows
-        .into_iter()
-        .filter(|w| w.key == clean_key)
-        .map(|w| w.report)
-        .collect();
-    let mut solo = WindowedIngestor::new(plan.jobs[0].nranks, 8, cfg);
-    let mut solo_reports = Vec::new();
-    for bytes in &streams[0] {
-        if let Ok(closed) = solo.push_encoded(bytes) {
-            solo_reports.extend(closed);
-        }
-    }
-    solo_reports.extend(solo.finish());
-    cx.inv.check_result(
-        "tenant_isolation",
-        reports_identical(&clean_reports, &solo_reports)
-            .map_err(|e| format!("budgeted fleet diverged from tenant 1's solo run: {e}")),
-    );
-    for r in &clean_reports {
-        cx.note(format!(
-            "budget_fleet clean-tenant report [{}..{}) complete={}/{}",
-            r.window.start.ns(),
-            r.window.end.ns(),
-            r.coverage.ranks_complete,
-            r.coverage.nranks
-        ));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -776,30 +944,73 @@ pub struct SuiteRun {
     pub journal: Journal,
 }
 
-/// Run every scenario against one seed. Panics inside a scenario are
-/// caught and recorded as `no_panic` violations (deterministic
-/// harnesses never panic; canary mutations may).
-pub fn run_suite(seed: u64, mut log: Option<&mut Vec<String>>) -> SuiteRun {
-    let mut tracker = InvariantTracker::new();
-    let mut journal = Journal::new();
-    for &(name, scenario) in SCENARIOS {
-        journal.record(name);
+impl SuiteRun {
+    fn new(seed: u64) -> SuiteRun {
+        SuiteRun { seed, tracker: InvariantTracker::new(), journal: Journal::new() }
+    }
+
+    /// Run one scenario body. A panic inside it is caught and recorded
+    /// as a `no_panic` violation (deterministic harnesses never panic;
+    /// canary mutations may).
+    fn scenario(
+        &mut self,
+        name: &'static str,
+        log: Option<&mut Vec<String>>,
+        body: impl FnOnce(&mut Cx<'_>),
+    ) {
+        self.journal.record(name);
+        self.tracker.enter(name, self.seed);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            let mut cx = Cx {
-                seed,
-                inv: &mut tracker,
-                journal: &mut journal,
-                log: log.as_deref_mut(),
-            };
-            scenario(&mut cx);
+            body(&mut Cx {
+                seed: self.seed,
+                inv: &mut self.tracker,
+                journal: &mut self.journal,
+                log,
+            });
         }))
         .is_err();
         if panicked {
-            tracker.record_panic(name, seed, "scenario panicked".to_string());
-            journal.record("PANIC");
+            self.tracker.record_panic(name, self.seed, "scenario panicked".to_string());
+            self.journal.record("PANIC");
         }
     }
-    SuiteRun { seed, tracker, journal }
+}
+
+/// Run the named scenarios (all of them for `None`) against one seed.
+fn run_scenarios(seed: u64, only: Option<&[&str]>, mut log: Option<&mut Vec<String>>) -> SuiteRun {
+    let mut run = SuiteRun::new(seed);
+    for &(name, scenario) in SCENARIOS {
+        if only.is_none_or(|names| names.contains(&name)) {
+            run.scenario(name, log.as_deref_mut(), scenario);
+        }
+    }
+    run
+}
+
+/// Run every scenario against one seed.
+pub fn run_suite(seed: u64, log: Option<&mut Vec<String>>) -> SuiteRun {
+    run_scenarios(seed, None, log)
+}
+
+/// Hold one arbitrary solo plan to the solo driver's invariants: oracle
+/// agreement on every push, window tiling, delivery accounting, and
+/// pipelined ≡ inline analysis.
+pub fn check_solo_plan(plan: &FaultPlan) -> SuiteRun {
+    let mut run = SuiteRun::new(plan.seed);
+    run.scenario("solo_plan", None, |cx| {
+        solo_plan(cx, plan, &[]);
+    });
+    run
+}
+
+/// Hold one arbitrary fleet plan to the fleet driver's isolation
+/// invariant (and, through each job's solo reference, to the solo ones).
+pub fn check_fleet_plan(plan: &FleetPlan) -> SuiteRun {
+    let mut run = SuiteRun::new(plan.seed);
+    run.scenario("fleet_plan", None, |cx| {
+        drive_fleet(cx, "fleet_plan", plan, &[], |_, _| {});
+    });
+    run
 }
 
 fn lock_run() -> MutexGuard<'static, ()> {
@@ -807,7 +1018,7 @@ fn lock_run() -> MutexGuard<'static, ()> {
 }
 
 /// Run `f` holding the global run lock — for integration tests that
-/// call [`run_suite`] directly and must not race another suite's
+/// drive the suite directly and must not race another suite's
 /// fault-point counters or canary arming.
 pub fn with_run_lock<T>(f: impl FnOnce() -> T) -> T {
     let _guard = lock_run();
@@ -824,7 +1035,8 @@ fn hunt_canary(c: canary::Canary) -> CanaryOutcome {
         attempts += 1;
         canary::arm(Some(c));
         let flagged = catch_unwind(AssertUnwindSafe(|| {
-            let run = run_suite_subset(HUNT_SEED_BASE + i, &["clean_solo", "hostile_solo"]);
+            let run =
+                run_scenarios(HUNT_SEED_BASE + i, Some(&["clean_solo", "hostile_solo"]), None);
             !run.tracker.violations().is_empty()
         }))
         .unwrap_or(true);
@@ -835,26 +1047,6 @@ fn hunt_canary(c: canary::Canary) -> CanaryOutcome {
         }
     }
     CanaryOutcome { name: canary::name(c), caught, attempts }
-}
-
-/// Run only the named scenarios (the canary-hunt fast path).
-fn run_suite_subset(seed: u64, names: &[&str]) -> SuiteRun {
-    let mut tracker = InvariantTracker::new();
-    let mut journal = Journal::new();
-    for &(name, scenario) in SCENARIOS {
-        if !names.contains(&name) {
-            continue;
-        }
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            let mut cx = Cx { seed, inv: &mut tracker, journal: &mut journal, log: None };
-            scenario(&mut cx);
-        }))
-        .is_err();
-        if panicked {
-            tracker.record_panic(name, seed, "scenario panicked".to_string());
-        }
-    }
-    SuiteRun { seed, tracker, journal }
 }
 
 /// Run the full VOPR suite: measurement seeds, fault-point coverage,

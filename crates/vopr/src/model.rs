@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use vapro_core::{LateDataPolicy, VaproConfig};
 
-/// Sequence number that opts out of dedup/ordering (wire v1 frames).
+/// Sequence number that opts out of dedup/ordering.
 const SEQ_UNSEQUENCED: u64 = 0;
 
 /// Everything the oracle may know about one delivery: transport-side

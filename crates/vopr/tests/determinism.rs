@@ -17,11 +17,11 @@ proptest! {
         prop_assert_eq!(a.journal.hash(), b.journal.hash(), "journal hash diverged");
         prop_assert_eq!(a.journal.events(), b.journal.events(), "journal length diverged");
         prop_assert_eq!(a.tracker.counts(), b.tracker.counts(), "invariant counts diverged");
-        prop_assert_eq!(
-            a.tracker.violations().len(),
-            b.tracker.violations().len(),
-            "violation counts diverged"
-        );
+        // Arbitrary seeds also widen the fixed-seed suite: a clean stream
+        // equals the one-shot analysis, a rank born at any admissible
+        // period equals an always-present one — for every seed.
+        prop_assert!(a.tracker.violations().is_empty(), "{:#?}", a.tracker.violations());
+        prop_assert!(b.tracker.violations().is_empty(), "{:#?}", b.tracker.violations());
     }
 }
 
