@@ -3,15 +3,17 @@
 
 CARGO := cargo
 OFFLINE := --offline
+# The one throughput-harness driver; subcommands detect|ingest|diagnose|fleet|all.
+PERF := $(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf --
 
 .PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf soak vopr vopr-nightly bench clippy clean
 
 # The full gate: release build, tests, workspace clippy with warnings
 # denied, the static-analysis pass, sanitizer runs (skipped gracefully
 # where the toolchain component is absent), the long-stream soak, the
-# four throughput harnesses (each compares against its previous
-# BENCH_*.json and warns on >20% drops), then the VOPR fault-injection
-# simulation.
+# four throughput harnesses (`perf all`: each compares against its
+# previous BENCH_*.json and warns on >20% drops), then the VOPR
+# fault-injection simulation.
 check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
@@ -20,10 +22,7 @@ check:
 	$(MAKE) miri
 	$(MAKE) tsan
 	$(MAKE) soak
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin ingest_perf
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin diagnose_perf
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin fleet_perf
+	$(PERF) all
 	$(MAKE) vopr
 
 # Workspace static analysis: per-body rules (R1 no-hot-path-clone,
@@ -31,18 +30,16 @@ check:
 # call-graph rules (R5 transitive panic-freedom, R6 transitive hot-path
 # allocation, R7 lock hygiene); see DESIGN.md §10 and §15. Fails on any
 # unwaived finding or on a per-rule waiver-count increase over the
-# committed LINT_report.json. Unchanged files are served from the
-# content-hash cache; SARIF goes next to it for code-scanning upload.
+# committed LINT_report.json. SARIF goes under target/ for code-scanning
+# upload.
 lint:
 	$(CARGO) run --release $(OFFLINE) -q -p vapro-lint -- --root . \
-		--report LINT_report.json --cache target/vapro-lint-cache.tsv \
-		--sarif target/vapro-lint.sarif
+		--report LINT_report.json --sarif target/vapro-lint.sarif
 
 # Deliberately accept a larger waiver budget (rewrites LINT_report.json).
 lint-accept:
 	$(CARGO) run --release $(OFFLINE) -q -p vapro-lint -- --root . \
-		--report LINT_report.json --cache target/vapro-lint-cache.tsv \
-		--sarif target/vapro-lint.sarif --accept-waivers
+		--report LINT_report.json --sarif target/vapro-lint.sarif --accept-waivers
 
 # Bounded Miri pass over the wire-codec property tests (UB check on the
 # byte-level decode paths). Skips when the miri component is not
@@ -81,26 +78,26 @@ clippy:
 # harness compares against the previous BENCH_detect.json (warning on
 # >20% throughput drops) before overwriting it.
 perf: bench
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf
+	$(PERF) detect
 
 # Wire-format + windowed-ingestion harness: writes BENCH_ingest.json and
 # enforces the release-mode wire targets (>=4x smaller, >=5x faster
 # decode than JSON).
 ingest-perf:
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin ingest_perf
+	$(PERF) ingest
 
 # Region-diagnosis harness: writes BENCH_diagnose.json and enforces the
 # release-mode batching targets (>=5x over the naive per-region loop,
 # zero Fragment clones on the batch path).
 diagnose-perf:
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin diagnose_perf
+	$(PERF) diagnose
 
 # Sharded fleet ingest-plane harness: writes BENCH_fleet.json and
 # enforces the release-mode fleet targets (single-job overhead < 10%;
 # >=1.5x aggregate throughput at 4 shards, gated only on runners with
 # enough hardware threads).
 fleet-perf:
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin fleet_perf
+	$(PERF) fleet
 
 # VOPR deterministic simulation run (PR profile, canaries compiled) —
 # the one seeded fault-injection harness: clean transports must stay

@@ -13,7 +13,7 @@
 use crate::common::{header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
-use vapro_core::clustering::cluster_fragments;
+use vapro_core::clustering::cluster_pool;
 use vapro_core::detect::pipeline::merge_stgs;
 use vapro_core::fragment::{FragmentKind, DEFAULT_PROXY};
 use vapro_core::VaproConfig;
@@ -50,8 +50,8 @@ pub fn threshold_sweep(opts: &ExpOpts) -> Vec<ThresholdRow> {
         .max_by_key(|v| v.iter().map(|f| f.duration().ns()).sum::<u64>())
         .expect("AMG has edges")
         .iter()
+        .copied()
         .filter(|f| f.kind == FragmentKind::Computation)
-        .map(|f| (*f).clone())
         .collect();
     // Ground truth: the true class is recoverable from the (clean) class
     // structure — classes are (1+k)·base instructions, ≥ 14 % apart, so
@@ -72,7 +72,7 @@ pub fn threshold_sweep(opts: &ExpOpts) -> Vec<ThresholdRow> {
     [0.005, 0.02, 0.05, 0.15, 0.40]
         .into_iter()
         .map(|threshold| {
-            let outcome = cluster_fragments(&pool, &DEFAULT_PROXY, threshold, 2);
+            let outcome = cluster_pool(pool.as_slice(), &DEFAULT_PROXY, threshold, 2);
             let labels = outcome.all_labels(pool.len());
             let scores = v_measure(&truth, &labels);
             ThresholdRow {
@@ -149,7 +149,6 @@ pub struct ProxyRow {
 /// behaviour* — the case the paper's "users are able to specify other PMU
 /// metrics" hook exists for.
 pub fn proxy_comparison() -> Vec<ProxyRow> {
-    use vapro_core::clustering::cluster_fragments;
     use vapro_core::fragment::{Fragment, FragmentKind, DEFAULT_PROXY, EXTENDED_PROXY};
     use vapro_pmu::{CounterDelta, CounterId, CounterSet};
     use vapro_sim::VirtualTime;
@@ -177,10 +176,11 @@ pub fn proxy_comparison() -> Vec<ProxyRow> {
         pool.push(mk(50_000.0, 2_000.0, 500.0, i));
     }
 
+    let pool: Vec<&Fragment> = pool.iter().collect();
     [("TOT_INS", &DEFAULT_PROXY[..]), ("TOT_INS+loads+stores", &EXTENDED_PROXY[..])]
         .into_iter()
         .map(|(name, proxies)| {
-            let outcome = cluster_fragments(&pool, proxies, 0.05, 5);
+            let outcome = cluster_pool(pool.as_slice(), proxies, 0.05, 5);
             ProxyRow {
                 proxy: name,
                 hw_slots: CounterSet::from_ids(proxies).hardware_slots(),

@@ -1,101 +1,118 @@
-//! The `perf` binary: run the detection-throughput harness, compare it
-//! against the previous run, and write `BENCH_detect.json`.
+//! The `perf` binary: run one throughput harness (or all four), compare
+//! it against its previous report, and write `BENCH_<harness>.json`.
 //!
 //! ```text
-//! perf [--out PATH] [--fragments N] [--ranks N] [--reps N]
+//! perf detect   [--out PATH] [--fragments N] [--ranks N] [--reps N]
+//! perf ingest   [--out PATH] [--fragments N] [--ranks N] [--periods N] [--reps N]
+//! perf diagnose [--out PATH] [--fragments N] [--ranks N] [--sites N] [--cols N] [--reps N]
+//! perf fleet    [--out PATH] [--jobs N] [--ranks N] [--fragments N] [--shards N] [--reps N]
+//! perf all
 //! ```
 //!
-//! Defaults measure the acceptance configuration: a 4-rank synthetic run
-//! with 8000 computation fragments fanned over 32 call sites, every
-//! timed metric a median over ≥30 warmed-up samples. If a previous
-//! `BENCH_detect.json` exists at the output path, throughput drops
-//! beyond the measured noise (20 % floor) are reported as warnings and
-//! its trend history is carried into the fresh file before it is
-//! overwritten. Release builds hard-fail (exit 1) when, on a one-thread
-//! runner, the fan-out runs below 0.95 of the sequential path.
+//! The flag defaults are the acceptance configurations:
+//!
+//! * `detect` — a 4-rank synthetic run with 8000 computation fragments
+//!   fanned over 32 call sites, sequential vs fan-out, plus the
+//!   clustering kernel over 100 000 vectors;
+//! * `ingest` — the same run shipped over 12 reporting periods through
+//!   the wire codec and the windowed ingestor, plus a ≥200-window long
+//!   stream;
+//! * `diagnose` — 4 ranks over 18 call sites (36 merged STG locations),
+//!   the detected variance regions plus an 8-column × rank selection
+//!   grid, naive vs batched;
+//! * `fleet` — 8 jobs × 2 ranks × 1200 fragments/rank shipped as
+//!   frames, 1 vs 4 shards, and one job through the fleet vs bare.
+//!
+//! Every timed metric is a median over ≥30 warmed-up samples. What each
+//! harness gates against its previous file, and which release-build
+//! acceptance targets fail the run (exit 1, nothing written), is stated
+//! by its report's [`PerfReport`] impl; `all` runs the four in turn with
+//! the defaults and stops at the first that fails.
 
-use vapro_bench::{perf, regression, stats};
+use std::collections::BTreeMap;
+use vapro_bench::regression::{finish_run, PerfReport};
+use vapro_bench::{diagnose, fleet, ingest, perf, stats};
+
+/// `--name N` flags one harness takes, with their defaults.
+type Flags = &'static [(&'static str, usize)];
+
+const HARNESSES: [(&str, Flags); 4] = [
+    ("detect", &[("fragments", 8000), ("ranks", 4), ("reps", 3)]),
+    ("ingest", &[("fragments", 8000), ("ranks", 4), ("periods", 12), ("reps", 3)]),
+    ("diagnose", &[("fragments", 1600), ("ranks", 4), ("sites", 18), ("cols", 8), ("reps", 3)]),
+    (
+        "fleet",
+        &[("jobs", 8), ("ranks", 2), ("fragments", 1200), ("shards", 4), ("reps", stats::MIN_SAMPLES)],
+    ),
+];
 
 fn usage() -> ! {
-    eprintln!("usage: perf [--out PATH] [--fragments N] [--ranks N] [--reps N]");
+    eprintln!("usage: perf detect|ingest|diagnose|fleet [--out PATH] [--<size> N]... | perf all");
+    for (name, flags) in HARNESSES {
+        let sizes: Vec<String> =
+            flags.iter().map(|(f, d)| format!("--{f} (default {d})")).collect();
+        eprintln!("  {name}: {}", sizes.join(", "));
+    }
     std::process::exit(2);
 }
 
-fn num_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
-    match args.next().and_then(|v| v.parse().ok()) {
-        Some(n) => n,
-        None => {
-            eprintln!("{flag} needs a numeric argument");
-            usage()
+/// The `--out` path, if given, and every size flag's value (≥ 1).
+fn parse(args: &[String], flags: Flags) -> (Option<String>, BTreeMap<&'static str, usize>) {
+    let mut out = None;
+    let mut sizes: BTreeMap<&'static str, usize> = flags.iter().copied().collect();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = args.next();
+        if flag == "--out" {
+            out = Some(value.cloned().unwrap_or_else(|| usage()));
+            continue;
         }
+        let Some(size) = flag.strip_prefix("--").and_then(|f| sizes.get_mut(f)) else { usage() };
+        match value.and_then(|v| v.parse::<usize>().ok()) {
+            Some(n) => *size = n.max(1),
+            None => {
+                eprintln!("{flag} needs a numeric argument");
+                usage()
+            }
+        }
+    }
+    (out, sizes)
+}
+
+/// Finish one measured run; `false` when it failed.
+fn finish<R: PerfReport>(report: R, out: Option<String>) -> bool {
+    let out = out.unwrap_or_else(|| R::FILE.to_string());
+    finish_run(report, &out).map_err(|failure| eprintln!("FAIL: {failure}")).is_ok()
+}
+
+fn harness(name: &str, args: &[String]) -> bool {
+    let Some(&(_, flags)) = HARNESSES.iter().find(|(n, _)| *n == name) else { usage() };
+    let (out, n) = parse(args, flags);
+    let per_rank = n["fragments"].max(n["ranks"]) / n["ranks"];
+    match name {
+        "detect" => finish(perf::measure(n["ranks"], per_rank, 32, 64, n["reps"], 100_000), out),
+        "ingest" => {
+            finish(ingest::measure(n["ranks"], per_rank, 32, n["periods"], n["reps"]), out)
+        }
+        "diagnose" => finish(
+            diagnose::measure(n["ranks"], per_rank, n["sites"], n["cols"], n["reps"]),
+            out,
+        ),
+        _ => finish(
+            fleet::measure(n["jobs"], n["ranks"], n["fragments"], 16, 10, n["shards"], n["reps"]),
+            out,
+        ),
     }
 }
 
 fn main() {
-    let mut out = String::from("BENCH_detect.json");
-    let mut fragments = 8000usize;
-    let mut ranks = 4usize;
-    let mut reps = 3usize;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--out" => match args.next() {
-                Some(p) => out = p,
-                None => usage(),
-            },
-            "--fragments" => fragments = num_arg(&mut args, "--fragments"),
-            "--ranks" => ranks = num_arg(&mut args, "--ranks").max(1),
-            "--reps" => reps = num_arg(&mut args, "--reps").max(1),
-            _ => usage(),
-        }
-    }
-
-    let mut report = perf::measure(ranks, fragments.max(ranks) / ranks, 32, 64, reps, 100_000);
-    print!("{}", perf::summary(&report));
-
-    // Optimised builds only: debug-mode ratios are not meaningful.
-    if !cfg!(debug_assertions) {
-        if let Some(failure) = regression::one_thread_fanout_failure(
-            "parallel detect",
-            report.threads,
-            (report.par_fragments_per_sec, report.par_noise_frac),
-            (report.seq_fragments_per_sec, report.seq_noise_frac),
-        ) {
-            eprintln!("FAIL: {failure}");
-            std::process::exit(1);
-        }
-    }
-
-    let previous = regression::load_previous::<perf::DetectPerf>(&out);
-    if let Some(previous) = &previous {
-        let warnings = regression::perf_regression_warnings(previous, &report);
-        if warnings.is_empty() {
-            println!("no throughput regression vs previous {out}");
-        }
-        for w in &warnings {
-            eprintln!("WARNING: {w}");
-        }
-    }
-    report.history = stats::extend_history(
-        previous.as_ref().map(|p| p.history.as_slice()),
-        stats::trend_point(
-            report.threads,
-            &[
-                ("seq_fragments_per_sec", report.seq_fragments_per_sec),
-                ("par_fragments_per_sec", report.par_fragments_per_sec),
-                ("cluster_vectors_per_sec", report.cluster_vectors_per_sec),
-                ("pruned_speedup", report.pruned_speedup),
-            ],
-        ),
-    );
-
-    let json = serde_json::to_string(&report).expect("serialisable report");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let ok = match args.split_first() {
+        Some((all, [])) if all == "all" => HARNESSES.iter().all(|(name, _)| harness(name, &[])),
+        Some((name, rest)) => harness(name, rest),
+        None => usage(),
+    };
+    if !ok {
+        std::process::exit(1);
     }
 }

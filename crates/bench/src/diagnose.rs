@@ -17,17 +17,18 @@
 //! The crate enables vapro-core's `clone-count` feature so the report can
 //! prove, at optimised speeds, that the batch path performs zero
 //! [`Fragment`] clones while the naive loop pays thousands. The
-//! `diagnose_perf` binary writes the result as `BENCH_diagnose.json`;
+//! `perf diagnose` subcommand writes the result as `BENCH_diagnose.json`;
 //! [`crate::regression`] compares a fresh run against the previous file
 //! under the same noise-aware tolerance as the other gates (every timed
 //! metric is a median over ≥30 warmed-up samples; see [`crate::stats`]).
 
 use crate::perf::detected_threads;
+use crate::regression::{one_thread_fanout_failure, GatedMetric, PerfReport};
 use crate::stats::{self, TrendPoint};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use vapro_core::clustering::cluster_fragment_refs;
+use vapro_core::clustering::cluster_pool;
 use vapro_core::detect::pipeline::{detect_seq, merge_stgs};
 use vapro_core::diagnose::{
     diagnose_progressively, diagnose_regions, diagnose_regions_seq, DiagnosisReport,
@@ -232,7 +233,7 @@ pub fn naive_diagnose_region(
     }
     let (pool, _) = best?;
 
-    let outcome = cluster_fragment_refs(
+    let outcome = cluster_pool(
         pool,
         &cfg.proxy_counters,
         cfg.cluster_threshold,
@@ -336,46 +337,106 @@ pub fn measure(
     }
 }
 
-/// The defaults the acceptance measurement uses: 4 ranks × 400
-/// fragments/rank over 18 sites (36 fragment-bearing merged locations),
-/// an 8-column selection grid on top of the detected regions, 30
-/// samples per metric.
-pub fn measure_default() -> DiagnosePerf {
-    measure(4, 400, 18, 8, stats::MIN_SAMPLES)
-}
+impl PerfReport for DiagnosePerf {
+    const FILE: &'static str = "BENCH_diagnose.json";
 
-/// Human summary of one report.
-pub fn summary(p: &DiagnosePerf) -> String {
-    let par = match p.parallel_speedup {
-        Some(s) => format!("{s:.2}x over batch-seq"),
-        None => "n/a (1 thread)".to_string(),
-    };
-    format!(
-        "diagnose: {} regions ({} diagnosed) / {} fragments / {} locations / {} ranks / {} threads / median of {} samples\n\
-         naive:     {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  merge+recluster per region, {} Fragment clones\n\
-         batch-seq: {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  {:.1}x over naive, {} Fragment clones\n\
-         batch-par: {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  parallel speedup {}\n",
-        p.regions,
-        p.diagnosed,
-        p.fragments,
-        p.locations,
-        p.ranks,
-        p.threads,
-        p.samples,
-        p.naive_regions_per_sec,
-        p.naive_ns / 1e6,
-        p.naive_noise_frac * 100.0,
-        p.naive_fragment_clones,
-        p.batch_seq_regions_per_sec,
-        p.batch_seq_ns / 1e6,
-        p.batch_seq_noise_frac * 100.0,
-        p.batch_speedup,
-        p.batch_fragment_clones,
-        p.batch_regions_per_sec,
-        p.batch_ns / 1e6,
-        p.batch_noise_frac * 100.0,
-        par,
-    )
+    /// The naive baseline and the sequential batch are single-threaded;
+    /// the rayon batch is only comparable between same-parallelism runs.
+    fn gated(&self) -> Vec<GatedMetric> {
+        vec![
+            GatedMetric::rate(
+                "naive diagnosis throughput",
+                self.naive_regions_per_sec,
+                self.naive_noise_frac,
+            ),
+            GatedMetric::rate(
+                "batched diagnosis throughput",
+                self.batch_seq_regions_per_sec,
+                self.batch_seq_noise_frac,
+            ),
+            GatedMetric::rate(
+                "parallel batched diagnosis throughput",
+                self.batch_regions_per_sec,
+                self.batch_noise_frac,
+            )
+            .on(self.threads, 0),
+        ]
+    }
+
+    /// The batching targets: ≥5× over the naive per-region loop, zero
+    /// `Fragment` clones on the batch path (exact at any optimisation
+    /// level), and at one thread a fan-out no slower than its twin.
+    fn hard_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.batch_speedup < 5.0 {
+            failures.push(format!(
+                "batched diagnosis only {:.2}x faster than the naive loop (target >= 5x)",
+                self.batch_speedup
+            ));
+        }
+        if self.batch_fragment_clones != 0 {
+            failures.push(format!(
+                "batch path cloned {} Fragments (target 0)",
+                self.batch_fragment_clones
+            ));
+        }
+        failures.extend(one_thread_fanout_failure(
+            "batched diagnosis fan-out",
+            self.threads,
+            (self.batch_regions_per_sec, self.batch_noise_frac),
+            (self.batch_seq_regions_per_sec, self.batch_seq_noise_frac),
+        ));
+        failures
+    }
+
+    fn trend_point(&self) -> TrendPoint {
+        stats::trend_point(
+            self.threads,
+            &[
+                ("naive_regions_per_sec", self.naive_regions_per_sec),
+                ("batch_seq_regions_per_sec", self.batch_seq_regions_per_sec),
+                ("batch_regions_per_sec", self.batch_regions_per_sec),
+                ("batch_speedup", self.batch_speedup),
+            ],
+        )
+    }
+
+    fn history_mut(&mut self) -> &mut Vec<TrendPoint> {
+        &mut self.history
+    }
+
+    fn summary(&self) -> String {
+        let par = match self.parallel_speedup {
+            Some(s) => format!("{s:.2}x over batch-seq"),
+            None => "n/a (1 thread)".to_string(),
+        };
+        format!(
+            "diagnose: {} regions ({} diagnosed) / {} fragments / {} locations / {} ranks / {} threads / median of {} samples\n\
+             naive:     {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  merge+recluster per region, {} Fragment clones\n\
+             batch-seq: {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  {:.1}x over naive, {} Fragment clones\n\
+             batch-par: {:>8.0} regions/s ({:.2} ms, ±{:.1}% MAD)  parallel speedup {}\n",
+            self.regions,
+            self.diagnosed,
+            self.fragments,
+            self.locations,
+            self.ranks,
+            self.threads,
+            self.samples,
+            self.naive_regions_per_sec,
+            self.naive_ns / 1e6,
+            self.naive_noise_frac * 100.0,
+            self.naive_fragment_clones,
+            self.batch_seq_regions_per_sec,
+            self.batch_seq_ns / 1e6,
+            self.batch_seq_noise_frac * 100.0,
+            self.batch_speedup,
+            self.batch_fragment_clones,
+            self.batch_regions_per_sec,
+            self.batch_ns / 1e6,
+            self.batch_noise_frac * 100.0,
+            par,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,12 @@
 //! per-call AoS→SoA conversion the production path never performs.
 //!
 //! Every timed metric follows the [`crate::stats`] methodology: warmup,
-//! ≥30 samples, median + MAD. The `perf` binary writes the result as
+//! ≥30 samples, median + MAD. `perf detect` writes the result as
 //! `BENCH_detect.json`; [`crate::regression`] compares a fresh run
 //! against the previous file and warns on throughput drops beyond the
-//! measured noise (20 % floor).
+//! measured noise (20 % floor), and fails an optimised run whose
+//! fan-out, on a one-thread runner, falls below 0.95 of the sequential
+//! path.
 //!
 //! The parallel numbers scale with `threads` (recorded in the report):
 //! on a single-core runner the fan-out degenerates to a work queue
@@ -21,6 +23,7 @@
 //! overhead, not the code) and regression gating keys on the
 //! *sequential* throughput.
 
+use crate::regression::{one_thread_fanout_failure, GatedMetric, PerfReport};
 use crate::stats::{self, TrendPoint};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -172,41 +175,88 @@ pub fn measure(
     }
 }
 
-/// The defaults the acceptance measurement uses: 4 ranks × 2000
-/// fragments/rank (8k total), 32 sites, 64 heat-map bins, 30 samples
-/// per metric.
-pub fn measure_default() -> DetectPerf {
-    measure(4, 2000, 32, 64, stats::MIN_SAMPLES, 100_000)
-}
+impl PerfReport for DetectPerf {
+    const FILE: &'static str = "BENCH_detect.json";
 
-/// Human summary of one report.
-pub fn summary(p: &DetectPerf) -> String {
-    let speedup = match p.speedup {
-        Some(s) => format!("speedup {s:.2}x"),
-        None => "speedup n/a (1 thread)".to_string(),
-    };
-    format!(
-        "detect: {} fragments / {} ranks / {} locations / {} threads / median of {} samples\n\
-         sequential: {:>10.0} fragments/s ({:.2} ms, ±{:.1}% MAD)\n\
-         parallel:   {:>10.0} fragments/s ({:.2} ms, ±{:.1}% MAD)  {}\n\
-         clustering: {:>10.0} vectors/s pruned lanes (±{:.1}% MAD), {:.0} vectors/s unpruned ({:.2}x)\n",
-        p.fragments,
-        p.ranks,
-        p.locations,
-        p.threads,
-        p.samples,
-        p.seq_fragments_per_sec,
-        p.seq_ns / 1e6,
-        p.seq_noise_frac * 100.0,
-        p.par_fragments_per_sec,
-        p.par_ns / 1e6,
-        p.par_noise_frac * 100.0,
-        speedup,
-        p.cluster_vectors_per_sec,
-        p.cluster_noise_frac * 100.0,
-        p.unpruned_cluster_vectors_per_sec,
-        p.pruned_speedup,
-    )
+    /// Sequential detection and the clustering kernel are
+    /// single-threaded; the fan-out is only comparable between runs on
+    /// the same parallelism.
+    fn gated(&self) -> Vec<GatedMetric> {
+        vec![
+            GatedMetric::rate(
+                "sequential detect throughput",
+                self.seq_fragments_per_sec,
+                self.seq_noise_frac,
+            ),
+            GatedMetric::rate(
+                "clustering throughput",
+                self.cluster_vectors_per_sec,
+                self.cluster_noise_frac,
+            ),
+            GatedMetric::rate(
+                "parallel detect throughput",
+                self.par_fragments_per_sec,
+                self.par_noise_frac,
+            )
+            .on(self.threads, 0),
+        ]
+    }
+
+    fn hard_failures(&self) -> Vec<String> {
+        one_thread_fanout_failure(
+            "parallel detect",
+            self.threads,
+            (self.par_fragments_per_sec, self.par_noise_frac),
+            (self.seq_fragments_per_sec, self.seq_noise_frac),
+        )
+        .into_iter()
+        .collect()
+    }
+
+    fn trend_point(&self) -> TrendPoint {
+        stats::trend_point(
+            self.threads,
+            &[
+                ("seq_fragments_per_sec", self.seq_fragments_per_sec),
+                ("par_fragments_per_sec", self.par_fragments_per_sec),
+                ("cluster_vectors_per_sec", self.cluster_vectors_per_sec),
+                ("pruned_speedup", self.pruned_speedup),
+            ],
+        )
+    }
+
+    fn history_mut(&mut self) -> &mut Vec<TrendPoint> {
+        &mut self.history
+    }
+
+    fn summary(&self) -> String {
+        let speedup = match self.speedup {
+            Some(s) => format!("speedup {s:.2}x"),
+            None => "speedup n/a (1 thread)".to_string(),
+        };
+        format!(
+            "detect: {} fragments / {} ranks / {} locations / {} threads / median of {} samples\n\
+             sequential: {:>10.0} fragments/s ({:.2} ms, ±{:.1}% MAD)\n\
+             parallel:   {:>10.0} fragments/s ({:.2} ms, ±{:.1}% MAD)  {}\n\
+             clustering: {:>10.0} vectors/s pruned lanes (±{:.1}% MAD), {:.0} vectors/s unpruned ({:.2}x)\n",
+            self.fragments,
+            self.ranks,
+            self.locations,
+            self.threads,
+            self.samples,
+            self.seq_fragments_per_sec,
+            self.seq_ns / 1e6,
+            self.seq_noise_frac * 100.0,
+            self.par_fragments_per_sec,
+            self.par_ns / 1e6,
+            self.par_noise_frac * 100.0,
+            speedup,
+            self.cluster_vectors_per_sec,
+            self.cluster_noise_frac * 100.0,
+            self.unpruned_cluster_vectors_per_sec,
+            self.pruned_speedup,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -238,7 +288,7 @@ mod tests {
         assert!(p.seq_noise_frac.is_finite() && p.seq_noise_frac >= 0.0);
         assert!(p.par_noise_frac.is_finite() && p.par_noise_frac >= 0.0);
         assert!(p.cluster_noise_frac.is_finite() && p.cluster_noise_frac >= 0.0);
-        assert!(p.history.is_empty(), "history is appended by the binary, not measure()");
+        assert!(p.history.is_empty(), "history is appended by the driver, not measure()");
     }
 
     #[test]

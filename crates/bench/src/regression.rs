@@ -94,23 +94,72 @@ pub fn run(opts: &ExpOpts) -> String {
 
 // ---------------------------------------------------------------------
 // Harness-throughput regression gate: the same idea applied to the tool
-// itself. The `perf` binary records `BENCH_detect.json`; a later run is
-// compared against the previous file and any throughput metric that
-// dropped beyond what the measured noise can explain is reported. Each
-// timed metric carries its relative MAD (see `crate::stats`); the gate's
-// tolerance is the fixed floor below, widened on noisy metrics so that
-// a drop inside the host's own jitter band never warns — and a real
+// itself. The `perf` driver records one `BENCH_*.json` per harness; a
+// later run is compared against the previous file and any gated metric
+// that dropped beyond what the measured noise can explain is reported.
+// Each timed metric carries its relative MAD (see `crate::stats`); the
+// gate's tolerance is the fixed floor below, widened on noisy metrics so
+// that a drop inside the host's own jitter band never warns — and a real
 // regression on a quiet metric still does.
 
-use crate::diagnose::DiagnosePerf;
-use crate::fleet::FleetPerf;
-use crate::ingest::IngestPerf;
-use crate::perf::DetectPerf;
-use crate::stats::variance_tolerance;
+use crate::stats::{self, variance_tolerance, TrendPoint};
 
 /// Relative throughput drop beyond which a warning is emitted on a
 /// noise-free metric (20 %) — the floor of the variance-aware tolerance.
 pub const PERF_REGRESSION_TOLERANCE: f64 = 0.20;
+
+/// One higher-is-better number the cross-run gate compares.
+#[derive(Debug)]
+pub struct GatedMetric {
+    /// What the warning line calls it.
+    pub name: &'static str,
+    /// The measured value (a median-derived rate, or an exact ratio).
+    pub value: f64,
+    /// Printed after the value: `"/s"` for rates, `"x"` for ratios.
+    pub unit: &'static str,
+    /// Relative MAD of the timing behind `value`; 0 for exact ratios.
+    pub noise_frac: f64,
+    /// The hardware the value depends on, `[threads, shards]`, zero
+    /// where it does not matter. A metric is gated only between runs
+    /// whose `env` match: a 1-thread runner is not slower *code* than an
+    /// 8-thread one, and "4 shards" and "8 shards" are different
+    /// benchmarks.
+    pub env: [usize; 2],
+}
+
+impl GatedMetric {
+    /// A single-threaded rate: gated between any two runs.
+    pub fn rate(name: &'static str, value: f64, noise_frac: f64) -> GatedMetric {
+        GatedMetric { name, value, unit: "/s", noise_frac, env: [0, 0] }
+    }
+
+    /// Gate only between runs on the same `threads` (and `shards`).
+    pub fn on(mut self, threads: usize, shards: usize) -> GatedMetric {
+        self.env = [threads, shards];
+        self
+    }
+}
+
+/// What the one `perf` driver needs from a harness report: where it is
+/// written, what the cross-run gate compares, which acceptance targets
+/// fail the run outright, and the headline numbers of its trend point.
+/// The serialised field names of every implementor are the
+/// `BENCH_*.json` schema.
+pub trait PerfReport: serde::Serialize + serde::Deserialize {
+    /// The file the driver writes, and loads the previous run from.
+    const FILE: &'static str;
+    /// The metrics gated against the previous run.
+    fn gated(&self) -> Vec<GatedMetric>;
+    /// Acceptance targets this run missed, one line each. Enforced on
+    /// optimised builds only — debug-mode ratios are not meaningful.
+    fn hard_failures(&self) -> Vec<String>;
+    /// This run's headline numbers, stamped with its thread count.
+    fn trend_point(&self) -> TrendPoint;
+    /// The trend history carried from file to file.
+    fn history_mut(&mut self) -> &mut Vec<TrendPoint>;
+    /// Human summary.
+    fn summary(&self) -> String;
+}
 
 /// Load the previous harness report of type `T`, if one exists at `path`
 /// and parses under the current struct. Anything else — no file, other
@@ -120,28 +169,61 @@ pub fn load_previous<T: serde::Deserialize>(path: &str) -> Option<T> {
     serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
 }
 
-/// One throughput comparison: warn when `cur` dropped more than the
-/// variance-aware `tolerance` below `prev` (see
-/// [`crate::stats::variance_tolerance`] — the floor is
+/// Compare a fresh report against the previous one: one warning line
+/// per gated metric that dropped more than its variance-aware tolerance
+/// (see [`crate::stats::variance_tolerance`] — the floor is
 /// [`PERF_REGRESSION_TOLERANCE`], widened by the measured noise of the
-/// two runs being compared).
-fn check_drop(warnings: &mut Vec<String>, metric: &str, prev: f64, cur: f64, tolerance: f64) {
-    if prev > 0.0 && cur < prev * (1.0 - tolerance) {
-        warnings.push(format!(
-            "{metric} regressed {:.0}%: {cur:.0}/s vs previous {prev:.0}/s (tolerance {:.0}%)",
-            (1.0 - cur / prev) * 100.0,
-            tolerance * 100.0
-        ));
+/// two runs being compared). Metrics measured on different hardware
+/// (see [`GatedMetric::env`]) are skipped rather than flagged. Empty
+/// means no regression.
+pub fn regression_warnings<R: PerfReport>(previous: &R, current: &R) -> Vec<String> {
+    let show = |v: f64| if v >= 100.0 { format!("{v:.0}") } else { format!("{v:.1}") };
+    let mut warnings = Vec::new();
+    for (prev, cur) in previous.gated().iter().zip(current.gated()) {
+        let tolerance = variance_tolerance(&[prev.noise_frac, cur.noise_frac]);
+        if prev.env == cur.env && prev.value > 0.0 && cur.value < prev.value * (1.0 - tolerance) {
+            warnings.push(format!(
+                "{} regressed {:.0}%: {}{u} vs previous {}{u} (tolerance {:.0}%)",
+                cur.name,
+                (1.0 - cur.value / prev.value) * 100.0,
+                show(cur.value),
+                show(prev.value),
+                tolerance * 100.0,
+                u = cur.unit,
+            ));
+        }
     }
+    warnings
 }
 
-/// Parallel throughput is only comparable between runs with the same
-/// hardware parallelism: a 1-thread runner is not slower *code* than an
-/// 8-thread one. Both BENCH files record `threads`
-/// (`std::thread::available_parallelism` at measurement time); when the
-/// counts differ the parallel metrics are skipped rather than flagged.
-fn threads_comparable(prev: usize, cur: usize) -> bool {
-    prev == cur
+/// The part of a harness run every report shares: print the summary,
+/// enforce the acceptance targets, warn on regressions against the
+/// previous file at `out`, carry its trend history forward, and write
+/// the fresh report. `Err` is the failure line; nothing is written then.
+pub fn finish_run<R: PerfReport>(mut report: R, out: &str) -> Result<(), String> {
+    print!("{}", report.summary());
+    if !cfg!(debug_assertions) {
+        let failures = report.hard_failures();
+        if !failures.is_empty() {
+            return Err(failures.join("\nFAIL: "));
+        }
+    }
+    let previous = load_previous::<R>(out);
+    if let Some(previous) = &previous {
+        let warnings = regression_warnings(previous, &report);
+        if warnings.is_empty() {
+            println!("no throughput regression vs previous {out}");
+        }
+        for w in &warnings {
+            eprintln!("WARNING: {w}");
+        }
+    }
+    let carried = previous.map(|mut p| std::mem::take(p.history_mut()));
+    *report.history_mut() = stats::extend_history(carried.as_deref(), report.trend_point());
+    let json = serde_json::to_string(&report).map_err(|e| format!("cannot serialise {out}: {e}"))?;
+    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("wrote {out}");
+    Ok(())
 }
 
 /// How far a fan-out may trail its sequential twin at one thread.
@@ -177,161 +259,13 @@ pub fn one_thread_fanout_failure(
     })
 }
 
-/// Compare a fresh detection report against the previous one. Returns
-/// one warning line per throughput metric that regressed by more than
-/// [`PERF_REGRESSION_TOLERANCE`]; empty means no regression.
-pub fn perf_regression_warnings(previous: &DetectPerf, current: &DetectPerf) -> Vec<String> {
-    let mut warnings = Vec::new();
-    check_drop(
-        &mut warnings,
-        "sequential detect throughput",
-        previous.seq_fragments_per_sec,
-        current.seq_fragments_per_sec,
-        variance_tolerance(&[previous.seq_noise_frac, current.seq_noise_frac]),
-    );
-    check_drop(
-        &mut warnings,
-        "clustering throughput",
-        previous.cluster_vectors_per_sec,
-        current.cluster_vectors_per_sec,
-        variance_tolerance(&[previous.cluster_noise_frac, current.cluster_noise_frac]),
-    );
-    if threads_comparable(previous.threads, current.threads) {
-        check_drop(
-            &mut warnings,
-            "parallel detect throughput",
-            previous.par_fragments_per_sec,
-            current.par_fragments_per_sec,
-            variance_tolerance(&[previous.par_noise_frac, current.par_noise_frac]),
-        );
-    }
-    warnings
-}
-
-/// Compare a fresh ingest report against the previous one, same
-/// tolerance. Codec throughput and the wire format's size advantage are
-/// thread-independent and always gate; the end-to-end ingest rate
-/// (windows analysed on rayon) only gates between same-parallelism runs.
-pub fn ingest_regression_warnings(previous: &IngestPerf, current: &IngestPerf) -> Vec<String> {
-    let mut warnings = Vec::new();
-    check_drop(
-        &mut warnings,
-        "wire encode throughput",
-        previous.encode_fragments_per_sec,
-        current.encode_fragments_per_sec,
-        variance_tolerance(&[previous.encode_noise_frac, current.encode_noise_frac]),
-    );
-    check_drop(
-        &mut warnings,
-        "wire decode throughput",
-        previous.decode_fragments_per_sec,
-        current.decode_fragments_per_sec,
-        variance_tolerance(&[previous.decode_noise_frac, current.decode_noise_frac]),
-    );
-    // The size advantage regresses when the ratio *shrinks* — same 20 %
-    // tolerance, applied to json-bytes-over-binary-bytes.
-    if previous.size_ratio > 0.0
-        && current.size_ratio < previous.size_ratio * (1.0 - PERF_REGRESSION_TOLERANCE)
-    {
-        warnings.push(format!(
-            "wire size advantage regressed: {:.1}x smaller than JSON vs previous {:.1}x",
-            current.size_ratio, previous.size_ratio
-        ));
-    }
-    if threads_comparable(previous.threads, current.threads) {
-        check_drop(
-            &mut warnings,
-            "end-to-end ingest throughput",
-            previous.ingest_fragments_per_sec,
-            current.ingest_fragments_per_sec,
-            variance_tolerance(&[previous.ingest_noise_frac, current.ingest_noise_frac]),
-        );
-    }
-    warnings
-}
-
-/// Compare a fresh diagnosis report against the previous one, same
-/// tolerance. The naive baseline and the sequential batch are
-/// single-threaded and always gate; the rayon batch only gates between
-/// same-parallelism runs.
-pub fn diagnose_regression_warnings(
-    previous: &DiagnosePerf,
-    current: &DiagnosePerf,
-) -> Vec<String> {
-    let mut warnings = Vec::new();
-    check_drop(
-        &mut warnings,
-        "naive diagnosis throughput",
-        previous.naive_regions_per_sec,
-        current.naive_regions_per_sec,
-        variance_tolerance(&[previous.naive_noise_frac, current.naive_noise_frac]),
-    );
-    check_drop(
-        &mut warnings,
-        "batched diagnosis throughput",
-        previous.batch_seq_regions_per_sec,
-        current.batch_seq_regions_per_sec,
-        variance_tolerance(&[previous.batch_seq_noise_frac, current.batch_seq_noise_frac]),
-    );
-    if threads_comparable(previous.threads, current.threads) {
-        check_drop(
-            &mut warnings,
-            "parallel batched diagnosis throughput",
-            previous.batch_regions_per_sec,
-            current.batch_regions_per_sec,
-            variance_tolerance(&[previous.batch_noise_frac, current.batch_noise_frac]),
-        );
-    }
-    warnings
-}
-
-/// Compare a fresh fleet report against the previous one, same
-/// tolerance. The single-shard aggregate rate and the single-job
-/// (fleet and bare) rates are effectively single-threaded and always
-/// gate; the N-shard aggregate rate only gates between runs on the same
-/// hardware parallelism — and only when both measured the same shard
-/// count, since "4 shards" and "8 shards" are different benchmarks.
-pub fn fleet_regression_warnings(previous: &FleetPerf, current: &FleetPerf) -> Vec<String> {
-    let mut warnings = Vec::new();
-    check_drop(
-        &mut warnings,
-        "fleet 1-shard aggregate throughput",
-        previous.fleet_1shard_fragments_per_sec,
-        current.fleet_1shard_fragments_per_sec,
-        variance_tolerance(&[previous.fleet_1shard_noise_frac, current.fleet_1shard_noise_frac]),
-    );
-    check_drop(
-        &mut warnings,
-        "single-job fleet throughput",
-        previous.single_job_fragments_per_sec,
-        current.single_job_fragments_per_sec,
-        variance_tolerance(&[previous.single_job_noise_frac, current.single_job_noise_frac]),
-    );
-    check_drop(
-        &mut warnings,
-        "bare single-job ingest throughput",
-        previous.bare_fragments_per_sec,
-        current.bare_fragments_per_sec,
-        variance_tolerance(&[previous.bare_noise_frac, current.bare_noise_frac]),
-    );
-    if threads_comparable(previous.threads, current.threads) && previous.shards == current.shards {
-        check_drop(
-            &mut warnings,
-            "fleet sharded aggregate throughput",
-            previous.fleet_nshard_fragments_per_sec,
-            current.fleet_nshard_fragments_per_sec,
-            variance_tolerance(&[
-                previous.fleet_nshard_noise_frac,
-                current.fleet_nshard_noise_frac,
-            ]),
-        );
-    }
-    warnings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnose::DiagnosePerf;
+    use crate::fleet::FleetPerf;
+    use crate::ingest::IngestPerf;
+    use crate::perf::DetectPerf;
 
     #[test]
     fn uniform_degradation_is_caught_cross_run_only() {
@@ -395,61 +329,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn perf_gate_warns_only_beyond_tolerance() {
-        let prev = perf_fixture(1_000_000.0, 2_000_000.0, 5_000_000.0, 4);
-        // 10 % slower: within tolerance, silent.
-        let ok = perf_fixture(900_000.0, 1_900_000.0, 4_600_000.0, 4);
-        assert!(perf_regression_warnings(&prev, &ok).is_empty());
-        // 30 % slower sequential + clustering: two warnings.
-        let bad = perf_fixture(700_000.0, 1_900_000.0, 3_400_000.0, 4);
-        let warnings = perf_regression_warnings(&prev, &bad);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("sequential detect throughput"));
-        assert!(warnings[1].contains("clustering throughput"));
-    }
-
-    #[test]
-    fn perf_gate_tolerance_is_variance_aware() {
-        // A 30 % drop on a quiet metric warns (floor is 20 %)…
-        let prev = perf_fixture(1_000_000.0, 2_000_000.0, 5_000_000.0, 4);
-        let bad = perf_fixture(700_000.0, 2_000_000.0, 5_000_000.0, 4);
-        assert_eq!(perf_regression_warnings(&prev, &bad).len(), 1);
-        // …but the same drop is silent when the previous run measured
-        // 10 % relative MAD on that metric (4 x 0.10 = 40 % tolerance):
-        // the drop is inside the host's own jitter band.
-        let mut noisy_prev = prev.clone();
-        noisy_prev.seq_noise_frac = 0.10;
-        assert!(perf_regression_warnings(&noisy_prev, &bad).is_empty());
-        // The current run's noise widens the gate symmetrically.
-        let mut noisy_bad = bad.clone();
-        noisy_bad.seq_noise_frac = 0.10;
-        assert!(perf_regression_warnings(&prev, &noisy_bad).is_empty());
-        // A collapse beyond even the widened band still warns.
-        let collapse = perf_fixture(400_000.0, 2_000_000.0, 5_000_000.0, 4);
-        let warnings = perf_regression_warnings(&noisy_prev, &collapse);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("tolerance 40%"), "{warnings:?}");
-        // Noise on one metric does not loosen the others: clustering
-        // still gates at the floor.
-        let cluster_bad = perf_fixture(1_000_000.0, 2_000_000.0, 3_400_000.0, 4);
-        assert_eq!(perf_regression_warnings(&noisy_prev, &cluster_bad).len(), 1);
-    }
-
-    #[test]
-    fn perf_gate_skips_parallel_metrics_across_thread_counts() {
-        // An 8-thread baseline replayed on a 1-core runner: the parallel
-        // throughput collapse is environmental, not a code regression —
-        // no warning. With equal thread counts the same drop gates.
-        let prev = perf_fixture(1_000_000.0, 4_000_000.0, 5_000_000.0, 8);
-        let single_core = perf_fixture(1_000_000.0, 1_000_000.0, 5_000_000.0, 1);
-        assert!(perf_regression_warnings(&prev, &single_core).is_empty());
-        let same_threads = perf_fixture(1_000_000.0, 1_000_000.0, 5_000_000.0, 8);
-        let warnings = perf_regression_warnings(&prev, &same_threads);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("parallel detect throughput"), "{warnings:?}");
-    }
-
     fn ingest_fixture(encode: f64, decode: f64, ratio: f64, e2e: f64, threads: usize) -> IngestPerf {
         IngestPerf {
             bench: "ingest".to_string(),
@@ -483,25 +362,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ingest_gate_covers_codec_size_and_e2e() {
-        let prev = ingest_fixture(9e6, 8e6, 6.0, 2e6, 8);
-        // Within tolerance on everything: silent.
-        assert!(ingest_regression_warnings(&prev, &ingest_fixture(8e6, 7e6, 5.5, 1.8e6, 8))
-            .is_empty());
-        // Decode 40 % down + ratio collapsed to 3×: two warnings.
-        let bad = ingest_fixture(9e6, 4.8e6, 3.0, 2e6, 8);
-        let warnings = ingest_regression_warnings(&prev, &bad);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("wire decode throughput"));
-        assert!(warnings[1].contains("size advantage"));
-        // E2E drop gates on same-thread runs only.
-        let slow_e2e = ingest_fixture(9e6, 8e6, 6.0, 1e6, 8);
-        assert_eq!(ingest_regression_warnings(&prev, &slow_e2e).len(), 1);
-        let other_runner = ingest_fixture(9e6, 8e6, 6.0, 1e6, 2);
-        assert!(ingest_regression_warnings(&prev, &other_runner).is_empty());
-    }
-
     fn diagnose_fixture(naive: f64, batch_seq: f64, batch: f64, threads: usize) -> DiagnosePerf {
         DiagnosePerf {
             bench: "diagnose".to_string(),
@@ -527,29 +387,6 @@ mod tests {
             batch_fragment_clones: 0,
             history: Vec::new(),
         }
-    }
-
-    #[test]
-    fn diagnose_gate_is_thread_aware() {
-        let prev = diagnose_fixture(1_000.0, 20_000.0, 60_000.0, 8);
-        // Within tolerance everywhere: silent.
-        assert!(
-            diagnose_regression_warnings(&prev, &diagnose_fixture(900.0, 17_000.0, 55_000.0, 8))
-                .is_empty()
-        );
-        // Sequential batch 40 % down: gates regardless of threads.
-        let bad = diagnose_fixture(1_000.0, 12_000.0, 60_000.0, 8);
-        let warnings = diagnose_regression_warnings(&prev, &bad);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("batched diagnosis throughput"));
-        // The rayon batch collapsing on a smaller runner is environmental…
-        let other_runner = diagnose_fixture(1_000.0, 20_000.0, 20_000.0, 1);
-        assert!(diagnose_regression_warnings(&prev, &other_runner).is_empty());
-        // …the same collapse on equal threads is a code regression.
-        let same_threads = diagnose_fixture(1_000.0, 20_000.0, 20_000.0, 8);
-        let warnings = diagnose_regression_warnings(&prev, &same_threads);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("parallel batched diagnosis"));
     }
 
     fn fleet_fixture(one: f64, n: f64, solo: f64, threads: usize) -> FleetPerf {
@@ -579,29 +416,163 @@ mod tests {
         }
     }
 
+    /// `report` with some fields overridden.
+    fn with<R>(mut report: R, set: impl FnOnce(&mut R)) -> R {
+        set(&mut report);
+        report
+    }
+
     #[test]
-    fn fleet_gate_is_thread_and_shard_aware() {
-        let prev = fleet_fixture(1e6, 2.2e6, 9e5, 8);
-        // Within tolerance everywhere: silent.
-        assert!(fleet_regression_warnings(&prev, &fleet_fixture(9e5, 2e6, 8.5e5, 8)).is_empty());
-        // Single-shard aggregate 40 % down: gates regardless of threads.
-        let bad = fleet_fixture(6e5, 2.2e6, 9e5, 8);
-        let warnings = fleet_regression_warnings(&prev, &bad);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("fleet 1-shard aggregate"));
-        // The sharded rate collapsing on a smaller runner is
-        // environmental, not a code regression…
-        let small_runner = fleet_fixture(1e6, 1e6, 9e5, 1);
-        assert!(fleet_regression_warnings(&prev, &small_runner).is_empty());
-        // …the same collapse on equal threads gates.
-        let same_threads = fleet_fixture(1e6, 1e6, 9e5, 8);
-        let warnings = fleet_regression_warnings(&prev, &same_threads);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("fleet sharded aggregate"), "{warnings:?}");
-        // A different shard count is a different benchmark: skipped.
-        let mut other_shards = same_threads.clone();
-        other_shards.shards = 8;
-        assert!(fleet_regression_warnings(&prev, &other_shards).is_empty());
+    fn regression_gate_table() {
+        use super::regression_warnings as w;
+        let detect = perf_fixture(1_000_000.0, 2_000_000.0, 5_000_000.0, 4);
+        let detect_noisy = with(detect.clone(), |p| p.seq_noise_frac = 0.10);
+        let seq_30_down = perf_fixture(700_000.0, 2_000_000.0, 5_000_000.0, 4);
+        let seq_30_down_noisy = with(seq_30_down.clone(), |p| p.seq_noise_frac = 0.10);
+        let detect8 = perf_fixture(1_000_000.0, 4_000_000.0, 5_000_000.0, 8);
+        let ingest = ingest_fixture(9e6, 8e6, 6.0, 2e6, 8);
+        let diagnose = diagnose_fixture(1_000.0, 20_000.0, 60_000.0, 8);
+        let fleet = fleet_fixture(1e6, 2.2e6, 9e5, 8);
+        let fleet_collapsed = fleet_fixture(1e6, 1e6, 9e5, 8);
+        let fleet_8_shards = with(fleet_collapsed.clone(), |p| p.shards = 8);
+
+        // (case, warnings, the metric each expected warning names, in order)
+        let table: Vec<(&str, Vec<String>, &[&str])> = vec![
+            // The tolerance floor: 10 % down is silent, 30 % down warns,
+            // metric by metric.
+            (
+                "detect: 10% slower everywhere",
+                w(&detect, &perf_fixture(900_000.0, 1_900_000.0, 4_600_000.0, 4)),
+                &[],
+            ),
+            (
+                "detect: sequential and clustering 30% down",
+                w(&detect, &perf_fixture(700_000.0, 1_900_000.0, 3_400_000.0, 4)),
+                &["sequential detect throughput", "clustering throughput"],
+            ),
+            // Variance-aware tolerance: a 30 % drop on a quiet metric
+            // warns; the same drop is silent when either run measured
+            // 10 % relative MAD on that metric (4 x 0.10 = 40 %), a
+            // collapse beyond even the widened band still warns, and
+            // noise on one metric does not loosen the others.
+            ("detect: quiet 30% drop", w(&detect, &seq_30_down), &["sequential detect throughput"]),
+            ("detect: previous run noisy", w(&detect_noisy, &seq_30_down), &[]),
+            ("detect: current run noisy", w(&detect, &seq_30_down_noisy), &[]),
+            (
+                "detect: collapse beyond the widened band",
+                w(&detect_noisy, &perf_fixture(400_000.0, 2_000_000.0, 5_000_000.0, 4)),
+                &["tolerance 40%"],
+            ),
+            (
+                "detect: noise elsewhere leaves clustering at the floor",
+                w(&detect_noisy, &perf_fixture(1_000_000.0, 2_000_000.0, 3_400_000.0, 4)),
+                &["clustering throughput"],
+            ),
+            // Thread-count skips: an 8-thread baseline replayed on a
+            // 1-core runner collapses the parallel rate for environmental
+            // reasons; with equal thread counts the same drop gates.
+            (
+                "detect: fan-out collapse on a smaller runner",
+                w(&detect8, &perf_fixture(1_000_000.0, 1_000_000.0, 5_000_000.0, 1)),
+                &[],
+            ),
+            (
+                "detect: fan-out collapse on equal threads",
+                w(&detect8, &perf_fixture(1_000_000.0, 1_000_000.0, 5_000_000.0, 8)),
+                &["parallel detect throughput"],
+            ),
+            ("ingest: within tolerance", w(&ingest, &ingest_fixture(8e6, 7e6, 5.5, 1.8e6, 8)), &[]),
+            (
+                "ingest: decode 40% down and the size ratio halved",
+                w(&ingest, &ingest_fixture(9e6, 4.8e6, 3.0, 2e6, 8)),
+                &["wire decode throughput", "size advantage"],
+            ),
+            (
+                "ingest: end-to-end halved on equal threads",
+                w(&ingest, &ingest_fixture(9e6, 8e6, 6.0, 1e6, 8)),
+                &["end-to-end ingest throughput"],
+            ),
+            (
+                "ingest: end-to-end halved on another runner",
+                w(&ingest, &ingest_fixture(9e6, 8e6, 6.0, 1e6, 2)),
+                &[],
+            ),
+            (
+                "diagnose: within tolerance",
+                w(&diagnose, &diagnose_fixture(900.0, 17_000.0, 55_000.0, 8)),
+                &[],
+            ),
+            (
+                "diagnose: sequential batch 40% down",
+                w(&diagnose, &diagnose_fixture(1_000.0, 12_000.0, 60_000.0, 8)),
+                &["batched diagnosis throughput"],
+            ),
+            (
+                "diagnose: rayon batch collapse on a smaller runner",
+                w(&diagnose, &diagnose_fixture(1_000.0, 20_000.0, 20_000.0, 1)),
+                &[],
+            ),
+            (
+                "diagnose: rayon batch collapse on equal threads",
+                w(&diagnose, &diagnose_fixture(1_000.0, 20_000.0, 20_000.0, 8)),
+                &["parallel batched diagnosis"],
+            ),
+            ("fleet: within tolerance", w(&fleet, &fleet_fixture(9e5, 2e6, 8.5e5, 8)), &[]),
+            ("fleet: a report against itself", w(&fleet, &fleet), &[]),
+            (
+                "fleet: single-shard aggregate 40% down",
+                w(&fleet, &fleet_fixture(6e5, 2.2e6, 9e5, 8)),
+                &["fleet 1-shard aggregate"],
+            ),
+            (
+                "fleet: sharded collapse on a smaller runner",
+                w(&fleet, &fleet_fixture(1e6, 1e6, 9e5, 1)),
+                &[],
+            ),
+            (
+                "fleet: sharded collapse on equal threads",
+                w(&fleet, &fleet_collapsed),
+                &["fleet sharded aggregate"],
+            ),
+            // Shard-count skip: a different shard count is a different
+            // benchmark.
+            ("fleet: sharded collapse at another shard count", w(&fleet, &fleet_8_shards), &[]),
+        ];
+        for (case, warnings, expected) in table {
+            assert_eq!(warnings.len(), expected.len(), "{case}: {warnings:?}");
+            for (warning, metric) in warnings.iter().zip(expected) {
+                assert!(warning.contains(metric), "{case}: {warning:?} does not name {metric:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hard_failures_name_each_missed_target() {
+        // The one-thread fan-out floor reaches the driver through the
+        // report: the spawn-per-call executor's numbers fail, a healthy
+        // pair and a multi-thread runner do not.
+        let slow_fanout = perf_fixture(13.6e6, 9.6e6, 5e6, 1);
+        assert_eq!(slow_fanout.hard_failures().len(), 1, "{:?}", slow_fanout.hard_failures());
+        assert!(perf_fixture(13.6e6, 13.5e6, 5e6, 1).hard_failures().is_empty());
+        assert!(perf_fixture(13.6e6, 9.6e6, 5e6, 2).hard_failures().is_empty());
+        assert!(ingest_fixture(9e6, 8e6, 6.0, 2e6, 8).hard_failures().is_empty());
+        let bloated = ingest_fixture(9e6, 8e6, 3.0, 2e6, 8);
+        assert!(bloated.hard_failures()[0].contains("smaller than JSON"));
+        let growing = with(ingest_fixture(9e6, 8e6, 6.0, 2e6, 8), |p| {
+            p.steady_state_flatness = 1.5;
+            p.arena_plateau_ratio = 2.0;
+        });
+        assert_eq!(growing.hard_failures().len(), 2, "{:?}", growing.hard_failures());
+        assert!(diagnose_fixture(1_000.0, 20_000.0, 60_000.0, 8).hard_failures().is_empty());
+        let cloning = with(diagnose_fixture(1_000.0, 4_000.0, 4_000.0, 8), |p| {
+            p.batch_fragment_clones = 3;
+        });
+        assert_eq!(cloning.hard_failures().len(), 2, "{:?}", cloning.hard_failures());
+        assert!(fleet_fixture(1e6, 2.2e6, 9e5, 8).hard_failures().is_empty());
+        let unscaled = fleet_fixture(1e6, 1.2e6, 9e5, 8);
+        assert!(unscaled.hard_failures()[0].contains("shards only"));
+        // Fewer threads than shards: the scaling gate is skipped.
+        assert!(fleet_fixture(1e6, 1.2e6, 9e5, 1).hard_failures().is_empty());
     }
 
     #[test]
@@ -629,7 +600,6 @@ mod tests {
         assert_eq!(load_previous::<IngestPerf>(&path("ingest.json")), Some(ingest));
         assert_eq!(load_previous::<DiagnosePerf>(&path("diagnose.json")), Some(diagnose));
         assert_eq!(load_previous::<FleetPerf>(&path("fleet.json")), Some(fleet.clone()));
-        assert!(fleet_regression_warnings(&fleet, &fleet).is_empty());
         // …as does a report of another layout (here: another harness's).
         assert!(load_previous::<FleetPerf>(&path("detect.json")).is_none());
     }

@@ -12,7 +12,7 @@
 use crate::common::{header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::{AppKind, AppParams};
-use vapro_core::clustering::cluster_fragments;
+use vapro_core::clustering::cluster_pool;
 use vapro_core::detect::pipeline::merge_stgs;
 use vapro_core::fragment::{FragmentKind, DEFAULT_PROXY};
 use vapro_sim::{SimConfig, Topology};
@@ -60,8 +60,8 @@ fn evaluate(name: &'static str, truth: Truth, opts: &ExpOpts) -> Table2Row {
     for (state_idx, (_, frags)) in merged.edges.iter().enumerate() {
         let comp: Vec<_> = frags
             .iter()
+            .copied()
             .filter(|f| f.kind == FragmentKind::Computation)
-            .map(|f| (*f).clone())
             .collect();
         if comp.len() < 2 {
             continue;
@@ -82,7 +82,7 @@ fn evaluate(name: &'static str, truth: Truth, opts: &ExpOpts) -> Table2Row {
             class_labels.push(class.wrapping_add(label_base));
         }
         // Vapro's clusters over the same pool.
-        let outcome = cluster_fragments(&comp, &DEFAULT_PROXY, 0.05, 2);
+        let outcome = cluster_pool(comp.as_slice(), &DEFAULT_PROXY, 0.05, 2);
         let labels = outcome.all_labels(comp.len());
         cluster_labels.extend(labels.iter().map(|l| l + cluster_base));
         cluster_base += outcome.usable.len() + outcome.rare.len();

@@ -10,7 +10,7 @@
 //! best-time ratio — so a *regression* (this submission is slower than
 //! the fleet's baseline) is distinguished from in-run variance.
 
-use crate::clustering::cluster_fragment_refs;
+use crate::clustering::cluster_pool;
 use crate::config::VaproConfig;
 use crate::detect::pipeline::merge_stgs;
 use crate::fragment::Fragment;
@@ -94,7 +94,7 @@ fn signatures_of(
     cfg: &VaproConfig,
     out: &mut BTreeMap<String, Vec<ClusterSignature>>,
 ) {
-    let outcome = cluster_fragment_refs(
+    let outcome = cluster_pool(
         frags,
         &cfg.proxy_counters,
         cfg.cluster_threshold,

@@ -481,24 +481,13 @@ fn split_by_size(clusters: Vec<Cluster>, min_cluster_size: usize) -> ClusterOutc
     ClusterOutcome { usable, rare }
 }
 
-/// Cluster borrowed fragments by their workload vectors (computation
-/// fragments use `proxy_counters`; invocation fragments use their
-/// argument vectors). This is the pipeline's zero-copy entry point:
-/// pooled fragments stay where their STG owns them.
-pub fn cluster_fragment_refs(
-    fragments: &[&Fragment],
-    proxy_counters: &[CounterId],
-    threshold: f64,
-    min_cluster_size: usize,
-) -> ClusterOutcome {
-    cluster_pool(fragments, proxy_counters, threshold, min_cluster_size)
-}
-
-/// Cluster any pooled population through its [`PoolView`] accessors —
-/// the representation-generic entry the detection pipeline calls for
-/// both AoS fragment slices and columnar lane views. Workload values go
-/// straight into one flat matrix; no per-fragment vector is ever
-/// materialised.
+/// Cluster any pooled population by its fragments' workload vectors
+/// (computation fragments use `proxy_counters`; invocation fragments use
+/// their argument vectors), read through the [`PoolView`] accessors —
+/// the one entry detection and diagnosis call for both `[&Fragment]`
+/// slices and columnar lane views. Workload values go straight into one
+/// flat matrix; no per-fragment vector is ever materialised, and pooled
+/// fragments stay where their owner keeps them.
 pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     pool: &P,
     proxy_counters: &[CounterId],
@@ -542,17 +531,6 @@ pub(crate) fn extend_workload_lane(
         _ => out.extend_from_slice(&f.args),
     }
     out.resize(before + dim, 0.0);
-}
-
-/// Cluster owned fragments — see [`cluster_fragment_refs`].
-pub fn cluster_fragments(
-    fragments: &[Fragment],
-    proxy_counters: &[CounterId],
-    threshold: f64,
-    min_cluster_size: usize,
-) -> ClusterOutcome {
-    let refs: Vec<&Fragment> = fragments.iter().collect();
-    cluster_fragment_refs(&refs, proxy_counters, threshold, min_cluster_size)
 }
 
 fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
@@ -778,32 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn refs_and_owned_entry_points_agree() {
-        use crate::fragment::{FragmentKind, DEFAULT_PROXY};
-        use vapro_pmu::{CounterDelta, CounterId};
-        use vapro_sim::VirtualTime;
-        let frags: Vec<Fragment> = (0..12)
-            .map(|i| {
-                let mut c = CounterDelta::default();
-                c.put(CounterId::TotIns, if i % 2 == 0 { 1000.0 } else { 5000.0 });
-                Fragment {
-                    rank: 0,
-                    kind: FragmentKind::Computation,
-                    start: VirtualTime::from_ns(i * 100),
-                    end: VirtualTime::from_ns(i * 100 + 50),
-                    counters: c,
-                    args: vec![],
-                }
-            })
-            .collect();
-        let refs: Vec<&Fragment> = frags.iter().collect();
-        assert_eq!(
-            cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5),
-            cluster_fragment_refs(&refs, &DEFAULT_PROXY, 0.05, 5)
-        );
-    }
-
-    #[test]
     fn extended_proxy_separates_what_tot_ins_cannot() {
         // Two workloads with identical instruction counts but very
         // different memory behaviour (the paper's motivation for letting
@@ -832,8 +784,9 @@ mod tests {
         for i in 6..12 {
             frags.push(mk(10_000.0, 500.0, 100.0, i)); // compute-heavy
         }
-        let narrow = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
-        let wide = cluster_fragments(&frags, &EXTENDED_PROXY, 0.05, 5);
+        let refs: Vec<&Fragment> = frags.iter().collect();
+        let narrow = cluster_pool(refs.as_slice(), &DEFAULT_PROXY, 0.05, 5);
+        let wide = cluster_pool(refs.as_slice(), &EXTENDED_PROXY, 0.05, 5);
         // TOT_INS alone cannot tell them apart…
         assert_eq!(narrow.usable.len(), 1);
         // …the extended proxy can.

@@ -1,17 +1,18 @@
-//! SoA columnar fragment pools: the wire format has been columnar since
-//! the binary frame work, but decode rehydrated AoS [`Fragment`] structs
-//! that detection then pointer-chased per window. [`ColumnarPool`] keeps
-//! the decoded columns — times, counter lanes, kinds, arg offsets — as
-//! the in-memory form, partitioned into per-location lanes, and
-//! [`LaneView`] hands detection and diagnosis a contiguous window onto
-//! them.
+//! SoA columnar fragment pools: the sealed, read-only form of one
+//! analysis window. The streaming server keeps fragments AoS while they
+//! are mutable (the arena appends, sorts and evicts `Vec<Fragment>`
+//! pools) and transposes a closing window **once**, straight out of the
+//! arena, into a [`ColumnarPool`] — times, counter lanes, kinds, arg
+//! offsets, partitioned into per-location lanes. [`LaneView`] hands
+//! detection and diagnosis a contiguous window onto them.
 //!
-//! [`PoolView`] is the abstraction both representations implement: the
-//! analysis pipeline ([`detect_merged`](crate::detect::pipeline::detect_merged),
-//! the batched diagnosis) is generic over it, so the existing
-//! `&[&Fragment]` pools remain a thin compatibility layer over the same
-//! generic code — property-tested bit-identical in
-//! `tests/columnar_equivalence.rs`.
+//! [`PoolView`] is what the analysis kernels read a population through.
+//! It has two implementors, one per pipeline: [`LaneView`] for sealed
+//! streaming windows, and `[&Fragment]` for the one-shot path
+//! ([`detect_merged`](crate::detect::pipeline::detect_merged) over
+//! borrowed STG fragments), which every stream ≡ one-shot test uses as
+//! the oracle and which would otherwise pay a transposition per call.
+//! `tests/columnar_equivalence.rs` property-tests the two bit-identical.
 //!
 //! ## Memory layout
 //!
@@ -38,7 +39,7 @@
 //! guarantee holds structurally.
 
 use crate::clustering;
-use crate::detect::pipeline::MergedStg;
+use crate::detect::server::ArenaView;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::stg::StateKey;
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
@@ -46,8 +47,8 @@ use vapro_sim::VirtualTime;
 
 /// Read-only access to one pooled fragment population, by index.
 ///
-/// Implemented by the AoS compatibility layer (`[&Fragment]`) and by
-/// columnar [`LaneView`]s; everything the detection/diagnosis pipeline
+/// Implemented by `[&Fragment]` (the one-shot path's borrowed pools) and
+/// by columnar [`LaneView`]s; everything the detection/diagnosis pipeline
 /// reads from a pool goes through these accessors, which is what keeps
 /// the two representations bit-identical by construction.
 pub trait PoolView {
@@ -205,7 +206,7 @@ struct Lane {
     hi: u32,
 }
 
-/// SoA storage for a merged view's fragments, lane-partitioned by
+/// SoA storage for one sealed window's fragments, lane-partitioned by
 /// location. See the module docs for the column layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarPool {
@@ -290,21 +291,6 @@ impl ColumnarPool {
         self.edges.len()
     }
 
-    /// Pre-size the columns for `fragments` fragments carrying
-    /// `counter_values` active counter values and `arg_values` argument
-    /// scalars in total.
-    pub fn reserve(&mut self, fragments: usize, counter_values: usize, arg_values: usize) {
-        self.ranks.reserve(fragments);
-        self.kinds.reserve(fragments);
-        self.starts.reserve(fragments);
-        self.ends.reserve(fragments);
-        self.sets.reserve(fragments);
-        self.coff.reserve(fragments);
-        self.aoff.reserve(fragments);
-        self.counters.reserve(counter_values);
-        self.args.reserve(arg_values);
-    }
-
     /// Open a new vertex lane; subsequent [`ColumnarPool::push`]es land
     /// in it until the next `begin_*`.
     pub fn begin_vertex(&mut self, key: StateKey) {
@@ -347,45 +333,22 @@ impl ColumnarPool {
         lane.hi = n;
     }
 
-    /// Refill this pool from a merged AoS view: same locations in the
-    /// same order, every fragment transposed into the columns. Reuses
-    /// the pool's existing capacity (see [`ColumnarPool::clear`]).
-    pub fn refill_from_merged(&mut self, merged: &MergedStg<'_>) {
+    /// Refill this pool from an arena selection: one lane per location
+    /// with a selected fragment, locations in state-key order, every
+    /// fragment transposed into the columns in the arena's canonical
+    /// order. Reuses the pool's existing capacity (see
+    /// [`ColumnarPool::clear`]), so a recycled pool sealing window after
+    /// window stops allocating once its columns reach the high-water
+    /// mark.
+    pub fn refill_from_merged(&mut self, view: &ArenaView<'_>) {
         self.clear();
-        let pools = || {
-            merged
-                .vertices
-                .iter()
-                .map(|(_, p)| p)
-                .chain(merged.edges.iter().map(|(_, p)| p))
-        };
-        let fragments: usize = pools().map(|p| p.len()).sum();
-        let counter_values: usize =
-            pools().flat_map(|p| p.iter()).map(|f| f.counters.set().len()).sum();
-        let arg_values: usize = pools().flat_map(|p| p.iter()).map(|f| f.args.len()).sum();
-        self.reserve(fragments, counter_values, arg_values);
-        self.vertices.reserve(merged.vertices.len());
-        self.edges.reserve(merged.edges.len());
-        for (sym, pool) in &merged.vertices {
-            // vapro-lint: allow(R1, one StateKey per location table entry; not a fragment population)
-            self.begin_vertex(merged.key(*sym).clone());
-            for f in pool {
-                self.push(f);
-            }
-        }
-        for ((from, to), pool) in &merged.edges {
-            // vapro-lint: allow(R1, one StateKey pair per edge table entry; not a fragment population)
-            self.begin_edge(merged.key(*from).clone(), merged.key(*to).clone());
-            for f in pool {
-                self.push(f);
-            }
-        }
+        view.gather_into(self);
     }
 
-    /// Build a fresh pool from a merged view.
-    pub fn from_merged(merged: &MergedStg<'_>) -> ColumnarPool {
+    /// Build a fresh pool from an arena selection.
+    pub fn from_merged(view: &ArenaView<'_>) -> ColumnarPool {
         let mut pool = ColumnarPool::new();
-        pool.refill_from_merged(merged);
+        pool.refill_from_merged(view);
         pool
     }
 
@@ -525,90 +488,24 @@ mod tests {
     use crate::fragment::DEFAULT_PROXY;
     use vapro_pmu::CounterDelta;
 
-    fn frag(rank: usize, kind: FragmentKind, t: u64, ins: f64, args: Vec<f64>) -> Fragment {
-        let mut counters = CounterDelta::default();
-        counters.put(CounterId::TotIns, ins);
-        counters.put(CounterId::Stores, ins / 2.0);
-        Fragment {
-            rank,
-            kind,
-            start: VirtualTime::from_ns(t),
-            end: VirtualTime::from_ns(t + 100),
-            counters,
-            args,
-        }
-    }
-
-    fn sample_pool() -> (Vec<Fragment>, ColumnarPool) {
-        let frags = vec![
-            frag(0, FragmentKind::Computation, 0, 1000.0, vec![]),
-            frag(1, FragmentKind::Computation, 50, 2000.0, vec![]),
-            frag(0, FragmentKind::Communication, 120, 0.0, vec![4096.0, 3.0]),
-        ];
-        let mut pool = ColumnarPool::new();
-        pool.begin_edge(
-            StateKey::Start,
-            StateKey::Site(vapro_sim::CallSite("w:MPI_Barrier")),
-        );
-        pool.push(&frags[0]);
-        pool.push(&frags[1]);
-        pool.begin_vertex(StateKey::Site(vapro_sim::CallSite("w:MPI_Barrier")));
-        pool.push(&frags[2]);
-        (frags, pool)
-    }
-
-    #[test]
-    fn lane_views_mirror_the_fragments_they_were_built_from() {
-        let (frags, pool) = sample_pool();
-        assert_eq!(pool.len(), 3);
-        let (_, _, edge) = pool.edge(0);
-        let (_, vertex) = pool.vertex(0);
-        let aos: Vec<&Fragment> = frags.iter().collect();
-        let edge_aos = &aos[..2];
-        let vertex_aos = &aos[2..];
-        for (view, aos) in [(&edge as &dyn PoolView, edge_aos), (&vertex, vertex_aos)] {
-            assert_eq!(view.len(), aos.len());
-            for (i, f) in aos.iter().enumerate() {
-                assert_eq!(view.rank(i), f.rank);
-                assert_eq!(view.kind(i), f.kind);
-                assert_eq!(view.start(i), f.start);
-                assert_eq!(view.end(i), f.end);
-                assert_eq!(view.duration_ns(i).to_bits(), f.duration_ns().to_bits());
-                assert_eq!(view.args(i), &f.args[..]);
-            }
-        }
-    }
-
-    #[test]
-    fn workload_lanes_match_the_aos_helper() {
-        let (frags, pool) = sample_pool();
-        let aos: Vec<&Fragment> = frags.iter().collect();
-        let all = pool.all();
-        let dim = all.workload_dim(&DEFAULT_PROXY);
-        assert_eq!(dim, aos.as_slice().workload_dim(&DEFAULT_PROXY));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for i in 0..aos.len() {
-            all.extend_workload_lane(i, &DEFAULT_PROXY, dim, &mut a);
-            aos.as_slice().extend_workload_lane(i, &DEFAULT_PROXY, dim, &mut b);
-        }
-        assert_eq!(a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                   b.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn projected_counters_round_trip_exactly() {
-        let (frags, pool) = sample_pool();
-        let all = pool.all();
-        let keep = CounterSet::from_ids(&[CounterId::TotIns, CounterId::Tsc]);
-        for (i, f) in frags.iter().enumerate() {
-            assert_eq!(all.project_counters(i, keep), f.counters.project(keep));
-            assert_eq!(all.project_counters(i, CounterSet::all()), f.counters);
-        }
-    }
-
     #[test]
     fn clear_keeps_capacity_and_resets_state() {
-        let (frags, mut pool) = sample_pool();
+        let mut counters = CounterDelta::default();
+        counters.put(CounterId::TotIns, 1000.0);
+        counters.put(CounterId::Stores, 500.0);
+        let frag = Fragment {
+            rank: 0,
+            kind: FragmentKind::Communication,
+            start: VirtualTime::from_ns(120),
+            end: VirtualTime::from_ns(220),
+            counters,
+            args: vec![4096.0, 3.0],
+        };
+        let mut pool = ColumnarPool::new();
+        pool.begin_edge(StateKey::Start, StateKey::Start);
+        pool.push(&frag);
+        pool.begin_vertex(StateKey::Start);
+        pool.push(&frag);
         let cap = pool.counters.capacity();
         pool.clear();
         assert!(pool.is_empty());
@@ -616,7 +513,7 @@ mod tests {
         assert_eq!(pool.counters.capacity(), cap);
         // Refill works after clear.
         pool.begin_vertex(StateKey::Start);
-        pool.push(&frags[0]);
+        pool.push(&frag);
         assert_eq!(pool.vertex(0).1.len(), 1);
     }
 

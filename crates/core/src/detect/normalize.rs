@@ -11,7 +11,7 @@
 
 use crate::clustering::ClusterOutcome;
 use crate::columnar::PoolView;
-use crate::fragment::{Fragment, FragmentKind};
+use crate::fragment::FragmentKind;
 use serde::{Deserialize, Serialize};
 use vapro_sim::VirtualTime;
 
@@ -71,25 +71,15 @@ impl CategorySeries {
     }
 }
 
-/// Normalise the borrowed fragments of one STG edge/vertex given its
-/// clustering. Only usable clusters contribute (rare ones go to the
-/// rare-path report). Appends into `out` according to each fragment's
-/// kind. `rank_override` replaces every point's rank (the intra-process
-/// path folds a single rank's STG onto heat-map row 0 without rebuilding
-/// the graph).
-pub fn normalize_cluster_outcome_refs(
-    fragments: &[&Fragment],
-    outcome: &ClusterOutcome,
-    out: &mut CategorySeries,
-    rank_override: Option<usize>,
-) {
-    normalize_cluster_outcome_view(fragments, outcome, out, rank_override)
-}
-
-/// Representation-generic form of [`normalize_cluster_outcome_refs`]:
-/// the same pass over any [`PoolView`] — AoS fragment slices and
-/// columnar lane views normalise through identical arithmetic, in
-/// identical order, so their outputs are bit-identical.
+/// Normalise one location's pooled fragments given its clustering. Only
+/// usable clusters contribute (rare ones go to the rare-path report).
+/// Appends into `out` according to each fragment's kind. `rank_override`
+/// replaces every point's rank (the intra-process path folds a single
+/// rank's STG onto heat-map row 0 without rebuilding the graph).
+///
+/// Generic over [`PoolView`]: `[&Fragment]` slices and columnar lane
+/// views normalise through identical arithmetic, in identical order, so
+/// their outputs are bit-identical.
 pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
     pool: &P,
     outcome: &ClusterOutcome,
@@ -131,21 +121,11 @@ pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
     }
 }
 
-/// Normalise owned fragments — see [`normalize_cluster_outcome_refs`].
-pub fn normalize_cluster_outcome(
-    fragments: &[Fragment],
-    outcome: &ClusterOutcome,
-    out: &mut CategorySeries,
-) {
-    let refs: Vec<&Fragment> = fragments.iter().collect();
-    normalize_cluster_outcome_refs(&refs, outcome, out, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::cluster_fragments;
-    use crate::fragment::DEFAULT_PROXY;
+    use crate::clustering::{cluster_pool, ClusterOutcome};
+    use crate::fragment::{Fragment, DEFAULT_PROXY};
     use vapro_pmu::{CounterDelta, CounterId};
 
     fn frag(kind: FragmentKind, rank: usize, start: u64, dur: u64, ins: f64) -> Fragment {
@@ -161,14 +141,21 @@ mod tests {
         }
     }
 
+    /// Cluster `frags` with the default proxy and normalise the outcome.
+    fn normalized(frags: &[Fragment]) -> (ClusterOutcome, CategorySeries) {
+        let refs: Vec<&Fragment> = frags.iter().collect();
+        let outcome = cluster_pool(refs.as_slice(), &DEFAULT_PROXY, 0.05, 5);
+        let mut out = CategorySeries::default();
+        normalize_cluster_outcome_view(refs.as_slice(), &outcome, &mut out, None);
+        (outcome, out)
+    }
+
     #[test]
     fn fastest_fragment_scores_one() {
         let frags: Vec<Fragment> = (0..6)
             .map(|i| frag(FragmentKind::Computation, 0, i * 100, 50 + i * 10, 1000.0))
             .collect();
-        let outcome = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
-        let mut out = CategorySeries::default();
-        normalize_cluster_outcome(&frags, &outcome, &mut out);
+        let (_, out) = normalized(&frags);
         assert_eq!(out.computation.len(), 6);
         let best = out
             .computation
@@ -194,9 +181,7 @@ mod tests {
             frag(FragmentKind::Computation, 0, 600, 100, 1000.0),
             frag(FragmentKind::Computation, 0, 800, 250, 1000.0),
         ];
-        let outcome = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
-        let mut out = CategorySeries::default();
-        normalize_cluster_outcome(&frags, &outcome, &mut out);
+        let (_, out) = normalized(&frags);
         let total_loss: f64 = out.computation.iter().map(|p| p.loss_ns).sum();
         assert!((total_loss - 150.0).abs() < 1e-9);
     }
@@ -212,10 +197,8 @@ mod tests {
         for i in 0..5 {
             frags.push(frag(FragmentKind::Computation, 0, 5000 + i * 1000, 1000, 9000.0));
         }
-        let outcome = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
+        let (outcome, out) = normalized(&frags);
         assert_eq!(outcome.usable.len(), 2);
-        let mut out = CategorySeries::default();
-        normalize_cluster_outcome(&frags, &outcome, &mut out);
         let perfect = out.computation.iter().filter(|p| p.perf > 0.999).count();
         assert_eq!(perfect, 10);
     }
@@ -234,9 +217,7 @@ mod tests {
             frag(FragmentKind::Io, 1, 60, 10, 512.0),
             frag(FragmentKind::Io, 1, 80, 10, 512.0),
         ];
-        let outcome = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
-        let mut out = CategorySeries::default();
-        normalize_cluster_outcome(&frags, &outcome, &mut out);
+        let (_, out) = normalized(&frags);
         assert_eq!(out.communication.len(), 5);
         assert_eq!(out.io.len(), 5);
         assert!(out.computation.is_empty());
@@ -248,9 +229,7 @@ mod tests {
             .map(|i| frag(FragmentKind::Computation, 0, i * 100, 50, 1000.0))
             .collect();
         frags.push(frag(FragmentKind::Computation, 0, 900, 400, 50_000.0));
-        let outcome = cluster_fragments(&frags, &DEFAULT_PROXY, 0.05, 5);
-        let mut out = CategorySeries::default();
-        normalize_cluster_outcome(&frags, &outcome, &mut out);
+        let (_, out) = normalized(&frags);
         assert_eq!(out.computation.len(), 8);
     }
 }

@@ -132,9 +132,9 @@ pub fn merge_stgs<'a>(stgs: &'a [Stg]) -> MergedStg<'a> {
     merge_stgs_filtered(stgs, |_| true)
 }
 
-/// Pool only the fragments overlapping `window` — the per-window *view*
-/// of the windowed ingestion path. Pure borrows: building a view never
-/// clones a [`Fragment`], unlike the old per-window STG slicing.
+/// Pool only the fragments overlapping `window` — the per-window view
+/// of the one-shot windowed analysis. Pure borrows: building a view never
+/// clones a [`Fragment`].
 pub fn merge_stgs_window<'a>(stgs: &'a [Stg], window: Window) -> MergedStg<'a> {
     merge_stgs_filtered(stgs, |f| window.overlaps(f.start, f.end))
 }
@@ -232,23 +232,10 @@ fn analyze_pool<P: PoolView + ?Sized>(
     LocationAnalysis { covered_ns, rare, series, outcome }
 }
 
-/// Shared body of [`detect`], [`detect_seq`] and [`detect_intra`].
-fn detect_impl(
-    stgs: &[Stg],
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-    parallel: bool,
-    rank_override: Option<usize>,
-) -> DetectionResult {
-    detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, parallel, rank_override)
-}
-
-/// Run detection over pre-pooled populations — the borrow path the
-/// windowed server ingestion feeds: callers build a [`MergedStg`] view
-/// (e.g. with [`merge_stgs_window`] or from a decoded batch arena)
-/// without cloning a single [`Fragment`], and get the same output as
-/// [`detect`] over equivalent STGs.
+/// Run detection over pre-pooled populations: callers build a
+/// [`MergedStg`] (with [`merge_stgs`] or [`merge_stgs_window`]) without
+/// cloning a single [`Fragment`], and get the same output as [`detect`]
+/// over equivalent STGs.
 pub fn detect_merged(
     merged: &MergedStg<'_>,
     nranks: usize,
@@ -281,28 +268,15 @@ pub(crate) fn detect_merged_impl(
     detect_locations_impl(&locations, nranks, bins, cfg, parallel, rank_override)
 }
 
-/// Run detection over a columnar pool: the same generic pipeline as
+/// Run detection over a sealed window: the same generic pipeline as
 /// [`detect_merged`], fed by [`LaneView`]s instead of fragment slices.
-/// Output is bit-identical to [`detect_merged`] over the AoS view the
-/// pool was transposed from.
+/// Output is bit-identical to [`detect_merged`] over the same population
+/// in the same order.
 pub fn detect_columnar(
     pool: &ColumnarPool,
     nranks: usize,
     bins: usize,
     cfg: &VaproConfig,
-) -> DetectionResult {
-    detect_columnar_impl(pool, nranks, bins, cfg, true, None)
-}
-
-/// Shared body of [`detect_columnar`] (and its sequential twin used by
-/// the equivalence tests).
-pub(crate) fn detect_columnar_impl(
-    pool: &ColumnarPool,
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-    parallel: bool,
-    rank_override: Option<usize>,
 ) -> DetectionResult {
     let locations: Vec<(Location<'_>, LaneView<'_>)> = (0..pool.num_vertices())
         .map(|i| {
@@ -314,7 +288,7 @@ pub(crate) fn detect_columnar_impl(
             (Location::Edge(from, to), view)
         }))
         .collect();
-    detect_locations_impl(&locations, nranks, bins, cfg, parallel, rank_override)
+    detect_locations_impl(&locations, nranks, bins, cfg, true, None)
 }
 
 /// Locations (vertices, then edges, both in key order) are analysed
@@ -427,14 +401,14 @@ fn detect_locations_impl<V: PoolView + Sync>(
 /// `bins` is the number of time columns. Locations fan out across the
 /// thread pool; output is identical to [`detect_seq`].
 pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_impl(stgs, nranks, bins, cfg, true, None)
+    detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, true, None)
 }
 
 /// Single-threaded reference of [`detect`]: same pipeline, no fan-out.
 /// Exists for the equivalence property tests and as the sequential
 /// baseline of the benchmark harness.
 pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_impl(stgs, nranks, bins, cfg, false, None)
+    detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, false, None)
 }
 
 /// Longest total first. `total_cmp`, so a NaN total sorts ahead of the
@@ -461,7 +435,7 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, cluster: &Cluster) -> f64 {
 /// coverage entry takes rank 0), so no remapped copy of the STG — and no
 /// `Fragment` clone — is ever built.
 pub fn detect_intra(stg: &Stg, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_impl(std::slice::from_ref(stg), 1, bins, cfg, true, Some(0))
+    detect_merged_impl(&merge_stgs(std::slice::from_ref(stg)), 1, bins, cfg, true, Some(0))
 }
 
 #[cfg(test)]

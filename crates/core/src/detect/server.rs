@@ -4,18 +4,24 @@
 //! client population evenly for load balance (one server per 256 clients
 //! in the paper's deployment, 0.4 % resource overhead).
 //!
-//! Ingestion is incremental and zero-copy past the decode step:
+//! Two straight pipelines share this module, one fragment form each —
+//! AoS where data is mutable, SoA where it is sealed:
 //!
-//! * [`IngestArena`] decodes each shipped [`FragmentBatch`] **once** into
-//!   per-location fragment pools (fragments are *moved* out of the batch,
-//!   never cloned);
-//! * a per-window *view* ([`IngestArena::window_view`]) borrows the
-//!   overlapping fragments as a [`MergedStg`] of `&Fragment` pools — no
-//!   `Fragment` is cloned per window, unlike the old per-window STG
-//!   slicing;
-//! * [`WindowedIngestor`] tracks the observed time watermark and analyses
-//!   windows on rayon as they close, instead of re-pooling everything at
-//!   every report.
+//! * **Streaming.** [`IngestArena`] decodes each shipped
+//!   [`FragmentBatch`] **once** into per-location `Vec<Fragment>` pools
+//!   (fragments are *moved* out of the batch, never cloned), where
+//!   appending, sorting and eviction are cheap. A closing window is
+//!   sealed in one hop: [`IngestArena::window_view`] is a free
+//!   [`ArenaView`] handle, and [`ColumnarPool::refill_from_merged`]
+//!   gathers the overlapping fragments straight out of the sorted pools
+//!   into a recycled columnar snapshot that
+//!   [`detect_columnar`] and [`DiagnosisBatch`] read.
+//!   [`WindowedIngestor`] tracks the shipping watermark and seals and
+//!   analyses windows as they close.
+//! * **One-shot.** [`ServerPool::analyze_windows`] pools per-rank STGs
+//!   by reference ([`merge_stgs_window`]) and runs [`detect_merged`]
+//!   over the `&Fragment` slices — the oracle every stream ≡ one-shot
+//!   test compares the streaming path against.
 
 use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::{LateDataPolicy, VaproConfig};
@@ -27,7 +33,6 @@ use crate::diagnose::batch::{DiagnosisBatch, EdgePools};
 use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::DiagnosisReport;
 use crate::fragment::Fragment;
-use crate::intern::{Sym, SymbolTable};
 use crate::report::WindowCoverage;
 use crate::stg::{StateKey, Stg};
 use crate::vopr::canary;
@@ -279,13 +284,22 @@ fn diagnose_top_regions<S: EdgePools + Sync>(
         .collect()
 }
 
-/// Shared per-window analysis: detection over the view, then top-K
-/// region diagnosis reusing detection's clusters. Both the one-shot
-/// ([`ServerPool::analyze_windows`]) and streaming
-/// ([`WindowedIngestor`]) paths go through here, which keeps their
-/// reports bit-identical. The caller supplies the transport-side
-/// coverage; the per-window `ranks_absent` census comes from the view
-/// itself, identically on both paths.
+/// The per-window census both pipelines share: which of the deployment's
+/// ranks contributed no fragment.
+fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut present = vec![false; nranks];
+    for r in ranks {
+        if let Some(p) = present.get_mut(r) {
+            *p = true;
+        }
+    }
+    (0..nranks).filter(|&r| !present[r]).collect()
+}
+
+/// One-shot per-window analysis ([`ServerPool::analyze_windows`]):
+/// detection over the borrowed view, then top-K region diagnosis reusing
+/// detection's clusters. The `ranks_absent` census comes from the view
+/// itself, exactly as [`analyze_view_columnar`] takes it from the lanes.
 fn analyze_view(
     view: &MergedStg<'_>,
     window: Window,
@@ -294,30 +308,18 @@ fn analyze_view(
     cfg: &VaproConfig,
     mut coverage: WindowCoverage,
 ) -> WindowReport {
-    let mut present = vec![false; nranks];
-    let pools = view
-        .vertices
-        .iter()
-        .map(|(_, p)| p)
-        .chain(view.edges.iter().map(|(_, p)| p));
-    for pool in pools {
-        for f in pool {
-            if f.rank < nranks {
-                present[f.rank] = true;
-            }
-        }
-    }
-    coverage.ranks_absent = (0..nranks).filter(|&r| !present[r]).collect();
+    let pools = view.vertices.iter().map(|(_, p)| p).chain(view.edges.iter().map(|(_, p)| p));
+    coverage.ranks_absent = ranks_absent(nranks, pools.flatten().map(|f| f.rank));
     let result = detect_merged(view, nranks, bins, cfg);
     let diagnoses = diagnose_top_regions(view, &result, cfg);
     WindowReport { window, result, diagnoses, coverage }
 }
 
-/// Columnar twin of [`analyze_view`]: detection and diagnosis read the
-/// pool's contiguous lanes instead of `&Fragment` slices. The streaming
-/// ingestor routes every closed window through here; the one-shot path
-/// keeps the AoS route, so the streaming-equals-one-shot tests prove the
-/// two representations bit-identical end to end.
+/// Streaming per-window analysis: detection and diagnosis over a sealed
+/// window's contiguous lanes. Every window the ingestor closes goes
+/// through here; the one-shot path keeps [`analyze_view`], so the
+/// streaming-equals-one-shot tests prove the two pipelines bit-identical
+/// end to end. The caller supplies the transport-side coverage.
 pub(crate) fn analyze_view_columnar(
     pool: &ColumnarPool,
     window: Window,
@@ -326,15 +328,8 @@ pub(crate) fn analyze_view_columnar(
     cfg: &VaproConfig,
     mut coverage: WindowCoverage,
 ) -> WindowReport {
-    let mut present = vec![false; nranks];
     let all = pool.all();
-    for i in 0..all.len() {
-        let r = all.rank(i);
-        if r < nranks {
-            present[r] = true;
-        }
-    }
-    coverage.ranks_absent = (0..nranks).filter(|&r| !present[r]).collect();
+    coverage.ranks_absent = ranks_absent(nranks, (0..all.len()).map(|i| all.rank(i)));
     let result = detect_columnar(pool, nranks, bins, cfg);
     let diagnoses = diagnose_top_regions(pool, &result, cfg);
     WindowReport { window, result, diagnoses, coverage }
@@ -441,27 +436,31 @@ fn fragment_order(a: &Fragment, b: &Fragment) -> std::cmp::Ordering {
 
 /// One arena pool plus its incremental-sort watermark: the prefix
 /// `frags[..sorted_len]` is known to be in [`fragment_order`]. Batches
-/// append to the tail; [`IngestArena::ensure_sorted`] sorts the tail run
-/// and merges it into the prefix, so a window close never re-sorts
-/// fragments that were already in place.
+/// append to the tail; [`IngestArena::ensure_sorted`] brings the whole
+/// pool back into order.
 #[derive(Debug, Default)]
 struct ArenaPool {
     frags: Vec<Fragment>,
     sorted_len: usize,
     /// Largest fragment duration this pool has ever held, ns. Monotone
     /// (eviction never lowers it — a stale bound only widens the ranged
-    /// scan, never narrows it), which is what makes the O(window) view
+    /// scan, never narrows it), which is what makes the O(window) scan
     /// below safe: a fragment overlapping `[ws, we)` must start after
     /// `ws - max_dur_ns`, so the scan can skip everything earlier.
     max_dur_ns: u64,
 }
 
 impl ArenaPool {
-    /// Append the fragments overlapping `w` to `out` via `partition_point`
-    /// range lookups, touching O(ranks·log n + rows-in-window) elements
-    /// instead of filtering the whole pool. Requires the pool to be fully
-    /// sorted ([`fragment_order`]: rank first, then start time), which is
-    /// what bounds each rank's candidates to one contiguous run:
+    /// Feed `visit` the fragments overlapping `window` (all of them for
+    /// `None`), in [`fragment_order`].
+    ///
+    /// A sorted pool — what every window close sees, since the ingestor
+    /// runs [`IngestArena::ensure_sorted`] first — is walked by
+    /// `partition_point` range lookups, touching O(ranks·log n +
+    /// rows-in-window) elements instead of filtering the whole pool,
+    /// which bounds a recovering straggler's backlog to O(window) per
+    /// close. [`fragment_order`] (rank first, then start time) bounds
+    /// each rank's candidates to one contiguous run:
     ///
     /// * the upper cut keeps `start < w.end` (any later start cannot
     ///   overlap);
@@ -470,14 +469,30 @@ impl ArenaPool {
     ///   overlap either);
     /// * the remaining candidates are filtered by the exact overlap
     ///   predicate `end > w.start`, yielding precisely the set — and,
-    ///   because the scan walks pool order, precisely the order — the
-    ///   full `filter(keep)` pass produced.
-    fn window_overlaps<'a>(&'a self, w: Window, out: &mut Vec<&'a Fragment>) {
-        debug_assert_eq!(self.sorted_len, self.frags.len(), "ranged scan needs a sorted pool");
+    ///   because the scan walks pool order, precisely the order — a full
+    ///   `filter(overlaps)` pass produces.
+    ///
+    /// A pool with an unsorted tail (direct arena use without
+    /// `ensure_sorted`) is filtered and sorted here instead; which of
+    /// the two ran is unobservable.
+    fn window_overlaps(&self, window: Option<Window>, mut visit: impl FnMut(&Fragment)) {
+        let frags = self.frags.as_slice();
+        if self.sorted_len != frags.len() {
+            let mut kept: Vec<&Fragment> = frags
+                .iter()
+                .filter(|f| window.is_none_or(|w| w.overlaps(f.start, f.end)))
+                .collect();
+            kept.sort_by(|a, b| fragment_order(a, b));
+            kept.into_iter().for_each(visit);
+            return;
+        }
+        let Some(w) = window else {
+            frags.iter().for_each(visit);
+            return;
+        };
         let ws = w.start.ns();
         let we = w.end.ns();
         let earliest_start = ws.saturating_sub(self.max_dur_ns);
-        let frags = self.frags.as_slice();
         let mut run_start = 0;
         while run_start < frags.len() {
             let rank = frags[run_start].rank;
@@ -488,7 +503,7 @@ impl ArenaPool {
             let hi = run.partition_point(|f| f.start.ns() < we);
             for f in &run[lo.min(hi)..hi] {
                 if f.end.ns() > ws {
-                    out.push(f);
+                    visit(f);
                 }
             }
             run_start += run_len;
@@ -510,12 +525,6 @@ pub struct IngestArena {
     edge_pools: HashMap<(usize, usize), ArenaPool>,
     fragments: usize,
     max_end_ns: u64,
-    /// Persistent merge scratch for [`IngestArena::ensure_sorted`]: the
-    /// unsorted tail run and the merge output. Both keep their
-    /// capacity across calls, so steady-state maintenance sorting does
-    /// no transient allocation.
-    sort_tail: Vec<Fragment>,
-    sort_out: Vec<Fragment>,
     /// Fragment `Vec`s reclaimed from pools the watermark fully drained;
     /// the next pool for a fresh location reuses their capacity instead
     /// of allocating — the arena-level twin of the ingestor's columnar
@@ -560,6 +569,11 @@ impl IngestArena {
 
     /// Absorb one decoded batch, *moving* its fragments into the pools.
     ///
+    /// A label is resolved (and, the first time this arena sees it,
+    /// interned for the life of the process) only when a non-empty group
+    /// references it: a frame's label table is sender-controlled, so
+    /// entries that carry no fragments must not grow the key tables.
+    ///
     /// Group label ids are re-checked against the batch's own label
     /// table: the decoder validates them (`check_label`), but
     /// `FragmentBatch`'s fields are public, so a hand-built batch with
@@ -567,51 +581,59 @@ impl IngestArena {
     /// malformed monitoring batch must never panic the ingest plane.
     pub fn push_batch(&mut self, batch: FragmentBatch) {
         let FragmentBatch { labels, vertex_groups, edge_groups, .. } = batch;
-        let ids: Vec<usize> = labels.iter().map(|l| self.key_id(l)).collect();
+        let mut ids: Vec<Option<usize>> = vec![None; labels.len()];
+        let mut resolve = |arena: &mut IngestArena, label: u32| -> Option<usize> {
+            let slot = ids.get_mut(label as usize)?;
+            if slot.is_none() {
+                *slot = Some(arena.key_id(labels.get(label as usize)?));
+            }
+            *slot
+        };
         for g in vertex_groups {
-            let Some(&id) = ids.get(g.label as usize) else { continue };
-            if !self.vertex_pools.contains_key(&id) {
-                let recycled = self.recycled_pool();
-                self.vertex_pools.insert(id, recycled);
+            if g.fragments.is_empty() {
+                continue;
             }
-            if let Some(pool) = self.vertex_pools.get_mut(&id) {
-                Self::absorb(
-                    pool,
-                    g.fragments,
-                    &mut self.fragments,
-                    &mut self.max_end_ns,
-                    &mut self.resident_bytes,
-                );
-            }
+            let Some(id) = resolve(self, g.label) else { continue };
+            let pool = Self::pool_at(&mut self.vertex_pools, id, &mut self.free_pools);
+            Self::absorb(
+                pool,
+                g.fragments,
+                &mut self.fragments,
+                &mut self.max_end_ns,
+                &mut self.resident_bytes,
+            );
         }
         for g in edge_groups {
-            let (Some(&from), Some(&to)) =
-                (ids.get(g.from as usize), ids.get(g.to as usize))
-            else {
+            if g.fragments.is_empty() {
+                continue;
+            }
+            let (Some(from), Some(to)) = (resolve(self, g.from), resolve(self, g.to)) else {
                 continue;
             };
-            let key = (from, to);
-            if !self.edge_pools.contains_key(&key) {
-                let recycled = self.recycled_pool();
-                self.edge_pools.insert(key, recycled);
-            }
-            if let Some(pool) = self.edge_pools.get_mut(&key) {
-                Self::absorb(
-                    pool,
-                    g.fragments,
-                    &mut self.fragments,
-                    &mut self.max_end_ns,
-                    &mut self.resident_bytes,
-                );
-            }
+            let pool = Self::pool_at(&mut self.edge_pools, (from, to), &mut self.free_pools);
+            Self::absorb(
+                pool,
+                g.fragments,
+                &mut self.fragments,
+                &mut self.max_end_ns,
+                &mut self.resident_bytes,
+            );
         }
         self.high_water_bytes = self.high_water_bytes.max(self.resident_bytes);
     }
 
-    /// A fresh pool reusing reclaimed `Vec` capacity when available.
-    fn recycled_pool(&mut self) -> ArenaPool {
-        let frags = self.free_pools.pop().unwrap_or_default();
-        ArenaPool { frags, sorted_len: 0, max_dur_ns: 0 }
+    /// The pool at `key`; a fresh location opens on reclaimed `Vec`
+    /// capacity when there is any.
+    fn pool_at<'p, K: Eq + std::hash::Hash>(
+        pools: &'p mut HashMap<K, ArenaPool>,
+        key: K,
+        free_pools: &mut Vec<Vec<Fragment>>,
+    ) -> &'p mut ArenaPool {
+        pools.entry(key).or_insert_with(|| ArenaPool {
+            frags: free_pools.pop().unwrap_or_default(),
+            sorted_len: 0,
+            max_dur_ns: 0,
+        })
     }
 
     fn absorb(
@@ -743,147 +765,97 @@ impl IngestArena {
         });
     }
 
-    /// Bring every pool up to its [`fragment_order`] invariant: sort the
-    /// unsorted tail run and move-merge it with the sorted prefix through
-    /// the persistent scratch buffers. After this, views are pure filters
-    /// (filtering preserves order), so closing a window sorts nothing.
+    /// Bring every pool up to its [`fragment_order`] invariant. A sorted
+    /// prefix plus an appended tail is two runs to the standard
+    /// run-adaptive stable sort (one run when shipping was in order), so
+    /// fragments already in place are not re-sorted. After this, sealing
+    /// a window sorts nothing.
     ///
     /// Equal elements under [`fragment_order`] are identical in every
     /// compared field — rank, times, kind, counter bits, arg bits — so
-    /// the unstable tail sort and the merge's tie direction cannot change
-    /// any observable pool order.
+    /// stability cannot change any observable pool order.
     pub fn ensure_sorted(&mut self) {
-        let IngestArena { vertex_pools, edge_pools, sort_tail, sort_out, .. } = self;
-        let pools =
-            vertex_pools.values_mut().chain(edge_pools.values_mut());
-        for pool in pools {
-            let n = pool.frags.len();
-            if pool.sorted_len == n {
-                continue;
+        for pool in self.vertex_pools.values_mut().chain(self.edge_pools.values_mut()) {
+            if pool.sorted_len != pool.frags.len() {
+                pool.frags.sort_by(fragment_order);
+                pool.sorted_len = pool.frags.len();
             }
-            // vapro-lint: allow(R5, sorted_len <= frags.len() is the pool invariant)
-            pool.frags[pool.sorted_len..].sort_unstable_by(fragment_order);
-            // The tail often starts past the prefix outright (in-order
-            // shipping); then the concatenation is already sorted.
-            let boundary_ok = pool.sorted_len == 0
-                || fragment_order(
-                    // vapro-lint: allow(R5, guarded by sorted_len > 0 and sorted_len < len on this branch)
-                    &pool.frags[pool.sorted_len - 1],
-                    // vapro-lint: allow(R5, sorted_len < len whenever the prefix check ran)
-                    &pool.frags[pool.sorted_len],
-                ) != std::cmp::Ordering::Greater;
-            if !boundary_ok {
-                sort_tail.extend(pool.frags.drain(pool.sorted_len..));
-                sort_out.reserve(n);
-                let mut a = pool.frags.drain(..).peekable();
-                let mut b = sort_tail.drain(..).peekable();
-                loop {
-                    let take_a = match (a.peek(), b.peek()) {
-                        (Some(x), Some(y)) => {
-                            fragment_order(x, y) != std::cmp::Ordering::Greater
-                        }
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    let next = if take_a { a.next() } else { b.next() };
-                    if let Some(f) = next {
-                        sort_out.push(f);
-                    }
-                }
-                drop(a);
-                drop(b);
-                std::mem::swap(&mut pool.frags, sort_out);
-            }
-            pool.sorted_len = pool.frags.len();
         }
     }
 
-    fn view(&self, window: Option<Window>) -> MergedStg<'_> {
-        // Per-pool collection: a window view over a fully-sorted pool
-        // goes through the `partition_point` ranged scan — O(ranks·log n
-        // + rows-in-window) instead of filtering the whole pool. Pools
-        // with an unsorted tail (direct arena use without
-        // `ensure_sorted`) and full views keep the linear filter; the
-        // ranged scan is proven to produce the identical set *and*
-        // order ([`ArenaPool::window_overlaps`]), so which path ran is
-        // unobservable.
-        fn collect<'a>(
-            pool: &'a ArenaPool,
-            window: Option<Window>,
-            dirty: &mut bool,
-        ) -> Vec<&'a Fragment> {
-            match window {
-                Some(w) if pool.sorted_len == pool.frags.len() => {
-                    let mut kept = Vec::new();
-                    pool.window_overlaps(w, &mut kept);
-                    kept
-                }
-                Some(w) => {
-                    *dirty = true;
-                    pool.frags.iter().filter(|f| w.overlaps(f.start, f.end)).collect()
-                }
-                None => {
-                    *dirty |= pool.sorted_len != pool.frags.len();
-                    pool.frags.iter().collect()
-                }
-            }
+    /// The fragments overlapping `window`, as a handle
+    /// [`ColumnarPool::refill_from_merged`] gathers from. Building it
+    /// touches no fragment.
+    pub fn window_view(&self, window: Window) -> ArenaView<'_> {
+        ArenaView { arena: self, window: Some(window) }
+    }
+
+    /// Everything ingested so far, regardless of time.
+    pub fn full_view(&self) -> ArenaView<'_> {
+        ArenaView { arena: self, window: None }
+    }
+}
+
+/// A borrowed selection of an [`IngestArena`]: the whole arena, or the
+/// fragments overlapping one window. It is the arena reference plus the
+/// window — nothing is collected until a [`ColumnarPool`] gathers it.
+#[derive(Debug)]
+pub struct ArenaView<'a> {
+    arena: &'a IngestArena,
+    window: Option<Window>,
+}
+
+impl ArenaView<'_> {
+    /// Append the selection to `out`, one lane per location that has a
+    /// selected fragment: vertex lanes then edge lanes, each list in
+    /// state-key order (what `merge_stgs` produces, so every downstream
+    /// label, series and rare-path order matches the one-shot path), and
+    /// fragments in [`fragment_order`] — (rank, time) first with a
+    /// content tiebreaker, so a sealed window never depends on batch
+    /// arrival order even when timestamps collide.
+    pub(crate) fn gather_into(&self, out: &mut ColumnarPool) {
+        let arena = self.arena;
+        let mut vertices: Vec<(&StateKey, &ArenaPool)> = arena
+            .vertex_pools
+            .iter()
+            .filter_map(|(&id, pool)| Some((arena.keys.get(id)?, pool)))
+            .collect();
+        vertices.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (key, pool) in vertices {
+            // vapro-lint: allow(R1, one StateKey per location table entry; not a fragment population)
+            self.gather_pool(pool, out, |out| out.begin_vertex(key.clone()));
         }
-        let mut dirty = false;
-        let mut symbols: SymbolTable<&StateKey> = SymbolTable::new();
-        let mut vertices: Vec<(Sym, Vec<&Fragment>)> = Vec::new();
-        for (&id, pool) in &self.vertex_pools {
-            let kept = collect(pool, window, &mut dirty);
-            if !kept.is_empty() {
-                // vapro-lint: allow(R5, pool ids are issued by key_id and index keys by construction)
-                vertices.push((symbols.intern(&self.keys[id]), kept));
-            }
+        let mut edges: Vec<((&StateKey, &StateKey), &ArenaPool)> = arena
+            .edge_pools
+            .iter()
+            .filter_map(|(&(from, to), pool)| {
+                Some(((arena.keys.get(from)?, arena.keys.get(to)?), pool))
+            })
+            .collect();
+        edges.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for ((from, to), pool) in edges {
+            // vapro-lint: allow(R1, one StateKey pair per edge table entry; not a fragment population)
+            self.gather_pool(pool, out, |out| out.begin_edge(from.clone(), to.clone()));
         }
-        let mut edges: Vec<((Sym, Sym), Vec<&Fragment>)> = Vec::new();
-        for (&(from, to), pool) in &self.edge_pools {
-            let kept = collect(pool, window, &mut dirty);
-            if !kept.is_empty() {
-                edges.push((
-                    // vapro-lint: allow(R5, edge-pool keys are issued by key_id and index keys by construction)
-                    (symbols.intern(&self.keys[from]), symbols.intern(&self.keys[to])),
-                    kept,
-                ));
+    }
+
+    /// Append `pool`'s selected fragments to `out`, calling `begin` to
+    /// open their lane before the first one — never, for a location the
+    /// selection leaves empty.
+    fn gather_pool(
+        &self,
+        pool: &ArenaPool,
+        out: &mut ColumnarPool,
+        begin: impl Fn(&mut ColumnarPool),
+    ) {
+        let mut open = false;
+        pool.window_overlaps(self.window, |f| {
+            if !open {
+                begin(out);
+                open = true;
             }
-        }
-        // Views are in [`fragment_order`]: (rank, time) first, with a
-        // content tiebreaker, so results never depend on batch arrival
-        // order even when timestamps collide. When the arena was brought
-        // up to date by [`IngestArena::ensure_sorted`] — the streaming
-        // ingestor does so before every window close — filtering already
-        // preserved that order and this pass is skipped entirely.
-        if dirty {
-            for pool in vertices
-                .iter_mut()
-                .map(|(_, p)| p)
-                .chain(edges.iter_mut().map(|(_, p)| p))
-            {
-                pool.sort_by(|a, b| fragment_order(a, b));
-            }
-        }
-        // Key-sorted pool order, matching `merge_stgs` exactly.
-        vertices.sort_by(|a, b| symbols.key(a.0).cmp(symbols.key(b.0)));
-        edges.sort_by(|a, b| {
-            (symbols.key(a.0 .0), symbols.key(a.0 .1))
-                .cmp(&(symbols.key(b.0 .0), symbols.key(b.0 .1)))
+            out.push(f);
         });
-        MergedStg { symbols, vertices, edges }
-    }
-
-    /// Borrow the fragments overlapping `window` as pooled populations.
-    /// Building a view clones no `Fragment` — it is index slices over the
-    /// arena — and feeds [`detect_merged`] directly.
-    pub fn window_view(&self, window: Window) -> MergedStg<'_> {
-        self.view(Some(window))
-    }
-
-    /// Borrow everything ingested so far, regardless of time.
-    pub fn full_view(&self) -> MergedStg<'_> {
-        self.view(None)
     }
 }
 
@@ -931,7 +903,7 @@ pub struct WindowedIngestor {
     buffered_ahead: BTreeMap<u64, u64>,
     buffered_ahead_bytes: u64,
     /// Recycled per-window columnar scratch: each closing window pops a
-    /// pool, refills it from its view, and pushes it back with capacity
+    /// pool, refills it from the arena, and pushes it back with capacity
     /// intact — steady-state window close allocates no new lanes. Shared
     /// with the analysis stage's pool tasks (they return finished pools),
     /// and guarded by the vendored non-poisoning `parking_lot::Mutex`:
@@ -1167,7 +1139,7 @@ impl WindowedIngestor {
     }
 
     /// Transport-side coverage of `w` at close time. `ranks_absent` is
-    /// filled later from the window view itself. At `finish` the stream
+    /// filled later from the sealed window itself. At `finish` the stream
     /// is over, so every rank not declared dead has shipped everything
     /// it ever will — its data is complete even if its final mark
     /// rounds below the window end.
@@ -1199,15 +1171,22 @@ impl WindowedIngestor {
         }
     }
 
-    /// Pop a recycled columnar pool, or allocate (and count) a fresh one.
-    fn scratch_pool(&self) -> ColumnarPool {
-        match self.scratch_pools.lock().pop() {
-            Some(pool) => pool,
-            None => {
-                self.scratch_pools_allocated.fetch_add(1, Ordering::Relaxed);
-                ColumnarPool::new()
-            }
-        }
+    /// Seal one closed window: snapshot its fragments out of the arena
+    /// into a recycled columnar pool (a fresh one, counted, when the
+    /// stack is empty). Both the inline and the staged close come
+    /// through here, so they analyse identical input. Sealing must
+    /// precede both eviction (a ready window may still need fragments at
+    /// the reclamation horizon) and the next admission (the snapshot
+    /// defines bit-identity), which is why it stays synchronous with
+    /// `close_ready` even when the analysis itself is pipelined.
+    fn seal(&self, window: Window) -> ColumnarPool {
+        let recycled = self.scratch_pools.lock().pop();
+        let mut pool = recycled.unwrap_or_else(|| {
+            self.scratch_pools_allocated.fetch_add(1, Ordering::Relaxed);
+            ColumnarPool::new()
+        });
+        pool.refill_from_merged(&self.arena.window_view(window));
+        pool
     }
 
     /// How many columnar scratch pools were ever allocated. Recycling
@@ -1226,9 +1205,7 @@ impl WindowedIngestor {
         windows
             .into_par_iter()
             .map(|(window, coverage)| {
-                let view = self.arena.window_view(window);
-                let mut pool = self.scratch_pool();
-                pool.refill_from_merged(&view);
+                let pool = self.seal(window);
                 let report = analyze_view_columnar(
                     &pool,
                     window,
@@ -1243,12 +1220,8 @@ impl WindowedIngestor {
             .collect()
     }
 
-    /// Seal `windows` into owned columnar pools on this thread and hand
-    /// them to the analysis stage, spawning it on first use. Sealing
-    /// must precede both eviction (a ready window may still need
-    /// fragments at the reclamation horizon) and the next admission
-    /// (the snapshot defines bit-identity), which is why it stays
-    /// synchronous while only the analysis itself is pipelined.
+    /// Seal `windows` on this thread and hand them to the analysis
+    /// stage, spawning it on first use.
     fn seal_into_stage(&mut self, windows: Vec<(Window, WindowCoverage)>) {
         if windows.is_empty() {
             return;
@@ -1263,8 +1236,7 @@ impl WindowedIngestor {
             ));
         }
         for (window, coverage) in windows {
-            let mut pool = self.scratch_pool();
-            pool.refill_from_merged(&self.arena.window_view(window));
+            let pool = self.seal(window);
             if let Some(stage) = self.stage.as_mut() {
                 // nranks travels per sealed window: a rank born between
                 // two closes must widen later windows' heatmaps but not
@@ -1307,8 +1279,8 @@ impl WindowedIngestor {
         self.update_liveness();
         let low = self.watermark_ns();
         let seen = self.arena.max_end_ns();
-        // Maintenance sort before any view is built: window views then
-        // filter already-ordered pools instead of sorting per window.
+        // Maintenance sort before any window is sealed: sealing then
+        // range-scans already-ordered pools instead of sorting per window.
         self.arena.ensure_sorted();
         let mut ready = Vec::new();
         loop {
@@ -1601,15 +1573,20 @@ mod tests {
         let encoded = FragmentBatch::from_stg(&stg, 0, window).encode_v3();
         let mut arena = IngestArena::new();
         // Decoding constructs fragments (it doesn't clone), pushing moves
-        // them, and every window view after that is borrows only.
+        // them, and sealing a window copies fields into columns. The
+        // windows are far below the fan-out threshold, so detection runs
+        // on this thread, under its clone counter.
         let before = clone_count::on_this_thread();
         arena.push_encoded(&encoded).unwrap();
+        let mut pool = ColumnarPool::new();
         for k in 0..4u64 {
             let w = Window {
                 start: VirtualTime::from_ns(k * 5_000_000),
                 end: VirtualTime::from_ns(k * 5_000_000 + 10_000_000),
             };
-            let _ = detect_merged_impl(&arena.window_view(w), 1, 8, &cfg, false, None);
+            pool.refill_from_merged(&arena.window_view(w));
+            assert!(!pool.is_empty(), "window {k} sealed nothing");
+            let _ = detect_columnar(&pool, 1, 8, &cfg);
         }
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on ingest path");
     }
@@ -1634,6 +1611,32 @@ mod tests {
         arena.push_batch(second);
         assert_eq!(arena.keys.len(), keys, "a known label was issued a second id");
         assert_eq!(LEAK_LABEL_CALLS.get(), calls, "a known label went back to the global lock");
+    }
+
+    #[test]
+    fn labels_that_carry_no_fragments_are_never_interned() {
+        // A frame's label table is sender-controlled. Entries no group
+        // references, and entries only an empty group references, must
+        // not reach the process-lifetime interner or the arena's key
+        // tables: 1 000 distinct strings per frame would otherwise stay
+        // allocated for the life of the server.
+        use crate::wire::{VertexGroup, LEAK_LABEL_CALLS};
+        let mut arena = IngestArena::new();
+        let (keys, calls) = (arena.keys.len(), LEAK_LABEL_CALLS.get());
+        arena.push_batch(FragmentBatch {
+            rank: 0,
+            seq: 0,
+            tenant_id: 0,
+            job_id: 0,
+            window_start_ns: 0,
+            window_end_ns: 1_000,
+            labels: (0..1000).map(|i| format!("server-test-unreferenced-{i}")).collect(),
+            vertex_groups: vec![VertexGroup { label: 7, fragments: Vec::new() }],
+            edge_groups: Vec::new(),
+        });
+        assert_eq!(LEAK_LABEL_CALLS.get(), calls, "a label without fragments was leaked");
+        assert_eq!(arena.keys.len(), keys, "a label without fragments was issued a key");
+        assert!(arena.is_empty() && arena.vertex_pools.is_empty());
     }
 
     #[test]
@@ -1914,15 +1917,17 @@ mod tests {
     #[test]
     fn ranged_window_views_match_linear_filter_views() {
         // Layer 2: the partition_point ranged scan (sorted pools) and
-        // the linear filter (unsorted pools) must produce identical
-        // views — same fragments, same order — including zero-duration
-        // fragments, duration outliers and window-boundary ties.
+        // the filter-and-sort fallback (unsorted pools) must seal
+        // identical windows — same locations, same fragments, same
+        // order — including duration outliers and window-boundary ties.
         let mut stgs: Vec<Stg> =
             (0..3).map(|r| looped_stg(r, 25, 1_000_000_000, 0..0)).collect();
         stgs[1] = looped_stg(1, 25, 1_000_000_000, 5..9);
         let mut sorted_arena = IngestArena::new();
         let mut lazy_arena = IngestArena::new();
-        for (rank, stg) in stgs.iter().enumerate() {
+        // Ranks arrive back to front, so every pool's tail is out of
+        // order until it is sorted.
+        for (rank, stg) in stgs.iter().enumerate().rev() {
             let span = Window {
                 start: VirtualTime::ZERO,
                 end: VirtualTime::from_ns(u64::MAX),
@@ -1932,24 +1937,23 @@ mod tests {
             lazy_arena.push_batch(batch);
         }
         sorted_arena.ensure_sorted();
-        // lazy_arena is left unsorted: its views take the filter path.
+        // lazy_arena is left unsorted: sealing it takes the fallback.
+        assert!(lazy_arena.edge_pools.values().all(|p| p.sorted_len != p.frags.len()));
         let period = 5_000_000_000u64;
         for k in 0..10u64 {
             let w = Window {
                 start: VirtualTime::from_ns(k * period / 2),
                 end: VirtualTime::from_ns(k * period / 2 + period),
             };
-            let fast = sorted_arena.window_view(w);
-            let slow = lazy_arena.window_view(w);
-            assert_eq!(fast.vertices.len(), slow.vertices.len());
-            assert_eq!(fast.edges.len(), slow.edges.len());
-            for (f, s) in fast.edges.iter().zip(slow.edges.iter()) {
-                assert_eq!(f.1.len(), s.1.len(), "window {k} pool size diverged");
-                for (a, b) in f.1.iter().zip(s.1.iter()) {
-                    assert_eq!(a, b, "window {k} fragment order diverged");
-                }
-            }
+            let fast = ColumnarPool::from_merged(&sorted_arena.window_view(w));
+            let slow = ColumnarPool::from_merged(&lazy_arena.window_view(w));
+            assert!(!fast.is_empty(), "window {k} sealed nothing");
+            assert_eq!(fast, slow, "window {k} sealed differently");
         }
+        assert_eq!(
+            ColumnarPool::from_merged(&sorted_arena.full_view()),
+            ColumnarPool::from_merged(&lazy_arena.full_view())
+        );
     }
 
     #[test]
@@ -2006,8 +2010,8 @@ mod tests {
     #[test]
     fn arena_views_are_arrival_order_independent_on_timestamp_ties() {
         // Two fragments from the same rank with identical timestamps but
-        // different content: whichever batch arrives first, the view
-        // must order them identically (content-derived tiebreaker).
+        // different content: whichever batch arrives first, the sealed
+        // pool must order them identically (content-derived tiebreaker).
         let mk = |ins: f64| {
             let mut c = CounterDelta::default();
             c.put(CounterId::TotIns, ins);
@@ -2028,22 +2032,16 @@ mod tests {
             let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
             FragmentBatch::from_stg(&stg, 0, window)
         };
-        let order_of = |batches: Vec<FragmentBatch>| -> Vec<u64> {
+        let sealed = |batches: Vec<FragmentBatch>| -> ColumnarPool {
             let mut arena = IngestArena::new();
             for b in batches {
                 arena.push_batch(b);
             }
-            let view = arena.full_view();
-            assert_eq!(view.edges.len(), 1);
-            view.edges[0]
-                .1
-                .iter()
-                .map(|f| f.counters.get(CounterId::TotIns).unwrap().to_bits())
-                .collect()
+            ColumnarPool::from_merged(&arena.full_view())
         };
-        let forward = order_of(vec![batch_with(1.0), batch_with(2.0)]);
-        let reverse = order_of(vec![batch_with(2.0), batch_with(1.0)]);
-        assert_eq!(forward.len(), 2);
+        let forward = sealed(vec![batch_with(1.0), batch_with(2.0)]);
+        let reverse = sealed(vec![batch_with(2.0), batch_with(1.0)]);
+        assert_eq!((forward.num_edges(), forward.len()), (1, 2));
         assert_eq!(forward, reverse, "tie order depends on arrival order");
     }
 
@@ -2077,7 +2075,8 @@ mod tests {
         for b in batches {
             arena.push_batch(b);
         }
-        let via_wire = detect_merged(&arena.full_view(), 4, 16, &cfg);
+        let sealed = ColumnarPool::from_merged(&arena.full_view());
+        let via_wire = detect_columnar(&sealed, 4, 16, &cfg);
 
         assert_eq!(direct.comp_regions.len(), via_wire.comp_regions.len());
         let (a, b) = (&direct.comp_regions[0], &via_wire.comp_regions[0]);

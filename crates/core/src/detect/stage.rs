@@ -323,10 +323,15 @@ mod tests {
     /// it waiting for a window that will never complete.
     #[test]
     fn a_panicking_analysis_reaches_the_owner() {
-        use crate::detect::pipeline::merge_stgs;
+        use crate::detect::server::IngestArena;
         use crate::diagnose::driver::tests::stgs_with_noise;
+        use crate::wire::FragmentBatch;
 
-        let pool = ColumnarPool::from_merged(&merge_stgs(&stgs_with_noise(1, 16, 1, (0, 0))));
+        let everything = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
+        let mut arena = IngestArena::new();
+        let stgs = stgs_with_noise(1, 16, 1, (0, 0));
+        arena.push_batch(FragmentBatch::from_stg(&stgs[0], 0, everything));
+        let pool = ColumnarPool::from_merged(&arena.full_view());
         // Zero heat-map bins is outside the contract every real caller
         // goes through `WindowedIngestor` for; the heat map asserts on it.
         let cfg = VaproConfig::default();

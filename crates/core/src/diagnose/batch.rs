@@ -7,8 +7,9 @@
 //! but not for a server diagnosing every region of every closed window.
 //! [`DiagnosisBatch`] amortises all three costs across regions:
 //!
-//! * **merge once** — the caller builds (or already has) a
-//!   [`MergedStg`]; the batch only borrows it;
+//! * **merge once** — the caller builds (or already has) the pooled
+//!   view, a [`MergedStg`] or a sealed [`ColumnarPool`]; the batch only
+//!   borrows it;
 //! * **interval index** — per edge pool, computation fragments sorted by
 //!   start time with a prefix-maximum of end times, so the in-region
 //!   time of a pool is a binary search plus a short scan instead of a
@@ -108,50 +109,26 @@ impl PoolIndex {
     }
 }
 
-/// Borrow-based [`FragmentProvider`]: holds the chosen cluster's members
-/// as references into the merged pool and projects their counter sets
-/// into one reused scratch buffer per drill-down step — zero
-/// full-population [`Fragment`] clones, ever (the fragments are rebuilt
-/// field by field, bypassing `Fragment::clone` and its debug counter).
-pub struct ScratchProvider<'a> {
-    members: Vec<&'a Fragment>,
-    scratch: Vec<Fragment>,
-}
-
-impl<'a> ScratchProvider<'a> {
-    /// Provider over the given cluster members.
-    pub fn new(members: Vec<&'a Fragment>) -> ScratchProvider<'a> {
-        ScratchProvider { members, scratch: Vec::new() }
-    }
-}
-
-impl FragmentProvider for ScratchProvider<'_> {
-    fn collect(&mut self, set: CounterSet) -> &[Fragment] {
-        self.scratch.clear();
-        self.scratch.extend(self.members.iter().map(|f| Fragment {
-            rank: f.rank,
-            kind: f.kind,
-            start: f.start,
-            end: f.end,
-            counters: f.counters.project(set),
-            args: f.args.clone(), // vapro-lint: allow(R1, arg vector copied into the reusable scratch projection; counters themselves are projected)
-        }));
-        &self.scratch
-    }
-}
-
-/// Representation-generic twin of [`ScratchProvider`]: the chosen
-/// cluster's members are *indices* into a [`PoolView`], and each
-/// drill-down step rebuilds the scratch fragments field by field from
-/// the view's accessors — zero full-population [`Fragment`] clones,
-/// identical arithmetic on both the AoS and columnar paths.
-struct ViewScratchProvider<'a, V: PoolView> {
+/// The drill-down's [`FragmentProvider`]: the chosen cluster's members
+/// are *indices* into a [`PoolView`], and each step projects their
+/// counter sets into one reused scratch buffer, rebuilding the fragments
+/// field by field from the view's accessors — zero full-population
+/// [`Fragment`] clones (`Fragment::clone` and its debug counter are
+/// bypassed), identical arithmetic on both the AoS and columnar paths.
+pub struct ScratchProvider<'a, V: PoolView> {
     pool: V,
     members: &'a [usize],
     scratch: Vec<Fragment>,
 }
 
-impl<V: PoolView> FragmentProvider for ViewScratchProvider<'_, V> {
+impl<'a, V: PoolView> ScratchProvider<'a, V> {
+    /// Provider over the cluster `members` of `pool`.
+    pub fn new(pool: V, members: &'a [usize]) -> ScratchProvider<'a, V> {
+        ScratchProvider { pool, members, scratch: Vec::new() }
+    }
+}
+
+impl<V: PoolView> FragmentProvider for ScratchProvider<'_, V> {
     fn collect(&mut self, set: CounterSet) -> &[Fragment] {
         self.scratch.clear();
         self.scratch.extend(self.members.iter().map(|&m| Fragment {
@@ -167,9 +144,9 @@ impl<V: PoolView> FragmentProvider for ViewScratchProvider<'_, V> {
 }
 
 /// A set of diagnosable edge pools, abstracted over the fragment
-/// representation. [`DiagnosisBatch`] is generic over this, so the AoS
-/// [`MergedStg`] and the columnar [`ColumnarPool`] drive the exact same
-/// batched-diagnosis machinery.
+/// representation. [`DiagnosisBatch`] is generic over this, so the
+/// one-shot path's [`MergedStg`] and the streaming path's sealed
+/// [`ColumnarPool`] drive the exact same batched-diagnosis machinery.
 pub trait EdgePools {
     /// The per-pool view type handed to the index/cluster/drill-down
     /// stages.
@@ -304,8 +281,7 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
         let pool = self.pools.edge_pool(pool_idx);
         let outcome = self.outcome(pool_idx);
         let cluster = outcome.usable.iter().max_by_key(|c| c.members.len())?;
-        let mut provider =
-            ViewScratchProvider { pool, members: &cluster.members, scratch: Vec::new() };
+        let mut provider = ScratchProvider::new(pool, &cluster.members);
         diagnose_progressively_with(
             &mut provider,
             self.cfg.ka_abnormal,
@@ -354,21 +330,9 @@ pub fn diagnose_regions_seq(
     DiagnosisBatch::new(merged, cfg).diagnose_all_seq(rois)
 }
 
-/// [`diagnose_regions`] over a columnar pool: the same batched machinery
-/// reading contiguous lanes instead of `&Fragment` slices. Bit-identical
-/// to the AoS path over the same fragment population.
-pub fn diagnose_regions_columnar(
-    pool: &ColumnarPool,
-    rois: &[RegionOfInterest],
-    cfg: &VaproConfig,
-) -> Vec<Option<DiagnosisReport>> {
-    DiagnosisBatch::new(pool, cfg).diagnose_all(rois)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::cluster_fragment_refs;
     use crate::detect::pipeline::merge_stgs;
     use crate::diagnose::driver::diagnose_region;
     use crate::diagnose::driver::tests::stgs_with_noise;
@@ -486,8 +450,8 @@ mod tests {
             .edges
             .iter()
             .map(|(_, pool)| {
-                cluster_fragment_refs(
-                    pool,
+                cluster_pool(
+                    pool.as_slice(),
                     &cfg.proxy_counters,
                     cfg.cluster_threshold,
                     cfg.min_cluster_size,

@@ -9,7 +9,7 @@
 //! the inter-process comparison of the HPL case study), and runs the
 //! progressive drill-down over that population.
 
-use crate::clustering::cluster_fragment_refs;
+use crate::clustering::cluster_pool;
 use crate::config::VaproConfig;
 use crate::detect::pipeline::merge_stgs;
 use crate::detect::region::VarianceRegion;
@@ -78,7 +78,7 @@ pub fn diagnose_region(
     // other-rank normal ones that give the reference values. The scratch
     // provider borrows the members and projects counter sets into one
     // reused buffer, so no full-population clone happens at any step.
-    let outcome = cluster_fragment_refs(
+    let outcome = cluster_pool(
         pool,
         &cfg.proxy_counters,
         cfg.cluster_threshold,
@@ -88,8 +88,7 @@ pub fn diagnose_region(
         .usable
         .iter()
         .max_by_key(|c| c.members.len())?;
-    let members: Vec<&Fragment> = cluster.members.iter().map(|&m| pool[m]).collect();
-    let mut provider = ScratchProvider::new(members);
+    let mut provider = ScratchProvider::new(pool, &cluster.members);
     diagnose_progressively_with(
         &mut provider,
         cfg.ka_abnormal,

@@ -11,8 +11,7 @@ pub mod progressive;
 pub mod quantify;
 
 pub use batch::{
-    diagnose_regions, diagnose_regions_columnar, diagnose_regions_seq, DiagnosisBatch, EdgePools,
-    ScratchProvider,
+    diagnose_regions, diagnose_regions_seq, DiagnosisBatch, EdgePools, ScratchProvider,
 };
 pub use contribution::{analyze_contributions, ContributionReport, FactorContribution};
 pub use driver::{diagnose_region, RegionOfInterest};

@@ -50,9 +50,7 @@ impl<K: Eq + Hash + Clone> SymbolTable<K> {
         if let Some(&sym) = self.map.get(&key) {
             return sym;
         }
-        // vapro-lint: allow(R5, interner capacity: u32::MAX distinct state keys is unreachable)
         let sym = Sym::try_from(self.keys.len()).expect("more than u32::MAX distinct keys");
-        // vapro-lint: allow(R6, one owned key per distinct symbol on first intern; steady state allocates nothing)
         self.keys.push(key.clone());
         self.map.insert(key, sym);
         sym
@@ -60,7 +58,6 @@ impl<K: Eq + Hash + Clone> SymbolTable<K> {
 
     /// Resolve a symbol back to its key.
     pub fn key(&self, sym: Sym) -> &K {
-        // vapro-lint: allow(R5, syms are issued by intern and index keys by construction)
         &self.keys[sym as usize]
     }
 

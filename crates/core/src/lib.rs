@@ -45,8 +45,8 @@ pub mod wire;
 
 pub use baseline::{BaselineProfile, RunComparison};
 pub use clustering::{
-    cluster_fragment_refs, cluster_fragments, cluster_lanes, cluster_pool, cluster_vectors,
-    cluster_vectors_unpruned, Cluster, ClusterOutcome,
+    cluster_lanes, cluster_pool, cluster_vectors, cluster_vectors_unpruned, Cluster,
+    ClusterOutcome,
 };
 pub use columnar::{ColumnarPool, LaneView, PoolView};
 pub use detect::pipeline::{
@@ -59,12 +59,12 @@ pub use config::{FaultTolerance, LateDataPolicy, StgMode, VaproConfig};
 pub use detect::heatmap::HeatMap;
 pub use detect::region::VarianceRegion;
 pub use detect::server::{
-    AnalysisServer, IngestArena, IngestStats, RankHealth, RegionDiagnosis, ServerPool,
+    AnalysisServer, ArenaView, IngestArena, IngestStats, RankHealth, RegionDiagnosis, ServerPool,
     WindowReport, WindowedIngestor,
 };
 pub use diagnose::{
-    diagnose_region, diagnose_regions, diagnose_regions_columnar, diagnose_regions_seq,
-    DiagnosisBatch, EdgePools, DiagnosisReport, RegionOfInterest,
+    diagnose_region, diagnose_regions, diagnose_regions_seq, DiagnosisBatch, DiagnosisReport,
+    EdgePools, RegionOfInterest,
 };
 pub use fleet::{
     FleetConfig, FleetIngestor, FleetReport, FleetWindow, InterferenceFinding, JobKey,

@@ -3,7 +3,7 @@
 //! receiver chains, panic/allocation sites, unreserved push loops, and
 //! lock regions. One structural pass over the token stream produces
 //! everything the whole-workspace call graph (`callgraph`) needs, so a
-//! file is lexed exactly once per content hash (`cache`).
+//! file is lexed exactly once per run.
 //!
 //! The index is deliberately *syntactic*: receiver types are recorded as
 //! ident chains (`self.arena`) plus a per-function table of typed

@@ -9,8 +9,8 @@
 //! the waiver grammar, `items`/`callgraph` for the whole-workspace item
 //! index and conservative call graph behind the transitive rules
 //! (R5 panic-freedom, R6 hot-path allocation, R7 lock hygiene),
-//! `report` for the `LINT_report.json` budget format, `sarif` for the
-//! code-scanning output, and `cache` for the content-hash result cache.
+//! `report` for the `LINT_report.json` budget format and `sarif` for the
+//! code-scanning output.
 //!
 //! The pass is built on a small self-contained lexer rather than `syn`:
 //! the workspace builds fully offline against vendored stubs, and the
@@ -21,7 +21,6 @@
 //! vendored rayon pool; the call-graph phase is global and sequential.
 
 pub mod analyze;
-pub mod cache;
 pub mod callgraph;
 pub mod items;
 pub mod lexer;
@@ -53,7 +52,6 @@ pub struct WorkspaceReport {
     /// Per-entry-point reachability + finding counts (R5/R6).
     pub entries: Vec<EntryLine>,
     pub files_scanned: usize,
-    pub cache_hits: usize,
 }
 
 /// An [`EntryStat`] with waiver-resolved finding counts.
@@ -244,19 +242,17 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) {
 }
 
 /// Scan the whole workspace rooted at `root` with the checked-in
-/// configuration. `cache_path`, when given, is read before and written
-/// after the per-file phase. Unreadable files become `LINT` findings
-/// rather than panics.
-pub fn run_workspace_cached(root: &Path, cache_path: Option<&Path>) -> WorkspaceReport {
+/// configuration: per-file scans fan out over the rayon pool (a cold run
+/// over the whole workspace takes ~0.2 s, so results are not cached
+/// between runs), then the global call-graph phase. Unreadable files
+/// become `LINT` findings rather than panics.
+pub fn run_workspace(root: &Path) -> WorkspaceReport {
     let cfg = workspace_config();
     let mut meta: Vec<ReportFinding> = Vec::new();
-    let mut inputs: Vec<(String, String, u64)> = Vec::new();
+    let mut inputs: Vec<(String, String)> = Vec::new();
     for (rel, path) in collect_sources(root) {
         match fs::read_to_string(&path) {
-            Ok(src) => {
-                let hash = cache::fnv1a(src.as_bytes());
-                inputs.push((rel, src, hash));
-            }
+            Ok(src) => inputs.push((rel, src)),
             Err(e) => meta.push(ReportFinding {
                 finding: Finding {
                     rule: rules::META_RULE.into(),
@@ -269,41 +265,14 @@ pub fn run_workspace_cached(root: &Path, cache_path: Option<&Path>) -> Workspace
             }),
         }
     }
-
-    let mut loaded = cache_path.map(|p| cache::Cache::load(p, &cfg));
-    // Pull cache hits first (sequential: the cache is one mutable map),
-    // then fan the misses out over the rayon pool.
-    let mut scans: Vec<Option<FileScan>> = Vec::with_capacity(inputs.len());
-    for (rel, _, hash) in &inputs {
-        scans.push(loaded.as_mut().and_then(|c| c.get(rel, *hash)));
-    }
-    let cache_hits = scans.iter().filter(|s| s.is_some()).count();
-    let missing: Vec<(usize, &str, &str)> = inputs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| scans[*i].is_none())
-        .map(|(i, (rel, src, _))| (i, rel.as_str(), src.as_str()))
-        .collect();
-    let fresh: Vec<(usize, FileScan)> = missing
+    let scans: Vec<(String, FileScan)> = inputs
         .into_par_iter()
-        .map(|(i, rel, src)| (i, rules::scan_file_deferred(rel, src, &cfg)))
+        .map(|(rel, src)| {
+            let scan = rules::scan_file_deferred(&rel, &src, &cfg);
+            (rel, scan)
+        })
         .collect();
-    for (i, scan) in fresh {
-        scans[i] = Some(scan);
-    }
-    let keyed: Vec<((String, u64), FileScan)> = inputs
-        .into_iter()
-        .zip(scans)
-        .map(|((rel, _, hash), scan)| ((rel, hash), scan.unwrap_or_default()))
-        .collect();
-    if let Some(path) = cache_path {
-        let refs: Vec<((String, u64), &FileScan)> =
-            keyed.iter().map(|(k, s)| (k.clone(), s)).collect();
-        cache::Cache::store(path, &cfg, &refs);
-    }
-    let scans: Vec<(String, FileScan)> =
-        keyed.into_iter().map(|((rel, _), scan)| (rel, scan)).collect();
-    finish_workspace(scans, meta, &cfg, cache_hits)
+    finish_workspace(scans, meta, &cfg)
 }
 
 /// Run the full pipeline over in-memory sources — used by the fixture
@@ -313,12 +282,7 @@ pub fn run_files(files: &[(&str, &str)], cfg: &LintConfig) -> WorkspaceReport {
         .iter()
         .map(|(rel, src)| (rel.to_string(), rules::scan_file_deferred(rel, src, cfg)))
         .collect();
-    finish_workspace(scans, Vec::new(), cfg, 0)
-}
-
-/// Scan the whole workspace with no cache.
-pub fn run_workspace(root: &Path) -> WorkspaceReport {
-    run_workspace_cached(root, None)
+    finish_workspace(scans, Vec::new(), cfg)
 }
 
 /// The global phase: transitive rules over the merged item index,
@@ -328,7 +292,6 @@ fn finish_workspace(
     scans: Vec<(String, FileScan)>,
     mut findings: Vec<ReportFinding>,
     cfg: &LintConfig,
-    cache_hits: usize,
 ) -> WorkspaceReport {
     let files_scanned = scans.len();
     let mut waivers: HashMap<String, Vec<rules::Waiver>> = HashMap::new();
@@ -390,5 +353,5 @@ fn finish_workspace(
         })
         .collect();
 
-    WorkspaceReport { findings, entries, files_scanned, cache_hits }
+    WorkspaceReport { findings, entries, files_scanned }
 }

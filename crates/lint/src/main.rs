@@ -1,7 +1,7 @@
 //! `vapro-lint` driver.
 //!
 //! Usage: `vapro-lint [--root DIR] [--report FILE] [--sarif FILE]
-//! [--cache FILE | --no-cache] [--accept-waivers]`
+//! [--accept-waivers]`
 //!
 //! Exit codes: 0 clean, 1 unwaived findings, 2 waiver budget grew
 //! without `--accept-waivers`, 3 bad invocation.
@@ -12,10 +12,7 @@
 //! waivers are always a reviewed, deliberate act. The ratchet is
 //! per-rule — an R1 decrease can no longer mask an R4 increase.
 //!
-//! `--cache` points at the content-hash result cache (default
-//! `target/vapro-lint-cache.tsv` under the root); unchanged files skip
-//! lexing and extraction. `--sarif` additionally writes a SARIF 2.1 log
-//! for code scanning.
+//! `--sarif` additionally writes a SARIF 2.1 log for code scanning.
 
 use std::fs;
 use std::path::PathBuf;
@@ -23,14 +20,12 @@ use std::process::ExitCode;
 
 use vapro_lint::report::{baseline_rule_waived, baseline_waived, render_json};
 use vapro_lint::sarif::render_sarif;
-use vapro_lint::{run_workspace_cached, WorkspaceReport};
+use vapro_lint::{run_workspace, WorkspaceReport};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut report_path = PathBuf::from("LINT_report.json");
     let mut sarif_path: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut accept_waivers = false;
 
     let mut args = std::env::args().skip(1);
@@ -48,25 +43,15 @@ fn main() -> ExitCode {
                 Some(v) => sarif_path = Some(PathBuf::from(v)),
                 None => return usage("--sarif needs a value"),
             },
-            "--cache" => match args.next() {
-                Some(v) => cache_path = Some(PathBuf::from(v)),
-                None => return usage("--cache needs a value"),
-            },
-            "--no-cache" => no_cache = true,
             "--accept-waivers" => accept_waivers = true,
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    let abs = |p: PathBuf| if p.is_absolute() { p } else { root.join(p) };
-    report_path = abs(report_path);
-    sarif_path = sarif_path.map(abs);
-    let cache_path = if no_cache {
-        None
-    } else {
-        Some(abs(cache_path.unwrap_or_else(|| PathBuf::from("target/vapro-lint-cache.tsv"))))
-    };
+    // Relative paths are under the root; `join` keeps an absolute one.
+    let report_path = root.join(report_path);
+    let sarif_path = sarif_path.map(|p| root.join(p));
 
-    let report: WorkspaceReport = run_workspace_cached(&root, cache_path.as_deref());
+    let report: WorkspaceReport = run_workspace(&root);
     let unwaived =
         report.findings.iter().filter(|f| f.finding.waived.is_none()).count();
     let waived = report.findings.len() - unwaived;
@@ -87,8 +72,8 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "vapro-lint: {} files ({} cached), {} unwaived, {} waived",
-        report.files_scanned, report.cache_hits, unwaived, waived
+        "vapro-lint: {} files, {} unwaived, {} waived",
+        report.files_scanned, unwaived, waived
     );
 
     if let Some(path) = &sarif_path {
@@ -152,8 +137,7 @@ fn main() -> ExitCode {
 fn usage(err: &str) -> ExitCode {
     eprintln!("vapro-lint: {err}");
     eprintln!(
-        "usage: vapro-lint [--root DIR] [--report FILE] [--sarif FILE] \
-         [--cache FILE | --no-cache] [--accept-waivers]"
+        "usage: vapro-lint [--root DIR] [--report FILE] [--sarif FILE] [--accept-waivers]"
     );
     ExitCode::from(3)
 }
