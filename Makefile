@@ -3,26 +3,28 @@
 
 CARGO := cargo
 OFFLINE := --offline
-# The one throughput-harness driver; subcommands detect|ingest|diagnose|fleet|all.
-PERF := $(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf --
 
-.PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf soak vopr vopr-nightly bench clippy clean
+.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly bench benchmark benchmark-test clippy clean
 
-# The full gate: release build, tests, workspace clippy with warnings
+# The full gate: release build, tests, a release-profile compile of
+# vapro-core's tests on its own (no feature unification through
+# vapro-bench, no debug_assertions), workspace clippy with warnings
 # denied, the static-analysis pass, sanitizer runs (skipped gracefully
 # where the toolchain component is absent), the long-stream soak, the
-# four throughput harnesses (`perf all`: each compares against its
-# previous BENCH_*.json and warns on >20% drops), then the VOPR
-# fault-injection simulation.
+# benchmark package's own tests (the only step that compiles
+# `benchmark/` against the workspace), then the VOPR fault-injection
+# simulation. Throughput is measured by `make benchmark`, and gated
+# base-vs-head by `benchmark compare` in CI.
 check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
+	$(CARGO) test --release $(OFFLINE) -p vapro-core --no-run
 	$(CARGO) clippy $(OFFLINE) --workspace -- -D warnings
 	$(MAKE) lint
 	$(MAKE) miri
 	$(MAKE) tsan
 	$(MAKE) soak
-	$(PERF) all
+	$(MAKE) benchmark-test
 	$(MAKE) vopr
 
 # Workspace static analysis: per-body rules (R1 no-hot-path-clone,
@@ -74,31 +76,6 @@ test:
 clippy:
 	$(CARGO) clippy $(OFFLINE) --workspace --all-targets -- -D warnings
 
-# Criterion microbenches plus the detection-throughput harness; the
-# harness compares against the previous BENCH_detect.json (warning on
-# >20% throughput drops) before overwriting it.
-perf: bench
-	$(PERF) detect
-
-# Wire-format + windowed-ingestion harness: writes BENCH_ingest.json and
-# enforces the release-mode wire targets (>=4x smaller, >=5x faster
-# decode than JSON).
-ingest-perf:
-	$(PERF) ingest
-
-# Region-diagnosis harness: writes BENCH_diagnose.json and enforces the
-# release-mode batching targets (>=5x over the naive per-region loop,
-# zero Fragment clones on the batch path).
-diagnose-perf:
-	$(PERF) diagnose
-
-# Sharded fleet ingest-plane harness: writes BENCH_fleet.json and
-# enforces the release-mode fleet targets (single-job overhead < 10%;
-# >=1.5x aggregate throughput at 4 shards, gated only on runners with
-# enough hardware threads).
-fleet-perf:
-	$(PERF) fleet
-
 # VOPR deterministic simulation run (PR profile, canaries compiled) —
 # the one seeded fault-injection harness: clean transports must stay
 # bit-identical to the one-shot analysis, hostile ones (drops,
@@ -119,15 +96,27 @@ vopr-nightly:
 # Release-mode long-stream soak: >=1000 half-overlapped windows through
 # the streaming ingestor plus a ~900-window 3-job fleet, proving
 # bit-identity to the one-shot analysis, a shrinking arena peak under
-# finer windowing (eviction works), and zero Fragment clones — with an
-# internal wall-clock cap so a super-linear regression fails loudly.
+# finer windowing (eviction works), an arena plateau past the stream
+# midpoint, and zero Fragment clones — with an internal wall-clock cap
+# so a super-linear regression fails loudly.
 soak:
 	$(CARGO) test -q --release $(OFFLINE) -p vapro-bench --test soak -- --include-ignored
 
+# Criterion microbenches: client-side and stats kernels the streaming
+# benchmark does not reach.
 bench:
 	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench clustering
 	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench detection
 	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench stg
+
+# The one throughput driver (BENCHMARK.json; its own package and target
+# dir): encoded frames in, WindowReports out, four workloads, results in
+# benchmark/out/. `benchmark-test` is its unit and pipeline tests.
+benchmark:
+	$(CARGO) run --release $(OFFLINE) --quiet --manifest-path benchmark/Cargo.toml -- run --seed 1
+
+benchmark-test:
+	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml
 
 clean:
 	$(CARGO) clean

@@ -67,8 +67,8 @@ fn bench_windowed_server(c: &mut Criterion) {
     g.finish();
 }
 
-/// The rayon fan-out against its sequential reference on the harness's
-/// synthetic 4-rank/8k-fragment STG. Meaningful speedup needs a
+/// The rayon fan-out against its sequential reference on a synthetic
+/// 4-rank/8k-fragment STG. Meaningful speedup needs a
 /// multi-core runner; the outputs are identical either way.
 fn bench_seq_vs_par(c: &mut Criterion) {
     let stgs = vapro_vopr::plan::synthetic_stgs(4, 2000, 32, 0xBE7C);

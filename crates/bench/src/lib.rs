@@ -13,7 +13,6 @@
 
 pub mod ablation;
 pub mod common;
-pub mod diagnose;
 pub mod fig01_cg_repeat;
 pub mod fig04_stg;
 pub mod fig05_pmu_noise;
@@ -27,11 +26,7 @@ pub mod fig16_hpl_cdf;
 pub mod fig17_nekbone;
 pub mod fig18_raxml;
 pub mod fig19_raxml_io;
-pub mod fleet;
-pub mod ingest;
-pub mod perf;
 pub mod regression;
-pub mod stats;
 pub mod storage;
 pub mod table1;
 pub mod table2;

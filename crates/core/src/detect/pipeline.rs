@@ -406,7 +406,7 @@ pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> De
 
 /// Single-threaded reference of [`detect`]: same pipeline, no fan-out.
 /// Exists for the equivalence property tests and as the sequential
-/// baseline of the benchmark harness.
+/// baseline of the `detection` criterion bench.
 pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
     detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, false, None)
 }

@@ -1401,7 +1401,7 @@ pub fn tree_aggregate(mut maps: Vec<crate::detect::heatmap::HeatMap>) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::pipeline::{detect, detect_merged_impl};
+    use crate::detect::pipeline::detect;
     use crate::fragment::FragmentKind;
     use crate::stg::StateKey;
     use vapro_pmu::{CounterDelta, CounterId};
@@ -1540,9 +1540,10 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn window_views_clone_no_fragments() {
+        use crate::detect::pipeline::detect_merged_impl;
         use crate::fragment::clone_count;
         let cfg = VaproConfig {
             report_period: VirtualTime::from_secs(5),
@@ -1563,7 +1564,7 @@ mod tests {
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn arena_window_views_clone_no_fragments() {
         use crate::fragment::clone_count;

@@ -336,7 +336,6 @@ mod tests {
     use crate::detect::pipeline::merge_stgs;
     use crate::diagnose::driver::diagnose_region;
     use crate::diagnose::driver::tests::stgs_with_noise;
-    use crate::fragment::clone_count;
     use vapro_sim::VirtualTime;
 
     fn rois_grid(nranks: usize, t_max: u64, cols: usize) -> Vec<RegionOfInterest> {
@@ -421,8 +420,10 @@ mod tests {
         }
     }
 
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn batch_diagnosis_clones_no_fragments() {
+        use crate::fragment::clone_count;
         let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
         let cfg = VaproConfig::default();
         let rois = vec![RegionOfInterest {

@@ -101,7 +101,6 @@ pub fn diagnose_region(
 pub(crate) mod tests {
     use super::*;
     use crate::diagnose::factor::Factor;
-    use crate::fragment::clone_count;
     use crate::stg::StateKey;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -176,8 +175,10 @@ pub(crate) mod tests {
         );
     }
 
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn region_diagnosis_clones_no_fragments() {
+        use crate::fragment::clone_count;
         // The provider projects counters into a reused scratch buffer;
         // no step clones the population (driver.rs used to pay
         // 1 + steps full-population clones here).

@@ -30,9 +30,9 @@ pub enum FragmentKind {
 /// Counts [`Fragment`] clones — the instrument behind the zero-copy
 /// guarantees of the merge, windowed-ingestion and batched-diagnosis
 /// paths. Compiled in for debug builds and for release builds with the
-/// `clone-count` feature (the diagnose bench uses the latter to prove
-/// zero full-population clones at optimised speeds); plain release
-/// builds compile the counter out entirely.
+/// `clone-count` feature (the release soak uses the latter to prove
+/// zero clones on the streaming path at optimised speeds); plain
+/// release builds compile the counter out entirely.
 #[cfg(any(debug_assertions, feature = "clone-count"))]
 pub mod clone_count {
     use std::cell::Cell;
@@ -81,7 +81,7 @@ pub mod clone_count {
 }
 
 /// One observed fragment.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Fragment {
     /// Originating rank.
     pub rank: usize,

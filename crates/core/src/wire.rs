@@ -55,7 +55,6 @@ use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::intern::{Sym, SymbolTable};
 use crate::stg::Stg;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -166,7 +165,7 @@ pub mod crc32 {
 }
 
 /// The invocation fragments of one state (STG vertex), by dictionary id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VertexGroup {
     /// Dictionary id of the state label.
     pub label: Sym,
@@ -177,7 +176,7 @@ pub struct VertexGroup {
 /// The computation fragments of one transition (STG edge), by endpoint
 /// dictionary ids — never a formatted `"from -> to"` string, so labels
 /// containing `" -> "` cannot collide.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeGroup {
     /// Dictionary id of the source state label.
     pub from: Sym,
@@ -188,7 +187,7 @@ pub struct EdgeGroup {
 }
 
 /// One rank's shipped data for one reporting window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentBatch {
     /// Originating rank.
     pub rank: usize,

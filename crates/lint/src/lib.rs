@@ -77,9 +77,7 @@ pub struct EntryLine {
 ///   path must be structurally total.
 /// * R3 covers normalization, heatmap, region ranking and clustering —
 ///   everywhere a float ordering decides detection output — plus the
-///   `crates/stats` estimators and the bench variance gates
-///   (noise-fraction and trend comparisons), where a NaN comparison
-///   silently corrupts a CI verdict.
+///   `crates/stats` estimators.
 /// * R4 covers the lane-building modules (`columnar.rs`,
 ///   `clustering.rs`) and the pipelined analysis stage
 ///   (`detect/stage.rs`, whose reorder buffer and worker queues sit on
@@ -178,8 +176,6 @@ pub fn workspace_config() -> LintConfig {
             "crates/core/src/detect/region.rs".into(),
             "crates/core/src/clustering.rs".into(),
             "crates/stats/src/".into(),
-            "crates/bench/src/stats.rs".into(),
-            "crates/bench/src/regression.rs".into(),
         ],
         r4_files,
         r5_entries: vec![wire_scope, server_scope, fleet_scope, vopr_scope],
