@@ -4,12 +4,12 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly bench benchmark benchmark-test clippy clean
+.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test clippy clean
 
 # The full gate: release build, tests, a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
-# vapro-bench, no debug_assertions), workspace clippy with warnings
-# denied, the static-analysis pass, sanitizer runs (skipped gracefully
+# vapro-bench, no debug_assertions), workspace clippy over all targets
+# with warnings denied (as CI runs it), the static-analysis pass, sanitizer runs (skipped gracefully
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
 # `benchmark/` against the workspace), then the VOPR fault-injection
@@ -19,7 +19,7 @@ check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
 	$(CARGO) test --release $(OFFLINE) -p vapro-core --no-run
-	$(CARGO) clippy $(OFFLINE) --workspace -- -D warnings
+	$(MAKE) clippy
 	$(MAKE) lint
 	$(MAKE) miri
 	$(MAKE) tsan
@@ -101,13 +101,6 @@ vopr-nightly:
 # so a super-linear regression fails loudly.
 soak:
 	$(CARGO) test -q --release $(OFFLINE) -p vapro-bench --test soak -- --include-ignored
-
-# Criterion microbenches: client-side and stats kernels the streaming
-# benchmark does not reach.
-bench:
-	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench clustering
-	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench detection
-	$(CARGO) bench $(OFFLINE) -p vapro-bench --bench stg
 
 # The one throughput driver (BENCHMARK.json; its own package and target
 # dir): encoded frames in, WindowReports out, four workloads, results in

@@ -8,13 +8,12 @@
 //! problem. The profiler here is deliberately faithful to that aggregate
 //! view: totals only, no time sequence, no workload comparison.
 
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 use vapro_sim::{EnterEvent, ExitEvent, Interceptor, InvocationKind, VirtualTime};
 
 /// Per-rank mpiP totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MpipSummary {
     /// The rank.
     pub rank: usize,

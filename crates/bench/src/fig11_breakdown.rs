@@ -7,9 +7,7 @@
 use crate::common::{header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
-use vapro_core::diagnose::{
-    analyze_contributions, factor_value, ols_impacts, Factor, FactorValues,
-};
+use vapro_core::diagnose::{analyze_contributions, ols_impacts, Factor, FactorValues};
 use vapro_core::fragment::Fragment;
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
@@ -171,12 +169,6 @@ pub fn run(opts: &ExpOpts) -> String {
         "(paper §4.2: formula 89.4%/4.9% vs OLS 86.6%/3.1% — the two methods agree)\n",
     );
     out
-}
-
-/// Evaluate a single factor on a fragment — re-exported for the example
-/// binaries.
-pub fn factor_of(frag: &Fragment, f: Factor) -> Option<f64> {
-    factor_value(frag, f)
 }
 
 #[cfg(test)]

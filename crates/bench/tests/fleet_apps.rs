@@ -3,7 +3,7 @@
 //! sequenced wire frames, and stream — interleaved, as separate jobs
 //! of separate tenants — through one sharded [`FleetIngestor`]. Each
 //! job's streamed output must be bit-identical to the one-shot windowed
-//! analysis of its own run ([`ServerPool::analyze_windows`]): the fleet
+//! analysis of its own run ([`analyze_windows`]): the fleet
 //! plane adds routing, queueing and admission, never analysis drift.
 
 use vapro::harness::run_under_vapro;
@@ -11,7 +11,7 @@ use vapro_apps::{find_app, AppParams};
 use vapro_vopr::plan::reports_identical;
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FragmentBatch;
-use vapro_core::{FleetConfig, FleetIngestor, JobKey, ServerPool, Stg, VaproConfig};
+use vapro_core::{analyze_windows, FleetConfig, FleetIngestor, JobKey, Stg, VaproConfig};
 use vapro_sim::{SimConfig, VirtualTime};
 
 const BINS: usize = 8;
@@ -93,7 +93,6 @@ fn three_mini_apps_stream_through_the_fleet_bit_identically() {
         bins_per_window: BINS,
         vapro: cfg.clone(),
         queue_capacity_frames: 4,
-        default_tenant_budget_bytes: u64::MAX,
     });
     for j in 0..apps.len() {
         let key = JobKey { tenant: 1 + j as u32, job: j as u32 };
@@ -126,7 +125,7 @@ fn three_mini_apps_stream_through_the_fleet_bit_identically() {
             std::mem::take(&mut windows).into_iter().partition(|w| w.key == key);
         windows = rest;
         let mine_reports: Vec<_> = mine.into_iter().map(|w| w.report).collect();
-        let reference = ServerPool::new(1, nranks).analyze_windows(stgs, nranks, BINS, &cfg);
+        let reference = analyze_windows(stgs, nranks, BINS, &cfg);
         reports_identical(&mine_reports, &reference)
             .unwrap_or_else(|e| panic!("{name} diverged from one-shot: {e}"));
         let summary = report

@@ -30,7 +30,7 @@ use vapro_core::detect::window::Window;
 use vapro_core::fragment::clone_count;
 use vapro_core::wire::FragmentBatch;
 use vapro_core::{
-    FleetConfig, FleetIngestor, FleetWindow, JobKey, ServerPool, Stg, VaproConfig,
+    analyze_windows, FleetConfig, FleetIngestor, FleetWindow, JobKey, Stg, VaproConfig,
     WindowedIngestor,
 };
 use vapro_sim::VirtualTime;
@@ -120,7 +120,7 @@ fn soak_windowed(periods: usize, frags_per_rank: usize) -> (usize, u64) {
         "arena high water grew from {high_water_mid} at the midpoint to {high_water}"
     );
 
-    let reference = ServerPool::new(1, nranks).analyze_windows(&stgs, nranks, 16, &cfg);
+    let reference = analyze_windows(&stgs, nranks, 16, &cfg);
     reports_identical(&reports, &reference).expect("soak stream diverged from one-shot");
     (reports.len(), high_water)
 }
@@ -154,7 +154,6 @@ fn soak_fleet(periods: usize, frags_per_rank: usize) -> usize {
         bins_per_window: 16,
         vapro: cfg.clone(),
         queue_capacity_frames: 8,
-        default_tenant_budget_bytes: u64::MAX,
     });
     for (tenant, job) in jobs {
         fleet.register_tenant(tenant, u64::MAX);

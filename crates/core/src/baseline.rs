@@ -39,7 +39,7 @@ pub struct BaselineProfile {
 }
 
 /// One matched cluster's comparison against the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateComparison {
     /// State/transition label.
     pub location: String,
@@ -52,7 +52,7 @@ pub struct StateComparison {
 }
 
 /// The cross-run comparison result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunComparison {
     /// Matched clusters, worst ratio first.
     pub matched: Vec<StateComparison>,

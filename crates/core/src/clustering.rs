@@ -17,11 +17,10 @@
 //! as a member); only the initial sort is `O(n log n)`.
 
 use crate::fragment::Fragment;
-use serde::{Deserialize, Serialize};
 use vapro_pmu::CounterId;
 
 /// One cluster of (presumed) fixed-workload fragments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Indices into the input fragment slice.
     pub members: Vec<usize>,
@@ -45,7 +44,7 @@ impl Cluster {
 }
 
 /// The result of clustering one edge/vertex's fragments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
     /// Clusters with at least `min_cluster_size` members — usable as
     /// in-program benchmarks.

@@ -39,7 +39,7 @@
 //! guarantee holds structurally.
 
 use crate::clustering;
-use crate::detect::server::ArenaView;
+use crate::detect::arena::ArenaView;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::stg::StateKey;
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};

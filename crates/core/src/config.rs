@@ -1,12 +1,11 @@
 //! All tunables in one place, defaulting to the constants the paper's
 //! implementation uses (§3.4, §3.5, §4.3, §6.2).
 
-use serde::{Deserialize, Serialize};
 use vapro_pmu::{events, CounterSet};
 use vapro_sim::VirtualTime;
 
 /// How running states are keyed when building the STG (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StgMode {
     /// Key by call-site only: cheaper hooks, coarser states. The paper's
     /// Table 1 finds this both faster *and* higher-coverage (workload
@@ -19,7 +18,7 @@ pub enum StgMode {
 }
 
 /// What the ingestor does with a frame from a rank already declared
-/// [`Dead`](crate::detect::server::RankHealth::Dead) (it revived, or its
+/// [`Dead`](crate::detect::admission::RankHealth::Dead) (it revived, or its
 /// data was badly delayed in transit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LateDataPolicy {
@@ -34,16 +33,17 @@ pub enum LateDataPolicy {
     Drop,
 }
 
-/// Straggler, death and memory policy for the streaming ingest path
-/// (`WindowedIngestor`). Everything defaults to **off**: with no horizons
+/// Death and memory policy for the streaming ingest path
+/// (`WindowedIngestor`). Everything defaults to **off**: with no horizon
 /// set, window closing blocks on the slowest rank exactly as the
 /// fault-free equivalence semantics require, and buffering is unbounded.
+/// A rank that merely trails is visible in every closed window's
+/// [`WindowCoverage`](crate::report::WindowCoverage) (`ranks_complete`,
+/// `completeness`); there is no separate early-warning state.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTolerance {
     /// A rank whose shipping mark trails the fastest rank's by more than
-    /// this is `Degraded`: reported in coverage, but still awaited.
-    pub straggler_horizon: Option<VirtualTime>,
-    /// A rank trailing by more than this is declared `Dead` and excluded
+    /// this is declared `Dead` and excluded
     /// from the low-watermark, so windows keep closing without it. Death
     /// is latched: later frames are handled per [`LateDataPolicy`].
     pub dead_horizon: Option<VirtualTime>,
@@ -57,23 +57,15 @@ pub struct FaultTolerance {
 }
 
 impl FaultTolerance {
-    /// A production-style preset: degrade after `period`, declare dead
-    /// after three periods, drop late data, cap ahead-of-watermark
-    /// buffering at 64 MiB.
+    /// A production-style preset: declare a rank dead after three
+    /// periods, drop late data, cap ahead-of-watermark buffering at
+    /// 64 MiB.
     pub fn production(period: VirtualTime) -> Self {
         FaultTolerance {
-            straggler_horizon: Some(period),
             dead_horizon: Some(VirtualTime::from_ns(period.ns().saturating_mul(3))),
             late_data: LateDataPolicy::Drop,
             max_buffered_bytes: Some(64 << 20),
         }
-    }
-
-    /// Is any straggler/death handling active?
-    pub fn is_active(&self) -> bool {
-        self.straggler_horizon.is_some()
-            || self.dead_horizon.is_some()
-            || self.max_buffered_bytes.is_some()
     }
 }
 
@@ -129,9 +121,9 @@ pub struct VaproConfig {
     /// admission keeps draining frames while clustering runs on the
     /// shared pool; reports are still emitted strictly in window order, so
     /// the union of all reports stays bit-identical to the one-shot
-    /// analysis. `0` analyses windows inline on the admission thread
-    /// (the pre-pipeline behaviour — useful when per-push report
-    /// latency must be deterministic).
+    /// analysis. `0` runs each window's analysis on the admission thread
+    /// as it is submitted (same stage, no hand-off — useful when
+    /// per-push report latency must be deterministic).
     pub pipeline_depth: usize,
 }
 
@@ -195,16 +187,8 @@ impl VaproConfig {
         self
     }
 
-    /// Basic sanity of the thresholds.
+    /// Basic sanity of the thresholds and the report period.
     pub fn is_valid(&self) -> bool {
-        // A rank must degrade before (or when) it dies: a dead horizon
-        // tighter than the straggler horizon would skip the Degraded
-        // state's early warning.
-        let horizons_ordered = match (self.fault.straggler_horizon, self.fault.dead_horizon)
-        {
-            (Some(s), Some(d)) => d >= s,
-            _ => true,
-        };
         self.cluster_threshold > 0.0
             && self.cluster_threshold < 1.0
             && self.min_cluster_size >= 2
@@ -212,7 +196,7 @@ impl VaproConfig {
             && self.ka_abnormal > 1.0
             && (0.0..1.0).contains(&self.major_factor_threshold)
             && self.hook_cost_ns >= 0.0
-            && horizons_ordered
+            && self.report_period.ns() > 0
     }
 }
 
@@ -233,19 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn fault_tolerance_defaults_to_off_and_orders_horizons() {
+    fn fault_tolerance_defaults_to_off() {
         let c = VaproConfig::default();
-        assert!(!c.fault.is_active());
+        assert_eq!(c.fault, FaultTolerance::default());
+        assert_eq!(c.fault.dead_horizon, None);
+        assert_eq!(c.fault.max_buffered_bytes, None);
         assert_eq!(c.fault.late_data, LateDataPolicy::Readmit);
-        // dead < straggler is rejected.
-        let mut bad = VaproConfig::default();
-        bad.fault.straggler_horizon = Some(VirtualTime::from_secs(10));
-        bad.fault.dead_horizon = Some(VirtualTime::from_secs(5));
-        assert!(!bad.is_valid());
         let prod = FaultTolerance::production(VirtualTime::from_secs(15));
-        assert!(prod.is_active());
+        assert_eq!(prod.dead_horizon, Some(VirtualTime::from_secs(45)));
         let ok = VaproConfig { fault: prod, ..VaproConfig::default() };
         assert!(ok.is_valid());
+    }
+
+    #[test]
+    fn a_zero_report_period_is_invalid() {
+        let bad = VaproConfig { report_period: VirtualTime::ZERO, ..VaproConfig::default() };
+        assert!(!bad.is_valid());
     }
 
     #[test]

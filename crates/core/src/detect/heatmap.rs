@@ -8,7 +8,6 @@
 
 use crate::detect::normalize::PerfPoint;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use vapro_sim::VirtualTime;
 
 /// Below this many points the parallel fill paths fall back to the
@@ -73,7 +72,7 @@ fn deposit(
 }
 
 /// A dense rank × time grid of aggregated performance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeatMap {
     /// Start of the covered interval.
     pub t0: VirtualTime,
@@ -260,11 +259,33 @@ impl HeatMap {
         }
         self.weighted_perf.iter().sum::<f64>() / w
     }
+}
 
-    /// The midpoint time of a bin.
-    pub fn bin_time(&self, bin: usize) -> VirtualTime {
-        self.t0 + VirtualTime::from_ns(bin as u64 * self.bin_ns + self.bin_ns / 2)
+/// A tree of aggregation nodes (paper §5: "further optimizations are
+/// feasible with data collection frameworks such as MRNet, which
+/// organizes servers into a tree-like structure"): leaf servers merge
+/// their clients' heat-map slabs; interior nodes merge pairwise up to a
+/// single root map, in O(log n) merge depth.
+pub fn tree_aggregate(mut maps: Vec<HeatMap>) -> Option<HeatMap> {
+    if maps.is_empty() {
+        return None;
     }
+    // Pairwise reduction; each level halves the population. Levels run
+    // in parallel since pair merges are independent.
+    while maps.len() > 1 {
+        maps = maps
+            .par_chunks(2)
+            .map(|pair| {
+                // vapro-lint: allow(R1, heat-map slab accumulator seeds each pairwise merge; not a fragment population)
+                let mut acc = pair[0].clone();
+                if let Some(second) = pair.get(1) {
+                    acc.merge(second);
+                }
+                acc
+            })
+            .collect();
+    }
+    maps.pop()
 }
 
 #[cfg(test)]
@@ -385,5 +406,35 @@ mod tests {
         hm.add_point(&pt(0, 250, 400, 0.5)); // extends past the window
         assert!((hm.weight_of(0, 0) - 50.0).abs() < 1e-9);
         assert!((hm.weight_of(0, 1) - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tree_aggregation_equals_flat_merge() {
+        // Five servers each hold a slab; the tree root must equal the
+        // flat accumulation.
+        let geometry = || HeatMap::new(VirtualTime::ZERO, 100, 8, 4);
+        let mut slabs = vec![];
+        let mut flat = geometry();
+        for s in 0..5usize {
+            let mut hm = geometry();
+            let p = PerfPoint {
+                rank: s % 4,
+                start: VirtualTime::from_ns(s as u64 * 100),
+                end: VirtualTime::from_ns(s as u64 * 100 + 100),
+                perf: 0.2 * (s + 1) as f64,
+                loss_ns: 10.0,
+            };
+            hm.add_point(&p);
+            flat.add_point(&p);
+            slabs.push(hm);
+        }
+        let root = tree_aggregate(slabs).unwrap();
+        for r in 0..4 {
+            for b in 0..8 {
+                assert_eq!(root.perf(r, b), flat.perf(r, b), "cell ({r},{b})");
+                assert_eq!(root.loss_ns(r, b), flat.loss_ns(r, b));
+            }
+        }
+        assert!(tree_aggregate(vec![]).is_none());
     }
 }

@@ -1,0 +1,748 @@
+//! The streaming ingestor: window bookkeeping, seal, close and finish.
+//!
+//! [`WindowedIngestor`] admits shipped [`FragmentBatch`]es through its
+//! [`Admission`] plane into the [`IngestArena`], and every window the
+//! shipping watermark passes goes through one door: sealed into a
+//! recycled [`ColumnarPool`] on the admission thread, submitted to the
+//! in-order [`AnalysisStage`], analysed by [`analyze_view_columnar`]
+//! ([`detect_columnar`] + [`DiagnosisBatch`]) and emitted as a
+//! [`WindowReport`] in window order.
+
+use crate::columnar::{ColumnarPool, PoolView};
+use crate::config::VaproConfig;
+use crate::detect::admission::{Admission, IngestStats, RankHealth};
+use crate::detect::arena::IngestArena;
+use crate::detect::pipeline::{detect_columnar, DetectionResult};
+use crate::detect::stage::AnalysisStage;
+use crate::detect::window::Window;
+use crate::diagnose::batch::{DiagnosisBatch, EdgePools};
+use crate::diagnose::driver::RegionOfInterest;
+use crate::diagnose::progressive::DiagnosisReport;
+use crate::report::WindowCoverage;
+use crate::vopr::canary;
+use crate::vopr::fault_points::{hit, FaultPoint};
+use crate::wire::{fragment_wire_bytes, FragmentBatch, WireError};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// One region's diagnosis attached to a window report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegionDiagnosis {
+    /// The diagnosed region of interest (from a detected variance
+    /// region of the window).
+    pub roi: RegionOfInterest,
+    /// The progressive drill-down's outcome.
+    pub report: DiagnosisReport,
+}
+
+/// The analysis output of one window: detection plus the diagnoses of
+/// its top-K (by quantified loss) computation variance regions, and the
+/// data provenance the analysis ran on.
+#[derive(Debug)]
+pub struct WindowReport {
+    /// The analysed window.
+    pub window: Window,
+    /// Detection over the fragments inside the window.
+    pub result: DetectionResult,
+    /// Diagnoses of the window's top computation regions (at most
+    /// `cfg.diagnose_top_k`; regions whose drill-down found no usable
+    /// cluster or contrast are skipped).
+    pub diagnoses: Vec<RegionDiagnosis>,
+    /// Which ranks contributed, what the transport lost, and how
+    /// complete this window's data is. One-shot analyses report
+    /// [`WindowCoverage::full`]; the streaming ingestor fills in the
+    /// straggler/fault picture it observed.
+    pub coverage: WindowCoverage,
+}
+
+/// Diagnose the top-K computation regions of a detection result over
+/// the same merged view it was detected on. The [`DiagnosisBatch`]
+/// seeds its cluster cache from the detection's own per-edge outcomes,
+/// so no pool is clustered twice — diagnosis costs one interval-index
+/// build plus the drill-downs themselves.
+pub(crate) fn diagnose_top_regions<S: EdgePools + Sync>(
+    pools: &S,
+    result: &DetectionResult,
+    cfg: &VaproConfig,
+) -> Vec<RegionDiagnosis> {
+    if cfg.diagnose_top_k == 0 || result.comp_regions.is_empty() {
+        return Vec::new();
+    }
+    let batch = DiagnosisBatch::with_clusters(pools, cfg, &result.edge_clusters);
+    result
+        .comp_regions
+        .iter()
+        .take(cfg.diagnose_top_k)
+        .filter_map(|region| {
+            let roi = RegionOfInterest::from(region);
+            batch.diagnose(&roi).map(|report| RegionDiagnosis { roi, report })
+        })
+        .collect()
+}
+
+/// The per-window census both pipelines share: which of the deployment's
+/// ranks contributed no fragment.
+pub(crate) fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut present = vec![false; nranks];
+    for r in ranks {
+        if let Some(p) = present.get_mut(r) {
+            *p = true;
+        }
+    }
+    (0..nranks).filter(|&r| !present[r]).collect()
+}
+
+/// Streaming per-window analysis: detection and diagnosis over a sealed
+/// window's contiguous lanes. Every window the ingestor closes goes
+/// through here; the one-shot path keeps its own `analyze_view`
+/// ([`crate::detect::oneshot`]), so the streaming-equals-one-shot tests
+/// prove the two pipelines bit-identical end to end. The caller supplies
+/// the transport-side coverage.
+pub(crate) fn analyze_view_columnar(
+    pool: &ColumnarPool,
+    window: Window,
+    nranks: usize,
+    bins: usize,
+    cfg: &VaproConfig,
+    mut coverage: WindowCoverage,
+) -> WindowReport {
+    let all = pool.all();
+    coverage.ranks_absent = ranks_absent(nranks, (0..all.len()).map(|i| all.rank(i)));
+    let result = detect_columnar(pool, nranks, bins, cfg);
+    let diagnoses = diagnose_top_regions(pool, &result, cfg);
+    WindowReport { window, result, diagnoses, coverage }
+}
+
+/// Incremental windowed ingestion: push batches as clients ship them;
+/// half-overlapped analysis windows are detected on rayon **as they
+/// close**, rather than re-pooling the whole run at every report.
+///
+/// A window closes when *every* rank has shipped past its end. Each
+/// batch's `window_end_ns` declares "this rank has reported every
+/// fragment starting before here" (start-partitioned shipping,
+/// [`FragmentBatch::from_stg_starting_in`]); the minimum of those
+/// per-rank marks is the shipping low-watermark, and a window whose end
+/// it passes can no longer gain fragments — one fast client racing ahead
+/// never closes a window that slower clients still owe data to.
+///
+/// When clients ship exactly their data span, the union of all reports
+/// (stream + [`WindowedIngestor::finish`]) is bit-identical to the
+/// one-shot [`analyze_windows`](crate::detect::oneshot::analyze_windows)
+/// over the same STGs.
+///
+/// **Fault tolerance** (`cfg.fault`, off by default): with a
+/// `dead_horizon` set, a rank whose shipping mark trails the fastest
+/// rank's by more than the horizon is declared [`RankHealth::Dead`] and
+/// excluded from the low-watermark, so one crashed client can no longer
+/// stall window closing forever; its subsequent frames are re-admitted
+/// or dropped per [`LateDataPolicy`](crate::config::LateDataPolicy).
+/// Sequenced frames are deduplicated and advance the shipping mark only
+/// along the contiguous sequence prefix, so reordered delivery can never
+/// close a window whose data is still in flight. Every rejected frame is
+/// counted in [`IngestStats`] and every closed window carries a
+/// [`WindowCoverage`].
+pub struct WindowedIngestor {
+    arena: IngestArena,
+    /// Rank marks, sequence state, liveness and fault accounting.
+    admission: Admission,
+    bins_per_window: usize,
+    cfg: VaproConfig,
+    /// Windows emitted so far; window `k` is
+    /// [`Window::nth`]`(k, cfg.report_period)`.
+    closed: usize,
+    /// Recycled per-window columnar scratch: each closing window pops a
+    /// pool, refills it from the arena, and pushes it back with capacity
+    /// intact — steady-state window close allocates no new lanes. Shared
+    /// with the analysis stage's pool tasks (they return finished pools),
+    /// and guarded by the vendored non-poisoning `parking_lot::Mutex`:
+    /// recycling can never be silently disabled by a poisoned lock.
+    scratch_pools: Arc<Mutex<Vec<ColumnarPool>>>,
+    /// How many scratch pools have ever been allocated (pop found the
+    /// stack empty). Bounded by the pipeline depth plus the one being
+    /// sealed in steady state — the recycling proof the tests assert.
+    scratch_pools_allocated: AtomicU64,
+    /// The bounded in-order analysis stage every sealed window goes
+    /// through, built lazily on the first one. At
+    /// `cfg.pipeline_depth` 0 it analyses on the submitting thread.
+    stage: Option<AnalysisStage>,
+}
+
+impl WindowedIngestor {
+    /// A fresh ingestor analysing windows of `cfg.report_period` for a
+    /// population of `nranks` clients.
+    pub fn new(nranks: usize, bins_per_window: usize, cfg: VaproConfig) -> WindowedIngestor {
+        // vapro-lint: allow(R5, fail-fast constructor contract on operator config, before any ingest)
+        assert!(nranks > 0, "need at least one client");
+        // vapro-lint: allow(R5, fail-fast constructor contract on operator config, before any ingest)
+        assert!(cfg.is_valid(), "invalid config (check the report period and thresholds)");
+        WindowedIngestor {
+            arena: IngestArena::new(),
+            admission: Admission::new(nranks, &cfg),
+            bins_per_window,
+            cfg,
+            closed: 0,
+            scratch_pools: Arc::new(Mutex::new(Vec::new())),
+            scratch_pools_allocated: AtomicU64::new(0),
+            stage: None,
+        }
+    }
+
+    fn window(&self, k: usize) -> Window {
+        Window::nth(k, self.cfg.report_period)
+    }
+
+    /// The arena accumulated so far.
+    pub fn arena(&self) -> &IngestArena {
+        &self.arena
+    }
+
+    /// Fault accounting so far.
+    pub fn stats(&self) -> &IngestStats {
+        &self.admission.stats
+    }
+
+    /// Bytes currently buffered ahead of the watermark.
+    pub fn buffered_ahead_bytes(&self) -> u64 {
+        self.admission.buffered_ahead_bytes()
+    }
+
+    /// Per-rank liveness under the configured straggler policy. Without
+    /// a `dead_horizon` every rank is [`RankHealth::Live`].
+    pub fn rank_health(&self) -> Vec<RankHealth> {
+        self.admission.rank_health()
+    }
+
+    /// Grow the deployment by one rank mid-stream (elastic membership):
+    /// returns the new rank id, which the joining client must stamp on
+    /// its frames. The newcomer's shipping mark starts at the current
+    /// watermark, so it owes nothing behind what has already closed —
+    /// windows at or below the watermark stay closed, later windows
+    /// wait for it like any other rank. Its sequence numbering starts
+    /// fresh at 1. Windows sealed before the birth keep their original
+    /// rank count; windows closing after it analyse with the widened
+    /// deployment.
+    pub fn add_rank(&mut self) -> usize {
+        self.admission.add_rank()
+    }
+
+    /// Absorb one batch and analyse every window it closed. Batches past
+    /// a rank's last fragment (even empty ones) still advance its
+    /// shipping mark. Rejections (duplicates, late data under `Drop`,
+    /// backpressure) are counted in [`IngestStats`], never panics.
+    pub fn push(&mut self, batch: FragmentBatch) -> Vec<WindowReport> {
+        let approx = 64
+            + batch.labels.iter().map(|l| l.len() as u64 + 4).sum::<u64>()
+            + batch.fragments().map(fragment_wire_bytes).sum::<u64>();
+        let _ = self.admit(batch, approx); // rejection already counted
+        self.close_ready()
+    }
+
+    /// Decode one binary frame, absorb it, analyse closed windows. The
+    /// decoded batch goes through the same admission as
+    /// [`WindowedIngestor::push`], so the rank check and shipping-mark
+    /// advance apply identically on both entry points. Decode and
+    /// admission failures are returned *and* counted in
+    /// [`IngestStats`] — a server loop can log them without bespoke
+    /// bookkeeping.
+    pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<Vec<WindowReport>, WireError> {
+        let batch = match FragmentBatch::decode(bytes) {
+            Ok(b) => b,
+            Err(e) => {
+                self.admission.stats.count_decode_error(&e);
+                return Err(e);
+            }
+        };
+        self.admit(batch, bytes.len() as u64)?;
+        Ok(self.close_ready())
+    }
+
+    /// [`Admission::admit`], then arena absorption of what it let in.
+    fn admit(&mut self, batch: FragmentBatch, frame_bytes: u64) -> Result<(), WireError> {
+        if self.admission.admit(&batch, frame_bytes)? {
+            self.arena.push_batch(batch);
+        }
+        Ok(())
+    }
+
+    /// The shipping low-watermark: the minimum mark over live ranks (the
+    /// maximum when every rank is dead, so the stream can still drain).
+    pub fn watermark_ns(&self) -> u64 {
+        self.admission.watermark_ns()
+    }
+
+    /// Seal one closed window: snapshot its fragments out of the arena
+    /// into a recycled columnar pool (a fresh one, counted, when the
+    /// stack is empty). Sealing must precede both eviction (a ready
+    /// window may still need fragments at the reclamation horizon) and
+    /// the next admission (the snapshot defines bit-identity), which is
+    /// why it stays synchronous with `close_ready` even when the
+    /// analysis itself is pipelined.
+    fn seal(&self, window: Window) -> ColumnarPool {
+        let recycled = self.scratch_pools.lock().pop();
+        let mut pool = recycled.unwrap_or_else(|| {
+            self.scratch_pools_allocated.fetch_add(1, Ordering::Relaxed);
+            ColumnarPool::new()
+        });
+        pool.refill_from_merged(&self.arena.window_view(window));
+        pool
+    }
+
+    /// How many columnar scratch pools were ever allocated. Recycling
+    /// keeps this bounded by the stage's concurrency, not the window
+    /// count — the test-visible proof that a steady-state window close
+    /// reuses lanes instead of allocating.
+    pub fn scratch_pools_allocated(&self) -> u64 {
+        self.scratch_pools_allocated.load(Ordering::Relaxed)
+    }
+
+    /// Seal `windows` on this thread and hand them to the analysis
+    /// stage, building it on first use.
+    fn seal_into_stage(&mut self, windows: Vec<(Window, WindowCoverage)>) {
+        if windows.is_empty() {
+            return;
+        }
+        if self.stage.is_none() {
+            self.stage = Some(AnalysisStage::new(
+                self.cfg.pipeline_depth,
+                // vapro-lint: allow(R1, one config snapshot at stage spawn; not a fragment population)
+                self.cfg.clone(),
+                self.bins_per_window,
+                Arc::clone(&self.scratch_pools),
+            ));
+        }
+        for (window, coverage) in windows {
+            let pool = self.seal(window);
+            if let Some(stage) = self.stage.as_mut() {
+                // nranks travels per sealed window: a rank born between
+                // two closes must widen later windows' heatmaps but not
+                // retroactively widen ones already sealed.
+                stage.submit(window, coverage, self.admission.nranks(), pool);
+            }
+        }
+    }
+
+    /// Harvest reports whose analysis completed since the last call,
+    /// without blocking — always the contiguous next run of windows, so
+    /// concatenating everything `push`/`poll_reports`/`finish` return
+    /// yields reports in exact window order. Fleet drains call this to
+    /// pick up windows that finished between frames.
+    pub fn poll_reports(&mut self) -> Vec<WindowReport> {
+        match self.stage.as_mut() {
+            Some(stage) => stage.take_completed(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Windows sealed into the stage but not yet emitted (in flight
+    /// on the pool, or parked awaiting an earlier window). Bounded by
+    /// `cfg.pipeline_depth`; 0 after every push at depth 0.
+    pub fn pending_windows(&self) -> u64 {
+        self.stage.as_ref().map_or(0, AnalysisStage::pending)
+    }
+
+    fn close_ready(&mut self) -> Vec<WindowReport> {
+        // A window is closeable once no awaited rank owes it fragments
+        // (its end is behind the live low-watermark) and it provably
+        // belongs to the final cover. `windows_covering(0, t_end)` keeps
+        // window k only when it is the first window or window k-1 ends
+        // before the data watermark; `seen` only grows, so `prev_end <
+        // seen` proves membership now — anything else waits for
+        // `finish`, which knows the final watermark. Without this rule a
+        // shipping mark rounded up past the data end (a client's last,
+        // possibly empty, period) would emit windows the one-shot cover
+        // lacks.
+        self.admission.update_liveness();
+        let low = self.admission.watermark_ns();
+        let seen = self.arena.max_end_ns();
+        // Maintenance sort before any window is sealed: sealing then
+        // range-scans already-ordered pools instead of sorting per window.
+        self.arena.ensure_sorted();
+        let mut ready = Vec::new();
+        loop {
+            let w = self.window(self.closed);
+            let in_cover = if self.closed == 0 {
+                seen > 0
+            } else {
+                self.window(self.closed - 1).end.ns() < seen
+            };
+            if w.end.ns() > low || !in_cover {
+                break;
+            }
+            ready.push((w, self.admission.coverage_at_close(w, false)));
+            self.closed += 1;
+        }
+        self.admission.release_passed(low);
+        let closed_any = !ready.is_empty();
+        self.seal_into_stage(ready);
+        let reports = self.poll_reports();
+        // Reclaim fragments no future window can reach. Only after the
+        // ready windows were sealed (the stage hand-off copies each
+        // window's fragments out first), and only when `closed`
+        // advanced — the horizon is monotone, so an unchanged
+        // watermark has nothing new to release.
+        if closed_any {
+            // The `EvictLive` canary (vopr-canary builds only) pushes
+            // the reclamation horizon a full window ahead, evicting
+            // fragments that open windows still need; the VOPR
+            // stream ≡ one-shot identity must flag the data loss.
+            let horizon = if canary::armed(canary::Canary::EvictLive) {
+                self.window(self.closed).end.ns()
+            } else {
+                self.window(self.closed).start.ns()
+            };
+            let resident_before = self.arena.resident_bytes();
+            self.arena.evict_before(horizon);
+            if self.arena.resident_bytes() < resident_before {
+                hit(FaultPoint::ArenaEviction);
+            }
+        }
+        reports
+    }
+
+    /// End of stream: analyse the remaining windows. The union of all
+    /// reports equals exactly what
+    /// [`analyze_windows`](crate::detect::oneshot::analyze_windows) —
+    /// i.e. [`windows_covering`](crate::detect::window::windows_covering)
+    /// up to the data watermark — produces,
+    /// **regardless of shipping marks**: a rank that went silent without
+    /// ever shipping its final mark cannot strand the tail windows. An
+    /// ingestor that saw no fragments reports nothing.
+    pub fn finish(mut self) -> Vec<WindowReport> {
+        self.admission.update_liveness();
+        let t_end = self.arena.max_end_ns();
+        self.arena.ensure_sorted();
+        let mut remaining = Vec::new();
+        // Emit up to and including the first window whose end reaches
+        // `t_end`, mirroring `windows_covering(0, t_end, period)`.
+        while t_end > 0
+            && (self.closed == 0 || self.window(self.closed - 1).end.ns() < t_end)
+        {
+            let w = self.window(self.closed);
+            remaining.push((w, self.admission.coverage_at_close(w, true)));
+            self.closed += 1;
+        }
+        // Seal the tail, then join the stage: every submitted window —
+        // including ones still in flight from earlier pushes — is
+        // analysed and emitted in window order before this returns.
+        self.seal_into_stage(remaining);
+        match self.stage.take() {
+            Some(mut stage) => stage.drain(),
+            None => Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::detect::arena::tests::{looped_stg, period_frames};
+    use crate::detect::oneshot::analyze_windows;
+    use crate::detect::oneshot::tests::assert_results_identical;
+    use crate::detect::window::windows_covering;
+    use crate::stg::Stg;
+    use vapro_sim::VirtualTime;
+
+    #[test]
+    fn incremental_ingestor_matches_batch_windowing() {
+        // Clients ship start-partitioned per-period batches through the
+        // binary wire; the incremental ingestor's reports must equal the
+        // one-shot windowed analysis of the same STGs.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let mut stgs: Vec<Stg> = (0..3)
+            .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
+            .collect();
+        stgs[2] = looped_stg(2, 30, 1_000_000_000, 12..18);
+        let reference = analyze_windows(&stgs, 3, 8, &cfg);
+
+        // Period-major shipping (every rank ships period k before any
+        // rank ships k+1) — the paper's reporting pattern. Pool views
+        // keep (rank, time) order, so arrival order doesn't matter for
+        // the bit-exactness. Empty batches past the data end ship too:
+        // they advance the shipping marks far beyond the watermark, and
+        // the closing rule must still not emit windows the one-shot
+        // cover lacks.
+        let mut ingestor = WindowedIngestor::new(3, 8, cfg.clone());
+        let mut reports = Vec::new();
+        for k in 0..20u64 {
+            let period = Window {
+                start: VirtualTime::from_secs(5 * k),
+                end: VirtualTime::from_secs(5 * (k + 1)),
+            };
+            for (rank, stg) in stgs.iter().enumerate() {
+                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
+                reports.extend(
+                    ingestor.push_encoded(&batch.encode_v3()).expect("valid frame"),
+                );
+            }
+        }
+        reports.extend(ingestor.finish());
+
+        assert_eq!(reports.len(), reference.len());
+        for (got, want) in reports.iter().zip(&reference) {
+            assert_eq!(got.window, want.window);
+            assert_results_identical(&got.result, &want.result);
+            assert_eq!(got.diagnoses, want.diagnoses);
+        }
+        // And the variance was actually found in some window.
+        assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
+    }
+
+    #[test]
+    fn windows_ship_top_k_diagnoses() {
+        // Diagnosable data (full S3 memory counter set, memory contention
+        // on rank 2 mid-run): windows overlapping the noise must ship
+        // region diagnoses, capped at `diagnose_top_k`, and the streaming
+        // ingestor must ship exactly the one-shot reports — detection
+        // output unchanged, diagnoses included.
+        use crate::diagnose::driver::tests::stgs_with_noise;
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_ms(40),
+            ..VaproConfig::default()
+        };
+        let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
+        let reports = analyze_windows(&stgs, 4, 8, &cfg);
+        assert!(reports.iter().all(|r| r.diagnoses.len() <= cfg.diagnose_top_k));
+        let diagnosed: Vec<&RegionDiagnosis> =
+            reports.iter().flat_map(|r| &r.diagnoses).collect();
+        assert!(!diagnosed.is_empty(), "no window shipped a diagnosis");
+        for d in &diagnosed {
+            assert!(!d.report.culprits.is_empty());
+            assert!(d.roi.ranks.0 <= d.roi.ranks.1);
+        }
+
+        // Stream the same run through the wire-format ingestor.
+        let mut ingestor = WindowedIngestor::new(4, 8, cfg.clone());
+        let mut streamed = Vec::new();
+        for k in 0..5u64 {
+            let period = Window {
+                start: VirtualTime::from_ms(20 * k),
+                end: VirtualTime::from_ms(20 * (k + 1)),
+            };
+            for (rank, stg) in stgs.iter().enumerate() {
+                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
+                streamed.extend(ingestor.push_encoded(&batch.encode_v3()).expect("valid frame"));
+            }
+        }
+        streamed.extend(ingestor.finish());
+        assert_eq!(streamed.len(), reports.len());
+        for (got, want) in streamed.iter().zip(&reports) {
+            assert_eq!(got.window, want.window);
+            assert_results_identical(&got.result, &want.result);
+            assert_eq!(got.diagnoses, want.diagnoses);
+        }
+        assert!(streamed.iter().any(|r| !r.diagnoses.is_empty()));
+    }
+
+    #[test]
+    fn ingestor_closes_windows_incrementally() {
+        // Inline analysis (depth 0): per-push emission is deterministic,
+        // so the close-as-they-stream property can be asserted exactly.
+        // The pipelined default emits the same reports with bounded
+        // deferral — `pipelined_reports_match_inline_reports` covers it.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            pipeline_depth: 0,
+            ..VaproConfig::default()
+        };
+        let stg = looped_stg(0, 30, 1_000_000_000, 0..0);
+        let mut ingestor = WindowedIngestor::new(1, 8, cfg);
+        let mut closed_during_stream = 0;
+        for k in 0..6u64 {
+            let period = Window {
+                start: VirtualTime::from_secs(5 * k),
+                end: VirtualTime::from_secs(5 * (k + 1)),
+            };
+            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
+            let reports = ingestor.push(batch);
+            closed_during_stream += reports.len();
+        }
+        // Most windows close while the stream is still flowing — that is
+        // the "analyse as they close" property.
+        assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
+        let tail = ingestor.finish();
+        assert!(tail.len() <= 2, "{} windows left to finish", tail.len());
+    }
+
+    #[test]
+    fn encoded_frames_close_windows_incrementally() {
+        // The binary entry point must advance the shipping marks like
+        // `push` does: most windows close while frames are still
+        // streaming in, not deferred wholesale to `finish`. Inline
+        // analysis keeps per-push emission deterministic (see
+        // `ingestor_closes_windows_incrementally`).
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            pipeline_depth: 0,
+            ..VaproConfig::default()
+        };
+        let stg = looped_stg(0, 30, 1_000_000_000, 0..0);
+        let mut ingestor = WindowedIngestor::new(1, 8, cfg);
+        let mut closed_during_stream = 0;
+        for k in 0..6u64 {
+            let period = Window {
+                start: VirtualTime::from_secs(5 * k),
+                end: VirtualTime::from_secs(5 * (k + 1)),
+            };
+            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
+            let reports = ingestor.push_encoded(&batch.encode_v3()).expect("valid frame");
+            closed_during_stream += reports.len();
+        }
+        assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
+        assert!(ingestor.finish().len() <= 2);
+    }
+
+    fn assert_report_sequences_identical(got: &[WindowReport], want: &[WindowReport]) {
+        assert_eq!(got.len(), want.len(), "window count diverged");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.window, w.window);
+            assert_eq!(g.result.series, w.result.series);
+            assert_eq!(g.result.rare_paths, w.result.rare_paths);
+            assert_eq!(g.result.comp_map, w.result.comp_map);
+            assert_eq!(g.result.comm_map, w.result.comm_map);
+            assert_eq!(g.result.io_map, w.result.io_map);
+            assert_eq!(g.result.comp_regions, w.result.comp_regions);
+            assert_eq!(g.result.comm_regions, w.result.comm_regions);
+            assert_eq!(g.result.io_regions, w.result.io_regions);
+            assert_eq!(g.result.edge_clusters, w.result.edge_clusters);
+            assert_eq!(g.diagnoses, w.diagnoses);
+            assert_eq!(g.coverage, w.coverage);
+        }
+    }
+
+    #[test]
+    fn pipelined_reports_match_inline_reports() {
+        // Every sealed window goes through the one analysis stage; the
+        // pipelined default and depth 0 (analysed on the submitting
+        // thread) must emit bit-identical report sequences over the
+        // same stream — tasks may finish out of order, the reorder
+        // buffer may defer emission across pushes, but the
+        // concatenation of everything push + finish return is the same
+        // window-ordered sequence. The stage also never holds more than
+        // `pipeline_depth` windows.
+        //
+        // The stream ends in a catch-up burst: rank 2 falls silent after
+        // period 6 while the others ship through period 12, then its
+        // backlog arrives newest first. Sequenced frames advance the
+        // mark only along the contiguous prefix, so the last delivery
+        // (the oldest frame) moves the watermark across every window the
+        // others were waiting on: one push submits several windows
+        // before any is emitted.
+        let period_ns = 5_000_000_000u64;
+        let mut stgs: Vec<Stg> =
+            (0..3).map(|r| looped_stg(r, 60, 1_000_000_000, 0..0)).collect();
+        stgs[2] = looped_stg(2, 60, 1_000_000_000, 10..20);
+        let frames = period_frames(&stgs, 12, period_ns);
+        let mut deliveries: Vec<&Vec<u8>> = frames[..6].iter().flatten().collect();
+        deliveries.extend(frames[6..].iter().flat_map(|period| &period[..2]));
+        let steady = deliveries.len();
+        deliveries.extend(frames[6..].iter().rev().map(|period| &period[2]));
+        let run = |depth: usize| -> (Vec<WindowReport>, usize) {
+            let cfg = VaproConfig {
+                report_period: VirtualTime::from_ns(period_ns),
+                pipeline_depth: depth,
+                ..VaproConfig::default()
+            };
+            let mut ingestor = WindowedIngestor::new(3, 8, cfg);
+            let mut reports = Vec::new();
+            let mut burst = 0;
+            for (i, frame) in deliveries.iter().enumerate() {
+                let closed = ingestor.push_encoded(frame).expect("valid frame");
+                if i >= steady {
+                    burst = burst.max(closed.len());
+                }
+                reports.extend(closed);
+                assert!(
+                    ingestor.pending_windows() <= depth as u64,
+                    "stage exceeded its depth bound"
+                );
+            }
+            reports.extend(ingestor.finish());
+            (reports, burst)
+        };
+        let (inline, inline_burst) = run(0);
+        let (piped, _) = run(8);
+        let (narrow, _) = run(1);
+        assert!(!inline.is_empty());
+        // At depth 0 every window a push closes is emitted by that push,
+        // so the burst is visible exactly: one push closed ≥ 3 windows.
+        assert!(inline_burst >= 3, "catch-up push closed only {inline_burst} windows");
+        assert_report_sequences_identical(&piped, &inline);
+        assert_report_sequences_identical(&narrow, &inline);
+    }
+
+    #[test]
+    fn scratch_pools_recycle_across_pipelined_closes() {
+        // The poisoning-proof recycling satellite: across many closed
+        // windows, pool allocations stay bounded by the stage's
+        // concurrency (depth + the one being sealed), not the window
+        // count — a lost pool would show up as one extra allocation per
+        // window.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let depth = cfg.pipeline_depth as u64;
+        let stg = looped_stg(0, 100, 1_000_000_000, 0..0);
+        let frames = period_frames(std::slice::from_ref(&stg), 20, 5_000_000_000);
+        let mut ingestor = WindowedIngestor::new(1, 8, cfg);
+        let mut reports = Vec::new();
+        for period in &frames {
+            reports.extend(ingestor.push_encoded(&period[0]).expect("valid frame"));
+        }
+        let allocated = ingestor.scratch_pools_allocated();
+        assert!(allocated >= 1, "no pool was ever allocated?");
+        assert!(
+            allocated <= depth + 1,
+            "recycling failed: {allocated} pools allocated for {} closes",
+            reports.len()
+        );
+        reports.extend(ingestor.finish());
+        assert!(reports.len() >= 30, "expected a long stream of closes");
+    }
+
+    #[test]
+    fn finish_flushes_tail_windows_despite_silent_straggler() {
+        // Rank 1 never ships a single mark (a silent straggler, no fault
+        // policy configured): the stream closes nothing, but `finish`
+        // must still emit the full one-shot cover — with the straggler
+        // visible in every window's coverage.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let stg = looped_stg(0, 30, 1_000_000_000, 0..0);
+        let t_end = stg
+            .edges()
+            .iter()
+            .flat_map(|e| e.fragments.iter())
+            .map(|f| f.end)
+            .max()
+            .unwrap();
+        let expected = windows_covering(VirtualTime::ZERO, t_end, cfg.report_period);
+
+        let mut ingestor = WindowedIngestor::new(2, 8, cfg);
+        let mut reports = Vec::new();
+        for k in 0..6u64 {
+            let period = Window {
+                start: VirtualTime::from_secs(5 * k),
+                end: VirtualTime::from_secs(5 * (k + 1)),
+            };
+            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
+            reports.extend(ingestor.push(batch));
+        }
+        // With rank 1's mark stuck at zero nothing closes mid-stream…
+        assert!(reports.is_empty(), "watermark ignored the straggler");
+        // …but finish flushes every cover window anyway.
+        reports.extend(ingestor.finish());
+        assert_eq!(reports.len(), expected.len(), "tail windows stranded");
+        for (report, window) in reports.iter().zip(expected) {
+            assert_eq!(report.window, window);
+            assert!(report.coverage.ranks_absent.contains(&1), "straggler not flagged");
+            assert!(report.coverage.is_degraded());
+        }
+    }
+}

@@ -1,21 +1,38 @@
 //! Variance detection (paper §3.5): per-cluster performance
 //! normalisation, weighted merging across clusters, heat maps, region
-//! growing, and the periodic inter-process analysis servers.
+//! growing, and the periodic inter-process analysis servers (paper §3.5
+//! Fig. 8 and §5: dedicated server processes periodically collect
+//! performance data from application processes and analyse the last
+//! window).
+//!
+//! Two straight pipelines, one fragment form each — AoS where data is
+//! mutable, SoA where it is sealed:
+//!
+//! * **Streaming.** [`ingestor::WindowedIngestor`] admits shipped frames
+//!   ([`admission`]) into per-location fragment pools ([`arena`]), seals
+//!   each window the watermark passes into a columnar snapshot and
+//!   analyses it on the in-order `stage`.
+//! * **One-shot.** [`oneshot::analyze_windows`] pools per-rank STGs by
+//!   reference — the oracle every stream ≡ one-shot test compares the
+//!   streaming path against.
 
+pub mod admission;
+pub mod arena;
 pub mod heatmap;
+pub mod ingestor;
 pub mod normalize;
+pub mod oneshot;
 pub mod pipeline;
 pub mod region;
-pub mod server;
 pub(crate) mod stage;
 pub mod window;
 
+pub use admission::{IngestStats, RankHealth};
+pub use arena::IngestArena;
 pub use heatmap::HeatMap;
+pub use ingestor::{WindowReport, WindowedIngestor};
 pub use normalize::{CategorySeries, PerfPoint};
+pub use oneshot::analyze_windows;
 pub use pipeline::{detect, DetectionResult, RarePath};
 pub use region::{grow_regions, VarianceRegion};
-pub use server::{
-    AnalysisServer, IngestArena, IngestStats, RankHealth, ServerPool, WindowReport,
-    WindowedIngestor,
-};
 pub use window::{windows_covering, Window};

@@ -12,11 +12,10 @@
 use crate::clustering::ClusterOutcome;
 use crate::columnar::PoolView;
 use crate::fragment::FragmentKind;
-use serde::{Deserialize, Serialize};
 use vapro_sim::VirtualTime;
 
 /// One normalised observation: a fragment's span and its performance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfPoint {
     /// Originating rank.
     pub rank: usize,
@@ -33,7 +32,7 @@ pub struct PerfPoint {
 
 /// Normalised series per reporting category (the paper reports
 /// computation, network and IO separately).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CategorySeries {
     /// Computation points (STG edges).
     pub computation: Vec<PerfPoint>,

@@ -1,0 +1,193 @@
+//! The one-shot windowed analysis — the oracle every stream ≡ one-shot
+//! test compares the streaming path against.
+//!
+//! [`analyze_windows`] pools per-rank STGs by reference
+//! ([`merge_stgs_window`]) and runs [`detect_merged`] over the
+//! `&Fragment` slices, window by window. Nothing here is sealed,
+//! recycled or evicted: the whole run is resident, which is what makes
+//! it a trustworthy reference for [`WindowedIngestor`], whose reports
+//! (stream + `finish`) must equal these bit for bit.
+//!
+//! [`WindowedIngestor`]: crate::detect::ingestor::WindowedIngestor
+
+use crate::config::VaproConfig;
+use crate::detect::ingestor::{diagnose_top_regions, ranks_absent, WindowReport};
+use crate::detect::pipeline::{detect_merged, merge_stgs_window, MergedStg};
+use crate::detect::window::{windows_covering, Window};
+use crate::report::WindowCoverage;
+use crate::stg::Stg;
+use rayon::prelude::*;
+use vapro_sim::VirtualTime;
+
+/// One-shot per-window analysis: detection over the borrowed view, then
+/// top-K region diagnosis reusing detection's clusters. The
+/// `ranks_absent` census comes from the view itself, exactly as
+/// [`analyze_view_columnar`](crate::detect::ingestor::analyze_view_columnar)
+/// takes it from the lanes.
+fn analyze_view(
+    view: &MergedStg<'_>,
+    window: Window,
+    nranks: usize,
+    bins: usize,
+    cfg: &VaproConfig,
+) -> WindowReport {
+    let pools = view.vertices.iter().map(|(_, p)| p).chain(view.edges.iter().map(|(_, p)| p));
+    let mut coverage = WindowCoverage::full(nranks);
+    coverage.ranks_absent = ranks_absent(nranks, pools.flatten().map(|f| f.rank));
+    let result = detect_merged(view, nranks, bins, cfg);
+    let diagnoses = diagnose_top_regions(view, &result, cfg);
+    WindowReport { window, result, diagnoses, coverage }
+}
+
+/// Analyse the run in overlapped windows of `cfg.report_period`: each
+/// window's fragments (from every rank's STG) are detected
+/// independently; windows run in parallel. Per-window populations are
+/// borrowed views ([`merge_stgs_window`]) — zero `Fragment` clones.
+pub fn analyze_windows(
+    stgs: &[Stg],
+    nranks: usize,
+    bins_per_window: usize,
+    cfg: &VaproConfig,
+) -> Vec<WindowReport> {
+    let t_end = stgs
+        .iter()
+        .flat_map(|s| {
+            s.vertices()
+                .iter()
+                .flat_map(|v| v.fragments.iter())
+                .chain(s.edges().iter().flat_map(|e| e.fragments.iter()))
+        })
+        .map(|f| f.end)
+        .max()
+        .unwrap_or(VirtualTime::ZERO);
+    windows_covering(VirtualTime::ZERO, t_end, cfg.report_period)
+        .into_par_iter()
+        .map(|window| {
+            analyze_view(&merge_stgs_window(stgs, window), window, nranks, bins_per_window, cfg)
+        })
+        .collect()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::detect::arena::tests::looped_stg;
+    use crate::detect::pipeline::{detect, DetectionResult};
+    use crate::fragment::Fragment;
+
+    pub(crate) fn assert_results_identical(a: &DetectionResult, b: &DetectionResult) {
+        assert_eq!(a.series, b.series);
+        assert_eq!(a.rare_paths, b.rare_paths);
+        assert_eq!(a.comp_map, b.comp_map);
+        assert_eq!(a.comm_map, b.comm_map);
+        assert_eq!(a.io_map, b.io_map);
+        assert_eq!(a.comp_regions, b.comp_regions);
+        assert_eq!(a.comm_regions, b.comm_regions);
+        assert_eq!(a.io_regions, b.io_regions);
+        assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
+        assert_eq!(a.edge_clusters, b.edge_clusters);
+    }
+
+    #[test]
+    fn windowed_analysis_localises_variance_in_time() {
+        // 40 iterations of ~1s each; iterations 20..25 are slow.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(15),
+            ..VaproConfig::default()
+        };
+        let stgs = vec![looped_stg(0, 40, 1_000_000_000, 20..25)];
+        let reports = analyze_windows(&stgs, 1, 8, &cfg);
+        assert!(reports.len() > 2, "windows: {}", reports.len());
+        // Windows overlapping the slow span see variance; early ones don't.
+        let early = &reports[0];
+        assert!(early.result.comp_regions.is_empty());
+        let hit = reports
+            .iter()
+            .any(|r| !r.result.comp_regions.is_empty());
+        assert!(hit, "no window detected the slow span");
+    }
+
+    /// The pre-refactor reference: restrict an STG to the fragments
+    /// overlapping `window` by *cloning* them into a fresh graph.
+    fn slice_stg(stg: &Stg, window: Window) -> Stg {
+        let keep = |f: &Fragment| window.overlaps(f.start, f.end);
+        let mut out = Stg::new();
+        let mut ids = Vec::with_capacity(stg.num_states());
+        for v in stg.vertices() {
+            let id = out.state(v.key.clone());
+            ids.push(id);
+            for f in v.fragments.iter().filter(|f| keep(f)) {
+                out.attach_vertex_fragment(id, f.clone());
+            }
+        }
+        for e in stg.edges() {
+            let eid = out.transition(ids[e.from], ids[e.to]);
+            for f in e.fragments.iter().filter(|f| keep(f)) {
+                out.attach_edge_fragment(eid, f.clone());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn window_views_are_bit_identical_to_cloned_slices() {
+        // The zero-copy window path must reproduce the old
+        // slice-and-clone pooling exactly, window by window.
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let mut stgs: Vec<Stg> = (0..3)
+            .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
+            .collect();
+        stgs[1] = looped_stg(1, 30, 1_000_000_000, 10..16);
+        let reports = analyze_windows(&stgs, 3, 8, &cfg);
+        let t_end = VirtualTime::from_ns(stgs.iter().flat_map(|s| s.edges()).flat_map(|e| e.fragments.iter()).map(|f| f.end.ns()).max().unwrap());
+        let windows = windows_covering(VirtualTime::ZERO, t_end, cfg.report_period);
+        assert_eq!(reports.len(), windows.len());
+        for (report, window) in reports.iter().zip(windows) {
+            assert_eq!(report.window, window);
+            let sliced: Vec<Stg> = stgs.iter().map(|s| slice_stg(s, window)).collect();
+            let reference = detect(&sliced, 3, 8, &cfg);
+            assert_results_identical(&report.result, &reference);
+        }
+    }
+
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
+    #[test]
+    fn window_views_clone_no_fragments() {
+        use crate::detect::pipeline::detect_merged_impl;
+        use crate::fragment::clone_count;
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let stgs: Vec<Stg> = (0..2)
+            .map(|r| looped_stg(r, 20, 1_000_000_000, 5..9))
+            .collect();
+        let windows =
+            windows_covering(VirtualTime::ZERO, VirtualTime::from_secs(25), cfg.report_period);
+        // Run the whole per-window pipeline single-threaded on this
+        // thread: the thread-local clone counter must not move.
+        let before = clone_count::on_this_thread();
+        for window in windows {
+            let view = merge_stgs_window(&stgs, window);
+            let _ = detect_merged_impl(&view, 2, 8, &cfg, false, None);
+        }
+        assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
+    }
+
+    #[test]
+    fn diagnosis_can_be_disabled() {
+        use crate::diagnose::driver::tests::stgs_with_noise;
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_ms(40),
+            diagnose_top_k: 0,
+            ..VaproConfig::default()
+        };
+        let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
+        let reports = analyze_windows(&stgs, 4, 8, &cfg);
+        assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
+        assert!(reports.iter().all(|r| r.diagnoses.is_empty()));
+    }
+}

@@ -14,17 +14,16 @@ use crate::detect::heatmap::{HeatMap, PAR_ROWS_MIN};
 use crate::detect::normalize::{normalize_cluster_outcome_view, CategorySeries};
 use crate::detect::region::{grow_regions, VarianceRegion};
 use crate::detect::window::Window;
-use crate::fragment::{Fragment, FragmentKind};
+use crate::fragment::Fragment;
 use crate::intern::{Sym, SymbolTable};
 use crate::stg::{StateKey, Stg};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// A rarely-executed path flagged by Algorithm 1's post-processing:
 /// few executions but potentially long — the user should check whether it
 /// represents abnormal behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RarePath {
     /// Label of the owning state / transition.
     pub location: String,
@@ -61,22 +60,6 @@ pub struct DetectionResult {
     /// so a [`crate::diagnose::DiagnosisBatch`] over the same merged view
     /// can seed from these and never re-cluster a pool.
     pub edge_clusters: Vec<ClusterOutcome>,
-}
-
-impl DetectionResult {
-    /// Quantified total loss across computation regions, ns.
-    pub fn comp_loss_ns(&self) -> f64 {
-        self.comp_regions.iter().map(|r| r.loss_ns).sum()
-    }
-
-    /// The top region of a category, if any.
-    pub fn top_region(&self, kind: FragmentKind) -> Option<&VarianceRegion> {
-        match kind {
-            FragmentKind::Computation => self.comp_regions.first(),
-            FragmentKind::Communication | FragmentKind::Other => self.comm_regions.first(),
-            FragmentKind::Io => self.io_regions.first(),
-        }
-    }
 }
 
 /// Groups of same-state fragments pooled across ranks, keyed by interned
@@ -405,8 +388,7 @@ pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> De
 }
 
 /// Single-threaded reference of [`detect`]: same pipeline, no fan-out.
-/// Exists for the equivalence property tests and as the sequential
-/// baseline of the `detection` criterion bench.
+/// Exists for the equivalence property tests.
 pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
     detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, false, None)
 }
@@ -441,6 +423,7 @@ pub fn detect_intra(stg: &Stg, bins: usize, cfg: &VaproConfig) -> DetectionResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::FragmentKind;
     use vapro_pmu::{CounterDelta, CounterId};
     use vapro_sim::{CallSite, VirtualTime};
 

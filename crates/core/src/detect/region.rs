@@ -4,11 +4,10 @@
 //! performance.
 
 use crate::detect::heatmap::HeatMap;
-use serde::{Deserialize, Serialize};
 use vapro_sim::VirtualTime;
 
 /// One detected variance region on the heat map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarianceRegion {
     /// Cells in the region as `(rank, bin)` pairs.
     pub cells: Vec<(usize, usize)>,

@@ -7,18 +7,23 @@
 //! The stage exists so admission never serialises behind clustering:
 //! `WindowedIngestor::close_ready` seals each ready window, submits it,
 //! and immediately returns to draining frames while pool workers
-//! analyse in the background. Three properties make this safe for the
-//! repo's load-bearing stream ≡ one-shot bit-identity invariant:
+//! analyse in the background. It is the one door every sealed window
+//! goes through: at depth 0 the same submission runs on the submitting
+//! thread instead of the pool, so per-push emission is deterministic
+//! and nothing else about the path differs. Three properties make this
+//! safe for the repo's load-bearing stream ≡ one-shot bit-identity
+//! invariant:
 //!
 //! * **Sealing is synchronous.** The window view and its columnar
 //!   refill happen on the admission thread *before* the arena evicts
 //!   anything or absorbs another batch, so a sealed window's input is
-//!   exactly what the inline path would have analysed.
+//!   exactly the arena's content at close time.
 //! * **Emission is in window order.** Every submission gets a dense
 //!   sequence number; completed reports park in a reorder buffer and
 //!   only the contiguous prefix is ever released. Tasks may finish
 //!   out of order, callers never observe it.
-//! * **The stage is bounded.** At most `depth` windows are in flight;
+//! * **The stage is bounded.** At most `depth` windows are in flight
+//!   (none at depth 0, where `submit` returns with the window analysed);
 //!   submission blocks past that, so a slow analysis stage exerts
 //!   backpressure instead of queueing unboundedly.
 //!
@@ -36,7 +41,7 @@
 
 use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
-use crate::detect::server::{analyze_view_columnar, WindowReport};
+use crate::detect::ingestor::{analyze_view_columnar, WindowReport};
 use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -88,8 +93,7 @@ struct StageShared {
     /// Signalled when a task completes a window: capacity freed for
     /// submitters, a result possibly available for drainers.
     window_done: Condvar,
-    /// Immutable analysis context, identical to what the inline path
-    /// would pass to [`analyze_view_columnar`].
+    /// Immutable analysis context for [`analyze_view_columnar`].
     cfg: VaproConfig,
     bins: usize,
     /// The ingestor's recycled columnar scratch: finished pools return
@@ -98,8 +102,8 @@ struct StageShared {
 }
 
 impl StageShared {
-    /// Task body: analyse a sealed window exactly as the inline path
-    /// would, recycle its pool, park the report for in-order release.
+    /// Task body: analyse a sealed window, recycle its pool, park the
+    /// report for in-order release.
     fn analyze(&self, seq: u64, task: SealedWindow) {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             analyze_view_columnar(
@@ -143,7 +147,7 @@ impl StageShared {
 }
 
 /// A bounded in-order analysis pipeline owned by one
-/// [`WindowedIngestor`](crate::detect::server::WindowedIngestor).
+/// [`WindowedIngestor`](crate::detect::ingestor::WindowedIngestor).
 pub(crate) struct AnalysisStage {
     shared: Arc<StageShared>,
     depth: usize,
@@ -160,15 +164,14 @@ pub(crate) struct AnalysisStage {
 }
 
 impl AnalysisStage {
-    /// A stage with at most `depth` windows in flight.
+    /// A stage with at most `depth` windows in flight; at depth 0 each
+    /// window is analysed on the thread that submits it.
     pub(crate) fn new(
         depth: usize,
         cfg: VaproConfig,
         bins: usize,
         scratch: Arc<Mutex<Vec<ColumnarPool>>>,
     ) -> AnalysisStage {
-        // vapro-lint: allow(R5, crate-internal constructor contract; callers gate on depth > 0)
-        debug_assert!(depth > 0, "depth 0 means the inline path, not a stage");
         AnalysisStage {
             shared: Arc::new(StageShared {
                 state: Mutex::new(StageState::default()),
@@ -216,12 +219,19 @@ impl AnalysisStage {
     }
 
     fn submit_now(&mut self, sealed: SealedWindow) {
-        let depth = self.depth;
-        let mut state = self.shared.wait_until(|s| s.in_flight < depth);
+        // Depth 0 holds nothing in flight between submissions, so its
+        // one slot is always free.
+        let slots = self.depth.max(1);
+        let mut state = self.shared.wait_until(|s| s.in_flight < slots);
         state.in_flight += 1;
         drop(state);
-        let (seq, shared) = (self.next_seq, Arc::clone(&self.shared));
+        let seq = self.next_seq;
         self.next_seq += 1;
+        if self.depth == 0 {
+            self.shared.analyze(seq, sealed);
+            return;
+        }
+        let shared = Arc::clone(&self.shared);
         rayon::spawn(move || shared.analyze(seq, sealed));
     }
 
@@ -296,6 +306,8 @@ mod tests {
     #[test]
     fn emission_is_in_submission_order() {
         assert_eq!(run_stage(4, 6), ((0..6).collect(), 6));
+        // Depth 0 goes through the same door, on the submitting thread.
+        assert_eq!(run_stage(0, 6), ((0..6).collect(), 6));
     }
 
     /// More depth-1 submitters than the pool has workers, each a pool
@@ -323,7 +335,7 @@ mod tests {
     /// it waiting for a window that will never complete.
     #[test]
     fn a_panicking_analysis_reaches_the_owner() {
-        use crate::detect::server::IngestArena;
+        use crate::detect::arena::IngestArena;
         use crate::diagnose::driver::tests::stgs_with_noise;
         use crate::wire::FragmentBatch;
 

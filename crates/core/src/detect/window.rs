@@ -2,11 +2,10 @@
 //! the last reporting period's data; consecutive windows overlap by half
 //! a period so results concatenate without edge artefacts.
 
-use serde::{Deserialize, Serialize};
 use vapro_sim::VirtualTime;
 
 /// One analysis window `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// Window start (inclusive).
     pub start: VirtualTime,
@@ -15,6 +14,19 @@ pub struct Window {
 }
 
 impl Window {
+    /// The `k`-th half-overlapped window of length `period` counted from
+    /// time zero: starts advance by `period / 2`. The one place window
+    /// geometry is defined — [`windows_covering`] and the streaming
+    /// ingestor both number their windows through it.
+    pub fn nth(k: usize, period: VirtualTime) -> Window {
+        let step = (period.ns() / 2).max(1);
+        let start = k as u64 * step;
+        Window {
+            start: VirtualTime::from_ns(start),
+            end: VirtualTime::from_ns(start + period.ns()),
+        }
+    }
+
     /// Does `[s, e)` overlap this window?
     pub fn overlaps(&self, s: VirtualTime, e: VirtualTime) -> bool {
         s < self.end && e > self.start
@@ -38,19 +50,14 @@ pub fn windows_covering(t0: VirtualTime, t1: VirtualTime, period: VirtualTime) -
     if t1 <= t0 {
         return vec![];
     }
-    let step = (period.ns() / 2).max(1);
     let mut out = Vec::new();
-    let mut start = t0.ns();
-    loop {
-        let w = Window {
-            start: VirtualTime::from_ns(start),
-            end: VirtualTime::from_ns(start + period.ns()),
-        };
+    for k in 0.. {
+        let w = Window::nth(k, period);
+        let w = Window { start: t0 + w.start, end: t0 + w.end };
         out.push(w);
         if w.end >= t1 {
             break;
         }
-        start += step;
     }
     out
 }
@@ -118,6 +125,21 @@ mod tests {
             VirtualTime::from_secs(15)
         )
         .is_empty());
+    }
+
+    #[test]
+    fn nth_numbers_the_windows_of_a_cover() {
+        // The ingestor closes window `k` as `Window::nth(k, period)`;
+        // the one-shot cover enumerates them: same geometry, index by
+        // index, for even and odd periods alike.
+        for period in [1, 7, 15_000_000_000].map(VirtualTime::from_ns) {
+            let t_end = Window::nth(999, period).end;
+            let cover = windows_covering(VirtualTime::ZERO, t_end, period);
+            assert_eq!(cover.len(), 1000);
+            for (k, w) in cover.iter().enumerate() {
+                assert_eq!(*w, Window::nth(k, period), "window {k} of period {period}");
+            }
+        }
     }
 
     #[test]

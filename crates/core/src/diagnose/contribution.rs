@@ -15,10 +15,9 @@
 
 use crate::diagnose::factor::Factor;
 use crate::diagnose::quantify::FactorValues;
-use serde::{Deserialize, Serialize};
 
 /// One factor's contribution summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorContribution {
     /// The factor.
     pub factor: Factor,
@@ -37,7 +36,7 @@ pub struct FactorContribution {
 }
 
 /// The contribution analysis of one cluster at one stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContributionReport {
     /// Per-factor results, ordered as the input factors.
     pub factors: Vec<FactorContribution>,

@@ -10,11 +10,10 @@
 //! their time share directly; OS event counts are not, and take the
 //! OLS route (§4.2).
 
-use serde::{Deserialize, Serialize};
 use vapro_pmu::{events, CounterId, CounterSet};
 
 /// Diagnosis stage (S1 → S2 → S3 in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Top-level split of wall time.
     S1,
@@ -25,7 +24,7 @@ pub enum Stage {
 }
 
 /// A node of the variance breakdown model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Factor {
     // --- S1 ---
     /// Useful work (retiring uops).

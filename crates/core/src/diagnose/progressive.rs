@@ -13,11 +13,10 @@ use crate::diagnose::contribution::{analyze_contributions, ContributionReport};
 use crate::diagnose::factor::Factor;
 use crate::diagnose::quantify::{ols_impacts, FactorValues, OlsImpact};
 use crate::fragment::Fragment;
-use serde::{Deserialize, Serialize};
 use vapro_pmu::CounterSet;
 
 /// One stage of the drill-down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageStep {
     /// Factors analysed at this step.
     pub factors: Vec<Factor>,
@@ -31,7 +30,7 @@ pub struct StageStep {
 }
 
 /// Final output of progressive diagnosis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisReport {
     /// The drill-down trace, one entry per stage analysed.
     pub steps: Vec<StageStep>,
@@ -45,14 +44,6 @@ impl DiagnosisReport {
     /// The top culprit, if any.
     pub fn top_culprit(&self) -> Option<Factor> {
         self.culprits.first().copied()
-    }
-
-    /// The last step's report for one factor.
-    pub fn final_contribution(&self, f: Factor) -> Option<f64> {
-        self.steps
-            .iter()
-            .rev()
-            .find_map(|s| s.report.of(f).map(|c| c.contribution))
     }
 
     /// Impact share (fraction of the slowdown) of a factor at the step

@@ -17,7 +17,6 @@
 
 use crate::diagnose::factor::Factor;
 use crate::fragment::Fragment;
-use serde::{Deserialize, Serialize};
 use vapro_pmu::{CounterId, TopDown, TopDownL2};
 use vapro_stats::describe::variance;
 use vapro_stats::fg::remove_multicollinear;
@@ -25,7 +24,7 @@ use vapro_stats::OlsFit;
 
 /// Per-fragment values of a factor set: times (ns) for quantifiable
 /// factors, raw event counts for the rest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorValues {
     /// The factors, in column order.
     pub factors: Vec<Factor>,
@@ -134,7 +133,7 @@ impl FactorValues {
 }
 
 /// The OLS-estimated time impact of one factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OlsImpact {
     /// The factor.
     pub factor: Factor,

@@ -1,6 +1,6 @@
 //! The sharded multi-tenant fleet ingest plane.
 //!
-//! One [`crate::detect::server::WindowedIngestor`] serves exactly one
+//! One [`crate::detect::ingestor::WindowedIngestor`] serves exactly one
 //! job. Production monitoring serves a *fleet*: thousands of jobs across
 //! many tenants, all shipping frames (see [`crate::wire`]) into one
 //! plane. The [`FleetIngestor`] scales that out in three layers:
@@ -28,7 +28,7 @@
 //! within one, and the per-job ingestor is exactly the single-job code
 //! path (property-tested in `tests/fleet_equivalence.rs`).
 //!
-//! [`FleetIngestor::finish`] returns a [`FleetReport`]: per-job window
+//! [`FleetIngestor::into_report`] returns a [`FleetReport`]: per-job window
 //! tails and stats, per-tenant admission stats, and a first cross-job
 //! **interference pass** — jobs placed on the same simulated node whose
 //! detected variance regions overlap in time are reported as candidate
@@ -36,7 +36,8 @@
 //! variance-source attribution.
 
 use crate::config::VaproConfig;
-use crate::detect::server::{IngestStats, WindowReport, WindowedIngestor};
+use crate::detect::admission::IngestStats;
+use crate::detect::ingestor::{WindowReport, WindowedIngestor};
 use crate::wire::{FragmentBatch, WireError, DEFAULT_TENANT};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -80,13 +81,11 @@ pub struct FleetConfig {
     /// Frames one shard buffers before a fleet-wide drain is triggered.
     /// Batching amortises the fan-out: the admission path only enqueues.
     pub queue_capacity_frames: usize,
-    /// Byte budget of the pre-registered default tenant (unstamped senders).
-    pub default_tenant_budget_bytes: u64,
 }
 
 impl FleetConfig {
-    /// A single-shard plane with an effectively unlimited default-tenant
-    /// budget — the drop-in replacement for one bare `WindowedIngestor`.
+    /// A single-shard plane — the drop-in replacement for one bare
+    /// `WindowedIngestor`.
     pub fn new(vapro: VaproConfig) -> FleetConfig {
         FleetConfig {
             shards: 1,
@@ -94,7 +93,6 @@ impl FleetConfig {
             bins_per_window: 8,
             vapro,
             queue_capacity_frames: 64,
-            default_tenant_budget_bytes: u64::MAX,
         }
     }
 }
@@ -143,18 +141,23 @@ struct JobState {
 impl JobState {
     fn record(&mut self, reports: &[WindowReport]) {
         self.windows_closed += reports.len();
-        for r in reports {
-            let regions = r
-                .result
-                .comp_regions
-                .iter()
-                .chain(&r.result.comm_regions)
-                .chain(&r.result.io_regions);
-            for region in regions {
-                let (s, e) = (region.t_start.ns(), region.t_end.ns());
-                if e > s {
-                    self.variance_spans.push((s, e));
-                }
+        record_spans(&mut self.variance_spans, reports);
+    }
+}
+
+/// Append the time span of every variance region `reports` detected.
+fn record_spans(spans: &mut Vec<Span>, reports: &[WindowReport]) {
+    for r in reports {
+        let regions = r
+            .result
+            .comp_regions
+            .iter()
+            .chain(&r.result.comm_regions)
+            .chain(&r.result.io_regions);
+        for region in regions {
+            let (s, e) = (region.t_start.ns(), region.t_end.ns());
+            if e > s {
+                spans.push((s, e));
             }
         }
     }
@@ -177,11 +180,7 @@ impl Shard {
         for q in queued {
             // Enqueue registers the job, so the lookup cannot miss; a
             // missing entry would mean a routing bug, not bad input.
-            let Some(job) = self.jobs.get_mut(&q.key) else {
-                // vapro-lint: allow(R5, defensive assert on an impossible routing state; release continues)
-                debug_assert!(false, "queued frame for unregistered job");
-                continue;
-            };
+            let Some(job) = self.jobs.get_mut(&q.key) else { continue };
             let reports = job.ingestor.push(q.batch);
             job.record(&reports);
             out.extend(reports.into_iter().map(|report| FleetWindow { key: q.key, report }));
@@ -292,8 +291,9 @@ pub struct FleetIngestor {
 }
 
 impl FleetIngestor {
-    /// A fresh plane. The default tenant is pre-registered with
-    /// `cfg.default_tenant_budget_bytes` so unstamped senders keep working.
+    /// A fresh plane. The default tenant is pre-registered with an
+    /// unlimited budget so unstamped senders keep working;
+    /// [`FleetIngestor::register_tenant`] re-budgets it like any other.
     pub fn new(cfg: FleetConfig) -> FleetIngestor {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.queue_capacity_frames > 0, "need a nonzero queue capacity");
@@ -304,7 +304,7 @@ impl FleetIngestor {
             unattributed: IngestStats::default(),
             cfg,
         };
-        fleet.register_tenant(DEFAULT_TENANT, fleet.cfg.default_tenant_budget_bytes);
+        fleet.register_tenant(DEFAULT_TENANT, u64::MAX);
         fleet
     }
 
@@ -473,21 +473,14 @@ impl FleetIngestor {
         }
     }
 
-    /// Flush all queues, close every job's remaining cover, and build
-    /// the fleet report (jobs, tenants, interference pass).
-    pub fn finish(self) -> Vec<FleetWindow> {
-        // Kept separate from `report` so callers only needing the final
-        // windows don't pay for the summary; `into_report` gives both.
-        self.into_report().1
-    }
-
-    /// Flush and shut down, returning the [`FleetReport`] and the
-    /// windows the final flush closed (also inside the report, per job).
+    /// Flush all queues, close every job's remaining cover, and shut
+    /// down, returning the [`FleetReport`] (jobs, tenants, interference
+    /// pass) and the windows the final flush closed.
     pub fn into_report(mut self) -> (FleetReport, Vec<FleetWindow>) {
         let mut flushed = self.drain();
 
         let shards = std::mem::take(&mut self.shards);
-        let finished: Vec<Vec<TaggedSummary>> = shards
+        let finished: Vec<Vec<(JobSummary, Vec<Span>)>> = shards
             .into_par_iter()
             .map(|shard| {
                 shard
@@ -497,42 +490,23 @@ impl FleetIngestor {
                         let stats = job.ingestor.stats().clone();
                         let arena_high_water_bytes = job.ingestor.arena().high_water_bytes();
                         let final_windows = job.ingestor.finish();
-                        job.windows_closed += final_windows.len();
-                        // `record` needs the struct, but the ingestor is
-                        // gone: fold the tail spans in directly.
-                        for r in &final_windows {
-                            let regions = r
-                                .result
-                                .comp_regions
-                                .iter()
-                                .chain(&r.result.comm_regions)
-                                .chain(&r.result.io_regions);
-                            for region in regions {
-                                let (s, e) = (region.t_start.ns(), region.t_end.ns());
-                                if e > s {
-                                    job.variance_spans.push((s, e));
-                                }
-                            }
-                        }
-                        JobSummary {
+                        record_spans(&mut job.variance_spans, &final_windows);
+                        let summary = JobSummary {
                             key,
                             node: job.node,
+                            windows_closed: job.windows_closed + final_windows.len(),
                             final_windows,
-                            windows_closed: job.windows_closed,
                             stats,
                             arena_high_water_bytes,
-                        }
-                        .with_spans(job.variance_spans)
+                        };
+                        (summary, job.variance_spans)
                     })
                     .collect()
             })
             .collect();
 
-        let mut jobs_with_spans: Vec<(JobSummary, Vec<Span>)> = finished
-            .into_iter()
-            .flatten()
-            .map(|tagged| (tagged.summary, tagged.spans))
-            .collect();
+        let mut jobs_with_spans: Vec<(JobSummary, Vec<Span>)> =
+            finished.into_iter().flatten().collect();
         jobs_with_spans.sort_by_key(|(j, _)| j.key);
 
         let interference = interference_pass(&jobs_with_spans);
@@ -543,9 +517,8 @@ impl FleetIngestor {
                     .into_iter()
                     .map(|report| FleetWindow { key: summary.key, report }),
             );
-            // The summary keeps its own copy via windows_closed; the
-            // reports themselves ride out through the flushed list AND
-            // stay in the summary for offline consumers.
+            // The reports ride out through the flushed list; the
+            // summary keeps their count in `windows_closed`.
             jobs.push(summary);
         }
 
@@ -566,19 +539,6 @@ impl FleetIngestor {
             unattributed: self.unattributed.clone(),
         };
         (report, flushed)
-    }
-}
-
-/// Internal carrier pairing a summary with its variance spans through
-/// the parallel finish.
-struct TaggedSummary {
-    summary: JobSummary,
-    spans: Vec<Span>,
-}
-
-impl JobSummary {
-    fn with_spans(self, spans: Vec<Span>) -> TaggedSummary {
-        TaggedSummary { summary: self, spans }
     }
 }
 

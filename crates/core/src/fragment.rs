@@ -8,13 +8,12 @@
 //! to the active counter set, and — for invocations — the
 //! workload-identifying argument vector (paper §3.3).
 
-use serde::{Deserialize, Serialize};
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::VirtualTime;
 
 /// Which category a fragment belongs to (the paper reports computation,
 /// network and IO performance separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FragmentKind {
     /// Computation between invocations (STG edge).
     Computation,

@@ -58,10 +58,10 @@ pub use collector::Collector;
 pub use config::{FaultTolerance, LateDataPolicy, StgMode, VaproConfig};
 pub use detect::heatmap::HeatMap;
 pub use detect::region::VarianceRegion;
-pub use detect::server::{
-    AnalysisServer, ArenaView, IngestArena, IngestStats, RankHealth, RegionDiagnosis, ServerPool,
-    WindowReport, WindowedIngestor,
-};
+pub use detect::admission::{IngestStats, RankHealth};
+pub use detect::arena::{ArenaView, IngestArena};
+pub use detect::ingestor::{RegionDiagnosis, WindowReport, WindowedIngestor};
+pub use detect::oneshot::analyze_windows;
 pub use diagnose::{
     diagnose_region, diagnose_regions, diagnose_regions_seq, DiagnosisBatch, DiagnosisReport,
     EdgePools, RegionOfInterest,

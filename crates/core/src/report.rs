@@ -46,7 +46,7 @@ fn sort_by_loss(regions: &mut [RegionReport]) {
 /// contributed, and what the transport lost on the way. Downstream
 /// consumers use it to distinguish "rank 3 is slow" (a finding) from
 /// "rank 3's data never arrived" (a caveat).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowCoverage {
     /// Ranks the analysis expected.
     pub nranks: usize,

@@ -144,11 +144,6 @@ impl Stg {
             + self.edges.iter().map(|e| e.fragments.len()).sum::<usize>()
     }
 
-    /// Out-degree of a state.
-    pub fn out_degree(&self, state: StateId) -> usize {
-        self.edges.iter().filter(|e| e.from == state).count()
-    }
-
     /// The edge whose fragments account for the most total time — the
     /// dominant computation snippet. Edges between back-to-back
     /// invocations carry many but near-empty fragments, so picking by

@@ -1,9 +1,9 @@
-//! Visualization (paper Fig. 2 step 7): ASCII heat maps for terminals,
-//! and JSON/CSV series dumps consumed by the experiment harness.
+//! Visualization (paper Fig. 2 step 7): ASCII heat maps and one-line
+//! region summaries for terminals, and a JSON heat-map dump consumed by
+//! the experiment harness.
 
 use crate::detect::heatmap::HeatMap;
 use crate::detect::region::VarianceRegion;
-use serde::Serialize;
 
 /// Shade characters from worst (left) to best performance (right).
 const SHADES: &[char] = &['#', '@', '%', '+', '=', '-', ':', '.', ' '];
@@ -73,35 +73,6 @@ pub fn describe_region(r: &VarianceRegion) -> String {
     )
 }
 
-/// Dump any serialisable series as a CSV with the given header.
-pub fn to_csv<T: Serialize>(header: &str, rows: &[T]) -> String {
-    let mut out = String::from(header);
-    out.push('\n');
-    for row in rows {
-        let v = serde_json::to_value(row).expect("serialisable row");
-        match v {
-            serde_json::Value::Array(fields) => {
-                let line: Vec<String> = fields.iter().map(json_scalar).collect();
-                out.push_str(&line.join(","));
-            }
-            serde_json::Value::Object(map) => {
-                let line: Vec<String> = map.values().map(json_scalar).collect();
-                out.push_str(&line.join(","));
-            }
-            other => out.push_str(&json_scalar(&other)),
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn json_scalar(v: &serde_json::Value) -> String {
-    match v {
-        serde_json::Value::String(s) => s.clone(),
-        other => other.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +134,5 @@ mod tests {
         assert!(s.contains("ranks 2..=2"));
         assert!(s.contains("0.40"));
         assert!(s.contains("0.500s"));
-    }
-
-    #[test]
-    fn csv_of_tuples() {
-        let rows = vec![(1.0, 2.0), (3.0, 4.0)];
-        let csv = to_csv("a,b", &rows);
-        assert_eq!(csv, "a,b\n1.0,2.0\n3.0,4.0\n");
     }
 }

@@ -1046,7 +1046,7 @@ mod tests {
         use crate::vopr::fault_points::{snapshot, FaultPoint};
         let structural_hits = || snapshot()[FaultPoint::WireStructuralReject as usize];
         let clean = stamped_batch().encode_v3();
-        let mut stats = crate::detect::server::IngestStats::default();
+        let mut stats = crate::detect::admission::IngestStats::default();
         let before = structural_hits();
         for got in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
             let mut bytes = clean.clone();

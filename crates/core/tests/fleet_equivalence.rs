@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use vapro_core::detect::window::Window;
-use vapro_core::detect::server::{WindowReport, WindowedIngestor};
+use vapro_core::detect::ingestor::{WindowReport, WindowedIngestor};
 use vapro_core::fleet::{FleetConfig, FleetIngestor, FleetWindow, JobKey};
 use vapro_core::fragment::{Fragment, FragmentKind};
 use vapro_core::stg::{StateKey, Stg};
@@ -96,7 +96,7 @@ fn run_fleet(mut fleet: FleetIngestor, frames: &[Vec<u8>]) -> Vec<FleetWindow> {
     for f in frames {
         windows.extend(fleet.push_encoded(f).expect("valid frame"));
     }
-    windows.extend(fleet.finish());
+    windows.extend(fleet.into_report().1);
     windows
 }
 
@@ -243,7 +243,7 @@ fn unknown_tenant_is_a_structured_rejection() {
     for f in &default_frames {
         windows.extend(fleet.push_encoded(f).expect("default tenant admitted"));
     }
-    windows.extend(fleet.finish());
+    windows.extend(fleet.into_report().1);
     assert!(!windows.is_empty(), "default tenant still closes windows");
 }
 

@@ -11,7 +11,7 @@
 //! threads of its own, and a second test would move the census.
 #![cfg(target_os = "linux")]
 
-use vapro_core::detect::server::WindowedIngestor;
+use vapro_core::detect::ingestor::WindowedIngestor;
 use vapro_core::detect::window::Window;
 use vapro_core::fleet::{FleetConfig, FleetIngestor, JobKey};
 use vapro_core::fragment::{Fragment, FragmentKind};
@@ -130,7 +130,7 @@ fn fleet(periods: u64) -> (usize, usize) {
             peak = peak.max(census());
         }
     }
-    closed += fleet.finish().len();
+    closed += fleet.into_report().1.len();
     (closed, peak.max(census()))
 }
 

@@ -21,8 +21,11 @@
 //! workspace method of that name — unless the name is on the
 //! total-by-contract std list (`KNOWN_TOTAL`), where by-name taint would
 //! drown the signal (`.push()` would otherwise pull in every workspace
-//! `push`). External calls not on that list are tainted-unless-waived
-//! inside an R5 tree.
+//! `push`). Whatever the route, a candidate that declares a different
+//! number of parameters than the call passes arguments is not the
+//! callee and is dropped (`id.index()` on a `CounterId` is not
+//! `impl Index<(usize, usize)> for Matrix`). External calls not on that
+//! list are tainted-unless-waived inside an R5 tree.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -118,6 +121,8 @@ const KNOWN_TOTAL: &[&str] = &[
     "lock", "try_lock", "read", "write", "wait", "notify_one", "notify_all",
     "load", "store", "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "swap",
     "compare_exchange", "compare_exchange_weak", "fetch_update_never",
+    // `Cell::set` stores; `OnceLock::set` returns `Result`.
+    "set",
     // Time and misc (total by contract).
     "elapsed", "duration_since_never", "as_nanos", "as_micros", "as_millis",
     "as_secs", "as_secs_f64", "saturating_duration_since", "min_stack_never",
@@ -278,7 +283,37 @@ impl<'a> Graph<'a> {
         Some(ty)
     }
 
+    /// Where `call` lands, candidates of the wrong arity dropped. A
+    /// call left with no workspace candidate is external.
     pub(crate) fn resolve(&self, caller: FnId, call: &CallSite) -> Target {
+        match self.resolve_by_name(caller, call) {
+            Target::Workspace(mut targets) => {
+                targets.retain(|&t| self.arity_matches(t, call));
+                if targets.is_empty() {
+                    Target::External { total: is_total(&call.callee) }
+                } else {
+                    Target::Workspace(targets)
+                }
+            }
+            external => external,
+        }
+    }
+
+    /// Could `call` be a call of `id`, going by argument count alone?
+    /// Method syntax passes the receiver outside the parentheses; path
+    /// syntax (`Type::method(x, ..)`) passes it as the first argument.
+    /// Unknown on either side matches.
+    fn arity_matches(&self, id: FnId, call: &CallSite) -> bool {
+        let item = self.item(id);
+        let (Some(params), Some(args)) = (item.params, call.args) else { return true };
+        match call.recv {
+            Recv::Chain(_) | Recv::Opaque => item.has_self && params == args,
+            Recv::Free { .. } => params + usize::from(item.has_self) == args,
+            Recv::FnRef => true,
+        }
+    }
+
+    fn resolve_by_name(&self, caller: FnId, call: &CallSite) -> Target {
         let callee = call.callee.as_str();
         // `Site(x)`, `StateKey::Site(x)`: an uppercase name that is no
         // workspace fn is a tuple-struct or enum-variant constructor —

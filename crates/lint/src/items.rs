@@ -46,6 +46,12 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     pub line: u32,
     pub test: bool,
+    /// Declared parameters, the `self` receiver excluded; `None` when
+    /// the signature did not parse.
+    pub params: Option<usize>,
+    /// The first parameter is a `self` receiver (a method, callable
+    /// with `.name(..)` syntax).
+    pub has_self: bool,
     /// The body calls `with_capacity`/`reserve`/`reserve_exact` —
     /// evidence the author sized their buffers (R4/R6).
     pub reserves: bool,
@@ -75,6 +81,10 @@ pub struct CallSite {
     pub callee: String,
     pub recv: Recv,
     pub line: u32,
+    /// Arguments written at the call (`None` for a bare fn reference
+    /// and for a group the scanner could not close). Resolution rejects
+    /// candidates that declare a different number of parameters.
+    pub args: Option<usize>,
 }
 
 /// How a call names its target.
@@ -173,6 +183,7 @@ pub fn index_tokens(tokens: &[Token]) -> FileIndex {
     for (f, item) in fns.iter_mut().enumerate() {
         let (sig_start, sig_end) = st.sigs[f];
         collect_params(&tokens[sig_start..sig_end], item);
+        collect_arity(&tokens[sig_start..sig_end], item);
     }
     facts(tokens, &st.owner, &mut fns);
     FileIndex { fns, fields: st.fields, aliases: st.aliases }
@@ -528,6 +539,80 @@ fn outer_type(tokens: &[Token], mut i: usize) -> Option<String> {
     last
 }
 
+/// How many comma-separated items the parenthesised group opened at
+/// `open` holds; `None` when `open` is not a `(` or the group never
+/// closes. Commas inside nested `()`/`[]`/`{}` groups do not count; nor
+/// do those of a generic argument list (every `<..>` when `types` is
+/// set — a signature — and only a turbofish `::<..>` in an expression,
+/// where a bare `<` is a comparison) or of a closure's `|a, b|`
+/// parameter list.
+fn group_arity(tokens: &[Token], open: usize, types: bool) -> Option<usize> {
+    if tokens.get(open)?.tok != Tok::Punct("(".into()) {
+        return None;
+    }
+    let (mut nest, mut angle, mut commas) = (0i64, 0i64, 0usize);
+    let mut item_start = open + 1;
+    let mut i = open + 1;
+    while let Some(Token { tok, .. }) = tokens.get(i) {
+        match tok {
+            Tok::Punct(p) if matches!(p.as_str(), "(" | "[" | "{") => nest += 1,
+            Tok::Punct(p) if matches!(p.as_str(), ")" | "]" | "}") && nest > 0 => nest -= 1,
+            // A trailing comma opens no further item.
+            Tok::Punct(p) if p == ")" => return Some(commas + usize::from(item_start < i)),
+            Tok::Punct(p)
+                if p == "<"
+                    && (types || angle > 0 || tokens[i - 1].tok == Tok::Punct("::".into())) =>
+            {
+                angle += 1
+            }
+            Tok::Punct(p) if (p == ">" || p == ">>") && angle > 0 => {
+                angle = (angle - p.len() as i64).max(0)
+            }
+            Tok::Punct(p) if p == "," && nest == 0 && angle == 0 => {
+                commas += 1;
+                item_start = i + 1;
+            }
+            // A closure's parameter list opens an argument.
+            Tok::Punct(p)
+                if p == "|"
+                    && !types
+                    && nest == 0
+                    && (i == item_start || tokens[i - 1].tok == Tok::Ident("move".into())) =>
+            {
+                i += 1;
+                while tokens.get(i).is_some_and(|t| t.tok != Tok::Punct("|".into())) {
+                    i += 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Parameter count and `self` receiver of a signature token range.
+fn collect_arity(sig: &[Token], item: &mut FnItem) {
+    // The parameter list is the first `(` outside the generics.
+    let mut angle = 0i64;
+    let open = sig.iter().position(|t| match &t.tok {
+        Tok::Punct(p) if p == "<" => {
+            angle += 1;
+            false
+        }
+        Tok::Punct(p) if p == ">" || p == ">>" => {
+            angle -= p.len() as i64;
+            false
+        }
+        Tok::Punct(p) => p == "(" && angle <= 0,
+        _ => false,
+    });
+    let Some(open) = open else { return };
+    // `self`, `&self`, `&mut self`, `mut self`, `self: Box<Self>`.
+    item.has_self = sig[open + 1..].iter().take(3).any(|t| t.tok == Tok::Ident("self".into()));
+    item.params = group_arity(sig, open, true).map(|n| n - usize::from(item.has_self));
+}
+
 /// Extract `name: Type` params from a signature token range.
 fn collect_params(sig: &[Token], item: &mut FnItem) {
     let mut depth = 0i64;
@@ -670,7 +755,12 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
                     let region = lock_region(tokens, i, *line, &recv);
                     fns[f].lock_regions.push(region);
                 }
-                fns[f].calls.push(CallSite { callee: m.clone(), recv, line: *line });
+                fns[f].calls.push(CallSite {
+                    callee: m.clone(),
+                    recv,
+                    line: *line,
+                    args: group_arity(tokens, i + 2, false),
+                });
             }
         }
 
@@ -697,6 +787,7 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
                     callee: m.clone(),
                     recv: Recv::Free { qualifier },
                     line: t.line,
+                    args: group_arity(tokens, i + 1, false),
                 });
             }
         }
@@ -737,6 +828,7 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
                     callee: m.clone(),
                     recv: Recv::FnRef,
                     line: tokens[i].line,
+                    args: None,
                 });
             }
         }
@@ -918,6 +1010,7 @@ fn lock_region(tokens: &[Token], dot: usize, line: u32, recv: &Recv) -> LockRegi
                     callee: m.clone(),
                     recv: receiver_chain(tokens, i),
                     line: *line,
+                    args: group_arity(tokens, i + 2, false),
                 });
             }
         }
@@ -947,6 +1040,7 @@ fn lock_region(tokens: &[Token], dot: usize, line: u32, recv: &Recv) -> LockRegi
                     callee: m.clone(),
                     recv: Recv::Free { qualifier },
                     line: t.line,
+                    args: group_arity(tokens, i + 1, false),
                 });
             }
         }
@@ -1107,5 +1201,36 @@ mod tests {
         let ix = index(src);
         assert!(!find(&ix, "prod").test);
         assert!(find(&ix, "t").test);
+    }
+
+    #[test]
+    fn parameters_and_arguments_are_counted() {
+        let src = "
+            impl Matrix {
+                fn index(&self, (r, c): (usize, usize)) -> &f64 { &self.data[r * self.cols + c] }
+                fn fit<F: Fn(u8) -> u8>(self: Box<Self>, f: F, m: HashMap<u8, Vec<u8>>,) {}
+                fn origin() -> Matrix { Matrix::zeros(0, 0) }
+            }
+            fn caller(m: &Matrix, v: Vec<u8>) {
+                m.index((0, 1));
+                id.index();
+                v.iter().fold(0, |acc, x| acc + x);
+                pair(a < b, c > d);
+                wrap(parse::<HashMap<u8, u8>>(v), 1,);
+            }
+        ";
+        let ix = index(src);
+        let sig = |name: &str| (find(&ix, name).params, find(&ix, name).has_self);
+        assert_eq!(sig("index"), (Some(1), true));
+        assert_eq!(sig("fit"), (Some(2), true));
+        assert_eq!(sig("origin"), (Some(0), false));
+        let args = |callee: &str| -> Vec<Option<usize>> {
+            let calls = &find(&ix, "caller").calls;
+            calls.iter().filter(|c| c.callee == callee).map(|c| c.args).collect()
+        };
+        assert_eq!(args("index"), [Some(1), Some(0)]);
+        assert_eq!(args("fold"), [Some(2)], "a closure's parameter list is one argument");
+        assert_eq!(args("pair"), [Some(2)], "a bare `<` in an expression is a comparison");
+        assert_eq!(args("wrap"), [Some(2)], "turbofish commas and a trailing comma");
     }
 }

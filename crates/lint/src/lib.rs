@@ -67,7 +67,9 @@ pub struct EntryLine {
 /// * R1 covers the hot-path modules named by the design docs:
 ///   `detect/`, `diagnose/`, `wire.rs`, `clustering.rs`, `columnar.rs`.
 /// * R2 covers the wire decode functions, the server ingest admission
-///   functions, the fleet plane's admission/routing functions and the
+///   functions (`detect/ingestor.rs` entry points and the
+///   `detect/admission.rs` plane behind them), the fleet plane's
+///   admission/routing functions and the
 ///   VOPR admission oracle (`crates/vopr/src/model.rs` — it faces the
 ///   same hostile deliveries the server does, and an oracle that
 ///   panics cannot falsify anything); the arithmetic sub-rule applies
@@ -111,7 +113,8 @@ pub fn workspace_config() -> LintConfig {
         "decode_payload",
         "kind_from_byte",
     ];
-    let server_fns = ["push_encoded", "admit", "is_duplicate", "gaps", "count_decode_error"];
+    let ingestor_fns = ["push_encoded", "admit"];
+    let admission_fns = ["admit", "is_duplicate", "gaps", "count_decode_error"];
     let fleet_fns = [
         "push_encoded",
         "push_batch",
@@ -134,9 +137,13 @@ pub fn workspace_config() -> LintConfig {
         file: "crates/core/src/wire.rs".into(),
         funcs: wire_fns.iter().map(|s| s.to_string()).collect(),
     };
-    let server_scope = FnScope {
-        file: "crates/core/src/detect/server.rs".into(),
-        funcs: server_fns.iter().map(|s| s.to_string()).collect(),
+    let ingestor_scope = FnScope {
+        file: "crates/core/src/detect/ingestor.rs".into(),
+        funcs: ingestor_fns.iter().map(|s| s.to_string()).collect(),
+    };
+    let admission_scope = FnScope {
+        file: "crates/core/src/detect/admission.rs".into(),
+        funcs: admission_fns.iter().map(|s| s.to_string()).collect(),
     };
     let fleet_scope = FnScope {
         file: "crates/core/src/fleet.rs".into(),
@@ -164,7 +171,8 @@ pub fn workspace_config() -> LintConfig {
         r1_files,
         r2_scopes: vec![
             wire_scope.clone(),
-            server_scope.clone(),
+            ingestor_scope.clone(),
+            admission_scope.clone(),
             fleet_scope.clone(),
             vopr_scope.clone(),
         ],
@@ -178,7 +186,7 @@ pub fn workspace_config() -> LintConfig {
             "crates/stats/src/".into(),
         ],
         r4_files,
-        r5_entries: vec![wire_scope, server_scope, fleet_scope, vopr_scope],
+        r5_entries: vec![wire_scope, ingestor_scope, admission_scope, fleet_scope, vopr_scope],
         r5_frontier: vec![
             "analyze_view_columnar".into(),
             "refill_from_merged".into(),
@@ -187,7 +195,7 @@ pub fn workspace_config() -> LintConfig {
             "surface_failure".into(),
         ],
         r6_entries: vec![FnScope {
-            file: "crates/core/src/detect/server.rs".into(),
+            file: "crates/core/src/detect/ingestor.rs".into(),
             funcs: vec!["close_ready".into()],
         }],
         r6_budgeted_files: r6_budgeted,

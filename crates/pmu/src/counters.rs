@@ -7,14 +7,13 @@
 //! faithfully: a [`CounterSnapshot`] only contains the events that were in
 //! the active set when it was taken.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A hardware PMU event or OS software counter.
 ///
 /// Hardware names follow Intel conventions (as used in the paper, e.g.
 /// `CYCLE_ACTIVITY.STALLS_L2_MISS` for the HPL hardware-bug case study).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum CounterId {
     /// Timestamp counter: wall-clock cycles, including suspension time.
@@ -176,7 +175,7 @@ pub const NUM_COUNTERS: usize = CounterId::ALL.len();
 /// [`CounterSet::hardware_slots`] reports how many hardware events a set
 /// needs so callers can enforce the limit the paper's progressive diagnosis
 /// works around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CounterSet(u32);
 
 impl CounterSet {
@@ -268,7 +267,7 @@ impl CounterSet {
 ///
 /// Used both as an absolute snapshot ([`CounterSnapshot`]) and as a
 /// difference between two snapshots ([`CounterDelta`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterVector {
     values: [f64; NUM_COUNTERS],
     set: CounterSet,
@@ -281,11 +280,6 @@ impl Default for CounterVector {
 }
 
 impl CounterVector {
-    /// An all-zero vector with the given active set.
-    pub fn zeroed(set: CounterSet) -> Self {
-        CounterVector { values: [0.0; NUM_COUNTERS], set }
-    }
-
     /// The active counter set.
     pub fn set(&self) -> CounterSet {
         self.set

@@ -23,10 +23,9 @@ use crate::noise_env::NoiseEnv;
 use crate::os::OsCosts;
 use crate::workload::WorkloadSpec;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Static description of the simulated processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Core frequency in GHz (cycles per nanosecond).
     pub freq_ghz: f64,

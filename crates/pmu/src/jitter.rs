@@ -9,10 +9,9 @@
 
 use crate::counters::{CounterDelta, CounterId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative jitter applied to hardware counter readings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Relative standard deviation of the multiplicative error.
     pub relative_sigma: f64,

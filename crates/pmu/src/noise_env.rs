@@ -5,11 +5,10 @@
 //! perturbations. Keeping this type in `vapro-pmu` lets the CPU model stay
 //! independent of the runtime.
 
-use serde::{Deserialize, Serialize};
 
 /// Perturbations active while a fragment executes. The default is a quiet
 /// machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseEnv {
     /// Fraction of wall time stolen from the rank by a co-scheduled process
     /// (e.g. `stress` pinned on the same core, paper Fig. 5/12). `0.5`

@@ -7,10 +7,9 @@
 //! service time. The constants are rough Linux magnitudes; the diagnosis
 //! algorithms only rely on their relative order.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-event service times in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsCosts {
     /// A minor fault: page already resident, only PTE fixup.
     pub soft_fault_ns: f64,

@@ -9,11 +9,10 @@
 
 use crate::counters::{CounterDelta, CounterId};
 use crate::PIPELINE_WIDTH;
-use serde::{Deserialize, Serialize};
 
 /// Level-1 + level-2 breakdown of one fragment's wall time, as *fractions
 /// of wall-clock time* (all fields sum to 1 up to measurement jitter).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TopDown {
     /// Useful work: slots retiring uops.
     pub retiring: f64,
@@ -28,7 +27,7 @@ pub struct TopDown {
 }
 
 /// Level-2/3 refinement of the backend-bound share.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TopDownL2 {
     /// Core bound (non-memory execution stalls), as a fraction of wall time.
     pub core_bound: f64,

@@ -8,11 +8,10 @@
 //! workload-proxy counters) agree up to PMU jitter, while their elapsed time
 //! may differ under noise.
 
-use serde::{Deserialize, Serialize};
 
 /// Fractions of memory references satisfied at each level of the hierarchy.
 /// The four fields must sum to 1 (enforced by [`Locality::normalized`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Locality {
     /// Fraction of references that hit in L1D.
     pub l1: f64,
@@ -55,7 +54,7 @@ impl Locality {
 }
 
 /// The abstract work of one computation fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Retired instructions.
     pub instructions: f64,

@@ -14,11 +14,10 @@
 
 use parking_lot::Mutex;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Cost model for the shared filesystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FsConfig {
     /// Fixed per-operation latency (metadata + RPC), ns. Small-file
     /// workloads are dominated by this term.
@@ -102,11 +101,6 @@ impl SimFs {
     /// The cost model.
     pub fn config(&self) -> &FsConfig {
         &self.cfg
-    }
-
-    /// Whether the client buffer is enabled.
-    pub fn is_buffered(&self) -> bool {
-        self.buffered
     }
 
     /// Cost of an `open` of `fd` (metadata RPC), under `fs_slowdown` ≥ 1.

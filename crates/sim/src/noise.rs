@@ -11,11 +11,10 @@
 
 use crate::time::VirtualTime;
 use crate::topology::{Placement, Topology};
-use serde::{Deserialize, Serialize};
 use vapro_pmu::NoiseEnv;
 
 /// One kind of performance perturbation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseKind {
     /// A co-scheduled CPU hog on the same core (`stress`): the scheduler
     /// splits the core, stealing `steal` of wall time (0.5 = 50/50 split).
@@ -71,7 +70,7 @@ pub enum NoiseKind {
 }
 
 /// Which ranks a noise event applies to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TargetSet {
     /// Every rank.
     All,
@@ -96,7 +95,7 @@ impl TargetSet {
 }
 
 /// A noise kind scoped in space and time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseEvent {
     /// What perturbation.
     pub kind: NoiseKind,
@@ -132,7 +131,7 @@ impl NoiseEvent {
 }
 
 /// The full schedule for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NoiseSchedule {
     /// Events, in no particular order.
     pub events: Vec<NoiseEvent>,

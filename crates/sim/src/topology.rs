@@ -4,10 +4,9 @@
 //! hardware bug on one *socket* (§6.5.1), a degraded *node* (§6.5.2) — so
 //! the schedule needs to resolve a rank to its (node, socket, core).
 
-use serde::{Deserialize, Serialize};
 
 /// Where one rank lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Placement {
     /// Node index in the cluster.
     pub node: usize,
@@ -22,7 +21,7 @@ pub struct Placement {
 /// A homogeneous cluster description with block rank placement
 /// (consecutive ranks fill a node before spilling to the next, matching
 /// common MPI defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Number of nodes.
     pub nodes: usize,

@@ -4,7 +4,6 @@
 //! standard-deviation reporting (e.g. paper Fig. 16's CDF and the
 //! "σ reduced by 73.5 %" results).
 
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -101,7 +100,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// One-line summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

@@ -9,10 +9,9 @@
 use crate::describe::pearson;
 use crate::dist::chi2_sf;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Result of one Farrar–Glauber chi-square test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FarrarGlauber {
     /// The χ² statistic: −(n − 1 − (2k + 5)/6) · ln det R.
     pub chi2: f64,
@@ -83,7 +82,7 @@ pub fn vif(x: &[Vec<f64>]) -> Option<Vec<f64>> {
 }
 
 /// Outcome of the stepwise multicollinearity-removal procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FgOutcome {
     /// Indices (into the original column list) kept for OLS.
     pub kept: Vec<usize>,
@@ -94,7 +93,7 @@ pub struct FgOutcome {
 }
 
 /// A factor removed due to multicollinearity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemovedFactor {
     /// Original column index of the removed factor.
     pub index: usize,

@@ -4,11 +4,10 @@
 //! number of diagnosis factors, ≤ ~15), so cache blocking is unnecessary;
 //! clarity and numerical robustness win.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -198,9 +197,7 @@ impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        // vapro-lint: allow(R5, Index contract: bounds asserted in debug, callers iterate 0..rows/cols)
         debug_assert!(i < self.rows && j < self.cols);
-        // vapro-lint: allow(R5, i * cols + j < rows * cols = data.len() under the asserted bounds)
         &self.data[i * self.cols + j]
     }
 }

@@ -8,10 +8,9 @@
 
 use crate::dist::t_sf_two_sided;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// One fitted term (a column of the design matrix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OlsTerm {
     /// Estimated coefficient β̂.
     pub coef: f64,
@@ -39,7 +38,7 @@ impl OlsTerm {
 }
 
 /// A complete OLS fit of `y ~ X` (plus optional intercept).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OlsFit {
     /// Per-column terms, in design-matrix column order. When fitted with
     /// an intercept, index 0 is the intercept.

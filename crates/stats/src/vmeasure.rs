@@ -10,11 +10,10 @@
 //!   — violated when one workload is split across clusters.
 //! * **V-Measure**: harmonic mean of the two.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The three scores in [0, 1].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VMeasure {
     /// Homogeneity score.
     pub homogeneity: f64,

@@ -499,7 +499,6 @@ fn drive_fleet(
         bins_per_window: 8,
         vapro: cfg.clone(),
         queue_capacity_frames: plan.queue_capacity_frames,
-        default_tenant_budget_bytes: u64::MAX,
     });
     for jp in &plan.jobs {
         let budget = budgets.iter().find(|&&(t, _)| t == jp.tenant).map_or(u64::MAX, |&(_, b)| b);

@@ -257,7 +257,6 @@ mod tests {
         VaproConfig {
             report_period: VirtualTime::from_ns(period_ns),
             fault: FaultTolerance {
-                straggler_horizon: Some(VirtualTime::from_ns(period_ns * 2)),
                 dead_horizon: Some(VirtualTime::from_ns(period_ns * 4)),
                 late_data: LateDataPolicy::Drop,
                 max_buffered_bytes: cap,

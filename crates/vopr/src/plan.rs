@@ -24,8 +24,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vapro_core::detect::window::Window;
 use vapro_core::{
-    FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey, LateDataPolicy, ServerPool,
-    StateKey, Stg, VaproConfig, WindowReport,
+    analyze_windows, FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey,
+    LateDataPolicy, StateKey, Stg, VaproConfig, WindowReport,
 };
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::{CallSite, VirtualTime};
@@ -259,13 +259,12 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
 }
 
 /// The ingestion config every plan runs under: production straggler
-/// policy scaled to `period_ns` (degrade after 2 periods, dead after 4,
-/// drop late data), unbounded buffering unless the caller arms a cap.
+/// policy scaled to `period_ns` (dead after 4 periods, drop late data),
+/// unbounded buffering unless the caller arms a cap.
 pub fn plan_config(period_ns: u64) -> VaproConfig {
     VaproConfig {
         report_period: VirtualTime::from_ns(period_ns),
         fault: FaultTolerance {
-            straggler_horizon: Some(VirtualTime::from_ns(period_ns.saturating_mul(2))),
             dead_horizon: Some(VirtualTime::from_ns(period_ns.saturating_mul(4))),
             late_data: LateDataPolicy::Drop,
             max_buffered_bytes: None,
@@ -438,12 +437,7 @@ pub fn plan_events(plan: &FaultPlan) -> Vec<TransportEvent> {
 /// bit-identity reference for clean streamed runs.
 pub fn one_shot_reference(plan: &FaultPlan) -> Vec<WindowReport> {
     let cfg = plan_config(plan.period_ns());
-    ServerPool::new(1, plan.total_ranks()).analyze_windows(
-        &plan.stgs(),
-        plan.total_ranks(),
-        8,
-        &cfg,
-    )
+    analyze_windows(&plan.stgs(), plan.total_ranks(), 8, &cfg)
 }
 
 /// Field-wise equality of one report pair, as a `Result` naming the

@@ -8,8 +8,8 @@
 //! ```
 
 use vapro::apps::{npb::lu, AppParams};
-use vapro::core::detect::server::tree_aggregate;
-use vapro::core::{HeatMap, ServerPool, VaproConfig, VaproReport};
+use vapro::core::detect::heatmap::tree_aggregate;
+use vapro::core::{analyze_windows, HeatMap, VaproConfig, VaproReport};
 use vapro::harness::{run_bare, run_under_vapro};
 use vapro::pmu::events;
 use vapro::sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
@@ -35,15 +35,8 @@ fn main() {
     let run = run_under_vapro(&cfg, &vcfg, |ctx| lu::run(ctx, &params));
     println!("monitored makespan: {}", run.makespan);
 
-    // Two analysis servers share the 8 clients; the overlapped windows
-    // analyse in parallel (rayon inside the pool).
-    let pool = ServerPool::new(2, ranks);
-    println!(
-        "server pool: {} servers, {:.2}% resource overhead",
-        pool.servers.len(),
-        pool.resource_overhead() * 100.0
-    );
-    let reports = pool.analyze_windows(&run.stgs, ranks, 24, &vcfg);
+    // The overlapped windows analyse in parallel (rayon).
+    let reports = analyze_windows(&run.stgs, ranks, 24, &vcfg);
     println!("analysed {} overlapped windows of {}", reports.len(), vcfg.report_period);
     for r in &reports {
         let flagged = r
@@ -67,17 +60,17 @@ fn main() {
         }
     }
 
-    // Tree aggregation (the MRNet-style reduction of §5): each leaf
-    // server builds a same-geometry slab holding only its clients'
-    // normalised points; the tree reduces them to the root overview map.
+    // Tree aggregation (the MRNet-style reduction of §5): each of two
+    // leaf aggregators (clients assigned round-robin) builds a
+    // same-geometry slab holding only its clients' normalised points;
+    // the tree reduces them to the root overview map.
+    let leaves = 2;
     let geometry = HeatMap::spanning(&run.detection.series.computation, 48, ranks);
-    let slabs: Vec<HeatMap> = pool
-        .servers
-        .iter()
-        .map(|server| {
+    let slabs: Vec<HeatMap> = (0..leaves)
+        .map(|leaf| {
             let mut slab = HeatMap::new(geometry.t0, geometry.bin_ns, geometry.bins, ranks);
             for p in &run.detection.series.computation {
-                if server.clients.contains(&p.rank) {
+                if p.rank % leaves == leaf {
                     slab.add_point(p);
                 }
             }

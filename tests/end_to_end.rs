@@ -167,7 +167,7 @@ fn detection_is_deterministic() {
 
 #[test]
 fn windowed_server_analysis_runs_over_a_long_horizon() {
-    use vapro::core::ServerPool;
+    use vapro::core::analyze_windows;
     let params = AppParams::default().with_iterations(30).with_scale(50.0);
     let cfg = SimConfig::new(4);
     let run = run_under_vapro(&cfg, &VaproConfig::default(), |ctx| {
@@ -175,8 +175,7 @@ fn windowed_server_analysis_runs_over_a_long_horizon() {
     });
     // At scale 20 a run spans multiple 15-second reporting periods.
     assert!(run.makespan > VirtualTime::from_secs(15), "makespan {}", run.makespan);
-    let pool = ServerPool::new(2, 4);
-    let reports = pool.analyze_windows(&run.stgs, 4, 16, &VaproConfig::default());
+    let reports = analyze_windows(&run.stgs, 4, 16, &VaproConfig::default());
     assert!(reports.len() >= 2, "only {} windows", reports.len());
     for r in &reports {
         assert!(r.result.comp_regions.is_empty(), "quiet run flagged in {:?}", r.window);
