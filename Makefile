@@ -4,7 +4,7 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test clippy clean
+.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test repro-check clippy clean
 
 # The full gate: release build, tests, a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
@@ -12,8 +12,8 @@ OFFLINE := --offline
 # with warnings denied (as CI runs it), the static-analysis pass, sanitizer runs (skipped gracefully
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
-# `benchmark/` against the workspace), then the VOPR fault-injection
-# simulation. Throughput is measured by `make benchmark`, and gated
+# `benchmark/` against the workspace), the committed `repro all` output,
+# then the VOPR fault-injection simulation. Throughput is measured by `make benchmark`, and gated
 # base-vs-head by `benchmark compare` in CI.
 check:
 	$(CARGO) build --release $(OFFLINE)
@@ -25,6 +25,7 @@ check:
 	$(MAKE) tsan
 	$(MAKE) soak
 	$(MAKE) benchmark-test
+	$(MAKE) repro-check
 	$(MAKE) vopr
 
 # Workspace static analysis: per-body rules (R1 no-hot-path-clone,
@@ -110,6 +111,13 @@ benchmark:
 
 benchmark-test:
 	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml
+
+# `repro_output.txt` is what `repro all` prints (every table and figure,
+# in virtual time: seeded, thread-count independent, ≈2 s). A change
+# that moves a number regenerates the file in the same commit:
+# `cargo run --release --offline -q -p vapro-bench --bin repro -- all > repro_output.txt`.
+repro-check:
+	$(CARGO) run --release $(OFFLINE) -q -p vapro-bench --bin repro -- all | diff - repro_output.txt
 
 clean:
 	$(CARGO) clean

@@ -1,10 +1,10 @@
 //! Registry mini-apps through the fleet plane: three applications (NPB
 //! CG, HPL, PageRank) run under the collector, are sliced into
 //! sequenced wire frames, and stream — interleaved, as separate jobs
-//! of separate tenants — through one sharded [`FleetIngestor`]. Each
+//! of separate tenants — through one [`FleetIngestor`]. Each
 //! job's streamed output must be bit-identical to the one-shot windowed
 //! analysis of its own run ([`analyze_windows`]): the fleet
-//! plane adds routing, queueing and admission, never analysis drift.
+//! plane adds routing and admission, never analysis drift.
 
 use vapro::harness::run_under_vapro;
 use vapro_apps::{find_app, AppParams};
@@ -92,7 +92,6 @@ fn three_mini_apps_stream_through_the_fleet_bit_identically() {
         default_nranks: nranks,
         bins_per_window: BINS,
         vapro: cfg.clone(),
-        queue_capacity_frames: 4,
     });
     for j in 0..apps.len() {
         let key = JobKey { tenant: 1 + j as u32, job: j as u32 };

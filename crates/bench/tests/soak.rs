@@ -125,7 +125,7 @@ fn soak_windowed(periods: usize, frags_per_rank: usize) -> (usize, u64) {
     (reports.len(), high_water)
 }
 
-/// Stream three jobs round-robin through a 2-shard fleet, assert
+/// Stream three jobs round-robin through one fleet plane, assert
 /// clone-freedom, and prove every job's fleet output bit-identical to a
 /// solo ingestor fed the same frames. Returns total windows closed.
 fn soak_fleet(periods: usize, frags_per_rank: usize) -> usize {
@@ -153,7 +153,6 @@ fn soak_fleet(periods: usize, frags_per_rank: usize) -> usize {
         default_nranks: nranks,
         bins_per_window: 16,
         vapro: cfg.clone(),
-        queue_capacity_frames: 8,
     });
     for (tenant, job) in jobs {
         fleet.register_tenant(tenant, u64::MAX);

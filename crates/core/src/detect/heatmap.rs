@@ -25,8 +25,10 @@ const PAR_POINTS_MIN: usize = 2048;
 /// `normalize.ns_per_frag` 16 on `stream_quiet`), so 0.7 ms is ≈8k
 /// rows. Windows below that — every window of the four benchmark
 /// workloads (≈1.5k and ≈48 rows) — are parallel *across* windows on
-/// the analysis stage instead, where there is no hand-off per window.
-/// DESIGN.md §13 has the measurement.
+/// the analysis stage instead. That costs one hand-off per window
+/// (≈25 µs), which is why the stage keeps windows below its own
+/// `INLINE_ROWS_MAX` on the submitting thread. DESIGN.md §13 has the
+/// measurements.
 pub(crate) const PAR_ROWS_MIN: usize = 8192;
 
 /// Deposit one point into its rank's row slices, distributing its weight

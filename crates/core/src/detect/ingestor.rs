@@ -229,13 +229,15 @@ impl WindowedIngestor {
     /// Absorb one batch and analyse every window it closed. Batches past
     /// a rank's last fragment (even empty ones) still advance its
     /// shipping mark. Rejections (duplicates, late data under `Drop`,
-    /// backpressure) are counted in [`IngestStats`], never panics.
+    /// backpressure) are counted in [`IngestStats`], never panics. The
+    /// batch never was a frame, so its size on the wire is estimated.
     pub fn push(&mut self, batch: FragmentBatch) -> Vec<WindowReport> {
         let approx = 64
             + batch.labels.iter().map(|l| l.len() as u64 + 4).sum::<u64>()
             + batch.fragments().map(fragment_wire_bytes).sum::<u64>();
-        let _ = self.admit(batch, approx); // rejection already counted
-        self.close_ready()
+        // A rejection is already counted and closes nothing; what is
+        // left to hand back is what the stage finished meanwhile.
+        self.push_sized(batch, approx).unwrap_or_else(|_| self.poll_reports())
     }
 
     /// Decode one binary frame, absorb it, analyse closed windows. The
@@ -253,16 +255,23 @@ impl WindowedIngestor {
                 return Err(e);
             }
         };
-        self.admit(batch, bytes.len() as u64)?;
-        Ok(self.close_ready())
+        self.push_sized(batch, bytes.len() as u64)
     }
 
-    /// [`Admission::admit`], then arena absorption of what it let in.
-    fn admit(&mut self, batch: FragmentBatch, frame_bytes: u64) -> Result<(), WireError> {
+    /// The one admission door `push`, `push_encoded` and the fleet plane
+    /// end in: [`Admission::admit`] with the caller's byte count (the
+    /// unit `max_buffered_bytes` and the tenant budgets are kept in),
+    /// arena absorption of what it let in, then every window that
+    /// became due.
+    pub(crate) fn push_sized(
+        &mut self,
+        batch: FragmentBatch,
+        frame_bytes: u64,
+    ) -> Result<Vec<WindowReport>, WireError> {
         if self.admission.admit(&batch, frame_bytes)? {
             self.arena.push_batch(batch);
         }
-        Ok(())
+        Ok(self.close_ready())
     }
 
     /// The shipping low-watermark: the minimum mark over live ranks (the
@@ -325,8 +334,8 @@ impl WindowedIngestor {
     /// Harvest reports whose analysis completed since the last call,
     /// without blocking — always the contiguous next run of windows, so
     /// concatenating everything `push`/`poll_reports`/`finish` return
-    /// yields reports in exact window order. Fleet drains call this to
-    /// pick up windows that finished between frames.
+    /// yields reports in exact window order. The fleet plane calls this
+    /// on jobs that still had windows on the pool after their last push.
     pub fn poll_reports(&mut self) -> Vec<WindowReport> {
         match self.stage.as_mut() {
             Some(stage) => stage.take_completed(),
@@ -631,10 +640,14 @@ mod tests {
         // (the oldest frame) moves the watermark across every window the
         // others were waiting on: one push submits several windows
         // before any is emitted.
+        //
+        // 50 ms fragments put ≥ 200 rows in every streamed window, above
+        // the stage's inline threshold: at depth these windows really
+        // are analysed on the pool.
         let period_ns = 5_000_000_000u64;
         let mut stgs: Vec<Stg> =
-            (0..3).map(|r| looped_stg(r, 60, 1_000_000_000, 0..0)).collect();
-        stgs[2] = looped_stg(2, 60, 1_000_000_000, 10..20);
+            (0..3).map(|r| looped_stg(r, 1200, 50_000_000, 0..0)).collect();
+        stgs[2] = looped_stg(2, 1200, 50_000_000, 200..400);
         let frames = period_frames(&stgs, 12, period_ns);
         let mut deliveries: Vec<&Vec<u8>> = frames[..6].iter().flatten().collect();
         deliveries.extend(frames[6..].iter().flat_map(|period| &period[..2]));
@@ -686,7 +699,9 @@ mod tests {
             ..VaproConfig::default()
         };
         let depth = cfg.pipeline_depth as u64;
-        let stg = looped_stg(0, 100, 1_000_000_000, 0..0);
+        // 200 rows a window: above the stage's inline threshold, so the
+        // pools really do travel to the workers and back.
+        let stg = looped_stg(0, 4000, 25_000_000, 0..0);
         let frames = period_frames(std::slice::from_ref(&stg), 20, 5_000_000_000);
         let mut ingestor = WindowedIngestor::new(1, 8, cfg);
         let mut reports = Vec::new();

@@ -8,11 +8,12 @@
 //! `WindowedIngestor::close_ready` seals each ready window, submits it,
 //! and immediately returns to draining frames while pool workers
 //! analyse in the background. It is the one door every sealed window
-//! goes through: at depth 0 the same submission runs on the submitting
-//! thread instead of the pool, so per-push emission is deterministic
-//! and nothing else about the path differs. Three properties make this
-//! safe for the repo's load-bearing stream ≡ one-shot bit-identity
-//! invariant:
+//! goes through: at depth 0, and for a window too small to be worth a
+//! hand-off (`INLINE_ROWS_MAX`), the same submission runs on the
+//! submitting thread instead of the pool — at depth 0 per-push emission
+//! is therefore deterministic — and nothing else about the path
+//! differs. Three properties make this safe for the repo's load-bearing
+//! stream ≡ one-shot bit-identity invariant:
 //!
 //! * **Sealing is synchronous.** The window view and its columnar
 //!   refill happen on the admission thread *before* the arena evicts
@@ -33,7 +34,8 @@
 //! submits to a stage, so an empty queue means every window it waits
 //! for is being analysed on another thread right now, and analysis
 //! never blocks: the wake-up is certain. A waiter that is itself a pool
-//! task (a fleet shard drainer) never starves the pool it waits on.
+//! task (a job finishing inside `FleetIngestor::into_report`'s fan-out)
+//! never starves the pool it waits on.
 //!
 //! Every finished window's [`ColumnarPool`] goes back into the
 //! ingestor's shared scratch stack, so steady-state sealing allocates
@@ -50,6 +52,16 @@ use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
+
+/// Windows with fewer fragment rows than this are analysed by the thread
+/// that submits them, at any depth. Handing a window to a parked pool
+/// worker costs ≈25 µs (futex wake, queue, the report's trip back through
+/// the reorder buffer) and analysis ≈0.25 µs a row, so below ≈100 rows
+/// the hand-off costs more than the work it moves; the rule PR 12 set
+/// for fan-outs (`PAR_ROWS_MIN`), applied to the stage. `fleet_small`'s
+/// ≈48-row windows sit below it, every stream workload's (≥ ≈770 rows)
+/// above; DESIGN.md §13 has the measurement.
+const INLINE_ROWS_MAX: usize = 128;
 
 /// One sealed window travelling through the stage: the immutable
 /// analysis input snapshotted at close time. Its sequence number travels
@@ -227,7 +239,7 @@ impl AnalysisStage {
         drop(state);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.depth == 0 {
+        if self.depth == 0 || sealed.pool.len() < INLINE_ROWS_MAX {
             self.shared.analyze(seq, sealed);
             return;
         }
@@ -251,8 +263,8 @@ impl AnalysisStage {
     }
 
     /// Block until every submitted window has been analysed and return
-    /// the remaining reports in window order. `finish` and fleet drains
-    /// join the stage through here.
+    /// the remaining reports in window order. `finish` joins the stage
+    /// through here.
     pub(crate) fn drain(&mut self) -> Vec<WindowReport> {
         // A parked canary submission must flush before the join below,
         // or drain would wait forever on a sequence number never issued.
@@ -277,14 +289,26 @@ impl AnalysisStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::arena::tests::looped_stg;
+    use crate::detect::arena::IngestArena;
+    use crate::wire::FragmentBatch;
     use std::sync::mpsc;
     use std::time::Duration;
     use vapro_sim::VirtualTime;
 
-    /// Push `n` empty half-overlapping windows through a fresh stage and
-    /// drain it: the window indices in emission order, and how many
-    /// pools came back to the scratch stack.
-    fn run_stage(depth: usize, n: u64) -> (Vec<u64>, usize) {
+    /// A pool of `rows` fragments: one rank looping over one site.
+    fn pool_of(rows: usize) -> ColumnarPool {
+        let everything = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
+        let mut arena = IngestArena::new();
+        arena.push_batch(FragmentBatch::from_stg(&looped_stg(0, rows, 1_000_000, 0..0), 0, everything));
+        ColumnarPool::from_merged(&arena.full_view())
+    }
+
+    /// Push `n` half-overlapping windows, window `k` holding `rows(k)`
+    /// fragments, through a fresh stage and drain it: the window indices
+    /// in emission order, and how many pools came back to the scratch
+    /// stack.
+    fn run_stage(depth: usize, n: u64, rows: fn(u64) -> usize) -> (Vec<u64>, usize) {
         let cfg = VaproConfig::default();
         let half = cfg.report_period.ns() / 2;
         let at = |k: u64| VirtualTime::from_ns(k * half);
@@ -292,7 +316,7 @@ mod tests {
         let mut stage = AnalysisStage::new(depth, cfg, 8, Arc::clone(&scratch));
         for k in 0..n {
             let window = Window { start: at(k), end: at(k + 2) };
-            stage.submit(window, WindowCoverage::full(2), 2, ColumnarPool::new());
+            stage.submit(window, WindowCoverage::full(2), 2, pool_of(rows(k)));
         }
         let order = stage.drain().iter().map(|r| r.window.start.ns() / half).collect();
         assert_eq!(stage.pending(), 0);
@@ -300,14 +324,25 @@ mod tests {
         (order, recycled)
     }
 
+    /// Windows big enough that a stage with depth hands them to the pool.
+    fn pooled(_: u64) -> usize {
+        INLINE_ROWS_MAX
+    }
+
     /// The reorder buffer releases only contiguous prefixes: a stage
     /// fed windows that complete out of order must still emit them in
     /// submission order, and every pool comes back.
     #[test]
     fn emission_is_in_submission_order() {
-        assert_eq!(run_stage(4, 6), ((0..6).collect(), 6));
-        // Depth 0 goes through the same door, on the submitting thread.
-        assert_eq!(run_stage(0, 6), ((0..6).collect(), 6));
+        assert_eq!(run_stage(4, 6, pooled), ((0..6).collect(), 6));
+        // Depth 0 goes through the same door, on the submitting thread —
+        assert_eq!(run_stage(0, 6, pooled), ((0..6).collect(), 6));
+        // — and so does a window below the hand-off threshold at depth.
+        assert_eq!(run_stage(4, 6, |_| 0), ((0..6).collect(), 6));
+        // Small windows finishing inline while their larger predecessors
+        // are still on the pool wait their turn in the reorder buffer.
+        let mixed = |k: u64| if k % 3 == 2 { 0 } else { INLINE_ROWS_MAX };
+        assert_eq!(run_stage(4, 12, mixed), ((0..12).collect(), 12));
     }
 
     /// More depth-1 submitters than the pool has workers, each a pool
@@ -321,7 +356,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for _ in 0..submitters {
             let tx = tx.clone();
-            rayon::spawn(move || tx.send(run_stage(1, 16)).expect("test alive"));
+            rayon::spawn(move || tx.send(run_stage(1, 16, pooled)).expect("test alive"));
         }
         for _ in 0..submitters {
             let done = rx
@@ -335,15 +370,8 @@ mod tests {
     /// it waiting for a window that will never complete.
     #[test]
     fn a_panicking_analysis_reaches_the_owner() {
-        use crate::detect::arena::IngestArena;
-        use crate::diagnose::driver::tests::stgs_with_noise;
-        use crate::wire::FragmentBatch;
-
-        let everything = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
-        let mut arena = IngestArena::new();
-        let stgs = stgs_with_noise(1, 16, 1, (0, 0));
-        arena.push_batch(FragmentBatch::from_stg(&stgs[0], 0, everything));
-        let pool = ColumnarPool::from_merged(&arena.full_view());
+        // Enough rows that the window is analysed on the pool.
+        let pool = pool_of(INLINE_ROWS_MAX);
         // Zero heat-map bins is outside the contract every real caller
         // goes through `WindowedIngestor` for; the heat map asserts on it.
         let cfg = VaproConfig::default();

@@ -1,35 +1,37 @@
-//! The sharded multi-tenant fleet ingest plane.
+//! The multi-tenant fleet ingest plane.
 //!
 //! One [`crate::detect::ingestor::WindowedIngestor`] serves exactly one
 //! job. Production monitoring serves a *fleet*: thousands of jobs across
 //! many tenants, all shipping frames (see [`crate::wire`]) into one
-//! plane. The [`FleetIngestor`] scales that out in three layers:
+//! plane. The [`FleetIngestor`] is a router with an admission check in
+//! front, not a scheduler of its own:
 //!
 //! * **Routing** — each decoded frame carries a `(tenant_id, job_id)`
-//!   stamp; a job hash picks one of N shards, so a job's frames always
-//!   land on the same shard and per-job ordering is preserved.
-//! * **Sharding** — each shard owns the `WindowedIngestor`s of the jobs
-//!   routed to it plus a bounded frame queue. Frames are *enqueued* on
-//!   the (cheap, sequential) admission path and *drained* in batches:
-//!   when any queue reaches capacity, every shard drains its backlog on
-//!   a worker from the rayon pool. A shard is owned by exactly one
-//!   worker during a drain — the shards `Vec` is moved into the fan-out
-//!   and moved back — so the hot path takes no cross-shard lock at all.
+//!   stamp and goes straight into that job's ingestor, on the calling
+//!   thread, in arrival order. A window that frame makes due is sealed
+//!   by the same push; when and where it is analysed is the job's
+//!   analysis stage's business (`detect/stage.rs`), as for a bare
+//!   ingestor. The push returns its job's reports plus whatever other
+//!   jobs' stages finished since — no finished report stays parked.
 //! * **Admission** — every tenant is registered with a byte budget
-//!   extending the per-ingestor `max_buffered_bytes` cap to the plane:
-//!   a frame that would push its tenant's in-flight bytes (queued +
-//!   buffered ahead of its jobs' watermarks) past the budget is rejected
-//!   with a structured [`WireError::TenantOverBudget`], counted in that
-//!   tenant's [`IngestStats`] — and *only* that tenant's: a noisy or
-//!   over-budget tenant can never stall another tenant's windows.
+//!   extending the per-ingestor `max_buffered_bytes` cap to the plane.
+//!   A tenant is charged what its jobs hold ahead of their watermarks;
+//!   a frame that would push that charge, plus its own bytes, past the
+//!   budget is rejected with a structured
+//!   [`WireError::TenantOverBudget`], counted in that tenant's
+//!   [`IngestStats`] — and *only* that tenant's: a noisy or over-budget
+//!   tenant can never stall another tenant's windows. (Jobs record
+//!   ahead-of-watermark bytes only under a `max_buffered_bytes` cap;
+//!   without one the charge is zero and the budget caps the size of a
+//!   single frame.)
 //!
-//! A single-job fleet is bit-identical to a bare `WindowedIngestor`:
-//! routing and queueing only ever *reorder work between jobs*, never
-//! within one, and the per-job ingestor is exactly the single-job code
-//! path (property-tested in `tests/fleet_equivalence.rs`).
+//! A single-job fleet is a bare `WindowedIngestor` push for push: the
+//! per-job ingestor is exactly the single-job code path, fed the same
+//! batch and the same byte count (property-tested in
+//! `tests/fleet_equivalence.rs`).
 //!
 //! [`FleetIngestor::into_report`] returns a [`FleetReport`]: per-job window
-//! tails and stats, per-tenant admission stats, and a first cross-job
+//! counts and stats, per-tenant admission stats, and a first cross-job
 //! **interference pass** — jobs placed on the same simulated node whose
 //! detected variance regions overlap in time are reported as candidate
 //! noisy-neighbour pairs, the fleet-level analogue of the paper's
@@ -67,8 +69,9 @@ impl JobKey {
 /// Fleet-plane configuration. Plain fields; start from [`FleetConfig::new`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Ingest shards. Each shard drains on its own worker; jobs are
-    /// hash-distributed across shards.
+    /// Simulated nodes that jobs first seen on the wire are spread over
+    /// ([`FleetIngestor::shard_of`]); explicitly registered jobs name
+    /// their own node. Routing does not depend on it.
     pub shards: usize,
     /// Rank count for jobs first seen on the wire (explicitly registered
     /// jobs carry their own).
@@ -78,22 +81,12 @@ pub struct FleetConfig {
     /// The per-job analysis configuration (report period, diagnosis
     /// depth, fault-tolerance policy).
     pub vapro: VaproConfig,
-    /// Frames one shard buffers before a fleet-wide drain is triggered.
-    /// Batching amortises the fan-out: the admission path only enqueues.
-    pub queue_capacity_frames: usize,
 }
 
 impl FleetConfig {
-    /// A single-shard plane — the drop-in replacement for one bare
-    /// `WindowedIngestor`.
+    /// The drop-in replacement for one bare `WindowedIngestor`.
     pub fn new(vapro: VaproConfig) -> FleetConfig {
-        FleetConfig {
-            shards: 1,
-            default_nranks: 1,
-            bins_per_window: 8,
-            vapro,
-            queue_capacity_frames: 64,
-        }
+        FleetConfig { shards: 1, default_nranks: 1, bins_per_window: 8, vapro }
     }
 }
 
@@ -110,18 +103,10 @@ pub struct FleetWindow {
 #[derive(Debug)]
 struct TenantState {
     budget_bytes: u64,
-    /// Bytes currently in flight for the tenant: enqueued-but-undrained
-    /// frames plus bytes its jobs hold ahead of their watermarks.
+    /// Bytes the tenant's jobs hold ahead of their watermarks: the sum
+    /// of their `buffered_ahead_bytes()`, kept current push by push.
     in_flight_bytes: u64,
     stats: IngestStats,
-}
-
-/// One frame admitted and awaiting a drain. Its bytes were charged to
-/// the tenant at admission; the charge is recomputed from the ingestors'
-/// buffers after each drain.
-struct Queued {
-    key: JobKey,
-    batch: FragmentBatch,
 }
 
 /// A `[start_ns, end_ns)` interval a detected variance region covered.
@@ -139,9 +124,20 @@ struct JobState {
 }
 
 impl JobState {
-    fn record(&mut self, reports: &[WindowReport]) {
+    fn new(cfg: &FleetConfig, nranks: usize, node: u32) -> JobState {
+        JobState {
+            ingestor: WindowedIngestor::new(nranks, cfg.bins_per_window, cfg.vapro.clone()),
+            node,
+            windows_closed: 0,
+            variance_spans: Vec::new(),
+        }
+    }
+
+    /// Book `reports` to the job and tag them with its key.
+    fn emit(&mut self, key: JobKey, reports: Vec<WindowReport>, out: &mut Vec<FleetWindow>) {
         self.windows_closed += reports.len();
-        record_spans(&mut self.variance_spans, reports);
+        record_spans(&mut self.variance_spans, &reports);
+        out.extend(reports.into_iter().map(|report| FleetWindow { key, report }));
     }
 }
 
@@ -163,50 +159,12 @@ fn record_spans(spans: &mut Vec<Span>, reports: &[WindowReport]) {
     }
 }
 
-/// One ingest shard: a bounded frame queue plus the ingestors of the
-/// jobs routed here. Owned by a single worker during a drain.
-#[derive(Default)]
-struct Shard {
-    queue: Vec<Queued>,
-    jobs: BTreeMap<JobKey, JobState>,
-}
-
-impl Shard {
-    /// Feed the queued frames to their job ingestors, in arrival order,
-    /// collecting every window that closes.
-    fn drain_queue(&mut self) -> Vec<FleetWindow> {
-        let queued = std::mem::take(&mut self.queue);
-        let mut out = Vec::new();
-        for q in queued {
-            // Enqueue registers the job, so the lookup cannot miss; a
-            // missing entry would mean a routing bug, not bad input.
-            let Some(job) = self.jobs.get_mut(&q.key) else { continue };
-            let reports = job.ingestor.push(q.batch);
-            job.record(&reports);
-            out.extend(reports.into_iter().map(|report| FleetWindow { key: q.key, report }));
-        }
-        // Whoever waits, helps (`detect::stage`): the windows sealed
-        // above are queued on the pool behind the shard drainers
-        // themselves. Run queued jobs until none is left, so the harvest
-        // below finds them analysed instead of leaving every one of them
-        // to the next drain. Never parks: a window still running on
-        // another thread is simply harvested next time.
-        while self.jobs.values().any(|job| job.ingestor.pending_windows() > 0)
-            && rayon::yield_now() == Some(rayon::Yield::Executed)
-        {}
-        // Join the analysis stages: windows whose pipelined analysis
-        // completed since the last drain are harvested here (still in
-        // per-job window order), including for jobs that had no frames
-        // queued this round — a drain leaves no finished report parked.
-        for (&key, job) in self.jobs.iter_mut() {
-            let reports = job.ingestor.poll_reports();
-            if !reports.is_empty() {
-                job.record(&reports);
-                out.extend(reports.into_iter().map(|report| FleetWindow { key, report }));
-            }
-        }
-        out
-    }
+/// One job after its final flush: the summary, the spans the
+/// interference pass reads, and the windows the flush closed.
+struct FinishedJob {
+    summary: JobSummary,
+    spans: Vec<Span>,
+    tail: Vec<WindowReport>,
 }
 
 /// Summary of one job in the [`FleetReport`].
@@ -216,9 +174,6 @@ pub struct JobSummary {
     pub key: JobKey,
     /// Simulated node the job is placed on.
     pub node: u32,
-    /// Windows flushed by the final cover pass (earlier windows were
-    /// returned as they closed during ingestion).
-    pub final_windows: Vec<WindowReport>,
     /// Windows the job closed over its whole lifetime, final flush
     /// included.
     pub windows_closed: usize,
@@ -282,11 +237,25 @@ impl FleetReport {
     }
 }
 
-/// The sharded multi-tenant ingest plane. See the module docs.
+/// [`FleetIngestor::shard_of`] over a plane of `shards` nodes.
+fn default_node(key: JobKey, shards: usize) -> usize {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in key.tenant.to_le_bytes().into_iter().chain(key.job.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h % shards as u64) as usize
+}
+
+/// The multi-tenant ingest plane. See the module docs.
 pub struct FleetIngestor {
     cfg: FleetConfig,
-    shards: Vec<Shard>,
+    jobs: BTreeMap<JobKey, JobState>,
     tenants: BTreeMap<u32, TenantState>,
+    /// Jobs whose stage still held windows (on the pool, or finished
+    /// behind an unfinished predecessor) after their last push: the
+    /// only ones a later push has anything to collect from.
+    awaiting: Vec<JobKey>,
     unattributed: IngestStats,
 }
 
@@ -296,11 +265,10 @@ impl FleetIngestor {
     /// [`FleetIngestor::register_tenant`] re-budgets it like any other.
     pub fn new(cfg: FleetConfig) -> FleetIngestor {
         assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.queue_capacity_frames > 0, "need a nonzero queue capacity");
-        let shards = (0..cfg.shards).map(|_| Shard::default()).collect();
         let mut fleet = FleetIngestor {
-            shards,
+            jobs: BTreeMap::new(),
             tenants: BTreeMap::new(),
+            awaiting: Vec::new(),
             unattributed: IngestStats::default(),
             cfg,
         };
@@ -321,31 +289,18 @@ impl FleetIngestor {
 
     /// Register a job explicitly: its rank count and simulated-node
     /// placement. Unregistered jobs of a registered tenant are created
-    /// on first frame with `cfg.default_nranks` and their shard id as
-    /// the node.
+    /// on first frame with `cfg.default_nranks` on node
+    /// [`FleetIngestor::shard_of`].
     pub fn register_job(&mut self, key: JobKey, nranks: usize, node: u32) {
-        let shard = self.shard_of(key);
-        let cfg = self.cfg.clone();
-        let Some(shard) = self.shards.get_mut(shard) else {
-            return; // shard_of is always in range; stay total regardless
-        };
-        shard.jobs.entry(key).or_insert_with(|| JobState {
-            ingestor: WindowedIngestor::new(nranks, cfg.bins_per_window, cfg.vapro),
-            node,
-            windows_closed: 0,
-            variance_spans: Vec::new(),
-        });
+        let cfg = &self.cfg;
+        self.jobs.entry(key).or_insert_with(|| JobState::new(cfg, nranks, node));
     }
 
-    /// The shard a job's frames are routed to: FNV-1a over the key, so
-    /// placement is stable across runs and processes.
+    /// The default node of a job first seen on the wire: FNV-1a over the
+    /// key modulo `cfg.shards`, so placement — who the interference pass
+    /// compares it with — is stable across runs and processes.
     pub fn shard_of(&self, key: JobKey) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in key.tenant.to_le_bytes().into_iter().chain(key.job.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % self.cfg.shards as u64) as usize
+        default_node(key, self.cfg.shards)
     }
 
     /// Plane-level admission statistics of one tenant.
@@ -359,16 +314,19 @@ impl FleetIngestor {
         &self.unattributed
     }
 
-    /// Frames enqueued across all shards, awaiting a drain.
+    /// Always 0: the plane holds no frame between pushes — an admitted
+    /// frame is inside its job's ingestor before `push_encoded` returns.
     pub fn queued_frames(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        0
     }
 
     /// Admit one encoded frame: decode, check the tenant's budget, and
-    /// enqueue on the owning job's shard. Returns the windows closed by
-    /// the batch drain this frame triggered (usually none — draining is
-    /// batched). Rejections are structured errors, counted against the
-    /// claiming tenant where one is known.
+    /// push it into the owning job's ingestor. Returns the windows that
+    /// push reported plus those other jobs' stages finished since.
+    /// Plane-level rejections are structured errors, counted against
+    /// the claiming tenant where one is known; what the job's own
+    /// admission refuses (a duplicate, an unknown rank) is counted in
+    /// the job's [`IngestStats`] like on a bare ingestor.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<Vec<FleetWindow>, WireError> {
         let batch = match FragmentBatch::decode(bytes) {
             Ok(b) => b,
@@ -377,17 +335,7 @@ impl FleetIngestor {
                 return Err(e);
             }
         };
-        self.push_batch(batch, bytes.len() as u64)
-    }
-
-    /// Admit one already-decoded batch accounting `frame_bytes` against
-    /// its tenant's budget (the in-memory entry point; `push_encoded`
-    /// derives the byte count from the frame itself).
-    pub fn push_batch(
-        &mut self,
-        batch: FragmentBatch,
-        frame_bytes: u64,
-    ) -> Result<Vec<FleetWindow>, WireError> {
+        let frame_bytes = bytes.len() as u64;
         let key = JobKey::of(&batch);
         let Some(tenant) = self.tenants.get_mut(&key.tenant) else {
             let e = WireError::UnknownTenant { tenant: key.tenant };
@@ -409,116 +357,70 @@ impl FleetIngestor {
             );
             return Err(e);
         }
-        tenant.in_flight_bytes = requested;
         tenant.stats.frames_admitted += 1;
 
-        let shard = self.shard_of(key);
-        if self.shards.get(shard).is_some_and(|s| !s.jobs.contains_key(&key)) {
-            self.register_job(key, self.cfg.default_nranks, shard as u32);
-        }
-        let capacity = self.cfg.queue_capacity_frames;
-        let full = match self.shards.get_mut(shard) {
-            Some(s) => {
-                s.queue.push(Queued { key, batch });
-                s.queue.len() >= capacity
-            }
-            None => false, // shard_of is always in range; stay total regardless
-        };
-        if full {
-            Ok(self.drain())
-        } else {
-            Ok(Vec::new())
-        }
-    }
-
-    /// Drain every shard's backlog, independent shards in parallel, and
-    /// return all windows that closed. The shards are moved into the
-    /// fan-out and back — each is owned by exactly one worker, so there
-    /// is no locking between them.
-    pub fn drain(&mut self) -> Vec<FleetWindow> {
-        if self.shards.iter().all(|s| s.queue.is_empty()) {
-            return Vec::new();
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let drained: Vec<(Shard, Vec<FleetWindow>)> = shards
-            .into_par_iter()
-            .map(|mut s| {
-                let windows = s.drain_queue();
-                (s, windows)
-            })
-            .collect();
+        let cfg = &self.cfg;
+        let job = self.jobs.entry(key).or_insert_with(|| {
+            JobState::new(cfg, cfg.default_nranks, default_node(key, cfg.shards) as u32)
+        });
+        let held = job.ingestor.buffered_ahead_bytes();
+        // What the job's own admission refuses is counted in its stats.
+        let reports = job.ingestor.push_sized(batch, frame_bytes).unwrap_or_default();
+        tenant.in_flight_bytes = tenant
+            .in_flight_bytes
+            .saturating_sub(held)
+            .saturating_add(job.ingestor.buffered_ahead_bytes());
         let mut out = Vec::new();
-        for (shard, windows) in drained {
-            self.shards.push(shard);
-            out.extend(windows);
-        }
-        self.refresh_in_flight();
-        out
+        job.emit(key, reports, &mut out);
+        self.harvest(key, &mut out);
+        Ok(out)
     }
 
-    /// Recompute every tenant's in-flight bytes from its jobs' actual
-    /// ahead-of-watermark buffers: the queues are empty after a drain,
-    /// so what remains charged is what the ingestors still hold.
-    fn refresh_in_flight(&mut self) {
-        for t in self.tenants.values_mut() {
-            t.in_flight_bytes = 0;
+    /// Collect what finished since the last push from every job that
+    /// still had windows in its stage, `pushed` joining them if it has
+    /// now. Never blocks; per-job window order is the stage's.
+    fn harvest(&mut self, pushed: JobKey, out: &mut Vec<FleetWindow>) {
+        if !self.awaiting.contains(&pushed) {
+            self.awaiting.push(pushed);
         }
-        for shard in &self.shards {
-            for (key, job) in &shard.jobs {
-                if let Some(t) = self.tenants.get_mut(&key.tenant) {
-                    t.in_flight_bytes =
-                        t.in_flight_bytes.saturating_add(job.ingestor.buffered_ahead_bytes());
-                }
-            }
-        }
+        let jobs = &mut self.jobs;
+        self.awaiting.retain(|&key| {
+            let Some(job) = jobs.get_mut(&key) else { return false };
+            let reports = job.ingestor.poll_reports();
+            job.emit(key, reports, out);
+            job.ingestor.pending_windows() > 0
+        });
     }
 
-    /// Flush all queues, close every job's remaining cover, and shut
+    /// Close every job's remaining cover, jobs in parallel, and shut
     /// down, returning the [`FleetReport`] (jobs, tenants, interference
     /// pass) and the windows the final flush closed.
-    pub fn into_report(mut self) -> (FleetReport, Vec<FleetWindow>) {
-        let mut flushed = self.drain();
-
-        let shards = std::mem::take(&mut self.shards);
-        let finished: Vec<Vec<(JobSummary, Vec<Span>)>> = shards
+    pub fn into_report(self) -> (FleetReport, Vec<FleetWindow>) {
+        let jobs: Vec<(JobKey, JobState)> = self.jobs.into_iter().collect();
+        // Key order throughout: the map's, kept by the ordered collect.
+        let finished: Vec<FinishedJob> = jobs
             .into_par_iter()
-            .map(|shard| {
-                shard
-                    .jobs
-                    .into_iter()
-                    .map(|(key, mut job)| {
-                        let stats = job.ingestor.stats().clone();
-                        let arena_high_water_bytes = job.ingestor.arena().high_water_bytes();
-                        let final_windows = job.ingestor.finish();
-                        record_spans(&mut job.variance_spans, &final_windows);
-                        let summary = JobSummary {
-                            key,
-                            node: job.node,
-                            windows_closed: job.windows_closed + final_windows.len(),
-                            final_windows,
-                            stats,
-                            arena_high_water_bytes,
-                        };
-                        (summary, job.variance_spans)
-                    })
-                    .collect()
+            .map(|(key, mut job)| {
+                let stats = job.ingestor.stats().clone();
+                let arena_high_water_bytes = job.ingestor.arena().high_water_bytes();
+                let tail = job.ingestor.finish();
+                record_spans(&mut job.variance_spans, &tail);
+                let summary = JobSummary {
+                    key,
+                    node: job.node,
+                    windows_closed: job.windows_closed + tail.len(),
+                    stats,
+                    arena_high_water_bytes,
+                };
+                FinishedJob { summary, spans: job.variance_spans, tail }
             })
             .collect();
-
-        let mut jobs_with_spans: Vec<(JobSummary, Vec<Span>)> =
-            finished.into_iter().flatten().collect();
-        jobs_with_spans.sort_by_key(|(j, _)| j.key);
-
-        let interference = interference_pass(&jobs_with_spans);
-        let mut jobs = Vec::with_capacity(jobs_with_spans.len());
-        for (mut summary, _) in jobs_with_spans {
-            flushed.extend(
-                std::mem::take(&mut summary.final_windows)
-                    .into_iter()
-                    .map(|report| FleetWindow { key: summary.key, report }),
-            );
-            // The reports ride out through the flushed list; the
-            // summary keeps their count in `windows_closed`.
+        let interference = interference_pass(&finished);
+        let mut flushed = Vec::new();
+        let mut jobs = Vec::with_capacity(finished.len());
+        for FinishedJob { summary, tail, .. } in finished {
+            let key = summary.key;
+            flushed.extend(tail.into_iter().map(|report| FleetWindow { key, report }));
             jobs.push(summary);
         }
 
@@ -532,12 +434,7 @@ impl FleetIngestor {
             })
             .collect();
 
-        let report = FleetReport {
-            jobs,
-            tenants,
-            interference,
-            unattributed: self.unattributed.clone(),
-        };
+        let report = FleetReport { jobs, tenants, interference, unattributed: self.unattributed };
         (report, flushed)
     }
 }
@@ -580,10 +477,10 @@ fn overlap_ns(a: &[Span], b: &[Span]) -> u64 {
 /// for each same-node pair, the time both spent inside detected
 /// variance regions, as nanoseconds and as a fraction of the smaller
 /// job's variance time. Findings sorted by overlap, strongest first.
-fn interference_pass(jobs: &[(JobSummary, Vec<Span>)]) -> Vec<InterferenceFinding> {
+fn interference_pass(jobs: &[FinishedJob]) -> Vec<InterferenceFinding> {
     let merged: Vec<(JobKey, u32, Vec<Span>)> = jobs
         .iter()
-        .map(|(j, spans)| (j.key, j.node, merge_spans(spans)))
+        .map(|j| (j.summary.key, j.summary.node, merge_spans(&j.spans)))
         .collect();
     let mut findings = Vec::new();
     for (i, (ka, na, sa)) in merged.iter().enumerate() {

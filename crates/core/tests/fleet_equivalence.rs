@@ -1,10 +1,12 @@
 //! Fleet-plane equivalence and fairness properties.
 //!
-//! * A single-job fleet — any shard count, any queue capacity — is
-//!   bit-identical to a bare `WindowedIngestor` fed the same frames,
-//!   the unstamped default tenant/job included.
+//! * A single-job fleet — any shard count, with or without a
+//!   `max_buffered_bytes` cap — is a bare `WindowedIngestor` fed the
+//!   same frames, push for push and stat for stat, the unstamped default
+//!   tenant/job included.
 //! * An over-budget tenant is rejected with structured errors while a
-//!   clean tenant's windows keep closing on time.
+//!   clean tenant's windows keep closing on time; a tenant is charged
+//!   only for what its jobs still hold ahead of their watermarks.
 //! * Unknown tenants are structured rejections, never panics and never
 //!   silent drops.
 //! * Same-node jobs with correlated variance produce an interference
@@ -13,7 +15,7 @@
 use proptest::prelude::*;
 use vapro_core::detect::window::Window;
 use vapro_core::detect::ingestor::{WindowReport, WindowedIngestor};
-use vapro_core::fleet::{FleetConfig, FleetIngestor, FleetWindow, JobKey};
+use vapro_core::fleet::{FleetConfig, FleetIngestor, JobKey};
 use vapro_core::fragment::{Fragment, FragmentKind};
 use vapro_core::stg::{StateKey, Stg};
 use vapro_core::wire::{FragmentBatch, WireError};
@@ -53,13 +55,27 @@ fn looped_stg(rank: usize, n: usize, period_ns: u64, slow_range: std::ops::Range
 /// Period-major frames for one job: every rank ships period `k`
 /// before any rank ships `k+1`, sequenced from 1.
 fn job_frames(stgs: &[Stg], periods: u64, period: VirtualTime, key: JobKey) -> Vec<Vec<u8>> {
+    skewed_job_frames(stgs, periods, period, key, 0)
+}
+
+/// [`job_frames`] with rank 0 shipping `lead` periods ahead of the
+/// others, so its frames arrive ahead of the watermark.
+fn skewed_job_frames(
+    stgs: &[Stg],
+    periods: u64,
+    period: VirtualTime,
+    key: JobKey,
+    lead: u64,
+) -> Vec<Vec<u8>> {
     let mut frames = Vec::new();
-    for k in 0..periods {
-        let w = Window {
-            start: VirtualTime::from_ns(period.ns() * k),
-            end: VirtualTime::from_ns(period.ns() * (k + 1)),
-        };
+    for step in 0..periods + lead {
         for (rank, stg) in stgs.iter().enumerate() {
+            let k = if rank == 0 { Some(step) } else { step.checked_sub(lead) };
+            let Some(k) = k.filter(|&k| k < periods) else { continue };
+            let w = Window {
+                start: VirtualTime::from_ns(period.ns() * k),
+                end: VirtualTime::from_ns(period.ns() * (k + 1)),
+            };
             frames.push(
                 FragmentBatch::from_stg_starting_in(stg, rank, w)
                     .with_seq(k + 1)
@@ -90,63 +106,81 @@ fn assert_reports_identical(got: &[WindowReport], want: &[WindowReport]) {
     }
 }
 
-/// Run frames through a fleet, returning every closed window in order.
-fn run_fleet(mut fleet: FleetIngestor, frames: &[Vec<u8>]) -> Vec<FleetWindow> {
-    let mut windows = Vec::new();
-    for f in frames {
-        windows.extend(fleet.push_encoded(f).expect("valid frame"));
-    }
-    windows.extend(fleet.into_report().1);
-    windows
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The acceptance property: one job through the fleet — whatever the
-    /// shard count or queue capacity — closes exactly the windows the
-    /// bare `WindowedIngestor` closes, bit for bit.
+    /// shard count, with rank 0 running ahead into a byte cap or not —
+    /// closes exactly the windows the bare `WindowedIngestor` closes,
+    /// bit for bit, sheds exactly the frames it sheds, and at depth 0
+    /// returns each window from the very push that makes it due.
     #[test]
     fn single_job_fleet_is_bit_identical(
         nranks in 1usize..4,
         slow_from in 0usize..20,
         shards in 1usize..5,
-        queue_capacity in 1usize..17,
-        tenant in prop_oneof![Just(0u32), Just(3u32)],
-        job in prop_oneof![Just(0u32), Just(41u32)],
+        lead in 0u64..3,
+        capped_inline in (prop_oneof![Just(false), Just(true)], prop_oneof![Just(false), Just(true)]),
+        tenant_job in (prop_oneof![Just(0u32), Just(3u32)], prop_oneof![Just(0u32), Just(41u32)]),
     ) {
-        let cfg = VaproConfig {
+        let ((capped, inline), (tenant, job)) = (capped_inline, tenant_job);
+        let mut cfg = VaproConfig {
             report_period: VirtualTime::from_secs(5),
             ..VaproConfig::default()
         };
+        if inline {
+            cfg.pipeline_depth = 0;
+        }
         let mut stgs: Vec<Stg> =
             (0..nranks).map(|r| looped_stg(r, 24, 1_000_000_000, 0..0)).collect();
         stgs[nranks - 1] = looped_stg(nranks - 1, 24, 1_000_000_000, slow_from..slow_from + 6);
         let key = JobKey { tenant, job };
-        let frames = job_frames(&stgs, 14, cfg.report_period, key);
-
-        let mut bare = WindowedIngestor::new(nranks, 8, cfg.clone());
-        let mut want = Vec::new();
-        for f in &frames {
-            // The bare ingestor sees the identical decoded batches; it
-            // ignores the routing stamp the fleet path routes on.
-            want.extend(bare.push(FragmentBatch::decode(f).expect("valid")));
+        let frames = skewed_job_frames(&stgs, 14, cfg.report_period, key, lead);
+        if capped {
+            // Room for one frame ahead of the watermark, not for two.
+            let largest = frames.iter().map(Vec::len).max().unwrap_or(0) as u64;
+            cfg.fault.max_buffered_bytes = Some(largest * 3 / 2);
         }
-        want.extend(bare.finish());
 
+        // The bare ingestor sees the identical frames; it ignores the
+        // routing stamp the fleet routes on.
+        let mut bare = WindowedIngestor::new(nranks, 8, cfg.clone());
         let mut fleet_cfg = FleetConfig::new(cfg);
         fleet_cfg.shards = shards;
         fleet_cfg.default_nranks = nranks;
-        fleet_cfg.queue_capacity_frames = queue_capacity;
         let mut fleet = FleetIngestor::new(fleet_cfg);
         if tenant != 0 {
             fleet.register_tenant(tenant, u64::MAX);
         }
-        let got = run_fleet(fleet, &frames);
+
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (i, f) in frames.iter().enumerate() {
+            let bare_closed = bare.push_encoded(f).expect("valid frame");
+            let fleet_closed = fleet.push_encoded(f).expect("valid frame");
+            if inline {
+                prop_assert_eq!(
+                    fleet_closed.len(),
+                    bare_closed.len(),
+                    "frame {}: a due window is returned by the push that makes it due",
+                    i
+                );
+            }
+            want.extend(bare_closed);
+            got.extend(fleet_closed);
+        }
+        let want_stats = bare.stats().clone();
+        want.extend(bare.finish());
+        let (report, tail) = fleet.into_report();
+        got.extend(tail);
 
         prop_assert!(got.iter().all(|w| w.key == key), "windows tagged with the job key");
         let got_reports: Vec<WindowReport> = got.into_iter().map(|w| w.report).collect();
         assert_reports_identical(&got_reports, &want);
+        prop_assert_eq!(report.jobs.len(), 1);
+        prop_assert_eq!(&report.jobs[0].stats, &want_stats);
+        if capped && lead == 2 && nranks > 1 {
+            prop_assert!(want_stats.dropped_backpressure_frames > 0, "the cap never engaged");
+        }
     }
 }
 
@@ -234,7 +268,6 @@ fn unknown_tenant_is_a_structured_rejection() {
         }
     }
     assert_eq!(fleet.unattributed_stats().unknown_tenant_frames, frames.len() as u64);
-    assert_eq!(fleet.queued_frames(), 0, "rejected frames are never enqueued");
 
     // The plane still serves registered tenants afterwards.
     let default_frames =
@@ -243,8 +276,43 @@ fn unknown_tenant_is_a_structured_rejection() {
     for f in &default_frames {
         windows.extend(fleet.push_encoded(f).expect("default tenant admitted"));
     }
-    windows.extend(fleet.into_report().1);
+    let (report, tail) = fleet.into_report();
+    windows.extend(tail);
     assert!(!windows.is_empty(), "default tenant still closes windows");
+    // The rejected frames created no job and reached no ingestor.
+    assert_eq!(report.jobs.len(), 1, "only the default job exists");
+    assert_eq!(report.jobs[0].key, JobKey::default_job());
+    assert_eq!(report.jobs[0].stats.frames_admitted, default_frames.len() as u64);
+    assert_eq!(report.jobs[0].windows_closed, windows.len());
+}
+
+#[test]
+fn a_lone_tenant_is_not_charged_for_frames_already_absorbed() {
+    // One tenant, one 1-rank job shipping in order: every frame is at
+    // the watermark when it arrives and behind it once absorbed, so the
+    // tenant never holds anything and a budget of three frames admits
+    // the whole stream. (A plane that charged frames until some later
+    // batch boundary rejected this tenant from its fourth frame on,
+    // forever, with no other traffic to trigger the release.)
+    let cfg = VaproConfig {
+        report_period: VirtualTime::from_secs(5),
+        ..VaproConfig::default()
+    };
+    let key = JobKey { tenant: 5, job: 0 };
+    let stg = looped_stg(0, 50, 1_000_000_000, 0..0);
+    let frames = job_frames(std::slice::from_ref(&stg), 10, cfg.report_period, key);
+    let largest = frames.iter().map(Vec::len).max().expect("frames") as u64;
+
+    let mut fleet = FleetIngestor::new(FleetConfig::new(cfg));
+    fleet.register_tenant(5, 3 * largest);
+    for (i, f) in frames.iter().enumerate() {
+        if let Err(e) = fleet.push_encoded(f) {
+            panic!("frame {i} of a tenant holding nothing was rejected: {e}");
+        }
+    }
+    let stats = fleet.tenant_stats(5).expect("registered");
+    assert_eq!(stats.frames_admitted, frames.len() as u64);
+    assert_eq!(stats.frames_rejected(), 0);
 }
 
 #[test]

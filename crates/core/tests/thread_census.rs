@@ -26,7 +26,9 @@ use vapro_sim::{CallSite, VirtualTime};
 const HARNESS_THREADS: usize = 1;
 
 const PERIOD_NS: u64 = 1_000_000_000;
-const FRAGMENT_NS: u64 = 50_000_000;
+/// 100 fragments a rank a period: a 2-rank window holds ≈200 rows, above
+/// the stage's inline threshold, so it is analysed on the pool.
+const FRAGMENT_NS: u64 = 10_000_000;
 
 fn census() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -105,7 +107,6 @@ fn stream(periods: u64) -> (usize, usize) {
 fn fleet(periods: u64) -> (usize, usize) {
     let cfg = FleetConfig {
         shards: 2,
-        queue_capacity_frames: 16,
         ..FleetConfig::new(config())
     };
     let mut fleet = FleetIngestor::new(cfg);
@@ -138,6 +139,7 @@ fn fleet(periods: u64) -> (usize, usize) {
 fn window_closes_create_no_threads() {
     // Warm-up: the first closes start the pool.
     stream(4);
+    let streamed = census();
     fleet(2);
     let before = census();
     assert!(
@@ -145,6 +147,15 @@ fn window_closes_create_no_threads() {
         "{before} threads for a {}-thread pool",
         rayon::current_num_threads()
     );
+    // Not vacuous: the solo stream's windows did leave the submitting
+    // thread, which is what started the pool. (On one core there is no
+    // worker to start; every window runs where it was submitted.)
+    if rayon::current_num_threads() > 1 {
+        assert!(
+            streamed > HARNESS_THREADS + 1,
+            "no window reached the pool: {streamed} threads after the warm-up stream"
+        );
+    }
 
     let (closed, peak) = stream(252);
     assert!(closed >= 500, "only {closed} windows closed");

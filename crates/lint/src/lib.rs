@@ -113,16 +113,9 @@ pub fn workspace_config() -> LintConfig {
         "decode_payload",
         "kind_from_byte",
     ];
-    let ingestor_fns = ["push_encoded", "admit"];
+    let ingestor_fns = ["push_encoded", "push_sized"];
     let admission_fns = ["admit", "is_duplicate", "gaps", "count_decode_error"];
-    let fleet_fns = [
-        "push_encoded",
-        "push_batch",
-        "register_job",
-        "shard_of",
-        "drain",
-        "refresh_in_flight",
-    ];
+    let fleet_fns = ["push_encoded", "register_job", "shard_of", "harvest"];
     let vopr_model_fns = [
         "accept",
         "predict",

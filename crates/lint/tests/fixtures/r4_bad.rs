@@ -9,7 +9,7 @@ fn build_lane(src: &[f64]) -> Vec<f64> {
     lane
 }
 
-fn drain_queue(mut n: usize) -> Vec<usize> {
+fn count_down(mut n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     while n > 0 {
         out.push(n);

@@ -9,7 +9,7 @@ fn build_lane(src: &[f64]) -> Vec<f64> {
     lane
 }
 
-fn drain_queue(n: usize) -> Vec<usize> {
+fn count_down(n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     out.reserve(n);
     let mut k = n;

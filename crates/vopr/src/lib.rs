@@ -450,7 +450,7 @@ fn unknown_rank_extra(period_ns: u64) -> TransportEvent {
 
 // ---------------------------------------------------------------------
 // The fleet driver: several jobs' schedules interleaved through one
-// sharded plane, every job then held to its own solo drive.
+// fleet plane, every job then held to its own solo drive.
 
 /// What one fleet drive produced.
 struct FleetDrive {
@@ -472,7 +472,7 @@ struct JobTally {
 }
 
 /// Drive one fleet plan end to end: every job's faulted stream
-/// generated, the streams interleaved round-robin through a sharded
+/// generated, the streams interleaved round-robin through one
 /// `FleetIngestor` (tenants unlimited unless `budgets` says otherwise;
 /// `prelude` may inject hostile frames ahead of the stream), all windows
 /// flushed and attributed back per job.
@@ -498,7 +498,6 @@ fn drive_fleet(
         default_nranks: 1,
         bins_per_window: 8,
         vapro: cfg.clone(),
-        queue_capacity_frames: plan.queue_capacity_frames,
     });
     for jp in &plan.jobs {
         let budget = budgets.iter().find(|&&(t, _)| t == jp.tenant).map_or(u64::MAX, |&(_, b)| b);
@@ -851,7 +850,7 @@ fn post_birth_identical(
     Ok(())
 }
 
-/// Clean fleet: several tenants through the sharded plane, each job
+/// Clean fleet: several tenants through the fleet plane, each job
 /// bit-identical to its solo run.
 fn clean_fleet(cx: &mut Cx<'_>) {
     let plan = FleetPlan::fault_free(cx.seed, 3);
@@ -875,12 +874,13 @@ fn budget_fleet(cx: &mut Cx<'_>) {
     let plan = FleetPlan {
         seed: cx.seed,
         shards: 2,
-        queue_capacity_frames: 4,
         periods: 6,
         jobs: vec![JobPlan::clean(1, 0), JobPlan::clean(STARVED, 1)],
     };
     let period_ns = plan.period_ns();
-    // A budget of a frame or two per drain.
+    // plan_config sets no `max_buffered_bytes`, so the jobs hold nothing
+    // ahead of their watermarks and the budget caps the single frame;
+    // the starved tenant ships frames above its 1000 B.
     let drive = drive_fleet(cx, "budget_fleet", &plan, &[(STARVED, 1_000)], |cx, fleet| {
         // Hostile injections: an unregistered tenant and a truncated frame.
         let ghost = template_batch(0, period_ns).with_job(99, 0).encode_v3();

@@ -8,7 +8,7 @@
 //! given period); which ranks are *born* mid-run (join the deployment at
 //! a given period); and whether a backpressure byte cap is armed. A
 //! [`FleetPlan`] interleaves several jobs, each with its own fault axes,
-//! through one sharded plane. [`plan_events`] / [`fleet_job_events`]
+//! through one fleet plane. [`plan_events`] / [`fleet_job_events`]
 //! turn a plan into an explicit [`TransportEvent`] schedule — every
 //! frame delivery annotated with what the transport did to it
 //! ([`FrameMeta`]), plus rank births. The metadata is what makes
@@ -485,7 +485,7 @@ pub fn reports_identical(got: &[WindowReport], want: &[WindowReport]) -> Result<
 }
 
 // ---------------------------------------------------------------------
-// Fleet plans: the same seeded fault injection aimed at the sharded
+// Fleet plans: the same seeded fault injection aimed at the
 // multi-tenant plane, each job with its *own* fault axes.
 
 /// One job inside a fleet plan: its routing identity, its synthetic-run
@@ -552,10 +552,8 @@ impl JobPlan {
 pub struct FleetPlan {
     /// Seed for every random decision the plan makes.
     pub seed: u64,
-    /// Ingest shards of the fleet under test.
+    /// `FleetConfig::shards` of the fleet under test.
     pub shards: usize,
-    /// Per-shard queue capacity (small values force frequent drains).
-    pub queue_capacity_frames: usize,
     /// Reporting periods every job is sliced into (shared cadence).
     pub periods: usize,
     /// The jobs and their private fault axes.
@@ -568,7 +566,6 @@ impl FleetPlan {
         FleetPlan {
             seed,
             shards: 2,
-            queue_capacity_frames: 8,
             periods: 6,
             jobs: (0..jobs).map(|j| JobPlan::clean(1 + j as u32 % 3, j as u32)).collect(),
         }
@@ -617,7 +614,6 @@ impl FleetPlan {
         FleetPlan {
             seed,
             shards: rng.gen_range(1usize..5),
-            queue_capacity_frames: rng.gen_range(1usize..17),
             periods,
             jobs,
         }
