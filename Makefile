@@ -4,7 +4,7 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test repro-check clippy clean
+.PHONY: check test test-repeat lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test repro-check clippy clean
 
 # The full gate: release build, tests, a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
@@ -13,7 +13,8 @@ OFFLINE := --offline
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
 # `benchmark/` against the workspace), the committed `repro all` output,
-# then the VOPR fault-injection simulation. Throughput is measured by `make benchmark`, and gated
+# the VOPR fault-injection simulation, then vapro-core's unit tests
+# twenty times over (`test-repeat`). Throughput is measured by `make benchmark`, and gated
 # base-vs-head by `benchmark compare` in CI.
 check:
 	$(CARGO) build --release $(OFFLINE)
@@ -27,6 +28,7 @@ check:
 	$(MAKE) benchmark-test
 	$(MAKE) repro-check
 	$(MAKE) vopr
+	$(MAKE) test-repeat
 
 # Workspace static analysis: per-body rules (R1 no-hot-path-clone,
 # R2 no-panic-decode, R3 float-hygiene, R4 reserve-before-push) plus the
@@ -73,6 +75,15 @@ tsan:
 
 test:
 	$(CARGO) test -q $(OFFLINE) --workspace
+
+# vapro-core's unit tests 20 times (≈0.7 s a run): the stage, pool and
+# ingestor tests assert bounds that depend on thread scheduling, and an
+# assertion that fails one run in four must fail the PR, not the next one.
+test-repeat:
+	@for i in $$(seq 1 20); do \
+		$(CARGO) test -q $(OFFLINE) -p vapro-core --lib \
+			|| { echo "test-repeat: run $$i of 20 failed"; exit 1; }; \
+	done
 
 clippy:
 	$(CARGO) clippy $(OFFLINE) --workspace --all-targets -- -D warnings

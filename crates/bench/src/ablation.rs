@@ -10,13 +10,13 @@
 //! * **STG mode** — context-free vs context-aware states, edges, hook
 //!   cost and coverage on the same run.
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{header, hottest_edge, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::clustering::cluster_pool;
-use vapro_core::detect::pipeline::merge_stgs;
-use vapro_core::fragment::{FragmentKind, DEFAULT_PROXY};
-use vapro_core::VaproConfig;
+use vapro_core::fragment::DEFAULT_PROXY;
+use vapro_core::{ColumnarPool, PoolView, VaproConfig};
+use vapro_pmu::{CounterId, CounterSet};
 use vapro_sim::SimConfig;
 use vapro_stats::v_measure;
 
@@ -42,37 +42,24 @@ pub fn threshold_sweep(opts: &ExpOpts) -> Vec<ThresholdRow> {
     let run = run_under_vapro(&SimConfig::new(ranks).with_seed(opts.seed), &vapro_cf(), |ctx| {
         vapro_apps::amg::run(ctx, &params)
     });
-    let merged = merge_stgs(&run.stgs);
-    let pool: Vec<_> = merged
-        .edges
-        .iter()
-        .map(|(_, v)| v)
-        .max_by_key(|v| v.iter().map(|f| f.duration().ns()).sum::<u64>())
-        .expect("AMG has edges")
-        .iter()
-        .copied()
-        .filter(|f| f.kind == FragmentKind::Computation)
+    let pooled = ColumnarPool::from_stgs(&run.stgs, None);
+    // Edge lanes hold computation fragments only (STG Definition 1).
+    let pool = hottest_edge(&pooled).expect("AMG has edges");
+    let tot_ins = CounterSet::from_ids(&[CounterId::TotIns]);
+    let ins: Vec<f64> = (0..pool.len())
+        .map(|i| pool.project_counters(i, tot_ins).get_or_zero(CounterId::TotIns))
         .collect();
     // Ground truth: the true class is recoverable from the (clean) class
     // structure — classes are (1+k)·base instructions, ≥ 14 % apart, so
     // rounding TOT_INS to the nearest class index is exact despite the
     // 0.3 % jitter.
-    let base = pool
-        .iter()
-        .map(|f| f.counters.get_or_zero(vapro_pmu::CounterId::TotIns))
-        .fold(f64::INFINITY, f64::min);
-    let truth: Vec<usize> = pool
-        .iter()
-        .map(|f| {
-            let ins = f.counters.get_or_zero(vapro_pmu::CounterId::TotIns);
-            (ins / base).round() as usize
-        })
-        .collect();
+    let base = ins.iter().copied().fold(f64::INFINITY, f64::min);
+    let truth: Vec<usize> = ins.iter().map(|ins| (ins / base).round() as usize).collect();
 
     [0.005, 0.02, 0.05, 0.15, 0.40]
         .into_iter()
         .map(|threshold| {
-            let outcome = cluster_pool(pool.as_slice(), &DEFAULT_PROXY, threshold, 2);
+            let outcome = cluster_pool(&pool, &DEFAULT_PROXY, threshold, 2);
             let labels = outcome.all_labels(pool.len());
             let scores = v_measure(&truth, &labels);
             ThresholdRow {
@@ -176,11 +163,11 @@ pub fn proxy_comparison() -> Vec<ProxyRow> {
         pool.push(mk(50_000.0, 2_000.0, 500.0, i));
     }
 
-    let pool: Vec<&Fragment> = pool.iter().collect();
+    let pool = ColumnarPool::single_lane(&pool);
     [("TOT_INS", &DEFAULT_PROXY[..]), ("TOT_INS+loads+stores", &EXTENDED_PROXY[..])]
         .into_iter()
         .map(|(name, proxies)| {
-            let outcome = cluster_pool(pool.as_slice(), proxies, 0.05, 5);
+            let outcome = cluster_pool(&pool.all(), proxies, 0.05, 5);
             ProxyRow {
                 proxy: name,
                 hw_slots: CounterSet::from_ids(proxies).hardware_slots(),

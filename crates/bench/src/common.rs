@@ -1,7 +1,8 @@
 //! Shared experiment plumbing: options, noise presets, and report
 //! formatting helpers.
 
-use vapro_core::VaproConfig;
+use vapro_core::diagnose::{diagnose_progressively_with, DiagnosisReport, ScratchProvider};
+use vapro_core::{ColumnarPool, LaneView, PoolView, Stg, VaproConfig};
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, TargetSet, VirtualTime};
 
 /// Options common to every experiment.
@@ -99,6 +100,24 @@ pub fn maybe_json(opts: &ExpOpts, name: &str, value: serde_json::Value) -> Strin
         "\n### json {name}\n{}\n### end json\n",
         serde_json::to_string(&value).expect("serialisable")
     )
+}
+
+/// The pooled edge lane with the most total time (the last one on a tie).
+pub fn hottest_edge(pool: &ColumnarPool) -> Option<LaneView<'_>> {
+    (0..pool.num_edges())
+        .map(|i| pool.edge(i).2)
+        .max_by_key(|l| (0..l.len()).map(|i| l.end(i).saturating_since(l.start(i)).ns()).sum::<u64>())
+}
+
+/// Progressive diagnosis over every fragment of the run's hottest edge,
+/// pooled across ranks — the inter-process comparison of the case
+/// studies (§6.5): slow ranks' fragments against healthy ranks' fragments
+/// of the same state.
+pub fn diagnose_hottest_edge(stgs: &[Stg]) -> Option<DiagnosisReport> {
+    let pool = ColumnarPool::from_stgs(stgs, None);
+    let lane = hottest_edge(&pool)?;
+    let members: Vec<usize> = (0..lane.len()).collect();
+    diagnose_progressively_with(&mut ScratchProvider::new(lane, &members), 1.2, 0.25, 0.05)
 }
 
 #[cfg(test)]

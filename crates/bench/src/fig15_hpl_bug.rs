@@ -5,11 +5,10 @@
 //! attributes the slowdown to backend bound (paper: 96.6 %), refined to
 //! L2 + DRAM bound (48.2 % + 38.0 %).
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{diagnose_hottest_edge, header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro_binned;
 use vapro_apps::AppParams;
-use vapro_core::diagnose::{diagnose_progressively, DiagnosisReport, Factor};
-use vapro_core::fragment::Fragment;
+use vapro_core::diagnose::{DiagnosisReport, Factor};
 use vapro_sim::{NoiseKind, SimConfig, TargetSet, Topology};
 
 /// The Fig. 15 analysis output.
@@ -69,24 +68,7 @@ pub fn analyze(opts: &ExpOpts) -> Fig15Run {
     // Progressive diagnosis over a bugged rank's DGEMM fragments, pooled
     // with healthy ranks' fragments of the same state (inter-process
     // comparison — the capability the paper stresses perf/vSensor lack).
-    let merged = vapro_core::detect::pipeline::merge_stgs(&run.stgs);
-    let dgemm_pool: Option<Vec<Fragment>> = merged
-        .edges
-        .iter()
-        .map(|(_, v)| v)
-        .max_by_key(|v| v.iter().map(|f| f.duration().ns()).sum::<u64>())
-        .map(|v| v.iter().map(|f| (*f).clone()).collect());
-    let diagnosis = dgemm_pool.and_then(|pool| {
-        let mut provider = move |set: vapro_pmu::CounterSet| -> Vec<Fragment> {
-            pool.iter()
-                .map(|f| Fragment {
-                    counters: f.counters.project(set),
-                    ..f.clone()
-                })
-                .collect()
-        };
-        diagnose_progressively(&mut provider, 1.2, 0.25, 0.05)
-    });
+    let diagnosis = diagnose_hottest_edge(&run.stgs);
 
     Fig15Run { map, bugged_ranks, bugged_perf, healthy_perf, diagnosis }
 }

@@ -4,11 +4,10 @@
 //! (paper: 97.2 %), nearly all of it memory bound. Replacing the node
 //! gave the paper a 1.24× speedup.
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{diagnose_hottest_edge, header, vapro_cf, ExpOpts};
 use vapro::harness::{run_bare, run_under_vapro_binned};
 use vapro_apps::AppParams;
-use vapro_core::diagnose::{diagnose_progressively, DiagnosisReport, Factor};
-use vapro_core::fragment::Fragment;
+use vapro_core::diagnose::{DiagnosisReport, Factor};
 use vapro_sim::{NoiseKind, SimConfig, TargetSet};
 
 /// The Fig. 17 analysis output.
@@ -51,21 +50,7 @@ pub fn analyze(opts: &ExpOpts) -> Fig17Run {
         .is_some_and(|r| slow_ranks.iter().any(|&v| r.covers_rank(v)));
 
     // Diagnose the pooled hottest edge (inter-process comparison).
-    let merged = vapro_core::detect::pipeline::merge_stgs(&run.stgs);
-    let pool: Option<Vec<Fragment>> = merged
-        .edges
-        .iter()
-        .map(|(_, v)| v)
-        .max_by_key(|v| v.iter().map(|f| f.duration().ns()).sum::<u64>())
-        .map(|v| v.iter().map(|f| (*f).clone()).collect());
-    let diagnosis = pool.and_then(|pool| {
-        let mut provider = move |set: vapro_pmu::CounterSet| -> Vec<Fragment> {
-            pool.iter()
-                .map(|f| Fragment { counters: f.counters.project(set), ..f.clone() })
-                .collect()
-        };
-        diagnose_progressively(&mut provider, 1.2, 0.25, 0.05)
-    });
+    let diagnosis = diagnose_hottest_edge(&run.stgs);
 
     // The fix: replace the node (run on a healthy machine).
     let fixed = run_bare(&base, |ctx| vapro_apps::nekbone::run(ctx, &params));

@@ -13,8 +13,8 @@ use crate::common::{header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::{AppKind, AppParams};
 use vapro_core::clustering::cluster_pool;
-use vapro_core::detect::pipeline::merge_stgs;
-use vapro_core::fragment::{FragmentKind, DEFAULT_PROXY};
+use vapro_core::fragment::DEFAULT_PROXY;
+use vapro_core::{ColumnarPool, PoolView};
 use vapro_sim::{SimConfig, Topology};
 use vapro_stats::{v_measure, VMeasure};
 
@@ -51,25 +51,22 @@ fn evaluate(name: &'static str, truth: Truth, opts: &ExpOpts) -> Table2Row {
     let cfg = SimConfig::new(ranks).with_topology(topo).with_seed(opts.seed);
     let run = run_under_vapro(&cfg, &vapro_cf(), |ctx| (app.run)(ctx, &params));
 
-    let merged = merge_stgs(&run.stgs);
+    let pool = ColumnarPool::from_stgs(&run.stgs, None);
     let mut class_labels: Vec<usize> = Vec::new();
     let mut cluster_labels: Vec<usize> = Vec::new();
     let mut label_base = 0usize;
     let mut cluster_base = 0usize;
 
-    for (state_idx, (_, frags)) in merged.edges.iter().enumerate() {
-        let comp: Vec<_> = frags
-            .iter()
-            .copied()
-            .filter(|f| f.kind == FragmentKind::Computation)
-            .collect();
+    for state_idx in 0..pool.num_edges() {
+        // Edge lanes hold computation fragments only (STG Definition 1).
+        let comp = pool.edge(state_idx).2;
         if comp.len() < 2 {
             continue;
         }
         // Ground truth per fragment, from the recorded execution paths —
         // i.e. from *structural* knowledge of the app, not from measured
         // counters (which carry PMU jitter):
-        for f in &comp {
+        for i in 0..comp.len() {
             let class = match truth {
                 // CG/FT/EP execute exactly one workload per STG edge (every
                 // traversal of the same state transition runs the same
@@ -77,12 +74,12 @@ fn evaluate(name: &'static str, truth: Truth, opts: &ExpOpts) -> Table2Row {
                 Truth::ByStateAndSharedClass => state_idx << 20,
                 // PageRank: each thread's graph partition is its own
                 // (slightly different) workload.
-                Truth::ByStateAndRank => f.rank ^ (state_idx << 20),
+                Truth::ByStateAndRank => comp.rank(i) ^ (state_idx << 20),
             };
             class_labels.push(class.wrapping_add(label_base));
         }
         // Vapro's clusters over the same pool.
-        let outcome = cluster_pool(comp.as_slice(), &DEFAULT_PROXY, 0.05, 2);
+        let outcome = cluster_pool(&comp, &DEFAULT_PROXY, 0.05, 2);
         let labels = outcome.all_labels(comp.len());
         cluster_labels.extend(labels.iter().map(|l| l + cluster_base));
         cluster_base += outcome.usable.len() + outcome.rare.len();

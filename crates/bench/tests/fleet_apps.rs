@@ -4,7 +4,10 @@
 //! of separate tenants — through one [`FleetIngestor`]. Each
 //! job's streamed output must be bit-identical to the one-shot windowed
 //! analysis of its own run ([`analyze_windows`]): the fleet
-//! plane adds routing and admission, never analysis drift.
+//! plane adds routing and admission, never analysis drift. Run once with
+//! context-free collectors (call-site states) and once context-aware
+//! with CESM in HPL's place: its component regions give call-path states
+//! of two depths, whose labels do not sort like their keys.
 
 use vapro::harness::run_under_vapro;
 use vapro_apps::{find_app, AppParams};
@@ -56,7 +59,15 @@ fn frames_of(stgs: &[Stg], period_ns: u64, tenant: u32, job: u32) -> Vec<Vec<u8>
 
 #[test]
 fn three_mini_apps_stream_through_the_fleet_bit_identically() {
-    let apps = ["CG", "HPL", "PageRank"];
+    stream_three_mini_apps(["CG", "HPL", "PageRank"], VaproConfig::default());
+}
+
+#[test]
+fn three_context_aware_mini_apps_stream_through_the_fleet_bit_identically() {
+    stream_three_mini_apps(["CG", "CESM", "PageRank"], VaproConfig::context_aware());
+}
+
+fn stream_three_mini_apps(apps: [&str; 3], collector: VaproConfig) {
     let nranks = 4usize;
     let params = AppParams::default().with_iterations(6);
 
@@ -67,7 +78,7 @@ fn three_mini_apps_stream_through_the_fleet_bit_identically() {
         .map(|(j, name)| {
             let spec = find_app(name).unwrap_or_else(|| panic!("{name} not in the registry"));
             let sim = SimConfig::new(nranks).with_seed(0x5EED + j as u64);
-            run_under_vapro(&sim, &VaproConfig::default(), |ctx| (spec.run)(ctx, &params)).stgs
+            run_under_vapro(&sim, &collector, |ctx| (spec.run)(ctx, &params)).stgs
         })
         .collect();
 
@@ -77,7 +88,7 @@ fn three_mini_apps_stream_through_the_fleet_bit_identically() {
         (runs.iter().map(|stgs| t_end_ns(stgs)).max().unwrap_or(0) / 6).max(1);
     let cfg = VaproConfig {
         report_period: VirtualTime::from_ns(period_ns),
-        ..VaproConfig::default()
+        ..collector.clone()
     };
 
     // Each app ships as its own job under its own tenant.

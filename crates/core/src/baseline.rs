@@ -11,8 +11,8 @@
 //! the fleet's baseline) is distinguished from in-run variance.
 
 use crate::clustering::cluster_pool;
+use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
-use crate::detect::pipeline::merge_stgs;
 use crate::fragment::Fragment;
 use crate::stg::Stg;
 use serde::{Deserialize, Serialize};
@@ -90,12 +90,12 @@ impl RunComparison {
 
 fn signatures_of(
     label: String,
-    frags: &[&Fragment],
+    frags: LaneView<'_>,
     cfg: &VaproConfig,
     out: &mut BTreeMap<String, Vec<ClusterSignature>>,
 ) {
     let outcome = cluster_pool(
-        frags,
+        &frags,
         &cfg.proxy_counters,
         cfg.cluster_threshold,
         cfg.min_cluster_size,
@@ -103,7 +103,7 @@ fn signatures_of(
     let mut sigs = Vec::new();
     for c in &outcome.usable {
         let mut durs: Vec<f64> =
-            c.members.iter().map(|&m| frags[m].duration_ns()).collect();
+            c.members.iter().map(|&m| frags.duration_ns(m)).collect();
         durs.sort_by(|a, b| a.partial_cmp(b).expect("finite duration"));
         sigs.push(ClusterSignature {
             seed: c.seed.clone(),
@@ -120,18 +120,15 @@ fn signatures_of(
 impl BaselineProfile {
     /// Build a profile from a run's per-rank STGs.
     pub fn build(stgs: &[Stg], cfg: &VaproConfig) -> BaselineProfile {
-        let merged = merge_stgs(stgs);
+        let pool = ColumnarPool::from_stgs(stgs, None);
         let mut states = BTreeMap::new();
-        for (key, frags) in merged.vertex_pools() {
-            signatures_of(key.label(), frags, cfg, &mut states);
+        for i in 0..pool.num_vertices() {
+            let (label, frags) = pool.vertex(i);
+            signatures_of(label.to_string(), frags, cfg, &mut states);
         }
-        for (from, to, frags) in merged.edge_pools() {
-            signatures_of(
-                format!("{} -> {}", from.label(), to.label()),
-                frags,
-                cfg,
-                &mut states,
-            );
+        for i in 0..pool.num_edges() {
+            let (from, to, frags) = pool.edge(i);
+            signatures_of(format!("{from} -> {to}"), frags, cfg, &mut states);
         }
         BaselineProfile { states }
     }

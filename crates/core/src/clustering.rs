@@ -483,10 +483,9 @@ fn split_by_size(clusters: Vec<Cluster>, min_cluster_size: usize) -> ClusterOutc
 /// Cluster any pooled population by its fragments' workload vectors
 /// (computation fragments use `proxy_counters`; invocation fragments use
 /// their argument vectors), read through the [`PoolView`] accessors —
-/// the one entry detection and diagnosis call for both `[&Fragment]`
-/// slices and columnar lane views. Workload values go straight into one
-/// flat matrix; no per-fragment vector is ever materialised, and pooled
-/// fragments stay where their owner keeps them.
+/// the one entry detection and diagnosis call. Workload values go
+/// straight into one flat matrix; no per-fragment vector is ever
+/// materialised, and pooled fragments stay where their owner keeps them.
 pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     pool: &P,
     proxy_counters: &[CounterId],
@@ -501,35 +500,6 @@ pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
         pool.extend_workload_lane(i, proxy_counters, dim, &mut data);
     }
     cluster_lanes(&data, n, dim, threshold, min_cluster_size)
-}
-
-/// Dimension of one fragment's workload vector without building it.
-#[inline]
-pub(crate) fn workload_dim(f: &Fragment, proxy_counters: &[CounterId]) -> usize {
-    match f.kind {
-        crate::fragment::FragmentKind::Computation => proxy_counters.len(),
-        _ => f.args.len(),
-    }
-}
-
-/// Append one fragment's workload vector to a flat lane buffer,
-/// zero-padded to `dim` — the allocation-free twin of
-/// [`Fragment::workload_vector`].
-#[inline]
-pub(crate) fn extend_workload_lane(
-    f: &Fragment,
-    proxy_counters: &[CounterId],
-    dim: usize,
-    out: &mut Vec<f64>,
-) {
-    let before = out.len();
-    match f.kind {
-        crate::fragment::FragmentKind::Computation => {
-            out.extend(proxy_counters.iter().map(|&c| f.counters.get_or_zero(c)));
-        }
-        _ => out.extend_from_slice(&f.args),
-    }
-    out.resize(before + dim, 0.0);
 }
 
 fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
@@ -783,9 +753,9 @@ mod tests {
         for i in 6..12 {
             frags.push(mk(10_000.0, 500.0, 100.0, i)); // compute-heavy
         }
-        let refs: Vec<&Fragment> = frags.iter().collect();
-        let narrow = cluster_pool(refs.as_slice(), &DEFAULT_PROXY, 0.05, 5);
-        let wide = cluster_pool(refs.as_slice(), &EXTENDED_PROXY, 0.05, 5);
+        let pool = crate::columnar::ColumnarPool::single_lane(&frags);
+        let narrow = cluster_pool(&pool.all(), &DEFAULT_PROXY, 0.05, 5);
+        let wide = cluster_pool(&pool.all(), &EXTENDED_PROXY, 0.05, 5);
         // TOT_INS alone cannot tell them apart…
         assert_eq!(narrow.usable.len(), 1);
         // …the extended proxy can.

@@ -6,13 +6,21 @@
 //! offsets, partitioned into per-location lanes. [`LaneView`] hands
 //! detection and diagnosis a contiguous window onto them.
 //!
+//! A sealed pool is the single interface between *where fragments come
+//! from* and *what the analysis reads*. It has two sources:
+//! [`ColumnarPool::refill_from_merged`] gathers a window out of the
+//! streaming arena (sorted, evicted, recycled), and
+//! [`ColumnarPool::from_stgs`] gathers per-rank STGs directly (no arena,
+//! sort, eviction or stage — which is what keeps
+//! [`analyze_windows`](crate::detect::oneshot::analyze_windows) an
+//! independent oracle for everything upstream of the kernel). Either
+//! way a location has one identity, its label, and lanes come in label
+//! order, so the two sources cannot disagree about which lane is which.
+//!
 //! [`PoolView`] is what the analysis kernels read a population through.
-//! It has two implementors, one per pipeline: [`LaneView`] for sealed
-//! streaming windows, and `[&Fragment]` for the one-shot path
-//! ([`detect_merged`](crate::detect::pipeline::detect_merged) over
-//! borrowed STG fragments), which every stream ≡ one-shot test uses as
-//! the oracle and which would otherwise pay a transposition per call.
-//! `tests/columnar_equivalence.rs` property-tests the two bit-identical.
+//! [`LaneView`] is its one implementor; the trait stays because the
+//! kernels are written against it and a window over two sealed panes
+//! (ROADMAP) will be the second.
 //!
 //! ## Memory layout
 //!
@@ -38,19 +46,20 @@
 //! so building views allocates nothing and the zero-`Fragment`-clone
 //! guarantee holds structurally.
 
-use crate::clustering;
 use crate::detect::arena::ArenaView;
+use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
-use crate::stg::StateKey;
+use crate::stg::Stg;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
 use vapro_sim::VirtualTime;
 
 /// Read-only access to one pooled fragment population, by index.
 ///
-/// Implemented by `[&Fragment]` (the one-shot path's borrowed pools) and
-/// by columnar [`LaneView`]s; everything the detection/diagnosis pipeline
-/// reads from a pool goes through these accessors, which is what keeps
-/// the two representations bit-identical by construction.
+/// Implemented by columnar [`LaneView`]s; everything the
+/// detection/diagnosis pipeline reads from a pool goes through these
+/// accessors.
 pub trait PoolView {
     /// Number of fragments in the pool.
     fn len(&self) -> usize;
@@ -101,104 +110,6 @@ pub trait PoolView {
     fn args(&self, i: usize) -> &[f64];
 }
 
-impl PoolView for [&Fragment] {
-    fn len(&self) -> usize {
-        <[&Fragment]>::len(self)
-    }
-
-    fn rank(&self, i: usize) -> usize {
-        self[i].rank
-    }
-
-    fn kind(&self, i: usize) -> FragmentKind {
-        self[i].kind
-    }
-
-    fn start(&self, i: usize) -> VirtualTime {
-        self[i].start
-    }
-
-    fn end(&self, i: usize) -> VirtualTime {
-        self[i].end
-    }
-
-    fn duration_ns(&self, i: usize) -> f64 {
-        self[i].duration_ns()
-    }
-
-    fn workload_dim(&self, proxy_counters: &[CounterId]) -> usize {
-        self.iter().map(|f| clustering::workload_dim(f, proxy_counters)).max().unwrap_or(0)
-    }
-
-    fn extend_workload_lane(
-        &self,
-        i: usize,
-        proxy_counters: &[CounterId],
-        dim: usize,
-        out: &mut Vec<f64>,
-    ) {
-        clustering::extend_workload_lane(self[i], proxy_counters, dim, out);
-    }
-
-    fn project_counters(&self, i: usize, keep: CounterSet) -> CounterDelta {
-        self[i].counters.project(keep)
-    }
-
-    fn args(&self, i: usize) -> &[f64] {
-        &self[i].args
-    }
-}
-
-/// References to a pool view see through to the underlying view, so the
-/// pipeline can hold `&[&Fragment]` and `LaneView` under one bound.
-impl<P: PoolView + ?Sized> PoolView for &P {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn rank(&self, i: usize) -> usize {
-        (**self).rank(i)
-    }
-
-    fn kind(&self, i: usize) -> FragmentKind {
-        (**self).kind(i)
-    }
-
-    fn start(&self, i: usize) -> VirtualTime {
-        (**self).start(i)
-    }
-
-    fn end(&self, i: usize) -> VirtualTime {
-        (**self).end(i)
-    }
-
-    fn duration_ns(&self, i: usize) -> f64 {
-        (**self).duration_ns(i)
-    }
-
-    fn workload_dim(&self, proxy_counters: &[CounterId]) -> usize {
-        (**self).workload_dim(proxy_counters)
-    }
-
-    fn extend_workload_lane(
-        &self,
-        i: usize,
-        proxy_counters: &[CounterId],
-        dim: usize,
-        out: &mut Vec<f64>,
-    ) {
-        (**self).extend_workload_lane(i, proxy_counters, dim, out)
-    }
-
-    fn project_counters(&self, i: usize, keep: CounterSet) -> CounterDelta {
-        (**self).project_counters(i, keep)
-    }
-
-    fn args(&self, i: usize) -> &[f64] {
-        (**self).args(i)
-    }
-}
-
 /// One location's contiguous index range in the columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Lane {
@@ -219,8 +130,8 @@ pub struct ColumnarPool {
     coff: Vec<u32>,
     args: Vec<f64>,
     aoff: Vec<u32>,
-    vertices: Vec<(StateKey, Lane)>,
-    edges: Vec<((StateKey, StateKey), Lane)>,
+    vertices: Vec<(Arc<str>, Lane)>,
+    edges: Vec<(Arc<str>, Arc<str>, Lane)>,
     /// Which of `vertices`/`edges` is currently absorbing pushes.
     open_edge: bool,
 }
@@ -293,16 +204,16 @@ impl ColumnarPool {
 
     /// Open a new vertex lane; subsequent [`ColumnarPool::push`]es land
     /// in it until the next `begin_*`.
-    pub fn begin_vertex(&mut self, key: StateKey) {
+    pub fn begin_vertex(&mut self, label: Arc<str>) {
         let n = self.ranks.len() as u32;
-        self.vertices.push((key, Lane { lo: n, hi: n }));
+        self.vertices.push((label, Lane { lo: n, hi: n }));
         self.open_edge = false;
     }
 
     /// Open a new edge lane.
-    pub fn begin_edge(&mut self, from: StateKey, to: StateKey) {
+    pub fn begin_edge(&mut self, from: Arc<str>, to: Arc<str>) {
         let n = self.ranks.len() as u32;
-        self.edges.push(((from, to), Lane { lo: n, hi: n }));
+        self.edges.push((from, to, Lane { lo: n, hi: n }));
         self.open_edge = true;
     }
 
@@ -326,7 +237,7 @@ impl ColumnarPool {
         self.aoff.push(self.args.len() as u32);
         let n = self.ranks.len() as u32;
         let lane = if self.open_edge {
-            &mut self.edges.last_mut().expect("push before begin_edge").1
+            &mut self.edges.last_mut().expect("push before begin_edge").2
         } else {
             &mut self.vertices.last_mut().expect("push before begin_vertex").1
         };
@@ -334,7 +245,7 @@ impl ColumnarPool {
     }
 
     /// Refill this pool from an arena selection: one lane per location
-    /// with a selected fragment, locations in state-key order, every
+    /// with a selected fragment, locations in label order, every
     /// fragment transposed into the columns in the arena's canonical
     /// order. Reuses the pool's existing capacity (see
     /// [`ColumnarPool::clear`]), so a recycled pool sealing window after
@@ -352,15 +263,81 @@ impl ColumnarPool {
         pool
     }
 
-    /// The `i`-th vertex location: its state key and lane view.
-    pub fn vertex(&self, i: usize) -> (&StateKey, LaneView<'_>) {
-        let (key, lane) = &self.vertices[i];
-        (key, LaneView { pool: self, lo: lane.lo, hi: lane.hi })
+    /// Gather per-rank STGs into a fresh pool: the fragments overlapping
+    /// `window` (all of them for `None`), pooled by
+    /// [`StateKey::label`](crate::stg::StateKey::label) — the identity a
+    /// location has on the wire — with lanes in label order, STGs in
+    /// slice order and each STG's fragments in attach order. For
+    /// rank-indexed STGs that is the arena's canonical order, so a
+    /// streamed window and the same window gathered here are equal
+    /// column for column.
+    pub fn from_stgs(stgs: &[Stg], window: Option<Window>) -> ColumnarPool {
+        let keep = |f: &&Fragment| window.is_none_or(|w| w.overlaps(f.start, f.end));
+        let mut vertices: BTreeMap<Arc<str>, Vec<&Fragment>> = BTreeMap::new();
+        let mut edges: BTreeMap<(Arc<str>, Arc<str>), Vec<&Fragment>> = BTreeMap::new();
+        for stg in stgs {
+            let labels: Vec<Arc<str>> =
+                stg.vertices().iter().map(|v| Arc::from(v.key.label())).collect();
+            for (v, label) in stg.vertices().iter().zip(&labels) {
+                let lane = vertices.entry(Arc::clone(label)).or_default();
+                lane.extend(v.fragments.iter().filter(keep));
+            }
+            for e in stg.edges() {
+                let key = (Arc::clone(&labels[e.from]), Arc::clone(&labels[e.to]));
+                edges.entry(key).or_default().extend(e.fragments.iter().filter(keep));
+            }
+        }
+        let mut pool = ColumnarPool::new();
+        pool.reserve(vertices.values().chain(edges.values()).map(Vec::len).sum());
+        for (label, frags) in vertices.into_iter().filter(|(_, frags)| !frags.is_empty()) {
+            pool.begin_vertex(label);
+            for f in frags {
+                pool.push(f);
+            }
+        }
+        for ((from, to), frags) in edges.into_iter().filter(|(_, frags)| !frags.is_empty()) {
+            pool.begin_edge(from, to);
+            for f in frags {
+                pool.push(f);
+            }
+        }
+        pool
     }
 
-    /// The `i`-th edge location: its state-key pair and lane view.
-    pub fn edge(&self, i: usize) -> (&StateKey, &StateKey, LaneView<'_>) {
-        let ((from, to), lane) = &self.edges[i];
+    /// One unnamed lane holding `frags` in the given order, read through
+    /// [`ColumnarPool::all`]: how a test or experiment puts a hand-built
+    /// population in front of the kernels.
+    pub fn single_lane<'f>(frags: impl IntoIterator<Item = &'f Fragment>) -> ColumnarPool {
+        let frags = frags.into_iter();
+        let mut pool = ColumnarPool::new();
+        pool.reserve(frags.size_hint().0);
+        pool.begin_vertex(Arc::from(""));
+        for f in frags {
+            pool.push(f);
+        }
+        pool
+    }
+
+    /// Room for `rows` more fragments in every per-fragment column.
+    fn reserve(&mut self, rows: usize) {
+        self.ranks.reserve(rows);
+        self.kinds.reserve(rows);
+        self.starts.reserve(rows);
+        self.ends.reserve(rows);
+        self.sets.reserve(rows);
+        self.coff.reserve(rows);
+        self.aoff.reserve(rows);
+    }
+
+    /// The `i`-th vertex location: its label and lane view.
+    pub fn vertex(&self, i: usize) -> (&str, LaneView<'_>) {
+        let (label, lane) = &self.vertices[i];
+        (label, LaneView { pool: self, lo: lane.lo, hi: lane.hi })
+    }
+
+    /// The `i`-th edge location: its endpoint labels and lane view.
+    pub fn edge(&self, i: usize) -> (&str, &str, LaneView<'_>) {
+        let (from, to, lane) = &self.edges[i];
         (from, to, LaneView { pool: self, lo: lane.lo, hi: lane.hi })
     }
 
@@ -502,9 +479,9 @@ mod tests {
             args: vec![4096.0, 3.0],
         };
         let mut pool = ColumnarPool::new();
-        pool.begin_edge(StateKey::Start, StateKey::Start);
+        pool.begin_edge("a".into(), "b".into());
         pool.push(&frag);
-        pool.begin_vertex(StateKey::Start);
+        pool.begin_vertex("a".into());
         pool.push(&frag);
         let cap = pool.counters.capacity();
         pool.clear();
@@ -512,7 +489,7 @@ mod tests {
         assert_eq!(pool.num_vertices() + pool.num_edges(), 0);
         assert_eq!(pool.counters.capacity(), cap);
         // Refill works after clear.
-        pool.begin_vertex(StateKey::Start);
+        pool.begin_vertex("a".into());
         pool.push(&frag);
         assert_eq!(pool.vertex(0).1.len(), 1);
     }
@@ -520,8 +497,8 @@ mod tests {
     #[test]
     fn empty_lanes_are_well_formed() {
         let mut pool = ColumnarPool::new();
-        pool.begin_vertex(StateKey::Start);
-        pool.begin_edge(StateKey::Start, StateKey::Start);
+        pool.begin_vertex("a".into());
+        pool.begin_edge("a".into(), "b".into());
         let (_, v) = pool.vertex(0);
         let (_, _, e) = pool.edge(0);
         assert_eq!(v.len(), 0);

@@ -13,18 +13,17 @@
 use crate::columnar::ColumnarPool;
 use crate::detect::window::Window;
 use crate::fragment::Fragment;
-use crate::stg::StateKey;
-use crate::wire::{leak_label, FragmentBatch};
+use crate::wire::FragmentBatch;
 use std::collections::HashMap;
-use vapro_sim::CallSite;
+use std::sync::Arc;
 
 /// Canonical in-pool fragment order: (rank, time) first, then fragment
 /// content (kind, counters, args) to break ties among identical-
 /// timestamp fragments — so pool order never depends on batch arrival
 /// order, even when timestamps collide. Where (rank, time) is unique —
 /// every rank-indexed STG the one-shot path consumes — the order equals
-/// what `merge_stgs` produces, which is what makes the incremental
-/// reports bit-identical to the one-shot windowed analysis.
+/// what [`ColumnarPool::from_stgs`] produces, which is what makes the
+/// incremental reports bit-identical to the one-shot windowed analysis.
 fn fragment_order(a: &Fragment, b: &Fragment) -> std::cmp::Ordering {
     (a.rank, a.start.ns(), a.end.ns(), a.kind as u8)
         .cmp(&(b.rank, b.start.ns(), b.end.ns(), b.kind as u8))
@@ -123,14 +122,15 @@ impl ArenaPool {
 
 /// Server-side fragment storage: shipped batches decoded **once** into
 /// per-location pools. Locations are keyed by state (for invocation
-/// pools) or state pair (for computation pools); state identity comes
-/// from the batch label dictionary, so labels containing `" -> "` are
-/// handled like any other.
+/// pools) or state pair (for computation pools); state identity is the
+/// label from the batch dictionary, so labels containing `" -> "` are
+/// handled like any other. The arena owns its labels: they are freed
+/// with it, and no two arenas share a table or a lock.
 #[derive(Debug, Default)]
 pub struct IngestArena {
-    /// Arena state keys; pool entries index into this.
-    keys: Vec<StateKey>,
-    key_ids: HashMap<&'static str, usize>,
+    /// Arena state labels; pool entries index into this.
+    keys: Vec<Arc<str>>,
+    key_ids: HashMap<Arc<str>, usize>,
     vertex_pools: HashMap<usize, ArenaPool>,
     edge_pools: HashMap<(usize, usize), ArenaPool>,
     fragments: usize,
@@ -163,24 +163,23 @@ impl IngestArena {
         IngestArena::default()
     }
 
-    /// The arena id of `label`. Only a label this arena has never seen
-    /// goes to the process-wide interner (and its lock): after a
-    /// location's first batch the lookup stays in `key_ids`.
+    /// The arena id of `label`; only a label this arena has never seen
+    /// is copied.
     fn key_id(&mut self, label: &str) -> usize {
         if let Some(&id) = self.key_ids.get(label) {
             return id;
         }
-        let leaked = leak_label(label);
+        let owned: Arc<str> = Arc::from(label);
         let id = self.keys.len();
-        self.keys.push(StateKey::Site(CallSite(leaked)));
-        self.key_ids.insert(leaked, id);
+        self.keys.push(Arc::clone(&owned));
+        self.key_ids.insert(owned, id);
         id
     }
 
     /// Absorb one decoded batch, *moving* its fragments into the pools.
     ///
     /// A label is resolved (and, the first time this arena sees it,
-    /// interned for the life of the process) only when a non-empty group
+    /// copied into the key table) only when a non-empty group
     /// references it: a frame's label table is sender-controlled, so
     /// entries that carry no fragments must not grow the key tables.
     ///
@@ -408,24 +407,23 @@ pub struct ArenaView<'a> {
 impl ArenaView<'_> {
     /// Append the selection to `out`, one lane per location that has a
     /// selected fragment: vertex lanes then edge lanes, each list in
-    /// state-key order (what `merge_stgs` produces, so every downstream
-    /// label, series and rare-path order matches the one-shot path), and
-    /// fragments in [`fragment_order`] — (rank, time) first with a
-    /// content tiebreaker, so a sealed window never depends on batch
-    /// arrival order even when timestamps collide.
+    /// label order (what [`ColumnarPool::from_stgs`] produces, so every
+    /// downstream label, series and rare-path order matches the one-shot
+    /// path), and fragments in [`fragment_order`] — (rank, time) first
+    /// with a content tiebreaker, so a sealed window never depends on
+    /// batch arrival order even when timestamps collide.
     pub(crate) fn gather_into(&self, out: &mut ColumnarPool) {
         let arena = self.arena;
-        let mut vertices: Vec<(&StateKey, &ArenaPool)> = arena
+        let mut vertices: Vec<(&Arc<str>, &ArenaPool)> = arena
             .vertex_pools
             .iter()
             .filter_map(|(&id, pool)| Some((arena.keys.get(id)?, pool)))
             .collect();
         vertices.sort_unstable_by(|a, b| a.0.cmp(b.0));
         for (key, pool) in vertices {
-            // vapro-lint: allow(R1, one StateKey per location table entry; not a fragment population)
-            self.gather_pool(pool, out, |out| out.begin_vertex(key.clone()));
+            self.gather_pool(pool, out, |out| out.begin_vertex(Arc::clone(key)));
         }
-        let mut edges: Vec<((&StateKey, &StateKey), &ArenaPool)> = arena
+        let mut edges: Vec<_> = arena
             .edge_pools
             .iter()
             .filter_map(|(&(from, to), pool)| {
@@ -434,8 +432,7 @@ impl ArenaView<'_> {
             .collect();
         edges.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         for ((from, to), pool) in edges {
-            // vapro-lint: allow(R1, one StateKey pair per edge table entry; not a fragment population)
-            self.gather_pool(pool, out, |out| out.begin_edge(from.clone(), to.clone()));
+            self.gather_pool(pool, out, |out| out.begin_edge(Arc::clone(from), Arc::clone(to)));
         }
     }
 
@@ -466,23 +463,38 @@ pub(crate) mod tests {
     use crate::detect::ingestor::WindowedIngestor;
     use crate::detect::pipeline::{detect, detect_columnar};
     use crate::fragment::FragmentKind;
-    use crate::stg::Stg;
+    use crate::stg::{StateKey, Stg};
     use vapro_pmu::{CounterDelta, CounterId};
-    use vapro_sim::VirtualTime;
+    use vapro_sim::{CallSite, VirtualTime};
 
     pub(crate) fn looped_stg(rank: usize, n: usize, period_ns: u64, slow_range: std::ops::Range<usize>) -> Stg {
+        let site = StateKey::Site(CallSite("w:MPI_Barrier"));
+        stg_over([site.clone(), site], false, rank, n, period_ns, slow_range)
+    }
+
+    /// `n` back-to-back computation fragments alternating between the
+    /// edges `x → y` and `y → x` (one self-loop when `x == y`); with
+    /// `entry_carries` the first one runs on `Start → x` instead.
+    pub(crate) fn stg_over(
+        [x, y]: [StateKey; 2],
+        entry_carries: bool,
+        rank: usize,
+        n: usize,
+        period_ns: u64,
+        slow_range: std::ops::Range<usize>,
+    ) -> Stg {
         let mut stg = Stg::new();
         let start = stg.state(StateKey::Start);
-        let site = stg.state(StateKey::Site(CallSite("w:MPI_Barrier")));
-        stg.transition(start, site);
-        let e = stg.transition(site, site);
+        let (x, y) = (stg.state(x), stg.state(y));
+        let entry = stg.transition(start, x);
+        let edges = [stg.transition(x, y), stg.transition(y, x)];
         let mut t = 0u64;
         for i in 0..n {
             let d = if slow_range.contains(&i) { period_ns * 3 } else { period_ns };
             let mut c = CounterDelta::default();
             c.put(CounterId::TotIns, 1000.0);
             stg.attach_edge_fragment(
-                e,
+                if entry_carries && i == 0 { entry } else { edges[i % 2] },
                 Fragment {
                     rank,
                     kind: FragmentKind::Computation,
@@ -547,11 +559,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn known_labels_stay_off_the_process_wide_interner() {
-        // A location's first batch interns its labels; every later batch
-        // with the same labels must resolve them in the arena's own map
-        // and never reach `leak_label`'s global lock.
-        use crate::wire::LEAK_LABEL_CALLS;
+    fn known_labels_are_issued_no_second_key() {
+        // A location's first batch copies its labels into the arena's
+        // key table; every later batch with the same labels resolves
+        // them there and grows nothing.
         let stg = looped_stg(0, 20, 1_000_000, 0..0);
         let period = |k: u64| Window {
             start: VirtualTime::from_ns(k * 10_000_000),
@@ -559,25 +570,23 @@ pub(crate) mod tests {
         };
         let mut arena = IngestArena::new();
         arena.push_batch(FragmentBatch::from_stg_starting_in(&stg, 0, period(0)));
-        let (keys, calls) = (arena.keys.len(), LEAK_LABEL_CALLS.get());
-        assert!(keys > 0 && calls > 0, "first batch interned nothing");
+        let keys = arena.keys.len();
+        assert!(keys > 0, "first batch interned nothing");
         let second = FragmentBatch::from_stg_starting_in(&stg, 0, period(1));
         assert!(!second.is_empty());
         arena.push_batch(second);
         assert_eq!(arena.keys.len(), keys, "a known label was issued a second id");
-        assert_eq!(LEAK_LABEL_CALLS.get(), calls, "a known label went back to the global lock");
+        assert_eq!(arena.key_ids.len(), keys);
     }
 
     #[test]
     fn labels_that_carry_no_fragments_are_never_interned() {
         // A frame's label table is sender-controlled. Entries no group
         // references, and entries only an empty group references, must
-        // not reach the process-lifetime interner or the arena's key
-        // tables: 1 000 distinct strings per frame would otherwise stay
-        // allocated for the life of the server.
-        use crate::wire::{VertexGroup, LEAK_LABEL_CALLS};
+        // not reach the arena's key tables: 1 000 distinct strings per
+        // frame would otherwise stay allocated for the life of the job.
+        use crate::wire::VertexGroup;
         let mut arena = IngestArena::new();
-        let (keys, calls) = (arena.keys.len(), LEAK_LABEL_CALLS.get());
         arena.push_batch(FragmentBatch {
             rank: 0,
             seq: 0,
@@ -589,8 +598,8 @@ pub(crate) mod tests {
             vertex_groups: vec![VertexGroup { label: 7, fragments: Vec::new() }],
             edge_groups: Vec::new(),
         });
-        assert_eq!(LEAK_LABEL_CALLS.get(), calls, "a label without fragments was leaked");
-        assert_eq!(arena.keys.len(), keys, "a label without fragments was issued a key");
+        assert!(arena.keys.is_empty(), "a label without fragments was issued a key");
+        assert!(arena.key_ids.is_empty());
         assert!(arena.is_empty() && arena.vertex_pools.is_empty());
     }
 

@@ -15,7 +15,7 @@ use crate::detect::arena::IngestArena;
 use crate::detect::pipeline::{detect_columnar, DetectionResult};
 use crate::detect::stage::AnalysisStage;
 use crate::detect::window::Window;
-use crate::diagnose::batch::{DiagnosisBatch, EdgePools};
+use crate::diagnose::batch::DiagnosisBatch;
 use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::DiagnosisReport;
 use crate::report::WindowCoverage;
@@ -57,12 +57,12 @@ pub struct WindowReport {
 }
 
 /// Diagnose the top-K computation regions of a detection result over
-/// the same merged view it was detected on. The [`DiagnosisBatch`]
+/// the same sealed pool it was detected on. The [`DiagnosisBatch`]
 /// seeds its cluster cache from the detection's own per-edge outcomes,
 /// so no pool is clustered twice — diagnosis costs one interval-index
 /// build plus the drill-downs themselves.
-pub(crate) fn diagnose_top_regions<S: EdgePools + Sync>(
-    pools: &S,
+fn diagnose_top_regions(
+    pools: &ColumnarPool,
     result: &DetectionResult,
     cfg: &VaproConfig,
 ) -> Vec<RegionDiagnosis> {
@@ -81,9 +81,9 @@ pub(crate) fn diagnose_top_regions<S: EdgePools + Sync>(
         .collect()
 }
 
-/// The per-window census both pipelines share: which of the deployment's
-/// ranks contributed no fragment.
-pub(crate) fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize> {
+/// The per-window census: which of the deployment's ranks contributed
+/// no fragment.
+fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut present = vec![false; nranks];
     for r in ranks {
         if let Some(p) = present.get_mut(r) {
@@ -93,12 +93,13 @@ pub(crate) fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) ->
     (0..nranks).filter(|&r| !present[r]).collect()
 }
 
-/// Streaming per-window analysis: detection and diagnosis over a sealed
-/// window's contiguous lanes. Every window the ingestor closes goes
-/// through here; the one-shot path keeps its own `analyze_view`
-/// ([`crate::detect::oneshot`]), so the streaming-equals-one-shot tests
-/// prove the two pipelines bit-identical end to end. The caller supplies
-/// the transport-side coverage.
+/// Per-window analysis: detection and diagnosis over a sealed window's
+/// contiguous lanes. Every window the ingestor closes goes through
+/// here, and so does every window of the one-shot oracle
+/// ([`crate::detect::oneshot`]), which gathers its pool from the STGs
+/// instead of the arena — the streaming-equals-one-shot tests therefore
+/// check everything upstream of this call. The caller supplies the
+/// transport-side coverage.
 pub(crate) fn analyze_view_columnar(
     pool: &ColumnarPool,
     window: Window,
@@ -344,8 +345,9 @@ impl WindowedIngestor {
     }
 
     /// Windows sealed into the stage but not yet emitted (in flight
-    /// on the pool, or parked awaiting an earlier window). Bounded by
-    /// `cfg.pipeline_depth`; 0 after every push at depth 0.
+    /// on the pool, or finished and parked awaiting an earlier window).
+    /// After every push it is at most `cfg.pipeline_depth`, however slow
+    /// one window is; 0 at depth 0.
     pub fn pending_windows(&self) -> u64 {
         self.stage.as_ref().map_or(0, AnalysisStage::pending)
     }
@@ -445,27 +447,22 @@ impl WindowedIngestor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::arena::tests::{looped_stg, period_frames};
+    use crate::detect::arena::tests::{looped_stg, period_frames, stg_over};
     use crate::detect::oneshot::analyze_windows;
     use crate::detect::oneshot::tests::assert_results_identical;
     use crate::detect::window::windows_covering;
-    use crate::stg::Stg;
-    use vapro_sim::VirtualTime;
+    use crate::stg::{StateKey, Stg};
+    use vapro_sim::{CallPath, CallSite, VirtualTime};
 
-    #[test]
-    fn incremental_ingestor_matches_batch_windowing() {
-        // Clients ship start-partitioned per-period batches through the
-        // binary wire; the incremental ingestor's reports must equal the
-        // one-shot windowed analysis of the same STGs.
+    /// Three ranks ship `stgs` as start-partitioned 5 s batches through
+    /// the binary wire; the incremental ingestor's reports must equal the
+    /// one-shot windowed analysis of the same STGs. Returns them.
+    fn stream_matching_oneshot(stgs: &[Stg]) -> Vec<WindowReport> {
         let cfg = VaproConfig {
             report_period: VirtualTime::from_secs(5),
             ..VaproConfig::default()
         };
-        let mut stgs: Vec<Stg> = (0..3)
-            .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
-            .collect();
-        stgs[2] = looped_stg(2, 30, 1_000_000_000, 12..18);
-        let reference = analyze_windows(&stgs, 3, 8, &cfg);
+        let reference = analyze_windows(stgs, 3, 8, &cfg);
 
         // Period-major shipping (every rank ships period k before any
         // rank ships k+1) — the paper's reporting pattern. Pool views
@@ -496,8 +493,51 @@ mod tests {
             assert_results_identical(&got.result, &want.result);
             assert_eq!(got.diagnoses, want.diagnoses);
         }
+        reports
+    }
+
+    #[test]
+    fn incremental_ingestor_matches_batch_windowing() {
+        let mut stgs: Vec<Stg> = (0..3)
+            .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
+            .collect();
+        stgs[2] = looped_stg(2, 30, 1_000_000_000, 12..18);
+        let reports = stream_matching_oneshot(&stgs);
         // And the variance was actually found in some window.
         assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
+    }
+
+    #[test]
+    fn call_paths_of_different_depth_stream_like_oneshot() {
+        // `StateKey`'s derived order puts the shallower path first
+        // (frame lists compare before sites); their labels sort the other
+        // way round ("main/solve/a.c…" < "main/z.c…"). A location has one
+        // order, its label's, whichever side pooled it.
+        let shallow = StateKey::Path(CallPath::new(&["main"], CallSite("z.c:1:X")));
+        let deep = StateKey::Path(CallPath::new(&["main", "solve"], CallSite("a.c:2:Y")));
+        assert!(shallow < deep && shallow.label() > deep.label());
+        let stgs: Vec<Stg> = (0..3)
+            .map(|r| {
+                let slow = if r == 2 { 12..18 } else { 0..0 };
+                stg_over([shallow.clone(), deep.clone()], false, r, 30, 1_000_000_000, slow)
+            })
+            .collect();
+        let reports = stream_matching_oneshot(&stgs);
+        assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
+    }
+
+    #[test]
+    fn a_label_sorting_below_start_streams_like_oneshot() {
+        // `StateKey::Start` is the smallest key, but its label `<start>`
+        // is not the smallest label: a digit-leading site sorts below it.
+        // The entry edge carries a fragment, so both lanes exist.
+        let site = StateKey::Site(CallSite("0a.c:1:X"));
+        assert!(StateKey::Start < site && StateKey::Start.label() > site.label());
+        let stgs: Vec<Stg> = (0..3)
+            .map(|r| stg_over([site.clone(), site.clone()], true, r, 30, 1_000_000_000, 0..0))
+            .collect();
+        let reports = stream_matching_oneshot(&stgs);
+        assert!(reports.iter().any(|r| r.result.edge_clusters.len() == 2));
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! performance data from application processes and analyse the last
 //! window).
 //!
-//! Two straight pipelines, one fragment form each — AoS where data is
-//! mutable, SoA where it is sealed:
+//! Two sources, one sealed layout, one kernel — AoS where data is
+//! mutable, SoA where it is sealed. Either way the analysis reads a
+//! [`ColumnarPool`](crate::columnar::ColumnarPool) whose lanes are keyed
+//! by state label, in label order:
 //!
 //! * **Streaming.** [`ingestor::WindowedIngestor`] admits shipped frames
 //!   ([`admission`]) into per-location fragment pools ([`arena`]), seals
 //!   each window the watermark passes into a columnar snapshot and
 //!   analyses it on the in-order `stage`.
-//! * **One-shot.** [`oneshot::analyze_windows`] pools per-rank STGs by
-//!   reference — the oracle every stream ≡ one-shot test compares the
-//!   streaming path against.
+//! * **One-shot.** [`oneshot::analyze_windows`] gathers each window
+//!   straight out of the per-rank STGs — no wire, arena, sort, eviction
+//!   or stage — which makes it the oracle every stream ≡ one-shot test
+//!   compares everything upstream of the kernel against.
 
 pub mod admission;
 pub mod arena;

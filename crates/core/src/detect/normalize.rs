@@ -76,9 +76,7 @@ impl CategorySeries {
 /// replaces every point's rank (the intra-process path folds a single
 /// rank's STG onto heat-map row 0 without rebuilding the graph).
 ///
-/// Generic over [`PoolView`]: `[&Fragment]` slices and columnar lane
-/// views normalise through identical arithmetic, in identical order, so
-/// their outputs are bit-identical.
+/// Generic over [`PoolView`], like the clustering it follows.
 pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
     pool: &P,
     outcome: &ClusterOutcome,
@@ -142,10 +140,10 @@ mod tests {
 
     /// Cluster `frags` with the default proxy and normalise the outcome.
     fn normalized(frags: &[Fragment]) -> (ClusterOutcome, CategorySeries) {
-        let refs: Vec<&Fragment> = frags.iter().collect();
-        let outcome = cluster_pool(refs.as_slice(), &DEFAULT_PROXY, 0.05, 5);
+        let pool = crate::columnar::ColumnarPool::single_lane(frags);
+        let outcome = cluster_pool(&pool.all(), &DEFAULT_PROXY, 0.05, 5);
         let mut out = CategorySeries::default();
-        normalize_cluster_outcome_view(refs.as_slice(), &outcome, &mut out, None);
+        normalize_cluster_outcome_view(&pool.all(), &outcome, &mut out, None);
         (outcome, out)
     }
 

@@ -1,48 +1,30 @@
 //! The one-shot windowed analysis — the oracle every stream ≡ one-shot
 //! test compares the streaming path against.
 //!
-//! [`analyze_windows`] pools per-rank STGs by reference
-//! ([`merge_stgs_window`]) and runs [`detect_merged`] over the
-//! `&Fragment` slices, window by window. Nothing here is sealed,
-//! recycled or evicted: the whole run is resident, which is what makes
-//! it a trustworthy reference for [`WindowedIngestor`], whose reports
-//! (stream + `finish`) must equal these bit for bit.
+//! [`analyze_windows`] gathers each window straight out of the per-rank
+//! STGs ([`ColumnarPool::from_stgs`]) and hands it to the same
+//! [`analyze_view_columnar`] the streaming path ends in. Nothing here
+//! goes through the wire, the arena, its sort, eviction or the stage:
+//! the whole run is resident, which is what makes it a trustworthy
+//! reference for everything upstream of the kernel in
+//! [`WindowedIngestor`], whose reports (stream + `finish`) must equal
+//! these bit for bit.
 //!
 //! [`WindowedIngestor`]: crate::detect::ingestor::WindowedIngestor
 
+use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
-use crate::detect::ingestor::{diagnose_top_regions, ranks_absent, WindowReport};
-use crate::detect::pipeline::{detect_merged, merge_stgs_window, MergedStg};
-use crate::detect::window::{windows_covering, Window};
+use crate::detect::ingestor::{analyze_view_columnar, WindowReport};
+use crate::detect::window::windows_covering;
 use crate::report::WindowCoverage;
 use crate::stg::Stg;
 use rayon::prelude::*;
 use vapro_sim::VirtualTime;
 
-/// One-shot per-window analysis: detection over the borrowed view, then
-/// top-K region diagnosis reusing detection's clusters. The
-/// `ranks_absent` census comes from the view itself, exactly as
-/// [`analyze_view_columnar`](crate::detect::ingestor::analyze_view_columnar)
-/// takes it from the lanes.
-fn analyze_view(
-    view: &MergedStg<'_>,
-    window: Window,
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-) -> WindowReport {
-    let pools = view.vertices.iter().map(|(_, p)| p).chain(view.edges.iter().map(|(_, p)| p));
-    let mut coverage = WindowCoverage::full(nranks);
-    coverage.ranks_absent = ranks_absent(nranks, pools.flatten().map(|f| f.rank));
-    let result = detect_merged(view, nranks, bins, cfg);
-    let diagnoses = diagnose_top_regions(view, &result, cfg);
-    WindowReport { window, result, diagnoses, coverage }
-}
-
 /// Analyse the run in overlapped windows of `cfg.report_period`: each
 /// window's fragments (from every rank's STG) are detected
 /// independently; windows run in parallel. Per-window populations are
-/// borrowed views ([`merge_stgs_window`]) — zero `Fragment` clones.
+/// transposed field by field — zero `Fragment` clones.
 pub fn analyze_windows(
     stgs: &[Stg],
     nranks: usize,
@@ -63,7 +45,9 @@ pub fn analyze_windows(
     windows_covering(VirtualTime::ZERO, t_end, cfg.report_period)
         .into_par_iter()
         .map(|window| {
-            analyze_view(&merge_stgs_window(stgs, window), window, nranks, bins_per_window, cfg)
+            let pool = ColumnarPool::from_stgs(stgs, Some(window));
+            let coverage = WindowCoverage::full(nranks);
+            analyze_view_columnar(&pool, window, nranks, bins_per_window, cfg, coverage)
         })
         .collect()
 }
@@ -73,6 +57,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::detect::arena::tests::looped_stg;
     use crate::detect::pipeline::{detect, DetectionResult};
+    use crate::detect::window::Window;
     use crate::fragment::Fragment;
 
     pub(crate) fn assert_results_identical(a: &DetectionResult, b: &DetectionResult) {
@@ -131,8 +116,8 @@ pub(crate) mod tests {
 
     #[test]
     fn window_views_are_bit_identical_to_cloned_slices() {
-        // The zero-copy window path must reproduce the old
-        // slice-and-clone pooling exactly, window by window.
+        // The windowed gather must reproduce the old slice-and-clone
+        // pooling exactly, window by window.
         let cfg = VaproConfig {
             report_period: VirtualTime::from_secs(5),
             ..VaproConfig::default()
@@ -156,7 +141,7 @@ pub(crate) mod tests {
     #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn window_views_clone_no_fragments() {
-        use crate::detect::pipeline::detect_merged_impl;
+        use crate::detect::pipeline::detect_columnar;
         use crate::fragment::clone_count;
         let cfg = VaproConfig {
             report_period: VirtualTime::from_secs(5),
@@ -167,12 +152,12 @@ pub(crate) mod tests {
             .collect();
         let windows =
             windows_covering(VirtualTime::ZERO, VirtualTime::from_secs(25), cfg.report_period);
-        // Run the whole per-window pipeline single-threaded on this
-        // thread: the thread-local clone counter must not move.
+        // The windows are far below the fan-out threshold, so the whole
+        // per-window pipeline runs on this thread: the thread-local
+        // clone counter must not move.
         let before = clone_count::on_this_thread();
         for window in windows {
-            let view = merge_stgs_window(&stgs, window);
-            let _ = detect_merged_impl(&view, 2, 8, &cfg, false, None);
+            let _ = detect_columnar(&ColumnarPool::from_stgs(&stgs, Some(window)), 2, 8, &cfg);
         }
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
     }

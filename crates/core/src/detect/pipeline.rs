@@ -1,5 +1,6 @@
-//! The end-to-end detection pipeline: merge per-rank STGs by state key,
-//! cluster each edge/vertex, normalise, build heat maps per category, and
+//! The end-to-end detection pipeline over one sealed [`ColumnarPool`]
+//! (per-rank STGs pooled by state label, or a streamed window): cluster
+//! each edge/vertex lane, normalise, build heat maps per category, and
 //! grow variance regions.
 //!
 //! Because SPMD ranks execute the same code, fragments from the *same
@@ -13,12 +14,9 @@ use crate::config::VaproConfig;
 use crate::detect::heatmap::{HeatMap, PAR_ROWS_MIN};
 use crate::detect::normalize::{normalize_cluster_outcome_view, CategorySeries};
 use crate::detect::region::{grow_regions, VarianceRegion};
-use crate::detect::window::Window;
-use crate::fragment::Fragment;
-use crate::intern::{Sym, SymbolTable};
-use crate::stg::{StateKey, Stg};
+use crate::stg::Stg;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A rarely-executed path flagged by Algorithm 1's post-processing:
 /// few executions but potentially long — the user should check whether it
@@ -55,123 +53,19 @@ pub struct DetectionResult {
     /// Detection coverage: fraction of total execution time spent inside
     /// usable fixed-workload fragments (the paper's coverage metric, §6.2).
     pub coverage: f64,
-    /// Cluster outcomes of the edge pools, aligned with the merged STG's
-    /// `edges` (key order). Diagnosis clusters with the same parameters,
-    /// so a [`crate::diagnose::DiagnosisBatch`] over the same merged view
-    /// can seed from these and never re-cluster a pool.
+    /// Cluster outcomes of the edge lanes, aligned with the pool's edges
+    /// (label order). Diagnosis clusters with the same parameters, so a
+    /// [`crate::diagnose::DiagnosisBatch`] over the same pool can seed
+    /// from these and never re-cluster a lane.
     pub edge_clusters: Vec<ClusterOutcome>,
 }
 
-/// Groups of same-state fragments pooled across ranks, keyed by interned
-/// symbols. Pools hold *borrowed* fragments — merging never clones a
-/// fragment or a [`StateKey`].
-///
-/// Both pool lists are sorted by key order (`StateKey`'s `Ord`), so
-/// iteration order — and therefore every downstream label, series and
-/// rare-path ordering — matches what the previous `BTreeMap`-backed
-/// representation produced.
-pub struct MergedStg<'a> {
-    /// The key ↔ symbol table shared by both pool lists.
-    pub symbols: SymbolTable<&'a StateKey>,
-    /// Vertex pools `(state, fragments)`, sorted by state key.
-    pub vertices: Vec<(Sym, Vec<&'a Fragment>)>,
-    /// Edge pools `((from, to), fragments)`, sorted by key pair.
-    pub edges: Vec<((Sym, Sym), Vec<&'a Fragment>)>,
-}
-
-impl<'a> MergedStg<'a> {
-    /// Resolve a symbol back to its state key.
-    pub fn key(&self, sym: Sym) -> &'a StateKey {
-        self.symbols.key(sym)
-    }
-
-    /// Iterate vertex pools as `(key, fragments)`.
-    pub fn vertex_pools(&self) -> impl Iterator<Item = (&'a StateKey, &[&'a Fragment])> + '_ {
-        self.vertices.iter().map(|(s, p)| (self.key(*s), p.as_slice()))
-    }
-
-    /// Iterate edge pools as `(from, to, fragments)`.
-    pub fn edge_pools(
-        &self,
-    ) -> impl Iterator<Item = (&'a StateKey, &'a StateKey, &[&'a Fragment])> + '_ {
-        self.edges
-            .iter()
-            .map(|((f, t), p)| (self.key(*f), self.key(*t), p.as_slice()))
-    }
-
-    /// Total fragments across all pools.
-    pub fn total_fragments(&self) -> usize {
-        self.vertices.iter().map(|(_, p)| p.len()).sum::<usize>()
-            + self.edges.iter().map(|(_, p)| p.len()).sum::<usize>()
-    }
-}
-
-/// Pool fragments of all ranks' STGs by state key.
-///
-/// Keys are interned once per distinct state (one hash lookup per vertex
-/// per rank); edges resolve their endpoints through the precomputed
-/// per-STG `StateId → Sym` map instead of cloning two keys per edge.
-pub fn merge_stgs<'a>(stgs: &'a [Stg]) -> MergedStg<'a> {
-    merge_stgs_filtered(stgs, |_| true)
-}
-
-/// Pool only the fragments overlapping `window` — the per-window view
-/// of the one-shot windowed analysis. Pure borrows: building a view never
-/// clones a [`Fragment`].
-pub fn merge_stgs_window<'a>(stgs: &'a [Stg], window: Window) -> MergedStg<'a> {
-    merge_stgs_filtered(stgs, |f| window.overlaps(f.start, f.end))
-}
-
-fn merge_stgs_filtered<'a>(
-    stgs: &'a [Stg],
-    keep: impl Fn(&Fragment) -> bool,
-) -> MergedStg<'a> {
-    let mut symbols = SymbolTable::new();
-    let mut vertex_pools: Vec<Vec<&Fragment>> = Vec::new();
-    let mut edge_pools: HashMap<(Sym, Sym), Vec<&Fragment>> = HashMap::new();
-    for stg in stgs {
-        let syms: Vec<Sym> = stg
-            .vertices()
-            .iter()
-            .map(|v| {
-                let s = symbols.intern(&v.key);
-                if s as usize >= vertex_pools.len() {
-                    vertex_pools.resize_with(s as usize + 1, Vec::new);
-                }
-                s
-            })
-            .collect();
-        for (v, &s) in stg.vertices().iter().zip(&syms) {
-            vertex_pools[s as usize].extend(v.fragments.iter().filter(|f| keep(f)));
-        }
-        for e in stg.edges() {
-            let mut kept = e.fragments.iter().filter(|f| keep(f)).peekable();
-            if kept.peek().is_some() {
-                edge_pools.entry((syms[e.from], syms[e.to])).or_default().extend(kept);
-            }
-        }
-    }
-    let mut vertices: Vec<(Sym, Vec<&Fragment>)> = vertex_pools
-        .into_iter()
-        .enumerate()
-        .filter(|(_, pool)| !pool.is_empty())
-        .map(|(s, pool)| (s as Sym, pool))
-        .collect();
-    vertices.sort_by(|a, b| symbols.key(a.0).cmp(symbols.key(b.0)));
-    let mut edges: Vec<((Sym, Sym), Vec<&Fragment>)> = edge_pools.into_iter().collect();
-    edges.sort_by(|a, b| {
-        (symbols.key(a.0 .0), symbols.key(a.0 .1)).cmp(&(symbols.key(b.0 .0), symbols.key(b.0 .1)))
-    });
-    MergedStg { symbols, vertices, edges }
-}
-
 /// One pooled location to analyse: a vertex or an edge, tagged with the
-/// borrowed state key(s) the rare-path labels are built from. Shared by
-/// the AoS ([`detect_merged`]) and columnar ([`detect_columnar`]) paths.
+/// borrowed label(s) the rare-path labels are built from.
 #[derive(Clone, Copy)]
 enum Location<'k> {
-    Vertex(&'k StateKey),
-    Edge(&'k StateKey, &'k StateKey),
+    Vertex(&'k str),
+    Edge(&'k str, &'k str),
 }
 
 /// The per-location analysis output, accumulated sequentially in
@@ -188,8 +82,7 @@ struct LocationAnalysis {
 
 /// Cluster → rare-path → normalise chain for one location's pool. Pure
 /// over its inputs, which is what makes the fan-out safe. Generic over
-/// the pool representation: `&[&Fragment]` slices and columnar
-/// [`LaneView`]s run the identical chain.
+/// the pool representation ([`LaneView`] today).
 fn analyze_pool<P: PoolView + ?Sized>(
     pool: &P,
     cfg: &VaproConfig,
@@ -215,90 +108,51 @@ fn analyze_pool<P: PoolView + ?Sized>(
     LocationAnalysis { covered_ns, rare, series, outcome }
 }
 
-/// Run detection over pre-pooled populations: callers build a
-/// [`MergedStg`] (with [`merge_stgs`] or [`merge_stgs_window`]) without
-/// cloning a single [`Fragment`], and get the same output as [`detect`]
-/// over equivalent STGs.
-pub fn detect_merged(
-    merged: &MergedStg<'_>,
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-) -> DetectionResult {
-    detect_merged_impl(merged, nranks, bins, cfg, true, None)
-}
-
-/// Locations (merged vertices, then merged edges, both in key order) are
-/// analysed independently — in parallel when `parallel` is set — and the
-/// per-location results are folded *sequentially in location order*, so
-/// the output is identical whichever path ran.
-pub(crate) fn detect_merged_impl(
-    merged: &MergedStg<'_>,
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-    parallel: bool,
-    rank_override: Option<usize>,
-) -> DetectionResult {
-    let locations: Vec<(Location<'_>, &[&Fragment])> = merged
-        .vertices
-        .iter()
-        .map(|(s, pool)| (Location::Vertex(merged.key(*s)), pool.as_slice()))
-        .chain(merged.edges.iter().map(|((f, t), pool)| {
-            (Location::Edge(merged.key(*f), merged.key(*t)), pool.as_slice())
-        }))
-        .collect();
-    detect_locations_impl(&locations, nranks, bins, cfg, parallel, rank_override)
-}
-
-/// Run detection over a sealed window: the same generic pipeline as
-/// [`detect_merged`], fed by [`LaneView`]s instead of fragment slices.
-/// Output is bit-identical to [`detect_merged`] over the same population
-/// in the same order.
+/// Run detection over a sealed pool — a streamed window, or STGs
+/// gathered by [`ColumnarPool::from_stgs`].
 pub fn detect_columnar(
     pool: &ColumnarPool,
     nranks: usize,
     bins: usize,
     cfg: &VaproConfig,
 ) -> DetectionResult {
-    let locations: Vec<(Location<'_>, LaneView<'_>)> = (0..pool.num_vertices())
-        .map(|i| {
-            let (key, view) = pool.vertex(i);
-            (Location::Vertex(key), view)
-        })
-        .chain((0..pool.num_edges()).map(|i| {
-            let (from, to, view) = pool.edge(i);
-            (Location::Edge(from, to), view)
-        }))
-        .collect();
-    detect_locations_impl(&locations, nranks, bins, cfg, true, None)
+    detect_pool(pool, nranks, bins, cfg, true, None)
 }
 
-/// Locations (vertices, then edges, both in key order) are analysed
+/// Locations (vertices, then edges, both in label order) are analysed
 /// independently — in parallel when `parallel` is set and the window
 /// holds at least [`PAR_ROWS_MIN`] rows — and the per-location results
 /// are folded *sequentially in location order*, so the output is
-/// identical whichever path (or representation) ran.
-fn detect_locations_impl<V: PoolView + Sync>(
-    locations: &[(Location<'_>, V)],
+/// identical whichever path ran.
+fn detect_pool(
+    pool: &ColumnarPool,
     nranks: usize,
     bins: usize,
     cfg: &VaproConfig,
     parallel: bool,
     rank_override: Option<usize>,
 ) -> DetectionResult {
+    let locations: Vec<(Location<'_>, LaneView<'_>)> = (0..pool.num_vertices())
+        .map(|i| {
+            let (label, view) = pool.vertex(i);
+            (Location::Vertex(label), view)
+        })
+        .chain((0..pool.num_edges()).map(|i| {
+            let (from, to, view) = pool.edge(i);
+            (Location::Edge(from, to), view)
+        }))
+        .collect();
     // Fan out: each location's cluster → normalise chain is independent.
     // Results come back in input order either way.
-    let rows: usize = locations.iter().map(|(_, pool)| pool.len()).sum();
-    let analyses: Vec<LocationAnalysis> = if parallel && rows >= PAR_ROWS_MIN {
+    let analyses: Vec<LocationAnalysis> = if parallel && pool.len() >= PAR_ROWS_MIN {
         locations
             .par_iter()
-            .map(|(_, pool)| analyze_pool(pool, cfg, rank_override))
+            .map(|(_, lane)| analyze_pool(lane, cfg, rank_override))
             .collect()
     } else {
         locations
             .iter()
-            .map(|(_, pool)| analyze_pool(pool, cfg, rank_override))
+            .map(|(_, lane)| analyze_pool(lane, cfg, rank_override))
             .collect()
     };
 
@@ -311,8 +165,7 @@ fn detect_locations_impl<V: PoolView + Sync>(
     let mut covered_ns = 0.0f64;
     // Vertex outcomes are dropped (diagnosis pools computation fragments,
     // which live on edges); edge outcomes are kept in edge order.
-    let num_edges = locations.iter().filter(|(l, _)| matches!(l, Location::Edge(..))).count();
-    let mut edge_clusters = Vec::with_capacity(num_edges);
+    let mut edge_clusters = Vec::with_capacity(pool.num_edges());
     for ((loc, _), analysis) in locations.iter().zip(analyses) {
         covered_ns += analysis.covered_ns;
         if matches!(loc, Location::Edge(..)) {
@@ -320,8 +173,8 @@ fn detect_locations_impl<V: PoolView + Sync>(
         }
         if !analysis.rare.is_empty() {
             let label = match loc {
-                Location::Vertex(s) => s.label(),
-                Location::Edge(f, t) => format!("{} -> {}", f.label(), t.label()),
+                Location::Vertex(s) => s.to_string(),
+                Location::Edge(f, t) => format!("{f} -> {t}"),
             };
             for (count, total_ns) in analysis.rare {
                 // vapro-lint: allow(R1, one owned label string per rare path in the report; rare by definition)
@@ -338,10 +191,10 @@ fn detect_locations_impl<V: PoolView + Sync>(
     // one pool, so walking the pools visits the same population the old
     // STG walk did; the BTreeMap keeps the f64 summation order fixed.
     let mut rank_end: BTreeMap<usize, u64> = BTreeMap::new();
-    for (_, pool) in locations.iter() {
-        for i in 0..pool.len() {
-            let e = rank_end.entry(rank_override.unwrap_or(pool.rank(i))).or_insert(0);
-            *e = (*e).max(pool.end(i).ns());
+    for (_, lane) in locations.iter() {
+        for i in 0..lane.len() {
+            let e = rank_end.entry(rank_override.unwrap_or(lane.rank(i))).or_insert(0);
+            *e = (*e).max(lane.end(i).ns());
         }
     }
     let total_ns: f64 = rank_end.values().map(|&e| e as f64).sum();
@@ -384,13 +237,13 @@ fn detect_locations_impl<V: PoolView + Sync>(
 /// `bins` is the number of time columns. Locations fan out across the
 /// thread pool; output is identical to [`detect_seq`].
 pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, true, None)
+    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, true, None)
 }
 
 /// Single-threaded reference of [`detect`]: same pipeline, no fan-out.
 /// Exists for the equivalence property tests.
 pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_merged_impl(&merge_stgs(stgs), nranks, bins, cfg, false, None)
+    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, false, None)
 }
 
 /// Longest total first. `total_cmp`, so a NaN total sorts ahead of the
@@ -417,13 +270,15 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, cluster: &Cluster) -> f64 {
 /// coverage entry takes rank 0), so no remapped copy of the STG — and no
 /// `Fragment` clone — is ever built.
 pub fn detect_intra(stg: &Stg, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_merged_impl(&merge_stgs(std::slice::from_ref(stg)), 1, bins, cfg, true, Some(0))
+    let pool = ColumnarPool::from_stgs(std::slice::from_ref(stg), None);
+    detect_pool(&pool, 1, bins, cfg, true, Some(0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::FragmentKind;
+    use crate::fragment::{Fragment, FragmentKind};
+    use crate::stg::StateKey;
     use vapro_pmu::{CounterDelta, CounterId};
     use vapro_sim::{CallSite, VirtualTime};
 
@@ -605,8 +460,8 @@ mod tests {
         assert_eq!(par.io_regions, seq.io_regions);
         assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
         assert_eq!(par.edge_clusters, seq.edge_clusters);
-        // One outcome per merged edge pool, in edge order.
-        assert_eq!(par.edge_clusters.len(), merge_stgs(&stgs).edges.len());
+        // One outcome per pooled edge lane, in edge order.
+        assert_eq!(par.edge_clusters.len(), ColumnarPool::from_stgs(&stgs, None).num_edges());
     }
 
     /// Same identity on a population big enough to really fan out (the
@@ -618,7 +473,7 @@ mod tests {
         let mut stgs: Vec<Stg> =
             (0..8).map(|r| stg_with_loop(r, &vec![100; iters], 1000.0)).collect();
         stgs[3] = stg_with_loop(3, &vec![250; iters], 1000.0);
-        assert!(merge_stgs(&stgs).total_fragments() >= PAR_ROWS_MIN);
+        assert!(ColumnarPool::from_stgs(&stgs, None).len() >= PAR_ROWS_MIN);
         let cfg = VaproConfig::default();
         let par = detect(&stgs, 8, 16, &cfg);
         let seq = detect_seq(&stgs, 8, 16, &cfg);
@@ -633,23 +488,21 @@ mod tests {
     }
 
     #[test]
-    fn merged_pools_are_sorted_by_state_key() {
+    fn stg_lanes_are_sorted_by_label() {
         let stgs: Vec<Stg> = (0..3).map(|r| stg_with_loop(r, &[100; 4], 1000.0)).collect();
-        let merged = merge_stgs(&stgs);
-        let vkeys: Vec<_> = merged.vertex_pools().map(|(k, _)| k.clone()).collect();
-        let mut sorted = vkeys.clone();
-        sorted.sort();
-        assert_eq!(vkeys, sorted);
-        let ekeys: Vec<_> = merged
-            .edge_pools()
-            .map(|(f, t, _)| (f.clone(), t.clone()))
+        let pool = ColumnarPool::from_stgs(&stgs, None);
+        let vlabels: Vec<&str> = (0..pool.num_vertices()).map(|i| pool.vertex(i).0).collect();
+        assert!(vlabels.is_sorted(), "{vlabels:?}");
+        let elabels: Vec<(&str, &str)> = (0..pool.num_edges())
+            .map(|i| {
+                let (from, to, _) = pool.edge(i);
+                (from, to)
+            })
             .collect();
-        let mut esorted = ekeys.clone();
-        esorted.sort();
-        assert_eq!(ekeys, esorted);
-        // Cross-rank pooling: each vertex pool holds all 3 ranks' fragments.
-        for (_, pool) in merged.vertex_pools() {
-            assert_eq!(pool.len(), 3 * 4);
+        assert!(elabels.is_sorted(), "{elabels:?}");
+        // Cross-rank pooling: each vertex lane holds all 3 ranks' fragments.
+        for i in 0..pool.num_vertices() {
+            assert_eq!(pool.vertex(i).1.len(), 3 * 4);
         }
     }
 

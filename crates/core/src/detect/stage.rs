@@ -23,10 +23,12 @@
 //!   sequence number; completed reports park in a reorder buffer and
 //!   only the contiguous prefix is ever released. Tasks may finish
 //!   out of order, callers never observe it.
-//! * **The stage is bounded.** At most `depth` windows are in flight
-//!   (none at depth 0, where `submit` returns with the window analysed);
-//!   submission blocks past that, so a slow analysis stage exerts
-//!   backpressure instead of queueing unboundedly.
+//! * **The stage is bounded.** At most `depth` windows are submitted
+//!   but not yet handed back to the owner — in flight on the pool *or*
+//!   finished and parked behind an unfinished predecessor (one at depth
+//!   0, for the duration of the `submit` that analyses it); submission
+//!   blocks past that, so one slow window exerts backpressure instead
+//!   of letting its successors pile up in the reorder buffer.
 //!
 //! **Whoever waits, helps.** A thread blocked on the stage (`submit` at
 //! depth, `drain`) runs queued pool jobs (`rayon::yield_now`) and parks
@@ -81,16 +83,18 @@ struct SealedWindow {
 }
 
 /// Mutable stage state behind one mutex: the reorder buffer and the
-/// in-flight count that implements the depth bound.
+/// in-flight count. Together they are the depth bound.
 #[derive(Default)]
 struct StageState {
-    /// Finished windows by sequence number. `Err` is the payload of an
-    /// analysis that panicked: it takes its window's turn in the order
-    /// and is re-raised on the owner when released, so the owner never
-    /// waits for a window that cannot complete.
+    /// Finished windows by sequence number, until the owner harvests the
+    /// contiguous prefix. `Err` is the payload of an analysis that
+    /// panicked: it takes its window's turn in the order and is
+    /// re-raised on the owner when released, so the owner never waits
+    /// for a window that cannot complete.
     completed: BTreeMap<u64, thread::Result<WindowReport>>,
     /// Sealed windows submitted but not yet completed (queued on the
-    /// pool or running). Bounded by the configured depth.
+    /// pool or running). `in_flight + completed.len()` is bounded by the
+    /// configured depth.
     in_flight: usize,
 }
 
@@ -158,6 +162,19 @@ impl StageShared {
     }
 }
 
+/// Move the contiguous completed prefix out of the reorder buffer onto
+/// the owner's `ready` list, in window order, freeing its slots.
+fn harvest_prefix(state: &mut StageState, next_emit: &mut u64, ready: &mut Vec<WindowReport>) {
+    ready.reserve(state.completed.len());
+    while let Some(outcome) = state.completed.remove(next_emit) {
+        *next_emit += 1;
+        match outcome {
+            Ok(report) => ready.push(report),
+            Err(payload) => surface_failure(payload),
+        }
+    }
+}
+
 /// A bounded in-order analysis pipeline owned by one
 /// [`WindowedIngestor`](crate::detect::ingestor::WindowedIngestor).
 pub(crate) struct AnalysisStage {
@@ -165,8 +182,13 @@ pub(crate) struct AnalysisStage {
     depth: usize,
     /// Next submission sequence number.
     next_seq: u64,
-    /// Next sequence number to emit; everything below has been released.
+    /// Next sequence number to harvest; everything below has left the
+    /// reorder buffer.
     next_emit: u64,
+    /// Harvested reports the owner has not collected yet, in window
+    /// order: `submit` moves the releasable prefix here to free slots,
+    /// `take_completed` hands it over.
+    ready: Vec<WindowReport>,
     /// `ReorderRelease` canary state: a parked submission awaiting its
     /// successor, which is then sequenced *before* it — deliberately
     /// breaking the submission-order contract for the VOPR harness to
@@ -195,6 +217,7 @@ impl AnalysisStage {
             depth,
             next_seq: 0,
             next_emit: 0,
+            ready: Vec::new(),
             #[cfg(feature = "vopr-canary")]
             canary_parked: None,
         }
@@ -231,10 +254,17 @@ impl AnalysisStage {
     }
 
     fn submit_now(&mut self, sealed: SealedWindow) {
-        // Depth 0 holds nothing in flight between submissions, so its
-        // one slot is always free.
+        // Depth 0 analyses inside `submit`, so its one slot is free
+        // again as soon as the previous report is harvested.
         let slots = self.depth.max(1);
-        let mut state = self.shared.wait_until(|s| s.in_flight < slots);
+        // A finished window at the head of the order frees its slot (and
+        // its finished successors') by moving to `ready`, so either
+        // disjunct leaves a free slot once the prefix is harvested.
+        let next = self.next_emit;
+        let mut state = self.shared.wait_until(|s| {
+            s.in_flight + s.completed.len() < slots || s.completed.contains_key(&next)
+        });
+        harvest_prefix(&mut state, &mut self.next_emit, &mut self.ready);
         state.in_flight += 1;
         drop(state);
         let seq = self.next_seq;
@@ -250,16 +280,8 @@ impl AnalysisStage {
     /// Release every report whose predecessors have all been released —
     /// the contiguous completed prefix, in window order. Never blocks.
     pub(crate) fn take_completed(&mut self) -> Vec<WindowReport> {
-        let mut state = self.shared.state.lock();
-        let mut out = Vec::with_capacity(state.completed.len());
-        while let Some(outcome) = state.completed.remove(&self.next_emit) {
-            self.next_emit += 1;
-            match outcome {
-                Ok(report) => out.push(report),
-                Err(payload) => surface_failure(payload),
-            }
-        }
-        out
+        harvest_prefix(&mut self.shared.state.lock(), &mut self.next_emit, &mut self.ready);
+        std::mem::take(&mut self.ready)
     }
 
     /// Block until every submitted window has been analysed and return
@@ -279,10 +301,12 @@ impl AnalysisStage {
         self.take_completed()
     }
 
-    /// Windows submitted but not yet emitted (in flight or parked in
-    /// the reorder buffer awaiting a predecessor).
+    /// Windows submitted but not yet handed to the owner: in flight,
+    /// parked in the reorder buffer awaiting a predecessor, or harvested
+    /// and awaiting `take_completed`. The first two are bounded by the
+    /// depth; the third is empty after every `take_completed`.
     pub(crate) fn pending(&self) -> u64 {
-        self.next_seq - self.next_emit
+        self.next_seq - self.next_emit + self.ready.len() as u64
     }
 }
 
@@ -317,6 +341,9 @@ mod tests {
         for k in 0..n {
             let window = Window { start: at(k), end: at(k + 2) };
             stage.submit(window, WindowCoverage::full(2), 2, pool_of(rows(k)));
+            // In flight or parked behind a slower predecessor (the mixed
+            // case below parks inline windows): never past the depth.
+            assert!(stage.next_seq - stage.next_emit <= depth.max(1) as u64);
         }
         let order = stage.drain().iter().map(|r| r.window.start.ns() / half).collect();
         assert_eq!(stage.pending(), 0);

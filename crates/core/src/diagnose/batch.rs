@@ -1,15 +1,14 @@
 //! Batched region diagnosis: merge once, index once, cluster once —
 //! then diagnose every region.
 //!
-//! [`diagnose_region`](crate::diagnose::diagnose_region) re-merges all
+//! [`diagnose_region`](crate::diagnose::diagnose_region) re-pools all
 //! STGs, re-scans every pool and re-clusters the winning pool *per
 //! region*, which is affordable for a user clicking one heat-map region
 //! but not for a server diagnosing every region of every closed window.
 //! [`DiagnosisBatch`] amortises all three costs across regions:
 //!
-//! * **merge once** — the caller builds (or already has) the pooled
-//!   view, a [`MergedStg`] or a sealed [`ColumnarPool`]; the batch only
-//!   borrows it;
+//! * **pool once** — the caller builds (or already has) the sealed
+//!   [`ColumnarPool`]; the batch only borrows it;
 //! * **interval index** — per edge pool, computation fragments sorted by
 //!   start time with a prefix-maximum of end times, so the in-region
 //!   time of a pool is a binary search plus a short scan instead of a
@@ -26,16 +25,15 @@
 //!   how many regions land on it.
 //!
 //! The per-region result is bit-identical to `diagnose_region` on the
-//! same merged view: the in-region time is an order-independent `u64`
+//! same pool: the in-region time is an order-independent `u64`
 //! sum, pool selection keeps the same first-best-wins tie-break, and
 //! clustering is deterministic — property-tested in
 //! `tests/property_tests.rs`.
 
 use crate::clustering::{cluster_pool, ClusterOutcome};
-use crate::columnar::{ColumnarPool, LaneView, PoolView};
+use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::VaproConfig;
 use crate::detect::heatmap::PAR_ROWS_MIN;
-use crate::detect::pipeline::MergedStg;
 use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::{
     diagnose_progressively_with, DiagnosisReport, FragmentProvider,
@@ -114,7 +112,7 @@ impl PoolIndex {
 /// counter sets into one reused scratch buffer, rebuilding the fragments
 /// field by field from the view's accessors — zero full-population
 /// [`Fragment`] clones (`Fragment::clone` and its debug counter are
-/// bypassed), identical arithmetic on both the AoS and columnar paths.
+/// bypassed).
 pub struct ScratchProvider<'a, V: PoolView> {
     pool: V,
     members: &'a [usize],
@@ -143,55 +141,10 @@ impl<V: PoolView> FragmentProvider for ScratchProvider<'_, V> {
     }
 }
 
-/// A set of diagnosable edge pools, abstracted over the fragment
-/// representation. [`DiagnosisBatch`] is generic over this, so the
-/// one-shot path's [`MergedStg`] and the streaming path's sealed
-/// [`ColumnarPool`] drive the exact same batched-diagnosis machinery.
-pub trait EdgePools {
-    /// The per-pool view type handed to the index/cluster/drill-down
-    /// stages.
-    type View<'v>: PoolView + Copy + Sync
-    where
-        Self: 'v;
-
-    /// Number of edge pools, in edge (key) order.
-    fn num_edge_pools(&self) -> usize;
-
-    /// The `i`-th edge pool.
-    fn edge_pool(&self, i: usize) -> Self::View<'_>;
-}
-
-impl<'a> EdgePools for MergedStg<'a> {
-    type View<'v>
-        = &'v [&'a Fragment]
-    where
-        Self: 'v;
-
-    fn num_edge_pools(&self) -> usize {
-        self.edges.len()
-    }
-
-    fn edge_pool(&self, i: usize) -> &[&'a Fragment] {
-        &self.edges[i].1
-    }
-}
-
-impl EdgePools for ColumnarPool {
-    type View<'v> = LaneView<'v>;
-
-    fn num_edge_pools(&self) -> usize {
-        self.num_edges()
-    }
-
-    fn edge_pool(&self, i: usize) -> LaneView<'_> {
-        self.edge(i).2
-    }
-}
-
-/// The reusable state of a batch: the pooled view (AoS or columnar),
-/// one interval index per edge pool, and the memoised cluster outcomes.
-pub struct DiagnosisBatch<'m, S: EdgePools> {
-    pools: &'m S,
+/// The reusable state of a batch: the sealed pool, one interval index
+/// per edge lane, and the memoised cluster outcomes.
+pub struct DiagnosisBatch<'m> {
+    pools: &'m ColumnarPool,
     cfg: &'m VaproConfig,
     indexes: Vec<PoolIndex>,
     /// Lazily clustered outcomes, aligned with the edge pools. Unused
@@ -205,12 +158,12 @@ pub struct DiagnosisBatch<'m, S: EdgePools> {
     reports: Vec<OnceLock<Option<DiagnosisReport>>>,
 }
 
-impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
-    /// Index the pooled view for batched diagnosis. Clustering is lazy:
-    /// a pool is clustered the first time a region selects it.
-    pub fn new(pools: &'m S, cfg: &'m VaproConfig) -> DiagnosisBatch<'m, S> {
-        let n = pools.num_edge_pools();
-        let indexes = (0..n).map(|i| PoolIndex::build(pools.edge_pool(i))).collect();
+impl<'m> DiagnosisBatch<'m> {
+    /// Index the pool for batched diagnosis. Clustering is lazy: a lane
+    /// is clustered the first time a region selects it.
+    pub fn new(pools: &'m ColumnarPool, cfg: &'m VaproConfig) -> DiagnosisBatch<'m> {
+        let n = pools.num_edges();
+        let indexes = (0..n).map(|i| PoolIndex::build(pools.edge(i).2)).collect();
         let clusters = (0..n).map(|_| OnceLock::new()).collect();
         let reports = (0..n).map(|_| OnceLock::new()).collect();
         DiagnosisBatch { pools, cfg, indexes, clusters, seeded: None, reports }
@@ -219,20 +172,20 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
     /// Like [`DiagnosisBatch::new`], but reuse cluster outcomes computed
     /// elsewhere — typically
     /// [`DetectionResult::edge_clusters`](crate::detect::pipeline::DetectionResult::edge_clusters)
-    /// from a detection pass over the *same* pooled view, in which case
-    /// no pool is ever clustered twice.
+    /// from a detection pass over the *same* pool, in which case no
+    /// lane is ever clustered twice.
     ///
     /// # Panics
-    /// When `outcomes` is not aligned with the view's edge pools.
+    /// When `outcomes` is not aligned with the pool's edge lanes.
     pub fn with_clusters(
-        pools: &'m S,
+        pools: &'m ColumnarPool,
         cfg: &'m VaproConfig,
         outcomes: &'m [ClusterOutcome],
-    ) -> DiagnosisBatch<'m, S> {
+    ) -> DiagnosisBatch<'m> {
         assert_eq!(
             outcomes.len(),
-            pools.num_edge_pools(),
-            "cluster outcomes must align with the merged edge pools"
+            pools.num_edges(),
+            "cluster outcomes must align with the pool's edge lanes"
         );
         let mut batch = DiagnosisBatch::new(pools, cfg);
         batch.seeded = Some(outcomes);
@@ -245,7 +198,7 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
         }
         self.clusters[pool_idx].get_or_init(|| {
             cluster_pool(
-                &self.pools.edge_pool(pool_idx),
+                &self.pools.edge(pool_idx).2,
                 &self.cfg.proxy_counters,
                 self.cfg.cluster_threshold,
                 self.cfg.min_cluster_size,
@@ -278,7 +231,7 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
 
     /// The progressive drill-down over one pool's dominant cluster.
     fn diagnose_pool(&self, pool_idx: usize) -> Option<DiagnosisReport> {
-        let pool = self.pools.edge_pool(pool_idx);
+        let pool = self.pools.edge(pool_idx).2;
         let outcome = self.outcome(pool_idx);
         let cluster = outcome.usable.iter().max_by_key(|c| c.members.len())?;
         let mut provider = ScratchProvider::new(pool, &cluster.members);
@@ -310,30 +263,29 @@ impl<'m, S: EdgePools + Sync> DiagnosisBatch<'m, S> {
     }
 }
 
-/// Diagnose a batch of regions over one merged view: merge once (the
-/// caller's), index once, cluster each pool at most once, fan out over
+/// Diagnose a batch of regions over one sealed pool: pool once (the
+/// caller's), index once, cluster each lane at most once, fan out over
 /// regions. Element `i` of the result is region `i`'s report.
 pub fn diagnose_regions(
-    merged: &MergedStg<'_>,
+    pool: &ColumnarPool,
     rois: &[RegionOfInterest],
     cfg: &VaproConfig,
 ) -> Vec<Option<DiagnosisReport>> {
-    DiagnosisBatch::new(merged, cfg).diagnose_all(rois)
+    DiagnosisBatch::new(pool, cfg).diagnose_all(rois)
 }
 
 /// Single-threaded form of [`diagnose_regions`].
 pub fn diagnose_regions_seq(
-    merged: &MergedStg<'_>,
+    pool: &ColumnarPool,
     rois: &[RegionOfInterest],
     cfg: &VaproConfig,
 ) -> Vec<Option<DiagnosisReport>> {
-    DiagnosisBatch::new(merged, cfg).diagnose_all_seq(rois)
+    DiagnosisBatch::new(pool, cfg).diagnose_all_seq(rois)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::pipeline::merge_stgs;
     use crate::diagnose::driver::diagnose_region;
     use crate::diagnose::driver::tests::stgs_with_noise;
     use vapro_sim::VirtualTime;
@@ -363,8 +315,8 @@ mod tests {
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
         });
-        let merged = merge_stgs(&stgs);
-        let batch = diagnose_regions(&merged, &rois, &cfg);
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        let batch = diagnose_regions(&sealed, &rois, &cfg);
         for (roi, got) in rois.iter().zip(&batch) {
             assert_eq!(got, &diagnose_region(&stgs, roi, &cfg), "roi {roi:?}");
         }
@@ -376,10 +328,10 @@ mod tests {
         let stgs = stgs_with_noise(4, 25, 1, (5_000_000, 30_000_000));
         let cfg = VaproConfig::default();
         let rois = rois_grid(4, 50_000_000, 3);
-        let merged = merge_stgs(&stgs);
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
         assert_eq!(
-            diagnose_regions(&merged, &rois, &cfg),
-            diagnose_regions_seq(&merged, &rois, &cfg)
+            diagnose_regions(&sealed, &rois, &cfg),
+            diagnose_regions_seq(&sealed, &rois, &cfg)
         );
     }
 
@@ -389,31 +341,31 @@ mod tests {
     fn parallel_fanout_above_the_row_threshold_is_identical() {
         let stgs = stgs_with_noise(8, PAR_ROWS_MIN / 8 + 50, 1, (100_000_000, 400_000_000));
         let cfg = VaproConfig::default();
-        let merged = merge_stgs(&stgs);
-        assert!(merged.total_fragments() >= PAR_ROWS_MIN);
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        assert!(sealed.len() >= PAR_ROWS_MIN);
         let rois = rois_grid(8, 1_000_000_000, 4);
-        let par = diagnose_regions(&merged, &rois, &cfg);
-        assert_eq!(par, diagnose_regions_seq(&merged, &rois, &cfg));
+        let par = diagnose_regions(&sealed, &rois, &cfg);
+        assert_eq!(par, diagnose_regions_seq(&sealed, &rois, &cfg));
         assert!(par.iter().any(Option::is_some));
     }
 
     #[test]
     fn interval_index_matches_naive_scan() {
         let stgs = stgs_with_noise(3, 20, 1, (0, 20_000_000));
-        let merged = merge_stgs(&stgs);
-        for (_, pool) in &merged.edges {
-            let index = PoolIndex::build(pool.as_slice());
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        for e in 0..sealed.num_edges() {
+            let pool = sealed.edge(e).2;
+            let index = PoolIndex::build(pool);
             for roi in rois_grid(3, 45_000_000, 7) {
-                let naive: u64 = pool
-                    .iter()
-                    .filter(|f| {
-                        f.kind == FragmentKind::Computation
-                            && f.rank >= roi.ranks.0
-                            && f.rank <= roi.ranks.1
-                            && f.start < roi.t_end
-                            && f.end > roi.t_start
+                let naive: u64 = (0..pool.len())
+                    .filter(|&i| {
+                        pool.kind(i) == FragmentKind::Computation
+                            && pool.rank(i) >= roi.ranks.0
+                            && pool.rank(i) <= roi.ranks.1
+                            && pool.start(i) < roi.t_end
+                            && pool.end(i) > roi.t_start
                     })
-                    .map(|f| f.duration().ns())
+                    .map(|i| pool.end(i).ns() - pool.start(i).ns())
                     .sum();
                 assert_eq!(index.in_region_ns(&roi), naive, "roi {roi:?}");
             }
@@ -431,9 +383,9 @@ mod tests {
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
         }];
-        let merged = merge_stgs(&stgs);
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
         let before = clone_count::on_this_thread();
-        let reports = diagnose_regions_seq(&merged, &rois, &cfg);
+        let reports = diagnose_regions_seq(&sealed, &rois, &cfg);
         assert!(reports[0].is_some());
         assert_eq!(
             clone_count::on_this_thread() - before,
@@ -446,13 +398,11 @@ mod tests {
     fn seeded_clusters_match_lazy_clustering() {
         let stgs = stgs_with_noise(4, 25, 0, (0, 25_000_000));
         let cfg = VaproConfig::default();
-        let merged = merge_stgs(&stgs);
-        let outcomes: Vec<ClusterOutcome> = merged
-            .edges
-            .iter()
-            .map(|(_, pool)| {
+        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        let outcomes: Vec<ClusterOutcome> = (0..sealed.num_edges())
+            .map(|e| {
                 cluster_pool(
-                    pool.as_slice(),
+                    &sealed.edge(e).2,
                     &cfg.proxy_counters,
                     cfg.cluster_threshold,
                     cfg.min_cluster_size,
@@ -460,8 +410,8 @@ mod tests {
             })
             .collect();
         let rois = rois_grid(4, 40_000_000, 3);
-        let seeded = DiagnosisBatch::with_clusters(&merged, &cfg, &outcomes);
-        let lazy = DiagnosisBatch::new(&merged, &cfg);
+        let seeded = DiagnosisBatch::with_clusters(&sealed, &cfg, &outcomes);
+        let lazy = DiagnosisBatch::new(&sealed, &cfg);
         assert_eq!(seeded.diagnose_all_seq(&rois), lazy.diagnose_all_seq(&rois));
     }
 }

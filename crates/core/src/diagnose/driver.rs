@@ -10,12 +10,12 @@
 //! progressive drill-down over that population.
 
 use crate::clustering::cluster_pool;
+use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
-use crate::detect::pipeline::merge_stgs;
 use crate::detect::region::VarianceRegion;
 use crate::diagnose::batch::ScratchProvider;
 use crate::diagnose::progressive::{diagnose_progressively_with, DiagnosisReport};
-use crate::fragment::{Fragment, FragmentKind};
+use crate::fragment::FragmentKind;
 use crate::stg::Stg;
 use vapro_sim::VirtualTime;
 
@@ -37,11 +37,11 @@ impl From<&VarianceRegion> for RegionOfInterest {
 }
 
 impl RegionOfInterest {
-    fn covers(&self, f: &Fragment) -> bool {
-        f.rank >= self.ranks.0
-            && f.rank <= self.ranks.1
-            && f.start < self.t_end
-            && f.end > self.t_start
+    fn covers(&self, lane: &LaneView<'_>, i: usize) -> bool {
+        lane.rank(i) >= self.ranks.0
+            && lane.rank(i) <= self.ranks.1
+            && lane.start(i) < self.t_end
+            && lane.end(i) > self.t_start
     }
 }
 
@@ -52,23 +52,27 @@ impl RegionOfInterest {
 /// or (b) belong to the same cluster anywhere else (the normal
 /// reference). Returns `None` when the region holds no usable cluster or
 /// no abnormal/normal contrast.
+///
+/// This is the naive per-region driver — pool, full scan of every lane,
+/// cluster the winner — that [`DiagnosisBatch`](crate::diagnose::DiagnosisBatch)
+/// is property-tested against; many regions over one run want the batch.
 pub fn diagnose_region(
     stgs: &[Stg],
     roi: &RegionOfInterest,
     cfg: &VaproConfig,
 ) -> Option<DiagnosisReport> {
-    let merged = merge_stgs(stgs);
+    let pooled = ColumnarPool::from_stgs(stgs, None);
 
     // Find the edge pool with the most in-region time.
-    let mut best: Option<(&[&Fragment], u64)> = None;
-    for (_, pool) in &merged.edges {
-        let in_region: u64 = pool
-            .iter()
-            .filter(|f| f.kind == FragmentKind::Computation && roi.covers(f))
-            .map(|f| f.duration().ns())
+    let mut best: Option<(LaneView<'_>, u64)> = None;
+    for e in 0..pooled.num_edges() {
+        let pool = pooled.edge(e).2;
+        let in_region: u64 = (0..pool.len())
+            .filter(|&i| pool.kind(i) == FragmentKind::Computation && roi.covers(&pool, i))
+            .map(|i| pool.end(i).saturating_since(pool.start(i)).ns())
             .sum();
-        if in_region > 0 && best.as_ref().is_none_or(|(_, t)| in_region > *t) {
-            best = Some((pool.as_slice(), in_region));
+        if in_region > 0 && best.is_none_or(|(_, t)| in_region > t) {
+            best = Some((pool, in_region));
         }
     }
     let (pool, _) = best?;
@@ -79,7 +83,7 @@ pub fn diagnose_region(
     // provider borrows the members and projects counter sets into one
     // reused buffer, so no full-population clone happens at any step.
     let outcome = cluster_pool(
-        pool,
+        &pool,
         &cfg.proxy_counters,
         cfg.cluster_threshold,
         cfg.min_cluster_size,
@@ -101,6 +105,7 @@ pub fn diagnose_region(
 pub(crate) mod tests {
     use super::*;
     use crate::diagnose::factor::Factor;
+    use crate::fragment::Fragment;
     use crate::stg::StateKey;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

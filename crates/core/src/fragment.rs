@@ -26,9 +26,10 @@ pub enum FragmentKind {
     Other,
 }
 
-/// Counts [`Fragment`] clones — the instrument behind the zero-copy
-/// guarantees of the merge, windowed-ingestion and batched-diagnosis
-/// paths. Compiled in for debug builds and for release builds with the
+/// Counts [`Fragment`] clones — the instrument behind the zero-clone
+/// guarantees of the pooling, windowed-ingestion and batched-diagnosis
+/// paths (fragments are moved into the arena and transposed field by
+/// field into the sealed pool, never cloned). Compiled in for debug builds and for release builds with the
 /// `clone-count` feature (the release soak uses the latter to prove
 /// zero clones on the streaming path at optimised speeds); plain
 /// release builds compile the counter out entirely.

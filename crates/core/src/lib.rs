@@ -49,10 +49,7 @@ pub use clustering::{
     ClusterOutcome,
 };
 pub use columnar::{ColumnarPool, LaneView, PoolView};
-pub use detect::pipeline::{
-    detect, detect_columnar, detect_intra, detect_merged, detect_seq, merge_stgs,
-    merge_stgs_window, DetectionResult, MergedStg,
-};
+pub use detect::pipeline::{detect, detect_columnar, detect_intra, detect_seq, DetectionResult};
 pub use intern::{Sym, SymbolTable};
 pub use collector::Collector;
 pub use config::{FaultTolerance, LateDataPolicy, StgMode, VaproConfig};
@@ -64,7 +61,7 @@ pub use detect::ingestor::{RegionDiagnosis, WindowReport, WindowedIngestor};
 pub use detect::oneshot::analyze_windows;
 pub use diagnose::{
     diagnose_region, diagnose_regions, diagnose_regions_seq, DiagnosisBatch, DiagnosisReport,
-    EdgePools, RegionOfInterest,
+    RegionOfInterest,
 };
 pub use fleet::{
     FleetConfig, FleetIngestor, FleetReport, FleetWindow, InterferenceFinding, JobKey,

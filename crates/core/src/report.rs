@@ -3,9 +3,11 @@
 //! diagnosis ran — the impact and duration of each contributing factor,
 //! rendered as text and as JSON.
 
+use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
 use crate::detect::pipeline::DetectionResult;
-use crate::diagnose::driver::{diagnose_region, RegionOfInterest};
+use crate::diagnose::batch::DiagnosisBatch;
+use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::DiagnosisReport;
 use crate::fragment::FragmentKind;
 use crate::stg::Stg;
@@ -122,8 +124,12 @@ pub struct VaproReport {
 impl VaproReport {
     /// Build the report: each detected region is diagnosed (computation
     /// regions only — communication/IO variance carries no PMU breakdown,
-    /// paper §4 applies the model to computation time).
+    /// paper §4 applies the model to computation time). The STGs are
+    /// pooled and indexed once for all regions, and not at all for a run
+    /// without a computation region.
     pub fn build(detection: &DetectionResult, stgs: &[Stg], cfg: &VaproConfig) -> VaproReport {
+        let pool = (!detection.comp_regions.is_empty()).then(|| ColumnarPool::from_stgs(stgs, None));
+        let batch = pool.as_ref().map(|pool| DiagnosisBatch::new(pool, cfg));
         let mut regions = Vec::new();
         let categories = [
             ("computation", &detection.comp_regions, true),
@@ -132,11 +138,9 @@ impl VaproReport {
         ];
         for (category, list, diagnosable) in categories {
             for r in list.iter() {
-                let diagnosis: Option<DiagnosisReport> = if diagnosable {
-                    let roi: RegionOfInterest = r.into();
-                    diagnose_region(stgs, &roi, cfg)
-                } else {
-                    None
+                let diagnosis: Option<DiagnosisReport> = match &batch {
+                    Some(batch) if diagnosable => batch.diagnose(&RegionOfInterest::from(r)),
+                    _ => None,
                 };
                 let (culprits, factor_impacts, periods) = match &diagnosis {
                     Some(d) => (

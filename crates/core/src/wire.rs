@@ -55,9 +55,7 @@ use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::intern::{Sym, SymbolTable};
 use crate::stg::Stg;
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::VirtualTime;
 
@@ -873,38 +871,6 @@ impl FragmentBatch {
     }
 }
 
-/// Intern a label into a process-lifetime string. Crossing the
-/// serialisation boundary back into `CallSite` keys needs `&'static str`
-/// sites; interning bounds the leak by the number of *distinct* labels
-/// ever seen, however many batches, windows or arenas are processed.
-pub fn leak_label(label: &str) -> &'static str {
-    static LABELS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    #[cfg(test)]
-    LEAK_LABEL_CALLS.set(LEAK_LABEL_CALLS.get() + 1);
-    // A panicking holder can only have been between `get` and `insert`;
-    // both leave the set coherent, so the poisoned state is usable.
-    let mut set = LABELS
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match set.get(label) {
-        Some(&leaked) => leaked,
-        None => {
-            let leaked: &'static str = Box::leak(label.to_string().into_boxed_str());
-            set.insert(leaked);
-            leaked
-        }
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// [`leak_label`] calls made by this thread: lets a test show a code
-    /// path stayed off the process-wide lock.
-    pub(crate) static LEAK_LABEL_CALLS: std::cell::Cell<u64> =
-        const { std::cell::Cell::new(0) };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1185,12 +1151,5 @@ mod tests {
         };
         assert_eq!(ins_of("a -> b", "a -> b"), Some(1.0));
         assert_eq!(ins_of("a", "b"), Some(2.0));
-    }
-
-    #[test]
-    fn leaked_labels_are_interned_once() {
-        let a = leak_label("wire-test-distinct-label");
-        let b = leak_label("wire-test-distinct-label");
-        assert!(std::ptr::eq(a, b));
     }
 }

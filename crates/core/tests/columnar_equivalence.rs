@@ -1,28 +1,22 @@
-//! Property tests of the columnar core: a [`ColumnarPool`] sealed from
-//! the ingest arena must drive detection and diagnosis to
-//! **bit-identical** results versus the AoS `&[&Fragment]` path over the
-//! same fragment population — the columnar representation is an
-//! optimisation, never a semantic change.
-//!
-//! The AoS side is built here, independently of the arena: the batches'
-//! fragments grouped by label and put into a test-local restatement of
-//! the canonical order. Agreement therefore also checks the arena's
+//! Property tests of the columnar core: the [`ColumnarPool`] the ingest
+//! arena seals must equal, column for column, a pool built here from a
+//! test-local restatement of the gather — the batches' fragments grouped
+//! by label in a `BTreeMap`, each group put into a restated canonical
+//! order, groups without fragments skipped. Agreement checks the arena's
 //! location order, its fragment order and its empty-location skipping
-//! against a second statement of each. Populations include empty groups,
-//! single-fragment locations and colliding timestamps; a dedicated case
-//! checks that explicitly empty lanes are inert.
+//! against a second statement of each; the kernels read nothing but the
+//! pool, so equal pools are equal analyses. Populations include empty
+//! groups, single-fragment locations and colliding timestamps; a
+//! dedicated case checks that explicitly empty lanes are inert.
 
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use std::collections::BTreeMap;
 use vapro_core::fragment::{Fragment, FragmentKind};
 use vapro_core::wire::{EdgeGroup, FragmentBatch, VertexGroup};
-use vapro_core::{
-    detect_columnar, detect_merged, diagnose_regions_seq, ColumnarPool, DiagnosisBatch,
-    IngestArena, MergedStg, PoolView, RegionOfInterest, StateKey, SymbolTable, VaproConfig,
-};
+use vapro_core::{detect_columnar, ColumnarPool, IngestArena, PoolView, VaproConfig};
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
-use vapro_sim::{CallSite, VirtualTime};
+use vapro_sim::VirtualTime;
 
 const NRANKS: usize = 4;
 const BINS: usize = 8;
@@ -119,92 +113,43 @@ fn canonical_key(f: &Fragment) -> impl Ord {
     )
 }
 
-/// The AoS reference population, owned: fragments grouped by state key
-/// (`BTreeMap`, so locations come out in key order), each group in
-/// canonical order, groups without fragments absent.
-#[derive(Default)]
-struct Reference {
-    vertices: BTreeMap<StateKey, Vec<Fragment>>,
-    edges: BTreeMap<(StateKey, StateKey), Vec<Fragment>>,
-}
-
-impl Reference {
-    fn of(batches: &[FragmentBatch]) -> Reference {
-        let key = |label: u32| StateKey::Site(CallSite(LABELS[label as usize]));
-        let mut r = Reference::default();
-        for b in batches {
-            for g in b.vertex_groups.iter().filter(|g| !g.fragments.is_empty()) {
-                r.vertices.entry(key(g.label)).or_default().extend(g.fragments.iter().cloned());
-            }
-            for g in b.edge_groups.iter().filter(|g| !g.fragments.is_empty()) {
-                let pool = r.edges.entry((key(g.from), key(g.to))).or_default();
-                pool.extend(g.fragments.iter().cloned());
-            }
+/// The gather, restated: fragments grouped by label (`BTreeMap`, so
+/// locations come out in label order), each group in canonical order,
+/// groups without fragments absent, vertex lanes before edge lanes.
+fn restated_gather(batches: &[FragmentBatch]) -> ColumnarPool {
+    let mut vertices: BTreeMap<&str, Vec<&Fragment>> = BTreeMap::new();
+    let mut edges: BTreeMap<(&str, &str), Vec<&Fragment>> = BTreeMap::new();
+    for b in batches {
+        for g in b.vertex_groups.iter().filter(|g| !g.fragments.is_empty()) {
+            vertices.entry(b.label(g.label)).or_default().extend(&g.fragments);
         }
-        for pool in r.vertices.values_mut().chain(r.edges.values_mut()) {
-            pool.sort_by_key(canonical_key);
-        }
-        r
-    }
-
-    fn merged(&self) -> MergedStg<'_> {
-        let mut symbols: SymbolTable<&StateKey> = SymbolTable::new();
-        let vertices = self
-            .vertices
-            .iter()
-            .map(|(k, pool)| (symbols.intern(k), pool.iter().collect()))
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .map(|((f, t), pool)| ((symbols.intern(f), symbols.intern(t)), pool.iter().collect()))
-            .collect();
-        MergedStg { symbols, vertices, edges }
-    }
-}
-
-fn rois() -> Vec<RegionOfInterest> {
-    let mut rois = Vec::new();
-    for r in 0..NRANKS {
-        for c in 0..4u64 {
-            rois.push(RegionOfInterest {
-                ranks: (r, r),
-                t_start: VirtualTime::from_ns(c * 15_000_000),
-                t_end: VirtualTime::from_ns((c + 1) * 15_000_000),
-            });
+        for g in b.edge_groups.iter().filter(|g| !g.fragments.is_empty()) {
+            edges.entry((b.label(g.from), b.label(g.to))).or_default().extend(&g.fragments);
         }
     }
-    rois
+    let mut pool = ColumnarPool::new();
+    for (label, mut frags) in vertices {
+        frags.sort_by_key(|f| canonical_key(f));
+        pool.begin_vertex(label.into());
+        frags.into_iter().for_each(|f| pool.push(f));
+    }
+    for ((from, to), mut frags) in edges {
+        frags.sort_by_key(|f| canonical_key(f));
+        pool.begin_edge(from.into(), to.into());
+        frags.into_iter().for_each(|f| pool.push(f));
+    }
+    pool
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// detect over lanes == detect over fragment slices, to the bit.
-    /// `Debug` formatting of `f64` is shortest-roundtrip, so equal debug
-    /// strings mean equal bits in every heat-map cell, region bound,
-    /// series point and cluster seed.
+    /// The arena-sealed pool is the restated gather, column for column
+    /// (labels, lane bounds, every per-fragment column).
     #[test]
-    fn columnar_detection_is_bit_identical(batches in vec(batch_strategy(), 1..4)) {
-        let cfg = VaproConfig::default();
-        let reference = Reference::of(&batches);
-        let aos = detect_merged(&reference.merged(), NRANKS, BINS, &cfg);
-        let pool = ColumnarPool::from_merged(&pooled(&batches).full_view());
-        let col = detect_columnar(&pool, NRANKS, BINS, &cfg);
-        prop_assert_eq!(format!("{aos:?}"), format!("{col:?}"));
-    }
-
-    /// Batched diagnosis over lanes == over fragment slices, for every
-    /// region of a grid covering the population.
-    #[test]
-    fn columnar_diagnosis_is_bit_identical(batches in vec(batch_strategy(), 1..4)) {
-        let cfg = VaproConfig::default();
-        let reference = Reference::of(&batches);
-        let pool = ColumnarPool::from_merged(&pooled(&batches).full_view());
-        prop_assert_eq!(
-            diagnose_regions_seq(&reference.merged(), &rois(), &cfg),
-            DiagnosisBatch::new(&pool, &cfg).diagnose_all(&rois())
-        );
+    fn arena_seal_equals_the_restated_gather(batches in vec(batch_strategy(), 1..4)) {
+        let sealed = ColumnarPool::from_merged(&pooled(&batches).full_view());
+        prop_assert_eq!(sealed, restated_gather(&batches));
     }
 
     /// Refilling a recycled pool (the streaming server's scratch path)
@@ -242,11 +187,11 @@ proptest! {
     ) {
         let split = split.min(frags.len());
         let mut pool = ColumnarPool::new();
-        pool.begin_edge(StateKey::Start, StateKey::Start);
+        pool.begin_edge("a".into(), "b".into());
         for f in &frags[..split] {
             pool.push(f);
         }
-        pool.begin_vertex(StateKey::Start);
+        pool.begin_vertex("a".into());
         for f in &frags[split..] {
             pool.push(f);
         }
@@ -259,12 +204,11 @@ proptest! {
             (pool.all(), &frags[..]),
         ];
         for (lane, frags) in views {
-            let aos: Vec<&Fragment> = frags.iter().collect();
-            let aos = aos.as_slice();
             prop_assert_eq!(lane.len(), frags.len());
             prop_assert_eq!(lane.is_empty(), frags.is_empty());
             let dim = lane.workload_dim(&proxy);
-            prop_assert_eq!(dim, aos.workload_dim(&proxy));
+            let widest = frags.iter().map(|f| f.workload_vector(&proxy).len()).max();
+            prop_assert_eq!(dim, widest.unwrap_or(0));
             for (i, f) in frags.iter().enumerate() {
                 prop_assert_eq!(lane.rank(i), f.rank);
                 prop_assert_eq!(lane.kind(i), f.kind);
@@ -274,9 +218,10 @@ proptest! {
                 prop_assert_eq!(lane.args(i), &f.args[..]);
                 prop_assert_eq!(lane.project_counters(i, keep), f.counters.project(keep));
                 prop_assert_eq!(lane.project_counters(i, CounterSet::all()), f.counters.clone());
-                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut got = Vec::new();
                 lane.extend_workload_lane(i, &proxy, dim, &mut got);
-                aos.extend_workload_lane(i, &proxy, dim, &mut want);
+                let mut want = f.workload_vector(&proxy);
+                want.resize(dim, 0.0);
                 prop_assert_eq!(
                     got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -306,24 +251,23 @@ fn empty_lanes_are_inert() {
             args: vec![],
         }
     };
-    let key = |l: &'static str| StateKey::Site(CallSite(l));
 
     let mut dense = ColumnarPool::new();
-    dense.begin_edge(key("a"), key("b"));
+    dense.begin_edge("a".into(), "b".into());
     for i in 0..8u64 {
         dense.push(&frag((i % 2) as usize, i * 1_000_000, 500_000 + (i % 3) * 1_000, 1000.0));
     }
-    dense.begin_vertex(key("solo"));
+    dense.begin_vertex("solo".into());
     dense.push(&frag(1, 2_000_000, 300_000, 64.0)); // single-fragment location
 
     let mut sparse = ColumnarPool::new();
-    sparse.begin_vertex(key("ghost")); // empty vertex lane
-    sparse.begin_edge(key("a"), key("b"));
+    sparse.begin_vertex("ghost".into()); // empty vertex lane
+    sparse.begin_edge("a".into(), "b".into());
     for i in 0..8u64 {
         sparse.push(&frag((i % 2) as usize, i * 1_000_000, 500_000 + (i % 3) * 1_000, 1000.0));
     }
-    sparse.begin_edge(key("x"), key("y")); // empty edge lane
-    sparse.begin_vertex(key("solo"));
+    sparse.begin_edge("x".into(), "y".into()); // empty edge lane
+    sparse.begin_vertex("solo".into());
     sparse.push(&frag(1, 2_000_000, 300_000, 64.0));
 
     let a = detect_columnar(&dense, 2, 4, &cfg);

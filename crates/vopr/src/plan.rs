@@ -671,10 +671,13 @@ mod tests {
         let total: usize = stgs.iter().map(Stg::total_fragments).sum();
         // 160 computation + 20 invocation fragments per rank.
         assert_eq!(total, 4 * 180);
-        // All ranks share the same states, so merging pools across ranks.
-        let merged = vapro_core::merge_stgs(&stgs);
-        for (_, pool) in &merged.vertices {
-            assert!(pool.iter().map(|f| f.rank).collect::<std::collections::HashSet<_>>().len() > 1);
+        // All ranks share the same states, so pooling crosses ranks.
+        use vapro_core::PoolView;
+        let pool = vapro_core::ColumnarPool::from_stgs(&stgs, None);
+        for v in 0..pool.num_vertices() {
+            let lane = pool.vertex(v).1;
+            let ranks: std::collections::HashSet<_> = (0..lane.len()).map(|i| lane.rank(i)).collect();
+            assert!(ranks.len() > 1);
         }
     }
 

@@ -11,8 +11,8 @@ use vapro::core::detect::normalize::PerfPoint;
 use vapro::core::detect::pipeline::{detect, detect_seq};
 use vapro::core::detect::region::grow_regions;
 use vapro::core::{
-    diagnose_region, diagnose_regions, diagnose_regions_seq, merge_stgs, Fragment, FragmentKind,
-    RegionOfInterest, StateKey, Stg, VaproConfig,
+    diagnose_region, diagnose_regions, diagnose_regions_seq, ColumnarPool, Fragment,
+    FragmentKind, RegionOfInterest, StateKey, Stg, VaproConfig,
 };
 use vapro::pmu::{
     events, CounterDelta, CounterId, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown,
@@ -400,9 +400,9 @@ proptest! {
             t_start: VirtualTime::ZERO,
             t_end: VirtualTime::from_ns(t_max.max(1)),
         });
-        let merged = merge_stgs(&stgs);
-        let batch_seq = diagnose_regions_seq(&merged, &rois, &cfg);
-        let batch_par = diagnose_regions(&merged, &rois, &cfg);
+        let pool = ColumnarPool::from_stgs(&stgs, None);
+        let batch_seq = diagnose_regions_seq(&pool, &rois, &cfg);
+        let batch_par = diagnose_regions(&pool, &rois, &cfg);
         let driver: Vec<_> = rois.iter().map(|r| diagnose_region(&stgs, r, &cfg)).collect();
         prop_assert_eq!(&batch_seq, &driver);
         prop_assert_eq!(&batch_seq, &batch_par);
