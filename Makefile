@@ -4,7 +4,7 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test test-repeat lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test repro-check clippy clean
+.PHONY: check test test-repeat lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
 
 # The full gate: release build, tests, a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
@@ -122,6 +122,17 @@ benchmark:
 
 benchmark-test:
 	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml
+
+# How a performance claim is measured on a small box (choosing-metrics
+# guide §8): `make benchmark-pairs BASE=<rev> [N=10] [SEED=1] [WORKLOAD=…]`
+# exports BASE under the git-ignored .bench_build/, builds it and the
+# working tree, runs N pairs of `benchmark run` alternating which side
+# goes first, and prints per metric × workload the medians, [Q1–Q3], the
+# pairs the change won and every run.
+benchmark-pairs:
+	@test -n "$(BASE)" || { echo "usage: make benchmark-pairs BASE=<rev> [N=10] [SEED=1] [WORKLOAD=name]"; exit 2; }
+	python3 scripts/benchmark_pairs.py --base $(BASE) --pairs $(or $(N),10) --seed $(or $(SEED),1) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # `repro_output.txt` is what `repro all` prints (every table and figure,
 # in virtual time: seeded, thread-count independent, ≈2 s). A change

@@ -218,14 +218,16 @@ fn soak_thousand_windows_bounded_and_identical() {
     let started = Instant::now();
     let (windows, hw_long) = soak_windowed(520, 24_000);
     assert!(windows >= 1000, "only {windows} windows closed");
-    // Same data, 8× fewer (so 8× larger) windows: a larger share of the
-    // stream is live per window, so the evicting arena must peak higher.
-    // If eviction were broken both runs would peak at the whole stream
-    // and the inequality would fail.
+    // Same data, 8× fewer (so 8× larger) windows. The gauge counts what
+    // the arena holds (40 B a row plus 8 B per counter value and arg),
+    // and what it holds is the rows of about two periods, so the peak
+    // scales with the window: 15 888 B against 123 000 B (7.7×) here,
+    // 0.4 % and 3 % of the stream. Held to 4×; if eviction were broken
+    // both runs would peak at the whole stream, 1×.
     let (_, hw_short) = soak_windowed(65, 24_000);
     assert!(
-        hw_long < hw_short,
-        "arena peak did not shrink with window size: {hw_long} >= {hw_short}"
+        4 * hw_long < hw_short,
+        "arena peak did not shrink with window size: {hw_long} vs {hw_short}"
     );
     let fleet_windows = soak_fleet(150, 4_000);
     assert!(fleet_windows >= 800, "only {fleet_windows} fleet windows closed");

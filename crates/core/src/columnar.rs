@@ -1,10 +1,13 @@
 //! SoA columnar fragment pools: the sealed, read-only form of one
 //! analysis window. The streaming server keeps fragments AoS while they
-//! are mutable (the arena appends, sorts and evicts `Vec<Fragment>`
-//! pools) and transposes a closing window **once**, straight out of the
-//! arena, into a [`ColumnarPool`] — times, counter lanes, kinds, arg
-//! offsets, partitioned into per-location lanes. [`LaneView`] hands
-//! detection and diagnosis a contiguous window onto them.
+//! are mutable (the arena appends, sorts and evicts pools of compact
+//! 40-byte rows, counter values and args in per-pool heaps) and
+//! transposes a closing window **once**, straight out of the arena, into
+//! a [`ColumnarPool`] — times, counter lanes, kinds, arg offsets,
+//! partitioned into per-location lanes; a row's counter values and args
+//! arrive as slices ([`CompactRow`]) and are copied as slices.
+//! [`LaneView`] hands detection and diagnosis a contiguous window onto
+//! them.
 //!
 //! A sealed pool is the single interface between *where fragments come
 //! from* and *what the analysis reads*. It has two sources:
@@ -108,6 +111,27 @@ pub trait PoolView {
 
     /// Fragment `i`'s invocation arguments.
     fn args(&self, i: usize) -> &[f64];
+}
+
+/// One fragment in compact form — fixed fields plus its *active*
+/// counter values and its arguments as slices: what an arena row and a
+/// wire record hold, and what [`ColumnarPool::push_row`] appends.
+#[derive(Debug, Clone, Copy)]
+pub struct CompactRow<'a> {
+    /// Originating rank.
+    pub rank: u32,
+    /// Fragment category.
+    pub kind: FragmentKind,
+    /// Virtual start time, ns.
+    pub start_ns: u64,
+    /// Virtual end time, ns.
+    pub end_ns: u64,
+    /// The counters carried.
+    pub set: CounterSet,
+    /// One value per member of `set`, ascending `id.index()` order.
+    pub vals: &'a [f64],
+    /// Invocation arguments.
+    pub args: &'a [f64],
 }
 
 /// One location's contiguous index range in the columns.
@@ -218,22 +242,45 @@ impl ColumnarPool {
     }
 
     /// Append one fragment's fields to the open lane. Field-by-field
-    /// column pushes — `Fragment::clone` (and its clone counter) is
-    /// structurally unreachable from here.
+    /// copies — `Fragment::clone` (and its clone counter) is structurally
+    /// unreachable from here.
     ///
     /// # Panics
     /// When no lane has been opened.
     pub fn push(&mut self, f: &Fragment) {
-        self.ranks.push(f.rank as u32);
-        self.kinds.push(f.kind);
-        self.starts.push(f.start.ns());
-        self.ends.push(f.end.ns());
-        self.sets.push(f.counters.set());
         // `entries()` yields ascending `id.index()` order (CounterId::ALL
         // order), which is exactly the popcount-rank order reads assume.
-        self.counters.extend(f.counters.entries().map(|(_, v)| v));
+        let mut vals = [0.0; CounterId::ALL.len()];
+        let mut n = 0;
+        for (slot, (_, v)) in vals.iter_mut().zip(f.counters.entries()) {
+            *slot = v;
+            n += 1;
+        }
+        self.push_row(CompactRow {
+            rank: f.rank as u32,
+            kind: f.kind,
+            start_ns: f.start.ns(),
+            end_ns: f.end.ns(),
+            set: f.counters.set(),
+            vals: &vals[..n],
+            args: &f.args,
+        });
+    }
+
+    /// Append one compact row to the open lane: five column pushes and
+    /// two slice copies. What the arena seal calls per gathered row.
+    ///
+    /// # Panics
+    /// When no lane has been opened.
+    pub fn push_row(&mut self, row: CompactRow<'_>) {
+        self.ranks.push(row.rank);
+        self.kinds.push(row.kind);
+        self.starts.push(row.start_ns);
+        self.ends.push(row.end_ns);
+        self.sets.push(row.set);
+        self.counters.extend_from_slice(row.vals);
         self.coff.push(self.counters.len() as u32);
-        self.args.extend_from_slice(&f.args);
+        self.args.extend_from_slice(row.args);
         self.aoff.push(self.args.len() as u32);
         let n = self.ranks.len() as u32;
         let lane = if self.open_edge {

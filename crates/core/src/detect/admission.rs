@@ -14,7 +14,7 @@ use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
 use crate::vopr::fault_points::{hit, FaultPoint};
-use crate::wire::{FragmentBatch, WireError, SEQ_UNSEQUENCED};
+use crate::wire::{FrameHeader, WireError, SEQ_UNSEQUENCED};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -237,9 +237,10 @@ impl Admission {
         rank
     }
 
-    /// Admission control over one frame header: rank validation, dedup,
+    /// Admission control over one frame header — an owned batch's or a
+    /// still-encoded frame's, it cannot tell: rank validation, dedup,
     /// dead-rank late policy, backpressure. `Ok(true)` means absorb the
-    /// batch; `Ok(false)` is a policy drop — acknowledged (the mark
+    /// fragments; `Ok(false)` is a policy drop — acknowledged (the mark
     /// advances) and counted, but its fragments are discarded, and `Ok`
     /// because it is the server's own choice. `Err` for unknown ranks
     /// (hostile or misrouted frames) and duplicates (the one rejection a
@@ -247,12 +248,12 @@ impl Admission {
     /// counted and rejected, never a panic.
     pub(crate) fn admit(
         &mut self,
-        batch: &FragmentBatch,
+        frame: &FrameHeader,
         frame_bytes: u64,
     ) -> Result<bool, WireError> {
-        let (rank, seq) = (batch.rank, batch.seq);
+        let (rank, seq) = (frame.rank, frame.seq);
         let nranks = self.trackers.len();
-        let ahead = batch.window_start_ns > self.watermark_ns();
+        let ahead = frame.window_start_ns > self.watermark_ns();
         let Some(tracker) = self.trackers.get_mut(rank) else {
             self.stats.unknown_rank_frames += 1;
             hit(FaultPoint::UnknownRankReject);
@@ -269,7 +270,7 @@ impl Admission {
         // rank *did* ship this span, and stalling the watermark would
         // turn one overload into permanent blockage.
         let late = tracker.dead && self.drop_late;
-        tracker.admit(seq, batch.window_end_ns);
+        tracker.admit(seq, frame.window_end_ns);
         if late {
             // The windows the data belonged to closed without this rank.
             self.stats.dropped_late_frames += 1;
@@ -285,7 +286,7 @@ impl Admission {
                 hit(FaultPoint::BackpressureDrop);
                 return Ok(false);
             }
-            *self.buffered_ahead.entry(batch.window_end_ns).or_insert(0) += frame_bytes;
+            *self.buffered_ahead.entry(frame.window_end_ns).or_insert(0) += frame_bytes;
             self.buffered_ahead_bytes += frame_bytes;
         }
         self.stats.frames_admitted += 1;
@@ -379,6 +380,7 @@ mod tests {
     use crate::detect::oneshot::tests::assert_results_identical;
     use crate::detect::window::windows_covering;
     use crate::stg::Stg;
+    use crate::wire::FragmentBatch;
     use vapro_sim::VirtualTime;
 
     #[test]

@@ -1,55 +1,97 @@
 //! Server-side fragment storage for the streaming pipeline: storage
 //! order, ranged scan, eviction.
 //!
-//! [`IngestArena`] decodes each shipped [`FragmentBatch`] **once** into
-//! per-location `Vec<Fragment>` pools (fragments are *moved* out of the
-//! batch, never cloned), where appending, sorting and eviction are
-//! cheap — AoS where data is mutable. A closing window is sealed in one
-//! hop: [`IngestArena::window_view`] is a free [`ArenaView`] handle, and
-//! [`ColumnarPool::refill_from_merged`] gathers the overlapping
-//! fragments straight out of the sorted pools into a recycled columnar
-//! snapshot — SoA where it is sealed.
+//! [`IngestArena`] keeps each shipped fragment as one compact `Row` in
+//! a per-location pool: the fixed fields inline (40 bytes), the active
+//! counter values and the invocation arguments in two per-pool `f64`
+//! heaps — what the wire ships, nothing inflated. Rows are appended
+//! straight from a validated frame's columns
+//! ([`IngestArena::push_frame`]; no `Fragment` is built on that path) or
+//! copied out of an owned batch ([`IngestArena::push_batch`]) by the same
+//! routine, and stay AoS while they are mutable: appending, sorting and
+//! evicting move 40-byte rows. A closing window is sealed in one hop:
+//! [`IngestArena::window_view`] is a free [`ArenaView`] handle, and
+//! [`ColumnarPool::refill_from_merged`] gathers the overlapping rows out
+//! of the sorted pools into a recycled columnar snapshot by slice copies
+//! — SoA where it is sealed.
 
-use crate::columnar::ColumnarPool;
+use crate::columnar::{ColumnarPool, CompactRow};
 use crate::detect::window::Window;
-use crate::fragment::Fragment;
-use crate::wire::FragmentBatch;
+use crate::fragment::{Fragment, FragmentKind};
+use crate::intern::Sym;
+use crate::wire::{FragmentBatch, FrameView};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
+use vapro_pmu::CounterSet;
+use vapro_sim::VirtualTime;
 
-/// Canonical in-pool fragment order: (rank, time) first, then fragment
-/// content (kind, counters, args) to break ties among identical-
-/// timestamp fragments — so pool order never depends on batch arrival
-/// order, even when timestamps collide. Where (rank, time) is unique —
-/// every rank-indexed STG the one-shot path consumes — the order equals
-/// what [`ColumnarPool::from_stgs`] produces, which is what makes the
-/// incremental reports bit-identical to the one-shot windowed analysis.
-fn fragment_order(a: &Fragment, b: &Fragment) -> std::cmp::Ordering {
-    (a.rank, a.start.ns(), a.end.ns(), a.kind as u8)
-        .cmp(&(b.rank, b.start.ns(), b.end.ns(), b.kind as u8))
-        .then_with(|| {
-            // Ties are rare, so the content comparison stays lazy: no
-            // per-fragment key allocation.
-            a.counters
-                .entries()
-                .map(|(id, v)| (id.index(), v.to_bits()))
-                .cmp(b.counters.entries().map(|(id, v)| (id.index(), v.to_bits())))
-        })
-        .then_with(|| {
-            a.args
-                .iter()
-                .map(|x| x.to_bits())
-                .cmp(b.args.iter().map(|x| x.to_bits()))
-        })
+/// One stored fragment. Its `set.count_ones()` counter values start at
+/// `vals_off` in the owning pool's `vals` heap (ascending counter index,
+/// as on the wire), its `nargs` arguments at `args_off` in `args`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    start: u64,
+    end: u64,
+    rank: u32,
+    /// [`CounterSet`] bitmask of the counters carried.
+    set: u32,
+    vals_off: u32,
+    args_off: u32,
+    nargs: u32,
+    kind: FragmentKind,
+}
+
+/// Resident footprint of one row: the inline struct plus 8 bytes per
+/// active counter value and per argument — what the pool's three
+/// buffers hold for it (allocator slack is not chased). Absorb and evict
+/// use this one formula, so the resident gauge is exact relative to
+/// itself.
+fn row_resident_bytes(r: &Row) -> u64 {
+    let payload = (r.set.count_ones() as u64).saturating_add(r.nargs as u64);
+    (std::mem::size_of::<Row>() as u64).saturating_add(payload.saturating_mul(8))
+}
+
+/// One fragment on its way into a pool, from either source: the fixed
+/// fields, and the two payloads as iterators the pool's heaps extend
+/// from (`vals` yields one value per bit of `set`).
+struct Incoming<V, A> {
+    rank: u32,
+    kind: FragmentKind,
+    start: u64,
+    end: u64,
+    set: u32,
+    vals: V,
+    args: A,
+}
+
+/// An owned fragment's fields, on their way into a pool.
+fn incoming(
+    f: &Fragment,
+) -> Incoming<impl Iterator<Item = f64> + '_, impl ExactSizeIterator<Item = f64> + '_> {
+    Incoming {
+        // Ranks are `u32` on the wire and in the sealed pool.
+        rank: f.rank as u32,
+        kind: f.kind,
+        start: f.start.ns(),
+        end: f.end.ns(),
+        set: f.counters.set().bits(),
+        vals: f.counters.entries().map(|(_, v)| v),
+        args: f.args.iter().copied(),
+    }
 }
 
 /// One arena pool plus its incremental-sort watermark: the prefix
-/// `frags[..sorted_len]` is known to be in [`fragment_order`]. Batches
-/// append to the tail; [`IngestArena::ensure_sorted`] brings the whole
-/// pool back into order.
+/// `rows[..sorted_len]` is known to be in [`ArenaPool::row_order`].
+/// Batches append to the tail; [`IngestArena::ensure_sorted`] brings the
+/// whole pool back into order.
 #[derive(Debug, Default)]
 struct ArenaPool {
-    frags: Vec<Fragment>,
+    rows: Vec<Row>,
+    /// Active counter values of every row, in append order.
+    vals: Vec<f64>,
+    /// Invocation arguments of every row, in append order.
+    args: Vec<f64>,
     sorted_len: usize,
     /// Largest fragment duration this pool has ever held, ns. Monotone
     /// (eviction never lowers it — a stale bound only widens the ranged
@@ -59,17 +101,136 @@ struct ArenaPool {
     max_dur_ns: u64,
 }
 
+/// The `n` values starting at `off` in a pool heap; empty for a range
+/// the heap does not hold (no row ever has one).
+fn heap_slice(heap: &[f64], off: u32, n: u32) -> &[f64] {
+    let off = off as usize;
+    heap.get(off..off.saturating_add(n as usize)).unwrap_or(&[])
+}
+
 impl ArenaPool {
-    /// Feed `visit` the fragments overlapping `window` (all of them for
-    /// `None`), in [`fragment_order`].
+    fn vals_of(&self, r: &Row) -> &[f64] {
+        heap_slice(&self.vals, r.vals_off, r.set.count_ones())
+    }
+
+    fn args_of(&self, r: &Row) -> &[f64] {
+        heap_slice(&self.args, r.args_off, r.nargs)
+    }
+
+    /// Canonical in-pool order: (rank, time) first, then fragment
+    /// content (kind, counters, args) to break ties among identical-
+    /// timestamp fragments — so pool order never depends on batch
+    /// arrival order, even when timestamps collide. The counter
+    /// tiebreak is lexicographic over `(counter index, value bits)`
+    /// pairs, not "set mask, then values": a value that differs at an
+    /// early counter decides before a later counter one side lacks.
+    /// Where (rank, time) is unique — every rank-indexed STG the
+    /// one-shot path consumes — the order equals what
+    /// [`ColumnarPool::from_stgs`] produces, which is what makes the
+    /// incremental reports bit-identical to the one-shot windowed
+    /// analysis.
+    fn row_order(a: &Row, b: &Row, vals: &[f64], args: &[f64]) -> Ordering {
+        // Ties are rare, so the content comparison stays lazy.
+        let counters = |r: &Row| {
+            let mut unseen = r.set;
+            heap_slice(vals, r.vals_off, r.set.count_ones()).iter().map(move |v| {
+                let index = unseen.trailing_zeros();
+                unseen &= unseen.wrapping_sub(1);
+                (index, v.to_bits())
+            })
+        };
+        let arg_bits = |r: &Row| heap_slice(args, r.args_off, r.nargs).iter().map(|x| x.to_bits());
+        (a.rank, a.start, a.end, a.kind as u8)
+            .cmp(&(b.rank, b.start, b.end, b.kind as u8))
+            .then_with(|| counters(a).cmp(counters(b)))
+            .then_with(|| arg_bits(a).cmp(arg_bits(b)))
+    }
+
+    /// Append one fragment to the tail; returns its resident bytes, or
+    /// `None` (nothing appended) when a heap would outgrow the `u32`
+    /// offsets rows address it with — 32 GiB in one location, which
+    /// eviction and the admission caps rule out long before. Bounding
+    /// the heaps' *ends* is what lets compaction re-offset survivors
+    /// without a check of its own.
+    fn append<V, A>(&mut self, f: Incoming<V, A>) -> Option<u64>
+    where
+        V: Iterator<Item = f64>,
+        A: ExactSizeIterator<Item = f64>,
+    {
+        let (nvals, nargs) = (f.set.count_ones() as usize, f.args.len());
+        u32::try_from(self.vals.len().checked_add(nvals)?).ok()?;
+        u32::try_from(self.args.len().checked_add(nargs)?).ok()?;
+        let row = Row {
+            start: f.start,
+            end: f.end,
+            rank: f.rank,
+            set: f.set,
+            // Lossless: each heap's end fits `u32`, so its start does,
+            // and so does the arg count between them.
+            vals_off: self.vals.len() as u32,
+            args_off: self.args.len() as u32,
+            nargs: nargs as u32,
+            kind: f.kind,
+        };
+        self.vals.reserve(nvals);
+        self.vals.extend(f.vals);
+        self.args.extend(f.args);
+        self.rows.push(row);
+        self.max_dur_ns = self.max_dur_ns.max(f.end.saturating_sub(f.start));
+        Some(row_resident_bytes(&row))
+    }
+
+    /// Drop every row ending at or before `horizon_ns`; returns how many
+    /// went and their resident bytes. Survivors keep their relative
+    /// order, so the kept part of the sorted prefix stays sorted and the
+    /// watermark shrinks to exactly that count. A pool that lost some
+    /// rows but not all copies the survivors' payloads, in row order,
+    /// into `spare`, keeps that heap pair and leaves its old one behind
+    /// as the next spare: the heaps hold live values only, and no buffer
+    /// is allocated or freed in steady state.
+    fn evict_before(&mut self, horizon_ns: u64, spare: &mut (Vec<f64>, Vec<f64>)) -> (usize, u64) {
+        let ArenaPool { rows, vals, args, sorted_len, .. } = self;
+        let (before, mut seen, mut kept_sorted, mut bytes) = (rows.len(), 0usize, 0usize, 0u64);
+        rows.retain(|r| {
+            let keep = r.end > horizon_ns;
+            if keep {
+                kept_sorted += usize::from(seen < *sorted_len);
+            } else {
+                bytes = bytes.saturating_add(row_resident_bytes(r));
+            }
+            seen += 1;
+            keep
+        });
+        *sorted_len = kept_sorted;
+        let evicted = before.saturating_sub(rows.len());
+        if evicted > 0 && !rows.is_empty() {
+            let (spare_vals, spare_args) = spare;
+            spare_vals.clear();
+            spare_args.clear();
+            for r in rows.iter_mut() {
+                // `append` keeps both heaps within `u32`, and the
+                // survivors' payloads are a subset of them.
+                let offsets = (spare_vals.len() as u32, spare_args.len() as u32);
+                spare_vals.extend_from_slice(heap_slice(vals, r.vals_off, r.set.count_ones()));
+                spare_args.extend_from_slice(heap_slice(args, r.args_off, r.nargs));
+                (r.vals_off, r.args_off) = offsets;
+            }
+            std::mem::swap(vals, spare_vals);
+            std::mem::swap(args, spare_args);
+        }
+        (evicted, bytes)
+    }
+
+    /// Feed `visit` the rows overlapping `window` (all of them for
+    /// `None`), in [`ArenaPool::row_order`].
     ///
     /// A sorted pool — what every window close sees, since the ingestor
-    /// runs [`IngestArena::ensure_sorted`] first — is walked by
-    /// `partition_point` range lookups, touching O(ranks·log n +
+    /// runs [`IngestArena::ensure_sorted`] before it seals — is walked
+    /// by `partition_point` range lookups, touching O(ranks·log n +
     /// rows-in-window) elements instead of filtering the whole pool,
     /// which bounds a recovering straggler's backlog to O(window) per
-    /// close. [`fragment_order`] (rank first, then start time) bounds
-    /// each rank's candidates to one contiguous run:
+    /// close. The order (rank first, then start time) bounds each
+    /// rank's candidates to one contiguous run:
     ///
     /// * the upper cut keeps `start < w.end` (any later start cannot
     ///   overlap);
@@ -84,48 +245,48 @@ impl ArenaPool {
     /// A pool with an unsorted tail (direct arena use without
     /// `ensure_sorted`) is filtered and sorted here instead; which of
     /// the two ran is unobservable.
-    fn window_overlaps(&self, window: Option<Window>, mut visit: impl FnMut(&Fragment)) {
-        let frags = self.frags.as_slice();
-        if self.sorted_len != frags.len() {
-            let mut kept: Vec<&Fragment> = frags
-                .iter()
-                .filter(|f| window.is_none_or(|w| w.overlaps(f.start, f.end)))
-                .collect();
-            kept.sort_by(|a, b| fragment_order(a, b));
+    fn window_overlaps(&self, window: Option<Window>, mut visit: impl FnMut(&Row)) {
+        let rows = self.rows.as_slice();
+        let overlaps = |r: &Row| {
+            window.is_none_or(|w| w.overlaps(VirtualTime::from_ns(r.start), VirtualTime::from_ns(r.end)))
+        };
+        if self.sorted_len != rows.len() {
+            let mut kept: Vec<&Row> = rows.iter().filter(|r| overlaps(r)).collect();
+            kept.sort_by(|a, b| Self::row_order(a, b, &self.vals, &self.args));
             kept.into_iter().for_each(visit);
             return;
         }
         let Some(w) = window else {
-            frags.iter().for_each(visit);
+            rows.iter().for_each(visit);
             return;
         };
         let ws = w.start.ns();
         let we = w.end.ns();
         let earliest_start = ws.saturating_sub(self.max_dur_ns);
-        let mut run_start = 0;
-        while run_start < frags.len() {
-            let rank = frags[run_start].rank;
-            let run = &frags[run_start..];
-            let run_len = run.partition_point(|f| f.rank == rank);
-            let run = &run[..run_len];
-            let lo = run.partition_point(|f| f.start.ns() < earliest_start);
-            let hi = run.partition_point(|f| f.start.ns() < we);
-            for f in &run[lo.min(hi)..hi] {
-                if f.end.ns() > ws {
-                    visit(f);
+        let mut rest = rows;
+        while let Some(first) = rest.first() {
+            let rank = first.rank;
+            let of_rank = rest.partition_point(|r| r.rank == rank);
+            let Some((same_rank, later)) = rest.split_at_checked(of_rank) else { break };
+            let lo = same_rank.partition_point(|r| r.start < earliest_start);
+            let hi = same_rank.partition_point(|r| r.start < we);
+            for r in same_rank.get(lo..hi).unwrap_or(&[]) {
+                if r.end > ws {
+                    visit(r);
                 }
             }
-            run_start += run_len;
+            rest = later;
         }
     }
 }
 
-/// Server-side fragment storage: shipped batches decoded **once** into
-/// per-location pools. Locations are keyed by state (for invocation
-/// pools) or state pair (for computation pools); state identity is the
-/// label from the batch dictionary, so labels containing `" -> "` are
-/// handled like any other. The arena owns its labels: they are freed
-/// with it, and no two arenas share a table or a lock.
+/// Server-side fragment storage: each shipped frame's rows appended
+/// **once** into per-location pools. Locations are keyed by state (for
+/// invocation pools) or state pair (for computation pools); state
+/// identity is the label from the frame's dictionary, so labels
+/// containing `" -> "` are handled like any other. The arena owns its
+/// labels: they are freed with it, and no two arenas share a table or a
+/// lock.
 #[derive(Debug, Default)]
 pub struct IngestArena {
     /// Arena state labels; pool entries index into this.
@@ -135,13 +296,21 @@ pub struct IngestArena {
     edge_pools: HashMap<(usize, usize), ArenaPool>,
     fragments: usize,
     max_end_ns: u64,
-    /// Fragment `Vec`s reclaimed from pools the watermark fully drained;
-    /// the next pool for a fresh location reuses their capacity instead
-    /// of allocating — the arena-level twin of the ingestor's columnar
-    /// scratch recycling.
-    free_pools: Vec<Vec<Fragment>>,
-    /// Approximate bytes of fragment data currently resident (struct +
-    /// arg payloads), maintained by absorption and eviction.
+    /// Pools the watermark fully drained, emptied with their three
+    /// buffers' capacity intact; the next pool for a fresh location
+    /// reuses one instead of allocating — the arena-level twin of the
+    /// ingestor's columnar scratch recycling.
+    free_pools: Vec<ArenaPool>,
+    /// The heap pair an evicting pool compacts its survivors' payloads
+    /// into; it then keeps them and leaves its old pair here for the
+    /// next pool.
+    spare_heaps: (Vec<f64>, Vec<f64>),
+    /// Per-frame scratch: the arena key id of each of the frame's
+    /// labels ([`UNREFERENCED`], [`PENDING`] or resolved).
+    label_ids: Vec<usize>,
+    /// Bytes of fragment data currently resident
+    /// ([`row_resident_bytes`] summed over rows), maintained by
+    /// absorption and eviction.
     resident_bytes: u64,
     /// The highest `resident_bytes` ever observed — the stat the
     /// long-stream bench gates on to prove eviction caps memory at
@@ -149,13 +318,10 @@ pub struct IngestArena {
     high_water_bytes: u64,
 }
 
-/// Approximate resident footprint of one fragment: the inline struct
-/// plus its argument payload. An accounting measure (allocator slack and
-/// counter storage are not chased), but evict/absorb use the same
-/// formula, so the resident gauge is exact relative to itself.
-fn fragment_resident_bytes(f: &Fragment) -> u64 {
-    (std::mem::size_of::<Fragment>() + f.args.len() * std::mem::size_of::<f64>()) as u64
-}
+/// A frame label no non-empty group references.
+const UNREFERENCED: usize = usize::MAX;
+/// A referenced frame label not yet looked up in the key table.
+const PENDING: usize = usize::MAX - 1;
 
 impl IngestArena {
     /// An empty arena.
@@ -176,89 +342,115 @@ impl IngestArena {
         id
     }
 
-    /// Absorb one decoded batch, *moving* its fragments into the pools.
+    /// Absorb one owned batch, copying its fragments' fields into the
+    /// pools (what [`WindowedIngestor::push`](crate::detect::ingestor::WindowedIngestor::push),
+    /// tests and tools feed; the server's byte path is
+    /// [`IngestArena::push_frame`]).
+    ///
+    /// Group label ids are checked against the batch's own label table:
+    /// the decoder validates them, but `FragmentBatch`'s fields are
+    /// public, so a hand-built batch with an out-of-range id can arrive
+    /// here. Such groups are dropped — a malformed monitoring batch must
+    /// never panic the ingest plane.
+    pub fn push_batch(&mut self, batch: FragmentBatch) {
+        let groups = || {
+            let vertices = batch.vertex_groups.iter().map(|g| (g.label, None, g.fragments.len()));
+            let edges = batch.edge_groups.iter().map(|g| (g.from, Some(g.to), g.fragments.len()));
+            vertices.chain(edges)
+        };
+        let rows = batch.fragments().map(incoming);
+        self.absorb(batch.labels.len(), batch.labels.iter().map(String::as_str), groups, rows);
+    }
+
+    /// Absorb one validated frame straight from its bytes: rows are
+    /// appended from the frame's column slices, with no `Fragment`, no
+    /// group `Vec` and no per-fragment allocation in between.
+    pub fn push_frame(&mut self, frame: &FrameView<'_>) {
+        let groups = || {
+            let vertices = frame.vertex_heads().map(|(label, count)| (label, None, count));
+            vertices.chain(frame.edge_heads().map(|(from, to, count)| (from, Some(to), count)))
+        };
+        let rows = frame.rows().map(|r| Incoming {
+            rank: r.rank,
+            kind: r.kind,
+            start: r.start_ns,
+            end: r.end_ns,
+            set: r.set,
+            vals: r.vals.iter().map(|v| f64::from_le_bytes(*v)),
+            args: r.args.iter().map(|a| f64::from_le_bytes(*a)),
+        });
+        self.absorb(frame.num_labels(), frame.labels(), groups, rows);
+    }
+
+    /// The one append routine. `groups()` walks `(label, other endpoint
+    /// for an edge, fragment count)` in shipping order — twice: labels
+    /// are resolved before the first row is appended — and `rows` are
+    /// the groups' fragments in one run, `count` per group.
     ///
     /// A label is resolved (and, the first time this arena sees it,
     /// copied into the key table) only when a non-empty group
     /// references it: a frame's label table is sender-controlled, so
     /// entries that carry no fragments must not grow the key tables.
-    ///
-    /// Group label ids are re-checked against the batch's own label
-    /// table: the decoder validates them (`check_label`), but
-    /// `FragmentBatch`'s fields are public, so a hand-built batch with
-    /// an out-of-range id can arrive here. Such groups are dropped — a
-    /// malformed monitoring batch must never panic the ingest plane.
-    pub fn push_batch(&mut self, batch: FragmentBatch) {
-        let FragmentBatch { labels, vertex_groups, edge_groups, .. } = batch;
-        let mut ids: Vec<Option<usize>> = vec![None; labels.len()];
-        let mut resolve = |arena: &mut IngestArena, label: u32| -> Option<usize> {
-            let slot = ids.get_mut(label as usize)?;
-            if slot.is_none() {
-                *slot = Some(arena.key_id(labels.get(label as usize)?));
+    /// A group naming a label the table lacks is dropped, rows and all.
+    fn absorb<'l, G, V, A>(
+        &mut self,
+        nlabels: usize,
+        labels: impl Iterator<Item = &'l str>,
+        groups: impl Fn() -> G,
+        mut rows: impl Iterator<Item = Incoming<V, A>>,
+    ) where
+        G: Iterator<Item = (Sym, Option<Sym>, usize)>,
+        V: Iterator<Item = f64>,
+        A: ExactSizeIterator<Item = f64>,
+    {
+        let mut ids = std::mem::take(&mut self.label_ids);
+        ids.clear();
+        ids.resize(nlabels, UNREFERENCED);
+        for (label, to, _) in groups().filter(|&(_, _, count)| count > 0) {
+            for id in [Some(label), to].into_iter().flatten() {
+                if let Some(slot) = ids.get_mut(id as usize) {
+                    *slot = PENDING;
+                }
             }
-            *slot
-        };
-        for g in vertex_groups {
-            if g.fragments.is_empty() {
-                continue;
-            }
-            let Some(id) = resolve(self, g.label) else { continue };
-            let pool = Self::pool_at(&mut self.vertex_pools, id, &mut self.free_pools);
-            Self::absorb(
-                pool,
-                g.fragments,
-                &mut self.fragments,
-                &mut self.max_end_ns,
-                &mut self.resident_bytes,
-            );
         }
-        for g in edge_groups {
-            if g.fragments.is_empty() {
-                continue;
+        for (slot, label) in ids.iter_mut().zip(labels) {
+            if *slot == PENDING {
+                *slot = self.key_id(label);
             }
-            let (Some(from), Some(to)) = (resolve(self, g.from), resolve(self, g.to)) else {
-                continue;
+        }
+        let resolved = |id: Sym| ids.get(id as usize).copied().filter(|&key| key < PENDING);
+
+        for (label, to, count) in groups().filter(|&(_, _, count)| count > 0) {
+            let mut pool = match (resolved(label), to.map(resolved)) {
+                (Some(id), None) => {
+                    Some(Self::pool_at(&mut self.vertex_pools, id, &mut self.free_pools))
+                }
+                (Some(from), Some(Some(to))) => {
+                    Some(Self::pool_at(&mut self.edge_pools, (from, to), &mut self.free_pools))
+                }
+                _ => None,
             };
-            let pool = Self::pool_at(&mut self.edge_pools, (from, to), &mut self.free_pools);
-            Self::absorb(
-                pool,
-                g.fragments,
-                &mut self.fragments,
-                &mut self.max_end_ns,
-                &mut self.resident_bytes,
-            );
+            for row in rows.by_ref().take(count) {
+                let end = row.end;
+                if let Some(bytes) = pool.as_mut().and_then(|pool| pool.append(row)) {
+                    self.fragments = self.fragments.saturating_add(1);
+                    self.max_end_ns = self.max_end_ns.max(end);
+                    self.resident_bytes = self.resident_bytes.saturating_add(bytes);
+                }
+            }
         }
         self.high_water_bytes = self.high_water_bytes.max(self.resident_bytes);
+        self.label_ids = ids;
     }
 
-    /// The pool at `key`; a fresh location opens on reclaimed `Vec`
-    /// capacity when there is any.
+    /// The pool at `key`; a fresh location opens on a reclaimed pool's
+    /// buffers when there is one.
     fn pool_at<'p, K: Eq + std::hash::Hash>(
         pools: &'p mut HashMap<K, ArenaPool>,
         key: K,
-        free_pools: &mut Vec<Vec<Fragment>>,
+        free_pools: &mut Vec<ArenaPool>,
     ) -> &'p mut ArenaPool {
-        pools.entry(key).or_insert_with(|| ArenaPool {
-            frags: free_pools.pop().unwrap_or_default(),
-            sorted_len: 0,
-            max_dur_ns: 0,
-        })
-    }
-
-    fn absorb(
-        pool: &mut ArenaPool,
-        frags: Vec<Fragment>,
-        fragments: &mut usize,
-        max_end_ns: &mut u64,
-        resident_bytes: &mut u64,
-    ) {
-        *fragments += frags.len();
-        for f in &frags {
-            *max_end_ns = (*max_end_ns).max(f.end.ns());
-            *resident_bytes += fragment_resident_bytes(f);
-            pool.max_dur_ns = pool.max_dur_ns.max(f.end.ns().saturating_sub(f.start.ns()));
-        }
-        pool.frags.extend(frags);
+        pools.entry(key).or_insert_with(|| free_pools.pop().unwrap_or_default())
     }
 
     /// Total fragments held.
@@ -276,7 +468,8 @@ impl IngestArena {
         self.max_end_ns
     }
 
-    /// Approximate bytes of fragment data currently resident.
+    /// Bytes of fragment data currently resident: per row, the inline
+    /// struct plus 8 bytes per active counter value and per argument.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
@@ -309,75 +502,56 @@ impl IngestArena {
     /// data only closed windows could have used is exactly what this
     /// reclaims.
     ///
+    /// Each pool drops its dead rows and compacts its heaps
+    /// (`ArenaPool::evict_before`); one that lost nothing is left
+    /// untouched.
+    ///
     /// `max_end_ns` is deliberately untouched (the window cover is
     /// defined by the data watermark, not by what is resident), as are
     /// the key tables (bounded by distinct code locations, not stream
-    /// length). Pools drained empty donate their `Vec` capacity to the
-    /// free list for the next fresh location.
+    /// length). Pools drained empty donate their buffers to the free
+    /// list for the next fresh location.
     pub fn evict_before(&mut self, horizon_ns: u64) {
         let IngestArena {
-            vertex_pools, edge_pools, free_pools, fragments, resident_bytes, ..
+            vertex_pools, edge_pools, free_pools, spare_heaps, fragments, resident_bytes, ..
         } = self;
-        let mut evict_pool = |pool: &mut ArenaPool| {
-            let sorted_len = pool.sorted_len;
-            let (mut seen, mut kept_sorted) = (0usize, 0usize);
-            // `retain` visits every fragment once, in pool order, and
-            // keeps the survivors' relative order: the kept part of the
-            // sorted prefix stays sorted and the watermark shrinks to
-            // exactly that count.
-            pool.frags.retain(|f| {
-                let keep = f.end.ns() > horizon_ns;
-                if keep {
-                    kept_sorted += usize::from(seen < sorted_len);
-                } else {
-                    *fragments = fragments.saturating_sub(1);
-                    *resident_bytes = resident_bytes.saturating_sub(fragment_resident_bytes(f));
-                }
-                seen += 1;
-                keep
-            });
-            pool.sorted_len = kept_sorted;
-        };
-        for pool in vertex_pools.values_mut().chain(edge_pools.values_mut()) {
-            evict_pool(pool);
-        }
-        let mut reclaim = |pool: &mut ArenaPool| {
-            let mut empty = std::mem::take(&mut pool.frags);
-            empty.clear();
+        // Keep a pool that still holds rows; a drained one donates its
+        // emptied buffers to the free list.
+        let mut sweep = |pool: &mut ArenaPool| {
+            let (evicted, bytes) = pool.evict_before(horizon_ns, spare_heaps);
+            *fragments = fragments.saturating_sub(evicted);
+            *resident_bytes = resident_bytes.saturating_sub(bytes);
+            if !pool.rows.is_empty() {
+                return true;
+            }
+            let mut empty = std::mem::take(pool);
+            empty.vals.clear();
+            empty.args.clear();
+            (empty.sorted_len, empty.max_dur_ns) = (0, 0);
             free_pools.push(empty);
+            false
         };
-        vertex_pools.retain(|_, pool| {
-            if pool.frags.is_empty() {
-                reclaim(pool);
-                false
-            } else {
-                true
-            }
-        });
-        edge_pools.retain(|_, pool| {
-            if pool.frags.is_empty() {
-                reclaim(pool);
-                false
-            } else {
-                true
-            }
-        });
+        vertex_pools.retain(|_, pool| sweep(pool));
+        edge_pools.retain(|_, pool| sweep(pool));
     }
 
-    /// Bring every pool up to its [`fragment_order`] invariant. A sorted
-    /// prefix plus an appended tail is two runs to the standard
+    /// Bring every pool up to its `ArenaPool::row_order` invariant. A
+    /// sorted prefix plus an appended tail is two runs to the standard
     /// run-adaptive stable sort (one run when shipping was in order), so
-    /// fragments already in place are not re-sorted. After this, sealing
-    /// a window sorts nothing.
+    /// rows already in place are not re-sorted. After this, sealing a
+    /// window sorts nothing. The ingestor calls it when a window is
+    /// about to be sealed, not per frame: a pool is merged once per
+    /// close, however many frames touched it.
     ///
-    /// Equal elements under [`fragment_order`] are identical in every
-    /// compared field — rank, times, kind, counter bits, arg bits — so
-    /// stability cannot change any observable pool order.
+    /// Equal rows under the order are identical in every compared field
+    /// — rank, times, kind, counter bits, arg bits — so stability cannot
+    /// change any observable pool order.
     pub fn ensure_sorted(&mut self) {
         for pool in self.vertex_pools.values_mut().chain(self.edge_pools.values_mut()) {
-            if pool.sorted_len != pool.frags.len() {
-                pool.frags.sort_by(fragment_order);
-                pool.sorted_len = pool.frags.len();
+            if pool.sorted_len != pool.rows.len() {
+                let ArenaPool { rows, vals, args, .. } = pool;
+                rows.sort_by(|a, b| ArenaPool::row_order(a, b, vals, args));
+                pool.sorted_len = pool.rows.len();
             }
         }
     }
@@ -409,9 +583,9 @@ impl ArenaView<'_> {
     /// selected fragment: vertex lanes then edge lanes, each list in
     /// label order (what [`ColumnarPool::from_stgs`] produces, so every
     /// downstream label, series and rare-path order matches the one-shot
-    /// path), and fragments in [`fragment_order`] — (rank, time) first
-    /// with a content tiebreaker, so a sealed window never depends on
-    /// batch arrival order even when timestamps collide.
+    /// path), and fragments in [`ArenaPool::row_order`] — (rank, time)
+    /// first with a content tiebreaker, so a sealed window never depends
+    /// on batch arrival order even when timestamps collide.
     pub(crate) fn gather_into(&self, out: &mut ColumnarPool) {
         let arena = self.arena;
         let mut vertices: Vec<(&Arc<str>, &ArenaPool)> = arena
@@ -436,8 +610,9 @@ impl ArenaView<'_> {
         }
     }
 
-    /// Append `pool`'s selected fragments to `out`, calling `begin` to
-    /// open their lane before the first one — never, for a location the
+    /// Append `pool`'s selected rows to `out` — each row's counter
+    /// values and arguments one slice copy — calling `begin` to open
+    /// their lane before the first one: never, for a location the
     /// selection leaves empty.
     fn gather_pool(
         &self,
@@ -446,12 +621,20 @@ impl ArenaView<'_> {
         begin: impl Fn(&mut ColumnarPool),
     ) {
         let mut open = false;
-        pool.window_overlaps(self.window, |f| {
+        pool.window_overlaps(self.window, |r| {
             if !open {
                 begin(out);
                 open = true;
             }
-            out.push(f);
+            out.push_row(CompactRow {
+                rank: r.rank,
+                kind: r.kind,
+                start_ns: r.start,
+                end_ns: r.end,
+                set: CounterSet::from_bits(r.set),
+                vals: pool.vals_of(r),
+                args: pool.args_of(r),
+            });
         });
     }
 }
@@ -462,7 +645,7 @@ pub(crate) mod tests {
     use crate::config::VaproConfig;
     use crate::detect::ingestor::WindowedIngestor;
     use crate::detect::pipeline::{detect, detect_columnar};
-    use crate::fragment::FragmentKind;
+    use crate::fragment::{Fragment, FragmentKind};
     use crate::stg::{StateKey, Stg};
     use vapro_pmu::{CounterDelta, CounterId};
     use vapro_sim::{CallSite, VirtualTime};
@@ -617,12 +800,10 @@ pub(crate) mod tests {
         let stgs: Vec<Stg> =
             (0..2).map(|r| looped_stg(r, 40 * 5, 1_000_000_000, 0..0)).collect();
         let frames = period_frames(&stgs, nperiods, 5_000_000_000);
-        let naive_total: u64 = stgs
-            .iter()
-            .flat_map(|s| s.edges())
-            .flat_map(|e| e.fragments.iter())
-            .map(fragment_resident_bytes)
-            .sum();
+        // Every fragment here is one row carrying one counter value.
+        let row_bytes = (std::mem::size_of::<Row>() + 8) as u64;
+        let naive_total: u64 =
+            stgs.iter().map(|s| s.total_fragments() as u64 * row_bytes).sum();
         let mut ingestor = WindowedIngestor::new(2, 8, cfg);
         let mut reports = Vec::new();
         for period in &frames {
@@ -632,8 +813,14 @@ pub(crate) mod tests {
         }
         let arena = ingestor.arena();
         assert!(arena.max_end_ns() > 0);
+        // The gauge is what the layout holds: absorb and evict count a
+        // row by the same formula, so after 40 periods of both it still
+        // equals the rows resident.
+        assert_eq!(arena.resident_bytes(), arena.len() as u64 * row_bytes);
         // Steady state: resident ≈ the half-overlap neighbourhood of the
-        // next closeable window, nowhere near the whole stream.
+        // next closeable window — two ranks × (two 5-fragment periods
+        // and a straggling edge) — nowhere near the whole stream.
+        assert!(arena.len() <= 2 * 12, "{} rows resident", arena.len());
         assert!(
             arena.resident_bytes() <= naive_total / 4,
             "resident {} vs naive total {naive_total}",
@@ -674,7 +861,7 @@ pub(crate) mod tests {
         }
         sorted_arena.ensure_sorted();
         // lazy_arena is left unsorted: sealing it takes the fallback.
-        assert!(lazy_arena.edge_pools.values().all(|p| p.sorted_len != p.frags.len()));
+        assert!(lazy_arena.edge_pools.values().all(|p| p.sorted_len != p.rows.len()));
         let period = 5_000_000_000u64;
         for k in 0..10u64 {
             let w = Window {
@@ -729,6 +916,185 @@ pub(crate) mod tests {
         let reverse = sealed(vec![batch_with(2.0), batch_with(1.0)]);
         assert_eq!((forward.num_edges(), forward.len()), (1, 2));
         assert_eq!(forward, reverse, "tie order depends on arrival order");
+    }
+
+    /// The canonical order as it was stated over `Fragment`s before the
+    /// arena held rows: the reference [`ArenaPool::row_order`] restates.
+    fn fragment_order(a: &Fragment, b: &Fragment) -> Ordering {
+        (a.rank, a.start.ns(), a.end.ns(), a.kind as u8)
+            .cmp(&(b.rank, b.start.ns(), b.end.ns(), b.kind as u8))
+            .then_with(|| {
+                a.counters
+                    .entries()
+                    .map(|(id, v)| (id.index(), v.to_bits()))
+                    .cmp(b.counters.entries().map(|(id, v)| (id.index(), v.to_bits())))
+            })
+            .then_with(|| a.args.iter().map(|x| x.to_bits()).cmp(b.args.iter().map(|x| x.to_bits())))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Row order ≡ `fragment_order` on `Fragment` twins. Everything
+        /// is drawn from two values, so most pairs tie on (rank, time,
+        /// kind) and the verdict falls to the counter pairs — where a
+        /// value that differs at an early counter must decide before a
+        /// later counter only one side carries — or to the args.
+        #[test]
+        fn row_order_restates_fragment_order(
+            a in tie_heavy_fragment(),
+            b in tie_heavy_fragment(),
+        ) {
+            let mut pool = ArenaPool::default();
+            pool.append(incoming(&a)).expect("fits");
+            pool.append(incoming(&b)).expect("fits");
+            let (ra, rb) = (&pool.rows[0], &pool.rows[1]);
+            proptest::prop_assert_eq!(
+                ArenaPool::row_order(ra, rb, &pool.vals, &pool.args),
+                fragment_order(&a, &b)
+            );
+            proptest::prop_assert_eq!(
+                ArenaPool::row_order(rb, ra, &pool.vals, &pool.args),
+                fragment_order(&b, &a)
+            );
+        }
+    }
+
+    fn tie_heavy_fragment() -> impl proptest::Strategy<Value = Fragment> {
+        use proptest::prop::collection::vec;
+        use proptest::Strategy;
+        let kinds = [FragmentKind::Computation, FragmentKind::Communication];
+        (
+            (0usize..2, 0usize..2, 0u64..2, 0u64..2),
+            vec((0usize..4, 0u64..2), 0..4),
+            vec(0u64..2, 0..3),
+        )
+            .prop_map(move |((rank, kind, start, dur), counters, args)| {
+                let mut delta = CounterDelta::default();
+                for (idx, v) in counters {
+                    delta.put(CounterId::ALL[idx * 7], v as f64);
+                }
+                Fragment {
+                    rank,
+                    kind: kinds[kind],
+                    start: VirtualTime::from_ns(100 + start),
+                    end: VirtualTime::from_ns(200 + start + dur),
+                    counters: delta,
+                    args: args.into_iter().map(|a| a as f64).collect(),
+                }
+            })
+    }
+
+    #[test]
+    fn rejected_frames_leave_the_ingestor_untouched() {
+        // Validate-before-append, as a property that can fail: a frame
+        // is rejected whole. Every truncation and every single-byte
+        // mutation of a valid frame — as sent (the checksum catches
+        // nearly all of those) and again with length prefix and checksum
+        // re-sealed around the damage, so each structural check down to
+        // the last one is the one that fires — must be refused by
+        // `push_encoded` with the error `FragmentBatch::decode` gives,
+        // counted once, with not a row, a byte, a key or an admission
+        // more in the ingestor than before.
+        use crate::wire::{crc32, EdgeGroup, VertexGroup, WireError};
+        let frag = |rank: usize, kind: FragmentKind, start: u64, ins: Option<f64>, args: Vec<f64>| {
+            let mut counters = CounterDelta::default();
+            if let Some(ins) = ins {
+                counters.put(CounterId::TotIns, ins);
+                counters.put(CounterId::Tsc, 2.0 * ins);
+            }
+            Fragment {
+                rank,
+                kind,
+                start: VirtualTime::from_ns(start),
+                end: VirtualTime::from_ns(start + 50),
+                counters,
+                args,
+            }
+        };
+        let comm = FragmentKind::Communication;
+        let comp = FragmentKind::Computation;
+        let batch = FragmentBatch {
+            rank: 1,
+            seq: 2,
+            tenant_id: 0,
+            job_id: 0,
+            window_start_ns: 1_000,
+            window_end_ns: 2_000,
+            labels: vec!["halo".into(), "solve".into(), "never-referenced".into()],
+            vertex_groups: vec![
+                VertexGroup { label: 0, fragments: vec![frag(1, comm, 1_000, None, vec![8.0, 3.0])] },
+                VertexGroup { label: 1, fragments: Vec::new() },
+            ],
+            edge_groups: vec![
+                EdgeGroup {
+                    from: 0,
+                    to: 1,
+                    fragments: vec![
+                        frag(1, comp, 1_100, Some(1e3), vec![]),
+                        frag(0, comp, 1_200, Some(2e3), vec![]),
+                    ],
+                },
+                EdgeGroup { from: 1, to: 0, fragments: vec![frag(1, comp, 1_300, Some(3e3), vec![])] },
+            ],
+        };
+        let clean = batch.encode_v3();
+        // Prefix (4) + magic (4) + version (1) + crc (4): the checksum
+        // covers everything from byte 13 on.
+        let reseal = |mut bytes: Vec<u8>| {
+            if bytes.len() >= 13 {
+                let len = (bytes.len() - 4) as u32;
+                bytes[..4].copy_from_slice(&len.to_le_bytes());
+                let crc = crc32::checksum(&bytes[13..]);
+                bytes[9..13].copy_from_slice(&crc.to_le_bytes());
+            }
+            bytes
+        };
+        let mut damaged: Vec<Vec<u8>> = Vec::new();
+        for cut in 0..clean.len() {
+            damaged.push(clean[..cut].to_vec());
+            damaged.push(reseal(clean[..cut].to_vec()));
+        }
+        for pos in 0..clean.len() {
+            for mask in [0x01u8, 0x10, 0x80, 0xFF] {
+                let mut bytes = clean.clone();
+                bytes[pos] ^= mask;
+                damaged.push(bytes.clone());
+                damaged.push(reseal(bytes));
+            }
+        }
+        // One byte more than the columns account for, checksummed in:
+        // only the very last check (trailing bytes) can refuse it.
+        damaged.push(reseal([clean.as_slice(), &[0]].concat()));
+
+        // An ingestor with data, keys and an admission already in it.
+        let mut ingestor = WindowedIngestor::new(2, 8, VaproConfig::default());
+        let _ = ingestor.push_encoded(&batch.clone().with_seq(1).encode_v3()).expect("clean frame");
+        let untouched = |ing: &WindowedIngestor| {
+            let a = ing.arena();
+            (a.len(), a.resident_bytes(), a.keys.len(), a.key_ids.len(), ing.stats().frames_admitted)
+        };
+        let before = untouched(&ingestor);
+        assert_eq!((before.0, before.2, before.4), (4, 2, 1));
+
+        let (mut refused, mut last_check) = (0u64, 0);
+        for bytes in &damaged {
+            // Re-sealing a mutation of a value byte yields a valid frame
+            // with other data: not this test's subject.
+            let Err(want) = FragmentBatch::decode(bytes) else { continue };
+            let got = ingestor.push_encoded(bytes).expect_err("decode refuses this frame");
+            assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(&want),
+                "push_encoded said {got:?}, decode said {want:?}"
+            );
+            refused += 1;
+            last_check += u64::from(got == WireError::TrailingBytes);
+            assert_eq!(ingestor.stats().frames_rejected(), refused, "{got:?} not counted once");
+            assert_eq!(untouched(&ingestor), before, "a frame refused as {got:?} left a trace");
+        }
+        assert!(refused > 3 * clean.len() as u64, "only {refused} frames were refused");
+        assert!(last_check > 0, "no frame got as far as the last check");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::diagnose::progressive::DiagnosisReport;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
 use crate::vopr::fault_points::{hit, FaultPoint};
-use crate::wire::{fragment_wire_bytes, FragmentBatch, WireError};
+use crate::wire::{fragment_wire_bytes, FragmentBatch, FrameHeader, FrameView, WireError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -238,39 +238,54 @@ impl WindowedIngestor {
             + batch.fragments().map(fragment_wire_bytes).sum::<u64>();
         // A rejection is already counted and closes nothing; what is
         // left to hand back is what the stage finished meanwhile.
-        self.push_sized(batch, approx).unwrap_or_else(|_| self.poll_reports())
+        self.push_sized(batch.header(), approx, |arena| arena.push_batch(batch))
+            .unwrap_or_else(|_| self.poll_reports())
     }
 
-    /// Decode one binary frame, absorb it, analyse closed windows. The
-    /// decoded batch goes through the same admission as
+    /// Validate one binary frame, absorb it, analyse closed windows.
+    /// The frame goes through the same admission as
     /// [`WindowedIngestor::push`], so the rank check and shipping-mark
-    /// advance apply identically on both entry points. Decode and
-    /// admission failures are returned *and* counted in
+    /// advance apply identically on both entry points; its fragments go
+    /// from the frame's bytes straight into arena rows
+    /// ([`IngestArena::push_frame`]) — no owned batch is built. Parse
+    /// and admission failures are returned *and* counted in
     /// [`IngestStats`] — a server loop can log them without bespoke
-    /// bookkeeping.
+    /// bookkeeping — and leave the arena untouched: nothing is appended
+    /// before the last check has passed.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<Vec<WindowReport>, WireError> {
-        let batch = match FragmentBatch::decode(bytes) {
-            Ok(b) => b,
+        let frame = match FrameView::parse(bytes) {
+            Ok(frame) => frame,
             Err(e) => {
                 self.admission.stats.count_decode_error(&e);
                 return Err(e);
             }
         };
-        self.push_sized(batch, bytes.len() as u64)
+        self.push_frame(&frame, bytes.len() as u64)
+    }
+
+    /// [`WindowedIngestor::push_encoded`] past the parse: where the
+    /// fleet plane, which parsed the frame itself to route it, comes in.
+    pub(crate) fn push_frame(
+        &mut self,
+        frame: &FrameView<'_>,
+        frame_bytes: u64,
+    ) -> Result<Vec<WindowReport>, WireError> {
+        self.push_sized(frame.header(), frame_bytes, |arena| arena.push_frame(frame))
     }
 
     /// The one admission door `push`, `push_encoded` and the fleet plane
     /// end in: [`Admission::admit`] with the caller's byte count (the
     /// unit `max_buffered_bytes` and the tenant budgets are kept in),
-    /// arena absorption of what it let in, then every window that
-    /// became due.
-    pub(crate) fn push_sized(
+    /// `absorb` into the arena if it let the frame in, then every window
+    /// that became due.
+    fn push_sized(
         &mut self,
-        batch: FragmentBatch,
+        header: FrameHeader,
         frame_bytes: u64,
+        absorb: impl FnOnce(&mut IngestArena),
     ) -> Result<Vec<WindowReport>, WireError> {
-        if self.admission.admit(&batch, frame_bytes)? {
-            self.arena.push_batch(batch);
+        if self.admission.admit(&header, frame_bytes)? {
+            absorb(&mut self.arena);
         }
         Ok(self.close_ready())
     }
@@ -366,9 +381,6 @@ impl WindowedIngestor {
         self.admission.update_liveness();
         let low = self.admission.watermark_ns();
         let seen = self.arena.max_end_ns();
-        // Maintenance sort before any window is sealed: sealing then
-        // range-scans already-ordered pools instead of sorting per window.
-        self.arena.ensure_sorted();
         let mut ready = Vec::new();
         loop {
             let w = self.window(self.closed);
@@ -385,6 +397,12 @@ impl WindowedIngestor {
         }
         self.admission.release_passed(low);
         let closed_any = !ready.is_empty();
+        if closed_any {
+            // One maintenance sort per close, not per frame: sealing
+            // then range-scans ordered pools, and a pool is merged once
+            // however many frames appended to it since the last close.
+            self.arena.ensure_sorted();
+        }
         self.seal_into_stage(ready);
         let reports = self.poll_reports();
         // Reclaim fragments no future window can reach. Only after the

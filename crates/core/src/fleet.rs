@@ -40,7 +40,7 @@
 use crate::config::VaproConfig;
 use crate::detect::admission::IngestStats;
 use crate::detect::ingestor::{WindowReport, WindowedIngestor};
-use crate::wire::{FragmentBatch, WireError, DEFAULT_TENANT};
+use crate::wire::{FrameHeader, FrameView, WireError, DEFAULT_TENANT};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -60,9 +60,9 @@ impl JobKey {
         JobKey { tenant: DEFAULT_TENANT, job: crate::wire::DEFAULT_JOB }
     }
 
-    /// The routing key of a decoded batch.
-    pub fn of(batch: &FragmentBatch) -> JobKey {
-        JobKey { tenant: batch.tenant_id, job: batch.job_id }
+    /// The routing key a frame header carries.
+    pub fn of(frame: &FrameHeader) -> JobKey {
+        JobKey { tenant: frame.tenant_id, job: frame.job_id }
     }
 }
 
@@ -320,23 +320,24 @@ impl FleetIngestor {
         0
     }
 
-    /// Admit one encoded frame: decode, check the tenant's budget, and
-    /// push it into the owning job's ingestor. Returns the windows that
+    /// Admit one encoded frame: validate it, check the tenant's budget,
+    /// and push it — still encoded — into the owning job's ingestor.
+    /// Returns the windows that
     /// push reported plus those other jobs' stages finished since.
     /// Plane-level rejections are structured errors, counted against
     /// the claiming tenant where one is known; what the job's own
     /// admission refuses (a duplicate, an unknown rank) is counted in
     /// the job's [`IngestStats`] like on a bare ingestor.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<Vec<FleetWindow>, WireError> {
-        let batch = match FragmentBatch::decode(bytes) {
-            Ok(b) => b,
+        let frame = match FrameView::parse(bytes) {
+            Ok(frame) => frame,
             Err(e) => {
                 self.unattributed.count_decode_error(&e);
                 return Err(e);
             }
         };
         let frame_bytes = bytes.len() as u64;
-        let key = JobKey::of(&batch);
+        let key = JobKey::of(&frame.header());
         let Some(tenant) = self.tenants.get_mut(&key.tenant) else {
             let e = WireError::UnknownTenant { tenant: key.tenant };
             self.unattributed.count_decode_error(&e);
@@ -365,7 +366,7 @@ impl FleetIngestor {
         });
         let held = job.ingestor.buffered_ahead_bytes();
         // What the job's own admission refuses is counted in its stats.
-        let reports = job.ingestor.push_sized(batch, frame_bytes).unwrap_or_default();
+        let reports = job.ingestor.push_frame(&frame, frame_bytes).unwrap_or_default();
         tenant.in_flight_bytes = tenant
             .in_flight_bytes
             .saturating_sub(held)

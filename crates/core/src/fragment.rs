@@ -28,8 +28,10 @@ pub enum FragmentKind {
 
 /// Counts [`Fragment`] clones — the instrument behind the zero-clone
 /// guarantees of the pooling, windowed-ingestion and batched-diagnosis
-/// paths (fragments are moved into the arena and transposed field by
-/// field into the sealed pool, never cloned). Compiled in for debug builds and for release builds with the
+/// paths (the server's byte path builds no `Fragment` at all; an owned
+/// batch's fragments are copied field by field into arena rows and
+/// from there into the sealed pool, never cloned). Compiled in for
+/// debug builds and for release builds with the
 /// `clone-count` feature (the release soak uses the latter to prove
 /// zero clones on the streaming path at optimised speeds); plain
 /// release builds compile the counter out entirely.

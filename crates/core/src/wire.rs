@@ -39,6 +39,14 @@
 //!
 //! All integers and floats are little-endian.
 //!
+//! **Decoding.** There is one parser, [`FrameView::parse`]: it makes every
+//! check a frame can fail *before handing anything out* and returns a
+//! view that borrows the header, the label table, the group heads and
+//! the eight columns from the frame's own bytes. The server appends
+//! rows to its arena straight from that view; [`FragmentBatch::decode`]
+//! is `parse(bytes)?.to_batch()`, the owned form clients, tests and
+//! tools work with.
+//!
 //! **Integrity.** Each frame carries an IEEE CRC-32 over everything
 //! after the checksum field, so a bit-flipped frame is rejected as
 //! [`WireError::BadChecksum`] instead of being misparsed, plus a per-rank
@@ -56,7 +64,7 @@ use crate::fragment::{Fragment, FragmentKind};
 use crate::intern::{Sym, SymbolTable};
 use crate::stg::Stg;
 use std::fmt;
-use vapro_pmu::{CounterDelta, CounterId};
+use vapro_pmu::{CounterDelta, CounterSet};
 use vapro_sim::VirtualTime;
 
 /// Frame magic: identifies a Vapro wire payload.
@@ -107,20 +115,19 @@ pub mod crc32 {
 
     static TABLES: [[u32; 256]; 8] = build_tables();
 
-    /// One slicing-table lookup with both indices masked into range.
+    /// One slicing-table lookup. Both indices are masked into range, so
+    /// the `get`s compile to plain loads and the fallback is dead.
     #[inline]
     fn tab(t: usize, b: u64) -> u32 {
-        // vapro-lint: allow(R5, mask-bounded lookup: t & 7 < 8 and b & 0xFF < 256)
-        TABLES[t & 7][(b & 0xFF) as usize]
+        TABLES.get(t & 7).and_then(|row| row.get((b & 0xFF) as usize)).copied().unwrap_or(0)
     }
 
     /// Checksum of `bytes`.
     pub fn checksum(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            // vapro-lint: allow(R5, chunks_exact(8) yields exactly 8 bytes)
-            let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ crc as u64;
+        let (chunks, tail) = bytes.as_chunks::<8>();
+        for chunk in chunks {
+            let v = u64::from_le_bytes(*chunk) ^ crc as u64;
             crc = tab(7, v)
                 ^ tab(6, v >> 8)
                 ^ tab(5, v >> 16)
@@ -130,7 +137,7 @@ pub mod crc32 {
                 ^ tab(1, v >> 48)
                 ^ tab(0, v >> 56);
         }
-        for &b in chunks.remainder() {
+        for &b in tail {
             crc = tab(0, (crc ^ b as u32) as u64) ^ (crc >> 8);
         }
         !crc
@@ -208,6 +215,25 @@ pub struct FragmentBatch {
     pub vertex_groups: Vec<VertexGroup>,
     /// Computation fragments per transition.
     pub edge_groups: Vec<EdgeGroup>,
+}
+
+/// What admission reads of a frame, owned ([`FragmentBatch::header`])
+/// or still encoded ([`FrameView::header`]): who shipped it, which one
+/// it is, where it routes and the span it covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Originating rank.
+    pub rank: usize,
+    /// Per-rank sequence number ([`SEQ_UNSEQUENCED`] opts out).
+    pub seq: u64,
+    /// Owning tenant.
+    pub tenant_id: u32,
+    /// Job within the tenant.
+    pub job_id: u32,
+    /// Window start, ns.
+    pub window_start_ns: u64,
+    /// Window end, ns.
+    pub window_end_ns: u64,
 }
 
 /// Decoding or admission failure of a binary wire frame.
@@ -400,10 +426,6 @@ impl<'a> Reader<'a> {
         self.take(1)?.first().copied().ok_or(WireError::Truncated)
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
     fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
@@ -412,8 +434,18 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.array()?))
+    /// A column of `n` fixed-width little-endian fields, borrowed. The
+    /// byte count is checked arithmetic on a sender-chosen `n`, and the
+    /// slice must already be in the buffer: a claimed count sizes no
+    /// allocation.
+    fn column<const N: usize>(&mut self, n: usize) -> Result<&'a [[u8; N]], WireError> {
+        let bytes = self.take(n.checked_mul(N).ok_or(WireError::Truncated)?)?;
+        Ok(bytes.as_chunks::<N>().0)
+    }
+
+    /// The bytes consumed since `self.buf` was `before`.
+    fn since(&self, before: &'a [u8]) -> &'a [u8] {
+        before.get(..before.len().saturating_sub(self.buf.len())).unwrap_or(&[])
     }
 }
 
@@ -507,6 +539,18 @@ impl FragmentBatch {
         self.tenant_id = tenant_id;
         self.job_id = job_id;
         self
+    }
+
+    /// The header admission reads.
+    pub fn header(&self) -> FrameHeader {
+        FrameHeader {
+            rank: self.rank,
+            seq: self.seq,
+            tenant_id: self.tenant_id,
+            job_id: self.job_id,
+            window_start_ns: self.window_start_ns,
+            window_end_ns: self.window_end_ns,
+        }
     }
 
     /// Resolve a dictionary id to its label.
@@ -644,27 +688,127 @@ impl FragmentBatch {
         }
     }
 
-    /// Decode exactly one binary frame; trailing bytes are an error.
-    ///
-    /// This is the ingest-facing entry point (solo and fleet admission
-    /// both come through here), so it is where wire rejections register
-    /// as VOPR fault points: corrupt (checksum) and structural
-    /// (everything else) rejects are counted separately.
+    /// Decode exactly one binary frame into its owned form:
+    /// [`FrameView::parse`], then [`FrameView::to_batch`]. Trailing
+    /// bytes are an error.
     pub fn decode(bytes: &[u8]) -> Result<FragmentBatch, WireError> {
+        Ok(FrameView::parse(bytes)?.to_batch())
+    }
+}
+
+/// One fragment record as a frame's columns hold it: the fixed fields
+/// decoded, the two variable-length payloads still little-endian bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct WireRow<'a> {
+    /// Originating rank (the column's, not the header's).
+    pub rank: u32,
+    /// Fragment category.
+    pub kind: FragmentKind,
+    /// Virtual start time, ns.
+    pub start_ns: u64,
+    /// Virtual end time, ns.
+    pub end_ns: u64,
+    /// [`CounterSet`] bitmask of the counters carried.
+    pub set: u32,
+    /// The `set.count_ones()` active counter values, ascending counter
+    /// index.
+    pub vals: &'a [[u8; 8]],
+    /// The invocation arguments.
+    pub args: &'a [[u8; 8]],
+}
+
+/// The fragment columns of a validated frame, read front to back: one
+/// [`WireRow`] per fragment, vertex groups' then edge groups', in group
+/// order.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameRows<'a> {
+    ranks: &'a [[u8; 4]],
+    kinds: &'a [u8],
+    starts: &'a [[u8; 8]],
+    ends: &'a [[u8; 8]],
+    csets: &'a [[u8; 4]],
+    cvals: &'a [[u8; 8]],
+    argcs: &'a [[u8; 2]],
+    args: &'a [[u8; 8]],
+}
+
+impl<'a> Iterator for FrameRows<'a> {
+    type Item = WireRow<'a>;
+
+    /// `None` once the shortest column is spent — for the rows of a
+    /// [`FrameView`], whose column lengths were checked against each
+    /// other, after exactly `len()` rows.
+    fn next(&mut self) -> Option<WireRow<'a>> {
+        let (rank, ranks) = self.ranks.split_first()?;
+        let (kind, kinds) = self.kinds.split_first()?;
+        let (start, starts) = self.starts.split_first()?;
+        let (end, ends) = self.ends.split_first()?;
+        let (cset, csets) = self.csets.split_first()?;
+        let (argc, argcs) = self.argcs.split_first()?;
+        let set = u32::from_le_bytes(*cset);
+        let (vals, cvals) = self.cvals.split_at_checked(set.count_ones() as usize)?;
+        let (args, rest) = self.args.split_at_checked(u16::from_le_bytes(*argc) as usize)?;
+        let kind = kind_from_byte(*kind).ok()?;
+        *self = FrameRows { ranks, kinds, starts, ends, csets, cvals, argcs, args: rest };
+        Some(WireRow {
+            rank: u32::from_le_bytes(*rank),
+            kind,
+            start_ns: u64::from_le_bytes(*start),
+            end_ns: u64::from_le_bytes(*end),
+            set,
+            vals,
+            args,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.ranks.len(), Some(self.ranks.len()))
+    }
+}
+
+impl ExactSizeIterator for FrameRows<'_> {}
+
+/// A validated frame, borrowed: header decoded, label table, group
+/// heads and fragment columns still the frame's own bytes. Holding one
+/// is proof the frame passed every check [`FrameView::parse`] makes, so
+/// its accessors cannot fail — they are total all the same, and run dry
+/// rather than panic on a view nobody validated.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    header: FrameHeader,
+    nlabels: usize,
+    /// `nlabels × (len:u32, utf-8 bytes)`.
+    labels: &'a [u8],
+    /// `(label:u32, count:u32)` per vertex group.
+    vheads: &'a [[u8; 8]],
+    /// `(from:u32, to:u32, count:u32)` per edge group.
+    eheads: &'a [[u8; 12]],
+    rows: FrameRows<'a>,
+}
+
+impl<'a> FrameView<'a> {
+    /// Validate exactly one binary frame; trailing bytes are an error.
+    ///
+    /// This is the one parser, and the ingest-facing entry point (solo
+    /// and fleet admission both come through here), so it is where wire
+    /// rejections register as VOPR fault points: corrupt (checksum) and
+    /// structural (everything else) rejects are counted separately.
+    pub fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>, WireError> {
         use crate::vopr::fault_points::{hit, FaultPoint};
-        let decoded = Self::decode_frame(bytes);
-        if let Err(e) = &decoded {
+        let parsed = Self::parse_frame(bytes);
+        if let Err(e) = &parsed {
             hit(match e {
                 WireError::BadChecksum { .. } => FaultPoint::WireCorruptReject,
                 _ => FaultPoint::WireStructuralReject,
             });
         }
-        decoded
+        parsed
     }
 
-    /// Split the length prefix off, decode the payload it declares and
-    /// insist the buffer ends where the frame does.
-    fn decode_frame(bytes: &[u8]) -> Result<FragmentBatch, WireError> {
+    /// Every check a frame can fail, in wire order; nothing is handed
+    /// out until the last one has passed. The length prefix must fit the
+    /// buffer and the buffer must end where the frame does.
+    fn parse_frame(bytes: &'a [u8]) -> Result<FrameView<'a>, WireError> {
         let prefix: [u8; 4] = bytes
             .get(..4)
             .and_then(|p| p.try_into().ok())
@@ -674,14 +818,7 @@ impl FragmentBatch {
         let payload = bytes
             .get(4..declared)
             .ok_or(WireError::ShortFrame { declared, available: bytes.len() })?;
-        let batch = Self::decode_payload(payload)?;
-        if declared != bytes.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(batch)
-    }
 
-    fn decode_payload(payload: &[u8]) -> Result<FragmentBatch, WireError> {
         let mut r = Reader { buf: payload };
         if r.take(4)? != WIRE_MAGIC {
             return Err(WireError::BadMagic);
@@ -711,24 +848,24 @@ impl FragmentBatch {
             let rank = peek.u32().unwrap_or(0);
             return Err(WireError::BadChecksum { rank, seq });
         }
-        let seq = r.u64()?;
-        let tenant_id = r.u32()?;
-        let job_id = r.u32()?;
-        let rank = r.u32()? as usize;
-        let window_start_ns = r.u64()?;
-        let window_end_ns = r.u64()?;
+        let header = FrameHeader {
+            seq: r.u64()?,
+            tenant_id: r.u32()?,
+            job_id: r.u32()?,
+            rank: r.u32()? as usize,
+            window_start_ns: r.u64()?,
+            window_end_ns: r.u64()?,
+        };
 
         let nlabels = r.u32()? as usize;
-        let mut labels = Vec::with_capacity(nlabels.min(payload.len()));
+        let table = r.buf;
         for _ in 0..nlabels {
             let len = r.u32()? as usize;
-            let bytes = r.take(len)?;
-            labels.push(
-                std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?.to_string(),
-            );
+            std::str::from_utf8(r.take(len)?).map_err(|_| WireError::BadUtf8)?;
         }
+        let labels = r.since(table);
         let check_label = |id: Sym| {
-            if (id as usize) < labels.len() {
+            if (id as usize) < nlabels {
                 Ok(id)
             } else {
                 Err(WireError::BadLabelId(id))
@@ -736,138 +873,182 @@ impl FragmentBatch {
         };
 
         let nvgroups = r.u32()? as usize;
-        let mut vheads = Vec::with_capacity(nvgroups.min(payload.len()));
+        let table = r.buf;
+        let mut grouped = 0usize;
         for _ in 0..nvgroups {
-            let label = check_label(r.u32()?)?;
-            let count = r.u32()? as usize;
-            vheads.push((label, count));
+            check_label(r.u32()?)?;
+            grouped = grouped.saturating_add(r.u32()? as usize);
         }
+        let vheads = r.since(table).as_chunks::<8>().0;
         let negroups = r.u32()? as usize;
-        let mut eheads = Vec::with_capacity(negroups.min(payload.len()));
+        let table = r.buf;
         for _ in 0..negroups {
-            let from = check_label(r.u32()?)?;
-            let to = check_label(r.u32()?)?;
-            let count = r.u32()? as usize;
-            eheads.push((from, to, count));
+            check_label(r.u32()?)?;
+            check_label(r.u32()?)?;
+            grouped = grouped.saturating_add(r.u32()? as usize);
         }
+        let eheads = r.since(table).as_chunks::<12>().0;
 
         let nfrags = r.u32()? as usize;
-        let vcount: usize = vheads.iter().map(|&(_, c)| c).sum();
-        let ecount: usize = eheads.iter().map(|&(_, _, c)| c).sum();
-        if nfrags != vcount.saturating_add(ecount) {
+        if nfrags != grouped {
             return Err(WireError::CountMismatch);
         }
-        // Reject a claimed count the buffer cannot possibly hold *before*
-        // sizing any column Vec, so a tiny malformed frame claiming ~4
-        // billion fragments errors out instead of forcing a multi-GB
-        // allocation.
+        // A claimed count the buffer cannot possibly hold is refused
+        // here, as the materialising decoder always refused it before
+        // sizing a column: a tiny frame claiming ~4 billion fragments is
+        // `Truncated`, whatever its later fields say.
         if (nfrags as u64).saturating_mul(MIN_BYTES_PER_FRAG) > r.buf.len() as u64 {
             return Err(WireError::Truncated);
         }
 
         // Columns, in layout order.
-        let mut ranks = Vec::with_capacity(nfrags);
-        for _ in 0..nfrags {
-            ranks.push(r.u32()? as usize);
+        let ranks = r.column::<4>(nfrags)?;
+        let kinds = r.take(nfrags)?;
+        for &b in kinds {
+            kind_from_byte(b)?;
         }
-        let kind_bytes = r.take(nfrags)?;
-        let mut kinds = Vec::with_capacity(nfrags);
-        for &b in kind_bytes {
-            kinds.push(kind_from_byte(b)?);
-        }
-        let mut starts = Vec::with_capacity(nfrags);
-        for _ in 0..nfrags {
-            starts.push(r.u64()?);
-        }
-        let mut ends = Vec::with_capacity(nfrags);
-        for _ in 0..nfrags {
-            ends.push(r.u64()?);
-        }
-        let mut csets = Vec::with_capacity(nfrags);
-        for _ in 0..nfrags {
-            csets.push(r.u32()?);
-        }
+        let starts = r.column::<8>(nfrags)?;
+        let ends = r.column::<8>(nfrags)?;
+        let csets = r.column::<4>(nfrags)?;
         let ncvals = r.u32()? as usize;
-        if ncvals != csets.iter().map(|b| b.count_ones() as usize).sum::<usize>() {
+        let mut carried = 0usize;
+        for cset in csets {
+            let bits = u32::from_le_bytes(*cset);
+            // A bit no counter owns would carry a value no reader takes.
+            if CounterSet::from_bits(bits).bits() != bits {
+                return Err(WireError::CountMismatch);
+            }
+            carried = carried.saturating_add(bits.count_ones() as usize);
+        }
+        if ncvals != carried {
             return Err(WireError::CountMismatch);
         }
-        let mut counters = Vec::with_capacity(nfrags);
-        for &bits in &csets {
-            let mut delta = CounterDelta::default();
-            for id in CounterId::ALL {
-                if bits & (1 << id.index()) != 0 {
-                    delta.put(id, r.f64()?);
-                }
-            }
-            counters.push(delta);
-        }
-        let mut argcs = Vec::with_capacity(nfrags);
-        for _ in 0..nfrags {
-            argcs.push(r.u16()? as usize);
-        }
+        let cvals = r.column::<8>(ncvals)?;
+        let argcs = r.column::<2>(nfrags)?;
         let nargs = r.u32()? as usize;
-        if nargs != argcs.iter().sum::<usize>() {
+        let argc_sum = argcs
+            .iter()
+            .fold(0usize, |sum, argc| sum.saturating_add(u16::from_le_bytes(*argc) as usize));
+        if nargs != argc_sum {
             return Err(WireError::CountMismatch);
         }
-        let mut args = Vec::with_capacity(nfrags);
-        for &n in &argcs {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            args.push(v);
-        }
-        if !r.buf.is_empty() {
+        let args = r.column::<8>(nargs)?;
+        if !r.buf.is_empty() || declared != bytes.len() {
             return Err(WireError::TrailingBytes);
         }
 
-        // Reassemble fragments from the columns, in group order. The zip
-        // ends with the shortest column; group counts were validated
-        // against nfrags above, so running dry maps to CountMismatch
-        // rather than any panic.
-        let mut cols = ranks
-            .into_iter()
-            .zip(kinds)
-            .zip(starts)
-            .zip(ends)
-            .zip(counters)
-            .zip(args)
-            .map(|(((((rank, kind), start), end), counters), args)| Fragment {
-                rank,
-                kind,
-                start: VirtualTime::from_ns(start),
-                end: VirtualTime::from_ns(end),
-                counters,
-                args,
-            });
-        let mut vertex_groups = Vec::with_capacity(vheads.len());
-        for (label, count) in vheads {
-            let mut fragments = Vec::with_capacity(count);
-            for _ in 0..count {
-                fragments.push(cols.next().ok_or(WireError::CountMismatch)?);
-            }
-            vertex_groups.push(VertexGroup { label, fragments });
-        }
-        let mut edge_groups = Vec::with_capacity(eheads.len());
-        for (from, to, count) in eheads {
-            let mut fragments = Vec::with_capacity(count);
-            for _ in 0..count {
-                fragments.push(cols.next().ok_or(WireError::CountMismatch)?);
-            }
-            edge_groups.push(EdgeGroup { from, to, fragments });
-        }
+        Ok(FrameView {
+            header,
+            nlabels,
+            labels,
+            vheads,
+            eheads,
+            rows: FrameRows { ranks, kinds, starts, ends, csets, cvals, argcs, args },
+        })
+    }
 
-        Ok(FragmentBatch {
+    /// The header admission reads.
+    pub fn header(&self) -> FrameHeader {
+        self.header
+    }
+
+    /// Total fragments in the frame.
+    pub fn len(&self) -> usize {
+        self.rows.ranks.len()
+    }
+
+    /// Empty frame? (It still advances its rank's shipping mark.)
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries in the label dictionary.
+    pub fn num_labels(&self) -> usize {
+        self.nlabels
+    }
+
+    /// The label dictionary, in id order.
+    pub fn labels(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let mut r = Reader { buf: self.labels };
+        (0..self.nlabels).map_while(move |_| {
+            let len = r.u32().ok()? as usize;
+            std::str::from_utf8(r.take(len).ok()?).ok()
+        })
+    }
+
+    /// `(label, fragment count)` of each vertex group, in wire order.
+    pub fn vertex_heads(&self) -> impl Iterator<Item = (Sym, usize)> + 'a {
+        self.vheads.iter().filter_map(|head| {
+            let (label, count) = head.split_first_chunk::<4>()?;
+            Some((u32::from_le_bytes(*label), u32::from_le_bytes(*count.first_chunk()?) as usize))
+        })
+    }
+
+    /// `(from, to, fragment count)` of each edge group, in wire order.
+    pub fn edge_heads(&self) -> impl Iterator<Item = (Sym, Sym, usize)> + 'a {
+        self.eheads.iter().filter_map(|head| {
+            let (from, rest) = head.split_first_chunk::<4>()?;
+            let (to, count) = rest.split_first_chunk::<4>()?;
+            Some((
+                u32::from_le_bytes(*from),
+                u32::from_le_bytes(*to),
+                u32::from_le_bytes(*count.first_chunk()?) as usize,
+            ))
+        })
+    }
+
+    /// The fragment rows: the vertex groups' then the edge groups', each
+    /// group's `count` rows in a run.
+    pub fn rows(&self) -> FrameRows<'a> {
+        self.rows
+    }
+
+    /// Materialise the owned batch: the allocating half of
+    /// [`FragmentBatch::decode`], which the server's ingest path does
+    /// not run.
+    pub fn to_batch(&self) -> FragmentBatch {
+        let mut fragments = self.rows().map(|row| {
+            let mut counters = CounterDelta::default();
+            for (id, v) in CounterSet::from_bits(row.set).iter().zip(row.vals) {
+                counters.put(id, f64::from_le_bytes(*v));
+            }
+            Fragment {
+                rank: row.rank as usize,
+                kind: row.kind,
+                start: VirtualTime::from_ns(row.start_ns),
+                end: VirtualTime::from_ns(row.end_ns),
+                counters,
+                args: row.args.iter().map(|a| f64::from_le_bytes(*a)).collect(),
+            }
+        });
+        // Sized exactly: `collect` on a `take` would round a one-fragment
+        // group up to four 256-byte slots.
+        let mut group = |count: usize| {
+            let mut taken = Vec::with_capacity(count.min(fragments.len()));
+            taken.extend(fragments.by_ref().take(count));
+            taken
+        };
+        let vertex_groups = self
+            .vertex_heads()
+            .map(|(label, count)| VertexGroup { label, fragments: group(count) })
+            .collect();
+        let edge_groups = self
+            .edge_heads()
+            .map(|(from, to, count)| EdgeGroup { from, to, fragments: group(count) })
+            .collect();
+        let FrameHeader { rank, seq, tenant_id, job_id, window_start_ns, window_end_ns } =
+            self.header;
+        FragmentBatch {
             rank,
             seq,
             tenant_id,
             job_id,
             window_start_ns,
             window_end_ns,
-            labels,
+            labels: self.labels().map(str::to_string).collect(),
             vertex_groups,
             edge_groups,
-        })
+        }
     }
 }
 

@@ -8,13 +8,22 @@
 //! pool, so equal pools are equal analyses. Populations include empty
 //! groups, single-fragment locations and colliding timestamps; a
 //! dedicated case checks that explicitly empty lanes are inert.
+//!
+//! The arena has two feeds — rows appended straight from a validated
+//! frame's bytes (`push_encoded` / `push_frame`) and rows copied out of
+//! an owned batch (`push_batch`) — and the differential property holds
+//! them to the same sealed pool, whatever order the frames arrive in and
+//! whether or not the pools were sorted before the seal.
 
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use std::collections::BTreeMap;
 use vapro_core::fragment::{Fragment, FragmentKind};
-use vapro_core::wire::{EdgeGroup, FragmentBatch, VertexGroup};
-use vapro_core::{detect_columnar, ColumnarPool, IngestArena, PoolView, VaproConfig};
+use vapro_core::detect::window::Window;
+use vapro_core::wire::{EdgeGroup, FragmentBatch, FrameView, VertexGroup};
+use vapro_core::{
+    detect_columnar, ColumnarPool, IngestArena, PoolView, VaproConfig, WindowedIngestor,
+};
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
 use vapro_sim::VirtualTime;
 
@@ -67,11 +76,17 @@ const LABELS: [&str; 3] = ["solve", "halo", "reduce"];
 /// A valid batch over a tiny label alphabet: group sizes span empty,
 /// single-fragment and clusterable populations.
 fn batch_strategy() -> impl Strategy<Value = FragmentBatch> {
+    batch_strategy_up_to(12)
+}
+
+/// [`batch_strategy`] with groups of up to `group_max - 1` fragments.
+/// Fragment ranks are drawn independently of the batch's header rank.
+fn batch_strategy_up_to(group_max: usize) -> impl Strategy<Value = FragmentBatch> {
     let labels = LABELS;
     (
         0usize..NRANKS,
-        vec((0u32..3, vec(fragment_strategy(), 0..12)), 0..3),
-        vec((0u32..3, 0u32..3, vec(fragment_strategy(), 0..12)), 0..3),
+        vec((0u32..3, vec(fragment_strategy(), 0..group_max)), 0..3),
+        vec((0u32..3, 0u32..3, vec(fragment_strategy(), 0..group_max)), 0..3),
     )
         .prop_map(move |(rank, vgroups, egroups)| FragmentBatch {
             rank,
@@ -152,6 +167,63 @@ proptest! {
         prop_assert_eq!(sealed, restated_gather(&batches));
     }
 
+    /// The same frames through the byte path (`push_encoded`: parse →
+    /// admit → rows appended from the frame's columns; and `push_frame`
+    /// on a bare arena) and through the materialising path
+    /// (`push_batch(FragmentBatch::decode(..))`), each in its own arrival
+    /// order, seal equal pools column for column — the whole arena and
+    /// every half-overlapped window of it — and equal to the restated
+    /// gather. One arena is sorted before sealing, the others are sealed
+    /// with whatever unsorted tails arrival left them. Timestamp ties
+    /// with different counter sets and args, fragment ranks that differ
+    /// from the header's, empty groups, unreferenced labels and groups
+    /// of dozens of fragments all come out of the strategy.
+    #[test]
+    fn byte_fed_and_batch_fed_arenas_seal_the_same_pools(
+        batches in vec(batch_strategy_up_to(48), 1..5),
+        arrival in vec(0u64..1 << 32, 5..6),
+    ) {
+        let frames: Vec<Vec<u8>> = batches.iter().map(|b| b.encode_v3()).collect();
+        let mut shuffled: Vec<usize> = (0..frames.len()).collect();
+        shuffled.sort_by_key(|&i| arrival[i]);
+
+        // Rank NRANKS never ships, so no window closes and nothing is
+        // evicted: the ingestor's arena holds every admitted row.
+        let mut ingestor = WindowedIngestor::new(NRANKS + 1, BINS, VaproConfig::default());
+        for frame in &frames {
+            let reports = ingestor.push_encoded(frame).expect("own frame");
+            prop_assert!(reports.is_empty());
+        }
+        let mut batch_fed = IngestArena::new();
+        for &i in &shuffled {
+            batch_fed.push_batch(FragmentBatch::decode(&frames[i]).expect("own frame"));
+        }
+        let mut byte_fed = IngestArena::new();
+        for frame in frames.iter().rev() {
+            byte_fed.push_frame(&FrameView::parse(frame).expect("own frame"));
+        }
+        byte_fed.ensure_sorted();
+
+        let arenas = [ingestor.arena(), &batch_fed, &byte_fed];
+        for arena in arenas {
+            prop_assert_eq!(arena.len(), batch_fed.len());
+            prop_assert_eq!(arena.resident_bytes(), batch_fed.resident_bytes());
+            prop_assert_eq!(
+                ColumnarPool::from_merged(&arena.full_view()),
+                restated_gather(&batches)
+            );
+        }
+        for k in 0..9u64 {
+            let w = Window {
+                start: vapro_sim::VirtualTime::from_ns(k * 5_000_000),
+                end: vapro_sim::VirtualTime::from_ns(k * 5_000_000 + 10_000_000),
+            };
+            let want = ColumnarPool::from_merged(&batch_fed.window_view(w));
+            prop_assert_eq!(&ColumnarPool::from_merged(&ingestor.arena().window_view(w)), &want);
+            prop_assert_eq!(&ColumnarPool::from_merged(&byte_fed.window_view(w)), &want);
+        }
+    }
+
     /// Refilling a recycled pool (the streaming server's scratch path)
     /// leaves no trace of the previous population.
     #[test]
@@ -229,6 +301,40 @@ proptest! {
             }
         }
     }
+}
+
+/// A wire frame counts a fragment's args in a `u16`; an owned batch is
+/// under no such limit, and `push_batch` must not borrow the wire's.
+#[test]
+fn more_args_than_a_wire_count_holds_survive_the_arena() {
+    let frag = |start: u64, args: Vec<f64>| Fragment {
+        rank: 0,
+        kind: FragmentKind::Communication,
+        start: VirtualTime::from_ns(start),
+        end: VirtualTime::from_ns(start + 10),
+        counters: CounterDelta::default(),
+        args,
+    };
+    let wide: Vec<f64> = (0..70_000).map(f64::from).collect();
+    let batch = FragmentBatch {
+        rank: 0,
+        seq: 0,
+        tenant_id: 0,
+        job_id: 0,
+        window_start_ns: 0,
+        window_end_ns: 1_000,
+        labels: vec!["gather".into()],
+        vertex_groups: vec![VertexGroup {
+            label: 0,
+            fragments: vec![frag(30, vec![7.0]), frag(10, wide.clone()), frag(20, vec![])],
+        }],
+        edge_groups: Vec::new(),
+    };
+    let batches = [batch];
+    let sealed = ColumnarPool::from_merged(&pooled(&batches).full_view());
+    assert_eq!(sealed, restated_gather(&batches));
+    let lane = sealed.vertex(0).1;
+    assert_eq!((lane.args(0), lane.args(1), lane.args(2)), (&wide[..], &[][..], &[7.0][..]));
 }
 
 /// Explicitly empty lanes — locations that exist in the pool but hold no

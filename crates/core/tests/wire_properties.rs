@@ -3,11 +3,16 @@
 //! unicode labels, empty windows and zero-counter fragments), malformed
 //! input never panics, and no single-byte change to a valid frame —
 //! length prefix, magic, version byte, checksum or payload — decodes.
+//! `FragmentBatch::decode` is `FrameView::parse` + `to_batch`, so every
+//! property here runs the one parser; one more holds the borrowed view's
+//! accessors, and the arena append fed from them, to the owned batch
+//! (which also puts that byte-level path under `make miri`).
 
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use vapro_core::fragment::{Fragment, FragmentKind};
-use vapro_core::wire::{EdgeGroup, FragmentBatch, VertexGroup, WireError};
+use vapro_core::wire::{EdgeGroup, FragmentBatch, FrameView, VertexGroup, WireError};
+use vapro_core::{ColumnarPool, IngestArena};
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::VirtualTime;
 
@@ -108,6 +113,59 @@ proptest! {
     fn binary_roundtrip_is_identity(batch in batch_strategy()) {
         let back = FragmentBatch::decode(&batch.encode_v3()).expect("own frame parses");
         prop_assert_eq!(&batch, &back);
+    }
+
+    /// The borrowed view hands out exactly what `decode` materialises —
+    /// header, dictionary, group heads, and per row the fixed fields,
+    /// the active counter values and the args — and an arena fed from
+    /// the view seals what an arena fed the owned batch seals.
+    #[test]
+    fn frame_view_reads_what_decode_materialises(batch in batch_strategy()) {
+        let bytes = batch.encode_v3();
+        let view = FrameView::parse(&bytes).expect("own frame parses");
+        prop_assert_eq!(view.header(), batch.header());
+        prop_assert_eq!((view.len(), view.is_empty()), (batch.len(), batch.is_empty()));
+        prop_assert_eq!(view.num_labels(), batch.labels.len());
+        prop_assert_eq!(view.labels().collect::<Vec<_>>(), batch.labels.iter().collect::<Vec<_>>());
+        prop_assert_eq!(
+            view.vertex_heads().collect::<Vec<_>>(),
+            batch.vertex_groups.iter().map(|g| (g.label, g.fragments.len())).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            view.edge_heads().collect::<Vec<_>>(),
+            batch.edge_groups.iter().map(|g| (g.from, g.to, g.fragments.len())).collect::<Vec<_>>()
+        );
+        let fragments = batch
+            .vertex_groups
+            .iter()
+            .flat_map(|g| &g.fragments)
+            .chain(batch.edge_groups.iter().flat_map(|g| &g.fragments));
+        let mut rows = view.rows();
+        for f in fragments {
+            let row = rows.next().expect("a row per fragment");
+            prop_assert_eq!(
+                (row.rank as usize, row.kind, row.start_ns, row.end_ns),
+                (f.rank, f.kind, f.start.ns(), f.end.ns())
+            );
+            prop_assert_eq!(row.set, f.counters.set().bits());
+            prop_assert_eq!(
+                row.vals.iter().map(|v| f64::from_le_bytes(*v)).collect::<Vec<_>>(),
+                f.counters.entries().map(|(_, v)| v).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                &row.args.iter().map(|a| f64::from_le_bytes(*a)).collect::<Vec<_>>(),
+                &f.args
+            );
+        }
+        prop_assert!(rows.next().is_none());
+
+        let (mut byte_fed, mut batch_fed) = (IngestArena::new(), IngestArena::new());
+        byte_fed.push_frame(&view);
+        batch_fed.push_batch(batch);
+        prop_assert_eq!(
+            ColumnarPool::from_merged(&byte_fed.full_view()),
+            ColumnarPool::from_merged(&batch_fed.full_view())
+        );
     }
 
     /// Truncating a valid frame anywhere yields an error, never a panic

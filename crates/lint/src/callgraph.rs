@@ -93,10 +93,11 @@ const KNOWN_TOTAL: &[&str] = &[
     "get_unchecked_never", "concat", "join", "repeat", "make_ascii_lowercase",
     "first_key_value", "last_key_value", "pop_first", "pop_last", "split_at_checked",
     "remainder", "into_boxed_str", "into_boxed_slice", "is_some_and", "is_none_or",
-    "then_with", "then", "reverse",
+    "then_with", "then", "reverse", "as_chunks", "first_chunk", "split_first_chunk",
+    "extend_from_slice", "resize", "retain_mut",
     // Iterator adapters and consumers.
     "map", "filter", "filter_map", "flat_map", "flatten", "chain", "zip", "enumerate",
-    "rev", "skip", "take_while", "skip_while", "step_by", "cloned", "copied", "fuse",
+    "rev", "skip", "take_while", "skip_while", "map_while", "step_by", "cloned", "copied", "fuse",
     "peekable", "peek", "next", "next_back", "nth", "count", "sum", "product", "fold",
     "try_fold", "all", "any", "position", "max", "min", "max_by", "min_by",
     "max_by_key", "min_by_key", "collect", "for_each", "by_ref", "windows", "chunks",

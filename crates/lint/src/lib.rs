@@ -100,20 +100,32 @@ pub struct EntryLine {
 ///   region, a channel send, or a call into another lock-taking
 ///   function, and no lock-order cycles.
 pub fn workspace_config() -> LintConfig {
+    // The `Reader` field readers, the one validator (`FrameView::parse`
+    // / `parse_frame`), the view's accessors (`next` is `FrameRows`'),
+    // and `decode` = `parse` + `to_batch`.
     let wire_fns = [
         "take",
         "u8",
-        "u16",
         "u32",
         "u64",
-        "f64",
         "array",
+        "column",
+        "since",
+        "parse",
+        "parse_frame",
+        "header",
+        "labels",
+        "vertex_heads",
+        "edge_heads",
+        "rows",
+        "next",
+        "to_batch",
         "decode",
-        "decode_frame",
-        "decode_payload",
         "kind_from_byte",
     ];
-    let ingestor_fns = ["push_encoded", "push_sized"];
+    let ingestor_fns = ["push_encoded", "push_frame", "push_sized"];
+    // The arena's byte-fed append and what it shares with `push_batch`.
+    let arena_fns = ["push_frame", "absorb", "append", "key_id", "pool_at"];
     let admission_fns = ["admit", "is_duplicate", "gaps", "count_decode_error"];
     let fleet_fns = ["push_encoded", "register_job", "shard_of", "harvest"];
     let vopr_model_fns = [
@@ -133,6 +145,10 @@ pub fn workspace_config() -> LintConfig {
     let ingestor_scope = FnScope {
         file: "crates/core/src/detect/ingestor.rs".into(),
         funcs: ingestor_fns.iter().map(|s| s.to_string()).collect(),
+    };
+    let arena_scope = FnScope {
+        file: "crates/core/src/detect/arena.rs".into(),
+        funcs: arena_fns.iter().map(|s| s.to_string()).collect(),
     };
     let admission_scope = FnScope {
         file: "crates/core/src/detect/admission.rs".into(),
@@ -165,6 +181,7 @@ pub fn workspace_config() -> LintConfig {
         r2_scopes: vec![
             wire_scope.clone(),
             ingestor_scope.clone(),
+            arena_scope.clone(),
             admission_scope.clone(),
             fleet_scope.clone(),
             vopr_scope.clone(),
@@ -179,7 +196,14 @@ pub fn workspace_config() -> LintConfig {
             "crates/stats/src/".into(),
         ],
         r4_files,
-        r5_entries: vec![wire_scope, ingestor_scope, admission_scope, fleet_scope, vopr_scope],
+        r5_entries: vec![
+            wire_scope,
+            ingestor_scope,
+            arena_scope,
+            admission_scope,
+            fleet_scope,
+            vopr_scope,
+        ],
         r5_frontier: vec![
             "analyze_view_columnar".into(),
             "refill_from_merged".into(),

@@ -351,7 +351,6 @@ impl CounterVector {
 
     /// Iterate over `(id, value)` pairs of active counters.
     pub fn entries(&self) -> impl Iterator<Item = (CounterId, f64)> + '_ {
-        // vapro-lint: allow(R5, CounterId::index() < NUM_COUNTERS by the enum definition)
         self.set.iter().map(move |id| (id, self.values[id.index()]))
     }
 }
