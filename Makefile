@@ -30,10 +30,12 @@ check:
 	$(MAKE) vopr
 	$(MAKE) test-repeat
 
-# Workspace static analysis: per-body rules (R1 no-hot-path-clone,
-# R2 no-panic-decode, R3 float-hygiene, R4 reserve-before-push) plus the
-# call-graph rules (R5 transitive panic-freedom, R6 transitive hot-path
-# allocation, R7 lock hygiene); see DESIGN.md §10 and §15. Fails on any
+# Workspace static analysis, four rules over one site-finding pass and
+# a whole-workspace call graph: R3 float-hygiene (per file), R5
+# panic-freedom across the decode/admission doors' call trees, R6
+# hot-path allocation (owned copies, unreserved push loops) across the
+# window-close tree and the hot-path modules, R7 lock hygiene; see
+# DESIGN.md §10. Fails on any
 # unwaived finding or on a per-rule waiver-count increase over the
 # committed LINT_report.json. SARIF goes under target/ for code-scanning
 # upload.

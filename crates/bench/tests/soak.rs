@@ -184,8 +184,7 @@ fn soak_fleet(periods: usize, frags_per_rank: usize) -> usize {
         let mut solo = WindowedIngestor::new(nranks, 16, cfg.clone());
         let mut solo_reports = Vec::new();
         for frame in stream {
-            let batch = FragmentBatch::decode(frame).expect("own frame");
-            solo_reports.extend(solo.push(batch));
+            solo_reports.extend(solo.push_encoded(frame).expect("own frame"));
         }
         solo_reports.extend(solo.finish());
         assert!(!solo_reports.is_empty(), "job {key:?} closed no windows");

@@ -407,7 +407,7 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64>(
             }
             j = advance(&mut skip, j + 1);
         }
-        // vapro-lint: allow(R1, one O(dim) seed vector per emitted cluster; not a fragment population)
+        // vapro-lint: allow(R6, one O(dim) seed vector per emitted cluster; not a fragment population)
         clusters.push(Cluster { members, seed: seed.to_vec(), seed_norm });
     }
     clusters
@@ -460,13 +460,12 @@ pub fn cluster_vectors_unpruned(
                 continue;
             }
             if dist_sq(seed, &vectors[j]) <= bound_sq {
-                // vapro-lint: allow(R4, cluster membership is data-dependent; no size is knowable before the scan)
+                // vapro-lint: allow(R6, cluster membership is data-dependent; no size is knowable before the scan)
                 members.push(j);
                 assigned[j] = true;
             }
         }
-        // vapro-lint: allow(R1, one O(dim) seed vector per emitted cluster; not a fragment population)
-        // vapro-lint: allow(R4, cluster count is data-dependent; one push per emitted cluster)
+        // vapro-lint: allow(R6, one push and one O(dim) seed vector per emitted cluster; the count is data-dependent and it is not a fragment population)
         clusters.push(Cluster { members, seed: seed.clone(), seed_norm });
     }
 

@@ -7,7 +7,7 @@
 //! `crates/vopr/src/model.rs` model it independently over transport
 //! metadata alone and compare outcomes frame by frame. Everything here
 //! is total: hostile input is counted in [`IngestStats`] and rejected,
-//! never a panic (lint rules R2/R5).
+//! never a panic (lint rule R5).
 
 use crate::config::{LateDataPolicy, VaproConfig};
 use crate::detect::window::Window;
@@ -237,8 +237,8 @@ impl Admission {
         rank
     }
 
-    /// Admission control over one frame header — an owned batch's or a
-    /// still-encoded frame's, it cannot tell: rank validation, dedup,
+    /// Admission control over one validated frame's header, charged at
+    /// the frame's real size: rank validation, dedup,
     /// dead-rank late policy, backpressure. `Ok(true)` means absorb the
     /// fragments; `Ok(false)` is a policy drop — acknowledged (the mark
     /// advances) and counted, but its fragments are discarded, and `Ok`

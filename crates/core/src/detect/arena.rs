@@ -343,8 +343,7 @@ impl IngestArena {
     }
 
     /// Absorb one owned batch, copying its fragments' fields into the
-    /// pools (what [`WindowedIngestor::push`](crate::detect::ingestor::WindowedIngestor::push),
-    /// tests and tools feed; the server's byte path is
+    /// pools (what tests and tools feed; the server's byte path is
     /// [`IngestArena::push_frame`]).
     ///
     /// Group label ids are checked against the batch's own label table:
@@ -421,18 +420,20 @@ impl IngestArena {
         let resolved = |id: Sym| ids.get(id as usize).copied().filter(|&key| key < PENDING);
 
         for (label, to, count) in groups().filter(|&(_, _, count)| count > 0) {
-            let mut pool = match (resolved(label), to.map(resolved)) {
-                (Some(id), None) => {
-                    Some(Self::pool_at(&mut self.vertex_pools, id, &mut self.free_pools))
-                }
+            let group = rows.by_ref().take(count);
+            let pool: &mut ArenaPool = match (resolved(label), to.map(resolved)) {
+                (Some(id), None) => Self::pool_at(&mut self.vertex_pools, id, &mut self.free_pools),
                 (Some(from), Some(Some(to))) => {
-                    Some(Self::pool_at(&mut self.edge_pools, (from, to), &mut self.free_pools))
+                    Self::pool_at(&mut self.edge_pools, (from, to), &mut self.free_pools)
                 }
-                _ => None,
+                _ => {
+                    group.for_each(drop);
+                    continue;
+                }
             };
-            for row in rows.by_ref().take(count) {
+            for row in group {
                 let end = row.end;
-                if let Some(bytes) = pool.as_mut().and_then(|pool| pool.append(row)) {
+                if let Some(bytes) = pool.append(row) {
                     self.fragments = self.fragments.saturating_add(1);
                     self.max_end_ns = self.max_end_ns.max(end);
                     self.resident_bytes = self.resident_bytes.saturating_add(bytes);

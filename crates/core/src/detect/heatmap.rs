@@ -183,6 +183,7 @@ impl HeatMap {
             (0..self.ranks).map(|r| (r, Vec::new())).collect();
         for p in points {
             if p.rank < self.ranks {
+                // vapro-lint: allow(R6, per-rank point counts are unknown without a counting pass; pointer-sized pushes on the parallel path only)
                 by_rank[p.rank].1.push(p);
             }
         }
@@ -196,9 +197,9 @@ impl HeatMap {
             .into_par_iter()
             .map(|(rank, pts)| {
                 let (lo, hi) = (rank * bins, (rank + 1) * bins);
-                let mut w = weight[lo..hi].to_vec(); // vapro-lint: allow(R1, owned O(bins) row copy is the parallel-determinism design)
-                let mut wp = weighted_perf[lo..hi].to_vec(); // vapro-lint: allow(R1, owned O(bins) row copy is the parallel-determinism design)
-                let mut l = loss[lo..hi].to_vec(); // vapro-lint: allow(R1, owned O(bins) row copy is the parallel-determinism design)
+                let mut w = weight[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
+                let mut wp = weighted_perf[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
+                let mut l = loss[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
                 for p in pts {
                     deposit(p, t0, bin_ns, bins, &mut w, &mut wp, &mut l);
                 }
@@ -278,7 +279,7 @@ pub fn tree_aggregate(mut maps: Vec<HeatMap>) -> Option<HeatMap> {
         maps = maps
             .par_chunks(2)
             .map(|pair| {
-                // vapro-lint: allow(R1, heat-map slab accumulator seeds each pairwise merge; not a fragment population)
+                // vapro-lint: allow(R6, heat-map slab accumulator seeds each pairwise merge; not a fragment population)
                 let mut acc = pair[0].clone();
                 if let Some(second) = pair.get(1) {
                     acc.merge(second);

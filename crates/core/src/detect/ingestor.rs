@@ -1,6 +1,6 @@
 //! The streaming ingestor: window bookkeeping, seal, close and finish.
 //!
-//! [`WindowedIngestor`] admits shipped [`FragmentBatch`]es through its
+//! [`WindowedIngestor`] admits shipped frames ([`FrameView`]) through its
 //! [`Admission`] plane into the [`IngestArena`], and every window the
 //! shipping watermark passes goes through one door: sealed into a
 //! recycled [`ColumnarPool`] on the admission thread, submitted to the
@@ -21,7 +21,7 @@ use crate::diagnose::progressive::DiagnosisReport;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
 use crate::vopr::fault_points::{hit, FaultPoint};
-use crate::wire::{fragment_wire_bytes, FragmentBatch, FrameHeader, FrameView, WireError};
+use crate::wire::{FrameView, WireError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -227,31 +227,15 @@ impl WindowedIngestor {
         self.admission.add_rank()
     }
 
-    /// Absorb one batch and analyse every window it closed. Batches past
-    /// a rank's last fragment (even empty ones) still advance its
-    /// shipping mark. Rejections (duplicates, late data under `Drop`,
-    /// backpressure) are counted in [`IngestStats`], never panics. The
-    /// batch never was a frame, so its size on the wire is estimated.
-    pub fn push(&mut self, batch: FragmentBatch) -> Vec<WindowReport> {
-        let approx = 64
-            + batch.labels.iter().map(|l| l.len() as u64 + 4).sum::<u64>()
-            + batch.fragments().map(fragment_wire_bytes).sum::<u64>();
-        // A rejection is already counted and closes nothing; what is
-        // left to hand back is what the stage finished meanwhile.
-        self.push_sized(batch.header(), approx, |arena| arena.push_batch(batch))
-            .unwrap_or_else(|_| self.poll_reports())
-    }
-
-    /// Validate one binary frame, absorb it, analyse closed windows.
-    /// The frame goes through the same admission as
-    /// [`WindowedIngestor::push`], so the rank check and shipping-mark
-    /// advance apply identically on both entry points; its fragments go
-    /// from the frame's bytes straight into arena rows
-    /// ([`IngestArena::push_frame`]) — no owned batch is built. Parse
-    /// and admission failures are returned *and* counted in
-    /// [`IngestStats`] — a server loop can log them without bespoke
-    /// bookkeeping — and leave the arena untouched: nothing is appended
-    /// before the last check has passed.
+    /// Validate one binary frame, absorb it, analyse every window it
+    /// closed. Frames past a rank's last fragment (even empty ones)
+    /// still advance its shipping mark. The frame's fragments go from
+    /// its bytes straight into arena rows ([`IngestArena::push_frame`])
+    /// — no owned batch is built. Parse and admission failures
+    /// (duplicates, late data under `Drop`, backpressure) are returned
+    /// *and* counted in [`IngestStats`], never panics — a server loop
+    /// can log them without bespoke bookkeeping — and leave the arena
+    /// untouched: nothing is appended before the last check has passed.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<Vec<WindowReport>, WireError> {
         let frame = match FrameView::parse(bytes) {
             Ok(frame) => frame,
@@ -263,29 +247,19 @@ impl WindowedIngestor {
         self.push_frame(&frame, bytes.len() as u64)
     }
 
-    /// [`WindowedIngestor::push_encoded`] past the parse: where the
+    /// [`WindowedIngestor::push_encoded`] past the parse — where the
     /// fleet plane, which parsed the frame itself to route it, comes in.
+    /// The one admission door: [`Admission::admit`] with the frame's
+    /// real size (the unit `max_buffered_bytes` and the tenant budgets
+    /// are kept in), append to the arena if it let the frame in, then
+    /// every window that became due.
     pub(crate) fn push_frame(
         &mut self,
         frame: &FrameView<'_>,
         frame_bytes: u64,
     ) -> Result<Vec<WindowReport>, WireError> {
-        self.push_sized(frame.header(), frame_bytes, |arena| arena.push_frame(frame))
-    }
-
-    /// The one admission door `push`, `push_encoded` and the fleet plane
-    /// end in: [`Admission::admit`] with the caller's byte count (the
-    /// unit `max_buffered_bytes` and the tenant budgets are kept in),
-    /// `absorb` into the arena if it let the frame in, then every window
-    /// that became due.
-    fn push_sized(
-        &mut self,
-        header: FrameHeader,
-        frame_bytes: u64,
-        absorb: impl FnOnce(&mut IngestArena),
-    ) -> Result<Vec<WindowReport>, WireError> {
-        if self.admission.admit(&header, frame_bytes)? {
-            absorb(&mut self.arena);
+        if self.admission.admit(&frame.header(), frame_bytes)? {
+            self.arena.push_frame(frame);
         }
         Ok(self.close_ready())
     }
@@ -330,7 +304,7 @@ impl WindowedIngestor {
         if self.stage.is_none() {
             self.stage = Some(AnalysisStage::new(
                 self.cfg.pipeline_depth,
-                // vapro-lint: allow(R1, one config snapshot at stage spawn; not a fragment population)
+                // vapro-lint: allow(R6, one config snapshot at stage spawn; not a fragment population)
                 self.cfg.clone(),
                 self.bins_per_window,
                 Arc::clone(&self.scratch_pools),
@@ -349,7 +323,7 @@ impl WindowedIngestor {
 
     /// Harvest reports whose analysis completed since the last call,
     /// without blocking — always the contiguous next run of windows, so
-    /// concatenating everything `push`/`poll_reports`/`finish` return
+    /// concatenating everything `push_encoded`/`poll_reports`/`finish` return
     /// yields reports in exact window order. The fleet plane calls this
     /// on jobs that still had windows on the pool after their last push.
     pub fn poll_reports(&mut self) -> Vec<WindowReport> {
@@ -392,6 +366,7 @@ impl WindowedIngestor {
             if w.end.ns() > low || !in_cover {
                 break;
             }
+            // vapro-lint: allow(R6, windows that became due on this push; zero or one in steady state)
             ready.push((w, self.admission.coverage_at_close(w, false)));
             self.closed += 1;
         }
@@ -448,6 +423,7 @@ impl WindowedIngestor {
             && (self.closed == 0 || self.window(self.closed - 1).end.ns() < t_end)
         {
             let w = self.window(self.closed);
+            // vapro-lint: allow(R6, end of stream; the tail windows, once per run)
             remaining.push((w, self.admission.coverage_at_close(w, true)));
             self.closed += 1;
         }
@@ -470,6 +446,7 @@ mod tests {
     use crate::detect::oneshot::tests::assert_results_identical;
     use crate::detect::window::windows_covering;
     use crate::stg::{StateKey, Stg};
+    use crate::wire::FragmentBatch;
     use vapro_sim::{CallPath, CallSite, VirtualTime};
 
     /// Three ranks ship `stgs` as start-partitioned 5 s batches through
@@ -624,7 +601,7 @@ mod tests {
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
             let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
-            let reports = ingestor.push(batch);
+            let reports = ingestor.push_encoded(&batch.encode_v3()).expect("valid frame");
             closed_during_stream += reports.len();
         }
         // Most windows close while the stream is still flowing — that is
@@ -632,34 +609,6 @@ mod tests {
         assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
         let tail = ingestor.finish();
         assert!(tail.len() <= 2, "{} windows left to finish", tail.len());
-    }
-
-    #[test]
-    fn encoded_frames_close_windows_incrementally() {
-        // The binary entry point must advance the shipping marks like
-        // `push` does: most windows close while frames are still
-        // streaming in, not deferred wholesale to `finish`. Inline
-        // analysis keeps per-push emission deterministic (see
-        // `ingestor_closes_windows_incrementally`).
-        let cfg = VaproConfig {
-            report_period: VirtualTime::from_secs(5),
-            pipeline_depth: 0,
-            ..VaproConfig::default()
-        };
-        let stg = looped_stg(0, 30, 1_000_000_000, 0..0);
-        let mut ingestor = WindowedIngestor::new(1, 8, cfg);
-        let mut closed_during_stream = 0;
-        for k in 0..6u64 {
-            let period = Window {
-                start: VirtualTime::from_secs(5 * k),
-                end: VirtualTime::from_secs(5 * (k + 1)),
-            };
-            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
-            let reports = ingestor.push_encoded(&batch.encode_v3()).expect("valid frame");
-            closed_during_stream += reports.len();
-        }
-        assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
-        assert!(ingestor.finish().len() <= 2);
     }
 
     fn assert_report_sequences_identical(got: &[WindowReport], want: &[WindowReport]) {
@@ -805,7 +754,7 @@ mod tests {
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
             let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
-            reports.extend(ingestor.push(batch));
+            reports.extend(ingestor.push_encoded(&batch.encode_v3()).expect("valid frame"));
         }
         // With rank 1's mark stuck at zero nothing closes mid-stream…
         assert!(reports.is_empty(), "watermark ignored the straggler");

@@ -84,15 +84,26 @@ pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
     rank_override: Option<usize>,
 ) {
     for cluster in &outcome.usable {
-        // The fastest fragment in the cluster is the benchmark.
-        let min_dur = cluster
-            .members
-            .iter()
-            .map(|&m| pool.duration_ns(m))
-            .fold(f64::INFINITY, f64::min);
+        // The fastest fragment in the cluster is the benchmark. The same
+        // pass counts the members per category (a pool's kinds are
+        // per-row bytes off the wire and may be mixed), so each series
+        // is sized for exactly what this cluster can add to it.
+        let mut min_dur = f64::INFINITY;
+        let (mut computation, mut communication, mut io) = (0usize, 0usize, 0usize);
+        for &m in &cluster.members {
+            min_dur = min_dur.min(pool.duration_ns(m));
+            match pool.kind(m) {
+                FragmentKind::Computation => computation += 1,
+                FragmentKind::Communication | FragmentKind::Other => communication += 1,
+                FragmentKind::Io => io += 1,
+            }
+        }
         if !min_dur.is_finite() {
             continue;
         }
+        out.computation.reserve(computation);
+        out.communication.reserve(communication);
+        out.io.reserve(io);
         for &m in &cluster.members {
             let dur = pool.duration_ns(m);
             // Zero-duration fragments carry no performance signal.

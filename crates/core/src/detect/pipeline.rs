@@ -177,7 +177,7 @@ fn detect_pool(
                 Location::Edge(f, t) => format!("{f} -> {t}"),
             };
             for (count, total_ns) in analysis.rare {
-                // vapro-lint: allow(R1, one owned label string per rare path in the report; rare by definition)
+                // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
                 rare_paths.push(RarePath { location: label.clone(), count, total_ns });
             }
         }

@@ -63,11 +63,13 @@ pub fn grow_regions(hm: &HeatMap, threshold: f64) -> Vec<VarianceRegion> {
             let mut queue = vec![(rank, bin)];
             visited[start_idx] = true;
             while let Some((r, b)) = queue.pop() {
+                // vapro-lint: allow(R6, a region's cell count is what the flood fill discovers; bounded by ranks x bins)
                 cells.push((r, b));
                 let mut try_push = |nr: usize, nb: usize, visited: &mut Vec<bool>| {
                     let i = nr * hm.bins + nb;
                     if !visited[i] && below(nr, nb) {
                         visited[i] = true;
+                        // vapro-lint: allow(R6, flood-fill frontier; at most four neighbours per popped cell)
                         queue.push((nr, nb));
                     }
                 };
@@ -95,6 +97,7 @@ pub fn grow_regions(hm: &HeatMap, threshold: f64) -> Vec<VarianceRegion> {
                 .iter()
                 .map(|&(r, b)| hm.weight_of(r, b) * hm.perf(r, b).unwrap_or(1.0))
                 .sum();
+            // vapro-lint: allow(R6, region count is data-dependent; one push per region found, zero on a quiet window)
             regions.push(VarianceRegion {
                 rank_range: (rank_lo, rank_hi),
                 bin_range: (bin_lo, bin_hi),

@@ -54,6 +54,7 @@ pub fn windows_covering(t0: VirtualTime, t1: VirtualTime, period: VirtualTime) -
     for k in 0.. {
         let w = Window::nth(k, period);
         let w = Window { start: t0 + w.start, end: t0 + w.end };
+        // vapro-lint: allow(R6, one window per half period of the run; the one-shot cover, not a per-fragment path)
         out.push(w);
         if w.end >= t1 {
             break;

@@ -33,13 +33,11 @@
 use crate::clustering::{cluster_pool, ClusterOutcome};
 use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::VaproConfig;
-use crate::detect::heatmap::PAR_ROWS_MIN;
 use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::{
     diagnose_progressively_with, DiagnosisReport, FragmentProvider,
 };
 use crate::fragment::{Fragment, FragmentKind};
-use rayon::prelude::*;
 use std::sync::OnceLock;
 use vapro_pmu::CounterSet;
 
@@ -135,7 +133,7 @@ impl<V: PoolView> FragmentProvider for ScratchProvider<'_, V> {
             start: self.pool.start(m),
             end: self.pool.end(m),
             counters: self.pool.project_counters(m, set),
-            args: self.pool.args(m).to_vec(), // vapro-lint: allow(R1, arg vector copied into the reusable scratch projection; counters themselves are projected)
+            args: self.pool.args(m).to_vec(), // vapro-lint: allow(R6, arg vector copied into the reusable scratch projection; counters themselves are projected)
         }));
         &self.scratch
     }
@@ -223,9 +221,8 @@ impl<'m> DiagnosisBatch<'m> {
         }
         let (pool_idx, _) = best?;
         // The region's only contribution was choosing the pool; the
-        // drill-down is memoised per pool. Deterministic, so concurrent
-        // initialisation under the fan-out cannot change the value.
-        // vapro-lint: allow(R1, memoised report fan-out; one owned DiagnosisReport per region)
+        // drill-down is memoised per pool.
+        // vapro-lint: allow(R6, memoised report fan-out; one owned DiagnosisReport per region)
         self.reports[pool_idx].get_or_init(|| self.diagnose_pool(pool_idx)).clone()
     }
 
@@ -242,45 +239,6 @@ impl<'m> DiagnosisBatch<'m> {
             0.05,
         )
     }
-
-    /// Diagnose every region, fanning out across the thread pool when
-    /// the batch indexes at least [`PAR_ROWS_MIN`] rows. The per-region
-    /// work is independent and the memoised clustering is
-    /// deterministic, so the output is identical to
-    /// [`DiagnosisBatch::diagnose_all_seq`].
-    pub fn diagnose_all(&self, rois: &[RegionOfInterest]) -> Vec<Option<DiagnosisReport>> {
-        let rows: usize = self.indexes.iter().map(|index| index.starts.len()).sum();
-        if rows < PAR_ROWS_MIN {
-            return self.diagnose_all_seq(rois);
-        }
-        rois.par_iter().map(|roi| self.diagnose(roi)).collect()
-    }
-
-    /// Single-threaded reference of [`DiagnosisBatch::diagnose_all`], for
-    /// the equivalence property tests and the benchmark baseline.
-    pub fn diagnose_all_seq(&self, rois: &[RegionOfInterest]) -> Vec<Option<DiagnosisReport>> {
-        rois.iter().map(|roi| self.diagnose(roi)).collect()
-    }
-}
-
-/// Diagnose a batch of regions over one sealed pool: pool once (the
-/// caller's), index once, cluster each lane at most once, fan out over
-/// regions. Element `i` of the result is region `i`'s report.
-pub fn diagnose_regions(
-    pool: &ColumnarPool,
-    rois: &[RegionOfInterest],
-    cfg: &VaproConfig,
-) -> Vec<Option<DiagnosisReport>> {
-    DiagnosisBatch::new(pool, cfg).diagnose_all(rois)
-}
-
-/// Single-threaded form of [`diagnose_regions`].
-pub fn diagnose_regions_seq(
-    pool: &ColumnarPool,
-    rois: &[RegionOfInterest],
-    cfg: &VaproConfig,
-) -> Vec<Option<DiagnosisReport>> {
-    DiagnosisBatch::new(pool, cfg).diagnose_all_seq(rois)
 }
 
 #[cfg(test)]
@@ -316,37 +274,14 @@ mod tests {
             t_end: VirtualTime::from_ms(40),
         });
         let sealed = ColumnarPool::from_stgs(&stgs, None);
-        let batch = diagnose_regions(&sealed, &rois, &cfg);
-        for (roi, got) in rois.iter().zip(&batch) {
-            assert_eq!(got, &diagnose_region(&stgs, roi, &cfg), "roi {roi:?}");
+        let batch = DiagnosisBatch::new(&sealed, &cfg);
+        let mut diagnosed = 0;
+        for roi in &rois {
+            let got = batch.diagnose(roi);
+            assert_eq!(got, diagnose_region(&stgs, roi, &cfg), "roi {roi:?}");
+            diagnosed += usize::from(got.is_some());
         }
-        assert!(batch.iter().any(Option::is_some));
-    }
-
-    #[test]
-    fn parallel_and_sequential_batches_are_identical() {
-        let stgs = stgs_with_noise(4, 25, 1, (5_000_000, 30_000_000));
-        let cfg = VaproConfig::default();
-        let rois = rois_grid(4, 50_000_000, 3);
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
-        assert_eq!(
-            diagnose_regions(&sealed, &rois, &cfg),
-            diagnose_regions_seq(&sealed, &rois, &cfg)
-        );
-    }
-
-    /// Same identity on a batch big enough to really fan out (the small
-    /// one above stays under [`PAR_ROWS_MIN`] and runs the plain loop).
-    #[test]
-    fn parallel_fanout_above_the_row_threshold_is_identical() {
-        let stgs = stgs_with_noise(8, PAR_ROWS_MIN / 8 + 50, 1, (100_000_000, 400_000_000));
-        let cfg = VaproConfig::default();
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
-        assert!(sealed.len() >= PAR_ROWS_MIN);
-        let rois = rois_grid(8, 1_000_000_000, 4);
-        let par = diagnose_regions(&sealed, &rois, &cfg);
-        assert_eq!(par, diagnose_regions_seq(&sealed, &rois, &cfg));
-        assert!(par.iter().any(Option::is_some));
+        assert!(diagnosed > 0);
     }
 
     #[test]
@@ -378,15 +313,15 @@ mod tests {
         use crate::fragment::clone_count;
         let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
         let cfg = VaproConfig::default();
-        let rois = vec![RegionOfInterest {
+        let roi = RegionOfInterest {
             ranks: (2, 2),
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
-        }];
+        };
         let sealed = ColumnarPool::from_stgs(&stgs, None);
         let before = clone_count::on_this_thread();
-        let reports = diagnose_regions_seq(&sealed, &rois, &cfg);
-        assert!(reports[0].is_some());
+        let report = DiagnosisBatch::new(&sealed, &cfg).diagnose(&roi);
+        assert!(report.is_some());
         assert_eq!(
             clone_count::on_this_thread() - before,
             0,
@@ -412,6 +347,8 @@ mod tests {
         let rois = rois_grid(4, 40_000_000, 3);
         let seeded = DiagnosisBatch::with_clusters(&sealed, &cfg, &outcomes);
         let lazy = DiagnosisBatch::new(&sealed, &cfg);
-        assert_eq!(seeded.diagnose_all_seq(&rois), lazy.diagnose_all_seq(&rois));
+        for roi in &rois {
+            assert_eq!(seeded.diagnose(roi), lazy.diagnose(roi), "roi {roi:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@ pub mod factor;
 pub mod progressive;
 pub mod quantify;
 
-pub use batch::{diagnose_regions, diagnose_regions_seq, DiagnosisBatch, ScratchProvider};
+pub use batch::{DiagnosisBatch, ScratchProvider};
 pub use contribution::{analyze_contributions, ContributionReport, FactorContribution};
 pub use driver::{diagnose_region, RegionOfInterest};
 pub use factor::{Factor, Stage};

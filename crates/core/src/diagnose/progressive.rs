@@ -143,8 +143,9 @@ pub fn diagnose_progressively_with(
         };
 
         let majors = report.major_factors();
+        // vapro-lint: allow(R6, one step per breakdown level descended; at most the depth of the factor tree)
         steps.push(StageStep {
-            factors: frontier.clone(), // vapro-lint: allow(R1, per-step factor list has at most five entries)
+            factors: frontier.clone(), // vapro-lint: allow(R6, per-step factor list has at most five entries)
             counters_used: needed.len(),
             report,
             ols,
@@ -156,6 +157,7 @@ pub fn diagnose_progressively_with(
         for m in majors {
             if m.children().is_empty() {
                 if !culprits.contains(&m) {
+                    // vapro-lint: allow(R6, distinct leaf factors; bounded by the factor enum)
                     culprits.push(m);
                 }
             } else {

@@ -99,8 +99,8 @@ impl FactorValues {
     /// that lack the required counters. Returns `None` when no fragment
     /// qualifies.
     pub fn compute(fragments: &[&Fragment], factors: &[Factor]) -> Option<FactorValues> {
-        let mut values = Vec::new();
-        let mut durations = Vec::new();
+        let mut values = Vec::with_capacity(fragments.len());
+        let mut durations = Vec::with_capacity(fragments.len());
         for f in fragments {
             let row: Option<Vec<f64>> =
                 factors.iter().map(|&fac| factor_value(f, fac)).collect();
@@ -112,7 +112,7 @@ impl FactorValues {
         if values.is_empty() {
             return None;
         }
-        // vapro-lint: allow(R1, owned copy of the at-most-five requested factors)
+        // vapro-lint: allow(R6, owned copy of the at-most-five requested factors)
         Some(FactorValues { factors: factors.to_vec(), values, durations })
     }
 
@@ -176,7 +176,7 @@ pub fn ols_impacts(
     if fg.kept.is_empty() {
         return None;
     }
-    // vapro-lint: allow(R1, kept factor columns are copied once for the OLS design matrix)
+    // vapro-lint: allow(R6, kept factor columns are copied once for the OLS design matrix)
     let kept_cols: Vec<Vec<f64>> = fg.kept.iter().map(|&j| columns[j].clone()).collect();
     let fit = OlsFit::fit(&kept_cols, &fv.durations, true)?;
     let terms = fit.var_terms();

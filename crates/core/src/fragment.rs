@@ -58,8 +58,8 @@ pub mod clone_count {
     /// share lands on that worker's counter, which lives as long as the
     /// process and is never read. So a zero delta proves a path
     /// clone-free only if the path is sequential (`detect_seq`,
-    /// `diagnose_regions_seq`, a depth-0 ingestor below the fan-out row
-    /// threshold).
+    /// `DiagnosisBatch::diagnose`, a depth-0 ingestor below the fan-out
+    /// row threshold).
     pub fn on_this_thread() -> u64 {
         CLONES.with(Cell::get)
     }

@@ -59,10 +59,7 @@ pub use detect::admission::{IngestStats, RankHealth};
 pub use detect::arena::{ArenaView, IngestArena};
 pub use detect::ingestor::{RegionDiagnosis, WindowReport, WindowedIngestor};
 pub use detect::oneshot::analyze_windows;
-pub use diagnose::{
-    diagnose_region, diagnose_regions, diagnose_regions_seq, DiagnosisBatch, DiagnosisReport,
-    RegionOfInterest,
-};
+pub use diagnose::{diagnose_region, DiagnosisBatch, DiagnosisReport, RegionOfInterest};
 pub use fleet::{
     FleetConfig, FleetIngestor, FleetReport, FleetWindow, InterferenceFinding, JobKey,
     JobSummary, TenantSummary,

@@ -486,26 +486,26 @@ impl FragmentBatch {
             syms[state] = Some(s);
             s
         };
-        let mut vertex_groups = Vec::new();
+        let mut vertex_groups = Vec::with_capacity(stg.vertices().len());
         for (id, v) in stg.vertices().iter().enumerate() {
             let fragments: Vec<Fragment> = v
                 .fragments
                 .iter()
                 .filter(|f| keep(f))
-                .cloned() // vapro-lint: allow(R1, client-side period extraction builds the one owned batch each report ships)
+                .cloned() // vapro-lint: allow(R6, client-side period extraction builds the one owned batch each report ships)
                 .collect();
             if !fragments.is_empty() {
                 let label = sym_of(id, &mut dict);
                 vertex_groups.push(VertexGroup { label, fragments });
             }
         }
-        let mut edge_groups = Vec::new();
+        let mut edge_groups = Vec::with_capacity(stg.edges().len());
         for e in stg.edges() {
             let fragments: Vec<Fragment> = e
                 .fragments
                 .iter()
                 .filter(|f| keep(f))
-                .cloned() // vapro-lint: allow(R1, client-side period extraction builds the one owned batch each report ships)
+                .cloned() // vapro-lint: allow(R6, client-side period extraction builds the one owned batch each report ships)
                 .collect();
             if !fragments.is_empty() {
                 let from = sym_of(e.from, &mut dict);
@@ -655,9 +655,7 @@ impl FragmentBatch {
                 &u32::try_from(f.rank).expect("rank fits u32").to_le_bytes(),
             );
         }
-        for f in self.fragments() {
-            out.push(kind_to_byte(f.kind));
-        }
+        out.extend(self.fragments().map(|f| kind_to_byte(f.kind)));
         for f in self.fragments() {
             out.extend_from_slice(&f.start.ns().to_le_bytes());
         }

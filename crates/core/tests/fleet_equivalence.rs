@@ -202,7 +202,7 @@ fn over_budget_tenant_is_rejected_while_clean_tenant_closes_windows() {
     let mut bare = WindowedIngestor::new(1, 8, cfg.clone());
     let mut want = Vec::new();
     for f in &clean_frames {
-        want.extend(bare.push(FragmentBatch::decode(f).expect("valid")));
+        want.extend(bare.push_encoded(f).expect("valid"));
     }
     want.extend(bare.finish());
 

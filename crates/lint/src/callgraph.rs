@@ -1,14 +1,13 @@
-//! The whole-workspace conservative call graph and the three transitive
-//! rules built on it:
+//! The whole-workspace conservative call graph and the three rules
+//! scoped by it:
 //!
-//! * **R5 transitive panic-freedom** — every configured entry point
-//!   (wire decode, server admission, fleet routing, VOPR oracle) must be
-//!   panic-free across its entire reachable call tree. Findings carry
-//!   the full call path `entry → helper → panic site`.
-//! * **R6 transitive hot-path allocation** — R1/R4's per-body checks
-//!   extended along the steady-state window-close tree; files already
-//!   budgeted per-body by R1/R4 are skipped so a site never needs two
-//!   waivers.
+//! * **R5 panic-freedom** — every configured entry point (wire decode,
+//!   server admission, fleet routing, VOPR oracle) must be panic-free
+//!   across its entire reachable call tree. Findings carry the full
+//!   call path `entry → helper → panic site`.
+//! * **R6 hot-path allocation** — no owned copy and no unreserved
+//!   push loop in any function an R6 root reaches: the window-close
+//!   door and every function of the hot-path modules.
 //! * **R7 lock hygiene** — no guard held across a rayon entry, a
 //!   channel send, or a call into another lock-taking function, plus
 //!   lock-order cycle detection over the held-edge digraph.
@@ -16,12 +15,16 @@
 //! Resolution is deliberately conservative. Free and `module::`-path
 //! calls resolve by name against workspace free functions; `Type::assoc`
 //! calls against the impl index; methods by inferred receiver type
-//! (self → impl type, typed params/locals, struct-field chains). A
-//! method whose receiver cannot be inferred falls back to *every*
+//! (self → impl type, typed params/locals, struct-field chains; a
+//! receiver declared `dyn Tr`/`impl Tr` lands on every `impl Tr for _`).
+//! A method whose receiver cannot be inferred falls back to *every*
 //! workspace method of that name — unless the name is on the
 //! total-by-contract std list (`KNOWN_TOTAL`), where by-name taint would
 //! drown the signal (`.push()` would otherwise pull in every workspace
-//! `push`). Whatever the route, a candidate that declares a different
+//! `push`). The list only ever stands in for a type the index does not
+//! know: a receiver whose declared type is a workspace type resolves
+//! against the workspace whatever the method is called. Whatever the
+//! route, a candidate that declares a different
 //! number of parameters than the call passes arguments is not the
 //! callee and is dropped (`id.index()` on a `CounterId` is not
 //! `impl Index<(usize, usize)> for Matrix`). External calls not on that
@@ -29,8 +32,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::items::{CallSite, FileIndex, FnItem, Recv, CLOSURE_TY};
-use crate::rules::{FnScope, LintConfig, R1_METHODS, R2_METHODS};
+use crate::items::{
+    CallSite, FileIndex, FnItem, Recv, Site, ALLOC_METHODS, CLOSURE_TY, PANIC_METHODS,
+};
+use crate::rules::{file_matches, FnScope, LintConfig};
 
 /// (file index, fn index) into the workspace file list.
 pub(crate) type FnId = (usize, usize);
@@ -52,18 +57,20 @@ pub(crate) struct RawTransitive {
     pub message: String,
     /// Call path from the entry point to the function holding the site.
     pub path: Vec<Hop>,
-    /// Entry-point labels (`file::fn`) whose trees reach this site.
+    /// Entry-point labels whose trees reach this site.
     pub entries: Vec<String>,
 }
 
-/// Per-entry-point reachability statistics for the report.
+/// Per-entry-point reachability for the report.
 #[derive(Debug, Clone)]
 pub struct EntryStat {
     pub rule: String,
-    /// `file::fn` label of the entry point.
+    /// `file::Type::fn` label of the entry point (`file::*` for a scope
+    /// that roots every function of its files).
     pub entry: String,
     pub reachable_fns: usize,
-    pub reachable_files: BTreeSet<String>,
+    /// Labels of the functions the walk visited, roots included.
+    pub reachable: BTreeSet<String>,
 }
 
 /// Method/function names assumed total (non-panicking) when they
@@ -71,7 +78,7 @@ pub struct EntryStat {
 /// shared between a panicking and a total std API (`Vec::insert` vs
 /// `HashMap::insert`) is admitted when the workspace's dominant use is
 /// the total one — positional slice/Vec panics are covered by the
-/// direct-indexing rule instead. See DESIGN.md §15.
+/// direct-indexing rule instead. See DESIGN.md §10.
 const KNOWN_TOTAL: &[&str] = &[
     // Option/Result plumbing.
     "unwrap_or", "unwrap_or_else", "unwrap_or_default", "ok", "err", "ok_or",
@@ -161,6 +168,18 @@ const STD_TYPES: &[&str] = &[
 /// type the field table does not record — resolve it by name.
 const DEREF_TYPES: &[&str] = &["Arc", "Rc", "Box"];
 
+/// Resolve `type A = B;` alias chains to their final type name
+/// (bounded: an alias of an alias of …).
+fn canon<'a>(aliases: &HashMap<&'a str, &'a str>, mut ty: &'a str) -> &'a str {
+    for _ in 0..8 {
+        match aliases.get(ty) {
+            Some(next) => ty = next,
+            None => break,
+        }
+    }
+    ty
+}
+
 fn is_total(name: &str) -> bool {
     KNOWN_TOTAL.iter().any(|x| x == &name)
 }
@@ -179,6 +198,8 @@ pub(crate) struct Graph<'a> {
     free_by_name: HashMap<&'a str, Vec<FnId>>,
     /// (impl type, method name) → fns.
     by_impl: HashMap<(&'a str, &'a str), Vec<FnId>>,
+    /// (trait, method name) → that method in every `impl Tr for _`.
+    by_trait: HashMap<(&'a str, &'a str), Vec<FnId>>,
     /// (owner type, field name) → field outer type.
     fields: HashMap<(&'a str, &'a str), &'a str>,
     /// `type A = B;` — alias name → target, workspace-wide.
@@ -192,6 +213,7 @@ impl<'a> Graph<'a> {
         let mut methods_by_name: HashMap<&str, Vec<FnId>> = HashMap::new();
         let mut free_by_name: HashMap<&str, Vec<FnId>> = HashMap::new();
         let mut by_impl: HashMap<(&str, &str), Vec<FnId>> = HashMap::new();
+        let mut by_trait: HashMap<(&str, &str), Vec<FnId>> = HashMap::new();
         let mut fields: HashMap<(&str, &str), &str> = HashMap::new();
         let mut aliases: HashMap<&str, &str> = HashMap::new();
         for (_, ix) in files {
@@ -199,17 +221,7 @@ impl<'a> Graph<'a> {
                 aliases.insert(name.as_str(), target.as_str());
             }
         }
-        // Chase alias chains once (bounded: an alias of an alias).
-        let canon = |ty: &'a str| -> &'a str {
-            let mut ty = ty;
-            for _ in 0..8 {
-                match aliases.get(ty) {
-                    Some(next) => ty = next,
-                    None => break,
-                }
-            }
-            ty
-        };
+        let canon = |ty: &'a str| canon(&aliases, ty);
         for (fi, (_, ix)) in files.iter().enumerate() {
             for (ni, f) in ix.fns.iter().enumerate() {
                 if f.test {
@@ -223,6 +235,9 @@ impl<'a> Graph<'a> {
                             .entry((canon(ty.as_str()), f.name.as_str()))
                             .or_default()
                             .push(id);
+                        if let Some(tr) = f.trait_name.as_deref().filter(|tr| *tr != ty) {
+                            by_trait.entry((tr, f.name.as_str())).or_default().push(id);
+                        }
                     }
                     None => free_by_name.entry(f.name.as_str()).or_default().push(id),
                 }
@@ -239,22 +254,24 @@ impl<'a> Graph<'a> {
             methods_by_name,
             free_by_name,
             by_impl,
+            by_trait,
             fields,
             aliases,
             acquires: std::cell::RefCell::new(HashMap::new()),
         }
     }
 
-    /// Resolve `type A = B;` alias chains to their final type name.
     fn canon(&self, ty: &'a str) -> &'a str {
-        let mut ty = ty;
-        for _ in 0..8 {
-            match self.aliases.get(ty) {
-                Some(next) => ty = next,
-                None => break,
-            }
+        canon(&self.aliases, ty)
+    }
+
+    /// `file::Type::name` (`file::name` for a free fn).
+    fn label(&self, id: FnId) -> String {
+        let item = self.item(id);
+        match &item.impl_type {
+            Some(ty) => format!("{}::{ty}::{}", self.file(id), item.name),
+            None => format!("{}::{}", self.file(id), item.name),
         }
-        ty
     }
 
     pub(crate) fn item(&self, id: FnId) -> &'a FnItem {
@@ -375,10 +392,17 @@ impl<'a> Graph<'a> {
                 Some(ty) if STD_TYPES.contains(&ty) => {
                     Target::External { total: is_total(callee) }
                 }
-                Some(ty) => match self.by_impl.get(&(ty, callee)) {
-                    Some(t) => Target::Workspace(t.clone()),
-                    None => Target::External { total: is_total(callee) },
-                },
+                // A declared workspace type: its own method, and for a
+                // trait (`dyn Tr`, `impl Tr`) every implementor's.
+                Some(ty) => {
+                    let of = |map: &HashMap<_, Vec<FnId>>| map.get(&(ty, callee)).cloned();
+                    let targets =
+                        [of(&self.by_impl), of(&self.by_trait)].into_iter().flatten().flatten();
+                    match targets.collect::<Vec<_>>() {
+                        t if t.is_empty() => Target::External { total: is_total(callee) },
+                        t => Target::Workspace(t),
+                    }
+                }
                 None => self.fallback(callee),
             },
             Recv::Opaque => self.fallback(callee),
@@ -398,15 +422,13 @@ impl<'a> Graph<'a> {
         }
     }
 
-    /// BFS over workspace edges from `entry`. Functions whose *name* is
+    /// BFS over workspace edges from `roots`. Functions whose *name* is
     /// on the frontier are not visited (nor their bodies scanned).
-    pub(crate) fn walk(&self, entry: FnId, frontier: &[String]) -> Walk {
+    pub(crate) fn walk(&self, roots: &[FnId], frontier: &[String]) -> Walk {
         let mut parent: HashMap<FnId, FnId> = HashMap::new();
         let mut order: Vec<FnId> = Vec::new();
-        let mut seen: BTreeSet<FnId> = BTreeSet::new();
-        let mut queue: VecDeque<FnId> = VecDeque::new();
-        seen.insert(entry);
-        queue.push_back(entry);
+        let mut seen: BTreeSet<FnId> = roots.iter().copied().collect();
+        let mut queue: VecDeque<FnId> = roots.iter().copied().collect();
         while let Some(id) = queue.pop_front() {
             order.push(id);
             for call in &self.item(id).calls {
@@ -494,18 +516,14 @@ impl Walk {
     }
 }
 
-fn path_suffix(path: &[Hop]) -> String {
-    path.iter().map(|h| h.func.as_str()).collect::<Vec<_>>().join(" → ")
-}
-
-/// Entry points named by a scope list: `(label, FnId)` pairs.
-fn entry_fns(
-    files: &[(String, FileIndex)],
-    scopes: &[FnScope],
-) -> Vec<(String, FnId)> {
+/// Entry points named by a scope list, as `(label, roots)`: one entry
+/// per function a scope names, one for the whole scope when it names
+/// none (every non-test function of its files is then a root).
+fn entry_fns(graph: &Graph, scopes: &[FnScope]) -> Vec<(String, Vec<FnId>)> {
     let mut out = Vec::new();
     for scope in scopes {
-        for (fi, (rel, ix)) in files.iter().enumerate() {
+        let mut all = Vec::new();
+        for (fi, (rel, ix)) in graph.files.iter().enumerate() {
             if !rel.starts_with(scope.file.as_str()) {
                 continue;
             }
@@ -513,24 +531,100 @@ fn entry_fns(
                 if f.test {
                     continue;
                 }
-                let named = scope.funcs.is_empty()
-                    || scope.funcs.iter().any(|n| n == &f.name);
-                if named {
-                    out.push((format!("{rel}::{}", f.name), (fi, ni)));
+                if scope.funcs.is_empty() {
+                    all.push((fi, ni));
+                } else if scope.funcs.iter().any(|n| n == &f.name) {
+                    out.push((graph.label((fi, ni)), vec![(fi, ni)]));
                 }
             }
+        }
+        if scope.funcs.is_empty() {
+            out.push((format!("{}::*", scope.file), all));
         }
     }
     out
 }
 
-/// Is `name` inside an R2 per-body scope for `rel`? Those panic sites
-/// are already R2 findings; R5 must not demand a second waiver.
-fn r2_covered(cfg: &LintConfig, rel: &str, name: &str) -> bool {
-    cfg.r2_scopes.iter().any(|s| {
-        rel.starts_with(s.file.as_str())
-            && (s.funcs.is_empty() || s.funcs.iter().any(|f| f == name))
-    })
+/// Raw findings of one run, one per `(rule, file, line, site)`: the
+/// first path to reach a site is the one reported, later entries
+/// reaching it only append their label.
+#[derive(Default)]
+struct Raws {
+    raws: Vec<RawTransitive>,
+    seen: HashMap<(&'static str, String, u32, String), usize>,
+}
+
+impl Raws {
+    /// `path` is the call path from the entry (R5/R6, quoted in the
+    /// message) or just the site's own function (R7).
+    fn push(&mut self, rule: &'static str, file: &str, site: &Site, path: &[Hop], entry: &str) {
+        let key = (rule, file.to_string(), site.line, site.what.clone());
+        match self.seen.get(&key) {
+            Some(&i) => {
+                if !self.raws[i].entries.iter().any(|e| e == entry) {
+                    self.raws[i].entries.push(entry.to_string());
+                }
+            }
+            None => {
+                self.seen.insert(key, self.raws.len());
+                let via = path.iter().map(|h| h.func.as_str()).collect::<Vec<_>>().join(" → ");
+                let message = match rule {
+                    "R7" => site.what.clone(),
+                    _ => format!("{} reached from {via}", site.what),
+                };
+                self.raws.push(RawTransitive {
+                    rule,
+                    file: file.to_string(),
+                    line: site.line,
+                    message,
+                    path: path.to_vec(),
+                    entries: vec![entry.to_string()],
+                });
+            }
+        }
+    }
+}
+
+/// What R5 reports in one function of a door's tree: its panic sites,
+/// its unchecked arithmetic where `r5_arith_files` says so, and calls
+/// that land outside the workspace on a name not known total.
+fn r5_sites(graph: &Graph, cfg: &LintConfig, id: FnId) -> Vec<Site> {
+    let item = graph.item(id);
+    let mut sites = item.panic_sites.clone();
+    if file_matches(graph.file(id), &cfg.r5_arith_files) {
+        sites.extend_from_slice(&item.arith_sites);
+    }
+    for call in &item.calls {
+        // unwrap/expect-family calls are the panic sites themselves;
+        // clone-family is R6 business.
+        let callee = call.callee.as_str();
+        if matches!(graph.resolve(id, call), Target::External { total: false })
+            && !PANIC_METHODS.contains(&callee)
+            && !ALLOC_METHODS.contains(&callee)
+        {
+            sites.push(Site {
+                line: call.line,
+                what: format!("call to `{callee}` (external, not on the total-by-contract list)"),
+            });
+        }
+    }
+    sites
+}
+
+/// What R6 reports in one function an R6 root reaches: owned copies,
+/// and push loops unless the function sizes a buffer somewhere.
+fn r6_sites(graph: &Graph, id: FnId) -> Vec<Site> {
+    // The by-name fallback can wander into the lint's own sources; its
+    // allocations are nobody's hot path.
+    if graph.file(id).starts_with("crates/lint/") {
+        return Vec::new();
+    }
+    let item = graph.item(id);
+    let mut sites = item.alloc_sites.clone();
+    if !item.reserves {
+        sites.extend_from_slice(&item.push_loops);
+    }
+    sites
 }
 
 /// Run R5/R6/R7 over the workspace. Returns raw findings (waivers are
@@ -541,149 +635,43 @@ pub(crate) fn run_transitive(
     cfg: &LintConfig,
 ) -> (Vec<RawTransitive>, Vec<EntryStat>) {
     let graph = Graph::build(files);
-    let mut raws: Vec<RawTransitive> = Vec::new();
+    let mut out = Raws::default();
     let mut stats: Vec<EntryStat> = Vec::new();
-    // Dedup: one finding per (rule, file, line, message); later entries
-    // reaching the same site only append their label.
-    let mut seen: HashMap<(String, String, u32, String), usize> = HashMap::new();
 
-    let mut push_raw = |raws: &mut Vec<RawTransitive>,
-                        rule: &'static str,
-                        file: &str,
-                        line: u32,
-                        message: String,
-                        path: Vec<Hop>,
-                        entry: &str| {
-        let key = (rule.to_string(), file.to_string(), line, message.clone());
-        match seen.get(&key) {
-            Some(&i) => {
-                if !raws[i].entries.iter().any(|e| e == entry) {
-                    raws[i].entries.push(entry.to_string());
+    // ---- R5 panic-freedom, R6 hot-path allocation --------------------
+    let no_frontier: &[String] = &[];
+    for (rule, entries, frontier) in [
+        ("R5", &cfg.r5_entries, cfg.r5_frontier.as_slice()),
+        ("R6", &cfg.r6_entries, no_frontier),
+    ] {
+        for (label, roots) in entry_fns(&graph, entries) {
+            let walk = graph.walk(&roots, frontier);
+            for &id in &walk.order {
+                let sites = match rule {
+                    "R5" => r5_sites(&graph, cfg, id),
+                    _ => r6_sites(&graph, id),
+                };
+                let path = walk.path(&graph, id);
+                for site in &sites {
+                    out.push(rule, graph.file(id), site, &path, &label);
                 }
             }
-            None => {
-                seen.insert(key, raws.len());
-                raws.push(RawTransitive {
-                    rule,
-                    file: file.to_string(),
-                    line,
-                    message,
-                    path,
-                    entries: vec![entry.to_string()],
-                });
-            }
+            stats.push(EntryStat {
+                rule: rule.into(),
+                entry: label,
+                reachable_fns: walk.order.len(),
+                reachable: walk.order.iter().map(|&id| graph.label(id)).collect(),
+            });
         }
-    };
-
-    // ---- R5: transitive panic-freedom --------------------------------
-    for (label, entry) in entry_fns(files, &cfg.r5_entries) {
-        let walk = graph.walk(entry, &cfg.r5_frontier);
-        let mut files_seen = BTreeSet::new();
-        for &id in &walk.order {
-            let rel = graph.file(id);
-            files_seen.insert(rel.to_string());
-            let item = graph.item(id);
-            let path = walk.path(&graph, id);
-            let via = path_suffix(&path);
-            if !r2_covered(cfg, rel, &item.name) {
-                for site in &item.panic_sites {
-                    push_raw(
-                        &mut raws,
-                        "R5",
-                        rel,
-                        site.line,
-                        format!("{} reached from {via}", site.what),
-                        path.clone(),
-                        &label,
-                    );
-                }
-            }
-            for call in &item.calls {
-                if let Target::External { total: false } = graph.resolve(id, call) {
-                    // unwrap/expect-family calls are the panic sites
-                    // themselves; clone-family is R1/R6 business.
-                    if R2_METHODS.iter().any(|m| m == &call.callee)
-                        || R1_METHODS.iter().any(|m| m == &call.callee)
-                    {
-                        continue;
-                    }
-                    push_raw(
-                        &mut raws,
-                        "R5",
-                        rel,
-                        call.line,
-                        format!(
-                            "call to `{}` (external, not on the total-by-contract list) reached from {via}",
-                            call.callee
-                        ),
-                        path.clone(),
-                        &label,
-                    );
-                }
-            }
-        }
-        stats.push(EntryStat {
-            rule: "R5".into(),
-            entry: label,
-            reachable_fns: walk.order.len(),
-            reachable_files: files_seen,
-        });
-    }
-
-    // ---- R6: transitive hot-path allocation --------------------------
-    for (label, entry) in entry_fns(files, &cfg.r6_entries) {
-        let walk = graph.walk(entry, &[]);
-        let mut files_seen = BTreeSet::new();
-        for &id in &walk.order {
-            let rel = graph.file(id);
-            files_seen.insert(rel.to_string());
-            if rel.starts_with("crates/lint/") {
-                continue;
-            }
-            let budgeted = cfg.r6_budgeted_files.iter().any(|p| rel.starts_with(p.as_str()));
-            if budgeted {
-                continue;
-            }
-            let item = graph.item(id);
-            let path = walk.path(&graph, id);
-            let via = path_suffix(&path);
-            for site in &item.alloc_sites {
-                push_raw(
-                    &mut raws,
-                    "R6",
-                    rel,
-                    site.line,
-                    format!("{} on the window-close tree ({via})", site.what),
-                    path.clone(),
-                    &label,
-                );
-            }
-            if !item.reserves {
-                for site in &item.push_loops {
-                    push_raw(
-                        &mut raws,
-                        "R6",
-                        rel,
-                        site.line,
-                        format!("{} on the window-close tree ({via})", site.what),
-                        path.clone(),
-                        &label,
-                    );
-                }
-            }
-        }
-        stats.push(EntryStat {
-            rule: "R6".into(),
-            entry: label,
-            reachable_fns: walk.order.len(),
-            reachable_files: files_seen,
-        });
     }
 
     // ---- R7: lock hygiene --------------------------------------------
     let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
+    let mut r7 = |file: &str, line: u32, what: String, path: &[Hop]| {
+        out.push("R7", file, &Site { line, what }, path, "workspace")
+    };
     for (fi, (rel, ix)) in files.iter().enumerate() {
-        if !cfg.r7_files.iter().any(|p| rel.starts_with(p.as_str())) {
+        if !file_matches(rel, &cfg.r7_files) {
             continue;
         }
         for (ni, item) in ix.fns.iter().enumerate() {
@@ -691,54 +679,32 @@ pub(crate) fn run_transitive(
                 continue;
             }
             let id = (fi, ni);
-            let hop = vec![Hop { file: rel.clone(), line: item.line, func: item.name.clone() }];
+            let hop = [Hop { file: rel.clone(), line: item.line, func: item.name.clone() }];
             for region in &item.lock_regions {
+                let guard = &region.lock_id;
                 for site in &region.rayon_sites {
-                    push_raw(
-                        &mut raws,
-                        "R7",
+                    let what = &site.what;
+                    r7(
                         rel,
                         site.line,
-                        format!(
-                            "guard `{}` held across a rayon parallel region ({})",
-                            region.lock_id, site.what
-                        ),
-                        hop.clone(),
-                        "workspace",
+                        format!("guard `{guard}` held across a rayon parallel region ({what})"),
+                        &hop,
                     );
                 }
                 for site in &region.send_sites {
-                    push_raw(
-                        &mut raws,
-                        "R7",
-                        rel,
-                        site.line,
-                        format!(
-                            "guard `{}` held across a channel send ({})",
-                            region.lock_id, site.what
-                        ),
-                        hop.clone(),
-                        "workspace",
-                    );
+                    let what = &site.what;
+                    r7(rel, site.line, format!("guard `{guard}` held across a channel send ({what})"), &hop);
                 }
                 for (nested, line) in &region.nested_locks {
-                    if nested == &region.lock_id {
-                        push_raw(
-                            &mut raws,
-                            "R7",
+                    if nested == guard {
+                        r7(
                             rel,
                             *line,
-                            format!(
-                                "guard `{}` re-acquired while already held (self-deadlock)",
-                                region.lock_id
-                            ),
-                            hop.clone(),
-                            "workspace",
+                            format!("guard `{guard}` re-acquired while already held (self-deadlock)"),
+                            &hop,
                         );
                     } else {
-                        edges
-                            .entry((region.lock_id.clone(), nested.clone()))
-                            .or_insert((rel.clone(), *line));
+                        edges.entry((guard.clone(), nested.clone())).or_insert((rel.clone(), *line));
                     }
                 }
                 for call in &region.calls {
@@ -753,29 +719,20 @@ pub(crate) fn run_transitive(
                         if acquired.is_empty() {
                             continue;
                         }
-                        push_raw(
-                            &mut raws,
-                            "R7",
+                        let names: Vec<_> = acquired.iter().map(|s| format!("`{s}`")).collect();
+                        r7(
                             rel,
                             call.line,
                             format!(
-                                "guard `{}` held across call into lock-taking `{}` (acquires {})",
-                                region.lock_id,
+                                "guard `{guard}` held across call into lock-taking `{}` (acquires {})",
                                 call.callee,
-                                acquired
-                                    .iter()
-                                    .map(|s| format!("`{s}`"))
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
+                                names.join(", ")
                             ),
-                            hop.clone(),
-                            "workspace",
+                            &hop,
                         );
                         for a in acquired {
-                            if a != region.lock_id {
-                                edges
-                                    .entry((region.lock_id.clone(), a))
-                                    .or_insert((rel.clone(), call.line));
+                            if &a != guard {
+                                edges.entry((guard.clone(), a)).or_insert((rel.clone(), call.line));
                             }
                         }
                     }
@@ -788,21 +745,11 @@ pub(crate) fn run_transitive(
             .get(&(cycle[0].clone(), cycle[1].clone()))
             .cloned()
             .unwrap_or_else(|| ("<workspace>".into(), 0));
-        push_raw(
-            &mut raws,
-            "R7",
-            &file,
-            line,
-            format!(
-                "lock-order cycle: {}",
-                cycle.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(" → ")
-            ),
-            Vec::new(),
-            "workspace",
-        );
+        let names: Vec<_> = cycle.iter().map(|s| format!("`{s}`")).collect();
+        r7(&file, line, format!("lock-order cycle: {}", names.join(" → ")), &[]);
     }
 
-    (raws, stats)
+    (out.raws, stats)
 }
 
 /// Elementary cycles in the lock-order digraph, canonicalised (rotated
@@ -919,7 +866,7 @@ mod tests {
         // check via reachability instead.
         let graph = Graph::build(&fs);
         let entry = (0usize, 0usize);
-        let walk = graph.walk(entry, &[]);
+        let walk = graph.walk(&[entry], &[]);
         assert_eq!(walk.order.len(), 2, "entry should reach Inner::go");
         assert!(raws.iter().all(|r| r.rule != "R5"));
     }

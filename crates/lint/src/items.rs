@@ -1,9 +1,9 @@
 //! The per-file item index: functions (with enclosing impl types),
 //! struct fields, and per-function *body facts* — call sites with
-//! receiver chains, panic/allocation sites, unreserved push loops, and
-//! lock regions. One structural pass over the token stream produces
-//! everything the whole-workspace call graph (`callgraph`) needs, so a
-//! file is lexed exactly once per run.
+//! receiver chains, panic/arithmetic/allocation sites, push loops, lock
+//! regions — plus the file's float-ordering sites. `facts` is the only
+//! pass that finds sites: every rule reads what it recorded, so a file
+//! is lexed and walked exactly once per run.
 //!
 //! The index is deliberately *syntactic*: receiver types are recorded as
 //! ident chains (`self.arena`) plus a per-function table of typed
@@ -13,7 +13,36 @@
 //! conservatively by the transitive rules.
 
 use crate::lexer::{lex, Tok, Token};
-use crate::rules::{is_value_end, R1_METHODS, R2_MACROS, R2_METHODS, R4_RESERVERS};
+
+/// Methods that allocate an owned copy. `.copied()` is deliberately
+/// absent: it only compiles for `Copy` element types, so it is its own
+/// proof that no allocation happens.
+pub(crate) const ALLOC_METHODS: &[&str] = &["clone", "cloned", "to_vec", "to_owned"];
+pub(crate) const PANIC_METHODS: &[&str] = &[
+    "unwrap",
+    "expect",
+    "unwrap_err",
+    "expect_err",
+    "unwrap_unchecked",
+    "get_unchecked",
+    "get_unchecked_mut",
+];
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "debug_assert",
+    "debug_assert_eq",
+    "debug_assert_ne",
+];
+/// Calls whose presence in a function body counts as "the buffer was
+/// sized": one anywhere in the function is taken as evidence the author
+/// thought about growth.
+const RESERVERS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
 
 /// One indexed source file.
 #[derive(Debug, Clone, Default)]
@@ -24,6 +53,9 @@ pub struct FileIndex {
     /// (`type CounterDelta = CounterVector;` records
     /// `("CounterDelta", "CounterVector")`).
     pub aliases: Vec<(String, String)>,
+    /// `.partial_cmp(` calls and `NAN` constants outside test code,
+    /// module-level tokens included (R3).
+    pub float_sites: Vec<Site>,
 }
 
 /// A named struct field and the outermost path segment of its type
@@ -44,6 +76,10 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl`/`trait` type's last path segment, if any.
     pub impl_type: Option<String>,
+    /// The trait this method belongs to: `Tr` inside `impl Tr for X` and
+    /// inside `trait Tr` itself. A call on a `dyn Tr`/`impl Tr` receiver
+    /// lands on every such method.
+    pub trait_name: Option<String>,
     pub line: u32,
     pub test: bool,
     /// Declared parameters, the `self` receiver excluded; `None` when
@@ -53,7 +89,7 @@ pub struct FnItem {
     /// with `.name(..)` syntax).
     pub has_self: bool,
     /// The body calls `with_capacity`/`reserve`/`reserve_exact` —
-    /// evidence the author sized their buffers (R4/R6).
+    /// evidence the author sized their buffers (R6).
     pub reserves: bool,
     /// Typed params and `let` locals: name → outer type segment.
     pub locals: Vec<(String, String)>,
@@ -61,6 +97,9 @@ pub struct FnItem {
     /// `unwrap`/`expect`-family methods, panicking macros and direct
     /// indexing, each with a human-readable description.
     pub panic_sites: Vec<Site>,
+    /// Unchecked `value (+|-|*) value`; R5 reads these only in the
+    /// files where attacker-controlled lengths feed size math.
+    pub arith_sites: Vec<Site>,
     /// `clone`/`cloned`/`to_vec`/`to_owned` call sites.
     pub alloc_sites: Vec<Site>,
     /// `.push(...)` inside a `for`/`while`/`loop` body.
@@ -137,11 +176,19 @@ const SEND_METHODS: &[&str] = &["send", "try_send", "send_timeout"];
 /// through such a binding runs code already scanned inline.
 pub const CLOSURE_TY: &str = "{closure}";
 
+/// What an `impl`/`trait` block is for: the type's last path segment
+/// and, for `impl Tr for X` and `trait Tr`, the trait's.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ImplOf {
+    ty: Option<String>,
+    tr: Option<String>,
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum ScopeKind {
     Block,
     Fn(usize),
-    Impl(Option<String>),
+    Impl(ImplOf),
     Struct(String),
 }
 
@@ -155,14 +202,16 @@ struct Scope {
 enum Pending {
     Fn { sig_start: usize },
     Mod(String),
-    Impl(Option<String>),
+    Impl(ImplOf),
     Struct(String),
     Item,
 }
 
-/// Ownership of each token: the innermost enclosing `fn` item, if any.
+/// Ownership of each token: the innermost enclosing `fn` item, if any,
+/// and whether the token sits in test-only code.
 struct Structure {
     owner: Vec<Option<usize>>,
+    in_test: Vec<bool>,
     fns: Vec<FnItem>,
     fields: Vec<FieldDef>,
     aliases: Vec<(String, String)>,
@@ -185,15 +234,16 @@ pub fn index_tokens(tokens: &[Token]) -> FileIndex {
         collect_params(&tokens[sig_start..sig_end], item);
         collect_arity(&tokens[sig_start..sig_end], item);
     }
-    facts(tokens, &st.owner, &mut fns);
-    FileIndex { fns, fields: st.fields, aliases: st.aliases }
+    let float_sites = facts(tokens, &st.owner, &st.in_test, &mut fns);
+    FileIndex { fns, fields: st.fields, aliases: st.aliases, float_sites }
 }
 
 /// Pass A: brace-scope structure — which fn owns each token, impl types,
-/// struct fields, test attribution. Modeled on `analyze::contexts` but
-/// tracking item identity rather than just names.
+/// struct fields, and test attribution (`#[test]`, `#[cfg(test)]` items
+/// and `mod tests`).
 fn structure(tokens: &[Token]) -> Structure {
     let mut owner: Vec<Option<usize>> = Vec::with_capacity(tokens.len());
+    let mut in_test: Vec<bool> = Vec::with_capacity(tokens.len());
     let mut fns: Vec<FnItem> = Vec::new();
     let mut sigs: Vec<(usize, usize)> = Vec::new();
     let mut fields: Vec<FieldDef> = Vec::new();
@@ -214,20 +264,23 @@ fn structure(tokens: &[Token]) -> Structure {
             _ => None,
         })
     };
-    let cur_impl = |stack: &[Scope]| -> Option<String> {
-        stack.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Impl(t) => t.clone(),
-            _ => None,
-        })
+    let cur_impl = |stack: &[Scope]| -> ImplOf {
+        stack
+            .iter()
+            .rev()
+            .find_map(|s| match &s.kind {
+                ScopeKind::Impl(of) if of.ty.is_some() => Some(of.clone()),
+                _ => None,
+            })
+            .unwrap_or_default()
     };
 
     let mut i = 0usize;
     while i < tokens.len() {
         let top_test = stack.last().map(|s| s.test).unwrap_or(root_test);
-        while owner.len() < i {
-            owner.push(cur_fn(&stack));
-        }
-        owner.push(cur_fn(&stack));
+        // Tokens an item header skipped over belong where it started.
+        owner.resize(i + 1, cur_fn(&stack));
+        in_test.resize(i + 1, top_test);
         let t = &tokens[i];
 
         if let Some(depth) = attr_depth {
@@ -322,9 +375,11 @@ fn structure(tokens: &[Token]) -> Structure {
         match &t.tok {
             Tok::Ident(kw) if kw == "fn" => {
                 if let Some(Token { tok: Tok::Ident(name), line }) = tokens.get(i + 1) {
+                    let of = cur_impl(&stack);
                     fns.push(FnItem {
                         name: name.clone(),
-                        impl_type: cur_impl(&stack),
+                        impl_type: of.ty,
+                        trait_name: of.tr,
                         line: *line,
                         test: top_test || pending_attr_test,
                         ..FnItem::default()
@@ -350,8 +405,8 @@ fn structure(tokens: &[Token]) -> Structure {
                 }
             }
             Tok::Ident(kw) if kw == "impl" || kw == "trait" => {
-                let (ty, next) = impl_target(tokens, i + 1, kw == "trait");
-                pending = Some((Pending::Impl(ty), pending_attr_test));
+                let (of, next) = impl_target(tokens, i + 1, kw == "trait");
+                pending = Some((Pending::Impl(of), pending_attr_test));
                 pending_attr_test = false;
                 pending_nest = 0;
                 i = next;
@@ -433,34 +488,33 @@ fn structure(tokens: &[Token]) -> Structure {
         }
         i += 1;
     }
-    while owner.len() < tokens.len() {
-        owner.push(None);
-    }
-    Structure { owner, fns, fields, aliases, sigs }
+    owner.resize(tokens.len(), None);
+    in_test.resize(tokens.len(), root_test);
+    Structure { owner, in_test, fns, fields, aliases, sigs }
 }
 
-/// Parse the target type of an `impl`/`trait` item starting at `i`
-/// (right after the keyword): skip generics, read the type path, prefer
-/// the path after `for` when present. Returns the type's last path
-/// segment and the index to resume scanning from (unchanged semantics:
-/// the caller's pending-item machinery finds the `{`).
-fn impl_target(tokens: &[Token], mut i: usize, is_trait: bool) -> (Option<String>, usize) {
+/// Parse the target of an `impl`/`trait` item starting at `i` (right
+/// after the keyword): skip generics, read the type path; when a `for`
+/// follows, that path was the trait and the type comes after. Returns
+/// the last path segments and the index to resume scanning from (the
+/// caller's pending-item machinery finds the `{`).
+fn impl_target(tokens: &[Token], mut i: usize, is_trait: bool) -> (ImplOf, usize) {
     let start = i;
     i = skip_generics(tokens, i);
     if is_trait {
         // `trait Name` — the name is the first ident.
         if let Some(Token { tok: Tok::Ident(name), .. }) = tokens.get(i) {
-            return (Some(name.clone()), i + 1);
+            return (ImplOf { ty: Some(name.clone()), tr: Some(name.clone()) }, i + 1);
         }
-        return (None, start);
+        return (ImplOf::default(), start);
     }
     let mut last: Option<String> = None;
     let mut chosen: Option<String> = None;
+    let mut tr: Option<String> = None;
     while let Some(t) = tokens.get(i) {
         match &t.tok {
             Tok::Ident(s) if s == "for" => {
-                chosen = None; // the trait path was first; the type follows
-                last = None;
+                tr = chosen.take().or(last.take());
                 i += 1;
             }
             Tok::Ident(s) if s == "where" => break,
@@ -484,7 +538,7 @@ fn impl_target(tokens: &[Token], mut i: usize, is_trait: bool) -> (Option<String
             break;
         }
     }
-    (chosen.or(last), start)
+    (ImplOf { ty: chosen.or(last), tr }, start)
 }
 
 /// Skip a `<...>` generics group starting at `i` (when present),
@@ -641,29 +695,111 @@ fn collect_params(sig: &[Token], item: &mut FnItem) {
     }
 }
 
-/// Pass B: body facts. One forward walk with rules.rs-compatible loop
-/// tracking; every fact lands on the fn that owns the token.
-fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
+fn punct(tokens: &[Token], i: usize, p: &str) -> bool {
+    matches!(tokens.get(i), Some(Token { tok: Tok::Punct(q), .. }) if q == p)
+}
+
+/// Can `tok` end a value (so a `[` or operator after it indexes or
+/// computes)? Keywords cannot: `let [a, b] = …` and `return -1` never
+/// look like indexing or arithmetic. (`self` is a value, not on the
+/// keyword list.)
+fn is_value_end(tok: &Tok) -> bool {
+    match tok {
+        Tok::Lit => true,
+        Tok::Punct(p) => p == ")" || p == "]",
+        Tok::Ident(s) => !is_keyword(s),
+    }
+}
+
+fn is_value_start(tok: &Tok) -> bool {
+    match tok {
+        Tok::Lit => true,
+        Tok::Punct(p) => p == "(",
+        Tok::Ident(s) => !is_keyword(s),
+    }
+}
+
+/// The `(` opening the argument list of a call whose name ends right
+/// before `after`: directly there, or past a turbofish (`name::<8>(`).
+fn call_paren(tokens: &[Token], after: usize) -> Option<usize> {
+    let turbofish = punct(tokens, after, "::")
+        && (punct(tokens, after + 1, "<") || punct(tokens, after + 1, "<<"));
+    let open = if turbofish { skip_generics(tokens, after + 1) } else { after };
+    punct(tokens, open, "(").then_some(open)
+}
+
+/// The method call `.name(` / `.name::<..>(` whose `.` is at `dot`.
+fn method_call(tokens: &[Token], dot: usize) -> Option<CallSite> {
+    if !punct(tokens, dot, ".") {
+        return None;
+    }
+    let Some(Token { tok: Tok::Ident(name), line }) = tokens.get(dot + 1) else { return None };
+    let open = call_paren(tokens, dot + 2)?;
+    Some(CallSite {
+        callee: name.clone(),
+        recv: receiver_chain(tokens, dot),
+        line: *line,
+        args: group_arity(tokens, open, false),
+    })
+}
+
+/// The free or path call `name(` / `path::name::<..>(` whose name is at
+/// `i` (not a method, a `fn` item's own name or an attribute's).
+fn free_call(tokens: &[Token], i: usize) -> Option<CallSite> {
+    let Tok::Ident(name) = &tokens[i].tok else { return None };
+    let open = call_paren(tokens, i + 1)?;
+    if is_keyword(name)
+        || i == 0
+        || punct(tokens, i - 1, ".")
+        || punct(tokens, i - 1, "#")
+        || tokens[i - 1].tok == Tok::Ident("fn".into())
+    {
+        return None;
+    }
+    let qualifier = match (punct(tokens, i - 1, "::"), tokens.get(i.wrapping_sub(2))) {
+        (true, Some(Token { tok: Tok::Ident(q), .. })) => Some(q.clone()),
+        _ => None,
+    };
+    Some(CallSite {
+        callee: name.clone(),
+        recv: Recv::Free { qualifier },
+        line: tokens[i].line,
+        args: group_arity(tokens, open, false),
+    })
+}
+
+/// Pass B: body facts — the one site-finding walk. Every fact lands on
+/// the fn that owns the token; float-ordering sites are the file's and
+/// are returned.
+fn facts(
+    tokens: &[Token],
+    owner: &[Option<usize>],
+    in_test: &[bool],
+    fns: &mut [FnItem],
+) -> Vec<Site> {
+    // Loop-body tracking: brace depth plus the depths at which
+    // `for`/`while`/`loop` bodies opened.
     let mut depth = 0u32;
     let mut pending_loop = false;
     let mut loop_depths: Vec<u32> = Vec::new();
     let in_attr = attr_mask(tokens);
+    let mut float_sites = Vec::new();
+    let site = |line: u32, what: String| Site { line, what };
 
     for i in 0..tokens.len() {
         if in_attr[i] {
             continue;
         }
         let t = &tokens[i];
-        let f = owner[i];
 
         match &t.tok {
-            Tok::Ident(s) if s == "for" || s == "while" || s == "loop" => {
-                let hrtb = s == "for"
-                    && tokens.get(i + 1).is_some_and(|n| n.tok == Tok::Punct("<".into()));
-                if !hrtb {
-                    pending_loop = true;
-                }
-            }
+            // `for<'a>` HRTBs are type syntax, not loops.
+            Tok::Ident(s) if s == "while" || s == "loop" => pending_loop = true,
+            Tok::Ident(s) if s == "for" && !punct(tokens, i + 1, "<") => pending_loop = true,
+            Tok::Ident(s) if s == "NAN" && !in_test[i] => float_sites.push(site(
+                t.line,
+                "NAN constant in a numeric path corrupts ordering silently".into(),
+            )),
             Tok::Punct(p) if p == ";" => pending_loop = false,
             Tok::Punct(p) if p == "{" => {
                 depth += 1;
@@ -680,43 +816,44 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
             }
             _ => {}
         }
+        let method = method_call(tokens, i);
+        if method.as_ref().is_some_and(|c| c.callee == "partial_cmp") && !in_test[i] {
+            float_sites.push(site(
+                tokens[i + 1].line,
+                "partial_cmp is not a total order under NaN (use total_cmp)".into(),
+            ));
+        }
 
-        let Some(f) = f else { continue };
+        let Some(f) = owner[i] else { continue };
+        let item = &mut fns[f];
 
-        // `let name = Type::...` / `let name: Type` locals.
+        // `let name = Type::..` / `let name = Type { .. }` / `let name: Type`.
         if t.tok == Tok::Ident("let".into()) {
             let mut j = i + 1;
             if tokens.get(j).is_some_and(|n| n.tok == Tok::Ident("mut".into())) {
                 j += 1;
             }
             if let Some(Token { tok: Tok::Ident(name), .. }) = tokens.get(j) {
-                let after = tokens.get(j + 1).map(|n| &n.tok);
-                if after == Some(&Tok::Punct(":".into())) {
+                if punct(tokens, j + 1, ":") {
                     if let Some(ty) = outer_type(tokens, j + 2) {
-                        fns[f].locals.push((name.clone(), ty));
+                        item.locals.push((name.clone(), ty));
                     }
-                } else if after == Some(&Tok::Punct("=".into())) {
+                } else if punct(tokens, j + 1, "=") {
                     match tokens.get(j + 2).map(|n| &n.tok) {
                         Some(Tok::Ident(ty)) => {
-                            if ty == "move"
-                                && tokens
-                                    .get(j + 3)
-                                    .is_some_and(|n| n.tok == Tok::Punct("|".into()))
-                            {
-                                fns[f].locals.push((name.clone(), CLOSURE_TY.into()));
-                            } else if tokens
-                                .get(j + 3)
-                                .is_some_and(|n| n.tok == Tok::Punct("::".into()))
+                            if ty == "move" && punct(tokens, j + 3, "|") {
+                                item.locals.push((name.clone(), CLOSURE_TY.into()));
+                            } else if (punct(tokens, j + 3, "::") || punct(tokens, j + 3, "{"))
                                 && ty.chars().next().is_some_and(|c| c.is_ascii_uppercase())
                             {
-                                fns[f].locals.push((name.clone(), ty.clone()));
+                                item.locals.push((name.clone(), ty.clone()));
                             }
                         }
                         // `let f = |x| ...` / `let f = || ...`: a closure
                         // binding — calls through it run code already
                         // scanned inline in this fn.
                         Some(Tok::Punct(p)) if p == "|" || p == "||" => {
-                            fns[f].locals.push((name.clone(), CLOSURE_TY.into()));
+                            item.locals.push((name.clone(), CLOSURE_TY.into()));
                         }
                         _ => {}
                     }
@@ -724,89 +861,50 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
             }
         }
 
-        // `.method(` sites.
-        if let (Tok::Punct(dot), Some(Token { tok: Tok::Ident(m), line }), Some(paren)) =
-            (&t.tok, tokens.get(i + 1), tokens.get(i + 2))
-        {
-            if dot == "." && paren.tok == Tok::Punct("(".into()) {
-                let recv = receiver_chain(tokens, i);
-                if R1_METHODS.iter().any(|x| x == m) {
-                    fns[f].alloc_sites.push(Site {
-                        line: *line,
-                        what: format!(".{m}() allocates an owned copy"),
-                    });
-                }
-                if R2_METHODS.iter().any(|x| x == m) {
-                    fns[f].panic_sites.push(Site {
-                        line: *line,
-                        what: format!(".{m}() can panic"),
-                    });
-                }
-                if m == "push" && !loop_depths.is_empty() {
-                    fns[f].push_loops.push(Site {
-                        line: *line,
-                        what: "per-element .push() in a loop".into(),
-                    });
-                }
-                if R4_RESERVERS.iter().any(|x| x == m) {
-                    fns[f].reserves = true;
-                }
-                if m == "lock" {
-                    let region = lock_region(tokens, i, *line, &recv);
-                    fns[f].lock_regions.push(region);
-                }
-                fns[f].calls.push(CallSite {
-                    callee: m.clone(),
-                    recv,
-                    line: *line,
-                    args: group_arity(tokens, i + 2, false),
-                });
+        if let Some(call) = method {
+            let (m, line) = (call.callee.as_str(), call.line);
+            if ALLOC_METHODS.contains(&m) {
+                item.alloc_sites.push(site(line, format!(".{m}() allocates an owned copy")));
             }
+            if PANIC_METHODS.contains(&m) {
+                item.panic_sites.push(site(line, format!(".{m}() can panic")));
+            }
+            if m == "push" && !loop_depths.is_empty() {
+                item.push_loops.push(site(
+                    line,
+                    "per-element .push() in a loop without with_capacity/reserve".into(),
+                ));
+            }
+            if m == "lock" {
+                item.lock_regions.push(lock_region(tokens, i, line, &call.recv));
+            }
+            item.reserves |= RESERVERS.contains(&m);
+            item.calls.push(call);
+        }
+        if let Some(call) = free_call(tokens, i) {
+            item.reserves |= RESERVERS.contains(&call.callee.as_str());
+            item.calls.push(call);
         }
 
-        // Free and path calls: `name(` not preceded by `.` or `fn`.
-        if let (Tok::Ident(m), Some(paren)) = (&t.tok, tokens.get(i + 1)) {
-            if paren.tok == Tok::Punct("(".into())
-                && !is_keyword(m)
-                && i > 0
-                && !matches!(&tokens[i - 1].tok, Tok::Punct(p) if p == "." || p == "#")
-                && tokens[i - 1].tok != Tok::Ident("fn".into())
+        match &t.tok {
+            Tok::Ident(m) if punct(tokens, i + 1, "!") && PANIC_MACROS.contains(&m.as_str()) => {
+                item.panic_sites.push(site(t.line, format!("{m}! can panic")));
+            }
+            Tok::Punct(p) if p == "[" && i > 0 && is_value_end(&tokens[i - 1].tok) => {
+                item.panic_sites.push(site(t.line, "direct slice indexing can panic".into()));
+            }
+            Tok::Punct(op)
+                if matches!(op.as_str(), "+" | "-" | "*")
+                    && i > 0
+                    && is_value_end(&tokens[i - 1].tok)
+                    && tokens.get(i + 1).is_some_and(|n| is_value_start(&n.tok)) =>
             {
-                let qualifier = if tokens[i - 1].tok == Tok::Punct("::".into()) {
-                    match tokens.get(i.wrapping_sub(2)).map(|t| &t.tok) {
-                        Some(Tok::Ident(q)) => Some(q.clone()),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if R4_RESERVERS.iter().any(|x| x == m) {
-                    fns[f].reserves = true;
-                }
-                fns[f].calls.push(CallSite {
-                    callee: m.clone(),
-                    recv: Recv::Free { qualifier },
-                    line: t.line,
-                    args: group_arity(tokens, i + 1, false),
-                });
+                item.arith_sites.push(site(
+                    t.line,
+                    format!("unchecked `{op}` can overflow (use checked/saturating forms)"),
+                ));
             }
-        }
-
-        // Panicking macros.
-        if let (Tok::Ident(m), Some(Token { tok: Tok::Punct(bang), .. })) =
-            (&t.tok, tokens.get(i + 1))
-        {
-            if bang == "!" && R2_MACROS.iter().any(|x| x == m) {
-                fns[f].panic_sites.push(Site { line: t.line, what: format!("{m}! can panic") });
-            }
-        }
-
-        // Direct indexing.
-        if t.tok == Tok::Punct("[".into()) && i > 0 && is_value_end(&tokens[i - 1].tok) {
-            fns[f].panic_sites.push(Site {
-                line: t.line,
-                what: "direct slice indexing can panic".into(),
-            });
+            _ => {}
         }
     }
 
@@ -818,11 +916,8 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
     for i in 1..tokens.len() {
         let Some(f) = owner[i] else { continue };
         if let Tok::Ident(m) = &tokens[i].tok {
-            let before = matches!(&tokens[i - 1].tok, Tok::Punct(p) if p == "(" || p == ",");
-            let after = matches!(
-                tokens.get(i + 1).map(|t| &t.tok),
-                Some(Tok::Punct(p)) if p == ")" || p == ","
-            );
+            let before = punct(tokens, i - 1, "(") || punct(tokens, i - 1, ",");
+            let after = punct(tokens, i + 1, ")") || punct(tokens, i + 1, ",");
             if before && after && !is_keyword(m) {
                 fns[f].calls.push(CallSite {
                     callee: m.clone(),
@@ -833,6 +928,7 @@ fn facts(tokens: &[Token], owner: &[Option<usize>], fns: &mut [FnItem]) {
             }
         }
     }
+    float_sites
 }
 
 /// Token positions inside `#[...]` / `#![...]` attributes: their
@@ -907,12 +1003,17 @@ fn receiver_chain(tokens: &[Token], dot: usize) -> Recv {
     Recv::Chain(chain)
 }
 
-/// Scan forward from a `.lock(` site and collect the guard's extent.
-fn lock_region(tokens: &[Token], dot: usize, line: u32, recv: &Recv) -> LockRegion {
-    let lock_id = match recv {
+/// Normalised lock identity: the last segment of the receiver chain.
+fn lock_id_of(recv: &Recv) -> String {
+    match recv {
         Recv::Chain(chain) => chain.last().cloned().unwrap_or_else(|| "<expr>".into()),
         _ => "<expr>".into(),
-    };
+    }
+}
+
+/// Scan forward from a `.lock(` site and collect the guard's extent.
+fn lock_region(tokens: &[Token], dot: usize, line: u32, recv: &Recv) -> LockRegion {
+    let lock_id = lock_id_of(recv);
     // Is the guard `let`-bound? Walk back past the receiver chain to
     // look for `let [mut] name =`.
     let mut start = dot;
@@ -983,66 +1084,29 @@ fn lock_region(tokens: &[Token], dot: usize, line: u32, recv: &Recv) -> LockRegi
             _ => {}
         }
 
-        if let (Tok::Punct(dot2), Some(Token { tok: Tok::Ident(m), line }), Some(paren)) =
-            (&t.tok, tokens.get(i + 1), tokens.get(i + 2))
-        {
-            if dot2 == "." && paren.tok == Tok::Punct("(".into()) {
-                if RAYON_METHODS.iter().any(|x| x == m) {
-                    region
-                        .rayon_sites
-                        .push(Site { line: *line, what: format!(".{m}() enters rayon") });
-                }
-                if SEND_METHODS.iter().any(|x| x == m) {
-                    region
-                        .send_sites
-                        .push(Site { line: *line, what: format!(".{m}() is a channel send") });
-                }
-                if m == "lock" {
-                    let nested = match receiver_chain(tokens, i) {
-                        Recv::Chain(chain) => {
-                            chain.last().cloned().unwrap_or_else(|| "<expr>".into())
-                        }
-                        _ => "<expr>".into(),
-                    };
-                    region.nested_locks.push((nested, *line));
-                }
-                region.calls.push(CallSite {
-                    callee: m.clone(),
-                    recv: receiver_chain(tokens, i),
-                    line: *line,
-                    args: group_arity(tokens, i + 2, false),
-                });
+        if let Some(call) = method_call(tokens, i) {
+            let (m, line) = (call.callee.as_str(), call.line);
+            if RAYON_METHODS.contains(&m) {
+                region.rayon_sites.push(Site { line, what: format!(".{m}() enters rayon") });
             }
+            if SEND_METHODS.contains(&m) {
+                region.send_sites.push(Site { line, what: format!(".{m}() is a channel send") });
+            }
+            if m == "lock" {
+                region.nested_locks.push((lock_id_of(&call.recv), line));
+            }
+            region.calls.push(call);
         }
-        if let (Tok::Ident(m), Some(paren)) = (&t.tok, tokens.get(i + 1)) {
-            if paren.tok == Tok::Punct("(".into())
-                && !is_keyword(m)
-                && i > 0
-                && !matches!(&tokens[i - 1].tok, Tok::Punct(p) if p == "." || p == "#")
-                && tokens[i - 1].tok != Tok::Ident("fn".into())
+        if let Some(call) = free_call(tokens, i) {
+            if RAYON_FREE.contains(&call.callee.as_str())
+                && call.recv == (Recv::Free { qualifier: Some("rayon".into()) })
             {
-                let qualifier = if tokens[i - 1].tok == Tok::Punct("::".into()) {
-                    match tokens.get(i.wrapping_sub(2)).map(|t| &t.tok) {
-                        Some(Tok::Ident(q)) => Some(q.clone()),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if RAYON_FREE.iter().any(|x| x == m)
-                    && qualifier.as_deref() == Some("rayon")
-                {
-                    region
-                        .rayon_sites
-                        .push(Site { line: t.line, what: format!("rayon::{m} entered") });
-                }
-                region.calls.push(CallSite {
-                    callee: m.clone(),
-                    recv: Recv::Free { qualifier },
-                    line: t.line,
-                    args: group_arity(tokens, i + 1, false),
+                region.rayon_sites.push(Site {
+                    line: call.line,
+                    what: format!("rayon::{} entered", call.callee),
                 });
             }
+            region.calls.push(call);
         }
         i += 1;
     }
@@ -1112,8 +1176,10 @@ mod tests {
             fn f(arena: &mut IngestArena, n: usize) {
                 let pool = ColumnarPool::new();
                 let other: RankTracker = make();
+                let r = Reader { buf: n };
                 pool.refill(arena);
                 other.admit(n);
+                let p: &mut ArenaPool = slot?;
             }
         ";
         let ix = index(src);
@@ -1121,12 +1187,16 @@ mod tests {
         assert!(f.locals.contains(&("arena".into(), "IngestArena".into())));
         assert!(f.locals.contains(&("pool".into(), "ColumnarPool".into())));
         assert!(f.locals.contains(&("other".into(), "RankTracker".into())));
+        assert!(f.locals.contains(&("r".into(), "Reader".into())), "struct literal");
+        assert!(f.locals.contains(&("p".into(), "ArenaPool".into())), "reference to a type");
     }
 
     #[test]
     fn panic_alloc_and_push_sites_are_collected() {
         let src = "
+            const POISON: f64 = f64::NAN;
             fn f(v: &[u8], xs: &Vec<u8>) -> u8 {
+                let total = v.len() * 4 + 2;
                 let mut out = Vec::new();
                 for x in xs.iter() {
                     out.push(*x);
@@ -1142,7 +1212,9 @@ mod tests {
         assert_eq!(f.alloc_sites.len(), 1);
         assert!(f.panic_sites.iter().any(|s| s.what.contains("assert!")));
         assert!(f.panic_sites.iter().any(|s| s.what.contains("indexing")));
+        assert_eq!(f.arith_sites.len(), 2, "`*` and `+`: {:?}", f.arith_sites);
         assert!(!f.reserves);
+        assert_eq!(ix.float_sites.len(), 1, "module-level NAN: {:?}", ix.float_sites);
     }
 
     #[test]
@@ -1217,6 +1289,7 @@ mod tests {
                 v.iter().fold(0, |acc, x| acc + x);
                 pair(a < b, c > d);
                 wrap(parse::<HashMap<u8, u8>>(v), 1,);
+                r.column::<8>(n);
             }
         ";
         let ix = index(src);
@@ -1232,5 +1305,7 @@ mod tests {
         assert_eq!(args("fold"), [Some(2)], "a closure's parameter list is one argument");
         assert_eq!(args("pair"), [Some(2)], "a bare `<` in an expression is a comparison");
         assert_eq!(args("wrap"), [Some(2)], "turbofish commas and a trailing comma");
+        assert_eq!(args("parse"), [Some(1)], "a turbofish free call is a call");
+        assert_eq!(args("column"), [Some(1)], "a turbofish method call is a call");
     }
 }

@@ -5,22 +5,21 @@
 //! counters) and no panics on hostile wire bytes (byte-mutation
 //! proptests). This crate re-states both as *source-level* rules that
 //! every future change is checked against, plus a float-hygiene rule for
-//! the numeric code. See `rules` for the per-body rule definitions and
-//! the waiver grammar, `items`/`callgraph` for the whole-workspace item
-//! index and conservative call graph behind the transitive rules
-//! (R5 panic-freedom, R6 hot-path allocation, R7 lock hygiene),
-//! `report` for the `LINT_report.json` budget format and `sarif` for the
-//! code-scanning output.
+//! the numeric code and a lock-hygiene rule. One pass finds sites
+//! (`items::facts`); entry scopes over the conservative whole-workspace
+//! call graph (`callgraph`) decide which of them a rule reports. See
+//! `rules` for the rule definitions, the configuration and the waiver
+//! grammar, `report` for the `LINT_report.json` budget format and
+//! `sarif` for the code-scanning output.
 //!
 //! The pass is built on a small self-contained lexer rather than `syn`:
 //! the workspace builds fully offline against vendored stubs, and the
 //! rules only need token patterns plus function-scope attribution, which
-//! `lexer` + `analyze` provide exactly (strings, comments, lifetimes and
+//! `lexer` + `items` provide exactly (strings, comments, lifetimes and
 //! nested block comments are handled; a banned token spelled inside a
 //! string can never fire). Per-file scans run in parallel on the
 //! vendored rayon pool; the call-graph phase is global and sequential.
 
-pub mod analyze;
 pub mod callgraph;
 pub mod items;
 pub mod lexer;
@@ -37,8 +36,8 @@ use rayon::prelude::*;
 pub use callgraph::{EntryStat, Hop};
 use rules::{FileScan, Finding, FnScope, LintConfig};
 
-/// One finding plus (for transitive rules) the call path from the entry
-/// point to the function containing the site.
+/// One finding plus (for the entry-tree rules) the call path from the
+/// entry point to the function containing the site.
 #[derive(Debug, Clone)]
 pub struct ReportFinding {
     pub finding: Finding,
@@ -64,130 +63,37 @@ pub struct EntryLine {
 
 /// The checked-in rule scope for this workspace.
 ///
-/// * R1 covers the hot-path modules named by the design docs:
-///   `detect/`, `diagnose/`, `wire.rs`, `clustering.rs`, `columnar.rs`.
-/// * R2 covers the wire decode functions, the server ingest admission
-///   functions (`detect/ingestor.rs` entry points and the
-///   `detect/admission.rs` plane behind them), the fleet plane's
-///   admission/routing functions and the
-///   VOPR admission oracle (`crates/vopr/src/model.rs` — it faces the
-///   same hostile deliveries the server does, and an oracle that
-///   panics cannot falsify anything); the arithmetic sub-rule applies
-///   to the wire decoders, where attacker-controlled lengths feed size
-///   math.
-/// * `wire.rs` accepts no waivers in its R2 scope at all: the decode
-///   path must be structurally total.
 /// * R3 covers normalization, heatmap, region ranking and clustering —
 ///   everywhere a float ordering decides detection output — plus the
 ///   `crates/stats` estimators.
-/// * R4 covers the lane-building modules (`columnar.rs`,
-///   `clustering.rs`) and the pipelined analysis stage
-///   (`detect/stage.rs`, whose reorder buffer and worker queues sit on
-///   the per-window hot path): per-element pushes in loops must be
-///   preceded by a capacity reservation somewhere in the same function.
-/// * R5 extends R2's panic-freedom *transitively*: the wire-decode,
-///   server-admission, fleet-routing and VOPR-oracle entry points must
-///   be panic-free across their whole reachable call trees. The walk
-///   stops at the sealed-data frontier (`analyze_view_columnar`,
-///   `refill_from_merged`, and the stage's `surface_failure`, which
-///   only re-raises a panic from behind that frontier on the owner's
-///   thread): past admission, data is validated and the analysis tree
-///   is covered dynamically by VOPR/soak instead.
-/// * R6 extends R1/R4 along the steady-state window-close tree rooted
-///   at `close_ready`; files already under per-body R1/R4 budgets are
-///   skipped so one allocation never needs two waivers.
+/// * R5 roots are the doors hostile bytes come through — the one wire
+///   validator and `decode` on top of it, the server and fleet
+///   `push_encoded`, fleet registration and routing — and the VOPR
+///   admission oracle's API (`crates/vopr/src/model.rs` faces the same
+///   hostile deliveries the server does, and an oracle that panics
+///   cannot falsify anything). Each must be panic-free across its whole
+///   reachable call tree. The walk stops at the sealed-data frontier
+///   (`analyze_view_columnar`, `refill_from_merged`, and the stage's
+///   `surface_failure`, which only re-raises a panic from behind that
+///   frontier on the owner's thread): past admission, data is validated
+///   and the analysis tree is covered dynamically by VOPR/soak instead.
+///   In `wire.rs`, where attacker-controlled lengths feed size math,
+///   unchecked arithmetic counts as a panic site and no R5 waiver is
+///   accepted at all: the decode path must be structurally total.
+/// * R6 roots are the steady-state window-close door `close_ready` and
+///   every function of the hot-path modules the design docs name
+///   (`detect/`, `diagnose/`, `wire.rs`, `clustering.rs`,
+///   `columnar.rs`), callees followed wherever they live.
 /// * R7 applies workspace-wide: no lock guard held across a rayon
 ///   region, a channel send, or a call into another lock-taking
 ///   function, and no lock-order cycles.
 pub fn workspace_config() -> LintConfig {
-    // The `Reader` field readers, the one validator (`FrameView::parse`
-    // / `parse_frame`), the view's accessors (`next` is `FrameRows`'),
-    // and `decode` = `parse` + `to_batch`.
-    let wire_fns = [
-        "take",
-        "u8",
-        "u32",
-        "u64",
-        "array",
-        "column",
-        "since",
-        "parse",
-        "parse_frame",
-        "header",
-        "labels",
-        "vertex_heads",
-        "edge_heads",
-        "rows",
-        "next",
-        "to_batch",
-        "decode",
-        "kind_from_byte",
-    ];
-    let ingestor_fns = ["push_encoded", "push_frame", "push_sized"];
-    // The arena's byte-fed append and what it shares with `push_batch`.
-    let arena_fns = ["push_frame", "absorb", "append", "key_id", "pool_at"];
-    let admission_fns = ["admit", "is_duplicate", "gaps", "count_decode_error"];
-    let fleet_fns = ["push_encoded", "register_job", "shard_of", "harvest"];
-    let vopr_model_fns = [
-        "accept",
-        "predict",
-        "classify",
-        "absorb",
-        "record_birth",
-        "watermark_ns",
-        "update_liveness",
-        "outcome_name",
-    ];
-    let wire_scope = FnScope {
-        file: "crates/core/src/wire.rs".into(),
-        funcs: wire_fns.iter().map(|s| s.to_string()).collect(),
+    let scope = |file: &str, funcs: &[&str]| FnScope {
+        file: file.into(),
+        funcs: funcs.iter().map(|s| s.to_string()).collect(),
     };
-    let ingestor_scope = FnScope {
-        file: "crates/core/src/detect/ingestor.rs".into(),
-        funcs: ingestor_fns.iter().map(|s| s.to_string()).collect(),
-    };
-    let arena_scope = FnScope {
-        file: "crates/core/src/detect/arena.rs".into(),
-        funcs: arena_fns.iter().map(|s| s.to_string()).collect(),
-    };
-    let admission_scope = FnScope {
-        file: "crates/core/src/detect/admission.rs".into(),
-        funcs: admission_fns.iter().map(|s| s.to_string()).collect(),
-    };
-    let fleet_scope = FnScope {
-        file: "crates/core/src/fleet.rs".into(),
-        funcs: fleet_fns.iter().map(|s| s.to_string()).collect(),
-    };
-    let vopr_scope = FnScope {
-        file: "crates/vopr/src/model.rs".into(),
-        funcs: vopr_model_fns.iter().map(|s| s.to_string()).collect(),
-    };
-    let r1_files = vec![
-        "crates/core/src/detect/".to_string(),
-        "crates/core/src/diagnose/".to_string(),
-        "crates/core/src/wire.rs".to_string(),
-        "crates/core/src/clustering.rs".to_string(),
-        "crates/core/src/columnar.rs".to_string(),
-    ];
-    let r4_files = vec![
-        "crates/core/src/columnar.rs".to_string(),
-        "crates/core/src/clustering.rs".to_string(),
-        "crates/core/src/detect/stage.rs".to_string(),
-    ];
-    let mut r6_budgeted = r1_files.clone();
-    r6_budgeted.extend(r4_files.iter().cloned());
+    let wire = "crates/core/src/wire.rs";
     LintConfig {
-        r1_files,
-        r2_scopes: vec![
-            wire_scope.clone(),
-            ingestor_scope.clone(),
-            arena_scope.clone(),
-            admission_scope.clone(),
-            fleet_scope.clone(),
-            vopr_scope.clone(),
-        ],
-        r2_arith: vec![wire_scope.clone()],
-        r2_no_waiver_files: vec!["crates/core/src/wire.rs".into()],
         r3_files: vec![
             "crates/core/src/detect/normalize.rs".into(),
             "crates/core/src/detect/heatmap.rs".into(),
@@ -195,14 +101,17 @@ pub fn workspace_config() -> LintConfig {
             "crates/core/src/clustering.rs".into(),
             "crates/stats/src/".into(),
         ],
-        r4_files,
         r5_entries: vec![
-            wire_scope,
-            ingestor_scope,
-            arena_scope,
-            admission_scope,
-            fleet_scope,
-            vopr_scope,
+            // `next` is `FrameRows`' `Iterator::next`: `for` loops and
+            // adapters run it, nothing calls it by name for a walk to
+            // follow, so it stays a root of its own.
+            scope(wire, &["parse", "decode", "next"]),
+            scope("crates/core/src/detect/ingestor.rs", &["push_encoded"]),
+            scope("crates/core/src/fleet.rs", &["push_encoded", "register_job", "shard_of"]),
+            scope(
+                "crates/vopr/src/model.rs",
+                &["predict", "record_birth", "watermark_ns", "outcome_name"],
+            ),
         ],
         r5_frontier: vec![
             "analyze_view_columnar".into(),
@@ -211,11 +120,18 @@ pub fn workspace_config() -> LintConfig {
             // task raised beyond the frontier above.
             "surface_failure".into(),
         ],
-        r6_entries: vec![FnScope {
-            file: "crates/core/src/detect/ingestor.rs".into(),
-            funcs: vec!["close_ready".into()],
-        }],
-        r6_budgeted_files: r6_budgeted,
+        r5_arith_files: vec![wire.into()],
+        r5_no_waiver_files: vec![wire.into()],
+        // The door first: a site it reaches is reported with the path
+        // from it.
+        r6_entries: vec![
+            scope("crates/core/src/detect/ingestor.rs", &["close_ready"]),
+            scope("crates/core/src/detect/", &[]),
+            scope("crates/core/src/diagnose/", &[]),
+            scope(wire, &[]),
+            scope("crates/core/src/clustering.rs", &[]),
+            scope("crates/core/src/columnar.rs", &[]),
+        ],
         r7_files: vec!["crates/".into()],
     }
 }
@@ -289,26 +205,25 @@ pub fn run_workspace(root: &Path) -> WorkspaceReport {
     let scans: Vec<(String, FileScan)> = inputs
         .into_par_iter()
         .map(|(rel, src)| {
-            let scan = rules::scan_file_deferred(&rel, &src, &cfg);
+            let scan = rules::scan_file(&rel, &src, &cfg);
             (rel, scan)
         })
         .collect();
     finish_workspace(scans, meta, &cfg)
 }
 
-/// Run the full pipeline over in-memory sources — used by the fixture
-/// tests for the transitive rules.
+/// Run the full pipeline over in-memory sources — what the fixture
+/// and canary tests drive.
 pub fn run_files(files: &[(&str, &str)], cfg: &LintConfig) -> WorkspaceReport {
     let scans: Vec<(String, FileScan)> = files
         .iter()
-        .map(|(rel, src)| (rel.to_string(), rules::scan_file_deferred(rel, src, cfg)))
+        .map(|(rel, src)| (rel.to_string(), rules::scan_file(rel, src, cfg)))
         .collect();
     finish_workspace(scans, Vec::new(), cfg)
 }
 
-/// The global phase: transitive rules over the merged item index,
-/// waiver application (transitive findings may consume waivers), then
-/// unused-waiver detection.
+/// The global phase: the entry-tree rules over the merged item index,
+/// waiver application, then unused-waiver detection.
 fn finish_workspace(
     scans: Vec<(String, FileScan)>,
     mut findings: Vec<ReportFinding>,

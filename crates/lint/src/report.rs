@@ -1,14 +1,13 @@
 //! `LINT_report.json` rendering — hand-rolled so the lint crate carries
 //! zero external dependencies. The report is the reviewable waiver
 //! budget: the driver compares waived counts against the committed
-//! report — per rule, not just in total — and fails on any increase
-//! that was not explicitly accepted.
+//! report, rule by rule, and fails on any increase that was not
+//! explicitly accepted.
 //!
-//! Schema v2 adds an `entry_points` section (per-entry reachability and
-//! finding counts for the transitive rules) and a `path` array on
-//! transitive findings (`entry → helper → site` function names). The
-//! `rules` section keeps its v1 shape so baselines parse across the
-//! schema bump.
+//! Schema v3: a `rules` section (per-rule counts; keys ⊆ R3, R5, R6, R7,
+//! LINT), an `entry_points` section (one line per R5/R6 entry:
+//! reachability and finding counts) and the findings, those of an entry
+//! tree with a `path` array (`entry → helper → site` function names).
 
 use std::collections::BTreeMap;
 
@@ -37,7 +36,7 @@ pub fn render_json(report: &WorkspaceReport) -> String {
 
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"vapro-lint/2\",\n");
+    out.push_str("  \"schema\": \"vapro-lint/3\",\n");
     out.push_str(&format!("  \"unwaived\": {unwaived},\n"));
     out.push_str(&format!("  \"waived\": {waived},\n"));
     out.push_str("  \"rules\": {");
@@ -114,20 +113,10 @@ pub fn render_json(report: &WorkspaceReport) -> String {
     out
 }
 
-/// Extract the top-level `"waived"` count from a previously written
-/// report (it is the first occurrence by construction). Returns `None`
-/// for missing/foreign content, which callers treat as "no baseline".
-pub fn baseline_waived(json: &str) -> Option<u64> {
-    let pos = json.find("\"waived\":")?;
-    let rest = json[pos + "\"waived\":".len()..].trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 /// Extract the per-rule waived counts from the `rules` section of a
-/// committed report (v1 or v2: the section shape is identical). The
-/// parse targets exactly what [`render_json`] writes; anything foreign
-/// yields an empty map, which callers treat as "no baseline".
+/// committed report. The parse targets exactly what [`render_json`]
+/// writes; anything foreign yields an empty map, which the driver's
+/// ratchet reads as a budget of zero for every rule.
 pub fn baseline_rule_waived(json: &str) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     let Some(start) = json.find("\"rules\": {") else { return out };
@@ -137,7 +126,7 @@ pub fn baseline_rule_waived(json: &str) -> BTreeMap<String, u64> {
     let Some(end) = body.find("\n  }") else { return out };
     for line in body[..end].lines() {
         let line = line.trim().trim_end_matches(',');
-        // `"R1": {"unwaived": 0, "waived": 19}`
+        // `"R6": {"unwaived": 0, "waived": 19}`
         let Some(rest) = line.strip_prefix('"') else { continue };
         let Some((rule, rest)) = rest.split_once('"') else { continue };
         let Some(pos) = rest.find("\"waived\":") else { continue };
@@ -197,17 +186,16 @@ mod tests {
     #[test]
     fn report_counts_and_baseline_round_trip() {
         let findings = vec![
-            finding("R1", "b.rs", 3, Some("cold")),
-            finding("R2", "a.rs", 1, None),
-            finding("R1", "a.rs", 2, Some("cold")),
+            finding("R6", "b.rs", 3, Some("cold")),
+            finding("R5", "a.rs", 1, None),
+            finding("R6", "a.rs", 2, Some("cold")),
         ];
         let json = render_json(&report(findings));
         assert!(json.contains("\"unwaived\": 1"));
         assert!(json.contains("\"waived\": 2"));
-        assert_eq!(baseline_waived(&json), Some(2));
         let per_rule = baseline_rule_waived(&json);
-        assert_eq!(per_rule.get("R1"), Some(&2));
-        assert_eq!(per_rule.get("R2"), Some(&0));
+        assert_eq!(per_rule.get("R6"), Some(&2));
+        assert_eq!(per_rule.get("R5"), Some(&0));
         // Sorted by file then line.
         let a1 = json.find("\"a.rs\", \"line\": 1").unwrap();
         let a2 = json.find("\"a.rs\", \"line\": 2").unwrap();
@@ -220,13 +208,12 @@ mod tests {
         let json = render_json(&report(vec![]));
         assert!(json.contains("\"findings\": []"));
         assert!(json.contains("\"entry_points\": []"));
-        assert_eq!(baseline_waived(&json), Some(0));
         assert!(baseline_rule_waived(&json).is_empty());
     }
 
     #[test]
     fn strings_are_escaped() {
-        let f = finding("R1", "a\"b.rs", 1, Some("line\nbreak"));
+        let f = finding("R6", "a\"b.rs", 1, Some("line\nbreak"));
         let json = render_json(&report(vec![f]));
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("line\\nbreak"));
@@ -244,11 +231,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_rules_section_still_parses_as_baseline() {
-        let v1 = "{\n  \"schema\": \"vapro-lint/1\",\n  \"unwaived\": 0,\n  \"waived\": 22,\n  \"rules\": {\n    \"R1\": {\"unwaived\": 0, \"waived\": 19},\n    \"R4\": {\"unwaived\": 0, \"waived\": 3}\n  },\n  \"findings\": []\n}\n";
-        let per_rule = baseline_rule_waived(v1);
-        assert_eq!(per_rule.get("R1"), Some(&19));
-        assert_eq!(per_rule.get("R4"), Some(&3));
-        assert_eq!(baseline_waived(v1), Some(22));
+    fn committed_rules_section_parses_as_baseline() {
+        // The section's shape has not changed since schema v1: a report
+        // committed under any schema still ratchets rule by rule.
+        let committed = "{\n  \"schema\": \"vapro-lint/2\",\n  \"unwaived\": 0,\n  \"waived\": 22,\n  \"rules\": {\n    \"R5\": {\"unwaived\": 0, \"waived\": 19},\n    \"R6\": {\"unwaived\": 0, \"waived\": 3}\n  },\n  \"findings\": []\n}\n";
+        let per_rule = baseline_rule_waived(committed);
+        assert_eq!(per_rule.get("R5"), Some(&19));
+        assert_eq!(per_rule.get("R6"), Some(&3));
+        // Foreign content is a budget of zero, not an open gate.
+        assert!(baseline_rule_waived("{\"waived\": 22}").is_empty());
+        assert!(baseline_rule_waived("not json").is_empty());
     }
 }

@@ -1,72 +1,36 @@
-//! The rule set and the waiver machinery.
+//! The rule configuration, the one per-file rule, and the waiver
+//! machinery.
 //!
-//! Three project rules, each scoped to the files (and for R2, the
-//! functions) where the invariant is load-bearing:
+//! Four project rules. Every site they report is found by one pass,
+//! `items::facts`; a rule is a scope over those facts:
 //!
-//! * **R1 no-hot-path-clone** — `.clone()` / `.cloned()` / `.to_vec()` /
-//!   `.to_owned()` in the detection/diagnosis hot-path modules. `.copied()`
-//!   is deliberately allowed: it only compiles for `Copy` element types,
-//!   so it is its own proof that no allocation happens.
-//! * **R2 no-panic-decode** — `unwrap`/`expect`-family calls, panicking
-//!   macros, direct slice indexing, and unchecked `+ - *` arithmetic in
-//!   the wire decode and server ingest functions.
-//! * **R3 float-hygiene** — `partial_cmp` comparisons and `NAN`
-//!   constants in normalization / heatmap / region / clustering code,
-//!   where a NaN comparison silently corrupts ordering.
-//! * **R4 reserve-before-push** — a per-element `.push(…)` inside a
-//!   `for`/`while`/`loop` body, in a function that never calls
-//!   `with_capacity` / `reserve` / `reserve_exact`, in the lane-building
-//!   modules. Growing a lane one doubling at a time is exactly the
-//!   allocation churn the columnar layout exists to avoid; size the
-//!   buffer first or waive with the reason it cannot be sized.
+//! * **R3 float-hygiene** (per file, `r3_files`) — `partial_cmp`
+//!   comparisons and `NAN` constants in normalization / heatmap / region
+//!   / clustering code, where a NaN comparison silently corrupts
+//!   ordering.
+//! * **R5 panic-freedom** (per entry tree, `r5_entries`) —
+//!   `unwrap`/`expect`-family calls, panicking macros, direct slice
+//!   indexing and calls to externals not known total, in every function
+//!   a door reaches; in `r5_arith_files` also unchecked `+ - *`.
+//! * **R6 hot-path allocation** (per entry tree, `r6_entries`) —
+//!   `.clone()` / `.cloned()` / `.to_vec()` / `.to_owned()`, and a
+//!   per-element `.push(…)` inside a `for`/`while`/`loop` body of a
+//!   function that never calls `with_capacity` / `reserve` /
+//!   `reserve_exact`: size the buffer first or waive with the reason it
+//!   cannot be sized.
+//! * **R7 lock hygiene** (per file, `r7_files`) — see `callgraph`.
 //!
-//! A finding can be waived with `// vapro-lint: allow(R1, reason)` —
+//! A finding can be waived with `// vapro-lint: allow(R6, reason)` —
 //! trailing on the offending line, or on the whole line directly above
 //! it. Waivers are collected into the report as an explicit budget.
 //! Malformed and unused waivers are themselves (unwaivable) findings, as
-//! is any waiver that tries to touch the R2 decode scope of a
-//! no-waiver file.
+//! is an R5 waiver in a no-waiver file.
 
-use std::collections::HashMap;
-
-use crate::analyze::{contexts, TokenCtx};
-use crate::lexer::{lex, Tok, Token};
+use crate::items::{index_tokens, FileIndex};
+use crate::lexer::lex;
 
 /// Rule id for meta findings about the waiver mechanism itself.
 pub const META_RULE: &str = "LINT";
-
-pub(crate) const R1_METHODS: &[&str] = &["clone", "cloned", "to_vec", "to_owned"];
-pub(crate) const R2_METHODS: &[&str] = &[
-    "unwrap",
-    "expect",
-    "unwrap_err",
-    "expect_err",
-    "unwrap_unchecked",
-    "get_unchecked",
-    "get_unchecked_mut",
-];
-pub(crate) const R2_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
-/// Keywords that can precede `[` or an operator without being a value
-/// (so `let [a, b] = …` and `return -1` never look like indexing or
-/// arithmetic). `self` is intentionally absent: it is a value.
-const NON_VALUE_KEYWORDS: &[&str] = &[
-    "let", "in", "if", "while", "match", "return", "else", "move", "mut", "ref",
-    "as", "break", "continue", "where", "const", "static", "fn", "pub", "use",
-    "mod", "enum", "struct", "union", "trait", "unsafe", "for", "loop", "impl",
-    "dyn", "box", "type", "crate", "super", "async", "await", "yield",
-];
 
 /// One diagnostic. `waived` carries the reason when a waiver matched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +42,8 @@ pub struct Finding {
     pub waived: Option<String>,
 }
 
-/// A file (prefix) plus the function names a rule applies to inside it.
-/// An empty `funcs` list means "every function, including module level".
+/// A file (prefix) plus the function names a rule is rooted at inside
+/// it. An empty `funcs` list means "every non-test function there".
 #[derive(Debug, Clone, Default)]
 pub struct FnScope {
     pub file: String,
@@ -91,72 +55,31 @@ pub struct FnScope {
 /// whole module directory, `…/wire.rs` a single file).
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
-    /// R1 applies to files matching these prefixes.
-    pub r1_files: Vec<String>,
-    /// R2 panic/indexing rules apply inside these function scopes.
-    pub r2_scopes: Vec<FnScope>,
-    /// R2 unchecked-arithmetic rule additionally applies here.
-    pub r2_arith: Vec<FnScope>,
-    /// Files whose R2 scope accepts no waivers at all.
-    pub r2_no_waiver_files: Vec<String>,
     /// R3 applies to files matching these prefixes.
     pub r3_files: Vec<String>,
-    /// R4 applies to files matching these prefixes.
-    pub r4_files: Vec<String>,
-    /// R5 transitive panic-freedom entry points: every function named
-    /// here must be panic-free across its entire reachable call tree.
+    /// R5 panic-freedom entry points: every function named here must be
+    /// panic-free across its entire reachable call tree.
     pub r5_entries: Vec<FnScope>,
     /// Function names at which the R5 walk stops descending: the
     /// sealed-data boundary where the hostile-input contract ends and
     /// dynamically-verified analysis code begins.
     pub r5_frontier: Vec<String>,
-    /// R6 transitive hot-path-allocation entry points (the steady-state
-    /// window-close tree).
+    /// Files whose functions, when an R5 tree reaches them, must also be
+    /// free of unchecked `+ - *`.
+    pub r5_arith_files: Vec<String>,
+    /// Files that accept no R5 waiver: one there is a `LINT` finding and
+    /// suppresses nothing.
+    pub r5_no_waiver_files: Vec<String>,
+    /// R6 hot-path-allocation entry points. A scope with no function
+    /// names makes every non-test function of its files a root.
     pub r6_entries: Vec<FnScope>,
-    /// Files R6 skips because their allocation sites are already
-    /// budgeted per-body by R1/R4 (normally `r1_files` ∪ `r4_files`).
-    pub r6_budgeted_files: Vec<String>,
     /// R7 lock hygiene applies to files matching these prefixes
     /// (empty = disabled; `["crates/"]` = the whole workspace).
     pub r7_files: Vec<String>,
 }
 
-/// Function names whose presence in a function body counts as "the
-/// buffer was sized" for R4.
-pub(crate) const R4_RESERVERS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
-
-fn file_matches(rel: &str, prefixes: &[String]) -> bool {
+pub(crate) fn file_matches(rel: &str, prefixes: &[String]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p.as_str()))
-}
-
-fn scope_funcs<'a>(rel: &str, scopes: &'a [FnScope]) -> Option<&'a [String]> {
-    scopes.iter().find(|s| rel.starts_with(s.file.as_str())).map(|s| s.funcs.as_slice())
-}
-
-fn in_scope(ctx: &TokenCtx, funcs: &[String]) -> bool {
-    if ctx.test {
-        return false;
-    }
-    if funcs.is_empty() {
-        return true;
-    }
-    ctx.func.as_ref().is_some_and(|f| funcs.iter().any(|s| s == f))
-}
-
-pub(crate) fn is_value_end(tok: &Tok) -> bool {
-    match tok {
-        Tok::Lit => true,
-        Tok::Punct(p) => p == ")" || p == "]",
-        Tok::Ident(s) => !NON_VALUE_KEYWORDS.iter().any(|k| k == s),
-    }
-}
-
-fn is_value_start(tok: &Tok) -> bool {
-    match tok {
-        Tok::Lit => true,
-        Tok::Punct(p) => p == "(",
-        Tok::Ident(s) => !NON_VALUE_KEYWORDS.iter().any(|k| k == s),
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,31 +91,21 @@ pub(crate) struct Waiver {
     /// Code line the waiver annotates.
     pub(crate) target: Option<u32>,
     pub(crate) used: bool,
-    /// The waiver sits in a no-waiver scope: it already produced a meta
-    /// finding and suppresses nothing, locally or transitively.
+    /// An R5 waiver in a no-waiver file: it already produced a meta
+    /// finding and suppresses nothing.
     pub(crate) forbidden: bool,
 }
 
-/// Everything one file contributes to the workspace pass: its local
-/// findings (waivers applied), the waiver table for the global
-/// transitive rules to consume, and the item index the call graph is
-/// built from. Unused-waiver detection is deferred until after the
-/// transitive rules have had their chance to use each waiver.
+/// Everything one file contributes to the workspace pass: its R3
+/// findings and waiver-grammar complaints, the waiver table for the
+/// entry-tree rules to consume, and the item index the call graph is
+/// built from. Unused-waiver detection waits until every rule has had
+/// its chance to use each waiver.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FileScan {
     pub(crate) findings: Vec<Finding>,
     pub(crate) waivers: Vec<Waiver>,
-    pub(crate) index: crate::items::FileIndex,
-}
-
-/// Run every configured rule over one file. `rel` is the
-/// workspace-relative path used for scoping and in diagnostics.
-/// Single-file entry point: unused waivers are flagged immediately.
-pub fn scan_file(rel: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
-    let mut scan = scan_file_deferred(rel, src, cfg);
-    finish_waivers(rel, &scan.waivers, &mut scan.findings);
-    scan.findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    scan.findings
+    pub(crate) index: FileIndex,
 }
 
 /// Append unused-waiver findings for every waiver still unconsumed.
@@ -210,272 +123,57 @@ pub(crate) fn finish_waivers(rel: &str, waivers: &[Waiver], findings: &mut Vec<F
     }
 }
 
-/// The per-file phase: local rules + waiver collection + item index.
-pub(crate) fn scan_file_deferred(rel: &str, src: &str, cfg: &LintConfig) -> FileScan {
+/// The per-file phase: lex once, collect waivers, index, apply R3.
+/// `rel` is the workspace-relative path used for scoping and in
+/// diagnostics.
+pub(crate) fn scan_file(rel: &str, src: &str, cfg: &LintConfig) -> FileScan {
     let lexed = lex(src);
     let toks = &lexed.tokens;
-    let ctxs = contexts(toks);
-    let ctx_at = |i: usize| -> TokenCtx {
-        ctxs.get(i).cloned().unwrap_or(TokenCtx { test: false, func: None })
-    };
-
-    let mut raw: Vec<(String, u32, String)> = Vec::new();
-
-    let r1 = file_matches(rel, &cfg.r1_files);
-    let r2_funcs = scope_funcs(rel, &cfg.r2_scopes);
-    let r2_arith_funcs = scope_funcs(rel, &cfg.r2_arith);
-    let r3 = file_matches(rel, &cfg.r3_files);
-    let r4 = file_matches(rel, &cfg.r4_files);
-
-    // R4 pre-pass: which functions size their buffers at all? A single
-    // `with_capacity`/`reserve` anywhere in the function is taken as
-    // evidence the author thought about growth.
-    let mut reserving: std::collections::HashSet<Option<String>> =
-        std::collections::HashSet::new();
-    if r4 {
-        for (i, t) in toks.iter().enumerate() {
-            if let Tok::Ident(m) = &t.tok {
-                if R4_RESERVERS.iter().any(|x| x == m) {
-                    reserving.insert(ctx_at(i).func);
-                }
-            }
-        }
-    }
-
-    // Loop-body tracking for R4: brace depth plus the depths at which
-    // `for`/`while`/`loop` bodies opened.
-    let mut depth = 0u32;
-    let mut pending_loop = false;
-    let mut loop_depths: Vec<u32> = Vec::new();
-
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        let ctx = ctx_at(i);
-
-        match &t.tok {
-            Tok::Ident(s) if s == "for" || s == "while" || s == "loop" => {
-                // `for<'a>` HRTBs are type syntax, not loops.
-                let hrtb = s == "for"
-                    && toks.get(i + 1).is_some_and(|n| n.tok == Tok::Punct("<".into()));
-                // `.for_each`-style method names never lex as bare `for`,
-                // but a `loop` struct field access (`x.loop`) cannot occur
-                // (keyword), so no dot guard is needed.
-                if !hrtb {
-                    pending_loop = true;
-                }
-            }
-            Tok::Punct(p) if p == ";" => pending_loop = false,
-            Tok::Punct(p) if p == "{" => {
-                depth += 1;
-                if pending_loop {
-                    loop_depths.push(depth);
-                    pending_loop = false;
-                }
-            }
-            Tok::Punct(p) if p == "}" => {
-                if loop_depths.last() == Some(&depth) {
-                    loop_depths.pop();
-                }
-                depth = depth.saturating_sub(1);
-            }
-            _ => {}
-        }
-
-        // `.method(` patterns.
-        if let (Tok::Punct(dot), Some(Token { tok: Tok::Ident(m), line }), Some(paren)) =
-            (&t.tok, toks.get(i + 1), toks.get(i + 2))
-        {
-            if dot == "." && paren.tok == Tok::Punct("(".into()) {
-                let mctx = ctx_at(i + 1);
-                if r1 && !mctx.test && R1_METHODS.iter().any(|x| x == m) {
-                    raw.push((
-                        "R1".into(),
-                        *line,
-                        format!(".{m}() allocates an owned copy in a hot-path module"),
-                    ));
-                }
-                if let Some(funcs) = r2_funcs {
-                    if in_scope(&mctx, funcs) && R2_METHODS.iter().any(|x| x == m) {
-                        raw.push((
-                            "R2".into(),
-                            *line,
-                            format!(".{m}() can panic in a decode/ingest path"),
-                        ));
-                    }
-                }
-                if r3 && !mctx.test && m == "partial_cmp" {
-                    raw.push((
-                        "R3".into(),
-                        *line,
-                        "partial_cmp is not a total order under NaN (use total_cmp)".into(),
-                    ));
-                }
-                if r4
-                    && !mctx.test
-                    && m == "push"
-                    && !loop_depths.is_empty()
-                    && !reserving.contains(&mctx.func)
-                {
-                    raw.push((
-                        "R4".into(),
-                        *line,
-                        "per-element .push() in a loop without with_capacity/reserve grows the lane one doubling at a time".into(),
-                    ));
-                }
-            }
-        }
-
-        // Panicking macros: `ident!`.
-        if let (Tok::Ident(m), Some(Token { tok: Tok::Punct(bang), .. })) =
-            (&t.tok, toks.get(i + 1))
-        {
-            if bang == "!" {
-                if let Some(funcs) = r2_funcs {
-                    if in_scope(&ctx, funcs) && R2_MACROS.iter().any(|x| x == m) {
-                        raw.push((
-                            "R2".into(),
-                            t.line,
-                            format!("{m}! can panic in a decode/ingest path"),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Direct indexing: `value[`.
-        if t.tok == Tok::Punct("[".into()) && i > 0 {
-            if let Some(funcs) = r2_funcs {
-                if in_scope(&ctx, funcs) && is_value_end(&toks[i - 1].tok) {
-                    raw.push((
-                        "R2".into(),
-                        t.line,
-                        "direct slice indexing can panic in a decode/ingest path (use get)"
-                            .into(),
-                    ));
-                }
-            }
-        }
-
-        // Unchecked binary arithmetic: `value (+|-|*) value`.
-        if let Tok::Punct(op) = &t.tok {
-            if (op == "+" || op == "-" || op == "*") && i > 0 {
-                if let Some(funcs) = r2_arith_funcs {
-                    if in_scope(&ctx, funcs)
-                        && is_value_end(&toks[i - 1].tok)
-                        && toks.get(i + 1).is_some_and(|n| is_value_start(&n.tok))
-                    {
-                        raw.push((
-                            "R2".into(),
-                            t.line,
-                            format!(
-                                "unchecked `{op}` can overflow in a decode path (use checked/saturating forms)"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // NaN constant in float-hygiene files.
-        if r3 && !ctx.test {
-            if let Tok::Ident(m) = &t.tok {
-                if m == "NAN" {
-                    raw.push((
-                        "R3".into(),
-                        t.line,
-                        "NAN constant in a numeric path corrupts ordering silently".into(),
-                    ));
-                }
-            }
-        }
-    }
-
-    // ---- waivers ------------------------------------------------------
+    let no_r5_waivers = file_matches(rel, &cfg.r5_no_waiver_files);
     let mut waivers: Vec<Waiver> = Vec::new();
     let mut findings: Vec<Finding> = Vec::new();
+    let mut meta = |line: u32, message: String| {
+        findings.push(Finding { rule: META_RULE.into(), file: rel.into(), line, message, waived: None })
+    };
 
     for c in &lexed.comments {
         // Doc comments talk *about* the grammar; only plain comments
         // carry directives.
-        let doc = c.text.starts_with("///")
-            || c.text.starts_with("//!")
-            || c.text.starts_with("/**")
-            || c.text.starts_with("/*!");
+        let doc = ["///", "//!", "/**", "/*!"].iter().any(|d| c.text.starts_with(d));
         if doc {
             continue;
         }
         let Some(pos) = c.text.find("vapro-lint") else { continue };
-        let directive = &c.text[pos + "vapro-lint".len()..];
-        let parsed = parse_allow(directive);
-        match parsed {
-            Some((rule, reason)) => {
-                let target = if c.trailing {
-                    Some(c.line)
-                } else {
-                    toks.iter().find(|t| t.line > c.line).map(|t| t.line)
-                };
-                waivers.push(Waiver {
-                    rule,
-                    reason,
-                    line: c.line,
-                    target,
-                    used: false,
-                    forbidden: false,
-                });
-            }
-            None => findings.push(Finding {
-                rule: META_RULE.into(),
-                file: rel.into(),
-                line: c.line,
-                message: "malformed directive (expected `vapro-lint: allow(RULE, reason)`)"
-                    .into(),
-                waived: None,
-            }),
+        let Some((rule, reason)) = parse_allow(&c.text[pos + "vapro-lint".len()..]) else {
+            meta(c.line, "malformed directive (expected `vapro-lint: allow(RULE, reason)`)".into());
+            continue;
+        };
+        let target = if c.trailing {
+            Some(c.line)
+        } else {
+            toks.iter().find(|t| t.line > c.line).map(|t| t.line)
+        };
+        let forbidden = no_r5_waivers && rule == "R5";
+        if forbidden {
+            meta(c.line, "waiver for R5 not permitted in a no-waiver file".into());
         }
+        waivers.push(Waiver { rule, reason, line: c.line, target, used: false, forbidden });
     }
 
-    // In a no-waiver file, any waiver naming R2 — or targeting a line
-    // inside an R2-scoped function — is itself a finding and suppresses
-    // nothing.
-    let no_waiver = file_matches(rel, &cfg.r2_no_waiver_files);
-    let mut line_func: HashMap<u32, Option<String>> = HashMap::new();
-    for (i, t) in toks.iter().enumerate() {
-        line_func.entry(t.line).or_insert_with(|| ctx_at(i).func);
-    }
-    for w in &mut waivers {
-        let mut bad = false;
-        if no_waiver {
-            if w.rule == "R2" {
-                bad = true;
-            } else if let (Some(target), Some(funcs)) = (w.target, r2_funcs) {
-                if let Some(func) = line_func.get(&target) {
-                    bad = funcs.is_empty()
-                        || func.as_ref().is_some_and(|f| funcs.iter().any(|s| s == f));
-                }
-            }
-        }
-        if bad {
+    let index = index_tokens(toks);
+    if file_matches(rel, &cfg.r3_files) {
+        for site in &index.float_sites {
+            let waived = consume_waiver(&mut waivers, "R3", site.line);
             findings.push(Finding {
-                rule: META_RULE.into(),
+                rule: "R3".into(),
                 file: rel.into(),
-                line: w.line,
-                message: format!(
-                    "waiver for {} not permitted inside the no-waiver decode scope",
-                    w.rule
-                ),
-                waived: None,
+                line: site.line,
+                message: site.what.clone(),
+                waived,
             });
         }
-        w.forbidden = bad;
     }
-
-    // Apply waivers to raw findings.
-    for (rule, line, message) in raw {
-        let waived = consume_waiver(&mut waivers, &rule, line);
-        findings.push(Finding { rule, file: rel.into(), line, message, waived });
-    }
-
-    FileScan { findings, waivers, index: crate::items::index_tokens(toks) }
+    FileScan { findings, waivers, index }
 }
 
 /// Mark the first matching waiver used and return its reason. A waiver
@@ -516,76 +214,81 @@ fn parse_allow(directive: &str) -> Option<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_files;
 
+    /// Every function of `file` is an R5 and an R6 root.
     fn cfg_all(file: &str) -> LintConfig {
+        let all = vec![FnScope { file: file.into(), funcs: vec![] }];
         LintConfig {
-            r1_files: vec![file.into()],
-            r2_scopes: vec![FnScope { file: file.into(), funcs: vec![] }],
-            r2_arith: vec![FnScope { file: file.into(), funcs: vec![] }],
-            r2_no_waiver_files: vec![],
             r3_files: vec![file.into()],
-            r4_files: vec![file.into()],
+            r5_entries: all.clone(),
+            r5_arith_files: vec![file.into()],
+            r6_entries: all,
             ..Default::default()
         }
     }
 
+    fn scan(rel: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
+        run_files(&[(rel, src)], cfg).findings.into_iter().map(|f| f.finding).collect()
+    }
+
     #[test]
     fn trailing_waiver_suppresses_same_line() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R1, cold path)\n}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
+        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R6, cold path)\n}\n";
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "R1");
+        assert_eq!(f[0].rule, "R6");
         assert_eq!(f[0].waived.as_deref(), Some("cold path"));
     }
 
     #[test]
     fn whole_line_waiver_covers_next_code_line() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    // vapro-lint: allow(R1, cold path)\n    x.clone()\n}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
+        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    // vapro-lint: allow(R6, cold path)\n    x.clone()\n}\n";
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 1);
         assert!(f[0].waived.is_some());
     }
 
     #[test]
     fn unused_and_malformed_waivers_are_findings() {
-        let src = "// vapro-lint: allow(R1, nothing here)\nfn ok() {}\n// vapro-lint: allow(R9)\nfn also_ok() {}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
+        let src = "// vapro-lint: allow(R6, nothing here)\nfn ok() {}\n// vapro-lint: allow(R9)\nfn also_ok() {}\n";
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.rule == META_RULE && x.waived.is_none()));
     }
 
     #[test]
     fn waiver_rule_must_match_finding_rule() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R2, wrong rule)\n}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
-        // The R1 finding stays unwaived and the R2 waiver is unused.
-        assert_eq!(f.iter().filter(|x| x.rule == "R1" && x.waived.is_none()).count(), 1);
+        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R5, wrong rule)\n}\n";
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
+        // The R6 finding stays unwaived and the R5 waiver is unused.
+        assert_eq!(f.iter().filter(|x| x.rule == "R6" && x.waived.is_none()).count(), 1);
         assert_eq!(f.iter().filter(|x| x.rule == META_RULE).count(), 1);
     }
 
     #[test]
-    fn no_waiver_files_reject_r2_waivers() {
-        let src = "fn decode(b: &[u8]) -> u8 {\n    b[0] // vapro-lint: allow(R2, trust me)\n}\n";
+    fn no_waiver_files_reject_r5_waivers() {
+        let src = "fn decode(b: &[u8]) -> u8 {\n    b[0] // vapro-lint: allow(R5, trust me)\n}\n";
         let mut cfg = cfg_all("wire.rs");
-        cfg.r2_no_waiver_files = vec!["wire.rs".into()];
-        let f = scan_file("wire.rs", src, &cfg);
+        cfg.r5_no_waiver_files = vec!["wire.rs".into()];
+        let f = scan("wire.rs", src, &cfg);
         // The indexing finding survives unwaived AND the waiver itself is
-        // flagged.
-        assert!(f.iter().any(|x| x.rule == "R2" && x.waived.is_none()));
-        assert!(f.iter().any(|x| x.rule == META_RULE));
+        // flagged (once: it is not also "unused").
+        assert!(f.iter().any(|x| x.rule == "R5" && x.waived.is_none()));
+        assert_eq!(f.iter().filter(|x| x.rule == META_RULE).count(), 1);
     }
 
     #[test]
     fn slice_patterns_and_attrs_are_not_indexing() {
         let src = "#[derive(Debug)]\nstruct S;\nfn f(v: &[u8]) -> Option<u8> {\n    let [a, _b]: [u8; 2] = [1, 2];\n    let _ = a;\n    v.get(0).copied()\n}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
     }
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let v = vec![1]; let _ = v.clone(); let _ = v[0]; }\n}\n";
-        let f = scan_file("a.rs", src, &cfg_all("a.rs"));
+        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let v = vec![1]; let _ = v.clone(); let _ = v[0]; }\n    const BAD: f64 = f64::NAN;\n}\n";
+        let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
     }
 }

@@ -3,20 +3,18 @@
 //! Hand-rolled like the JSON report (the lint crate stays serde-free).
 //! Unwaived findings are `error`-level results; waived findings are
 //! emitted with an in-source suppression carrying the waiver reason, so
-//! code scanning shows them as reviewed rather than open. Transitive
+//! code scanning shows them as reviewed rather than open. Entry-tree
 //! findings (R5/R6) attach their call path as a `codeFlows` thread flow,
 //! entry point first.
 
+use crate::report::json_str as q;
 use crate::{ReportFinding, WorkspaceReport};
 
 /// Static rule metadata for `tool.driver.rules`.
 const RULES: &[(&str, &str)] = &[
-    ("R1", "no-hot-path-clone: no owned copies in detection/diagnosis hot-path modules"),
-    ("R2", "no-panic-decode: no panics, indexing, or unchecked arithmetic in decode/ingest functions"),
     ("R3", "float-hygiene: no partial_cmp or NAN where float ordering decides output"),
-    ("R4", "reserve-before-push: size lanes before per-element pushes in loops"),
-    ("R5", "transitive panic-freedom: entry-point call trees must be panic-free end to end"),
-    ("R6", "transitive hot-path allocation: no unbudgeted allocation on the window-close tree"),
+    ("R5", "panic-freedom: no panic, indexing or unknown external (nor, in wire.rs, unchecked arithmetic) anywhere in a door's call tree"),
+    ("R6", "hot-path allocation: no owned copy or unreserved push loop in any function the window-close door or a hot-path module reaches"),
     ("R7", "lock hygiene: no guard held across rayon/sends/lock-taking calls; no lock-order cycles"),
     ("LINT", "waiver mechanism: malformed, unused, or forbidden waivers"),
 ];
@@ -35,7 +33,7 @@ pub fn render_sarif(report: &WorkspaceReport) -> String {
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"vapro-lint\",\n");
     out.push_str("          \"informationUri\": \"https://example.invalid/vapro-lint\",\n");
-    out.push_str("          \"version\": \"2.0.0\",\n");
+    out.push_str("          \"version\": \"3.0.0\",\n");
     out.push_str("          \"rules\": [\n");
     for (i, (id, desc)) in RULES.iter().enumerate() {
         out.push_str(&format!(
@@ -101,22 +99,4 @@ fn physical(file: &str, line: u32) -> String {
         q(file),
         line.max(1)
     )
-}
-
-fn q(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -1,5 +1,5 @@
-// R1 fixture: every method here allocates an owned copy of a fragment
-// population and must fire in a hot-path module.
+// Owned-copy fixture (R6): every method here allocates an owned copy of
+// a fragment population and must fire in a hot-path module.
 
 pub struct Fragment {
     pub args: Vec<u64>,

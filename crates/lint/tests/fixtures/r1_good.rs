@@ -1,4 +1,4 @@
-// R1 fixture twin: the borrow-based versions of r1_bad.rs, plus the
+// Owned-copy fixture twin (R6): the borrow-based versions of r1_bad.rs, plus the
 // allowed escape hatches — `.copied()` (only compiles for Copy element
 // types) and clones inside test modules.
 

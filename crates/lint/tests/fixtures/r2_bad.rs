@@ -1,4 +1,4 @@
-// R2 fixture: a decode function exercising every way the rule can fire —
+// Panic-site fixture (R5): a decode function exercising every way the rule can fire —
 // panicking method calls, panicking macros, direct slice indexing, and
 // unchecked size arithmetic.
 

@@ -1,4 +1,4 @@
-// R2 fixture twin: the same decode written totally — checked `get`,
+// Panic-site fixture twin (R5): the same decode written totally — checked `get`,
 // structured errors, saturating arithmetic — plus the shapes the rule
 // must NOT confuse with indexing (attributes, slice patterns, array
 // types) and the test-module exemption.

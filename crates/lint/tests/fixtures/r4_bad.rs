@@ -1,4 +1,4 @@
-//! R4 bad twin: per-element pushes in loops, no capacity reservation
+//! Push-loop bad twin (R6): per-element pushes in loops, no capacity reservation
 //! anywhere in the enclosing functions.
 
 fn build_lane(src: &[f64]) -> Vec<f64> {

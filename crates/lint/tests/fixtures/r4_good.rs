@@ -1,4 +1,4 @@
-//! R4 good twin: every push loop sits in a function that sized its
+//! Push-loop good twin (R6): every push loop sits in a function that sized its
 //! buffer first, and pushes outside loops are always fine.
 
 fn build_lane(src: &[f64]) -> Vec<f64> {

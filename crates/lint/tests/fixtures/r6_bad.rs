@@ -1,5 +1,5 @@
 //! R6 bad fixture: the allocation is two calls below the window-close
-//! entry point — invisible to R1's per-body scan, caught transitively.
+//! entry point, in a function that is no root itself.
 
 pub fn close_entry(ready: &[u64]) -> Vec<u64> {
     finalize(ready)

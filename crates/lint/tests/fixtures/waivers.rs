@@ -6,20 +6,20 @@ pub struct Fragment {
 }
 
 pub fn cold_copy(frags: &Vec<Fragment>) -> Vec<Fragment> {
-    frags.clone() // vapro-lint: allow(R1, cold path, runs once per report)
+    frags.clone() // vapro-lint: allow(R6, cold path, runs once per report)
 }
 
 pub fn cold_args(f: &Fragment) -> Vec<u64> {
-    // vapro-lint: allow(R1, snapshot for the report)
+    // vapro-lint: allow(R6, snapshot for the report)
     f.args.to_vec()
 }
 
 pub fn clean() -> u32 {
-    // vapro-lint: allow(R1, nothing on the next line allocates)
+    // vapro-lint: allow(R6, nothing on the next line allocates)
     42
 }
 
 pub fn noisy() -> u32 {
-    // vapro-lint: allow(R2)
+    // vapro-lint: allow(R5)
     7
 }

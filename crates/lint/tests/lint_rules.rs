@@ -1,125 +1,110 @@
-//! Fixture-driven rule tests: each rule must fire on its known-bad
-//! fixture and stay silent on the known-good twin, and the waiver
-//! machinery must suppress, report, and complain exactly as specified.
+//! Fixture-driven rule tests: each kind of site must fire on its
+//! known-bad fixture — on exactly the lines the fixture marks — and stay
+//! silent on the known-good twin, and the waiver machinery must
+//! suppress, report, and complain exactly as specified.
 
 use std::fs;
 use std::path::PathBuf;
 
-use vapro_lint::rules::{scan_file, FnScope, LintConfig, META_RULE};
+use vapro_lint::rules::{FnScope, LintConfig, META_RULE};
+use vapro_lint::{run_files, ReportFinding};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
 }
 
-/// Config that applies every rule to exactly one fixture file. R2 is
-/// scoped to the fixture's `decode` function, mirroring the workspace
-/// config's function-level scoping.
-fn cfg_for(file: &str) -> LintConfig {
-    let scope = FnScope { file: file.into(), funcs: vec!["decode".into()] };
-    LintConfig {
-        r1_files: vec![file.into()],
-        r2_scopes: vec![scope.clone()],
-        r2_arith: vec![scope],
-        r2_no_waiver_files: vec![],
-        r3_files: vec![file.into()],
-        r4_files: vec![],
+/// Every rule over one fixture file: R3 by file, R6 rooted at every
+/// function, R5 (arithmetic included) rooted at the fixture's `decode`,
+/// mirroring the workspace config's function-level doors.
+fn scan(name: &str) -> Vec<ReportFinding> {
+    let cfg = LintConfig {
+        r3_files: vec![name.into()],
+        r5_entries: vec![FnScope { file: name.into(), funcs: vec!["decode".into()] }],
+        r5_arith_files: vec![name.into()],
+        r6_entries: vec![FnScope { file: name.into(), funcs: vec![] }],
         ..Default::default()
+    };
+    run_files(&[(name, &fixture(name))], &cfg).findings
+}
+
+/// Lines of the unwaived findings of `rule`, in order.
+fn lines(findings: &[ReportFinding], rule: &str) -> Vec<u32> {
+    findings
+        .iter()
+        .filter(|f| f.finding.rule == rule && f.finding.waived.is_none())
+        .map(|f| f.finding.line)
+        .collect()
+}
+
+#[test]
+fn every_owned_copy_fires() {
+    let f = scan("r1_bad.rs");
+    assert_eq!(lines(&f, "R6"), [9, 10, 11, 16], "clone/to_vec/cloned/to_owned: {f:#?}");
+    assert_eq!(f.len(), 4);
+}
+
+#[test]
+fn every_way_a_decode_can_panic_fires() {
+    let f = scan("r2_bad.rs");
+    assert_eq!(
+        lines(&f, "R5"),
+        [6, 7, 8, 8, 9, 9, 10],
+        "macro, indexing, `*` and `+`, indexing + expect, unwrap: {f:#?}"
+    );
+    let msgs: Vec<&str> = f.iter().map(|x| x.finding.message.as_str()).collect();
+    for what in ["assert!", "slice indexing", "overflow", ".unwrap()", ".expect()"] {
+        assert!(msgs.iter().any(|m| m.contains(what)), "no `{what}` finding: {msgs:#?}");
     }
 }
 
-/// Config that applies only R4 to one fixture file.
-fn cfg_r4(file: &str) -> LintConfig {
-    LintConfig { r4_files: vec![file.into()], ..Default::default() }
-}
-
 #[test]
-fn r1_fires_on_every_owned_copy() {
-    let f = scan_file("r1_bad.rs", &fixture("r1_bad.rs"), &cfg_for("r1_bad.rs"));
-    let r1: Vec<_> = f.iter().filter(|x| x.rule == "R1").collect();
-    assert_eq!(r1.len(), 4, "clone/to_vec/cloned/to_owned each fire: {f:#?}");
-    assert!(f.iter().all(|x| x.waived.is_none()));
-}
-
-#[test]
-fn r1_silent_on_borrow_based_twin() {
-    let f = scan_file("r1_good.rs", &fixture("r1_good.rs"), &cfg_for("r1_good.rs"));
-    assert!(f.is_empty(), "good twin must be silent: {f:#?}");
-}
-
-#[test]
-fn r2_fires_on_panicking_decode() {
-    let f = scan_file("r2_bad.rs", &fixture("r2_bad.rs"), &cfg_for("r2_bad.rs"));
-    let r2: Vec<_> = f.iter().filter(|x| x.rule == "R2").collect();
-    assert_eq!(r2.len(), 7, "macro+2 indexing+2 arith+expect+unwrap: {f:#?}");
-    let msgs: Vec<&str> = r2.iter().map(|x| x.message.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains("assert!")));
-    assert!(msgs.iter().any(|m| m.contains("slice indexing")));
-    assert!(msgs.iter().any(|m| m.contains("overflow")));
-    assert!(msgs.iter().any(|m| m.contains(".unwrap()")));
-    assert!(msgs.iter().any(|m| m.contains(".expect()")));
-}
-
-#[test]
-fn r2_silent_on_total_decode_twin() {
-    let f = scan_file("r2_good.rs", &fixture("r2_good.rs"), &cfg_for("r2_good.rs"));
-    assert!(f.is_empty(), "good twin must be silent: {f:#?}");
-}
-
-#[test]
-fn r2_ignores_functions_outside_its_scope() {
-    // Same bad source, but scoped to a function that does not exist:
-    // nothing may fire.
-    let scope = FnScope { file: "r2_bad.rs".into(), funcs: vec!["other_fn".into()] };
+fn functions_no_door_reaches_are_exempt_from_r5() {
+    // Same bad source, but the door is a function that does not exist.
     let cfg = LintConfig {
-        r2_scopes: vec![scope.clone()],
-        r2_arith: vec![scope],
+        r5_entries: vec![FnScope { file: "r2_bad.rs".into(), funcs: vec!["other_fn".into()] }],
+        r5_arith_files: vec!["r2_bad.rs".into()],
         ..Default::default()
     };
-    let f = scan_file("r2_bad.rs", &fixture("r2_bad.rs"), &cfg);
-    assert!(f.is_empty(), "out-of-scope fn must be exempt: {f:#?}");
+    let f = run_files(&[("r2_bad.rs", &fixture("r2_bad.rs"))], &cfg).findings;
+    assert!(f.is_empty(), "out-of-tree fn must be exempt: {f:#?}");
 }
 
 #[test]
-fn r3_fires_on_partial_cmp_and_nan() {
-    let f = scan_file("r3_bad.rs", &fixture("r3_bad.rs"), &cfg_for("r3_bad.rs"));
-    let r3: Vec<_> = f.iter().filter(|x| x.rule == "R3").collect();
-    assert_eq!(r3.len(), 2, "partial_cmp and NAN each fire: {f:#?}");
+fn partial_cmp_and_nan_fire() {
+    assert_eq!(lines(&scan("r3_bad.rs"), "R3"), [5, 9]);
 }
 
 #[test]
-fn r3_silent_on_total_cmp_twin() {
-    let f = scan_file("r3_good.rs", &fixture("r3_good.rs"), &cfg_for("r3_good.rs"));
-    assert!(f.is_empty(), "good twin must be silent: {f:#?}");
+fn unreserved_push_loops_fire() {
+    let f = scan("r4_bad.rs");
+    assert_eq!(lines(&f, "R6"), [7, 15, 25], "for-, while- and nested-loop pushes: {f:#?}");
+    assert!(f.iter().all(|x| x.finding.message.contains("with_capacity/reserve")));
 }
 
 #[test]
-fn r4_fires_on_unreserved_push_loops() {
-    let f = scan_file("r4_bad.rs", &fixture("r4_bad.rs"), &cfg_r4("r4_bad.rs"));
-    let r4: Vec<_> = f.iter().filter(|x| x.rule == "R4").collect();
-    assert_eq!(r4.len(), 3, "for-, while- and nested-loop pushes each fire: {f:#?}");
-    assert!(r4.iter().all(|x| x.message.contains("with_capacity/reserve")));
-}
-
-#[test]
-fn r4_silent_on_reserving_twin() {
-    let f = scan_file("r4_good.rs", &fixture("r4_good.rs"), &cfg_r4("r4_good.rs"));
-    assert!(f.is_empty(), "good twin must be silent: {f:#?}");
+fn good_twins_are_silent() {
+    for name in ["r1_good.rs", "r2_good.rs", "r3_good.rs", "r4_good.rs"] {
+        let f = scan(name);
+        assert!(f.is_empty(), "{name} must be silent: {f:#?}");
+    }
 }
 
 #[test]
 fn waivers_suppress_report_and_complain() {
-    let f = scan_file("waivers.rs", &fixture("waivers.rs"), &cfg_for("waivers.rs"));
-    let waived: Vec<_> = f.iter().filter(|x| x.waived.is_some()).collect();
-    let meta: Vec<_> = f.iter().filter(|x| x.rule == META_RULE).collect();
-    // Trailing + whole-line waivers suppress their R1 findings…
-    assert_eq!(waived.len(), 2, "{f:#?}");
-    assert!(waived.iter().any(|x| x.waived.as_deref() == Some("cold path, runs once per report")));
-    assert!(waived.iter().any(|x| x.waived.as_deref() == Some("snapshot for the report")));
+    let f = scan("waivers.rs");
+    // Trailing + whole-line waivers suppress their R6 findings…
+    let waived: Vec<_> =
+        f.iter().filter_map(|x| Some((x.finding.line, x.finding.waived.as_deref()?))).collect();
+    assert_eq!(
+        waived,
+        [(9, "cold path, runs once per report"), (14, "snapshot for the report")],
+        "{f:#?}"
+    );
     // …while the unused and the malformed directives become findings.
-    assert_eq!(meta.len(), 2, "{f:#?}");
-    assert!(meta.iter().any(|x| x.message.contains("unused waiver")));
-    assert!(meta.iter().any(|x| x.message.contains("malformed directive")));
+    assert_eq!(lines(&f, META_RULE), [18, 23], "{f:#?}");
+    assert!(f.iter().any(|x| x.finding.message.contains("unused waiver")));
+    assert!(f.iter().any(|x| x.finding.message.contains("malformed directive")));
     // Nothing else slipped through unwaived.
     assert_eq!(f.len(), 4, "{f:#?}");
 }

@@ -10,7 +10,7 @@
 //! as a prediction mismatch on the first affected delivery.
 //!
 //! Every function here is total: no panics, no unwraps, no direct
-//! indexing (enforced by the workspace lint's R2 scope) — a hostile or
+//! indexing (enforced by the workspace lint: the model's API is an R5 door) — a hostile or
 //! nonsensical delivery yields a rejection prediction, never a crash.
 
 use std::collections::BTreeMap;

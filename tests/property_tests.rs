@@ -11,8 +11,8 @@ use vapro::core::detect::normalize::PerfPoint;
 use vapro::core::detect::pipeline::{detect, detect_seq};
 use vapro::core::detect::region::grow_regions;
 use vapro::core::{
-    diagnose_region, diagnose_regions, diagnose_regions_seq, ColumnarPool, Fragment,
-    FragmentKind, RegionOfInterest, StateKey, Stg, VaproConfig,
+    diagnose_region, ColumnarPool, DiagnosisBatch, Fragment, FragmentKind, RegionOfInterest,
+    StateKey, Stg, VaproConfig,
 };
 use vapro::pmu::{
     events, CounterDelta, CounterId, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown,
@@ -371,9 +371,8 @@ proptest! {
     }
 
     /// Batched diagnosis is a pure optimisation: over arbitrary noisy
-    /// runs and selection grids, `diagnose_regions` (sequential and under
-    /// the rayon fan-out) returns exactly what a loop over the per-region
-    /// driver returns.
+    /// runs and selection grids, one `DiagnosisBatch` returns for each
+    /// region exactly what the per-region driver returns.
     #[test]
     fn batched_diagnosis_matches_the_per_region_driver(
         nranks in 2usize..4,
@@ -401,11 +400,10 @@ proptest! {
             t_end: VirtualTime::from_ns(t_max.max(1)),
         });
         let pool = ColumnarPool::from_stgs(&stgs, None);
-        let batch_seq = diagnose_regions_seq(&pool, &rois, &cfg);
-        let batch_par = diagnose_regions(&pool, &rois, &cfg);
-        let driver: Vec<_> = rois.iter().map(|r| diagnose_region(&stgs, r, &cfg)).collect();
-        prop_assert_eq!(&batch_seq, &driver);
-        prop_assert_eq!(&batch_seq, &batch_par);
+        let batch = DiagnosisBatch::new(&pool, &cfg);
+        for roi in &rois {
+            prop_assert_eq!(batch.diagnose(roi), diagnose_region(&stgs, roi, &cfg));
+        }
     }
 
     /// Same agreement on multi-dimensional vectors, where norm proximity
