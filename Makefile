@@ -4,7 +4,7 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test test-repeat lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
+.PHONY: check test test-repeat alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
 
 # The full gate: release build, tests, a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
@@ -13,7 +13,8 @@ OFFLINE := --offline
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
 # `benchmark/` against the workspace), the committed `repro all` output,
-# the VOPR fault-injection simulation, then vapro-core's unit tests
+# the VOPR fault-injection simulation, the heap-block census of a
+# `WindowReport` (`alloc-census`), then vapro-core's unit tests
 # twenty times over (`test-repeat`). Throughput is measured by `make benchmark`, and gated
 # base-vs-head by `benchmark compare` in CI.
 check:
@@ -28,6 +29,7 @@ check:
 	$(MAKE) benchmark-test
 	$(MAKE) repro-check
 	$(MAKE) vopr
+	$(MAKE) alloc-census
 	$(MAKE) test-repeat
 
 # Workspace static analysis, four rules over one site-finding pass and
@@ -86,6 +88,15 @@ test-repeat:
 		$(CARGO) test -q $(OFFLINE) -p vapro-core --lib \
 			|| { echo "test-repeat: run $$i of 20 failed"; exit 1; }; \
 	done
+
+# How many heap blocks a `WindowReport` owns (a counting allocator in
+# the test binary only), in the profile that ships: under a fixed
+# ceiling, and the same over 8 and over 64 call sites, for reports built
+# inline and on a pool worker. The census counts frees on the thread
+# that drops the report, so the harness's own parallelism and the pool's
+# workers cannot move it (no `--test-threads=1` needed).
+alloc-census:
+	$(CARGO) test -q --release $(OFFLINE) -p vapro-core --test report_heap_shape
 
 clippy:
 	$(CARGO) clippy $(OFFLINE) --workspace --all-targets -- -D warnings

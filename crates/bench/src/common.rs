@@ -116,7 +116,7 @@ pub fn hottest_edge(pool: &ColumnarPool) -> Option<LaneView<'_>> {
 pub fn diagnose_hottest_edge(stgs: &[Stg]) -> Option<DiagnosisReport> {
     let pool = ColumnarPool::from_stgs(stgs, None);
     let lane = hottest_edge(&pool)?;
-    let members: Vec<usize> = (0..lane.len()).collect();
+    let members: Vec<u32> = (0..lane.len() as u32).collect();
     diagnose_progressively_with(&mut ScratchProvider::new(lane, &members), 1.2, 0.25, 0.05)
 }
 

@@ -103,7 +103,7 @@ fn signatures_of(
     let mut sigs = Vec::new();
     for c in &outcome.usable {
         let mut durs: Vec<f64> =
-            c.members.iter().map(|&m| frags.duration_ns(m)).collect();
+            c.members.iter().map(|&m| frags.duration_ns(m as usize)).collect();
         durs.sort_by(|a, b| a.partial_cmp(b).expect("finite duration"));
         sigs.push(ClusterSignature {
             seed: c.seed.clone(),

@@ -22,8 +22,8 @@ use vapro_pmu::CounterId;
 /// One cluster of (presumed) fixed-workload fragments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
-    /// Indices into the input fragment slice.
-    pub members: Vec<usize>,
+    /// Row indices into the clustered population.
+    pub members: Vec<u32>,
     /// The seed (smallest-norm) workload vector.
     pub seed: Vec<f64>,
     /// Norm of the seed vector.
@@ -67,7 +67,7 @@ impl ClusterOutcome {
         let mut out = vec![None; n];
         for (ci, c) in self.usable.iter().enumerate() {
             for &m in &c.members {
-                out[m] = Some(ci);
+                out[m as usize] = Some(ci);
             }
         }
         out
@@ -79,11 +79,234 @@ impl ClusterOutcome {
         let mut out = vec![usize::MAX; n];
         for (ci, c) in self.usable.iter().chain(&self.rare).enumerate() {
             for &m in &c.members {
-                out[m] = ci;
+                out[m as usize] = ci;
             }
         }
         debug_assert!(out.iter().all(|&l| l != usize::MAX));
         out
+    }
+}
+
+/// Where the clustering kernel writes: it reports each cluster's members
+/// in discovery order (seed first), then closes the cluster with its
+/// seed. The window path's sink is a [`ClusterTable`]; the owned
+/// [`ClusterOutcome`] of the one-shot entry points is another.
+trait ClusterSink {
+    /// One member row of the cluster being scanned.
+    fn member(&mut self, row: u32);
+    /// The members reported since the last close form one cluster.
+    fn close_cluster(&mut self, seed: &[f64], seed_norm: f64);
+}
+
+/// The owned sink: one `Vec` pair per cluster, split by size afterwards.
+#[derive(Default)]
+struct OwnedClusters {
+    clusters: Vec<Cluster>,
+    /// Members of the open cluster; drained into an exact-size `Vec` at
+    /// its close, so the buffer's capacity is reused across clusters.
+    open: Vec<u32>,
+}
+
+impl ClusterSink for OwnedClusters {
+    fn member(&mut self, row: u32) {
+        self.open.push(row);
+    }
+
+    fn close_cluster(&mut self, seed: &[f64], seed_norm: f64) {
+        // vapro-lint: allow(R6, one O(dim) seed vector per cluster of an owned one-shot outcome; the window path writes a ClusterTable)
+        let cluster = Cluster { members: self.open.drain(..).collect(), seed: seed.to_vec(), seed_norm };
+        self.clusters.push(cluster);
+    }
+}
+
+fn split_by_size(clusters: Vec<Cluster>, min_cluster_size: usize) -> ClusterOutcome {
+    let (usable, rare) = clusters
+        .into_iter()
+        .partition(|c| c.len() >= min_cluster_size);
+    ClusterOutcome { usable, rare }
+}
+
+/// The clusterings of many lanes — every edge lane of a window — in six
+/// flat strips (CSR: lane → cluster range → member range) instead of a
+/// `Vec<ClusterOutcome>` of `Vec<Cluster>` of `Vec`s. A window's report
+/// crosses from the pool worker that built it to the thread that drops
+/// it, and what that costs is the number of heap blocks, not their size
+/// (DESIGN.md §13): this is six whatever the lane and cluster counts.
+///
+/// Lanes are appended by [`ClusterTable::push_lane`] and read through
+/// [`LaneClusters`] views; clusters keep discovery order within their
+/// lane, and the usable/rare split is the table's size floor applied on
+/// read. Two tables are equal when they hold the same lanes in the same
+/// order, however they were built ([`ClusterTable::append`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClusterTable {
+    /// Clusters with fewer members are rare (Algorithm 1, line 8).
+    min_cluster_size: usize,
+    /// Lane `l` owns clusters `lane_ends[l - 1]..lane_ends[l]`.
+    lane_ends: Vec<usize>,
+    /// Cluster `c` owns `members[member_ends[c - 1]..member_ends[c]]`.
+    member_ends: Vec<usize>,
+    /// Row indices local to the owning lane, seed first.
+    members: Vec<u32>,
+    /// Cluster `c`'s seed vector is `seeds[seed_ends[c - 1]..seed_ends[c]]`
+    /// (lanes differ in workload dimension).
+    seed_ends: Vec<usize>,
+    seeds: Vec<f64>,
+    seed_norms: Vec<f64>,
+}
+
+/// `ends[i - 1]..ends[i]`, the first range starting at 0.
+fn csr_range(ends: &[usize], i: usize) -> std::ops::Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    start..ends[i]
+}
+
+impl ClusterSink for ClusterTable {
+    fn member(&mut self, row: u32) {
+        self.members.push(row);
+    }
+
+    fn close_cluster(&mut self, seed: &[f64], seed_norm: f64) {
+        self.member_ends.push(self.members.len());
+        self.seeds.extend_from_slice(seed);
+        self.seed_ends.push(self.seeds.len());
+        self.seed_norms.push(seed_norm);
+    }
+}
+
+impl ClusterTable {
+    /// An empty table whose lanes split usable from rare at
+    /// `min_cluster_size` members.
+    pub fn new(min_cluster_size: usize) -> ClusterTable {
+        ClusterTable { min_cluster_size, ..ClusterTable::default() }
+    }
+
+    /// Forget every lane, keeping the strips' capacity.
+    pub fn clear(&mut self) {
+        self.lane_ends.clear();
+        self.member_ends.clear();
+        self.members.clear();
+        self.seed_ends.clear();
+        self.seeds.clear();
+        self.seed_norms.clear();
+    }
+
+    /// Number of lanes appended so far.
+    pub fn num_lanes(&self) -> usize {
+        self.lane_ends.len()
+    }
+
+    /// Lane `l`'s clusters.
+    pub fn lane(&self, l: usize) -> LaneClusters<'_> {
+        let clusters = csr_range(&self.lane_ends, l);
+        LaneClusters { table: self, first: clusters.start, end: clusters.end }
+    }
+
+    /// Cluster `pool` by its fragments' workload vectors — the same
+    /// kernel, parameters and result as [`cluster_pool`] — and append the
+    /// outcome as the table's next lane, returned as a view.
+    pub fn push_lane<P: crate::columnar::PoolView + ?Sized>(
+        &mut self,
+        pool: &P,
+        proxy_counters: &[CounterId],
+        threshold: f64,
+    ) -> LaneClusters<'_> {
+        self.members.reserve(pool.len());
+        cluster_pool_into(pool, proxy_counters, threshold, self);
+        self.lane_ends.push(self.member_ends.len());
+        self.lane(self.num_lanes() - 1)
+    }
+
+    /// Append `other`'s lanes after this table's, as if they had been
+    /// pushed here: how the per-chunk tables of a parallel detection
+    /// pass become the window's one table.
+    pub fn append(&mut self, other: &ClusterTable) {
+        debug_assert_eq!(self.min_cluster_size, other.min_cluster_size);
+        let (clusters, members, seeds) =
+            (self.member_ends.len(), self.members.len(), self.seeds.len());
+        self.lane_ends.extend(other.lane_ends.iter().map(|e| e + clusters));
+        self.member_ends.extend(other.member_ends.iter().map(|e| e + members));
+        self.members.extend_from_slice(&other.members);
+        self.seed_ends.extend(other.seed_ends.iter().map(|e| e + seeds));
+        self.seeds.extend_from_slice(&other.seeds);
+        self.seed_norms.extend_from_slice(&other.seed_norms);
+    }
+}
+
+/// One cluster of a [`ClusterTable`] lane, borrowed: what [`Cluster`]
+/// owns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusterRef<'a> {
+    /// Row indices into the lane's population, seed first.
+    pub members: &'a [u32],
+    /// The seed (smallest-norm) workload vector.
+    pub seed: &'a [f64],
+    /// Norm of the seed vector.
+    pub seed_norm: f64,
+}
+
+/// One lane of a [`ClusterTable`]: that lane's [`ClusterOutcome`], read
+/// in place.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneClusters<'a> {
+    table: &'a ClusterTable,
+    /// The lane's clusters are `first..end` of the table's.
+    first: usize,
+    end: usize,
+}
+
+impl<'a> LaneClusters<'a> {
+    /// Clusters in the lane, usable and rare.
+    pub fn len(&self) -> usize {
+        self.end - self.first
+    }
+
+    /// True for a lane that held no fragments.
+    pub fn is_empty(&self) -> bool {
+        self.first == self.end
+    }
+
+    /// Every cluster, in discovery (ascending seed norm) order.
+    pub fn iter(&self) -> impl Iterator<Item = ClusterRef<'a>> + 'a {
+        let table = self.table;
+        (self.first..self.end).map(move |c| ClusterRef {
+            members: &table.members[csr_range(&table.member_ends, c)],
+            seed: &table.seeds[csr_range(&table.seed_ends, c)],
+            seed_norm: table.seed_norms[c],
+        })
+    }
+
+    /// Clusters at or above the size floor — what
+    /// [`ClusterOutcome::usable`] holds, in the same order.
+    pub fn usable(&self) -> impl Iterator<Item = ClusterRef<'a>> + 'a {
+        let min = self.table.min_cluster_size;
+        self.iter().filter(move |c| c.members.len() >= min)
+    }
+
+    /// Clusters below the size floor — [`ClusterOutcome::rare`].
+    pub fn rare(&self) -> impl Iterator<Item = ClusterRef<'a>> + 'a {
+        let min = self.table.min_cluster_size;
+        self.iter().filter(move |c| c.members.len() < min)
+    }
+}
+
+/// What normalisation reads of one lane's clustering, whichever form
+/// holds it: a lane view of the window's table, or the owned outcome a
+/// one-shot caller clustered itself.
+pub trait LaneClustering {
+    /// Member rows of each usable cluster, clusters in discovery order.
+    fn usable_members(&self) -> impl Iterator<Item = &[u32]>;
+}
+
+impl LaneClustering for ClusterOutcome {
+    fn usable_members(&self) -> impl Iterator<Item = &[u32]> {
+        self.usable.iter().map(|c| c.members.as_slice())
+    }
+}
+
+impl LaneClustering for LaneClusters<'_> {
+    fn usable_members(&self) -> impl Iterator<Item = &[u32]> {
+        self.usable().map(|c| c.members)
     }
 }
 
@@ -186,8 +409,21 @@ const RADIX_DIGIT_BITS: u32 = 11;
 const RADIX_BUCKETS: usize = 1 << RADIX_DIGIT_BITS;
 
 /// Cluster a contiguous row-major `n × dim` matrix of workload vectors —
-/// the SoA-native form of [`cluster_vectors`] and the kernel every other
-/// entry point lowers to. The whole pipeline runs over adjacent memory:
+/// the SoA-native form of [`cluster_vectors`], as an owned outcome.
+pub fn cluster_lanes(
+    data: &[f64],
+    n: usize,
+    dim: usize,
+    threshold: f64,
+    min_cluster_size: usize,
+) -> ClusterOutcome {
+    let mut sink = OwnedClusters::default();
+    cluster_lanes_into(data, n, dim, threshold, &mut sink);
+    split_by_size(sink.clusters, min_cluster_size)
+}
+
+/// The kernel every entry point lowers to: cluster a row-major `n × dim`
+/// matrix into `sink`. The whole pipeline runs over adjacent memory:
 ///
 /// 1. norms and sort keys are built in one streaming pass over the flat
 ///    strip, packed as `truncated_key << 32 | index` — one `u64` per
@@ -203,18 +439,18 @@ const RADIX_BUCKETS: usize = 1 << RADIX_DIGIT_BITS;
 ///    evaluates distances row against row over contiguous memory, with
 ///    the kernel specialised for the small dimensions workload proxies
 ///    actually have.
-pub fn cluster_lanes(
+fn cluster_lanes_into<S: ClusterSink>(
     data: &[f64],
     n: usize,
     dim: usize,
     threshold: f64,
-    min_cluster_size: usize,
-) -> ClusterOutcome {
+    sink: &mut S,
+) {
     assert!(threshold > 0.0 && threshold < 1.0, "threshold out of range");
     assert_eq!(data.len(), n * dim, "lane data must be a dense n x dim matrix");
     assert!(n <= u32::MAX as usize, "population exceeds the u32 index space");
     if n == 0 {
-        return ClusterOutcome { usable: vec![], rare: vec![] };
+        return;
     }
 
     // One streaming pass: norms and packed (truncated key, index) records.
@@ -278,14 +514,13 @@ pub fn cluster_lanes(
     });
     let sdata = sdata.as_deref();
 
-    let clusters = match dim {
-        1 => greedy_scan(data, sdata, &snorms, &order, 1, threshold, dist_sq_fixed::<1>),
-        2 => greedy_scan(data, sdata, &snorms, &order, 2, threshold, dist_sq_fixed::<2>),
-        3 => greedy_scan(data, sdata, &snorms, &order, 3, threshold, dist_sq_fixed::<3>),
-        4 => greedy_scan(data, sdata, &snorms, &order, 4, threshold, dist_sq_fixed::<4>),
-        _ => greedy_scan(data, sdata, &snorms, &order, dim, threshold, dist_sq),
-    };
-    split_by_size(clusters, min_cluster_size)
+    match dim {
+        1 => greedy_scan(data, sdata, &snorms, &order, 1, threshold, dist_sq_fixed::<1>, sink),
+        2 => greedy_scan(data, sdata, &snorms, &order, 2, threshold, dist_sq_fixed::<2>, sink),
+        3 => greedy_scan(data, sdata, &snorms, &order, 3, threshold, dist_sq_fixed::<3>, sink),
+        4 => greedy_scan(data, sdata, &snorms, &order, 4, threshold, dist_sq_fixed::<4>, sink),
+        _ => greedy_scan(data, sdata, &snorms, &order, dim, threshold, dist_sq, sink),
+    }
 }
 
 /// Three stable counting-scatter passes (LSD radix, 11-bit digits) over
@@ -336,10 +571,11 @@ fn radix_sort_packed(keyed: &mut Vec<u64>) {
 /// when provided, and gathered from `data` through the sorted index lane
 /// otherwise — the same values either way. The float semantics are the
 /// original ones verbatim — same bound and cutoff formulas, same
-/// left-to-right distance summation, members in
+/// left-to-right distance summation, members reported to the sink in
 /// seed-then-ascending-sorted-position order — so the outcome is
 /// bit-identical to the exhaustive reference.
-fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64>(
+#[allow(clippy::too_many_arguments)]
+fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     data: &[f64],
     sdata: Option<&[f64]>,
     snorms: &[f64],
@@ -347,7 +583,8 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64>(
     dim: usize,
     threshold: f64,
     dist: F,
-) -> Vec<Cluster> {
+    sink: &mut S,
+) {
     let n = snorms.len();
     // Row of the vector at sorted position `p`: position-indexed in the
     // permuted strip, index-gathered from the original lanes otherwise.
@@ -371,7 +608,6 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64>(
             skip_to(skip, next)
         }
     };
-    let mut clusters: Vec<Cluster> = Vec::new();
 
     let mut pos = 0u32;
     loop {
@@ -391,26 +627,21 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64>(
         // even at floating-point boundaries.
         let norm_cutoff = bound + (seed_norm + seed_norm * threshold) * 1e-12;
 
-        // The norm window bounds the membership: reserve once instead of
-        // growing through the realloc ladder (the window end is exact for
-        // a fresh window and an overestimate when parts are absorbed).
+        // The norm window bounds the membership.
         let window_end = p + 1 + snorms[p + 1..].partition_point(|&v| v - seed_norm <= norm_cutoff);
-        let mut members = Vec::with_capacity(window_end - p);
-        members.push(order[p] as usize);
+        sink.member(order[p]);
         skip[p] = pos + 1;
         let mut j = advance(&mut skip, pos + 1);
         while (j as usize) < window_end {
             let jj = j as usize;
             if dist(seed, row(jj)) <= bound_sq {
-                members.push(order[jj] as usize);
+                sink.member(order[jj]);
                 skip[jj] = j + 1;
             }
             j = advance(&mut skip, j + 1);
         }
-        // vapro-lint: allow(R6, one O(dim) seed vector per emitted cluster; not a fragment population)
-        clusters.push(Cluster { members, seed: seed.to_vec(), seed_norm });
+        sink.close_cluster(seed, seed_norm);
     }
-    clusters
 }
 
 /// Distance kernel for a compile-time dimension: the loop fully unrolls,
@@ -444,6 +675,7 @@ pub fn cluster_vectors_unpruned(
 
     let mut assigned = vec![false; n];
     let mut clusters: Vec<Cluster> = Vec::new();
+    let row = |i: usize| u32::try_from(i).expect("population exceeds the u32 index space");
     for cursor in 0..n {
         let seed_idx = order[cursor];
         if assigned[seed_idx] {
@@ -453,7 +685,7 @@ pub fn cluster_vectors_unpruned(
         let seed_norm = norms[seed_idx];
         let bound = (threshold * seed_norm).max(1e-9);
         let bound_sq = bound * bound;
-        let mut members = vec![seed_idx];
+        let mut members = vec![row(seed_idx)];
         assigned[seed_idx] = true;
         for &j in order[cursor + 1..].iter() {
             if assigned[j] {
@@ -461,7 +693,7 @@ pub fn cluster_vectors_unpruned(
             }
             if dist_sq(seed, &vectors[j]) <= bound_sq {
                 // vapro-lint: allow(R6, cluster membership is data-dependent; no size is knowable before the scan)
-                members.push(j);
+                members.push(row(j));
                 assigned[j] = true;
             }
         }
@@ -472,25 +704,30 @@ pub fn cluster_vectors_unpruned(
     split_by_size(clusters, min_cluster_size)
 }
 
-fn split_by_size(clusters: Vec<Cluster>, min_cluster_size: usize) -> ClusterOutcome {
-    let (usable, rare) = clusters
-        .into_iter()
-        .partition(|c| c.len() >= min_cluster_size);
-    ClusterOutcome { usable, rare }
-}
-
 /// Cluster any pooled population by its fragments' workload vectors
 /// (computation fragments use `proxy_counters`; invocation fragments use
-/// their argument vectors), read through the [`PoolView`] accessors —
-/// the one entry detection and diagnosis call. Workload values go
-/// straight into one flat matrix; no per-fragment vector is ever
-/// materialised, and pooled fragments stay where their owner keeps them.
+/// their argument vectors), read through the [`PoolView`] accessors, as
+/// an owned outcome — the one-shot form of [`ClusterTable::push_lane`].
 pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     pool: &P,
     proxy_counters: &[CounterId],
     threshold: f64,
     min_cluster_size: usize,
 ) -> ClusterOutcome {
+    let mut sink = OwnedClusters::default();
+    cluster_pool_into(pool, proxy_counters, threshold, &mut sink);
+    split_by_size(sink.clusters, min_cluster_size)
+}
+
+/// Workload values go straight into one flat matrix; no per-fragment
+/// vector is ever materialised, and pooled fragments stay where their
+/// owner keeps them.
+fn cluster_pool_into<P: crate::columnar::PoolView + ?Sized, S: ClusterSink>(
+    pool: &P,
+    proxy_counters: &[CounterId],
+    threshold: f64,
+    sink: &mut S,
+) {
     let n = pool.len();
     // Mixed-kind inputs could have ragged dimensions; pad to the max.
     let dim = pool.workload_dim(proxy_counters);
@@ -498,7 +735,7 @@ pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     for i in 0..n {
         pool.extend_workload_lane(i, proxy_counters, dim, &mut data);
     }
-    cluster_lanes(&data, n, dim, threshold, min_cluster_size)
+    cluster_lanes_into(&data, n, dim, threshold, sink);
 }
 
 fn dist_sq(a: &[f64], b: &[f64]) -> f64 {

@@ -532,7 +532,7 @@ mod tests {
             .map(|r| stg_over([site.clone(), site.clone()], true, r, 30, 1_000_000_000, 0..0))
             .collect();
         let reports = stream_matching_oneshot(&stgs);
-        assert!(reports.iter().any(|r| r.result.edge_clusters.len() == 2));
+        assert!(reports.iter().any(|r| r.result.edge_clusters.num_lanes() == 2));
     }
 
     #[test]

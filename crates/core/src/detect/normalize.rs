@@ -9,7 +9,7 @@
 //! becomes a time-spanning point weighted by its duration, so long
 //! fragments dominate bins the way they dominate real time.
 
-use crate::clustering::ClusterOutcome;
+use crate::clustering::LaneClustering;
 use crate::columnar::PoolView;
 use crate::fragment::FragmentKind;
 use vapro_sim::VirtualTime;
@@ -76,21 +76,24 @@ impl CategorySeries {
 /// replaces every point's rank (the intra-process path folds a single
 /// rank's STG onto heat-map row 0 without rebuilding the graph).
 ///
-/// Generic over [`PoolView`], like the clustering it follows.
-pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
+/// Generic over [`PoolView`], like the clustering it follows, and over
+/// where that clustering lives: an owned
+/// [`ClusterOutcome`](crate::clustering::ClusterOutcome) or a lane view
+/// of the window's [`ClusterTable`](crate::clustering::ClusterTable).
+pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized, C: LaneClustering + ?Sized>(
     pool: &P,
-    outcome: &ClusterOutcome,
+    outcome: &C,
     out: &mut CategorySeries,
     rank_override: Option<usize>,
 ) {
-    for cluster in &outcome.usable {
+    for members in outcome.usable_members() {
         // The fastest fragment in the cluster is the benchmark. The same
         // pass counts the members per category (a pool's kinds are
         // per-row bytes off the wire and may be mixed), so each series
         // is sized for exactly what this cluster can add to it.
         let mut min_dur = f64::INFINITY;
         let (mut computation, mut communication, mut io) = (0usize, 0usize, 0usize);
-        for &m in &cluster.members {
+        for m in members.iter().map(|&m| m as usize) {
             min_dur = min_dur.min(pool.duration_ns(m));
             match pool.kind(m) {
                 FragmentKind::Computation => computation += 1,
@@ -104,7 +107,7 @@ pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized>(
         out.computation.reserve(computation);
         out.communication.reserve(communication);
         out.io.reserve(io);
-        for &m in &cluster.members {
+        for m in members.iter().map(|&m| m as usize) {
             let dur = pool.duration_ns(m);
             // Zero-duration fragments carry no performance signal.
             if dur <= 0.0 {

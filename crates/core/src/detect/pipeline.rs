@@ -8,7 +8,7 @@
 //! which is exactly what enables the inter-process detection of §3.5 and
 //! the cross-process comparisons of the HPL case study (§6.5.1).
 
-use crate::clustering::{cluster_pool, Cluster, ClusterOutcome};
+use crate::clustering::ClusterTable;
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
 use crate::detect::heatmap::{HeatMap, PAR_ROWS_MIN};
@@ -53,11 +53,11 @@ pub struct DetectionResult {
     /// Detection coverage: fraction of total execution time spent inside
     /// usable fixed-workload fragments (the paper's coverage metric, §6.2).
     pub coverage: f64,
-    /// Cluster outcomes of the edge lanes, aligned with the pool's edges
+    /// Cluster outcomes of the edge lanes, one table lane per pool edge
     /// (label order). Diagnosis clusters with the same parameters, so a
     /// [`crate::diagnose::DiagnosisBatch`] over the same pool can seed
     /// from these and never re-cluster a lane.
-    pub edge_clusters: Vec<ClusterOutcome>,
+    pub edge_clusters: ClusterTable,
 }
 
 /// One pooled location to analyse: a vertex or an edge, tagged with the
@@ -68,44 +68,80 @@ enum Location<'k> {
     Edge(&'k str, &'k str),
 }
 
-/// The per-location analysis output, accumulated sequentially in
-/// location order after the (possibly parallel) fan-out.
-struct LocationAnalysis {
-    covered_ns: f64,
-    /// `(count, total_ns)` per rare cluster; labelled during the fold.
-    rare: Vec<(usize, f64)>,
+/// What a run of consecutive locations adds to the window's result.
+/// The sequential path fills one over every location; the parallel path
+/// fills one per chunk and concatenates them in location order.
+struct LocationRun {
     series: CategorySeries,
-    /// The pool's full cluster outcome — kept for edge locations so
-    /// batched diagnosis can reuse it instead of re-clustering.
-    outcome: ClusterOutcome,
+    rare_paths: Vec<RarePath>,
+    /// Usable-cluster time per location. Kept per location, not summed,
+    /// so the window total is the same left-to-right `f64` sum however
+    /// the locations were chunked.
+    covered_ns: Vec<f64>,
+    /// The edge locations' clusterings, in location order. Vertex
+    /// outcomes are not kept (diagnosis pools computation fragments,
+    /// which live on edges).
+    edge_clusters: ClusterTable,
 }
 
-/// Cluster → rare-path → normalise chain for one location's pool. Pure
-/// over its inputs, which is what makes the fan-out safe. Generic over
-/// the pool representation ([`LaneView`] today).
-fn analyze_pool<P: PoolView + ?Sized>(
-    pool: &P,
-    cfg: &VaproConfig,
-    rank_override: Option<usize>,
-) -> LocationAnalysis {
-    let outcome = cluster_pool(
-        pool,
-        &cfg.proxy_counters,
-        cfg.cluster_threshold,
-        cfg.min_cluster_size,
-    );
-    let mut covered_ns = 0.0f64;
-    for c in &outcome.usable {
-        covered_ns += cluster_time(pool, c);
+impl LocationRun {
+    /// Cluster → rare-path → normalise chain over `locations`, each
+    /// lane appending straight into the run's series and table. Pure
+    /// over its inputs, which is what makes the fan-out safe.
+    fn analyze(
+        locations: &[(Location<'_>, LaneView<'_>)],
+        cfg: &VaproConfig,
+        rank_override: Option<usize>,
+    ) -> LocationRun {
+        let mut run = LocationRun {
+            series: CategorySeries::default(),
+            rare_paths: Vec::new(),
+            covered_ns: Vec::with_capacity(locations.len()),
+            edge_clusters: ClusterTable::new(cfg.min_cluster_size),
+        };
+        // A vertex lane's clustering is read once and forgotten.
+        let mut vertex_clusters = ClusterTable::new(cfg.min_cluster_size);
+        for (loc, lane) in locations {
+            let table = match loc {
+                Location::Vertex(_) => {
+                    vertex_clusters.clear();
+                    &mut vertex_clusters
+                }
+                Location::Edge(..) => &mut run.edge_clusters,
+            };
+            let clusters = table.push_lane(lane, &cfg.proxy_counters, cfg.cluster_threshold);
+            let mut covered_ns = 0.0f64;
+            for c in clusters.usable() {
+                covered_ns += cluster_time(lane, c.members);
+            }
+            run.covered_ns.push(covered_ns);
+            // Rare-path labels are built lazily — only locations that
+            // actually have rare clusters pay for label formatting.
+            let mut label: Option<String> = None;
+            for c in clusters.rare() {
+                let label = label.get_or_insert_with(|| match loc {
+                    Location::Vertex(s) => s.to_string(),
+                    Location::Edge(f, t) => format!("{f} -> {t}"),
+                });
+                run.rare_paths.push(RarePath {
+                    // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
+                    location: label.clone(),
+                    count: c.members.len(),
+                    total_ns: cluster_time(lane, c.members),
+                });
+            }
+            normalize_cluster_outcome_view(lane, &clusters, &mut run.series, rank_override);
+        }
+        run
     }
-    let rare = outcome
-        .rare
-        .iter()
-        .map(|c| (c.len(), cluster_time(pool, c)))
-        .collect();
-    let mut series = CategorySeries::default();
-    normalize_cluster_outcome_view(pool, &outcome, &mut series, rank_override);
-    LocationAnalysis { covered_ns, rare, series, outcome }
+
+    /// Append a later run, as if its locations had been analysed here.
+    fn append(&mut self, later: LocationRun) {
+        self.series.extend(later.series);
+        self.rare_paths.extend(later.rare_paths);
+        self.covered_ns.extend(later.covered_ns);
+        self.edge_clusters.append(&later.edge_clusters);
+    }
 }
 
 /// Run detection over a sealed pool — a streamed window, or STGs
@@ -120,10 +156,10 @@ pub fn detect_columnar(
 }
 
 /// Locations (vertices, then edges, both in label order) are analysed
-/// independently — in parallel when `parallel` is set and the window
-/// holds at least [`PAR_ROWS_MIN`] rows — and the per-location results
-/// are folded *sequentially in location order*, so the output is
-/// identical whichever path ran.
+/// independently and in location order: one [`LocationRun`] over all of
+/// them, or — when `parallel` is set and the window holds at least
+/// [`PAR_ROWS_MIN`] rows — one per chunk on the pool, appended in chunk
+/// order, so the output is identical whichever path ran.
 fn detect_pool(
     pool: &ColumnarPool,
     nranks: usize,
@@ -142,62 +178,32 @@ fn detect_pool(
             (Location::Edge(from, to), view)
         }))
         .collect();
-    // Fan out: each location's cluster → normalise chain is independent.
-    // Results come back in input order either way.
-    let analyses: Vec<LocationAnalysis> = if parallel && pool.len() >= PAR_ROWS_MIN {
-        locations
-            .par_iter()
-            .map(|(_, lane)| analyze_pool(lane, cfg, rank_override))
-            .collect()
+    let run = if parallel && pool.len() >= PAR_ROWS_MIN {
+        // A few chunks per thread: lanes differ in size, and the pool
+        // hands chunks out as threads free up.
+        let per_chunk = locations.len().div_ceil(4 * rayon::current_num_threads()).max(1);
+        let runs: Vec<LocationRun> = locations
+            .par_chunks(per_chunk)
+            .map(|chunk| LocationRun::analyze(chunk, cfg, rank_override))
+            .collect();
+        runs.into_iter()
+            .reduce(|mut run, later| {
+                run.append(later);
+                run
+            })
+            .unwrap_or_else(|| LocationRun::analyze(&[], cfg, rank_override))
     } else {
-        locations
-            .iter()
-            .map(|(_, lane)| analyze_pool(lane, cfg, rank_override))
-            .collect()
+        LocationRun::analyze(&locations, cfg, rank_override)
     };
-
-    // Sequential in-order fold: series points, rare paths and the covered
-    // time accumulate exactly as a fully sequential pass would produce
-    // them. Rare-path labels are built lazily — only locations that
-    // actually have rare clusters pay for label formatting.
-    let mut series = CategorySeries::default();
-    let mut rare_paths = Vec::new();
-    let mut covered_ns = 0.0f64;
-    // Vertex outcomes are dropped (diagnosis pools computation fragments,
-    // which live on edges); edge outcomes are kept in edge order.
-    let mut edge_clusters = Vec::with_capacity(pool.num_edges());
-    for ((loc, _), analysis) in locations.iter().zip(analyses) {
-        covered_ns += analysis.covered_ns;
-        if matches!(loc, Location::Edge(..)) {
-            edge_clusters.push(analysis.outcome);
-        }
-        if !analysis.rare.is_empty() {
-            let label = match loc {
-                Location::Vertex(s) => s.to_string(),
-                Location::Edge(f, t) => format!("{f} -> {t}"),
-            };
-            for (count, total_ns) in analysis.rare {
-                // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
-                rare_paths.push(RarePath { location: label.clone(), count, total_ns });
-            }
-        }
-        series.extend(analysis.series);
-    }
+    let LocationRun { series, mut rare_paths, covered_ns, edge_clusters } = run;
+    let covered_ns = covered_ns.iter().fold(0.0f64, |sum, lane| sum + lane);
 
     // Coverage: covered fragment time over total execution time (sum of
     // per-rank makespans). Grouping by the fragments' own rank ids keeps
     // the metric identical whether fragments arrive as per-rank STGs or
     // as one reassembled wire-format graph. Every fragment is in exactly
-    // one pool, so walking the pools visits the same population the old
-    // STG walk did; the BTreeMap keeps the f64 summation order fixed.
-    let mut rank_end: BTreeMap<usize, u64> = BTreeMap::new();
-    for (_, lane) in locations.iter() {
-        for i in 0..lane.len() {
-            let e = rank_end.entry(rank_override.unwrap_or(lane.rank(i))).or_insert(0);
-            *e = (*e).max(lane.end(i).ns());
-        }
-    }
-    let total_ns: f64 = rank_end.values().map(|&e| e as f64).sum();
+    // one pool, so walking the pools visits the whole population.
+    let total_ns = total_makespan_ns(&locations, nranks, rank_override);
     let coverage = if total_ns > 0.0 { (covered_ns / total_ns).min(1.0) } else { 0.0 };
 
     let build = |points: &[crate::detect::normalize::PerfPoint]| {
@@ -233,6 +239,32 @@ fn detect_pool(
     }
 }
 
+/// Sum over ranks of each rank's last fragment end, added in ascending
+/// rank order. Rank ids below `nranks` (every admitted frame's; the
+/// intra-process fold's row 0) take a dense per-rank lane; anything
+/// else — a one-shot caller's sparse ids — falls through to a map whose
+/// keys all sort after the dense ones, so the `f64` summation order is
+/// ascending rank either way.
+fn total_makespan_ns(
+    locations: &[(Location<'_>, LaneView<'_>)],
+    nranks: usize,
+    rank_override: Option<usize>,
+) -> f64 {
+    let mut dense = vec![0u64; nranks];
+    let mut sparse: BTreeMap<usize, u64> = BTreeMap::new();
+    for (_, lane) in locations {
+        for i in 0..lane.len() {
+            let rank = rank_override.unwrap_or(lane.rank(i));
+            let end = match dense.get_mut(rank) {
+                Some(end) => end,
+                None => sparse.entry(rank).or_insert(0),
+            };
+            *end = (*end).max(lane.end(i).ns());
+        }
+    }
+    dense.iter().chain(sparse.values()).map(|&e| e as f64).sum()
+}
+
 /// Run detection over the per-rank STGs. `nranks` sizes the heat maps;
 /// `bins` is the number of time columns. Locations fan out across the
 /// thread pool; output is identical to [`detect_seq`].
@@ -253,12 +285,8 @@ fn sort_rare_paths(paths: &mut [RarePath]) {
     paths.sort_by(|a, b| b.total_ns.total_cmp(&a.total_ns));
 }
 
-fn cluster_time<P: PoolView + ?Sized>(pool: &P, cluster: &Cluster) -> f64 {
-    cluster
-        .members
-        .iter()
-        .map(|&m| pool.duration_ns(m))
-        .sum()
+fn cluster_time<P: PoolView + ?Sized>(pool: &P, members: &[u32]) -> f64 {
+    members.iter().map(|&m| pool.duration_ns(m as usize)).sum()
 }
 
 /// Intra-process detection (the temporal dimension of paper §3.5): one
@@ -460,8 +488,8 @@ mod tests {
         assert_eq!(par.io_regions, seq.io_regions);
         assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
         assert_eq!(par.edge_clusters, seq.edge_clusters);
-        // One outcome per pooled edge lane, in edge order.
-        assert_eq!(par.edge_clusters.len(), ColumnarPool::from_stgs(&stgs, None).num_edges());
+        // One table lane per pooled edge lane, in edge order.
+        assert_eq!(par.edge_clusters.num_lanes(), ColumnarPool::from_stgs(&stgs, None).num_edges());
     }
 
     /// Same identity on a population big enough to really fan out (the

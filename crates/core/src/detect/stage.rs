@@ -42,6 +42,18 @@
 //! Every finished window's [`ColumnarPool`] goes back into the
 //! ingestor's shared scratch stack, so steady-state sealing allocates
 //! no new lanes (PR 6's recycling guarantee, across threads).
+//!
+//! **Where a report's memory lives.** A [`WindowReport`] is allocated by
+//! whichever thread ran `analyze` — a pool worker for every window above
+//! `INLINE_ROWS_MAX` at depth > 0 — and freed by whoever drops it after
+//! `take_completed`/`drain`: the owner, on the admission thread. Every
+//! heap block it owns is therefore one cross-thread free (glibc sends it
+//! back to the worker's arena under that arena's lock, and the worker's
+//! next `malloc` contends for it), which is why the report is a few flat
+//! tables and not a tree of small `Vec`s: ≈17 blocks plus what it found
+//! (DESIGN.md §13; `tests/report_heap_shape.rs` holds the count).
+//! Everything else the analysis allocates — clustering work lanes, the
+//! diagnosis scratch — is born and freed on the analysing thread.
 
 use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
@@ -280,6 +292,12 @@ impl AnalysisStage {
     /// Release every report whose predecessors have all been released —
     /// the contiguous completed prefix, in window order. Never blocks.
     pub(crate) fn take_completed(&mut self) -> Vec<WindowReport> {
+        // The owner asks after every frame; with nothing submitted since
+        // the last harvest there is nothing to find, and the state mutex
+        // is the one every finishing analysis takes.
+        if self.next_seq == self.next_emit && self.ready.is_empty() {
+            return Vec::new();
+        }
         harvest_prefix(&mut self.shared.state.lock(), &mut self.next_emit, &mut self.ready);
         std::mem::take(&mut self.ready)
     }

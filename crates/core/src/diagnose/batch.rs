@@ -15,8 +15,8 @@
 //!   full-pool sweep per (region, pool) pair;
 //! * **cluster memoisation** — each pool is clustered at most once per
 //!   batch (two regions choosing the same pool share the outcome), and
-//!   detection's own per-edge [`ClusterOutcome`]s can seed the cache so
-//!   the streaming server never re-clusters at all;
+//!   detection's own [`ClusterTable`] of the edge lanes can seed the
+//!   cache so the streaming server never re-clusters at all;
 //! * **report memoisation** — a region only *selects* a pool; the
 //!   drill-down population (the pool's dominant cluster, with its
 //!   cross-rank normal reference) and therefore the whole
@@ -30,7 +30,7 @@
 //! clustering is deterministic — property-tested in
 //! `tests/property_tests.rs`.
 
-use crate::clustering::{cluster_pool, ClusterOutcome};
+use crate::clustering::{ClusterTable, LaneClusters};
 use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::VaproConfig;
 use crate::diagnose::driver::RegionOfInterest;
@@ -113,13 +113,13 @@ impl PoolIndex {
 /// bypassed).
 pub struct ScratchProvider<'a, V: PoolView> {
     pool: V,
-    members: &'a [usize],
+    members: &'a [u32],
     scratch: Vec<Fragment>,
 }
 
 impl<'a, V: PoolView> ScratchProvider<'a, V> {
     /// Provider over the cluster `members` of `pool`.
-    pub fn new(pool: V, members: &'a [usize]) -> ScratchProvider<'a, V> {
+    pub fn new(pool: V, members: &'a [u32]) -> ScratchProvider<'a, V> {
         ScratchProvider { pool, members, scratch: Vec::new() }
     }
 }
@@ -127,7 +127,7 @@ impl<'a, V: PoolView> ScratchProvider<'a, V> {
 impl<V: PoolView> FragmentProvider for ScratchProvider<'_, V> {
     fn collect(&mut self, set: CounterSet) -> &[Fragment] {
         self.scratch.clear();
-        self.scratch.extend(self.members.iter().map(|&m| Fragment {
+        self.scratch.extend(self.members.iter().map(|&m| m as usize).map(|m| Fragment {
             rank: self.pool.rank(m),
             kind: self.pool.kind(m),
             start: self.pool.start(m),
@@ -145,13 +145,13 @@ pub struct DiagnosisBatch<'m> {
     pools: &'m ColumnarPool,
     cfg: &'m VaproConfig,
     indexes: Vec<PoolIndex>,
-    /// Lazily clustered outcomes, aligned with the edge pools. Unused
-    /// when `seeded` is present.
-    clusters: Vec<OnceLock<ClusterOutcome>>,
-    /// Detection's per-edge outcomes, aligned with the edge pools —
-    /// exact reuse, since detection clusters each pool with the same
-    /// (proxy-counter, threshold, min-size) parameters.
-    seeded: Option<&'m [ClusterOutcome]>,
+    /// Lazily clustered one-lane tables, aligned with the edge pools.
+    /// Unused when `seeded` is present.
+    clusters: Vec<OnceLock<ClusterTable>>,
+    /// Detection's table, one lane per edge pool — exact reuse, since
+    /// detection clusters each pool with the same (proxy-counter,
+    /// threshold, min-size) parameters.
+    seeded: Option<&'m ClusterTable>,
     /// Memoised per-pool drill-down results, aligned with the edge pools.
     reports: Vec<OnceLock<Option<DiagnosisReport>>>,
 }
@@ -178,10 +178,10 @@ impl<'m> DiagnosisBatch<'m> {
     pub fn with_clusters(
         pools: &'m ColumnarPool,
         cfg: &'m VaproConfig,
-        outcomes: &'m [ClusterOutcome],
+        outcomes: &'m ClusterTable,
     ) -> DiagnosisBatch<'m> {
         assert_eq!(
-            outcomes.len(),
+            outcomes.num_lanes(),
             pools.num_edges(),
             "cluster outcomes must align with the pool's edge lanes"
         );
@@ -190,18 +190,20 @@ impl<'m> DiagnosisBatch<'m> {
         batch
     }
 
-    fn outcome(&self, pool_idx: usize) -> &ClusterOutcome {
+    fn outcome(&self, pool_idx: usize) -> LaneClusters<'_> {
         if let Some(seeded) = self.seeded {
-            return &seeded[pool_idx];
+            return seeded.lane(pool_idx);
         }
-        self.clusters[pool_idx].get_or_init(|| {
-            cluster_pool(
+        let table = self.clusters[pool_idx].get_or_init(|| {
+            let mut table = ClusterTable::new(self.cfg.min_cluster_size);
+            table.push_lane(
                 &self.pools.edge(pool_idx).2,
                 &self.cfg.proxy_counters,
                 self.cfg.cluster_threshold,
-                self.cfg.min_cluster_size,
-            )
-        })
+            );
+            table
+        });
+        table.lane(0)
     }
 
     /// Diagnose one region. Same contract as
@@ -230,8 +232,8 @@ impl<'m> DiagnosisBatch<'m> {
     fn diagnose_pool(&self, pool_idx: usize) -> Option<DiagnosisReport> {
         let pool = self.pools.edge(pool_idx).2;
         let outcome = self.outcome(pool_idx);
-        let cluster = outcome.usable.iter().max_by_key(|c| c.members.len())?;
-        let mut provider = ScratchProvider::new(pool, &cluster.members);
+        let cluster = outcome.usable().max_by_key(|c| c.members.len())?;
+        let mut provider = ScratchProvider::new(pool, cluster.members);
         diagnose_progressively_with(
             &mut provider,
             self.cfg.ka_abnormal,
@@ -334,16 +336,10 @@ mod tests {
         let stgs = stgs_with_noise(4, 25, 0, (0, 25_000_000));
         let cfg = VaproConfig::default();
         let sealed = ColumnarPool::from_stgs(&stgs, None);
-        let outcomes: Vec<ClusterOutcome> = (0..sealed.num_edges())
-            .map(|e| {
-                cluster_pool(
-                    &sealed.edge(e).2,
-                    &cfg.proxy_counters,
-                    cfg.cluster_threshold,
-                    cfg.min_cluster_size,
-                )
-            })
-            .collect();
+        let mut outcomes = ClusterTable::new(cfg.min_cluster_size);
+        for e in 0..sealed.num_edges() {
+            outcomes.push_lane(&sealed.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
+        }
         let rois = rois_grid(4, 40_000_000, 3);
         let seeded = DiagnosisBatch::with_clusters(&sealed, &cfg, &outcomes);
         let lazy = DiagnosisBatch::new(&sealed, &cfg);

@@ -46,7 +46,7 @@ pub mod wire;
 pub use baseline::{BaselineProfile, RunComparison};
 pub use clustering::{
     cluster_lanes, cluster_pool, cluster_vectors, cluster_vectors_unpruned, Cluster,
-    ClusterOutcome,
+    ClusterOutcome, ClusterRef, ClusterTable, LaneClustering, LaneClusters,
 };
 pub use columnar::{ColumnarPool, LaneView, PoolView};
 pub use detect::pipeline::{detect, detect_columnar, detect_intra, detect_seq, DetectionResult};

@@ -14,6 +14,11 @@
 //! an owned batch (`push_batch`) — and the differential property holds
 //! them to the same sealed pool, whatever order the frames arrive in and
 //! whether or not the pools were sorted before the seal.
+//!
+//! The window's flat `ClusterTable` is held to the owned per-lane
+//! `ClusterOutcome` the same way: every lane view equals what
+//! `cluster_pool` returns for that lane, bit for bit, and both equal the
+//! exhaustive `cluster_vectors_unpruned` reference.
 
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
@@ -22,7 +27,8 @@ use vapro_core::fragment::{Fragment, FragmentKind};
 use vapro_core::detect::window::Window;
 use vapro_core::wire::{EdgeGroup, FragmentBatch, FrameView, VertexGroup};
 use vapro_core::{
-    detect_columnar, ColumnarPool, IngestArena, PoolView, VaproConfig, WindowedIngestor,
+    cluster_pool, cluster_vectors_unpruned, detect_columnar, Cluster, ClusterRef, ClusterTable,
+    ColumnarPool, IngestArena, PoolView, VaproConfig, WindowedIngestor,
 };
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
 use vapro_sim::VirtualTime;
@@ -337,6 +343,117 @@ fn more_args_than_a_wire_count_holds_survive_the_arena() {
     assert_eq!((lane.args(0), lane.args(1), lane.args(2)), (&wide[..], &[][..], &[7.0][..]));
 }
 
+/// A workload value from a small alphabet, so lanes actually cluster:
+/// two values within the 5 % threshold of each other, one far away,
+/// zero, NaN (a NaN norm sorts last and absorbs nothing) and the odd
+/// arbitrary value.
+fn workload_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(1000.0),
+        Just(1010.0),
+        Just(5000.0),
+        Just(0.0),
+        Just(f64::NAN),
+        finite(),
+    ]
+}
+
+/// A lane's fragment: any kind (computation rows take the proxy
+/// counter, the others their argument vector — of ragged length, so a
+/// mixed lane pads to its widest row).
+fn lane_fragment() -> impl Strategy<Value = Fragment> {
+    (kind_strategy(), 0usize..NRANKS, 0u64..40, workload_value(), vec(workload_value(), 0..4))
+        .prop_map(|(kind, rank, start, ins, args)| {
+            let mut counters = CounterDelta::default();
+            counters.put(CounterId::TotIns, ins);
+            Fragment {
+                rank,
+                kind,
+                start: VirtualTime::from_ns(start * 1_000_000),
+                end: VirtualTime::from_ns(start * 1_000_000 + 500_000),
+                counters,
+                args,
+            }
+        })
+}
+
+/// What a cluster is compared by: members and their order, seed and
+/// seed norm by bit pattern (a NaN seed equals itself here).
+type ClusterBits = (Vec<u32>, Vec<u64>, u64);
+
+fn bits(members: &[u32], seed: &[f64], seed_norm: f64) -> ClusterBits {
+    (members.to_vec(), seed.iter().map(|x| x.to_bits()).collect(), seed_norm.to_bits())
+}
+
+fn view_bits<'a>(clusters: impl Iterator<Item = ClusterRef<'a>>) -> Vec<ClusterBits> {
+    clusters.map(|c| bits(c.members, c.seed, c.seed_norm)).collect()
+}
+
+fn owned_bits(clusters: &[Cluster]) -> Vec<ClusterBits> {
+    clusters.iter().map(|c| bits(&c.members, &c.seed, c.seed_norm)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every lane view of a many-lane [`ClusterTable`] is that lane's
+    /// owned [`cluster_pool`] outcome — same clusters in the same order
+    /// on each side of the usable/rare split — whatever lanes precede
+    /// it (empty ones, lanes of another workload dimension), and after
+    /// the table was rebuilt by appending it in two halves, the way the
+    /// parallel detection path builds it. The exhaustive scan over the
+    /// lane's materialised workload vectors is the reference for both.
+    #[test]
+    fn table_lane_views_equal_owned_outcomes(
+        lanes in vec(vec(lane_fragment(), 0..24), 0..6),
+        min_cluster_size in 1usize..6,
+        split in 0usize..6,
+    ) {
+        let cfg = VaproConfig::default();
+        let (proxy, threshold) = (&cfg.proxy_counters, cfg.cluster_threshold);
+        let mut pool = ColumnarPool::new();
+        for (l, lane) in lanes.iter().enumerate() {
+            pool.begin_edge(format!("site{l}").into(), "next".into());
+            lane.iter().for_each(|f| pool.push(f));
+        }
+        prop_assert_eq!(pool.num_edges(), lanes.len());
+
+        let mut table = ClusterTable::new(min_cluster_size);
+        let (mut head, mut tail) = (table.clone(), table.clone());
+        for l in 0..lanes.len() {
+            let lane = pool.edge(l).2;
+            table.push_lane(&lane, proxy, threshold);
+            let half = if l < split { &mut head } else { &mut tail };
+            half.push_lane(&lane, proxy, threshold);
+        }
+        head.append(&tail);
+        prop_assert_eq!(table.num_lanes(), lanes.len());
+        prop_assert_eq!(head.num_lanes(), lanes.len());
+
+        for (l, frags) in lanes.iter().enumerate() {
+            let lane = pool.edge(l).2;
+            let (view, owned) = (table.lane(l), cluster_pool(&lane, proxy, threshold, min_cluster_size));
+            prop_assert_eq!(view.is_empty(), frags.is_empty());
+            prop_assert_eq!(view.len(), owned.usable.len() + owned.rare.len());
+            prop_assert_eq!(view_bits(view.usable()), owned_bits(&owned.usable));
+            prop_assert_eq!(view_bits(view.rare()), owned_bits(&owned.rare));
+            prop_assert_eq!(view_bits(head.lane(l).iter()), view_bits(view.iter()));
+
+            let dim = lane.workload_dim(proxy);
+            let vectors: Vec<Vec<f64>> = (0..lane.len())
+                .map(|i| {
+                    let mut row = Vec::new();
+                    lane.extend_workload_lane(i, proxy, dim, &mut row);
+                    row
+                })
+                .collect();
+            let reference = cluster_vectors_unpruned(&vectors, threshold, min_cluster_size);
+            prop_assert_eq!(view_bits(view.usable()), owned_bits(&reference.usable));
+            prop_assert_eq!(view_bits(view.rare()), owned_bits(&reference.rare));
+        }
+    }
+}
+
 /// Explicitly empty lanes — locations that exist in the pool but hold no
 /// fragments, which sealing from the arena never produces — must be
 /// inert: same heat maps, regions, rare paths, series and coverage as
@@ -385,6 +502,10 @@ fn empty_lanes_are_inert() {
     assert_eq!(format!("{:?}", a.rare_paths), format!("{:?}", b.rare_paths));
     assert_eq!(format!("{:?}", a.series), format!("{:?}", b.series));
     assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-    assert_eq!(a.edge_clusters.len() + 1, b.edge_clusters.len());
-    assert!(b.edge_clusters.iter().any(|o| o.usable.is_empty() && o.rare.is_empty()));
+    assert_eq!(b.edge_clusters.num_lanes(), sparse.num_edges());
+    assert_eq!(a.edge_clusters.num_lanes() + 1, b.edge_clusters.num_lanes());
+    // The empty edge lane holds its position, and the lane after the
+    // gap would read the dense pool's clusters if it were not counted.
+    assert!(b.edge_clusters.lane(1).is_empty());
+    assert!(a.edge_clusters.lane(0).iter().eq(b.edge_clusters.lane(0).iter()));
 }

@@ -781,6 +781,9 @@ fn facts(
     // `for`/`while`/`loop` bodies opened.
     let mut depth = 0u32;
     let mut pending_loop = false;
+    // Between `impl` and the `{` that opens its block: the `for` of
+    // `impl Trait for Type` is not a loop.
+    let mut impl_header = false;
     let mut loop_depths: Vec<u32> = Vec::new();
     let in_attr = attr_mask(tokens);
     let mut float_sites = Vec::new();
@@ -795,14 +798,16 @@ fn facts(
         match &t.tok {
             // `for<'a>` HRTBs are type syntax, not loops.
             Tok::Ident(s) if s == "while" || s == "loop" => pending_loop = true,
-            Tok::Ident(s) if s == "for" && !punct(tokens, i + 1, "<") => pending_loop = true,
+            Tok::Ident(s) if s == "impl" => impl_header = true,
+            Tok::Ident(s) if s == "for" && !punct(tokens, i + 1, "<") => pending_loop = !impl_header,
             Tok::Ident(s) if s == "NAN" && !in_test[i] => float_sites.push(site(
                 t.line,
                 "NAN constant in a numeric path corrupts ordering silently".into(),
             )),
-            Tok::Punct(p) if p == ";" => pending_loop = false,
+            Tok::Punct(p) if p == ";" => (pending_loop, impl_header) = (false, false),
             Tok::Punct(p) if p == "{" => {
                 depth += 1;
+                impl_header = false;
                 if pending_loop {
                     loop_depths.push(depth);
                     pending_loop = false;
@@ -1215,6 +1220,25 @@ mod tests {
         assert_eq!(f.arith_sites.len(), 2, "`*` and `+`: {:?}", f.arith_sites);
         assert!(!f.reserves);
         assert_eq!(ix.float_sites.len(), 1, "module-level NAN: {:?}", ix.float_sites);
+    }
+
+    #[test]
+    fn a_trait_impl_block_is_not_a_loop_body() {
+        let src = "
+            impl Sink for Table {
+                fn member(&mut self, row: u32) {
+                    self.members.push(row);
+                }
+                fn fill(&mut self, rows: impl Iterator<Item = u32>) {
+                    for row in rows {
+                        self.members.push(row);
+                    }
+                }
+            }
+        ";
+        let ix = index(src);
+        assert!(find(&ix, "member").push_loops.is_empty());
+        assert_eq!(find(&ix, "fill").push_loops.len(), 1);
     }
 
     #[test]

@@ -222,7 +222,7 @@ fn canary_unwrap_in_the_wire_reader() {
 fn canary_owned_copy_in_normalisation() {
     let file = "crates/core/src/detect/normalize.rs";
     let report =
-        planted(file, "for cluster in &outcome.usable {", "let _ = cluster.members.to_vec();");
+        planted(file, "for members in outcome.usable_members() {", "let _ = members.to_vec();");
     assert_caught(&report, "R6", file, "close_ready", ".to_vec()");
 }
 

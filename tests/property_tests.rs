@@ -80,7 +80,7 @@ proptest! {
         let mut seen = vec![0usize; vectors.len()];
         for c in outcome.usable.iter().chain(&outcome.rare) {
             for &m in &c.members {
-                seen[m] += 1;
+                seen[m as usize] += 1;
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1), "coverage {seen:?}");
@@ -96,7 +96,7 @@ proptest! {
         for c in outcome.usable.iter().chain(&outcome.rare) {
             let bound = (0.05 * c.seed_norm).max(1e-9);
             for &m in &c.members {
-                let d = (values[m] - c.seed[0]).abs();
+                let d = (values[m as usize] - c.seed[0]).abs();
                 prop_assert!(d <= bound + 1e-9, "member {m} at distance {d} > {bound}");
             }
         }
@@ -110,7 +110,7 @@ proptest! {
         let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
         let outcome = cluster_vectors(&vectors, 0.05, 2);
         for c in outcome.usable.iter().chain(&outcome.rare) {
-            let min = c.members.iter().map(|&m| values[m]).fold(f64::INFINITY, f64::min);
+            let min = c.members.iter().map(|&m| values[m as usize]).fold(f64::INFINITY, f64::min);
             prop_assert!((c.seed_norm - min).abs() < 1e-9);
         }
     }
