@@ -61,10 +61,10 @@ miri:
 		echo "miri: component not installed, skipping (CI covers this)"; \
 	fi
 
-# ThreadSanitizer build of the persistent pool's own tests, the
-# analysis-stage tests that run on it (help-while-wait, panic hand-back)
-# and the rayon detection/diagnosis equivalence tests. Needs a nightly
-# toolchain with rust-src; skips when unavailable — CI covers it.
+# ThreadSanitizer build of the persistent pool's own tests and the
+# analysis-stage tests that run on it (help-while-wait, panic
+# hand-back). Needs a nightly toolchain with rust-src; skips when
+# unavailable — CI covers it.
 tsan:
 	@if rustc +nightly --version >/dev/null 2>&1 \
 		&& rustup +nightly component list 2>/dev/null | grep -q "rust-src (installed)"; then \
@@ -72,7 +72,7 @@ tsan:
 		host=$$(rustc -vV | sed -n 's/host: //p'); \
 		$(CARGO) +nightly test $(OFFLINE) -Zbuild-std -p rayon --target $$host --lib \
 		&& $(CARGO) +nightly test $(OFFLINE) -Zbuild-std -p vapro-core --target $$host \
-			--lib -- parallel stage::tests; \
+			--lib -- stage::tests; \
 	else \
 		echo "tsan: nightly toolchain with rust-src not installed, skipping (CI covers this)"; \
 	fi

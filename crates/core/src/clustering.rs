@@ -137,7 +137,7 @@ fn split_by_size(clusters: Vec<Cluster>, min_cluster_size: usize) -> ClusterOutc
 /// [`LaneClusters`] views; clusters keep discovery order within their
 /// lane, and the usable/rare split is the table's size floor applied on
 /// read. Two tables are equal when they hold the same lanes in the same
-/// order, however they were built ([`ClusterTable::append`]).
+/// order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterTable {
     /// Clusters with fewer members are rare (Algorithm 1, line 8).
@@ -215,21 +215,6 @@ impl ClusterTable {
         cluster_pool_into(pool, proxy_counters, threshold, self);
         self.lane_ends.push(self.member_ends.len());
         self.lane(self.num_lanes() - 1)
-    }
-
-    /// Append `other`'s lanes after this table's, as if they had been
-    /// pushed here: how the per-chunk tables of a parallel detection
-    /// pass become the window's one table.
-    pub fn append(&mut self, other: &ClusterTable) {
-        debug_assert_eq!(self.min_cluster_size, other.min_cluster_size);
-        let (clusters, members, seeds) =
-            (self.member_ends.len(), self.members.len(), self.seeds.len());
-        self.lane_ends.extend(other.lane_ends.iter().map(|e| e + clusters));
-        self.member_ends.extend(other.member_ends.iter().map(|e| e + members));
-        self.members.extend_from_slice(&other.members);
-        self.seed_ends.extend(other.seed_ends.iter().map(|e| e + seeds));
-        self.seeds.extend_from_slice(&other.seeds);
-        self.seed_norms.extend_from_slice(&other.seed_norms);
     }
 }
 
@@ -322,7 +307,7 @@ fn sorted_by_norm(vectors: &[Vec<f64>]) -> (Vec<f64>, Vec<usize>) {
 }
 
 /// Map an `f64` to a `u64` whose unsigned order equals the IEEE-754
-/// total order (`f64::total_cmp`). Sorting packed `(key, index)` pairs
+/// total order (`f64::total_cmp`). Sorting `(key, index)` pairs
 /// with an unstable integer sort then reproduces a *stable*
 /// `sort_by(total_cmp)` exactly: equal keys are ordered by original
 /// index, which is precisely what stability means — while the sort
@@ -395,19 +380,6 @@ pub fn cluster_vectors(
     cluster_lanes(&data, n, dim, threshold, min_cluster_size)
 }
 
-/// Below this population the norm sort is a plain `sort_unstable` over
-/// the packed records: a counting sort's histogram setup costs more than
-/// it saves, and the detection pipeline sorts thousands of small
-/// per-location pools per run.
-const RADIX_MIN_N: usize = 1 << 12;
-
-/// Radix digit width. 11-bit digits give 2048 scatter streams — the
-/// active destination lines fit comfortably in L2, where the previous
-/// 16-bit digits fanned writes across 65536 streams (and needed 512 KiB
-/// of histogram zeroed per call, which dominated small inputs entirely).
-const RADIX_DIGIT_BITS: u32 = 11;
-const RADIX_BUCKETS: usize = 1 << RADIX_DIGIT_BITS;
-
 /// Cluster a contiguous row-major `n × dim` matrix of workload vectors —
 /// the SoA-native form of [`cluster_vectors`], as an owned outcome.
 pub fn cluster_lanes(
@@ -426,19 +398,13 @@ pub fn cluster_lanes(
 /// matrix into `sink`. The whole pipeline runs over adjacent memory:
 ///
 /// 1. norms and sort keys are built in one streaming pass over the flat
-///    strip, packed as `truncated_key << 32 | index` — one `u64` per
-///    vector, where the 32-bit key is the high half of the monotone
-///    [`total_cmp_key`] bit-map (truncating a monotone map is monotone);
-/// 2. the packed records are sorted — `sort_unstable` for small pools, a
-///    three-pass 11-bit LSD radix for large ones (integer order on the
-///    packed record = key order with index tie-break = *stable* key
-///    order) — then the rare equal-truncated-key runs are repaired with
-///    the exact 64-bit total-order key, which together is bit-identical
-///    to a stable `sort_by(total_cmp)` with no float comparisons at all;
+///    strip, each key the `(total_cmp_key(norm), index)` pair;
+/// 2. the pairs are sorted with `sort_unstable` — integer order on the
+///    pair is norm order with index tie-break, which is exactly a
+///    *stable* `sort_by(total_cmp)` with no float comparisons at all;
 /// 3. the absorb scan walks the sorted norm lane sequentially and
-///    evaluates distances row against row over contiguous memory, with
-///    the kernel specialised for the small dimensions workload proxies
-///    actually have.
+///    evaluates distances row against row, with the kernel specialised
+///    for the small dimensions workload proxies actually have.
 fn cluster_lanes_into<S: ClusterSink>(
     data: &[f64],
     n: usize,
@@ -453,131 +419,43 @@ fn cluster_lanes_into<S: ClusterSink>(
         return;
     }
 
-    // One streaming pass: norms and packed (truncated key, index) records.
+    // One streaming pass: norms and (total-order key, index) pairs.
     let mut norms: Vec<f64> = Vec::with_capacity(n);
-    let mut keyed: Vec<u64> = Vec::with_capacity(n);
+    let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
     for i in 0..n {
         let row = &data[i * dim..(i + 1) * dim];
         let norm = row.iter().map(|x| x * x).sum::<f64>().sqrt();
         norms.push(norm);
-        keyed.push((total_cmp_key(norm) & !0xFFFF_FFFF) | i as u64);
+        keyed.push((total_cmp_key(norm), i as u32));
     }
-
-    if n < RADIX_MIN_N {
-        keyed.sort_unstable();
-    } else {
-        radix_sort_packed(&mut keyed);
-    }
-
-    // Repair runs whose truncated keys collide using the exact 64-bit
-    // total-order key (ties broken by original index — the stability
-    // guarantee). Runs are tiny for real norm distributions; a fully
-    // degenerate input degrades to one comparison sort, never to a wrong
-    // order.
-    let mut s = 0usize;
-    while s < n {
-        let mut e = s + 1;
-        while e < n && keyed[e] >> 32 == keyed[s] >> 32 {
-            e += 1;
-        }
-        if e - s > 1 {
-            keyed[s..e].sort_unstable_by_key(|&k| {
-                let i = (k & 0xFFFF_FFFF) as u32;
-                (total_cmp_key(norms[i as usize]), i)
-            });
-        }
-        s = e;
-    }
+    keyed.sort_unstable();
 
     // Sorted norm lane: the scan's window check then streams forward.
     let mut snorms: Vec<f64> = Vec::with_capacity(n);
     let mut order: Vec<u32> = Vec::with_capacity(n);
-    for &k in &keyed {
-        let idx = (k & 0xFFFF_FFFF) as u32;
+    for &(_, idx) in &keyed {
         snorms.push(norms[idx as usize]);
         order.push(idx);
     }
 
-    // Large populations additionally permute the rows into sorted order:
-    // the absorb scan then streams *forward* through memory instead of
-    // gathering one out-of-order row (one cache miss) per candidate. The
-    // permute performs the same gathers once, but as an independent
-    // address stream the prefetcher can overlap. Small pools skip the
-    // copy — their rows fit in cache either way.
-    let sdata: Option<Vec<f64>> = (n >= RADIX_MIN_N).then(|| {
-        let mut s = Vec::with_capacity(n * dim);
-        for &idx in &order {
-            let i = idx as usize;
-            s.extend_from_slice(&data[i * dim..(i + 1) * dim]);
-        }
-        s
-    });
-    let sdata = sdata.as_deref();
-
     match dim {
-        1 => greedy_scan(data, sdata, &snorms, &order, 1, threshold, dist_sq_fixed::<1>, sink),
-        2 => greedy_scan(data, sdata, &snorms, &order, 2, threshold, dist_sq_fixed::<2>, sink),
-        3 => greedy_scan(data, sdata, &snorms, &order, 3, threshold, dist_sq_fixed::<3>, sink),
-        4 => greedy_scan(data, sdata, &snorms, &order, 4, threshold, dist_sq_fixed::<4>, sink),
-        _ => greedy_scan(data, sdata, &snorms, &order, dim, threshold, dist_sq, sink),
+        1 => greedy_scan(data, &snorms, &order, 1, threshold, dist_sq_fixed::<1>, sink),
+        2 => greedy_scan(data, &snorms, &order, 2, threshold, dist_sq_fixed::<2>, sink),
+        3 => greedy_scan(data, &snorms, &order, 3, threshold, dist_sq_fixed::<3>, sink),
+        4 => greedy_scan(data, &snorms, &order, 4, threshold, dist_sq_fixed::<4>, sink),
+        _ => greedy_scan(data, &snorms, &order, dim, threshold, dist_sq, sink),
     }
-}
-
-/// Three stable counting-scatter passes (LSD radix, 11-bit digits) over
-/// the sort-relevant high 32 bits of the packed records. The low 32 bits
-/// (the original index) ride along untouched, so the integer order this
-/// produces is exactly `sort_unstable`'s: truncated key, then index.
-fn radix_sort_packed(keyed: &mut Vec<u64>) {
-    let n = keyed.len();
-    let mut hist = vec![0u32; 3 * RADIX_BUCKETS];
-    let (h0, rest) = hist.split_at_mut(RADIX_BUCKETS);
-    let (h1, h2) = rest.split_at_mut(RADIX_BUCKETS);
-    let mask = RADIX_BUCKETS as u64 - 1;
-    for &k in keyed.iter() {
-        h0[((k >> 32) & mask) as usize] += 1;
-        h1[((k >> (32 + RADIX_DIGIT_BITS)) & mask) as usize] += 1;
-        h2[((k >> (32 + 2 * RADIX_DIGIT_BITS)) & mask) as usize] += 1;
-    }
-    for h in [&mut *h0, &mut *h1, &mut *h2] {
-        let mut sum = 0u32;
-        for c in h.iter_mut() {
-            let v = *c;
-            *c = sum;
-            sum += v;
-        }
-    }
-    let mut scratch: Vec<u64> = vec![0; n];
-    for &k in keyed.iter() {
-        let d = ((k >> 32) & mask) as usize;
-        scratch[h0[d] as usize] = k;
-        h0[d] += 1;
-    }
-    for &k in scratch.iter() {
-        let d = ((k >> (32 + RADIX_DIGIT_BITS)) & mask) as usize;
-        keyed[h1[d] as usize] = k;
-        h1[d] += 1;
-    }
-    for &k in keyed.iter() {
-        let d = ((k >> (32 + 2 * RADIX_DIGIT_BITS)) & mask) as usize;
-        scratch[h2[d] as usize] = k;
-        h2[d] += 1;
-    }
-    *keyed = scratch;
 }
 
 /// Algorithm 1's greedy absorb scan over the norm-sorted order. The
-/// sorted norm lane streams forward; vector rows are read from `sdata`
-/// (rows pre-permuted into sorted position order, sequential access)
-/// when provided, and gathered from `data` through the sorted index lane
-/// otherwise — the same values either way. The float semantics are the
+/// sorted norm lane streams forward; vector rows are gathered from
+/// `data` through the sorted index lane. The float semantics are the
 /// original ones verbatim — same bound and cutoff formulas, same
 /// left-to-right distance summation, members reported to the sink in
 /// seed-then-ascending-sorted-position order — so the outcome is
 /// bit-identical to the exhaustive reference.
-#[allow(clippy::too_many_arguments)]
 fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     data: &[f64],
-    sdata: Option<&[f64]>,
     snorms: &[f64],
     order: &[u32],
     dim: usize,
@@ -586,14 +464,10 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     sink: &mut S,
 ) {
     let n = snorms.len();
-    // Row of the vector at sorted position `p`: position-indexed in the
-    // permuted strip, index-gathered from the original lanes otherwise.
-    let row = |p: usize| match sdata {
-        Some(s) => &s[p * dim..(p + 1) * dim],
-        None => {
-            let i = order[p] as usize;
-            &data[i * dim..(i + 1) * dim]
-        }
+    // Row of the vector at sorted position `p`.
+    let row = |p: usize| {
+        let i = order[p] as usize;
+        &data[i * dim..(i + 1) * dim]
     };
     // skip[p] = next possibly-unassigned sorted position ≥ p. The hot
     // loop advances with an inlined fast path — `skip[next] == next`
@@ -889,6 +763,75 @@ mod tests {
             cluster_vectors(&vecs, 0.05, 5),
             cluster_vectors_unpruned(&vecs, 0.05, 5)
         );
+    }
+
+    /// ≈6,000 shuffled vectors — the size of `repro`'s largest lane —
+    /// mixing interleaved clusters, exact norm ties between different
+    /// vectors, near-ties 1e-9 relative apart and ±0.0. At dim 2 the
+    /// exact ties swap components, so tied norms carry different seeds
+    /// and only a stable norm order picks the reference's one.
+    fn large_population(dim: usize) -> Vec<Vec<f64>> {
+        let row = |x: f64, flip: bool| match (dim, flip) {
+            (1, _) => vec![x],
+            (_, false) => vec![0.8 * x, 0.6 * x],
+            (_, true) => vec![0.6 * x, 0.8 * x],
+        };
+        let mut vectors = Vec::with_capacity(6_000);
+        for c in 0..150 {
+            let base = 100.0 * 1.03f64.powi(c);
+            for i in 0..30 {
+                vectors.push(row(base * (1.0 + 0.0007 * (i % 29) as f64 - 0.01), i % 2 == 0));
+            }
+        }
+        for i in 0..580 {
+            vectors.push(row(250.0 * (1 + i % 10) as f64, i % 2 == 0));
+        }
+        // Lone vectors far apart: rare clusters.
+        for i in 0..20 {
+            vectors.push(row(1e7 * 1.5f64.powi(i), i % 2 == 0));
+        }
+        for (b, base) in [7777.0, 31337.5, 5e5].into_iter().enumerate() {
+            for k in 0..200 {
+                vectors.push(row(base * (1.0 + ((k * 7 + b) % 17) as f64 * 1e-9), k % 3 == 0));
+            }
+        }
+        for i in 0..300 {
+            let z = if i % 2 == 0 { 0.0 } else { -0.0 };
+            vectors.push(if dim == 1 { vec![z] } else { vec![z, -z] });
+        }
+        let mut state = 0x2545F4914F6CDD1Du64;
+        for i in (1..vectors.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            vectors.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        vectors
+    }
+
+    /// Usable then rare clusters by members, seed bits and seed-norm
+    /// bits: `==` on `f64` would let `-0.0` stand in for `0.0`.
+    fn outcome_bits(o: &ClusterOutcome) -> Vec<(bool, Vec<u32>, Vec<u64>, u64)> {
+        let usable = o.usable.iter().map(|c| (true, c));
+        let rare = o.rare.iter().map(|c| (false, c));
+        usable
+            .chain(rare)
+            .map(|(u, c)| {
+                let seed = c.seed.iter().map(|x| x.to_bits()).collect();
+                (u, c.members.clone(), seed, c.seed_norm.to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn large_population_matches_unpruned_bit_for_bit() {
+        for dim in [1, 2] {
+            let vectors = large_population(dim);
+            assert_eq!(vectors.len(), 6_000);
+            let pruned = cluster_vectors(&vectors, 0.05, 5);
+            let reference = cluster_vectors_unpruned(&vectors, 0.05, 5);
+            assert_eq!(pruned.total_members(), vectors.len());
+            assert!(pruned.usable.len() > 50 && pruned.rare.len() >= 20, "dim {dim}");
+            assert_eq!(outcome_bits(&pruned), outcome_bits(&reference), "dim {dim}");
+        }
     }
 
     #[test]

@@ -724,9 +724,8 @@ pub(crate) mod tests {
         let encoded = FragmentBatch::from_stg(&stg, 0, window).encode_v3();
         let mut arena = IngestArena::new();
         // Decoding constructs fragments (it doesn't clone), pushing moves
-        // them, and sealing a window copies fields into columns. The
-        // windows are far below the fan-out threshold, so detection runs
-        // on this thread, under its clone counter.
+        // them, and sealing a window copies fields into columns.
+        // Detection runs on this thread, under its clone counter.
         let before = clone_count::on_this_thread();
         arena.push_batch(FragmentBatch::decode(&encoded).unwrap());
         let mut pool = ColumnarPool::new();

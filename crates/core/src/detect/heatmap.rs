@@ -10,69 +10,6 @@ use crate::detect::normalize::PerfPoint;
 use rayon::prelude::*;
 use vapro_sim::VirtualTime;
 
-/// Below this many points the parallel fill paths fall back to the
-/// sequential loop — the per-point work is tiny, so small batches lose
-/// more to the fan-out than they gain.
-const PAR_POINTS_MIN: usize = 2048;
-
-/// Below this many fragment rows in one window the per-location
-/// (detection) and per-region (diagnosis) fan-outs stay sequential
-/// loops. Offering a batch to a parked pool worker costs ≈13 µs before
-/// the worker contributes (futex wake plus the owner waiting out the
-/// helper's last item), which breaks even near 100 µs of batch work and
-/// reaches ≥1.5× on two cores near 0.7 ms. The benchmark's trace table
-/// prices a row at ≈87 ns (`clustering.ns_per_vector` 71 +
-/// `normalize.ns_per_frag` 16 on `stream_quiet`), so 0.7 ms is ≈8k
-/// rows. Windows below that — every window of the four benchmark
-/// workloads (≈1.5k and ≈48 rows) — are parallel *across* windows on
-/// the analysis stage instead. That costs one hand-off per window
-/// (≈25 µs), which is why the stage keeps windows below its own
-/// `INLINE_ROWS_MAX` on the submitting thread. DESIGN.md §13 has the
-/// measurements.
-pub(crate) const PAR_ROWS_MIN: usize = 8192;
-
-/// Deposit one point into its rank's row slices, distributing its weight
-/// across the bins its span overlaps. Row-local so the sequential path
-/// and the per-rank parallel path run *the same* code on the same
-/// slices — that, plus rank-partitioning keeping each cell's f64
-/// accumulation order equal to input order, is what makes
-/// [`HeatMap::add_points_par`] bit-identical to [`HeatMap::add_points`].
-#[allow(clippy::too_many_arguments)]
-fn deposit(
-    p: &PerfPoint,
-    t0: VirtualTime,
-    bin_ns: u64,
-    bins: usize,
-    weight: &mut [f64],
-    weighted_perf: &mut [f64],
-    loss: &mut [f64],
-) {
-    let start = p.start.max(t0);
-    let end_ns = p.end.ns();
-    if end_ns <= start.ns() {
-        return;
-    }
-    let rel_start = start.ns() - t0.ns();
-    let rel_end = (end_ns - t0.ns()).min(bin_ns * bins as u64);
-    if rel_end <= rel_start {
-        return;
-    }
-    let total = (p.end.ns() - p.start.ns()) as f64;
-    let first_bin = (rel_start / bin_ns) as usize;
-    let last_bin = (((rel_end - 1) / bin_ns) as usize).min(bins - 1);
-    for bin in first_bin..=last_bin {
-        let bin_lo = t0.ns() + bin as u64 * bin_ns;
-        let bin_hi = bin_lo + bin_ns;
-        let overlap = (end_ns.min(bin_hi) - p.start.ns().max(bin_lo)) as f64;
-        if overlap <= 0.0 {
-            continue;
-        }
-        weight[bin] += overlap;
-        weighted_perf[bin] += overlap * p.perf;
-        loss[bin] += p.loss_ns * overlap / total;
-    }
-}
-
 /// A dense rank × time grid of aggregated performance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeatMap {
@@ -109,16 +46,6 @@ impl HeatMap {
 
     /// Build a map spanning all the given points, with `bins` columns.
     pub fn spanning(points: &[PerfPoint], bins: usize, ranks: usize) -> Self {
-        Self::spanning_impl(points, bins, ranks, false)
-    }
-
-    /// [`HeatMap::spanning`] with the parallel fill path — bit-identical
-    /// output (see [`HeatMap::add_points_par`]).
-    pub fn spanning_par(points: &[PerfPoint], bins: usize, ranks: usize) -> Self {
-        Self::spanning_impl(points, bins, ranks, true)
-    }
-
-    fn spanning_impl(points: &[PerfPoint], bins: usize, ranks: usize, parallel: bool) -> Self {
         let t0 = points.iter().map(|p| p.start).min().unwrap_or(VirtualTime::ZERO);
         let t1 = points
             .iter()
@@ -128,11 +55,7 @@ impl HeatMap {
         let span = (t1.saturating_since(t0)).ns().max(1);
         let bin_ns = span.div_ceil(bins as u64).max(1);
         let mut hm = HeatMap::new(t0, bin_ns, bins, ranks);
-        if parallel {
-            hm.add_points_par(points);
-        } else {
-            hm.add_points(points);
-        }
+        hm.add_points(points);
         hm
     }
 
@@ -147,70 +70,38 @@ impl HeatMap {
         if p.rank >= self.ranks {
             return;
         }
-        let (lo, hi) = (p.rank * self.bins, (p.rank + 1) * self.bins);
-        deposit(
-            p,
-            self.t0,
-            self.bin_ns,
-            self.bins,
-            &mut self.weight[lo..hi],
-            &mut self.weighted_perf[lo..hi],
-            &mut self.loss[lo..hi],
-        );
+        let (t0, bin_ns, bins) = (self.t0, self.bin_ns, self.bins);
+        let start = p.start.max(t0);
+        let end_ns = p.end.ns();
+        if end_ns <= start.ns() {
+            return;
+        }
+        let rel_start = start.ns() - t0.ns();
+        let rel_end = (end_ns - t0.ns()).min(bin_ns * bins as u64);
+        if rel_end <= rel_start {
+            return;
+        }
+        let total = (p.end.ns() - p.start.ns()) as f64;
+        let first_bin = (rel_start / bin_ns) as usize;
+        let last_bin = (((rel_end - 1) / bin_ns) as usize).min(bins - 1);
+        for bin in first_bin..=last_bin {
+            let bin_lo = t0.ns() + bin as u64 * bin_ns;
+            let bin_hi = bin_lo + bin_ns;
+            let overlap = (end_ns.min(bin_hi) - p.start.ns().max(bin_lo)) as f64;
+            if overlap <= 0.0 {
+                continue;
+            }
+            let i = self.idx(p.rank, bin);
+            self.weight[i] += overlap;
+            self.weighted_perf[i] += overlap * p.perf;
+            self.loss[i] += p.loss_ns * overlap / total;
+        }
     }
 
     /// Add many observations.
     pub fn add_points(&mut self, points: &[PerfPoint]) {
         for p in points {
             self.add_point(p);
-        }
-    }
-
-    /// Parallel twin of [`HeatMap::add_points`] for large point sets,
-    /// bit-identical to the sequential loop: points are grouped by rank
-    /// (preserving input order) and each rank's row is filled by one
-    /// task. A cell is only ever touched by its own rank's points, so
-    /// every cell sees the exact accumulation sequence the sequential
-    /// pass produces — unlike a fold+[`HeatMap::merge`] scheme, which
-    /// would reassociate the f64 additions. Small sets, single-row maps
-    /// and one-thread pools (where grouping by rank buys nothing) take
-    /// the sequential loop directly.
-    pub fn add_points_par(&mut self, points: &[PerfPoint]) {
-        if points.len() < PAR_POINTS_MIN || self.ranks < 2 || rayon::current_num_threads() < 2 {
-            return self.add_points(points);
-        }
-        let mut by_rank: Vec<(usize, Vec<&PerfPoint>)> =
-            (0..self.ranks).map(|r| (r, Vec::new())).collect();
-        for p in points {
-            if p.rank < self.ranks {
-                // vapro-lint: allow(R6, per-rank point counts are unknown without a counting pass; pointer-sized pushes on the parallel path only)
-                by_rank[p.rank].1.push(p);
-            }
-        }
-        let (t0, bin_ns, bins) = (self.t0, self.bin_ns, self.bins);
-        // Each task copies its rank's current row, deposits its points
-        // into the copy, and the rows are written back afterwards — so a
-        // cell's f64 additions happen in exactly the sequential order,
-        // starting from the cell's existing value.
-        let (weight, weighted_perf, loss) = (&self.weight, &self.weighted_perf, &self.loss);
-        let rows: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = by_rank
-            .into_par_iter()
-            .map(|(rank, pts)| {
-                let (lo, hi) = (rank * bins, (rank + 1) * bins);
-                let mut w = weight[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
-                let mut wp = weighted_perf[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
-                let mut l = loss[lo..hi].to_vec(); // vapro-lint: allow(R6, owned O(bins) row copy is the parallel-determinism design)
-                for p in pts {
-                    deposit(p, t0, bin_ns, bins, &mut w, &mut wp, &mut l);
-                }
-                (w, wp, l)
-            })
-            .collect();
-        for (rank, (w, wp, l)) in rows.into_iter().enumerate() {
-            let (lo, hi) = (rank * bins, (rank + 1) * bins);
-            self.weight[lo..hi].copy_from_slice(&w);
-            self.weighted_perf[lo..hi].copy_from_slice(&wp);
-            self.loss[lo..hi].copy_from_slice(&l);
         }
     }
 
@@ -362,37 +253,6 @@ mod tests {
         b.add_point(&pt(0, 0, 100, 0.5));
         a.merge(&b);
         assert!((a.perf(0, 0).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_fill_is_bit_identical() {
-        // Enough points to clear the parallel threshold, awkward spans
-        // (bin-crossing, clipped, out-of-range ranks), interleaved ranks.
-        let mut pts = Vec::new();
-        for i in 0..3000u64 {
-            let rank = (i % 5) as usize; // rank 4 is out of range below
-            let start = i * 37 % 9_000;
-            let end = start + 23 + i % 311;
-            let perf = 0.3 + ((i % 7) as f64) * 0.1;
-            pts.push(pt(rank, start, end, perf));
-        }
-        let mut seq = HeatMap::new(VirtualTime::from_ns(50), 100, 64, 4);
-        let mut par = seq.clone();
-        seq.add_points(&pts);
-        par.add_points_par(&pts);
-        assert_eq!(seq, par);
-        for rank in 0..4 {
-            for bin in 0..64 {
-                assert_eq!(
-                    seq.weight_of(rank, bin).to_bits(),
-                    par.weight_of(rank, bin).to_bits()
-                );
-                assert_eq!(seq.loss_ns(rank, bin).to_bits(), par.loss_ns(rank, bin).to_bits());
-            }
-        }
-        let s = HeatMap::spanning(&pts, 48, 4);
-        let p = HeatMap::spanning_par(&pts, 48, 4);
-        assert_eq!(s, p);
     }
 
     #[test]

@@ -43,13 +43,6 @@ pub struct CategorySeries {
 }
 
 impl CategorySeries {
-    /// Append another series.
-    pub fn extend(&mut self, other: CategorySeries) {
-        self.computation.extend(other.computation);
-        self.communication.extend(other.communication);
-        self.io.extend(other.io);
-    }
-
     /// The series for one category.
     pub fn of(&self, kind: FragmentKind) -> &[PerfPoint] {
         match kind {

@@ -152,13 +152,17 @@ pub(crate) mod tests {
             .collect();
         let windows =
             windows_covering(VirtualTime::ZERO, VirtualTime::from_secs(25), cfg.report_period);
-        // The windows are far below the fan-out threshold, so the whole
-        // per-window pipeline runs on this thread: the thread-local
-        // clone counter must not move.
+        let large: Vec<Stg> = (0..4).map(|r| looped_stg(r, 2_100, 1_000, 50..90)).collect();
+        // Detection runs on the calling thread whatever the pool's size,
+        // so the thread-local clone counter sees every clone it makes —
+        // here over small windows and one whole-run pool of 8k+ rows.
         let before = clone_count::on_this_thread();
         for window in windows {
             let _ = detect_columnar(&ColumnarPool::from_stgs(&stgs, Some(window)), 2, 8, &cfg);
         }
+        let pool = ColumnarPool::from_stgs(&large, None);
+        assert!(pool.len() >= 8_192, "{} rows", pool.len());
+        let _ = detect_columnar(&pool, 4, 16, &cfg);
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
     }
 

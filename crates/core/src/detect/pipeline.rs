@@ -11,11 +11,10 @@
 use crate::clustering::ClusterTable;
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
-use crate::detect::heatmap::{HeatMap, PAR_ROWS_MIN};
+use crate::detect::heatmap::HeatMap;
 use crate::detect::normalize::{normalize_cluster_outcome_view, CategorySeries};
 use crate::detect::region::{grow_regions, VarianceRegion};
 use crate::stg::Stg;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// A rarely-executed path flagged by Algorithm 1's post-processing:
@@ -68,82 +67,6 @@ enum Location<'k> {
     Edge(&'k str, &'k str),
 }
 
-/// What a run of consecutive locations adds to the window's result.
-/// The sequential path fills one over every location; the parallel path
-/// fills one per chunk and concatenates them in location order.
-struct LocationRun {
-    series: CategorySeries,
-    rare_paths: Vec<RarePath>,
-    /// Usable-cluster time per location. Kept per location, not summed,
-    /// so the window total is the same left-to-right `f64` sum however
-    /// the locations were chunked.
-    covered_ns: Vec<f64>,
-    /// The edge locations' clusterings, in location order. Vertex
-    /// outcomes are not kept (diagnosis pools computation fragments,
-    /// which live on edges).
-    edge_clusters: ClusterTable,
-}
-
-impl LocationRun {
-    /// Cluster → rare-path → normalise chain over `locations`, each
-    /// lane appending straight into the run's series and table. Pure
-    /// over its inputs, which is what makes the fan-out safe.
-    fn analyze(
-        locations: &[(Location<'_>, LaneView<'_>)],
-        cfg: &VaproConfig,
-        rank_override: Option<usize>,
-    ) -> LocationRun {
-        let mut run = LocationRun {
-            series: CategorySeries::default(),
-            rare_paths: Vec::new(),
-            covered_ns: Vec::with_capacity(locations.len()),
-            edge_clusters: ClusterTable::new(cfg.min_cluster_size),
-        };
-        // A vertex lane's clustering is read once and forgotten.
-        let mut vertex_clusters = ClusterTable::new(cfg.min_cluster_size);
-        for (loc, lane) in locations {
-            let table = match loc {
-                Location::Vertex(_) => {
-                    vertex_clusters.clear();
-                    &mut vertex_clusters
-                }
-                Location::Edge(..) => &mut run.edge_clusters,
-            };
-            let clusters = table.push_lane(lane, &cfg.proxy_counters, cfg.cluster_threshold);
-            let mut covered_ns = 0.0f64;
-            for c in clusters.usable() {
-                covered_ns += cluster_time(lane, c.members);
-            }
-            run.covered_ns.push(covered_ns);
-            // Rare-path labels are built lazily — only locations that
-            // actually have rare clusters pay for label formatting.
-            let mut label: Option<String> = None;
-            for c in clusters.rare() {
-                let label = label.get_or_insert_with(|| match loc {
-                    Location::Vertex(s) => s.to_string(),
-                    Location::Edge(f, t) => format!("{f} -> {t}"),
-                });
-                run.rare_paths.push(RarePath {
-                    // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
-                    location: label.clone(),
-                    count: c.members.len(),
-                    total_ns: cluster_time(lane, c.members),
-                });
-            }
-            normalize_cluster_outcome_view(lane, &clusters, &mut run.series, rank_override);
-        }
-        run
-    }
-
-    /// Append a later run, as if its locations had been analysed here.
-    fn append(&mut self, later: LocationRun) {
-        self.series.extend(later.series);
-        self.rare_paths.extend(later.rare_paths);
-        self.covered_ns.extend(later.covered_ns);
-        self.edge_clusters.append(&later.edge_clusters);
-    }
-}
-
 /// Run detection over a sealed pool — a streamed window, or STGs
 /// gathered by [`ColumnarPool::from_stgs`].
 pub fn detect_columnar(
@@ -152,20 +75,20 @@ pub fn detect_columnar(
     bins: usize,
     cfg: &VaproConfig,
 ) -> DetectionResult {
-    detect_pool(pool, nranks, bins, cfg, true, None)
+    detect_pool(pool, nranks, bins, cfg, None)
 }
 
 /// Locations (vertices, then edges, both in label order) are analysed
-/// independently and in location order: one [`LocationRun`] over all of
-/// them, or — when `parallel` is set and the window holds at least
-/// [`PAR_ROWS_MIN`] rows — one per chunk on the pool, appended in chunk
-/// order, so the output is identical whichever path ran.
+/// one after another on the calling thread, each running the cluster →
+/// rare-path → normalise chain and appending straight into the window's
+/// series and table. What runs in parallel is windows: the analysis
+/// stage, `analyze_windows` and the fleet's per-job finish hand whole
+/// windows to the pool.
 fn detect_pool(
     pool: &ColumnarPool,
     nranks: usize,
     bins: usize,
     cfg: &VaproConfig,
-    parallel: bool,
     rank_override: Option<usize>,
 ) -> DetectionResult {
     let locations: Vec<(Location<'_>, LaneView<'_>)> = (0..pool.num_vertices())
@@ -178,25 +101,48 @@ fn detect_pool(
             (Location::Edge(from, to), view)
         }))
         .collect();
-    let run = if parallel && pool.len() >= PAR_ROWS_MIN {
-        // A few chunks per thread: lanes differ in size, and the pool
-        // hands chunks out as threads free up.
-        let per_chunk = locations.len().div_ceil(4 * rayon::current_num_threads()).max(1);
-        let runs: Vec<LocationRun> = locations
-            .par_chunks(per_chunk)
-            .map(|chunk| LocationRun::analyze(chunk, cfg, rank_override))
-            .collect();
-        runs.into_iter()
-            .reduce(|mut run, later| {
-                run.append(later);
-                run
-            })
-            .unwrap_or_else(|| LocationRun::analyze(&[], cfg, rank_override))
-    } else {
-        LocationRun::analyze(&locations, cfg, rank_override)
-    };
-    let LocationRun { series, mut rare_paths, covered_ns, edge_clusters } = run;
-    let covered_ns = covered_ns.iter().fold(0.0f64, |sum, lane| sum + lane);
+    let mut series = CategorySeries::default();
+    let mut rare_paths = Vec::new();
+    let mut covered_ns = 0.0f64;
+    // The edge locations' clusterings, in location order. Vertex
+    // outcomes are not kept (diagnosis pools computation fragments,
+    // which live on edges): a vertex lane's clustering is read once and
+    // forgotten.
+    let mut edge_clusters = ClusterTable::new(cfg.min_cluster_size);
+    let mut vertex_clusters = ClusterTable::new(cfg.min_cluster_size);
+    for (loc, lane) in &locations {
+        let table = match loc {
+            Location::Vertex(_) => {
+                vertex_clusters.clear();
+                &mut vertex_clusters
+            }
+            Location::Edge(..) => &mut edge_clusters,
+        };
+        let clusters = table.push_lane(lane, &cfg.proxy_counters, cfg.cluster_threshold);
+        // Summed per location first, then into the window total.
+        let mut lane_ns = 0.0f64;
+        for c in clusters.usable() {
+            lane_ns += cluster_time(lane, c.members);
+        }
+        covered_ns += lane_ns;
+        // Rare-path labels are built lazily — only locations that
+        // actually have rare clusters pay for label formatting.
+        let mut label: Option<String> = None;
+        for c in clusters.rare() {
+            let label = label.get_or_insert_with(|| match loc {
+                Location::Vertex(s) => s.to_string(),
+                Location::Edge(f, t) => format!("{f} -> {t}"),
+            });
+            // vapro-lint: allow(R6, one rare path per rare cluster in the report; rare by definition)
+            rare_paths.push(RarePath {
+                // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
+                location: label.clone(),
+                count: c.members.len(),
+                total_ns: cluster_time(lane, c.members),
+            });
+        }
+        normalize_cluster_outcome_view(lane, &clusters, &mut series, rank_override);
+    }
 
     // Coverage: covered fragment time over total execution time (sum of
     // per-rank makespans). Grouping by the fragments' own rank ids keeps
@@ -209,9 +155,6 @@ fn detect_pool(
     let build = |points: &[crate::detect::normalize::PerfPoint]| {
         if points.is_empty() {
             HeatMap::new(vapro_sim::VirtualTime::ZERO, 1, 1, nranks.max(1))
-        } else if parallel {
-            // Bit-identical to the sequential fill (rank-partitioned).
-            HeatMap::spanning_par(points, bins, nranks.max(1))
         } else {
             HeatMap::spanning(points, bins, nranks.max(1))
         }
@@ -266,16 +209,9 @@ fn total_makespan_ns(
 }
 
 /// Run detection over the per-rank STGs. `nranks` sizes the heat maps;
-/// `bins` is the number of time columns. Locations fan out across the
-/// thread pool; output is identical to [`detect_seq`].
+/// `bins` is the number of time columns.
 pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, true, None)
-}
-
-/// Single-threaded reference of [`detect`]: same pipeline, no fan-out.
-/// Exists for the equivalence property tests.
-pub fn detect_seq(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, false, None)
+    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, None)
 }
 
 /// Longest total first. `total_cmp`, so a NaN total sorts ahead of the
@@ -299,7 +235,7 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, members: &[u32]) -> f64 {
 /// `Fragment` clone — is ever built.
 pub fn detect_intra(stg: &Stg, bins: usize, cfg: &VaproConfig) -> DetectionResult {
     let pool = ColumnarPool::from_stgs(std::slice::from_ref(stg), None);
-    detect_pool(&pool, 1, bins, cfg, true, Some(0))
+    detect_pool(&pool, 1, bins, cfg, Some(0))
 }
 
 #[cfg(test)]
@@ -358,6 +294,8 @@ mod tests {
         let res = detect(&stgs, 4, 16, &VaproConfig::default());
         assert!(res.comp_regions.is_empty(), "{:?}", res.comp_regions);
         assert!(res.coverage > 0.5, "coverage {}", res.coverage);
+        // One table lane per pooled edge lane, in edge order.
+        assert_eq!(res.edge_clusters.num_lanes(), ColumnarPool::from_stgs(&stgs, None).num_edges());
     }
 
     #[test]
@@ -469,50 +407,6 @@ mod tests {
         assert!(!res.rare_paths.is_empty());
         assert!(res.rare_paths[0].total_ns >= 1e9);
         assert_eq!(res.rare_paths[0].count, 1);
-    }
-
-    #[test]
-    fn parallel_and_sequential_paths_are_identical() {
-        let mut stgs: Vec<Stg> = (0..4).map(|r| stg_with_loop(r, &[100; 20], 1000.0)).collect();
-        stgs[1] = stg_with_loop(1, &[250; 20], 1000.0);
-        let cfg = VaproConfig::default();
-        let par = detect(&stgs, 4, 16, &cfg);
-        let seq = detect_seq(&stgs, 4, 16, &cfg);
-        assert_eq!(par.series, seq.series);
-        assert_eq!(par.rare_paths, seq.rare_paths);
-        assert_eq!(par.comp_map, seq.comp_map);
-        assert_eq!(par.comm_map, seq.comm_map);
-        assert_eq!(par.io_map, seq.io_map);
-        assert_eq!(par.comp_regions, seq.comp_regions);
-        assert_eq!(par.comm_regions, seq.comm_regions);
-        assert_eq!(par.io_regions, seq.io_regions);
-        assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
-        assert_eq!(par.edge_clusters, seq.edge_clusters);
-        // One table lane per pooled edge lane, in edge order.
-        assert_eq!(par.edge_clusters.num_lanes(), ColumnarPool::from_stgs(&stgs, None).num_edges());
-    }
-
-    /// Same identity on a population big enough to really fan out (the
-    /// small one above stays under [`PAR_ROWS_MIN`] and runs the plain
-    /// loop on both sides).
-    #[test]
-    fn parallel_fanout_above_the_row_threshold_is_identical() {
-        let iters = PAR_ROWS_MIN / 16 + 10;
-        let mut stgs: Vec<Stg> =
-            (0..8).map(|r| stg_with_loop(r, &vec![100; iters], 1000.0)).collect();
-        stgs[3] = stg_with_loop(3, &vec![250; iters], 1000.0);
-        assert!(ColumnarPool::from_stgs(&stgs, None).len() >= PAR_ROWS_MIN);
-        let cfg = VaproConfig::default();
-        let par = detect(&stgs, 8, 16, &cfg);
-        let seq = detect_seq(&stgs, 8, 16, &cfg);
-        assert_eq!(par.series, seq.series);
-        assert_eq!(par.rare_paths, seq.rare_paths);
-        assert_eq!(par.comp_map, seq.comp_map);
-        assert_eq!(par.comm_map, seq.comm_map);
-        assert_eq!(par.comp_regions, seq.comp_regions);
-        assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
-        assert_eq!(par.edge_clusters, seq.edge_clusters);
-        assert!(!par.comp_regions.is_empty(), "the slow rank must be flagged");
     }
 
     #[test]

@@ -68,13 +68,17 @@ use std::sync::Arc;
 use std::thread;
 
 /// Windows with fewer fragment rows than this are analysed by the thread
-/// that submits them, at any depth. Handing a window to a parked pool
-/// worker costs ≈25 µs (futex wake, queue, the report's trip back through
-/// the reorder buffer) and analysis ≈0.25 µs a row, so below ≈100 rows
-/// the hand-off costs more than the work it moves; the rule PR 12 set
-/// for fan-outs (`PAR_ROWS_MIN`), applied to the stage. `fleet_small`'s
-/// ≈48-row windows sit below it, every stream workload's (≥ ≈770 rows)
-/// above; DESIGN.md §13 has the measurement.
+/// that submits them, at any depth. Windows are the only unit the
+/// analysis runs in parallel — one window is one sequential pass on
+/// whichever thread holds it — so this is the path's one size cut.
+/// Offering work to a parked pool worker costs ≈13 µs before the worker
+/// contributes (futex wake plus the owner waiting out the worker's last
+/// item); handing it a whole window costs ≈25 µs (that wake, the queue,
+/// the report's trip back through the reorder buffer). Analysis costs
+/// ≈0.25 µs a row, so below ≈100 rows the hand-off costs more than the
+/// work it moves. `fleet_small`'s ≈48-row windows sit below it, every
+/// stream workload's (≥ ≈770 rows) above; DESIGN.md §13 has the
+/// measurement.
 const INLINE_ROWS_MAX: usize = 128;
 
 /// One sealed window travelling through the stage: the immutable

@@ -57,9 +57,9 @@ pub mod clone_count {
     /// while waiting on the analysis stage, land here; a pool worker's
     /// share lands on that worker's counter, which lives as long as the
     /// process and is never read. So a zero delta proves a path
-    /// clone-free only if the path is sequential (`detect_seq`,
-    /// `DiagnosisBatch::diagnose`, a depth-0 ingestor below the fan-out
-    /// row threshold).
+    /// clone-free only if the path runs on the caller: `detect`,
+    /// `detect_columnar` and `DiagnosisBatch::diagnose` always do, and
+    /// so does a depth-0 ingestor.
     pub fn on_this_thread() -> u64 {
         CLONES.with(Cell::get)
     }
@@ -70,8 +70,8 @@ pub mod clone_count {
     /// measurement really is multi-threaded *and* nothing else in the
     /// process clones fragments meanwhile (the soak binary, whose tests
     /// take a lock to run one at a time); a unit test with cloning
-    /// siblings wants [`on_this_thread`] around a sequential twin
-    /// instead.
+    /// siblings wants [`on_this_thread`] around a path that runs on the
+    /// caller instead.
     pub fn in_process() -> u64 {
         TOTAL.load(Ordering::Relaxed)
     }

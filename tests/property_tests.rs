@@ -8,63 +8,14 @@ use rand_chacha::ChaCha8Rng;
 use vapro::core::clustering::{cluster_vectors, cluster_vectors_unpruned};
 use vapro::core::detect::heatmap::HeatMap;
 use vapro::core::detect::normalize::PerfPoint;
-use vapro::core::detect::pipeline::{detect, detect_seq};
 use vapro::core::detect::region::grow_regions;
 use vapro::core::{
     diagnose_region, ColumnarPool, DiagnosisBatch, Fragment, FragmentKind, RegionOfInterest,
     StateKey, Stg, VaproConfig,
 };
-use vapro::pmu::{
-    events, CounterDelta, CounterId, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown,
-    WorkloadSpec,
-};
+use vapro::pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown, WorkloadSpec};
 use vapro::sim::{CallSite, VirtualTime};
 use vapro::stats::{v_measure, OlsFit};
-
-/// A two-site STG for `rank`: invocations alternate between the sites and
-/// each `(duration_ns, instructions)` entry becomes one computation
-/// fragment on the edge that was just traversed. Gives `detect` several
-/// vertex and edge locations to fan out over.
-fn two_site_stg(rank: usize, iters: &[(u64, f64)]) -> Stg {
-    let mut stg = Stg::new();
-    let start = stg.state(StateKey::Start);
-    let a = stg.state(StateKey::Site(CallSite("prop:MPI_Allreduce")));
-    let b = stg.state(StateKey::Site(CallSite("prop:MPI_Barrier")));
-    stg.transition(start, a);
-    let ab = stg.transition(a, b);
-    let ba = stg.transition(b, a);
-    let mut t = 0u64;
-    for (i, &(d, ins)) in iters.iter().enumerate() {
-        let site = if i % 2 == 0 { a } else { b };
-        stg.attach_vertex_fragment(
-            site,
-            Fragment {
-                rank,
-                kind: FragmentKind::Communication,
-                start: VirtualTime::from_ns(t),
-                end: VirtualTime::from_ns(t + 10),
-                counters: CounterDelta::default(),
-                args: vec![64.0, 1.0],
-            },
-        );
-        t += 10;
-        let mut c = CounterDelta::default();
-        c.put(CounterId::TotIns, ins);
-        stg.attach_edge_fragment(
-            if i % 2 == 0 { ab } else { ba },
-            Fragment {
-                rank,
-                kind: FragmentKind::Computation,
-                start: VirtualTime::from_ns(t),
-                end: VirtualTime::from_ns(t + d),
-                counters: c,
-                args: vec![],
-            },
-        );
-        t += d;
-    }
-    stg
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -324,36 +275,6 @@ fn noisy_run(nranks: usize, n: usize, slow_rank: usize) -> (Vec<Stg>, u64) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The rayon fan-out is an implementation detail: `detect` and
-    /// `detect_seq` produce bit-identical results on arbitrary multi-rank
-    /// STGs.
-    #[test]
-    fn parallel_detect_matches_sequential(
-        per_rank in prop::collection::vec(
-            prop::collection::vec((50u64..2_000, 500.0f64..50_000.0), 1..25),
-            1..5,
-        ),
-        bins in 4usize..32,
-    ) {
-        let stgs: Vec<Stg> = per_rank
-            .iter()
-            .enumerate()
-            .map(|(rank, iters)| two_site_stg(rank, iters))
-            .collect();
-        let cfg = VaproConfig::default();
-        let par = detect(&stgs, stgs.len(), bins, &cfg);
-        let seq = detect_seq(&stgs, stgs.len(), bins, &cfg);
-        prop_assert_eq!(&par.series, &seq.series);
-        prop_assert_eq!(&par.rare_paths, &seq.rare_paths);
-        prop_assert_eq!(&par.comp_map, &seq.comp_map);
-        prop_assert_eq!(&par.comm_map, &seq.comm_map);
-        prop_assert_eq!(&par.io_map, &seq.io_map);
-        prop_assert_eq!(&par.comp_regions, &seq.comp_regions);
-        prop_assert_eq!(&par.comm_regions, &seq.comm_regions);
-        prop_assert_eq!(&par.io_regions, &seq.io_regions);
-        prop_assert_eq!(par.coverage.to_bits(), seq.coverage.to_bits());
-    }
 
     /// The norm-window early break never changes the clustering: pruned
     /// and exhaustive scans agree on arbitrary one-dimensional inputs
