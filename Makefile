@@ -92,9 +92,10 @@ test-repeat:
 # How many heap blocks a `WindowReport` owns (a counting allocator in
 # the test binary only), in the profile that ships: under a fixed
 # ceiling, and the same over 8 and over 64 call sites, for reports built
-# inline and on a pool worker. The census counts frees on the thread
-# that drops the report, so the harness's own parallelism and the pool's
-# workers cannot move it (no `--test-threads=1` needed).
+# inline and on a pool worker; and how many allocator calls one region
+# diagnosis makes: the same over a cluster of n and of 4n members. The
+# census counts per thread, so the harness's own parallelism and the
+# pool's workers cannot move it (no `--test-threads=1` needed).
 alloc-census:
 	$(CARGO) test -q --release $(OFFLINE) -p vapro-core --test report_heap_shape
 

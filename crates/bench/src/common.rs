@@ -1,7 +1,7 @@
 //! Shared experiment plumbing: options, noise presets, and report
 //! formatting helpers.
 
-use vapro_core::diagnose::{diagnose_progressively_with, DiagnosisReport, ScratchProvider};
+use vapro_core::diagnose::{diagnose_cluster, DiagnosisReport};
 use vapro_core::{ColumnarPool, LaneView, PoolView, Stg, VaproConfig};
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, TargetSet, VirtualTime};
 
@@ -117,7 +117,7 @@ pub fn diagnose_hottest_edge(stgs: &[Stg]) -> Option<DiagnosisReport> {
     let pool = ColumnarPool::from_stgs(stgs, None);
     let lane = hottest_edge(&pool)?;
     let members: Vec<u32> = (0..lane.len() as u32).collect();
-    diagnose_progressively_with(&mut ScratchProvider::new(lane, &members), 1.2, 0.25, 0.05)
+    diagnose_cluster(lane, &members, 1.2, 0.25, 0.05)
 }
 
 #[cfg(test)]

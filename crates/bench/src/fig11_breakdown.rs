@@ -9,6 +9,8 @@ use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{analyze_contributions, ols_impacts, Factor, FactorValues};
 use vapro_core::fragment::Fragment;
+use vapro_core::ColumnarPool;
+use vapro_pmu::CounterSet;
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
 /// One scatter point of the breakdown plot.
@@ -80,9 +82,12 @@ fn noisy_fragments(opts: &ExpOpts) -> Vec<Fragment> {
 /// Run the breakdown analysis.
 pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
     let fragments = noisy_fragments(opts);
-    let refs: Vec<&Fragment> = fragments.iter().collect();
+    let pool = ColumnarPool::single_lane(&fragments);
+    let members: Vec<u32> = (0..fragments.len() as u32).collect();
     let factors = [Factor::BackendBound, Factor::Suspension];
-    let fv = FactorValues::compute(&refs, &factors).expect("counters present");
+    let fv = FactorValues::from_members(&pool.all(), &members, CounterSet::all(), &factors)
+        .expect("counters present");
+    let (be_col, sp_col) = (fv.column(0), fv.column(1));
     let report =
         analyze_contributions(&fv, 1.2, 0.25).expect("both noisy and clean fragments");
 
@@ -91,15 +96,13 @@ pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
     let normal: Vec<usize> = (0..fv.len())
         .filter(|&i| fv.durations[i] <= 1.2 * min_dur)
         .collect();
-    let ref_be: f64 =
-        normal.iter().map(|&i| fv.values[i][0]).sum::<f64>() / normal.len() as f64;
-    let ref_sp: f64 =
-        normal.iter().map(|&i| fv.values[i][1]).sum::<f64>() / normal.len() as f64;
+    let ref_be: f64 = normal.iter().map(|&i| be_col[i]).sum::<f64>() / normal.len() as f64;
+    let ref_sp: f64 = normal.iter().map(|&i| sp_col[i]).sum::<f64>() / normal.len() as f64;
 
     let points = (0..fv.len())
         .map(|i| {
-            let be = fv.values[i][0] - ref_be;
-            let sp = fv.values[i][1] - ref_sp;
+            let be = be_col[i] - ref_be;
+            let sp = sp_col[i] - ref_sp;
             let abnormal = fv.durations[i] > 1.2 * min_dur;
             let slow = (fv.durations[i] - min_dur).max(1.0);
             let label = if !abnormal {

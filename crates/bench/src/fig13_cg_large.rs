@@ -8,7 +8,8 @@ use crate::common::{computing_noise, header, vapro_cf, ExpOpts};
 use vapro::harness::{run_bare, run_under_vapro_binned};
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{ols_impacts, Factor, FactorValues};
-use vapro_core::fragment::Fragment;
+use vapro_core::ColumnarPool;
+use vapro_pmu::CounterSet;
 use vapro_sim::{NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
 /// The Fig. 13 analysis output.
@@ -68,11 +69,10 @@ pub fn analyze(opts: &ExpOpts) -> Fig13Run {
     let invol_cs_p = victim_ranks.first().and_then(|&victim| {
         let stg = &run.stgs[victim];
         let edge = stg.hottest_edge()?;
-        let refs: Vec<&Fragment> = edge.fragments.iter().collect();
-        let fv = FactorValues::compute(
-            &refs,
-            &[Factor::InvoluntaryCs, Factor::VoluntaryCs, Factor::SoftPageFault],
-        )?;
+        let pool = ColumnarPool::single_lane(&edge.fragments);
+        let members: Vec<u32> = (0..edge.fragments.len() as u32).collect();
+        let factors = [Factor::InvoluntaryCs, Factor::VoluntaryCs, Factor::SoftPageFault];
+        let fv = FactorValues::from_members(&pool.all(), &members, CounterSet::all(), &factors)?;
         let (impacts, _) = ols_impacts(&fv, 0.05)?;
         impacts
             .iter()

@@ -105,8 +105,8 @@ pub trait PoolView {
         out: &mut Vec<f64>,
     );
 
-    /// Fragment `i`'s counter delta restricted to `keep` — what the
-    /// progressive drill-down rebuilds its scratch fragments from.
+    /// Fragment `i`'s counter delta restricted to `keep` — how each
+    /// drill-down step reads a cluster member's counters.
     fn project_counters(&self, i: usize, keep: CounterSet) -> CounterDelta;
 
     /// Fragment `i`'s invocation arguments.
@@ -414,6 +414,30 @@ impl<'a> LaneView<'a> {
         self.lo as usize + i
     }
 
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+
+    /// The lane's rank column, for a scan without per-row accessors.
+    pub(crate) fn ranks(&self) -> &'a [u32] {
+        &self.pool.ranks[self.rows()]
+    }
+
+    /// The lane's kind column.
+    pub(crate) fn kinds(&self) -> &'a [FragmentKind] {
+        &self.pool.kinds[self.rows()]
+    }
+
+    /// The lane's start column, ns.
+    pub(crate) fn starts(&self) -> &'a [u64] {
+        &self.pool.starts[self.rows()]
+    }
+
+    /// The lane's end column, ns.
+    pub(crate) fn ends(&self) -> &'a [u64] {
+        &self.pool.ends[self.rows()]
+    }
+
     /// One active counter value, or zero when `id` is outside the
     /// fragment's set: O(1) via the popcount of the mask bits below it.
     #[inline]
@@ -490,12 +514,16 @@ impl PoolView for LaneView<'_> {
 
     fn project_counters(&self, i: usize, keep: CounterSet) -> CounterDelta {
         let j = self.at(i);
+        let (held, base) = (self.pool.sets[j].bits(), self.pool.coff[j] as usize);
         let mut out = CounterDelta::default();
-        let base = self.pool.coff[j] as usize;
-        for (pos, id) in self.pool.sets[j].iter().enumerate() {
-            if keep.contains(id) {
-                out.put(id, self.pool.counters[base + pos]);
-            }
+        // Only the kept members of the fragment's set, lowest id first;
+        // each value sits at the popcount of the set bits below its id.
+        let mut kept = held & keep.bits();
+        while kept != 0 {
+            let id = CounterId::ALL[kept.trailing_zeros() as usize];
+            let below = held & ((1u32 << id.index()) - 1);
+            out.put(id, self.pool.counters[base + below.count_ones() as usize]);
+            kept &= kept - 1;
         }
         out
     }

@@ -59,8 +59,8 @@ pub struct WindowReport {
 /// Diagnose the top-K computation regions of a detection result over
 /// the same sealed pool it was detected on. The [`DiagnosisBatch`]
 /// seeds its cluster cache from the detection's own per-edge outcomes,
-/// so no pool is clustered twice — diagnosis costs one interval-index
-/// build plus the drill-downs themselves.
+/// so no pool is clustered twice — diagnosis costs one column scan per
+/// region plus the drill-downs themselves.
 fn diagnose_top_regions(
     pools: &ColumnarPool,
     result: &DetectionResult,

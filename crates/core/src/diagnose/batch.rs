@@ -1,150 +1,44 @@
-//! Batched region diagnosis: merge once, index once, cluster once —
-//! then diagnose every region.
+//! Batched region diagnosis: pool once, cluster once — then diagnose
+//! every region.
 //!
 //! [`diagnose_region`](crate::diagnose::diagnose_region) re-pools all
-//! STGs, re-scans every pool and re-clusters the winning pool *per
-//! region*, which is affordable for a user clicking one heat-map region
-//! but not for a server diagnosing every region of every closed window.
-//! [`DiagnosisBatch`] amortises all three costs across regions:
+//! STGs and re-clusters the winning lane *per region*, which is
+//! affordable for a user clicking one heat-map region but not for a
+//! server diagnosing every region of every closed window.
+//! [`DiagnosisBatch`] amortises both across regions:
 //!
 //! * **pool once** — the caller builds (or already has) the sealed
-//!   [`ColumnarPool`]; the batch only borrows it;
-//! * **interval index** — per edge pool, computation fragments sorted by
-//!   start time with a prefix-maximum of end times, so the in-region
-//!   time of a pool is a binary search plus a short scan instead of a
-//!   full-pool sweep per (region, pool) pair;
-//! * **cluster memoisation** — each pool is clustered at most once per
-//!   batch (two regions choosing the same pool share the outcome), and
+//!   [`ColumnarPool`]; the batch only borrows it. A region picks its
+//!   lane with one pass over the edge lanes' rank, kind and time
+//!   columns — a window is small enough that the scan costs less than
+//!   any index over it would;
+//! * **cluster memoisation** — each lane is clustered at most once per
+//!   batch (two regions choosing the same lane share the outcome), and
 //!   detection's own [`ClusterTable`] of the edge lanes can seed the
 //!   cache so the streaming server never re-clusters at all;
-//! * **report memoisation** — a region only *selects* a pool; the
-//!   drill-down population (the pool's dominant cluster, with its
+//! * **report memoisation** — a region only *selects* a lane; the
+//!   drill-down population (the lane's dominant cluster, with its
 //!   cross-rank normal reference) and therefore the whole
-//!   [`DiagnosisReport`] are functions of the pool alone, so each pool
+//!   [`DiagnosisReport`] are functions of the lane alone, so each lane
 //!   runs the progressive drill-down at most once per batch no matter
 //!   how many regions land on it.
 //!
 //! The per-region result is bit-identical to `diagnose_region` on the
-//! same pool: the in-region time is an order-independent `u64`
-//! sum, pool selection keeps the same first-best-wins tie-break, and
-//! clustering is deterministic — property-tested in
-//! `tests/property_tests.rs`.
+//! same pool: both select the lane with the same scan, and clustering is
+//! deterministic — property-tested in `tests/property_tests.rs`.
 
 use crate::clustering::{ClusterTable, LaneClusters};
-use crate::columnar::{ColumnarPool, PoolView};
+use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
-use crate::diagnose::driver::RegionOfInterest;
-use crate::diagnose::progressive::{
-    diagnose_progressively_with, DiagnosisReport, FragmentProvider,
-};
-use crate::fragment::{Fragment, FragmentKind};
+use crate::diagnose::driver::{busiest_edge, RegionOfInterest};
+use crate::diagnose::progressive::{diagnose_cluster, DiagnosisReport};
 use std::sync::OnceLock;
-use vapro_pmu::CounterSet;
 
-/// Interval index over one edge pool's computation fragments.
-///
-/// Fragments are sorted by start time; `prefix_max_end[i]` is the
-/// maximum end time among the first `i + 1` sorted fragments. A region
-/// `[t_start, t_end)` then overlaps exactly the sorted positions in
-/// `[lo, ub)` where `ub` bounds `start < t_end` (binary search on the
-/// sorted starts) and `lo` bounds `prefix_max_end > t_start` (binary
-/// search on the monotone prefix maximum — everything before `lo` ends
-/// at or before `t_start`). Only `[lo, ub)` is scanned for the rank
-/// filter and the duration sum.
-struct PoolIndex {
-    starts: Vec<u64>,
-    ends: Vec<u64>,
-    durations: Vec<u64>,
-    ranks: Vec<usize>,
-    prefix_max_end: Vec<u64>,
-}
-
-impl PoolIndex {
-    fn build<V: PoolView>(pool: V) -> PoolIndex {
-        let mut rows: Vec<(u64, u64, u64, usize)> = (0..pool.len())
-            .filter(|&i| pool.kind(i) == FragmentKind::Computation)
-            .map(|i| {
-                let (s, e) = (pool.start(i).ns(), pool.end(i).ns());
-                (s, e, e.saturating_sub(s), pool.rank(i))
-            })
-            .collect();
-        rows.sort_by_key(|r| r.0);
-        let mut prefix_max_end = Vec::with_capacity(rows.len());
-        let mut max_end = 0u64;
-        for &(_, end, _, _) in &rows {
-            max_end = max_end.max(end);
-            prefix_max_end.push(max_end);
-        }
-        PoolIndex {
-            starts: rows.iter().map(|r| r.0).collect(),
-            ends: rows.iter().map(|r| r.1).collect(),
-            durations: rows.iter().map(|r| r.2).collect(),
-            ranks: rows.iter().map(|r| r.3).collect(),
-            prefix_max_end,
-        }
-    }
-
-    /// Total time (ns) this pool's computation fragments spend inside the
-    /// region. A `u64` sum, so the answer is independent of summation
-    /// order — which is what keeps the index bit-identical to the naive
-    /// full-pool scan.
-    fn in_region_ns(&self, roi: &RegionOfInterest) -> u64 {
-        let (t_start, t_end) = (roi.t_start.ns(), roi.t_end.ns());
-        let ub = self.starts.partition_point(|&s| s < t_end);
-        let lo = self.prefix_max_end[..ub].partition_point(|&m| m <= t_start);
-        let mut total = 0u64;
-        for i in lo..ub {
-            if self.ends[i] > t_start
-                && self.ranks[i] >= roi.ranks.0
-                && self.ranks[i] <= roi.ranks.1
-            {
-                total += self.durations[i];
-            }
-        }
-        total
-    }
-}
-
-/// The drill-down's [`FragmentProvider`]: the chosen cluster's members
-/// are *indices* into a [`PoolView`], and each step projects their
-/// counter sets into one reused scratch buffer, rebuilding the fragments
-/// field by field from the view's accessors — zero full-population
-/// [`Fragment`] clones (`Fragment::clone` and its debug counter are
-/// bypassed).
-pub struct ScratchProvider<'a, V: PoolView> {
-    pool: V,
-    members: &'a [u32],
-    scratch: Vec<Fragment>,
-}
-
-impl<'a, V: PoolView> ScratchProvider<'a, V> {
-    /// Provider over the cluster `members` of `pool`.
-    pub fn new(pool: V, members: &'a [u32]) -> ScratchProvider<'a, V> {
-        ScratchProvider { pool, members, scratch: Vec::new() }
-    }
-}
-
-impl<V: PoolView> FragmentProvider for ScratchProvider<'_, V> {
-    fn collect(&mut self, set: CounterSet) -> &[Fragment] {
-        self.scratch.clear();
-        self.scratch.extend(self.members.iter().map(|&m| m as usize).map(|m| Fragment {
-            rank: self.pool.rank(m),
-            kind: self.pool.kind(m),
-            start: self.pool.start(m),
-            end: self.pool.end(m),
-            counters: self.pool.project_counters(m, set),
-            args: self.pool.args(m).to_vec(), // vapro-lint: allow(R6, arg vector copied into the reusable scratch projection; counters themselves are projected)
-        }));
-        &self.scratch
-    }
-}
-
-/// The reusable state of a batch: the sealed pool, one interval index
-/// per edge lane, and the memoised cluster outcomes.
+/// The reusable state of a batch: the sealed pool and the memoised
+/// cluster outcomes and reports, one slot per edge lane.
 pub struct DiagnosisBatch<'m> {
     pools: &'m ColumnarPool,
     cfg: &'m VaproConfig,
-    indexes: Vec<PoolIndex>,
     /// Lazily clustered one-lane tables, aligned with the edge pools.
     /// Unused when `seeded` is present.
     clusters: Vec<OnceLock<ClusterTable>>,
@@ -157,14 +51,13 @@ pub struct DiagnosisBatch<'m> {
 }
 
 impl<'m> DiagnosisBatch<'m> {
-    /// Index the pool for batched diagnosis. Clustering is lazy: a lane
-    /// is clustered the first time a region selects it.
+    /// A batch over the pool. Clustering is lazy: a lane is clustered
+    /// the first time a region selects it.
     pub fn new(pools: &'m ColumnarPool, cfg: &'m VaproConfig) -> DiagnosisBatch<'m> {
         let n = pools.num_edges();
-        let indexes = (0..n).map(|i| PoolIndex::build(pools.edge(i).2)).collect();
         let clusters = (0..n).map(|_| OnceLock::new()).collect();
         let reports = (0..n).map(|_| OnceLock::new()).collect();
-        DiagnosisBatch { pools, cfg, indexes, clusters, seeded: None, reports }
+        DiagnosisBatch { pools, cfg, clusters, seeded: None, reports }
     }
 
     /// Like [`DiagnosisBatch::new`], but reuse cluster outcomes computed
@@ -212,16 +105,7 @@ impl<'m> DiagnosisBatch<'m> {
     /// pool with the most in-region computation time; `None` when no
     /// pool overlaps the region or the winner has no usable cluster.
     pub fn diagnose(&self, roi: &RegionOfInterest) -> Option<DiagnosisReport> {
-        // First-best-wins on strict improvement, in edge order — the
-        // exact tie-break of the naive per-region scan.
-        let mut best: Option<(usize, u64)> = None;
-        for (i, index) in self.indexes.iter().enumerate() {
-            let in_region = index.in_region_ns(roi);
-            if in_region > 0 && best.is_none_or(|(_, t)| in_region > t) {
-                best = Some((i, in_region));
-            }
-        }
-        let (pool_idx, _) = best?;
+        let pool_idx = busiest_edge(self.pools, roi)?;
         // The region's only contribution was choosing the pool; the
         // drill-down is memoised per pool.
         // vapro-lint: allow(R6, memoised report fan-out; one owned DiagnosisReport per region)
@@ -233,9 +117,9 @@ impl<'m> DiagnosisBatch<'m> {
         let pool = self.pools.edge(pool_idx).2;
         let outcome = self.outcome(pool_idx);
         let cluster = outcome.usable().max_by_key(|c| c.members.len())?;
-        let mut provider = ScratchProvider::new(pool, cluster.members);
-        diagnose_progressively_with(
-            &mut provider,
+        diagnose_cluster(
+            pool,
+            cluster.members,
             self.cfg.ka_abnormal,
             self.cfg.major_factor_threshold,
             0.05,
@@ -284,29 +168,6 @@ mod tests {
             diagnosed += usize::from(got.is_some());
         }
         assert!(diagnosed > 0);
-    }
-
-    #[test]
-    fn interval_index_matches_naive_scan() {
-        let stgs = stgs_with_noise(3, 20, 1, (0, 20_000_000));
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
-        for e in 0..sealed.num_edges() {
-            let pool = sealed.edge(e).2;
-            let index = PoolIndex::build(pool);
-            for roi in rois_grid(3, 45_000_000, 7) {
-                let naive: u64 = (0..pool.len())
-                    .filter(|&i| {
-                        pool.kind(i) == FragmentKind::Computation
-                            && pool.rank(i) >= roi.ranks.0
-                            && pool.rank(i) <= roi.ranks.1
-                            && pool.start(i) < roi.t_end
-                            && pool.end(i) > roi.t_start
-                    })
-                    .map(|i| pool.end(i).ns() - pool.start(i).ns())
-                    .sum();
-                assert_eq!(index.in_region_ns(&roi), naive, "roi {roi:?}");
-            }
-        }
     }
 
     #[cfg(any(debug_assertions, feature = "clone-count"))]

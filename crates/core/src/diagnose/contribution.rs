@@ -17,7 +17,7 @@ use crate::diagnose::factor::Factor;
 use crate::diagnose::quantify::FactorValues;
 
 /// One factor's contribution summary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FactorContribution {
     /// The factor.
     pub factor: Factor,
@@ -35,8 +35,23 @@ pub struct FactorContribution {
     pub major: bool,
 }
 
+/// Equal when every field is, `f64`s compared by bits: a count factor's
+/// `impact_share` is NaN by design, and equality must stay reflexive for
+/// reports to be comparable at all.
+impl PartialEq for FactorContribution {
+    fn eq(&self, other: &FactorContribution) -> bool {
+        let key = |c: &FactorContribution| {
+            let bits = [c.contribution, c.impact_share, c.duration_share].map(f64::to_bits);
+            (c.factor, bits, c.major)
+        };
+        key(self) == key(other)
+    }
+}
+
+impl Eq for FactorContribution {}
+
 /// The contribution analysis of one cluster at one stage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ContributionReport {
     /// Per-factor results, ordered as the input factors.
     pub factors: Vec<FactorContribution>,
@@ -48,6 +63,18 @@ pub struct ContributionReport {
     /// duration), ns.
     pub total_slowdown_ns: f64,
 }
+
+/// Field-wise, the slowdown compared by bits (see [`FactorContribution`]).
+impl PartialEq for ContributionReport {
+    fn eq(&self, other: &ContributionReport) -> bool {
+        self.factors == other.factors
+            && self.abnormal_count == other.abnormal_count
+            && self.normal_count == other.normal_count
+            && self.total_slowdown_ns.to_bits() == other.total_slowdown_ns.to_bits()
+    }
+}
+
+impl Eq for ContributionReport {}
 
 impl ContributionReport {
     /// The major factors, most-contributing first.
@@ -74,7 +101,7 @@ impl ContributionReport {
 /// Returns `None` when the cluster has no abnormal/normal split to
 /// compare (everything normal, or everything abnormal).
 pub fn analyze_contributions(
-    fv: &FactorValues,
+    fv: &FactorValues<'_>,
     ka: f64,
     major_threshold: f64,
 ) -> Option<ContributionReport> {
@@ -83,101 +110,79 @@ pub fn analyze_contributions(
     if n < 2 {
         return None;
     }
-    let min_dur = fv.durations.iter().copied().fold(f64::INFINITY, f64::min);
-    let abnormal: Vec<usize> = (0..n)
-        .filter(|&i| fv.durations[i] > ka * min_dur)
-        .collect();
-    let normal: Vec<usize> =
-        (0..n).filter(|&i| fv.durations[i] <= ka * min_dur).collect();
-    if abnormal.is_empty() || normal.is_empty() {
+    let durations = &fv.durations;
+    let min_dur = durations.iter().copied().fold(f64::INFINITY, f64::min);
+    let abnormal = |d: f64| d > ka * min_dur;
+    let normal = |d: f64| d <= ka * min_dur;
+    let abnormal_count = durations.iter().filter(|&&d| abnormal(d)).count();
+    let normal_count = durations.iter().filter(|&&d| normal(d)).count();
+    if abnormal_count == 0 || normal_count == 0 {
         return None;
     }
 
-    // Reference: mean of each factor over normal fragments.
-    let k = fv.factors.len();
-    let mut reference = vec![0.0; k];
-    for &i in &normal {
-        for (r, v) in reference.iter_mut().zip(&fv.values[i]) {
-            *r += v;
-        }
-    }
-    for r in &mut reference {
-        *r /= normal.len() as f64;
-    }
     let ref_dur: f64 =
-        normal.iter().map(|&i| fv.durations[i]).sum::<f64>() / normal.len() as f64;
-
-    // Contributions over abnormal fragments.
-    let mut contributions = vec![0.0; k];
-    let total_slowdown_ns: f64 = abnormal
+        durations.iter().filter(|&&d| normal(d)).sum::<f64>() / normal_count as f64;
+    let total_slowdown_ns: f64 = durations
         .iter()
-        .map(|&i| (fv.durations[i] - ref_dur).max(0.0))
+        .filter(|&&d| abnormal(d))
+        .map(|&d| (d - ref_dur).max(0.0))
         .sum();
-    for &i in &abnormal {
-        for j in 0..k {
-            contributions[j] += fv.values[i][j] - reference[j];
-        }
-    }
+    let total_time: f64 = durations.iter().sum();
 
-    // Per-abnormal-fragment major factor (the marker in Fig. 11): the
-    // time-quantifiable factor with the largest excess.
-    let mut duration_by_factor = vec![0.0f64; k];
-    let total_time: f64 = fv.durations.iter().sum();
-    for &i in &abnormal {
-        // A fragment's majors: factors whose excess clears the threshold
-        // share of this fragment's own slowdown.
-        let slow = (fv.durations[i] - ref_dur).max(0.0);
-        if slow <= 0.0 {
-            continue;
-        }
-        for j in 0..k {
-            if !fv.factors[j].time_quantifiable() {
-                continue;
+    // One pass per column; each sum accumulates in row order.
+    let factors = fv
+        .factors
+        .iter()
+        .enumerate()
+        .map(|(j, &f)| {
+            let column = fv.column(j);
+            // Reference: the factor's mean over normal fragments.
+            let mut reference = 0.0;
+            for (&v, &d) in column.iter().zip(durations) {
+                if normal(d) {
+                    reference += v;
+                }
             }
-            let excess = fv.values[i][j] - reference[j];
-            if excess > major_threshold * slow {
-                duration_by_factor[j] += fv.durations[i];
+            reference /= normal_count as f64;
+            // Contribution over abnormal fragments, and the time of those
+            // whose own majors include this factor (the marker in Fig. 11):
+            // its excess clears the threshold share of the fragment's own
+            // slowdown.
+            let (mut contribution, mut affected) = (0.0, 0.0f64);
+            for (&v, &d) in column.iter().zip(durations) {
+                if !abnormal(d) {
+                    continue;
+                }
+                contribution += v - reference;
+                let slow = (d - ref_dur).max(0.0);
+                if f.time_quantifiable() && slow > 0.0 && v - reference > major_threshold * slow {
+                    affected += d;
+                }
             }
-        }
-    }
-
-    let factors = (0..k)
-        .map(|j| {
-            let f = fv.factors[j];
             let impact_share = if f.time_quantifiable() && total_slowdown_ns > 0.0 {
-                contributions[j] / total_slowdown_ns
+                contribution / total_slowdown_ns
             } else {
                 f64::NAN
             };
             let major = if f.time_quantifiable() {
-                total_slowdown_ns > 0.0
-                    && contributions[j] > major_threshold * total_slowdown_ns
+                total_slowdown_ns > 0.0 && contribution > major_threshold * total_slowdown_ns
             } else {
                 // Count factors become major when their relative excess is
                 // large (they cannot be compared in time directly).
-                let ref_j = reference[j].max(1e-9);
-                contributions[j] / abnormal.len() as f64 > 0.5 * ref_j
+                let ref_j = reference.max(1e-9);
+                contribution / abnormal_count as f64 > 0.5 * ref_j
             };
             FactorContribution {
                 factor: f,
-                contribution: contributions[j],
+                contribution,
                 impact_share,
-                duration_share: if total_time > 0.0 {
-                    duration_by_factor[j] / total_time
-                } else {
-                    0.0
-                },
+                duration_share: if total_time > 0.0 { affected / total_time } else { 0.0 },
                 major,
             }
         })
         .collect();
 
-    Some(ContributionReport {
-        factors,
-        abnormal_count: abnormal.len(),
-        normal_count: normal.len(),
-        total_slowdown_ns,
-    })
+    Some(ContributionReport { factors, abnormal_count, normal_count, total_slowdown_ns })
 }
 
 #[cfg(test)]
@@ -185,20 +190,17 @@ mod tests {
     use super::*;
 
     /// Hand-built factor values: `k` factors, durations, per-fragment rows.
-    fn fv(factors: Vec<Factor>, rows: Vec<(f64, Vec<f64>)>) -> FactorValues {
+    fn fv(factors: &[Factor], rows: Vec<(f64, Vec<f64>)>) -> FactorValues<'_> {
         FactorValues {
             factors,
             durations: rows.iter().map(|r| r.0).collect(),
-            values: rows.into_iter().map(|r| r.1).collect(),
+            values: (0..factors.len()).flat_map(|j| rows.iter().map(move |r| r.1[j])).collect(),
         }
     }
 
     #[test]
     fn clean_cluster_has_no_split() {
-        let v = fv(
-            vec![Factor::BackendBound],
-            (0..10).map(|_| (100.0, vec![60.0])).collect(),
-        );
+        let v = fv(&[Factor::BackendBound], (0..10).map(|_| (100.0, vec![60.0])).collect());
         assert!(analyze_contributions(&v, 1.2, 0.25).is_none());
     }
 
@@ -209,7 +211,7 @@ mod tests {
         let mut rows: Vec<(f64, Vec<f64>)> = (0..8).map(|_| (100.0, vec![60.0])).collect();
         rows.push((200.0, vec![160.0]));
         rows.push((200.0, vec![160.0]));
-        let v = fv(vec![Factor::BackendBound], rows);
+        let v = fv(&[Factor::BackendBound], rows);
         let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
         assert_eq!(rep.abnormal_count, 2);
         assert_eq!(rep.normal_count, 8);
@@ -229,7 +231,7 @@ mod tests {
             (0..8).map(|_| (100.0, vec![60.0, 5.0])).collect();
         rows.push((200.0, vec![150.0, 15.0]));
         rows.push((200.0, vec![150.0, 15.0]));
-        let v = fv(vec![Factor::BackendBound, Factor::Suspension], rows);
+        let v = fv(&[Factor::BackendBound, Factor::Suspension], rows);
         let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
         assert!(rep.of(Factor::BackendBound).unwrap().major);
         assert!(!rep.of(Factor::Suspension).unwrap().major);
@@ -248,7 +250,7 @@ mod tests {
         let mut rows: Vec<(f64, Vec<f64>)> = (0..8).map(|_| (100.0, vec![60.0])).collect();
         rows.push((200.0, vec![160.0]));
         rows.push((200.0, vec![160.0]));
-        let v = fv(vec![Factor::BackendBound], rows);
+        let v = fv(&[Factor::BackendBound], rows);
         let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
         let total: f64 = 8.0 * 100.0 + 2.0 * 200.0;
         let expect = 400.0 / total;
@@ -262,7 +264,7 @@ mod tests {
         let mut rows: Vec<(f64, Vec<f64>)> = (0..8).map(|_| (100.0, vec![0.0])).collect();
         rows.push((250.0, vec![50.0]));
         rows.push((250.0, vec![50.0]));
-        let v = fv(vec![Factor::InvoluntaryCs], rows);
+        let v = fv(&[Factor::InvoluntaryCs], rows);
         let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
         let ics = rep.of(Factor::InvoluntaryCs).unwrap();
         assert!(ics.major);
@@ -280,7 +282,7 @@ mod tests {
             (121.0, vec![2.0]),
             (300.0, vec![3.0]),
         ];
-        let v = fv(vec![Factor::BackendBound], rows);
+        let v = fv(&[Factor::BackendBound], rows);
         let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
         assert_eq!(rep.abnormal_count, 2);
         assert_eq!(rep.normal_count, 3);
@@ -292,9 +294,9 @@ mod tests {
         // min = 100, the others > 120 → only one "normal" — fine; but if
         // even the min is the lone fragment and everything else abnormal,
         // analysis still works. True rejection needs an empty side:
-        let v = fv(vec![Factor::BackendBound], rows);
+        let v = fv(&[Factor::BackendBound], rows);
         assert!(analyze_contributions(&v, 1.2, 0.25).is_some());
-        let lone = fv(vec![Factor::BackendBound], vec![(100.0, vec![1.0])]);
+        let lone = fv(&[Factor::BackendBound], vec![(100.0, vec![1.0])]);
         assert!(analyze_contributions(&lone, 1.2, 0.25).is_none());
     }
 }

@@ -10,11 +10,10 @@
 //! progressive drill-down over that population.
 
 use crate::clustering::cluster_pool;
-use crate::columnar::{ColumnarPool, LaneView, PoolView};
+use crate::columnar::{ColumnarPool, LaneView};
 use crate::config::VaproConfig;
 use crate::detect::region::VarianceRegion;
-use crate::diagnose::batch::ScratchProvider;
-use crate::diagnose::progressive::{diagnose_progressively_with, DiagnosisReport};
+use crate::diagnose::progressive::{diagnose_cluster, DiagnosisReport};
 use crate::fragment::FragmentKind;
 use crate::stg::Stg;
 use vapro_sim::VirtualTime;
@@ -37,12 +36,37 @@ impl From<&VarianceRegion> for RegionOfInterest {
 }
 
 impl RegionOfInterest {
-    fn covers(&self, lane: &LaneView<'_>, i: usize) -> bool {
-        lane.rank(i) >= self.ranks.0
-            && lane.rank(i) <= self.ranks.1
-            && lane.start(i) < self.t_end
-            && lane.end(i) > self.t_start
+    /// Elapsed ns of `lane`'s computation fragments on the region's ranks
+    /// whose spans overlap its time window: one pass over the lane's
+    /// columns. A `u64` sum, so the scan order cannot perturb it.
+    fn claim_on(&self, lane: &LaneView<'_>) -> u64 {
+        let (t_start, t_end) = (self.t_start.ns(), self.t_end.ns());
+        let ranks = self.ranks.0..=self.ranks.1;
+        let rows = lane.kinds().iter().zip(lane.ranks()).zip(lane.starts().iter().zip(lane.ends()));
+        rows.filter(|&((&kind, &rank), (&start, &end))| {
+            kind == FragmentKind::Computation
+                && ranks.contains(&(rank as usize))
+                && start < t_end
+                && end > t_start
+        })
+        .map(|(_, (&start, &end))| end.saturating_sub(start))
+        .sum()
     }
+}
+
+/// The edge lane a region is diagnosed on: the one its computation
+/// fragments spend the most time in, the first on a tie (strict
+/// improvement, in edge order). `None` when the region overlaps no edge
+/// lane.
+pub(crate) fn busiest_edge(pool: &ColumnarPool, roi: &RegionOfInterest) -> Option<usize> {
+    let mut best: Option<(usize, u64)> = None;
+    for e in 0..pool.num_edges() {
+        let in_region = roi.claim_on(&pool.edge(e).2);
+        if in_region > 0 && best.is_none_or(|(_, t)| in_region > t) {
+            best = Some((e, in_region));
+        }
+    }
+    best.map(|(e, _)| e)
 }
 
 /// Diagnose one region of interest over the given STGs.
@@ -53,8 +77,8 @@ impl RegionOfInterest {
 /// reference). Returns `None` when the region holds no usable cluster or
 /// no abnormal/normal contrast.
 ///
-/// This is the naive per-region driver — pool, full scan of every lane,
-/// cluster the winner — that [`DiagnosisBatch`](crate::diagnose::DiagnosisBatch)
+/// This is the naive per-region driver — pool, scan every lane, cluster
+/// the winner — that [`DiagnosisBatch`](crate::diagnose::DiagnosisBatch)
 /// is property-tested against; many regions over one run want the batch.
 pub fn diagnose_region(
     stgs: &[Stg],
@@ -62,26 +86,12 @@ pub fn diagnose_region(
     cfg: &VaproConfig,
 ) -> Option<DiagnosisReport> {
     let pooled = ColumnarPool::from_stgs(stgs, None);
-
-    // Find the edge pool with the most in-region time.
-    let mut best: Option<(LaneView<'_>, u64)> = None;
-    for e in 0..pooled.num_edges() {
-        let pool = pooled.edge(e).2;
-        let in_region: u64 = (0..pool.len())
-            .filter(|&i| pool.kind(i) == FragmentKind::Computation && roi.covers(&pool, i))
-            .map(|i| pool.end(i).saturating_since(pool.start(i)).ns())
-            .sum();
-        if in_region > 0 && best.is_none_or(|(_, t)| in_region > t) {
-            best = Some((pool, in_region));
-        }
-    }
-    let (pool, _) = best?;
+    let pool = pooled.edge(busiest_edge(&pooled, roi)?).2;
 
     // The diagnosis population: the whole pool's dominant cluster — it
     // contains the region's abnormal fragments plus the out-of-region /
-    // other-rank normal ones that give the reference values. The scratch
-    // provider borrows the members and projects counter sets into one
-    // reused buffer, so no full-population clone happens at any step.
+    // other-rank normal ones that give the reference values. The
+    // drill-down reads its members in place from the lane's columns.
     let outcome = cluster_pool(
         &pool,
         &cfg.proxy_counters,
@@ -92,13 +102,7 @@ pub fn diagnose_region(
         .usable
         .iter()
         .max_by_key(|c| c.members.len())?;
-    let mut provider = ScratchProvider::new(pool, &cluster.members);
-    diagnose_progressively_with(
-        &mut provider,
-        cfg.ka_abnormal,
-        cfg.major_factor_threshold,
-        0.05,
-    )
+    diagnose_cluster(pool, &cluster.members, cfg.ka_abnormal, cfg.major_factor_threshold, 0.05)
 }
 
 #[cfg(test)]
@@ -184,7 +188,7 @@ pub(crate) mod tests {
     #[test]
     fn region_diagnosis_clones_no_fragments() {
         use crate::fragment::clone_count;
-        // The provider projects counters into a reused scratch buffer;
+        // Every step reads the members in place from the sealed columns;
         // no step clones the population (driver.rs used to pay
         // 1 + steps full-population clones here).
         let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));

@@ -10,12 +10,9 @@ pub mod factor;
 pub mod progressive;
 pub mod quantify;
 
-pub use batch::{DiagnosisBatch, ScratchProvider};
+pub use batch::DiagnosisBatch;
 pub use contribution::{analyze_contributions, ContributionReport, FactorContribution};
 pub use driver::{diagnose_region, RegionOfInterest};
 pub use factor::{Factor, Stage};
-pub use progressive::{
-    diagnose_progressively, diagnose_progressively_with, DiagnosisReport, FragmentProvider,
-    StageStep,
-};
+pub use progressive::{diagnose_cluster, diagnose_progressively, DiagnosisReport, StageStep};
 pub use quantify::{factor_value, ols_impacts, FactorValues, OlsImpact};

@@ -4,11 +4,16 @@
 //!
 //! Each step costs one client→server data-shipping period plus one
 //! analysis latency; locating an S_n factor takes n periods — cheap
-//! against production run times. The driver asks a *data provider* for
-//! cluster fragments collected under a given counter set (in a live
-//! deployment the server notifies clients to reprogram their PMUs; in
-//! this reproduction the provider re-projects or re-simulates).
+//! against production run times. In a live deployment the server
+//! notifies clients to reprogram their PMUs between steps. Here every
+//! step reads the cluster's members in place from the sealed columns of
+//! one lane ([`diagnose_cluster`]), each member's counters projected
+//! onto the step's set: what that member ships with only the set live.
+//! A caller that re-simulates the cluster under each set instead hands
+//! [`diagnose_progressively`] a closure, whose fragments are sealed
+//! into a one-lane pool and read the same way.
 
+use crate::columnar::{ColumnarPool, LaneView};
 use crate::diagnose::contribution::{analyze_contributions, ContributionReport};
 use crate::diagnose::factor::Factor;
 use crate::diagnose::quantify::{ols_impacts, FactorValues, OlsImpact};
@@ -16,7 +21,7 @@ use crate::fragment::Fragment;
 use vapro_pmu::CounterSet;
 
 /// One stage of the drill-down.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageStep {
     /// Factors analysed at this step.
     pub factors: Vec<Factor>,
@@ -29,8 +34,9 @@ pub struct StageStep {
     pub ols: Vec<OlsImpact>,
 }
 
-/// Final output of progressive diagnosis.
-#[derive(Debug, Clone, PartialEq)]
+/// Final output of progressive diagnosis. Equality compares every `f64`
+/// by bits, so a report equals its clone even where it holds NaNs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiagnosisReport {
     /// The drill-down trace, one entry per stage analysed.
     pub steps: Vec<StageStep>,
@@ -56,57 +62,71 @@ impl DiagnosisReport {
     }
 }
 
-/// A source of cluster fragments as collected under a given counter set.
-///
-/// Borrow-based twin of the closure form of [`diagnose_progressively`]:
-/// `collect` returns a slice the provider owns, so implementations can
-/// project counters into a reused scratch buffer instead of allocating
-/// (and cloning) a fresh population at every S1→S3 step. In a live
-/// deployment the provider reprograms client PMUs and waits a shipping
-/// period; in this reproduction it re-projects or re-simulates.
-pub trait FragmentProvider {
-    /// The cluster's fragments restricted to `set`. The slice only needs
-    /// to live until the next `collect` call.
-    fn collect(&mut self, set: CounterSet) -> &[Fragment];
+/// Run the drill-down over one cluster: `members` index rows of `lane`.
+pub fn diagnose_cluster(
+    lane: LaneView<'_>,
+    members: &[u32],
+    ka: f64,
+    major_threshold: f64,
+    alpha: f64,
+) -> Option<DiagnosisReport> {
+    descend(|set, frontier| {
+        analyze_step(&lane, members, set, frontier, ka, major_threshold, alpha)
+    })
 }
 
-/// Adapter giving the closure entry point the borrow-based engine: the
-/// closure's fresh `Vec` is parked in `buf` and lent out.
-struct FnProvider<'a> {
-    f: &'a mut dyn FnMut(CounterSet) -> Vec<Fragment>,
-    buf: Vec<Fragment>,
-}
-
-impl FragmentProvider for FnProvider<'_> {
-    fn collect(&mut self, set: CounterSet) -> &[Fragment] {
-        self.buf = (self.f)(set);
-        &self.buf
-    }
-}
-
-/// Run the drill-down over one cluster. `provider` returns the cluster's
-/// fragments as collected under the given counter set — fragments whose
-/// recorded counters don't include the set are unusable and must be
-/// re-collected, which is what costs a period per stage.
+/// Run the drill-down over a cluster re-collected at every step.
+/// `provider` returns the cluster's fragments as collected under the
+/// given counter set — fragments whose recorded counters don't include
+/// the set are unusable and must be re-collected, which is what costs a
+/// period per stage.
 pub fn diagnose_progressively(
     provider: &mut dyn FnMut(CounterSet) -> Vec<Fragment>,
     ka: f64,
     major_threshold: f64,
     alpha: f64,
 ) -> Option<DiagnosisReport> {
-    let mut adapter = FnProvider { f: provider, buf: Vec::new() };
-    diagnose_progressively_with(&mut adapter, ka, major_threshold, alpha)
+    descend(|set, frontier| {
+        let fragments = provider(set);
+        let pool = ColumnarPool::single_lane(&fragments);
+        let members: Vec<u32> = (0..fragments.len() as u32).collect();
+        analyze_step(&pool.all(), &members, set, frontier, ka, major_threshold, alpha)
+    })
 }
 
-/// Borrow-based form of [`diagnose_progressively`]: identical descent,
-/// but each stage borrows the provider's population instead of taking an
-/// owned `Vec`. This is what lets the batched driver reuse one scratch
-/// buffer across all steps with zero full-population `Fragment` clones.
-pub fn diagnose_progressively_with(
-    provider: &mut dyn FragmentProvider,
+/// One step over the columns: the contribution analysis of `frontier`
+/// and the OLS of its count factors. Each table keeps its own rows —
+/// the members that carry every counter *its* factors read — so the two
+/// are one table only when every factor is a count factor.
+fn analyze_step(
+    lane: &LaneView<'_>,
+    members: &[u32],
+    set: CounterSet,
+    frontier: &[Factor],
     ka: f64,
     major_threshold: f64,
     alpha: f64,
+) -> Option<(ContributionReport, Vec<OlsImpact>)> {
+    let fv = FactorValues::from_members(lane, members, set, frontier)?;
+    let report = analyze_contributions(&fv, ka, major_threshold)?;
+    let count_factors: Vec<Factor> =
+        frontier.iter().copied().filter(|f| !f.time_quantifiable()).collect();
+    let ols = if count_factors.is_empty() {
+        None
+    } else if count_factors.len() == frontier.len() {
+        ols_impacts(&fv, alpha)
+    } else {
+        FactorValues::from_members(lane, members, set, &count_factors)
+            .and_then(|cfv| ols_impacts(&cfv, alpha))
+    };
+    Some((report, ols.map(|(impacts, _)| impacts).unwrap_or_default()))
+}
+
+/// The descent: S1 first, then the children of each major factor, one
+/// `step` per stage until the frontier runs out or a step finds no
+/// contrast.
+fn descend(
+    mut step: impl FnMut(CounterSet, &[Factor]) -> Option<(ContributionReport, Vec<OlsImpact>)>,
 ) -> Option<DiagnosisReport> {
     let mut steps: Vec<StageStep> = Vec::new();
     let mut periods = 0usize;
@@ -119,27 +139,8 @@ pub fn diagnose_progressively_with(
             .iter()
             .fold(CounterSet::empty(), |acc, f| acc.union(f.required_counters()));
         periods += 1;
-        let fragments = provider.collect(needed);
-        let refs: Vec<&Fragment> = fragments.iter().collect();
-        let Some(fv) = FactorValues::compute(&refs, &frontier) else {
+        let Some((report, ols)) = step(needed, &frontier) else {
             break;
-        };
-        let Some(report) = analyze_contributions(&fv, ka, major_threshold) else {
-            break;
-        };
-        // OLS for the count factors in this stage.
-        let count_factors: Vec<Factor> = frontier
-            .iter()
-            .copied()
-            .filter(|f| !f.time_quantifiable())
-            .collect();
-        let ols = if count_factors.is_empty() {
-            Vec::new()
-        } else {
-            FactorValues::compute(&refs, &count_factors)
-                .and_then(|cfv| ols_impacts(&cfv, alpha))
-                .map(|(impacts, _)| impacts)
-                .unwrap_or_default()
         };
 
         let majors = report.major_factors();
@@ -258,6 +259,34 @@ mod tests {
             .find(|s| s.factors.contains(&Factor::ContextSwitch))
             .unwrap();
         assert!(!suspension_step.ols.is_empty());
+        // Count factors carry a NaN impact share; the report still equals
+        // its own clone.
+        let share = suspension_step.report.of(Factor::ContextSwitch).unwrap().impact_share;
+        assert!(share.is_nan());
+        assert_eq!(rep, rep.clone());
+    }
+
+    #[test]
+    fn sealed_columns_and_recollection_agree() {
+        // The same cluster read in place with its full counters, and
+        // re-collected under each step's set: projecting onto the set is
+        // what re-collecting does, so the reports are bit-identical.
+        let frags = provider_for(
+            WorkloadSpec::compute_bound(3e6),
+            NoiseEnv { cpu_steal: 0.5, ..NoiseEnv::default() },
+            40,
+        )(CounterSet::all());
+        let pool = ColumnarPool::single_lane(&frags);
+        let members: Vec<u32> = (0..frags.len() as u32).collect();
+        let in_place = diagnose_cluster(pool.all(), &members, 1.2, 0.25, 0.05).unwrap();
+        let mut recollect = provider_for(
+            WorkloadSpec::compute_bound(3e6),
+            NoiseEnv { cpu_steal: 0.5, ..NoiseEnv::default() },
+            40,
+        );
+        let recollected = diagnose_progressively(&mut recollect, 1.2, 0.25, 0.05).unwrap();
+        assert_eq!(in_place, recollected);
+        assert!(in_place.steps.len() >= 3);
     }
 
     #[test]

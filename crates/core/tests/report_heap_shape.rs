@@ -12,6 +12,10 @@
 //! with no destructor, so it is safe to touch inside `dealloc`): the
 //! blocks a report owns are the frees its drop makes on the dropping
 //! thread, whatever other tests and the pool's workers do meanwhile.
+//!
+//! It counts allocator calls (allocations and reallocations) per thread
+//! the same way, for the diagnosis census at the end: the drill-down's
+//! allocations must not grow with the size of the cluster it reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +24,8 @@ use vapro_core::detect::window::Window;
 use vapro_core::fragment::{Fragment, FragmentKind};
 use vapro_core::stg::{StateKey, Stg};
 use vapro_core::wire::FragmentBatch;
-use vapro_core::VaproConfig;
+use vapro_core::diagnose::{DiagnosisReport, Factor, RegionOfInterest};
+use vapro_core::{ClusterTable, ColumnarPool, DiagnosisBatch, VaproConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vapro_pmu::{CounterDelta, CpuConfig, CpuModel, JitterModel, NoiseEnv, WorkloadSpec};
@@ -30,12 +35,18 @@ struct CountingFrees;
 
 thread_local! {
     static FREES: Cell<u64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every call is forwarded to `System` unchanged; the counter is
 // a plain thread-local integer that allocates nothing.
 unsafe impl GlobalAlloc for CountingFrees {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -45,6 +56,7 @@ unsafe impl GlobalAlloc for CountingFrees {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -227,4 +239,74 @@ fn blocks_owned_do_not_grow_with_locations_inline() {
 #[test]
 fn blocks_owned_do_not_grow_with_locations_across_threads() {
     assert_shape_is_flat(8);
+}
+
+/// Allocator calls (allocations and reallocations) `f` makes on this
+/// thread, and its result.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// One edge lane of `n` runs of one memory-bound workload on rank 0,
+/// every fourth under memory contention, so the lane is one
+/// fixed-workload cluster of `n` members whose noise pattern does not
+/// depend on `n`.
+fn one_cluster(n: usize) -> ColumnarPool {
+    let model = CpuModel::with_jitter(CpuConfig::default(), JitterModel::exact());
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut pool = ColumnarPool::new();
+    pool.begin_edge("census:MPI_Barrier".into(), "census:MPI_Barrier".into());
+    for i in 0..n as u64 {
+        let mem_contention = if i % 4 == 3 { 2.0 } else { 1.0 };
+        let env = NoiseEnv { mem_contention, ..NoiseEnv::quiet() };
+        let out = model.execute(&WorkloadSpec::memory_bound(4e5), &env, &mut rng);
+        let start = VirtualTime::from_ns(i * ITERATION_NS);
+        pool.push(&Fragment {
+            rank: 0,
+            kind: FragmentKind::Computation,
+            start,
+            end: start + VirtualTime::from_ns_f64(out.wall_ns),
+            counters: out.counters,
+            args: vec![],
+        });
+    }
+    pool
+}
+
+/// Allocator calls of one `DiagnosisBatch::diagnose` over `one_cluster(n)`,
+/// the cluster table seeded as the streaming server seeds it.
+fn diagnosis_allocs(n: usize) -> (u64, DiagnosisReport) {
+    let cfg = VaproConfig::default();
+    let pool = one_cluster(n);
+    let mut table = ClusterTable::new(cfg.min_cluster_size);
+    table.push_lane(&pool.edge(0).2, &cfg.proxy_counters, cfg.cluster_threshold);
+    assert_eq!(table.lane(0).usable().map(|c| c.members.len()).max(), Some(n), "one cluster");
+    let batch = DiagnosisBatch::with_clusters(&pool, &cfg, &table);
+    let roi = RegionOfInterest {
+        ranks: (0, 0),
+        t_start: VirtualTime::ZERO,
+        t_end: VirtualTime::from_ns(n as u64 * ITERATION_NS),
+    };
+    let (allocs, report) = allocs_during(|| batch.diagnose(&roi));
+    (allocs, report.expect("the planted contention is diagnosed"))
+}
+
+/// What the drill-down allocates depends on its steps and factors, never
+/// on how many members the cluster has: the member rows are read in
+/// place from the sealed columns, not rebuilt as fragments or row
+/// vectors.
+#[test]
+fn diagnosis_allocations_do_not_grow_with_cluster_size() {
+    let (small, small_report) = diagnosis_allocs(48);
+    let (large, large_report) = diagnosis_allocs(4 * 48);
+    // The same descent over both clusters, so the same tables.
+    let shape = |r: &DiagnosisReport| -> Vec<Vec<Factor>> {
+        r.steps.iter().map(|s| s.factors.clone()).collect()
+    };
+    assert_eq!(shape(&small_report), shape(&large_report));
+    assert_eq!(small_report.culprits, large_report.culprits);
+    assert!(small_report.culprits.contains(&Factor::DramBound), "{:?}", small_report.culprits);
+    assert_eq!(small, large, "allocator calls grew with the cluster: {small} at 48 members, {large} at 192");
 }

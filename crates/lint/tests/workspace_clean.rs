@@ -87,14 +87,15 @@ fn entry_trees_reach_what_they_must() {
         .expect("close_ready entry line");
     let reaches = |file: &str| close.stat.reachable.iter().any(|l| l.starts_with(file));
     assert!(reaches("crates/core/src/clustering.rs::"), "{:?}", close.stat.reachable);
-    // Cross-check against the dynamic instrumentation: the runtime
-    // clone counter lives in fragment.rs, so the static tree must
-    // cover the same code the counter proves clone-free at runtime.
-    assert!(reaches("crates/core/src/fragment.rs::"), "close_ready tree misses fragment.rs");
-    // A `dyn FragmentProvider` receiver lands on its implementor.
+    // The AoS `Fragment` has left the window path: detection and the
+    // drill-down read the sealed columns, so nothing of fragment.rs is
+    // called from it (the runtime clone counter agrees, at zero).
+    assert!(!reaches("crates/core/src/fragment.rs::"), "close_ready tree calls into fragment.rs");
+    // The drill-down's column reader, behind the batch's closure-driven
+    // descent (`dyn` receivers stay covered by the `r6_dyn_*` fixtures).
     assert!(
-        reaches("crates/core/src/diagnose/batch.rs::ScratchProvider::collect"),
-        "close_ready tree misses ScratchProvider::collect"
+        reaches("crates/core/src/diagnose/quantify.rs::FactorValues::from_members"),
+        "close_ready tree misses FactorValues::from_members"
     );
 }
 
@@ -174,7 +175,7 @@ fn wire_decode_path_has_zero_r5_findings() {
 fn waiver_budget_stays_reviewed() {
     // The budget cap mirrors the committed LINT_report.json; bumping it
     // is a deliberate, reviewed act (re-run with --accept-waivers).
-    const BUDGET: usize = 31;
+    const BUDGET: usize = 29;
     let report = run_workspace(&workspace_root());
     let waived = report.findings.iter().filter(|f| f.finding.waived.is_some()).count();
     assert!(waived <= BUDGET, "waiver budget exceeded: {waived} > {BUDGET}");

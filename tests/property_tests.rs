@@ -226,14 +226,17 @@ proptest! {
     }
 }
 
-/// A CpuModel-backed run with full stage-3 memory counters — deep enough
-/// for the progressive drill-down to reach real factors. Every rank runs
-/// the same memory-bound workload on one self-loop site; `slow_rank`
-/// suffers 2× memory contention over the middle third of its iterations.
+/// A CpuModel-backed run with counters deep enough for the progressive
+/// drill-down to reach real factors. Every rank runs the same
+/// memory-bound workload on one self-loop site; `slow_rank` suffers 2×
+/// memory contention over the middle third of its iterations — or, with
+/// `steal`, loses half its CPU there, which takes the descent through
+/// the count factors, their OLS and its NaN-carrying proxy estimates.
 /// Returns the STGs and the latest fragment end, ns.
-fn noisy_run(nranks: usize, n: usize, slow_rank: usize) -> (Vec<Stg>, u64) {
+fn noisy_run(nranks: usize, n: usize, slow_rank: usize, steal: bool) -> (Vec<Stg>, u64) {
     let model = CpuModel::with_jitter(CpuConfig::default(), JitterModel::exact());
     let spec = WorkloadSpec::memory_bound(2e6);
+    let counters = events::s3_memory_set().union(events::s2_suspension_set());
     let mut t_max = 0u64;
     let stgs = (0..nranks)
         .map(|rank| {
@@ -245,10 +248,10 @@ fn noisy_run(nranks: usize, n: usize, slow_rank: usize) -> (Vec<Stg>, u64) {
             let e = stg.transition(s1, s1);
             let mut t = 0u64;
             for i in 0..n {
-                let env = if rank == slow_rank && (n / 3..2 * n / 3).contains(&i) {
-                    NoiseEnv { mem_contention: 2.0, ..NoiseEnv::default() }
-                } else {
-                    NoiseEnv::quiet()
+                let env = match rank == slow_rank && (n / 3..2 * n / 3).contains(&i) {
+                    false => NoiseEnv::quiet(),
+                    true if steal => NoiseEnv { cpu_steal: 0.5, ..NoiseEnv::default() },
+                    true => NoiseEnv { mem_contention: 2.0, ..NoiseEnv::default() },
                 };
                 let out = model.execute(&spec, &env, &mut rng);
                 let start = VirtualTime::from_ns(t);
@@ -262,7 +265,7 @@ fn noisy_run(nranks: usize, n: usize, slow_rank: usize) -> (Vec<Stg>, u64) {
                         kind: FragmentKind::Computation,
                         start,
                         end,
-                        counters: out.counters.project(events::s3_memory_set()),
+                        counters: out.counters.project(counters),
                         args: vec![],
                     },
                 );
@@ -300,8 +303,10 @@ proptest! {
         n in 9usize..20,
         slow in 0usize..4,
         cols in 2usize..5,
+        // 0: memory contention, 1: CPU steal.
+        cause in 0usize..2,
     ) {
-        let (stgs, t_max) = noisy_run(nranks, n, slow % nranks);
+        let (stgs, t_max) = noisy_run(nranks, n, slow % nranks, cause == 1);
         let cfg = VaproConfig::default();
         let col_ns = (t_max / cols as u64).max(1);
         let mut rois = Vec::new();
