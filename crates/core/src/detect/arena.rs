@@ -225,22 +225,26 @@ impl ArenaPool {
     /// `None`), in [`ArenaPool::row_order`].
     ///
     /// A sorted pool — what every window close sees, since the ingestor
-    /// runs [`IngestArena::ensure_sorted`] before it seals — is walked
-    /// by `partition_point` range lookups, touching O(ranks·log n +
-    /// rows-in-window) elements instead of filtering the whole pool,
-    /// which bounds a recovering straggler's backlog to O(window) per
-    /// close. The order (rank first, then start time) bounds each
-    /// rank's candidates to one contiguous run:
+    /// runs [`IngestArena::ensure_sorted`] before it seals — is read in
+    /// one forward walk that touches O(ranks·log n + rows-in-window)
+    /// rows instead of filtering the whole pool, which bounds a
+    /// recovering straggler's backlog to O(window) per close. The order
+    /// (rank first, then start time) makes each rank's candidates one
+    /// contiguous stretch, and the walk decides at each row it lands on:
     ///
-    /// * the upper cut keeps `start < w.end` (any later start cannot
-    ///   overlap);
-    /// * the lower cut keeps `start > w.start − max_dur_ns` (any earlier
-    ///   start has `end ≤ start + max_dur_ns ≤ w.start`, so it cannot
-    ///   overlap either);
-    /// * the remaining candidates are filtered by the exact overlap
-    ///   predicate `end > w.start`, yielding precisely the set — and,
-    ///   because the scan walks pool order, precisely the order — a full
-    ///   `filter(overlaps)` pass produces.
+    /// * `start < w.start − max_dur_ns`: no row of this rank up to the
+    ///   stretch can overlap (its `end ≤ start + max_dur_ns ≤ w.start`),
+    ///   so the walk gallops past them;
+    /// * `start ≥ w.end`: neither can any later row of this rank, so it
+    ///   gallops to the next rank;
+    /// * otherwise the row is a candidate, emitted if `end > w.start`,
+    ///   and the walk steps one row.
+    ///
+    /// That is precisely the set — and, because the walk goes in pool
+    /// order, precisely the order — a full `filter(overlaps)` pass
+    /// produces. In steady state each `(location, rank)` run holds one
+    /// resident row: searching a run for its cuts costs more than
+    /// looking at the row, which is all the walk does there.
     ///
     /// A pool with an unsorted tail (direct arena use without
     /// `ensure_sorted`) is filtered and sorted here instead; which of
@@ -264,20 +268,39 @@ impl ArenaPool {
         let we = w.end.ns();
         let earliest_start = ws.saturating_sub(self.max_dur_ns);
         let mut rest = rows;
-        while let Some(first) = rest.first() {
-            let rank = first.rank;
-            let of_rank = rest.partition_point(|r| r.rank == rank);
-            let Some((same_rank, later)) = rest.split_at_checked(of_rank) else { break };
-            let lo = same_rank.partition_point(|r| r.start < earliest_start);
-            let hi = same_rank.partition_point(|r| r.start < we);
-            for r in same_rank.get(lo..hi).unwrap_or(&[]) {
+        while let Some(r) = rest.first() {
+            let rank = r.rank;
+            let skip = if r.start < earliest_start {
+                gallop(rest, |x| x.rank == rank && x.start < earliest_start)
+            } else if r.start >= we {
+                gallop(rest, |x| x.rank == rank)
+            } else {
                 if r.end > ws {
                     visit(r);
                 }
-            }
-            rest = later;
+                1
+            };
+            rest = rest.get(skip..).unwrap_or(&[]);
         }
     }
+}
+
+/// The length of the prefix of `items` on which `pred` holds (`pred`
+/// must hold on a prefix and nowhere after it): probe indices 0, 1, 3,
+/// 7, … until one fails, then bisect the last doubling. A prefix of
+/// length k costs O(log k) calls, however long `items` is.
+fn gallop<T>(items: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    let (mut known, mut probe) = (0usize, 0usize);
+    while let Some(x) = items.get(probe) {
+        if !pred(x) {
+            let unknown = items.get(known..probe).unwrap_or(&[]);
+            return known.saturating_add(unknown.partition_point(&mut pred));
+        }
+        known = probe.saturating_add(1);
+        probe = probe.saturating_mul(2).saturating_add(1);
+    }
+    let unknown = items.get(known..).unwrap_or(&[]);
+    known.saturating_add(unknown.partition_point(pred))
 }
 
 /// Server-side fragment storage: each shipped frame's rows appended
@@ -836,49 +859,149 @@ pub(crate) mod tests {
         assert!(reports.len() as u64 >= 2 * nperiods - 2, "full cover emitted");
     }
 
-
     #[test]
-    fn ranged_window_views_match_linear_filter_views() {
-        // Layer 2: the partition_point ranged scan (sorted pools) and
-        // the filter-and-sort fallback (unsorted pools) must seal
-        // identical windows — same locations, same fragments, same
-        // order — including duration outliers and window-boundary ties.
-        let mut stgs: Vec<Stg> =
-            (0..3).map(|r| looped_stg(r, 25, 1_000_000_000, 0..0)).collect();
-        stgs[1] = looped_stg(1, 25, 1_000_000_000, 5..9);
-        let mut sorted_arena = IngestArena::new();
-        let mut lazy_arena = IngestArena::new();
-        // Ranks arrive back to front, so every pool's tail is out of
-        // order until it is sorted.
-        for (rank, stg) in stgs.iter().enumerate().rev() {
-            let span = Window {
-                start: VirtualTime::ZERO,
-                end: VirtualTime::from_ns(u64::MAX),
-            };
-            let batch = FragmentBatch::from_stg(stg, rank, span);
-            sorted_arena.push_batch(FragmentBatch::decode(&batch.encode_v3()).unwrap());
-            lazy_arena.push_batch(batch);
+    fn gallop_finds_a_prefix_of_k_in_log_k_calls() {
+        // The seal walk's bound, O(ranks·log n + rows-in-window), held
+        // without a timer: crossing a rank's backlog of k rows costs
+        // at most 2⌈log₂(k+1)⌉ + 2 predicate calls, whether the slice
+        // runs on past the prefix or ends with it.
+        let items: Vec<usize> = (0..1000).collect();
+        for k in 0..=300usize {
+            let bound = 2 * (usize::BITS - k.leading_zeros()) as usize + 2;
+            for slice in [&items[..], &items[..k]] {
+                let mut calls = 0usize;
+                let got = gallop(slice, |&x| {
+                    calls += 1;
+                    x < k
+                });
+                assert_eq!(got, k, "prefix {k} of {}", slice.len());
+                assert!(calls <= bound, "prefix {k} of {}: {calls} calls > {bound}", slice.len());
+            }
         }
-        sorted_arena.ensure_sorted();
-        // lazy_arena is left unsorted: sealing it takes the fallback.
-        assert!(lazy_arena.edge_pools.values().all(|p| p.sorted_len != p.rows.len()));
-        let period = 5_000_000_000u64;
-        for k in 0..10u64 {
-            let w = Window {
-                start: VirtualTime::from_ns(k * period / 2),
-                end: VirtualTime::from_ns(k * period / 2 + period),
-            };
-            let fast = ColumnarPool::from_merged(&sorted_arena.window_view(w));
-            let slow = ColumnarPool::from_merged(&lazy_arena.window_view(w));
-            assert!(!fast.is_empty(), "window {k} sealed nothing");
-            assert_eq!(fast, slow, "window {k} sealed differently");
-        }
-        assert_eq!(
-            ColumnarPool::from_merged(&sorted_arena.full_view()),
-            ColumnarPool::from_merged(&lazy_arena.full_view())
-        );
     }
 
+    /// Half a window, ns, in the seal-walk property below.
+    const HALF: u64 = 2_000;
+
+    /// One rank's run for the seal-walk property: its length — 0, 1, or
+    /// 2^k − 1, 2^k, 2^k + 1, the sizes a doubling search turns on — the
+    /// spacing and first start of its fragments (a rank may join up to
+    /// four windows late, between ranks with a backlog), and which of
+    /// them are duration outliers (each outlasts two windows, so it
+    /// widens `earliest_start` for every rank of the pool).
+    fn rank_run() -> impl proptest::Strategy<Value = (usize, u64, u64, Vec<usize>)> {
+        use proptest::prop::collection::vec;
+        use proptest::Strategy;
+        let len = (0usize..5, 1u32..7).prop_map(|(shape, k)| match shape {
+            0 => 0,
+            1 => 1,
+            2 => (1 << k) - 1,
+            3 => 1 << k,
+            _ => (1 << k) + 1,
+        });
+        (len, 0u32..4, 0..8 * HALF, vec(0usize..65, 0..3))
+            .prop_map(|(len, shift, offset, outliers)| (len, 125 << shift, offset, outliers))
+    }
+
+    /// One fragment for the seal-walk property, its start doubling as
+    /// its counter value so every row is told apart.
+    fn walk_fragment(rank: usize, start: u64, dur: u64) -> Fragment {
+        let mut c = CounterDelta::default();
+        c.put(CounterId::TotIns, start as f64);
+        Fragment {
+            rank,
+            kind: FragmentKind::Computation,
+            start: VirtualTime::from_ns(start),
+            end: VirtualTime::from_ns(start + dur),
+            counters: c,
+            args: vec![],
+        }
+    }
+
+    /// Both arenas absorb `frags` as one batch on one location.
+    fn push_both(arenas: [&mut IngestArena; 2], frags: Vec<Fragment>) {
+        use crate::wire::EdgeGroup;
+        let batch = FragmentBatch {
+            rank: 0,
+            seq: 0,
+            tenant_id: 0,
+            job_id: 0,
+            window_start_ns: 0,
+            window_end_ns: u64::MAX,
+            labels: vec!["a".into(), "b".into()],
+            vertex_groups: Vec::new(),
+            edge_groups: vec![EdgeGroup { from: 0, to: 1, fragments: frags }],
+        };
+        for arena in arenas {
+            arena.push_batch(batch.clone());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Layer 2: the sorted pool's seal walk and the filter-and-sort
+        /// fallback (an unsorted pool) seal identical windows — same
+        /// fragments, same order — at every half-period, on the shapes
+        /// real traffic has: rank runs of every length a gallop turns
+        /// on (one row per run is the steady state), duration outliers
+        /// that pull `earliest_start` back across whole windows, rows
+        /// readmitted late behind the window being sealed, and
+        /// watermark eviction between closes, from in step (one resident
+        /// row per run) to `lag` half-periods behind (a backlog before
+        /// every window).
+        #[test]
+        fn ranged_window_views_match_linear_filter_views(
+            runs in proptest::prop::collection::vec(rank_run(), 1..6),
+            late in proptest::prop::collection::vec((0usize..6, 0u64..40 * HALF), 0..8),
+            lag in 0u64..4,
+        ) {
+            let (mut sorted, mut lazy) = (IngestArena::new(), IngestArena::new());
+            let mut last_end = 0u64;
+            // Ranks arrive back to front, so an unsorted pool's rows are
+            // out of order.
+            for (rank, (len, gap, offset, outliers)) in runs.iter().enumerate().rev() {
+                let frags: Vec<Fragment> = (0..*len)
+                    .map(|i| {
+                        let dur = if outliers.contains(&i) { 5 * HALF } else { gap - 25 };
+                        walk_fragment(rank, offset + i as u64 * gap, dur)
+                    })
+                    .collect();
+                last_end = last_end.max(frags.iter().map(|f| f.end.ns()).max().unwrap_or(0));
+                push_both([&mut sorted, &mut lazy], frags);
+            }
+            let windows = last_end / HALF + 2;
+            for k in 0..windows {
+                if k == windows / 2 {
+                    let frags: Vec<Fragment> = late
+                        .iter()
+                        .map(|&(rank, start)| walk_fragment(rank % runs.len(), start, 90))
+                        .collect();
+                    push_both([&mut sorted, &mut lazy], frags);
+                }
+                sorted.ensure_sorted();
+                proptest::prop_assert!(sorted.edge_pools.values().all(|p| p.sorted_len == p.rows.len()));
+                proptest::prop_assert!(lazy.edge_pools.values().all(|p| p.sorted_len == 0));
+                let w = Window {
+                    start: VirtualTime::from_ns(k * HALF),
+                    end: VirtualTime::from_ns(k * HALF + 2 * HALF),
+                };
+                proptest::prop_assert_eq!(
+                    ColumnarPool::from_merged(&sorted.window_view(w)),
+                    ColumnarPool::from_merged(&lazy.window_view(w)),
+                    "window {} sealed differently",
+                    k
+                );
+                let horizon = (k + 1).saturating_sub(lag) * HALF;
+                sorted.evict_before(horizon);
+                lazy.evict_before(horizon);
+            }
+            proptest::prop_assert_eq!(
+                ColumnarPool::from_merged(&sorted.full_view()),
+                ColumnarPool::from_merged(&lazy.full_view())
+            );
+        }
+    }
 
     #[test]
     fn arena_views_are_arrival_order_independent_on_timestamp_ties() {

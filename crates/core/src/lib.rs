@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// One `unsafe` block, allowed in place: the call into the CRC fold
+// after its CPU features were detected (`wire::crc32::checksum`).
+#![deny(unsafe_code)]
 
 //! # vapro-core — performance variance detection and diagnosis
 //!

@@ -6,12 +6,13 @@
 //! `FragmentBatch::decode` is `FrameView::parse` + `to_batch`, so every
 //! property here runs the one parser; one more holds the borrowed view's
 //! accessors, and the arena append fed from them, to the owned batch
-//! (which also puts that byte-level path under `make miri`).
+//! (which also puts that byte-level path under `make miri`), and one
+//! holds the frame checksum to the bit-at-a-time CRC-32.
 
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use vapro_core::fragment::{Fragment, FragmentKind};
-use vapro_core::wire::{EdgeGroup, FragmentBatch, FrameView, VertexGroup, WireError};
+use vapro_core::wire::{crc32, EdgeGroup, FragmentBatch, FrameView, VertexGroup, WireError};
 use vapro_core::{ColumnarPool, IngestArena};
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::VirtualTime;
@@ -177,6 +178,25 @@ proptest! {
         if cut < bytes.len() {
             prop_assert!(FragmentBatch::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// The frame checksum is the IEEE CRC-32 of its input on every
+    /// length up to 16 KiB and at every start offset, whichever kernel
+    /// the host runs: checked against the bit-at-a-time definition.
+    #[test]
+    fn checksum_is_the_bitwise_crc32(
+        bytes in vec((0u16..256).prop_map(|b| b as u8), 0..16 << 10),
+        offset in 0usize..16,
+    ) {
+        let bytes = bytes.get(offset..).unwrap_or(&[]);
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        prop_assert_eq!(crc32::checksum(bytes), !crc, "{} bytes", bytes.len());
     }
 
     /// Arbitrary bytes never panic the decoder.

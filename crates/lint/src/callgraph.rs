@@ -146,6 +146,10 @@ const KNOWN_TOTAL: &[&str] = &[
     // `serde_json::from_slice` return `Result`, and the caller's
     // unwrap/expect is what R5 flags.
     "spawn", "from_slice",
+    // The x86_64 intrinsics the CRC fold uses: register-to-register ops
+    // only (pointer-taking loads and stores stay off the list).
+    "_mm_clmulepi64_si128", "_mm_xor_si128", "_mm_and_si128", "_mm_srli_si128",
+    "_mm_set_epi64x", "_mm_set_epi32", "_mm_cvtsi32_si128", "_mm_extract_epi32",
     // Free fns / assoc constructors commonly called bare.
     "Some", "Ok", "Err", "None", "size_of", "align_of", "drop", "min_of", "max_of",
     "format", "vec", "mem_take", "mem_replace", "mem_swap", "identity", "once",

@@ -219,6 +219,27 @@ fn canary_unwrap_in_the_wire_reader() {
     assert_caught(&report, "R5", file, "decode", ".unwrap()");
 }
 
+/// The CRC fold runs behind the crate's one `unsafe` call, after CPU
+/// feature detection: the walk must go through that call into the
+/// kernel, not stop at it.
+#[test]
+fn canary_unwrap_in_the_crc_fold() {
+    let file = "crates/core/src/wire.rs";
+    let report = planted(file, "let k1k2 = _mm_set_epi64x(K2, K1);", "let _ = lines.first().unwrap();");
+    assert_caught(&report, "R5", file, "decode", ".unwrap()");
+    let found = report.findings.iter().find(|f| f.finding.waived.is_none()).expect("the finding");
+    let funcs: Vec<&str> = found.path.iter().map(|h| h.func.as_str()).collect();
+    assert_eq!(funcs, ["decode", "parse", "parse_frame", "checksum", "crc32_clmul_fold"]);
+    // `FrameView::parse`, the door the server's bytes come through,
+    // counts it too.
+    let parse = report
+        .entries
+        .iter()
+        .find(|e| e.stat.rule == "R5" && e.stat.entry.ends_with("::FrameView::parse"))
+        .expect("parse entry line");
+    assert_eq!(parse.unwaived, 1, "{:?}", parse.stat.entry);
+}
+
 #[test]
 fn canary_owned_copy_in_normalisation() {
     let file = "crates/core/src/detect/normalize.rs";
