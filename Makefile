@@ -13,8 +13,8 @@ OFFLINE := --offline
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
 # `benchmark/` against the workspace), the committed `repro all` output,
-# the VOPR fault-injection simulation, the heap-block census of a
-# `WindowReport` (`alloc-census`), then vapro-core's unit tests
+# the VOPR fault-injection simulation, the allocator census of the
+# window path (`alloc-census`), then vapro-core's unit tests
 # twenty times over (`test-repeat`). Throughput is measured by `make benchmark`, and gated
 # base-vs-head by `benchmark compare` in CI.
 check:
@@ -32,15 +32,13 @@ check:
 	$(MAKE) alloc-census
 	$(MAKE) test-repeat
 
-# Workspace static analysis, four rules over one site-finding pass and
+# Workspace static analysis, three rules over one site-finding pass and
 # a whole-workspace call graph: R3 float-hygiene (per file), R5
-# panic-freedom across the decode/admission doors' call trees, R6
-# hot-path allocation (owned copies, unreserved push loops) across the
-# window-close tree and the hot-path modules, R7 lock hygiene; see
-# DESIGN.md §10. Fails on any
-# unwaived finding or on a per-rule waiver-count increase over the
-# committed LINT_report.json. SARIF goes under target/ for code-scanning
-# upload.
+# panic-freedom across the decode/admission doors' call trees, R7 lock
+# hygiene; see DESIGN.md §10. (Hot-path allocation is measured by
+# `alloc-census`, not linted.) Fails on any unwaived finding or on a
+# per-rule waiver-count increase over the committed LINT_report.json.
+# SARIF goes under target/ for CI's code-scanning upload.
 lint:
 	$(CARGO) run --release $(OFFLINE) -q -p vapro-lint -- --root . \
 		--report LINT_report.json --sarif target/vapro-lint.sarif
@@ -89,13 +87,18 @@ test-repeat:
 			|| { echo "test-repeat: run $$i of 20 failed"; exit 1; }; \
 	done
 
-# How many heap blocks a `WindowReport` owns (a counting allocator in
-# the test binary only), in the profile that ships: under a fixed
-# ceiling, and the same over 8 and over 64 call sites, for reports built
-# inline and on a pool worker; and how many allocator calls one region
-# diagnosis makes: the same over a cluster of n and of 4n members. The
-# census counts per thread, so the harness's own parallelism and the
-# pool's workers cannot move it (no `--test-threads=1` needed).
+# What the window path asks of the allocator (a counting allocator in
+# the test binary only), in the profile that ships. The close path: the
+# ring streamed through the inline ingestor at n and 4n fragments per
+# location over 8 and 32 call sites — allocator calls per steady-state
+# closing push no more at 4n, calls per admitted frame equal, bytes per
+# added fragment and closed window under the committed ceiling. The
+# reports: heap blocks a `WindowReport` owns under a fixed ceiling and
+# the same over 8 and 64 call sites, built inline and on a pool worker.
+# The drill-down: allocator calls of one region diagnosis the same over
+# a cluster of n and of 4n members. Counts are per thread, so the
+# harness's own parallelism and the pool's workers cannot move them (no
+# `--test-threads=1` needed).
 alloc-census:
 	$(CARGO) test -q --release $(OFFLINE) -p vapro-core --test report_heap_shape
 

@@ -113,7 +113,6 @@ impl ClusterSink for OwnedClusters {
     }
 
     fn close_cluster(&mut self, seed: &[f64], seed_norm: f64) {
-        // vapro-lint: allow(R6, one O(dim) seed vector per cluster of an owned one-shot outcome; the window path writes a ClusterTable)
         let cluster = Cluster { members: self.open.drain(..).collect(), seed: seed.to_vec(), seed_norm };
         self.clusters.push(cluster);
     }
@@ -566,12 +565,10 @@ pub fn cluster_vectors_unpruned(
                 continue;
             }
             if dist_sq(seed, &vectors[j]) <= bound_sq {
-                // vapro-lint: allow(R6, cluster membership is data-dependent; no size is knowable before the scan)
                 members.push(row(j));
                 assigned[j] = true;
             }
         }
-        // vapro-lint: allow(R6, one push and one O(dim) seed vector per emitted cluster; the count is data-dependent and it is not a fragment population)
         clusters.push(Cluster { members, seed: seed.clone(), seed_norm });
     }
 

@@ -170,7 +170,6 @@ pub fn tree_aggregate(mut maps: Vec<HeatMap>) -> Option<HeatMap> {
         maps = maps
             .par_chunks(2)
             .map(|pair| {
-                // vapro-lint: allow(R6, heat-map slab accumulator seeds each pairwise merge; not a fragment population)
                 let mut acc = pair[0].clone();
                 if let Some(second) = pair.get(1) {
                     acc.merge(second);

@@ -304,7 +304,6 @@ impl WindowedIngestor {
         if self.stage.is_none() {
             self.stage = Some(AnalysisStage::new(
                 self.cfg.pipeline_depth,
-                // vapro-lint: allow(R6, one config snapshot at stage spawn; not a fragment population)
                 self.cfg.clone(),
                 self.bins_per_window,
                 Arc::clone(&self.scratch_pools),
@@ -366,7 +365,6 @@ impl WindowedIngestor {
             if w.end.ns() > low || !in_cover {
                 break;
             }
-            // vapro-lint: allow(R6, windows that became due on this push; zero or one in steady state)
             ready.push((w, self.admission.coverage_at_close(w, false)));
             self.closed += 1;
         }
@@ -423,7 +421,6 @@ impl WindowedIngestor {
             && (self.closed == 0 || self.window(self.closed - 1).end.ns() < t_end)
         {
             let w = self.window(self.closed);
-            // vapro-lint: allow(R6, end of stream; the tail windows, once per run)
             remaining.push((w, self.admission.coverage_at_close(w, true)));
             self.closed += 1;
         }

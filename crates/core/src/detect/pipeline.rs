@@ -133,9 +133,7 @@ fn detect_pool(
                 Location::Vertex(s) => s.to_string(),
                 Location::Edge(f, t) => format!("{f} -> {t}"),
             });
-            // vapro-lint: allow(R6, one rare path per rare cluster in the report; rare by definition)
             rare_paths.push(RarePath {
-                // vapro-lint: allow(R6, one owned label string per rare path in the report; rare by definition)
                 location: label.clone(),
                 count: c.members.len(),
                 total_ns: cluster_time(lane, c.members),

@@ -108,7 +108,6 @@ impl<'m> DiagnosisBatch<'m> {
         let pool_idx = busiest_edge(self.pools, roi)?;
         // The region's only contribution was choosing the pool; the
         // drill-down is memoised per pool.
-        // vapro-lint: allow(R6, memoised report fan-out; one owned DiagnosisReport per region)
         self.reports[pool_idx].get_or_init(|| self.diagnose_pool(pool_idx)).clone()
     }
 

@@ -144,9 +144,8 @@ fn descend(
         };
 
         let majors = report.major_factors();
-        // vapro-lint: allow(R6, one step per breakdown level descended; at most the depth of the factor tree)
         steps.push(StageStep {
-            factors: frontier.clone(), // vapro-lint: allow(R6, per-step factor list has at most five entries)
+            factors: frontier.clone(),
             counters_used: needed.len(),
             report,
             ols,
@@ -158,7 +157,6 @@ fn descend(
         for m in majors {
             if m.children().is_empty() {
                 if !culprits.contains(&m) {
-                    // vapro-lint: allow(R6, distinct leaf factors; bounded by the factor enum)
                     culprits.push(m);
                 }
             } else {

@@ -237,7 +237,6 @@ pub fn ols_impacts(fv: &FactorValues<'_>, alpha: f64) -> Option<(Vec<OlsImpact>,
         return None;
     }
     // Normalise each factor column to [0, 1] (the paper's preprocessing).
-    // vapro-lint: allow(R6, one normalised copy per factor column; at most eight a step, whatever the cluster size)
     let mut columns: Vec<Vec<f64>> = (0..k).map(|j| fv.column(j).to_vec()).collect();
     for col in &mut columns {
         vapro_stats::describe::min_max_normalize(col);

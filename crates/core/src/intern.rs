@@ -39,7 +39,6 @@ impl<K: Eq + Hash + Clone> SymbolTable<K> {
             return sym;
         }
         let sym = Sym::try_from(self.keys.len()).expect("more than u32::MAX distinct keys");
-        // vapro-lint: allow(R6, one owned key per distinct symbol, on first sight only)
         self.keys.push(key.clone());
         self.map.insert(key, sym);
         sym

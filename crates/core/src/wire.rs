@@ -638,7 +638,7 @@ impl FragmentBatch {
                 .fragments
                 .iter()
                 .filter(|f| keep(f))
-                .cloned() // vapro-lint: allow(R6, client-side period extraction builds the one owned batch each report ships)
+                .cloned()
                 .collect();
             if !fragments.is_empty() {
                 let label = sym_of(id, &mut dict);
@@ -651,7 +651,7 @@ impl FragmentBatch {
                 .fragments
                 .iter()
                 .filter(|f| keep(f))
-                .cloned() // vapro-lint: allow(R6, client-side period extraction builds the one owned batch each report ships)
+                .cloned()
                 .collect();
             if !fragments.is_empty() {
                 let from = sym_of(e.from, &mut dict);

@@ -1,13 +1,10 @@
-//! The whole-workspace conservative call graph and the three rules
+//! The whole-workspace conservative call graph and the two rules
 //! scoped by it:
 //!
 //! * **R5 panic-freedom** — every configured entry point (wire decode,
 //!   server admission, fleet routing, VOPR oracle) must be panic-free
 //!   across its entire reachable call tree. Findings carry the full
 //!   call path `entry → helper → panic site`.
-//! * **R6 hot-path allocation** — no owned copy and no unreserved
-//!   push loop in any function an R6 root reaches: the window-close
-//!   door and every function of the hot-path modules.
 //! * **R7 lock hygiene** — no guard held across a rayon entry, a
 //!   channel send, or a call into another lock-taking function, plus
 //!   lock-order cycle detection over the held-edge digraph.
@@ -32,9 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::items::{
-    CallSite, FileIndex, FnItem, Recv, Site, ALLOC_METHODS, CLOSURE_TY, PANIC_METHODS,
-};
+use crate::items::{CallSite, FileIndex, FnItem, Recv, Site, CLOSURE_TY, PANIC_METHODS};
 use crate::rules::{file_matches, FnScope, LintConfig};
 
 /// (file index, fn index) into the workspace file list.
@@ -65,8 +60,7 @@ pub(crate) struct RawTransitive {
 #[derive(Debug, Clone)]
 pub struct EntryStat {
     pub rule: String,
-    /// `file::Type::fn` label of the entry point (`file::*` for a scope
-    /// that roots every function of its files).
+    /// `file::Type::fn` label of the entry point.
     pub entry: String,
     pub reachable_fns: usize,
     /// Labels of the functions the walk visited, roots included.
@@ -520,30 +514,20 @@ impl Walk {
     }
 }
 
-/// Entry points named by a scope list, as `(label, roots)`: one entry
-/// per function a scope names, one for the whole scope when it names
-/// none (every non-test function of its files is then a root).
-fn entry_fns(graph: &Graph, scopes: &[FnScope]) -> Vec<(String, Vec<FnId>)> {
+/// Entry points named by a scope list: every non-test function a scope
+/// names, in its files.
+fn entry_fns(graph: &Graph, scopes: &[FnScope]) -> Vec<FnId> {
     let mut out = Vec::new();
     for scope in scopes {
-        let mut all = Vec::new();
         for (fi, (rel, ix)) in graph.files.iter().enumerate() {
             if !rel.starts_with(scope.file.as_str()) {
                 continue;
             }
             for (ni, f) in ix.fns.iter().enumerate() {
-                if f.test {
-                    continue;
-                }
-                if scope.funcs.is_empty() {
-                    all.push((fi, ni));
-                } else if scope.funcs.iter().any(|n| n == &f.name) {
-                    out.push((graph.label((fi, ni)), vec![(fi, ni)]));
+                if !f.test && scope.funcs.iter().any(|n| n == &f.name) {
+                    out.push((fi, ni));
                 }
             }
-        }
-        if scope.funcs.is_empty() {
-            out.push((format!("{}::*", scope.file), all));
         }
     }
     out
@@ -559,7 +543,7 @@ struct Raws {
 }
 
 impl Raws {
-    /// `path` is the call path from the entry (R5/R6, quoted in the
+    /// `path` is the call path from the entry (R5, quoted in the
     /// message) or just the site's own function (R7).
     fn push(&mut self, rule: &'static str, file: &str, site: &Site, path: &[Hop], entry: &str) {
         let key = (rule, file.to_string(), site.line, site.what.clone());
@@ -599,12 +583,10 @@ fn r5_sites(graph: &Graph, cfg: &LintConfig, id: FnId) -> Vec<Site> {
         sites.extend_from_slice(&item.arith_sites);
     }
     for call in &item.calls {
-        // unwrap/expect-family calls are the panic sites themselves;
-        // clone-family is R6 business.
+        // unwrap/expect-family calls are the panic sites themselves.
         let callee = call.callee.as_str();
         if matches!(graph.resolve(id, call), Target::External { total: false })
             && !PANIC_METHODS.contains(&callee)
-            && !ALLOC_METHODS.contains(&callee)
         {
             sites.push(Site {
                 line: call.line,
@@ -615,23 +597,7 @@ fn r5_sites(graph: &Graph, cfg: &LintConfig, id: FnId) -> Vec<Site> {
     sites
 }
 
-/// What R6 reports in one function an R6 root reaches: owned copies,
-/// and push loops unless the function sizes a buffer somewhere.
-fn r6_sites(graph: &Graph, id: FnId) -> Vec<Site> {
-    // The by-name fallback can wander into the lint's own sources; its
-    // allocations are nobody's hot path.
-    if graph.file(id).starts_with("crates/lint/") {
-        return Vec::new();
-    }
-    let item = graph.item(id);
-    let mut sites = item.alloc_sites.clone();
-    if !item.reserves {
-        sites.extend_from_slice(&item.push_loops);
-    }
-    sites
-}
-
-/// Run R5/R6/R7 over the workspace. Returns raw findings (waivers are
+/// Run R5 and R7 over the workspace. Returns raw findings (waivers are
 /// applied by the caller, which owns the per-file waiver tables) and
 /// per-entry reachability stats.
 pub(crate) fn run_transitive(
@@ -642,31 +608,22 @@ pub(crate) fn run_transitive(
     let mut out = Raws::default();
     let mut stats: Vec<EntryStat> = Vec::new();
 
-    // ---- R5 panic-freedom, R6 hot-path allocation --------------------
-    let no_frontier: &[String] = &[];
-    for (rule, entries, frontier) in [
-        ("R5", &cfg.r5_entries, cfg.r5_frontier.as_slice()),
-        ("R6", &cfg.r6_entries, no_frontier),
-    ] {
-        for (label, roots) in entry_fns(&graph, entries) {
-            let walk = graph.walk(&roots, frontier);
-            for &id in &walk.order {
-                let sites = match rule {
-                    "R5" => r5_sites(&graph, cfg, id),
-                    _ => r6_sites(&graph, id),
-                };
-                let path = walk.path(&graph, id);
-                for site in &sites {
-                    out.push(rule, graph.file(id), site, &path, &label);
-                }
+    // ---- R5 panic-freedom ---------------------------------------------
+    for root in entry_fns(&graph, &cfg.r5_entries) {
+        let label = graph.label(root);
+        let walk = graph.walk(&[root], &cfg.r5_frontier);
+        for &id in &walk.order {
+            let path = walk.path(&graph, id);
+            for site in &r5_sites(&graph, cfg, id) {
+                out.push("R5", graph.file(id), site, &path, &label);
             }
-            stats.push(EntryStat {
-                rule: rule.into(),
-                entry: label,
-                reachable_fns: walk.order.len(),
-                reachable: walk.order.iter().map(|&id| graph.label(id)).collect(),
-            });
         }
+        stats.push(EntryStat {
+            rule: "R5".into(),
+            entry: label,
+            reachable_fns: walk.order.len(),
+            reachable: walk.order.iter().map(|&id| graph.label(id)).collect(),
+        });
     }
 
     // ---- R7: lock hygiene --------------------------------------------

@@ -1,9 +1,9 @@
 //! The per-file item index: functions (with enclosing impl types),
 //! struct fields, and per-function *body facts* — call sites with
-//! receiver chains, panic/arithmetic/allocation sites, push loops, lock
-//! regions — plus the file's float-ordering sites. `facts` is the only
-//! pass that finds sites: every rule reads what it recorded, so a file
-//! is lexed and walked exactly once per run.
+//! receiver chains, panic and arithmetic sites, lock regions — plus the
+//! file's float-ordering sites. `facts` is the only pass that finds
+//! sites: every rule reads what it recorded, so a file is lexed and
+//! walked exactly once per run.
 //!
 //! The index is deliberately *syntactic*: receiver types are recorded as
 //! ident chains (`self.arena`) plus a per-function table of typed
@@ -14,10 +14,6 @@
 
 use crate::lexer::{lex, Tok, Token};
 
-/// Methods that allocate an owned copy. `.copied()` is deliberately
-/// absent: it only compiles for `Copy` element types, so it is its own
-/// proof that no allocation happens.
-pub(crate) const ALLOC_METHODS: &[&str] = &["clone", "cloned", "to_vec", "to_owned"];
 pub(crate) const PANIC_METHODS: &[&str] = &[
     "unwrap",
     "expect",
@@ -39,10 +35,6 @@ const PANIC_MACROS: &[&str] = &[
     "debug_assert_eq",
     "debug_assert_ne",
 ];
-/// Calls whose presence in a function body counts as "the buffer was
-/// sized": one anywhere in the function is taken as evidence the author
-/// thought about growth.
-const RESERVERS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
 
 /// One indexed source file.
 #[derive(Debug, Clone, Default)]
@@ -88,9 +80,6 @@ pub struct FnItem {
     /// The first parameter is a `self` receiver (a method, callable
     /// with `.name(..)` syntax).
     pub has_self: bool,
-    /// The body calls `with_capacity`/`reserve`/`reserve_exact` —
-    /// evidence the author sized their buffers (R6).
-    pub reserves: bool,
     /// Typed params and `let` locals: name → outer type segment.
     pub locals: Vec<(String, String)>,
     pub calls: Vec<CallSite>,
@@ -100,10 +89,6 @@ pub struct FnItem {
     /// Unchecked `value (+|-|*) value`; R5 reads these only in the
     /// files where attacker-controlled lengths feed size math.
     pub arith_sites: Vec<Site>,
-    /// `clone`/`cloned`/`to_vec`/`to_owned` call sites.
-    pub alloc_sites: Vec<Site>,
-    /// `.push(...)` inside a `for`/`while`/`loop` body.
-    pub push_loops: Vec<Site>,
     pub lock_regions: Vec<LockRegion>,
 }
 
@@ -777,14 +762,6 @@ fn facts(
     in_test: &[bool],
     fns: &mut [FnItem],
 ) -> Vec<Site> {
-    // Loop-body tracking: brace depth plus the depths at which
-    // `for`/`while`/`loop` bodies opened.
-    let mut depth = 0u32;
-    let mut pending_loop = false;
-    // Between `impl` and the `{` that opens its block: the `for` of
-    // `impl Trait for Type` is not a loop.
-    let mut impl_header = false;
-    let mut loop_depths: Vec<u32> = Vec::new();
     let in_attr = attr_mask(tokens);
     let mut float_sites = Vec::new();
     let site = |line: u32, what: String| Site { line, what };
@@ -795,31 +772,11 @@ fn facts(
         }
         let t = &tokens[i];
 
-        match &t.tok {
-            // `for<'a>` HRTBs are type syntax, not loops.
-            Tok::Ident(s) if s == "while" || s == "loop" => pending_loop = true,
-            Tok::Ident(s) if s == "impl" => impl_header = true,
-            Tok::Ident(s) if s == "for" && !punct(tokens, i + 1, "<") => pending_loop = !impl_header,
-            Tok::Ident(s) if s == "NAN" && !in_test[i] => float_sites.push(site(
+        if t.tok == Tok::Ident("NAN".into()) && !in_test[i] {
+            float_sites.push(site(
                 t.line,
                 "NAN constant in a numeric path corrupts ordering silently".into(),
-            )),
-            Tok::Punct(p) if p == ";" => (pending_loop, impl_header) = (false, false),
-            Tok::Punct(p) if p == "{" => {
-                depth += 1;
-                impl_header = false;
-                if pending_loop {
-                    loop_depths.push(depth);
-                    pending_loop = false;
-                }
-            }
-            Tok::Punct(p) if p == "}" => {
-                if loop_depths.last() == Some(&depth) {
-                    loop_depths.pop();
-                }
-                depth = depth.saturating_sub(1);
-            }
-            _ => {}
+            ));
         }
         let method = method_call(tokens, i);
         if method.as_ref().is_some_and(|c| c.callee == "partial_cmp") && !in_test[i] {
@@ -868,26 +825,15 @@ fn facts(
 
         if let Some(call) = method {
             let (m, line) = (call.callee.as_str(), call.line);
-            if ALLOC_METHODS.contains(&m) {
-                item.alloc_sites.push(site(line, format!(".{m}() allocates an owned copy")));
-            }
             if PANIC_METHODS.contains(&m) {
                 item.panic_sites.push(site(line, format!(".{m}() can panic")));
-            }
-            if m == "push" && !loop_depths.is_empty() {
-                item.push_loops.push(site(
-                    line,
-                    "per-element .push() in a loop without with_capacity/reserve".into(),
-                ));
             }
             if m == "lock" {
                 item.lock_regions.push(lock_region(tokens, i, line, &call.recv));
             }
-            item.reserves |= RESERVERS.contains(&m);
             item.calls.push(call);
         }
         if let Some(call) = free_call(tokens, i) {
-            item.reserves |= RESERVERS.contains(&call.callee.as_str());
             item.calls.push(call);
         }
 
@@ -1197,48 +1143,21 @@ mod tests {
     }
 
     #[test]
-    fn panic_alloc_and_push_sites_are_collected() {
+    fn panic_and_arithmetic_sites_are_collected() {
         let src = "
             const POISON: f64 = f64::NAN;
-            fn f(v: &[u8], xs: &Vec<u8>) -> u8 {
+            fn f(v: &[u8]) -> u8 {
                 let total = v.len() * 4 + 2;
-                let mut out = Vec::new();
-                for x in xs.iter() {
-                    out.push(*x);
-                }
-                let _c = xs.clone();
                 assert!(v.len() > 0);
                 v[0]
             }
         ";
         let ix = index(src);
         let f = find(&ix, "f");
-        assert_eq!(f.push_loops.len(), 1);
-        assert_eq!(f.alloc_sites.len(), 1);
         assert!(f.panic_sites.iter().any(|s| s.what.contains("assert!")));
         assert!(f.panic_sites.iter().any(|s| s.what.contains("indexing")));
         assert_eq!(f.arith_sites.len(), 2, "`*` and `+`: {:?}", f.arith_sites);
-        assert!(!f.reserves);
         assert_eq!(ix.float_sites.len(), 1, "module-level NAN: {:?}", ix.float_sites);
-    }
-
-    #[test]
-    fn a_trait_impl_block_is_not_a_loop_body() {
-        let src = "
-            impl Sink for Table {
-                fn member(&mut self, row: u32) {
-                    self.members.push(row);
-                }
-                fn fill(&mut self, rows: impl Iterator<Item = u32>) {
-                    for row in rows {
-                        self.members.push(row);
-                    }
-                }
-            }
-        ";
-        let ix = index(src);
-        assert!(find(&ix, "member").push_loops.is_empty());
-        assert_eq!(find(&ix, "fill").push_loops.len(), 1);
     }
 
     #[test]

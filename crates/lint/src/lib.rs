@@ -1,11 +1,13 @@
 //! vapro-lint: the workspace static-analysis pass.
 //!
-//! PRs 1–4 proved two invariants dynamically — zero full-population
+//! Two invariants are proved dynamically — zero full-population
 //! `Fragment` clones on the detection/diagnosis hot paths (runtime clone
 //! counters) and no panics on hostile wire bytes (byte-mutation
-//! proptests). This crate re-states both as *source-level* rules that
-//! every future change is checked against, plus a float-hygiene rule for
-//! the numeric code and a lock-hygiene rule. One pass finds sites
+//! proptests). This crate re-states the second as a *source-level* rule
+//! that every future change is checked against, plus a float-hygiene
+//! rule for the numeric code and a lock-hygiene rule. Allocation on the
+//! window path is measured, not linted: the allocator census in
+//! `crates/core/tests/report_heap_shape.rs`. One pass finds sites
 //! (`items::facts`); entry scopes over the conservative whole-workspace
 //! call graph (`callgraph`) decide which of them a rule reports. See
 //! `rules` for the rule definitions, the configuration and the waiver
@@ -48,7 +50,7 @@ pub struct ReportFinding {
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceReport {
     pub findings: Vec<ReportFinding>,
-    /// Per-entry-point reachability + finding counts (R5/R6).
+    /// Per-entry-point reachability + finding counts (R5).
     pub entries: Vec<EntryLine>,
     pub files_scanned: usize,
 }
@@ -80,10 +82,6 @@ pub struct EntryLine {
 ///   In `wire.rs`, where attacker-controlled lengths feed size math,
 ///   unchecked arithmetic counts as a panic site and no R5 waiver is
 ///   accepted at all: the decode path must be structurally total.
-/// * R6 roots are the steady-state window-close door `close_ready` and
-///   every function of the hot-path modules the design docs name
-///   (`detect/`, `diagnose/`, `wire.rs`, `clustering.rs`,
-///   `columnar.rs`), callees followed wherever they live.
 /// * R7 applies workspace-wide: no lock guard held across a rayon
 ///   region, a channel send, or a call into another lock-taking
 ///   function, and no lock-order cycles.
@@ -122,16 +120,6 @@ pub fn workspace_config() -> LintConfig {
         ],
         r5_arith_files: vec![wire.into()],
         r5_no_waiver_files: vec![wire.into()],
-        // The door first: a site it reaches is reported with the path
-        // from it.
-        r6_entries: vec![
-            scope("crates/core/src/detect/ingestor.rs", &["close_ready"]),
-            scope("crates/core/src/detect/", &[]),
-            scope("crates/core/src/diagnose/", &[]),
-            scope(wire, &[]),
-            scope("crates/core/src/clustering.rs", &[]),
-            scope("crates/core/src/columnar.rs", &[]),
-        ],
         r7_files: vec!["crates/".into()],
     }
 }

@@ -10,7 +10,8 @@
 //! passes rewrites it; a run that would *increase* any rule's waived
 //! count fails unless the increase is explicitly accepted, so new
 //! waivers are always a reviewed, deliberate act. The ratchet is
-//! per-rule — an R5 decrease cannot mask an R6 increase.
+//! per-rule — an R5 decrease cannot mask an R3 increase, and a rule
+//! the baseline lists but the run no longer reports is a decrease.
 //!
 //! `--sarif` additionally writes a SARIF 2.1 log for code scanning.
 
@@ -18,7 +19,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vapro_lint::report::{baseline_rule_waived, render_json};
+use vapro_lint::report::{render_json, waiver_growth};
 use vapro_lint::sarif::render_sarif;
 use vapro_lint::{run_workspace, WorkspaceReport};
 
@@ -89,26 +90,9 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
 
-    // Per-rule ratchet: every rule's waived count is its own budget. A
-    // baseline whose `rules` section is missing or foreign reads as all
-    // zeros, so every waiver then counts as growth: it fails closed.
-    let baseline_text = fs::read_to_string(&report_path).ok();
-    if let Some(text) = &baseline_text {
-        let prev_rules = baseline_rule_waived(text);
-        let mut grew: Vec<String> = Vec::new();
-        let mut current: std::collections::BTreeMap<&str, u64> =
-            std::collections::BTreeMap::new();
-        for f in &report.findings {
-            if f.finding.waived.is_some() {
-                *current.entry(f.finding.rule.as_str()).or_insert(0) += 1;
-            }
-        }
-        for (rule, now) in &current {
-            let prev = prev_rules.get(*rule).copied().unwrap_or(0);
-            if *now > prev {
-                grew.push(format!("{rule} {prev} → {now}"));
-            }
-        }
+    // Per-rule ratchet against the committed report, when there is one.
+    if let Ok(text) = fs::read_to_string(&report_path) {
+        let grew = waiver_growth(&text, &report);
         if !grew.is_empty() && !accept_waivers {
             eprintln!(
                 "vapro-lint: FAIL — waiver budget grew ({}); \

@@ -4,8 +4,8 @@
 //! report, rule by rule, and fails on any increase that was not
 //! explicitly accepted.
 //!
-//! Schema v3: a `rules` section (per-rule counts; keys ⊆ R3, R5, R6, R7,
-//! LINT), an `entry_points` section (one line per R5/R6 entry:
+//! Schema v3: a `rules` section (per-rule counts; keys ⊆ R3, R5, R7,
+//! LINT), an `entry_points` section (one line per R5 entry:
 //! reachability and finding counts) and the findings, those of an entry
 //! tree with a `path` array (`entry → helper → site` function names).
 
@@ -126,7 +126,7 @@ pub fn baseline_rule_waived(json: &str) -> BTreeMap<String, u64> {
     let Some(end) = body.find("\n  }") else { return out };
     for line in body[..end].lines() {
         let line = line.trim().trim_end_matches(',');
-        // `"R6": {"unwaived": 0, "waived": 19}`
+        // `"R5": {"unwaived": 0, "waived": 3}`
         let Some(rest) = line.strip_prefix('"') else { continue };
         let Some((rule, rest)) = rest.split_once('"') else { continue };
         let Some(pos) = rest.find("\"waived\":") else { continue };
@@ -140,6 +140,27 @@ pub fn baseline_rule_waived(json: &str) -> BTreeMap<String, u64> {
         }
     }
     out
+}
+
+/// The per-rule ratchet: every rule whose waived count in `report`
+/// exceeds the committed `baseline` report's, as `"R5 3 → 4"`. Every
+/// rule's count is its own budget. A rule the baseline lists and the
+/// run does not report is a decrease, whether its waivers went or the
+/// rule itself did; a baseline whose `rules` section is missing or
+/// foreign reads as all zeros, so every waiver then counts as growth:
+/// the ratchet fails closed.
+pub fn waiver_growth(baseline: &str, report: &WorkspaceReport) -> Vec<String> {
+    let prev = baseline_rule_waived(baseline);
+    let mut now: BTreeMap<&str, u64> = BTreeMap::new();
+    for f in report.findings.iter().filter(|f| f.finding.waived.is_some()) {
+        *now.entry(f.finding.rule.as_str()).or_insert(0) += 1;
+    }
+    now.into_iter()
+        .filter_map(|(rule, now)| {
+            let prev = prev.get(rule).copied().unwrap_or(0);
+            (now > prev).then(|| format!("{rule} {prev} → {now}"))
+        })
+        .collect()
 }
 
 pub(crate) fn json_str(s: &str) -> String {
@@ -186,16 +207,16 @@ mod tests {
     #[test]
     fn report_counts_and_baseline_round_trip() {
         let findings = vec![
-            finding("R6", "b.rs", 3, Some("cold")),
-            finding("R5", "a.rs", 1, None),
-            finding("R6", "a.rs", 2, Some("cold")),
+            finding("R5", "b.rs", 3, Some("cold")),
+            finding("R3", "a.rs", 1, None),
+            finding("R5", "a.rs", 2, Some("cold")),
         ];
         let json = render_json(&report(findings));
         assert!(json.contains("\"unwaived\": 1"));
         assert!(json.contains("\"waived\": 2"));
         let per_rule = baseline_rule_waived(&json);
-        assert_eq!(per_rule.get("R6"), Some(&2));
-        assert_eq!(per_rule.get("R5"), Some(&0));
+        assert_eq!(per_rule.get("R5"), Some(&2));
+        assert_eq!(per_rule.get("R3"), Some(&0));
         // Sorted by file then line.
         let a1 = json.find("\"a.rs\", \"line\": 1").unwrap();
         let a2 = json.find("\"a.rs\", \"line\": 2").unwrap();
@@ -213,7 +234,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let f = finding("R6", "a\"b.rs", 1, Some("line\nbreak"));
+        let f = finding("R5", "a\"b.rs", 1, Some("line\nbreak"));
         let json = render_json(&report(vec![f]));
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("line\\nbreak"));
@@ -241,5 +262,25 @@ mod tests {
         // Foreign content is a budget of zero, not an open gate.
         assert!(baseline_rule_waived("{\"waived\": 22}").is_empty());
         assert!(baseline_rule_waived("not json").is_empty());
+    }
+
+    /// A committed report can list a rule the lint no longer has (R6,
+    /// hot-path allocation, with its 26 waivers): against a run that
+    /// reports nothing of it, that rule went down, and the rules the run
+    /// does report ratchet as before.
+    #[test]
+    fn a_retired_rule_in_the_baseline_is_a_decrease() {
+        let committed = "{\n  \"schema\": \"vapro-lint/3\",\n  \"unwaived\": 0,\n  \"waived\": 29,\n  \"rules\": {\n    \"R5\": {\"unwaived\": 0, \"waived\": 3},\n    \"R6\": {\"unwaived\": 0, \"waived\": 26}\n  },\n  \"entry_points\": [],\n  \"findings\": []\n}\n";
+        let run = |r5_waived: u32| {
+            report((0..r5_waived).map(|line| finding("R5", "a.rs", line, Some("ok"))).collect())
+        };
+        assert!(waiver_growth(committed, &run(3)).is_empty());
+        assert!(waiver_growth(committed, &run(2)).is_empty());
+        assert_eq!(waiver_growth(committed, &run(4)), ["R5 3 → 4"]);
+        // The retired rule's budget is not spendable by another rule.
+        let r3 = report(vec![finding("R3", "a.rs", 1, Some("ok"))]);
+        assert_eq!(waiver_growth(committed, &r3), ["R3 0 → 1"]);
+        // A foreign baseline fails closed.
+        assert_eq!(waiver_growth("not json", &run(1)), ["R5 0 → 1"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The rule configuration, the one per-file rule, and the waiver
 //! machinery.
 //!
-//! Four project rules. Every site they report is found by one pass,
+//! Three project rules. Every site they report is found by one pass,
 //! `items::facts`; a rule is a scope over those facts:
 //!
 //! * **R3 float-hygiene** (per file, `r3_files`) — `partial_cmp`
@@ -12,15 +12,9 @@
 //!   `unwrap`/`expect`-family calls, panicking macros, direct slice
 //!   indexing and calls to externals not known total, in every function
 //!   a door reaches; in `r5_arith_files` also unchecked `+ - *`.
-//! * **R6 hot-path allocation** (per entry tree, `r6_entries`) —
-//!   `.clone()` / `.cloned()` / `.to_vec()` / `.to_owned()`, and a
-//!   per-element `.push(…)` inside a `for`/`while`/`loop` body of a
-//!   function that never calls `with_capacity` / `reserve` /
-//!   `reserve_exact`: size the buffer first or waive with the reason it
-//!   cannot be sized.
 //! * **R7 lock hygiene** (per file, `r7_files`) — see `callgraph`.
 //!
-//! A finding can be waived with `// vapro-lint: allow(R6, reason)` —
+//! A finding can be waived with `// vapro-lint: allow(R5, reason)` —
 //! trailing on the offending line, or on the whole line directly above
 //! it. Waivers are collected into the report as an explicit budget.
 //! Malformed and unused waivers are themselves (unwaivable) findings, as
@@ -43,7 +37,7 @@ pub struct Finding {
 }
 
 /// A file (prefix) plus the function names a rule is rooted at inside
-/// it. An empty `funcs` list means "every non-test function there".
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct FnScope {
     pub file: String,
@@ -70,9 +64,6 @@ pub struct LintConfig {
     /// Files that accept no R5 waiver: one there is a `LINT` finding and
     /// suppresses nothing.
     pub r5_no_waiver_files: Vec<String>,
-    /// R6 hot-path-allocation entry points. A scope with no function
-    /// names makes every non-test function of its files a root.
-    pub r6_entries: Vec<FnScope>,
     /// R7 lock hygiene applies to files matching these prefixes
     /// (empty = disabled; `["crates/"]` = the whole workspace).
     pub r7_files: Vec<String>,
@@ -216,14 +207,12 @@ mod tests {
     use super::*;
     use crate::run_files;
 
-    /// Every function of `file` is an R5 and an R6 root.
+    /// R3 over `file`, and its functions `f` and `decode` as R5 roots.
     fn cfg_all(file: &str) -> LintConfig {
-        let all = vec![FnScope { file: file.into(), funcs: vec![] }];
         LintConfig {
             r3_files: vec![file.into()],
-            r5_entries: all.clone(),
+            r5_entries: vec![FnScope { file: file.into(), funcs: vec!["f".into(), "decode".into()] }],
             r5_arith_files: vec![file.into()],
-            r6_entries: all,
             ..Default::default()
         }
     }
@@ -234,16 +223,16 @@ mod tests {
 
     #[test]
     fn trailing_waiver_suppresses_same_line() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R6, cold path)\n}\n";
+        let src = "fn f(x: &[u32]) -> u32 {\n    x[0] // vapro-lint: allow(R5, never empty)\n}\n";
         let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "R6");
-        assert_eq!(f[0].waived.as_deref(), Some("cold path"));
+        assert_eq!(f[0].rule, "R5");
+        assert_eq!(f[0].waived.as_deref(), Some("never empty"));
     }
 
     #[test]
     fn whole_line_waiver_covers_next_code_line() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    // vapro-lint: allow(R6, cold path)\n    x.clone()\n}\n";
+        let src = "fn f(x: &[u32]) -> u32 {\n    // vapro-lint: allow(R5, never empty)\n    x[0]\n}\n";
         let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 1);
         assert!(f[0].waived.is_some());
@@ -251,7 +240,7 @@ mod tests {
 
     #[test]
     fn unused_and_malformed_waivers_are_findings() {
-        let src = "// vapro-lint: allow(R6, nothing here)\nfn ok() {}\n// vapro-lint: allow(R9)\nfn also_ok() {}\n";
+        let src = "// vapro-lint: allow(R5, nothing here)\nfn ok() {}\n// vapro-lint: allow(R9)\nfn also_ok() {}\n";
         let f = scan("a.rs", src, &cfg_all("a.rs"));
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.rule == META_RULE && x.waived.is_none()));
@@ -259,10 +248,10 @@ mod tests {
 
     #[test]
     fn waiver_rule_must_match_finding_rule() {
-        let src = "fn f(x: &Vec<u32>) -> Vec<u32> {\n    x.clone() // vapro-lint: allow(R5, wrong rule)\n}\n";
+        let src = "fn f(x: &[u32]) -> u32 {\n    x[0] // vapro-lint: allow(R3, wrong rule)\n}\n";
         let f = scan("a.rs", src, &cfg_all("a.rs"));
-        // The R6 finding stays unwaived and the R5 waiver is unused.
-        assert_eq!(f.iter().filter(|x| x.rule == "R6" && x.waived.is_none()).count(), 1);
+        // The R5 finding stays unwaived and the R3 waiver is unused.
+        assert_eq!(f.iter().filter(|x| x.rule == "R5" && x.waived.is_none()).count(), 1);
         assert_eq!(f.iter().filter(|x| x.rule == META_RULE).count(), 1);
     }
 

@@ -1,10 +1,13 @@
 //! SARIF v2.1.0 output for GitHub code scanning.
 //!
+//! Its consumer is CI's lint job: `make lint` writes
+//! `target/vapro-lint.sarif` and the `upload-sarif` step
+//! (`github/codeql-action/upload-sarif`) publishes it to code scanning.
 //! Hand-rolled like the JSON report (the lint crate stays serde-free).
 //! Unwaived findings are `error`-level results; waived findings are
 //! emitted with an in-source suppression carrying the waiver reason, so
 //! code scanning shows them as reviewed rather than open. Entry-tree
-//! findings (R5/R6) attach their call path as a `codeFlows` thread flow,
+//! findings (R5) attach their call path as a `codeFlows` thread flow,
 //! entry point first.
 
 use crate::report::json_str as q;
@@ -14,7 +17,6 @@ use crate::{ReportFinding, WorkspaceReport};
 const RULES: &[(&str, &str)] = &[
     ("R3", "float-hygiene: no partial_cmp or NAN where float ordering decides output"),
     ("R5", "panic-freedom: no panic, indexing or unknown external (nor, in wire.rs, unchecked arithmetic) anywhere in a door's call tree"),
-    ("R6", "hot-path allocation: no owned copy or unreserved push loop in any function the window-close door or a hot-path module reaches"),
     ("R7", "lock hygiene: no guard held across rayon/sends/lock-taking calls; no lock-order cycles"),
     ("LINT", "waiver mechanism: malformed, unused, or forbidden waivers"),
 ];

@@ -1,4 +1,4 @@
-//! R6 dyn-receiver good fixture: the implementor lends its buffer.
+//! R5 dyn-receiver good fixture: the implementor lends what it has.
 
 pub trait Provider {
     fn collect(&mut self, n: usize) -> &[u64];
@@ -14,6 +14,6 @@ impl Provider for Scratch {
     }
 }
 
-pub fn close_entry(provider: &mut dyn Provider, n: usize) -> usize {
+pub fn entry(provider: &mut dyn Provider, n: usize) -> usize {
     provider.collect(n).len()
 }

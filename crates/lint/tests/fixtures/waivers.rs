@@ -1,25 +1,25 @@
 // Waiver fixture: one trailing waiver, one whole-line waiver, one
 // unused waiver, one malformed directive.
 
-pub struct Fragment {
-    pub args: Vec<u64>,
+pub fn decode(bytes: &[u8]) -> u8 {
+    tag(bytes).wrapping_add(width(bytes)).wrapping_add(clean()).wrapping_add(noisy())
 }
 
-pub fn cold_copy(frags: &Vec<Fragment>) -> Vec<Fragment> {
-    frags.clone() // vapro-lint: allow(R6, cold path, runs once per report)
+fn tag(bytes: &[u8]) -> u8 {
+    bytes[0] // vapro-lint: allow(R5, the caller checked the length)
 }
 
-pub fn cold_args(f: &Fragment) -> Vec<u64> {
-    // vapro-lint: allow(R6, snapshot for the report)
-    f.args.to_vec()
+fn width(bytes: &[u8]) -> u8 {
+    // vapro-lint: allow(R5, header bytes are present by construction)
+    *bytes.get(1).unwrap()
 }
 
-pub fn clean() -> u32 {
-    // vapro-lint: allow(R6, nothing on the next line allocates)
+pub fn clean() -> u8 {
+    // vapro-lint: allow(R5, nothing on the next line can panic)
     42
 }
 
-pub fn noisy() -> u32 {
+pub fn noisy() -> u8 {
     // vapro-lint: allow(R5)
     7
 }

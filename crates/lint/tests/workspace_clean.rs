@@ -20,6 +20,14 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
 }
 
+/// Every scanned workspace source, as `(workspace-relative path, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
+    collect_sources(&workspace_root())
+        .into_iter()
+        .map(|(rel, path)| (rel, std::fs::read_to_string(path).expect("workspace source")))
+        .collect()
+}
+
 fn render(report: &WorkspaceReport, pred: impl Fn(&vapro_lint::ReportFinding) -> bool) -> String {
     report
         .findings
@@ -37,9 +45,10 @@ fn workspace_has_zero_unwaived_findings() {
     let report = run_workspace(&workspace_root());
     let shown = render(&report, |f| f.finding.waived.is_none());
     assert!(shown.is_empty(), "unwaived findings in the workspace:\n{shown}");
-    // The retired per-body rules report under R5/R6 now.
+    // The three rules, and no waiver for a rule the lint no longer has
+    // (an unused one would be a `LINT` finding).
     let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.finding.rule.as_str()).collect();
-    assert!(rules.iter().all(|r| ["R3", "R5", "R6", "R7"].contains(r)), "{rules:?}");
+    assert!(rules.iter().all(|r| ["R3", "R5", "R7"].contains(r)), "{rules:?}");
 }
 
 #[test]
@@ -59,17 +68,13 @@ fn entry_trees_reach_what_they_must() {
 
     // Every configured entry name must resolve to a function; a typo in
     // the entry list would otherwise pass vacuously.
-    let cfg = workspace_config();
-    for (rule, scopes) in [("R5", &cfg.r5_entries), ("R6", &cfg.r6_entries)] {
-        for scope in scopes {
-            for func in &scope.funcs {
-                let resolved = report.entries.iter().any(|e| {
-                    e.stat.rule == rule
-                        && e.stat.entry.starts_with(&format!("{}::", scope.file))
-                        && e.stat.entry.ends_with(&format!("::{func}"))
-                });
-                assert!(resolved, "configured {rule} entry {}::{func} resolved to no function", scope.file);
-            }
+    for scope in &workspace_config().r5_entries {
+        for func in &scope.funcs {
+            let resolved = report.entries.iter().any(|e| {
+                e.stat.entry.starts_with(&format!("{}::", scope.file))
+                    && e.stat.entry.ends_with(&format!("::{func}"))
+            });
+            assert!(resolved, "configured R5 entry {}::{func} resolved to no function", scope.file);
         }
     }
     // One line per entry: labels carry the impl type, so two impls'
@@ -77,14 +82,21 @@ fn entry_trees_reach_what_they_must() {
     let labels: BTreeSet<_> = report.entries.iter().map(|e| (&e.stat.rule, &e.stat.entry)).collect();
     assert_eq!(labels.len(), report.entries.len(), "duplicate entry lines");
 
-    // The R6 window-close tree must reach past its own file: close_ready
-    // fans out into clustering/columnar/diagnosis code, so a walk that
-    // stays inside ingestor.rs means call resolution broke.
-    let close = report
-        .entries
-        .iter()
-        .find(|e| e.stat.rule == "R6" && e.stat.entry.ends_with("::close_ready"))
-        .expect("close_ready entry line");
+    // The window-close tree, walked from `close_ready` with no frontier,
+    // must reach past its own file: close_ready fans out into
+    // clustering/columnar/diagnosis code, so a walk that stays inside
+    // ingestor.rs means call resolution broke.
+    let close_ready = LintConfig {
+        r5_entries: vec![FnScope {
+            file: "crates/core/src/detect/ingestor.rs".into(),
+            funcs: vec!["close_ready".into()],
+        }],
+        ..Default::default()
+    };
+    let sources = workspace_sources();
+    let refs: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+    let report = run_files(&refs, &close_ready);
+    let [close] = report.entries.as_slice() else { panic!("{} entry lines", report.entries.len()) };
     let reaches = |file: &str| close.stat.reachable.iter().any(|l| l.starts_with(file));
     assert!(reaches("crates/core/src/clustering.rs::"), "{:?}", close.stat.reachable);
     // The AoS `Fragment` has left the window path: detection and the
@@ -92,7 +104,7 @@ fn entry_trees_reach_what_they_must() {
     // called from it (the runtime clone counter agrees, at zero).
     assert!(!reaches("crates/core/src/fragment.rs::"), "close_ready tree calls into fragment.rs");
     // The drill-down's column reader, behind the batch's closure-driven
-    // descent (`dyn` receivers stay covered by the `r6_dyn_*` fixtures).
+    // descent (`dyn` receivers stay covered by the `r5_dyn_*` fixtures).
     assert!(
         reaches("crates/core/src/diagnose/quantify.rs::FactorValues::from_members"),
         "close_ready tree misses FactorValues::from_members"
@@ -175,7 +187,7 @@ fn wire_decode_path_has_zero_r5_findings() {
 fn waiver_budget_stays_reviewed() {
     // The budget cap mirrors the committed LINT_report.json; bumping it
     // is a deliberate, reviewed act (re-run with --accept-waivers).
-    const BUDGET: usize = 29;
+    const BUDGET: usize = 3;
     let report = run_workspace(&workspace_root());
     let waived = report.findings.iter().filter(|f| f.finding.waived.is_some()).count();
     assert!(waived <= BUDGET, "waiver budget exceeded: {waived} > {BUDGET}");
@@ -186,11 +198,7 @@ fn waiver_budget_stays_reviewed() {
 /// The checked-in configuration over the real sources with `line`
 /// inserted after the one line of `file` that contains `anchor`.
 fn planted(file: &str, anchor: &str, line: &str) -> WorkspaceReport {
-    let root = workspace_root();
-    let mut sources: Vec<(String, String)> = collect_sources(&root)
-        .into_iter()
-        .map(|(rel, path)| (rel, std::fs::read_to_string(path).expect("workspace source")))
-        .collect();
+    let mut sources = workspace_sources();
     let (_, src) = sources.iter_mut().find(|(rel, _)| rel == file).expect("canary file");
     assert_eq!(src.matches(anchor).count(), 1, "canary anchor `{anchor}` must be unique in {file}");
     let at = src.find(anchor).expect("anchor");
@@ -238,24 +246,6 @@ fn canary_unwrap_in_the_crc_fold() {
         .find(|e| e.stat.rule == "R5" && e.stat.entry.ends_with("::FrameView::parse"))
         .expect("parse entry line");
     assert_eq!(parse.unwaived, 1, "{:?}", parse.stat.entry);
-}
-
-#[test]
-fn canary_owned_copy_in_normalisation() {
-    let file = "crates/core/src/detect/normalize.rs";
-    let report =
-        planted(file, "for members in outcome.usable_members() {", "let _ = members.to_vec();");
-    assert_caught(&report, "R6", file, "close_ready", ".to_vec()");
-}
-
-/// Silent at the parent commit: `detect/region.rs` was on the old R6
-/// skip list but under no per-body push rule.
-#[test]
-fn canary_unreserved_push_loop_in_region_growing() {
-    let file = "crates/core/src/detect/region.rs";
-    let report =
-        planted(file, "let mut regions = Vec::new();", "for r in 0..hm.ranks { regions.push(r); }");
-    assert_caught(&report, "R6", file, "close_ready", ".push()");
 }
 
 /// Lines of `manifest` that name any of `crates` outside a dev-dependency
@@ -311,14 +301,12 @@ const R5_BAD: &str = include_str!("fixtures/r5_bad.rs");
 const R5_GOOD: &str = include_str!("fixtures/r5_good.rs");
 const R5_ARITY_BAD: &str = include_str!("fixtures/r5_arity_bad.rs");
 const R5_ARITY_GOOD: &str = include_str!("fixtures/r5_arity_good.rs");
-const R6_BAD: &str = include_str!("fixtures/r6_bad.rs");
-const R6_GOOD: &str = include_str!("fixtures/r6_good.rs");
 const R5_TURBOFISH_BAD: &str = include_str!("fixtures/r5_turbofish_bad.rs");
 const R5_TURBOFISH_GOOD: &str = include_str!("fixtures/r5_turbofish_good.rs");
 const R5_TYPED_BAD: &str = include_str!("fixtures/r5_typed_bad.rs");
 const R5_TYPED_GOOD: &str = include_str!("fixtures/r5_typed_good.rs");
-const R6_DYN_BAD: &str = include_str!("fixtures/r6_dyn_bad.rs");
-const R6_DYN_GOOD: &str = include_str!("fixtures/r6_dyn_good.rs");
+const R5_DYN_BAD: &str = include_str!("fixtures/r5_dyn_bad.rs");
+const R5_DYN_GOOD: &str = include_str!("fixtures/r5_dyn_good.rs");
 const R7_BAD: &str = include_str!("fixtures/r7_bad.rs");
 const R7_GOOD: &str = include_str!("fixtures/r7_good.rs");
 const R7_SPAWN_BAD: &str = include_str!("fixtures/r7_spawn_bad.rs");
@@ -327,13 +315,6 @@ const R7_SPAWN_GOOD: &str = include_str!("fixtures/r7_spawn_good.rs");
 fn r5_cfg() -> LintConfig {
     LintConfig {
         r5_entries: vec![FnScope { file: "fix/r5.rs".into(), funcs: vec!["entry".into()] }],
-        ..Default::default()
-    }
-}
-
-fn r6_cfg() -> LintConfig {
-    LintConfig {
-        r6_entries: vec![FnScope { file: "fix/r6.rs".into(), funcs: vec!["close_entry".into()] }],
         ..Default::default()
     }
 }
@@ -389,54 +370,33 @@ fn r5_same_named_method_of_the_same_arity_is_still_tainted() {
 }
 
 /// The three call shapes the hand-kept scope lists used to paper over:
-/// each bad fixture's site sits behind a call the walk must resolve,
-/// and each good twin proves the callee was reached, not skipped.
+/// each bad fixture's indexing sits behind a call the walk must
+/// resolve, and each good twin proves the callee was reached, not
+/// skipped.
 #[test]
 fn turbofish_typed_and_dyn_receivers_resolve() {
     let cases = [
-        ("fix/r5.rs", r5_cfg(), R5_TURBOFISH_BAD, R5_TURBOFISH_GOOD, "R5", "indexing", ["entry", "column"], 2),
-        ("fix/r5.rs", r5_cfg(), R5_TYPED_BAD, R5_TYPED_GOOD, "R5", "indexing", ["entry", "append"], 2),
+        (R5_TURBOFISH_BAD, R5_TURBOFISH_GOOD, ["entry", "column"], 2),
+        (R5_TYPED_BAD, R5_TYPED_GOOD, ["entry", "append"], 2),
         // The trait's own bodyless `collect` is visited beside the impl's.
-        ("fix/r6.rs", r6_cfg(), R6_DYN_BAD, R6_DYN_GOOD, "R6", "to_vec", ["close_entry", "collect"], 3),
+        (R5_DYN_BAD, R5_DYN_GOOD, ["entry", "collect"], 3),
     ];
-    for (file, cfg, bad, good, rule, what, path, reached) in cases {
-        let report = run_files(&[(file, bad)], &cfg);
+    for (bad, good, path, reached) in cases {
+        let report = run_files(&[("fix/r5.rs", bad)], &r5_cfg());
         let hit = report
             .findings
             .iter()
-            .find(|f| f.finding.rule == rule && f.finding.message.contains(what))
-            .unwrap_or_else(|| panic!("{rule} `{what}` behind {path:?} must be reported"));
+            .find(|f| f.finding.rule == "R5" && f.finding.message.contains("indexing"))
+            .unwrap_or_else(|| panic!("indexing behind {path:?} must be reported"));
         let funcs: Vec<&str> = hit.path.iter().map(|h| h.func.as_str()).collect();
         assert_eq!(funcs, path, "path: {:?}", hit.path);
 
-        let report = run_files(&[(file, good)], &cfg);
-        let shown = render(&report, |f| f.finding.rule == rule);
+        let report = run_files(&[("fix/r5.rs", good)], &r5_cfg());
+        let shown = render(&report, |f| f.finding.rule == "R5");
         assert!(shown.is_empty(), "good twin of {path:?} flagged:\n{shown}");
-        let entry = report.entries.iter().find(|e| e.stat.rule == rule).expect("entry line");
+        let entry = report.entries.iter().find(|e| e.stat.rule == "R5").expect("entry line");
         assert_eq!(entry.stat.reachable_fns, reached, "good twin of {path:?}: callee not walked");
     }
-}
-
-#[test]
-fn r6_allocation_two_calls_deep_is_found() {
-    let report = run_files(&[("fix/r6.rs", R6_BAD)], &r6_cfg());
-    let hit = report
-        .findings
-        .iter()
-        .find(|f| f.finding.rule == "R6" && f.finding.message.contains("to_vec"))
-        .expect("deep to_vec must be reported");
-    assert!(hit.finding.waived.is_none());
-    let funcs: Vec<&str> = hit.path.iter().map(|h| h.func.as_str()).collect();
-    assert_eq!(funcs, ["close_entry", "finalize", "snapshot"], "path: {:?}", hit.path);
-}
-
-#[test]
-fn r6_in_place_reduction_is_clean() {
-    let report = run_files(&[("fix/r6.rs", R6_GOOD)], &r6_cfg());
-    let shown = render(&report, |f| f.finding.rule == "R6");
-    assert!(shown.is_empty(), "good fixture flagged:\n{shown}");
-    let entry = report.entries.iter().find(|e| e.stat.rule == "R6").expect("entry line");
-    assert_eq!(entry.stat.reachable_fns, 3);
 }
 
 #[test]

@@ -133,7 +133,6 @@ pub fn remove_multicollinear(x: &[Vec<f64>], alpha: f64) -> FgOutcome {
         if kept.len() < 2 {
             break;
         }
-        // vapro-lint: allow(R6, per-round column copies for the FG test; factor count is bounded by counters, not stream size)
         let cols: Vec<Vec<f64>> = kept.iter().map(|&j| x[j].clone()).collect();
         let fg = match FarrarGlauber::test(&cols) {
             Some(fg) => fg,

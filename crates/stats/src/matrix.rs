@@ -32,7 +32,6 @@ impl Matrix {
     /// Build from a row-major slice; panics if the length mismatches.
     pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), rows * cols, "data length mismatch");
-        // vapro-lint: allow(R6, Matrix owns its storage; one O(n*k) buffer per OLS fit, k bounded by counters)
         Matrix { rows, cols, data: data.to_vec() }
     }
 
@@ -85,7 +84,6 @@ impl Matrix {
     pub fn inverse(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
         let n = self.rows;
-        // vapro-lint: allow(R6, Gauss-Jordan scratch copy; O(k^2) per fit with k bounded by counters)
         let mut a = self.clone();
         let mut inv = Matrix::identity(n);
         for col in 0..n {
@@ -131,7 +129,6 @@ impl Matrix {
     pub fn determinant(&self) -> f64 {
         assert_eq!(self.rows, self.cols, "determinant of non-square matrix");
         let n = self.rows;
-        // vapro-lint: allow(R6, LU scratch copy; O(k^2) per fit with k bounded by counters)
         let mut a = self.clone();
         let mut det = 1.0;
         for col in 0..n {
