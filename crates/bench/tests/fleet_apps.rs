@@ -49,7 +49,7 @@ fn frames_of(stgs: &[Stg], period_ns: u64, tenant: u32, job: u32) -> Vec<Vec<u8>
                 FragmentBatch::from_stg_starting_in(stg, rank, period)
                     .with_seq(k + 1)
                     .with_job(tenant, job)
-                    .encode_v3(),
+                    .encode(),
             );
         }
         k += 1;

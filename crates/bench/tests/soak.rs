@@ -72,7 +72,7 @@ fn periodic_frames(stgs: &[Stg], period_ns: u64, job: Option<(u32, u32)>) -> Vec
                 Some((tenant, job)) => batch.with_job(tenant, job),
                 None => batch,
             }
-            .encode_v3());
+            .encode());
         }
         start += period_ns;
         period_index += 1;

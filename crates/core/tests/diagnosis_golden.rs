@@ -206,7 +206,7 @@ fn fold_stream(h: &mut Fnv, stgs: &[Stg]) -> Vec<DiagnosisReport> {
             end: VirtualTime::from_ns(PERIOD_NS * (k + 1)),
         };
         for (rank, stg) in stgs.iter().enumerate() {
-            let frame = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1).encode_v3();
+            let frame = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1).encode();
             reports.extend(ingestor.push_encoded(&frame).expect("valid frame"));
         }
     }

@@ -193,7 +193,7 @@ fn period_frames(ring: Ring, k: u64) -> Vec<Vec<u8>> {
         .map(|rank| {
             FragmentBatch::from_stg_starting_in(&ring_period(ring, rank, k), rank, period)
                 .with_seq(k + 1)
-                .encode_v3()
+                .encode()
         })
         .collect()
 }

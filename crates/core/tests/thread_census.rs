@@ -75,7 +75,7 @@ fn job_frames(nranks: usize, periods: u64, key: JobKey) -> Vec<Vec<u8>> {
                 FragmentBatch::from_stg_starting_in(stg, rank, window)
                     .with_seq(k + 1)
                     .with_job(key.tenant, key.job)
-                    .encode_v3(),
+                    .encode(),
             );
         }
     }
