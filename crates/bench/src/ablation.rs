@@ -10,7 +10,7 @@
 //! * **STG mode** — context-free vs context-aware states, edges, hook
 //!   cost and coverage on the same run.
 
-use crate::common::{header, hottest_edge, vapro_cf, ExpOpts};
+use crate::common::{header, hottest_edge, shipped_bytes_per_sec, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::clustering::cluster_pool;
@@ -103,9 +103,6 @@ pub fn sampling_tradeoff(opts: &ExpOpts) -> (SamplingRow, SamplingRow) {
             &cfg,
             |ctx| vapro_apps::npb::lu::run(ctx, &params),
         );
-        let secs = run.makespan.as_secs_f64().max(1e-9);
-        let bytes = run.bytes_recorded.iter().map(|&b| b as f64).sum::<f64>()
-            / run.bytes_recorded.len() as f64;
         // Count sampled-out fragments across ranks by re-deriving from
         // invocations minus recorded fragments.
         let recorded: usize = run.stgs.iter().map(|s| s.total_fragments()).sum();
@@ -113,7 +110,7 @@ pub fn sampling_tradeoff(opts: &ExpOpts) -> (SamplingRow, SamplingRow) {
         SamplingRow {
             sampling,
             coverage: run.detection.coverage,
-            bytes_per_sec: bytes / secs,
+            bytes_per_sec: shipped_bytes_per_sec(&run.stgs, cfg.report_period, run.makespan),
             sampled_out: expected.saturating_sub(recorded) as u64,
         }
     };

@@ -2,6 +2,7 @@
 //! formatting helpers.
 
 use vapro_core::diagnose::{diagnose_cluster, DiagnosisReport};
+use vapro_core::wire::shipped_bytes;
 use vapro_core::{ColumnarPool, LaneView, PoolView, Stg, VaproConfig};
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, TargetSet, VirtualTime};
 
@@ -118,6 +119,14 @@ pub fn diagnose_hottest_edge(stgs: &[Stg]) -> Option<DiagnosisReport> {
     let lane = hottest_edge(&pool)?;
     let members: Vec<u32> = (0..lane.len() as u32).collect();
     diagnose_cluster(lane, &members, 1.2, 0.25, 0.05)
+}
+
+/// Mean bytes a rank of the run ships, per virtual second of
+/// `makespan`: its encoded frames, one per report period
+/// ([`shipped_bytes`]) — the §6.2 storage rate.
+pub fn shipped_bytes_per_sec(stgs: &[Stg], period: VirtualTime, makespan: VirtualTime) -> f64 {
+    let total: u64 = stgs.iter().enumerate().map(|(rank, stg)| shipped_bytes(stg, rank, period)).sum();
+    total as f64 / stgs.len().max(1) as f64 / makespan.as_secs_f64().max(1e-9)
 }
 
 #[cfg(test)]

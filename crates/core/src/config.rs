@@ -50,9 +50,11 @@ pub struct FaultTolerance {
     /// What to do with frames from a rank already declared dead.
     pub late_data: LateDataPolicy,
     /// Cap on bytes buffered for frames arriving *ahead* of the
-    /// watermark (a fast rank running away from a straggler). Frames
-    /// past the cap are dropped and accounted in coverage instead of
-    /// growing memory without bound.
+    /// watermark (a fast rank running away from a straggler), each
+    /// charged its [`frame_charge`](crate::detect::frame_charge): the
+    /// larger of its wire and arena bytes. Frames past the cap are
+    /// dropped and accounted in coverage instead of growing memory
+    /// without bound.
     pub max_buffered_bytes: Option<u64>,
 }
 

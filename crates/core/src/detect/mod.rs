@@ -30,7 +30,7 @@ pub mod region;
 pub(crate) mod stage;
 pub mod window;
 
-pub use admission::{IngestStats, RankHealth};
+pub use admission::{frame_charge, IngestStats, RankHealth};
 pub use arena::IngestArena;
 pub use heatmap::HeatMap;
 pub use ingestor::{WindowReport, WindowedIngestor};

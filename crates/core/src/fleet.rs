@@ -16,8 +16,8 @@
 //! * **Admission** — every tenant is registered with a byte budget
 //!   extending the per-ingestor `max_buffered_bytes` cap to the plane.
 //!   A tenant is charged what its jobs hold ahead of their watermarks;
-//!   a frame that would push that charge, plus its own bytes, past the
-//!   budget is rejected with a structured
+//!   a frame that would push that charge, plus its own
+//!   [`frame_charge`], past the budget is rejected with a structured
 //!   [`WireError::TenantOverBudget`], counted in that tenant's
 //!   [`IngestStats`] — and *only* that tenant's: a noisy or over-budget
 //!   tenant can never stall another tenant's windows. (Jobs record
@@ -27,8 +27,7 @@
 //!
 //! A single-job fleet is a bare `WindowedIngestor` push for push: the
 //! per-job ingestor is exactly the single-job code path, fed the same
-//! batch and the same byte count (property-tested in
-//! `tests/fleet_equivalence.rs`).
+//! frame (property-tested in `tests/fleet_equivalence.rs`).
 //!
 //! [`FleetIngestor::into_report`] returns a [`FleetReport`]: per-job window
 //! counts and stats, per-tenant admission stats, and a first cross-job
@@ -38,7 +37,7 @@
 //! variance-source attribution.
 
 use crate::config::VaproConfig;
-use crate::detect::admission::IngestStats;
+use crate::detect::admission::{frame_charge, IngestStats};
 use crate::detect::ingestor::{WindowReport, WindowedIngestor};
 use crate::wire::{FrameHeader, FrameView, WireError, DEFAULT_TENANT};
 use rayon::prelude::*;
@@ -336,7 +335,7 @@ impl FleetIngestor {
                 return Err(e);
             }
         };
-        let frame_bytes = bytes.len() as u64;
+        let charge = frame_charge(&frame);
         let key = JobKey::of(&frame.header());
         let Some(tenant) = self.tenants.get_mut(&key.tenant) else {
             let e = WireError::UnknownTenant { tenant: key.tenant };
@@ -344,7 +343,7 @@ impl FleetIngestor {
             crate::vopr::fault_points::hit(crate::vopr::fault_points::FaultPoint::UnknownTenantReject);
             return Err(e);
         };
-        let requested = tenant.in_flight_bytes.saturating_add(frame_bytes);
+        let requested = tenant.in_flight_bytes.saturating_add(charge);
         if requested > tenant.budget_bytes {
             let e = WireError::TenantOverBudget {
                 tenant: key.tenant,
@@ -352,7 +351,7 @@ impl FleetIngestor {
                 requested_bytes: requested,
             };
             tenant.stats.count_decode_error(&e);
-            tenant.stats.over_budget_bytes += frame_bytes;
+            tenant.stats.over_budget_bytes += charge;
             crate::vopr::fault_points::hit(
                 crate::vopr::fault_points::FaultPoint::TenantOverBudgetReject,
             );
@@ -366,7 +365,7 @@ impl FleetIngestor {
         });
         let held = job.ingestor.buffered_ahead_bytes();
         // What the job's own admission refuses is counted in its stats.
-        let reports = job.ingestor.push_frame(&frame, frame_bytes).unwrap_or_default();
+        let reports = job.ingestor.push_frame(&frame).unwrap_or_default();
         tenant.in_flight_bytes = tenant
             .in_flight_bytes
             .saturating_sub(held)

@@ -30,8 +30,9 @@ pub struct Delivery {
     pub seq: u64,
     pub window_start_ns: u64,
     pub window_end_ns: u64,
-    /// Encoded frame length, charged against the backpressure budget.
-    pub frame_bytes: u64,
+    /// What admission charges the frame against the backpressure cap
+    /// (`frame_charge`).
+    pub charge: u64,
     /// A CRC-covered byte was flipped in transit.
     pub corrupted: bool,
     /// The frame is structurally broken (truncated, garbage).
@@ -161,7 +162,7 @@ impl AdmissionModel {
         }
         if d.window_start_ns > self.watermark_ns() {
             if let Some(cap) = self.cap {
-                if self.buffered_bytes.saturating_add(d.frame_bytes) > cap {
+                if self.buffered_bytes.saturating_add(d.charge) > cap {
                     return Outcome::DroppedBackpressure;
                 }
             }
@@ -190,8 +191,8 @@ impl AdmissionModel {
         }
         if outcome == Outcome::Admitted && ahead && self.cap.is_some() {
             let slot = self.buffered.entry(d.window_end_ns).or_insert(0);
-            *slot = slot.saturating_add(d.frame_bytes);
-            self.buffered_bytes = self.buffered_bytes.saturating_add(d.frame_bytes);
+            *slot = slot.saturating_add(d.charge);
+            self.buffered_bytes = self.buffered_bytes.saturating_add(d.charge);
         }
         self.update_liveness();
         let low = self.watermark_ns();
@@ -271,7 +272,7 @@ mod tests {
             seq,
             window_start_ns: start,
             window_end_ns: end,
-            frame_bytes: 100,
+            charge: 100,
             corrupted: false,
             malformed: false,
         }

@@ -53,8 +53,6 @@ pub mod harness {
         pub makespan: VirtualTime,
         /// Detection output (heat maps, regions, coverage, rare paths).
         pub detection: DetectionResult,
-        /// Bytes of performance data recorded per rank.
-        pub bytes_recorded: Vec<u64>,
         /// Total intercepted invocations.
         pub invocations: u64,
     }
@@ -88,8 +86,6 @@ pub mod harness {
         let makespan = result.makespan();
         let invocations = result.total_invocations();
         let collectors = result.into_tools::<Collector>();
-        let bytes_recorded: Vec<u64> =
-            collectors.iter().map(|c| c.bytes_recorded()).collect();
         let stgs: Vec<Stg> = collectors.into_iter().map(Collector::into_stg).collect();
         let detection = detect(&stgs, rank_clocks.len(), bins, vapro_cfg);
         VaproRun {
@@ -97,7 +93,6 @@ pub mod harness {
             rank_clocks,
             makespan,
             detection,
-            bytes_recorded,
             invocations,
         }
     }
@@ -129,18 +124,21 @@ pub mod harness {
 mod tests {
     use super::harness::*;
     use vapro_apps::AppParams;
+    use vapro_core::wire::shipped_bytes;
     use vapro_core::VaproConfig;
     use vapro_sim::SimConfig;
 
     #[test]
     fn harness_runs_cg_end_to_end() {
-        let run = run_under_vapro(&SimConfig::new(4), &VaproConfig::default(), |ctx| {
+        let cfg = VaproConfig::default();
+        let run = run_under_vapro(&SimConfig::new(4), &cfg, |ctx| {
             vapro_apps::npb::cg::run(ctx, &AppParams::default().with_iterations(4))
         });
         assert_eq!(run.stgs.len(), 4);
         assert!(run.detection.coverage > 0.3);
         assert!(run.invocations > 0);
-        assert!(run.bytes_recorded.iter().all(|&b| b > 0));
+        let shipped = |(rank, stg)| shipped_bytes(stg, rank, cfg.report_period);
+        assert!(run.stgs.iter().enumerate().map(shipped).all(|b| b > 0));
     }
 
     #[test]
