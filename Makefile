@@ -6,7 +6,8 @@ OFFLINE := --offline
 
 .PHONY: check test test-repeat alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
 
-# The full gate: release build, tests, a release-profile compile of
+# The full gate: release build, the root package's tests, every
+# workspace crate's tests (`test`), a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
 # vapro-bench, no debug_assertions), workspace clippy over all targets
 # with warnings denied (as CI runs it), the static-analysis pass, sanitizer runs (skipped gracefully
@@ -20,6 +21,7 @@ OFFLINE := --offline
 check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
+	$(MAKE) test
 	$(CARGO) test --release $(OFFLINE) -p vapro-core --no-run
 	$(MAKE) clippy
 	$(MAKE) lint

@@ -21,16 +21,7 @@ const BINS: usize = 8;
 
 /// Latest fragment end across a run, ns.
 fn t_end_ns(stgs: &[Stg]) -> u64 {
-    stgs.iter()
-        .flat_map(|s| {
-            s.vertices()
-                .iter()
-                .flat_map(|v| v.fragments.iter())
-                .chain(s.edges().iter().flat_map(|e| e.fragments.iter()))
-        })
-        .map(|f| f.end.ns())
-        .max()
-        .unwrap_or(0)
+    stgs.iter().flat_map(Stg::fragments).map(|f| f.end.ns()).max().unwrap_or(0)
 }
 
 /// Slice one app run into sequenced per-rank, per-period frames

@@ -41,16 +41,7 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Latest fragment end across the run, ns.
 fn t_end_ns(stgs: &[Stg]) -> u64 {
-    stgs.iter()
-        .flat_map(|s| {
-            s.vertices()
-                .iter()
-                .flat_map(|v| v.fragments.iter())
-                .chain(s.edges().iter().flat_map(|e| e.fragments.iter()))
-        })
-        .map(|f| f.end.ns())
-        .max()
-        .unwrap_or(0)
+    stgs.iter().flat_map(Stg::fragments).map(|f| f.end.ns()).max().unwrap_or(0)
 }
 
 /// Per-rank, per-period frames in period-major shipping order. `job`

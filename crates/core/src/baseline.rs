@@ -104,7 +104,7 @@ fn signatures_of(
     for c in &outcome.usable {
         let mut durs: Vec<f64> =
             c.members.iter().map(|&m| frags.duration_ns(m as usize)).collect();
-        durs.sort_by(|a, b| a.partial_cmp(b).expect("finite duration"));
+        durs.sort_by(f64::total_cmp);
         sigs.push(ClusterSignature {
             seed: c.seed.clone(),
             best_ns: durs[0],
@@ -189,7 +189,7 @@ impl BaselineProfile {
             }
         }
         let total_baseline: usize = self.states.values().map(Vec::len).sum();
-        matched.sort_by(|a, b| b.ratio.partial_cmp(&a.ratio).expect("finite ratio"));
+        matched.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
         RunComparison {
             matched,
             unmatched_current,
@@ -268,7 +268,7 @@ mod tests {
             NoiseEnv { mem_contention: 1.5, ..NoiseEnv::default() },
             3,
         );
-        let in_run = crate::detect::pipeline::detect(&degraded, 2, 16, &cfg);
+        let in_run = crate::detect::oneshot::tests::whole_run(&degraded, 2, 16, &cfg).result;
         assert!(in_run.comp_regions.is_empty(), "uniform slowdown wrongly flagged");
         let cmp = base.compare(&degraded, &cfg);
         let slow = cmp.overall_slowdown();

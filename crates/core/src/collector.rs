@@ -432,13 +432,8 @@ mod tests {
             t += 20;
         }
         let stg = c.stg();
-        let mut all: Vec<(u64, u64)> = stg
-            .vertices()
-            .iter()
-            .flat_map(|v| v.fragments.iter())
-            .chain(stg.edges().iter().flat_map(|e| e.fragments.iter()))
-            .map(|f| (f.start.ns(), f.end.ns()))
-            .collect();
+        let mut all: Vec<(u64, u64)> =
+            stg.fragments().map(|f| (f.start.ns(), f.end.ns())).collect();
         all.sort();
         for w in all.windows(2) {
             assert_eq!(w[0].1, w[1].0, "gap or overlap between {:?} and {:?}", w[0], w[1]);

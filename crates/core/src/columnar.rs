@@ -16,9 +16,9 @@
 //! [`ColumnarPool::from_stgs`] gathers per-rank STGs directly (no arena,
 //! sort, eviction or stage — which is what keeps
 //! [`analyze_windows`](crate::detect::oneshot::analyze_windows) an
-//! independent oracle for everything upstream of the kernel). Either
-//! way a location has one identity, its label, and lanes come in label
-//! order, so the two sources cannot disagree about which lane is which.
+//! independent test reference; the figures detect through the arena).
+//! Either way a location has one identity, its label, and lanes come in
+//! label order, so the two sources cannot disagree about which is which.
 //!
 //! [`PoolView`] is what the analysis kernels read a population through.
 //! [`LaneView`] is its one implementor; the trait stays because the

@@ -684,7 +684,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::config::VaproConfig;
     use crate::detect::ingestor::WindowedIngestor;
-    use crate::detect::pipeline::{detect, detect_columnar};
     use crate::fragment::{Fragment, FragmentKind};
     use crate::stg::{StateKey, Stg};
     use vapro_pmu::{CounterDelta, CounterId};
@@ -756,6 +755,7 @@ pub(crate) mod tests {
     #[cfg(any(debug_assertions, feature = "clone-count"))]
     #[test]
     fn arena_window_views_clone_no_fragments() {
+        use crate::detect::pipeline::detect_columnar;
         use crate::fragment::clone_count;
         let cfg = VaproConfig::default();
         let stg = looped_stg(0, 20, 1_000_000, 0..0);
@@ -1243,45 +1243,4 @@ pub(crate) mod tests {
         assert!(refused > 3 * clean.len() as u64, "only {refused} frames were refused");
         assert!(last_check > 0, "no frame got as far as the last check");
     }
-
-    #[test]
-    fn wire_batches_detect_like_direct_stgs() {
-        // The networked path (serialise → ship → reassemble → detect)
-        // finds the same variance as the in-process path.
-        let mut stgs = vec![];
-        for rank in 0..4usize {
-            let slow = if rank == 2 { 5..15 } else { 0..0 };
-            stgs.push(looped_stg(rank, 20, 1_000_000, slow));
-        }
-        let cfg = VaproConfig::default();
-        let direct = detect(&stgs, 4, 16, &cfg);
-
-        let window = Window {
-            start: VirtualTime::ZERO,
-            end: VirtualTime::from_secs(3600),
-        };
-        let batches: Vec<FragmentBatch> = stgs
-            .iter()
-            .enumerate()
-            .map(|(rank, stg)| {
-                // Through the binary wire and back, as a real client
-                // would ship it.
-                let bytes = FragmentBatch::from_stg(stg, rank, window).encode();
-                FragmentBatch::decode(&bytes).expect("parse")
-            })
-            .collect();
-        let mut arena = IngestArena::new();
-        for b in batches {
-            arena.push_batch(b);
-        }
-        let sealed = ColumnarPool::from_merged(&arena.full_view());
-        let via_wire = detect_columnar(&sealed, 4, 16, &cfg);
-
-        assert_eq!(direct.comp_regions.len(), via_wire.comp_regions.len());
-        let (a, b) = (&direct.comp_regions[0], &via_wire.comp_regions[0]);
-        assert_eq!(a.rank_range, b.rank_range);
-        assert!((a.mean_perf - b.mean_perf).abs() < 1e-9);
-        assert!((direct.coverage - via_wire.coverage).abs() < 1e-9);
-    }
-
 }

@@ -13,11 +13,12 @@
 //! * **Streaming.** [`ingestor::WindowedIngestor`] admits shipped frames
 //!   ([`admission`]) into per-location fragment pools ([`arena`]), seals
 //!   each window the watermark passes into a columnar snapshot and
-//!   analyses it on the in-order `stage`.
+//!   analyses it on the in-order `stage`. The figures run it too: the
+//!   whole run is one window.
 //! * **One-shot.** [`oneshot::analyze_windows`] gathers each window
 //!   straight out of the per-rank STGs — no wire, arena, sort, eviction
-//!   or stage — which makes it the oracle every stream ≡ one-shot test
-//!   compares everything upstream of the kernel against.
+//!   or stage — which makes it the test reference every stream ≡
+//!   one-shot test compares everything upstream of the kernel against.
 
 pub mod admission;
 pub mod arena;
@@ -36,6 +37,6 @@ pub use heatmap::HeatMap;
 pub use ingestor::{WindowReport, WindowedIngestor};
 pub use normalize::{CategorySeries, PerfPoint};
 pub use oneshot::analyze_windows;
-pub use pipeline::{detect, DetectionResult, RarePath};
+pub use pipeline::{DetectionResult, RarePath};
 pub use region::{grow_regions, VarianceRegion};
 pub use window::{windows_covering, Window};

@@ -66,8 +66,7 @@ impl CategorySeries {
 /// Normalise one location's pooled fragments given its clustering. Only
 /// usable clusters contribute (rare ones go to the rare-path report).
 /// Appends into `out` according to each fragment's kind. `rank_override`
-/// replaces every point's rank (the intra-process path folds a single
-/// rank's STG onto heat-map row 0 without rebuilding the graph).
+/// replaces every point's rank (only the benchmark's probes pass one).
 ///
 /// Generic over [`PoolView`], like the clustering it follows, and over
 /// where that clustering lives: an owned

@@ -1,5 +1,6 @@
-//! The one-shot windowed analysis — the oracle every stream ≡ one-shot
-//! test compares the streaming path against.
+//! The one-shot windowed analysis — the test reference every stream ≡
+//! one-shot test compares the streaming path against (the figures run
+//! [`WindowedIngestor`]).
 //!
 //! [`analyze_windows`] gathers each window straight out of the per-rank
 //! STGs ([`ColumnarPool::from_stgs`]) and hands it to the same
@@ -31,18 +32,8 @@ pub fn analyze_windows(
     bins_per_window: usize,
     cfg: &VaproConfig,
 ) -> Vec<WindowReport> {
-    let t_end = stgs
-        .iter()
-        .flat_map(|s| {
-            s.vertices()
-                .iter()
-                .flat_map(|v| v.fragments.iter())
-                .chain(s.edges().iter().flat_map(|e| e.fragments.iter()))
-        })
-        .map(|f| f.end)
-        .max()
-        .unwrap_or(VirtualTime::ZERO);
-    windows_covering(VirtualTime::ZERO, t_end, cfg.report_period)
+    let t_end = stgs.iter().flat_map(Stg::fragments).map(|f| f.end).max();
+    windows_covering(VirtualTime::ZERO, t_end.unwrap_or(VirtualTime::ZERO), cfg.report_period)
         .into_par_iter()
         .map(|window| {
             let pool = ColumnarPool::from_stgs(stgs, Some(window));
@@ -56,9 +47,22 @@ pub fn analyze_windows(
 pub(crate) mod tests {
     use super::*;
     use crate::detect::arena::tests::looped_stg;
-    use crate::detect::pipeline::{detect, DetectionResult};
+    use crate::detect::pipeline::DetectionResult;
     use crate::detect::window::Window;
     use crate::fragment::Fragment;
+
+    /// The whole run gathered from the STGs into one pool and analysed
+    /// as a single window: detection plus the top regions' diagnoses.
+    pub(crate) fn whole_run(
+        stgs: &[Stg],
+        nranks: usize,
+        bins: usize,
+        cfg: &VaproConfig,
+    ) -> WindowReport {
+        let pool = ColumnarPool::from_stgs(stgs, None);
+        let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
+        analyze_view_columnar(&pool, window, nranks, bins, cfg, WindowCoverage::full(nranks))
+    }
 
     pub(crate) fn assert_results_identical(a: &DetectionResult, b: &DetectionResult) {
         assert_eq!(a.series, b.series);
@@ -133,7 +137,7 @@ pub(crate) mod tests {
         for (report, window) in reports.iter().zip(windows) {
             assert_eq!(report.window, window);
             let sliced: Vec<Stg> = stgs.iter().map(|s| slice_stg(s, window)).collect();
-            let reference = detect(&sliced, 3, 8, &cfg);
+            let reference = whole_run(&sliced, 3, 8, &cfg).result;
             assert_results_identical(&report.result, &reference);
         }
     }

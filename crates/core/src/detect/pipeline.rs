@@ -1,7 +1,7 @@
 //! The end-to-end detection pipeline over one sealed [`ColumnarPool`]
-//! (per-rank STGs pooled by state label, or a streamed window): cluster
-//! each edge/vertex lane, normalise, build heat maps per category, and
-//! grow variance regions.
+//! (a streamed window, or — as a test reference — per-rank STGs pooled
+//! by state label): cluster each edge/vertex lane, normalise, build heat
+//! maps per category, and grow variance regions.
 //!
 //! Because SPMD ranks execute the same code, fragments from the *same
 //! state* on *different ranks* belong to the same clustering population —
@@ -14,7 +14,6 @@ use crate::config::VaproConfig;
 use crate::detect::heatmap::HeatMap;
 use crate::detect::normalize::{normalize_cluster_outcome_view, CategorySeries};
 use crate::detect::region::{grow_regions, VarianceRegion};
-use crate::stg::Stg;
 use std::collections::BTreeMap;
 
 /// A rarely-executed path flagged by Algorithm 1's post-processing:
@@ -69,27 +68,18 @@ enum Location<'k> {
 
 /// Run detection over a sealed pool — a streamed window, or STGs
 /// gathered by [`ColumnarPool::from_stgs`].
-pub fn detect_columnar(
-    pool: &ColumnarPool,
-    nranks: usize,
-    bins: usize,
-    cfg: &VaproConfig,
-) -> DetectionResult {
-    detect_pool(pool, nranks, bins, cfg, None)
-}
-
+///
 /// Locations (vertices, then edges, both in label order) are analysed
 /// one after another on the calling thread, each running the cluster →
 /// rare-path → normalise chain and appending straight into the window's
 /// series and table. What runs in parallel is windows: the analysis
 /// stage, `analyze_windows` and the fleet's per-job finish hand whole
 /// windows to the pool.
-fn detect_pool(
+pub fn detect_columnar(
     pool: &ColumnarPool,
     nranks: usize,
     bins: usize,
     cfg: &VaproConfig,
-    rank_override: Option<usize>,
 ) -> DetectionResult {
     let locations: Vec<(Location<'_>, LaneView<'_>)> = (0..pool.num_vertices())
         .map(|i| {
@@ -139,7 +129,7 @@ fn detect_pool(
                 total_ns: cluster_time(lane, c.members),
             });
         }
-        normalize_cluster_outcome_view(lane, &clusters, &mut series, rank_override);
+        normalize_cluster_outcome_view(lane, &clusters, &mut series, None);
     }
 
     // Coverage: covered fragment time over total execution time (sum of
@@ -147,7 +137,7 @@ fn detect_pool(
     // the metric identical whether fragments arrive as per-rank STGs or
     // as one reassembled wire-format graph. Every fragment is in exactly
     // one pool, so walking the pools visits the whole population.
-    let total_ns = total_makespan_ns(&locations, nranks, rank_override);
+    let total_ns = total_makespan_ns(&locations, nranks);
     let coverage = if total_ns > 0.0 { (covered_ns / total_ns).min(1.0) } else { 0.0 };
 
     let build = |points: &[crate::detect::normalize::PerfPoint]| {
@@ -181,21 +171,16 @@ fn detect_pool(
 }
 
 /// Sum over ranks of each rank's last fragment end, added in ascending
-/// rank order. Rank ids below `nranks` (every admitted frame's; the
-/// intra-process fold's row 0) take a dense per-rank lane; anything
-/// else — a one-shot caller's sparse ids — falls through to a map whose
-/// keys all sort after the dense ones, so the `f64` summation order is
-/// ascending rank either way.
-fn total_makespan_ns(
-    locations: &[(Location<'_>, LaneView<'_>)],
-    nranks: usize,
-    rank_override: Option<usize>,
-) -> f64 {
+/// rank order. Rank ids below `nranks` (every admitted frame's) take a
+/// dense per-rank lane; anything else — a one-shot caller's sparse ids —
+/// falls through to a map whose keys all sort after the dense ones, so
+/// the `f64` summation order is ascending rank either way.
+fn total_makespan_ns(locations: &[(Location<'_>, LaneView<'_>)], nranks: usize) -> f64 {
     let mut dense = vec![0u64; nranks];
     let mut sparse: BTreeMap<usize, u64> = BTreeMap::new();
     for (_, lane) in locations {
         for i in 0..lane.len() {
-            let rank = rank_override.unwrap_or(lane.rank(i));
+            let rank = lane.rank(i);
             let end = match dense.get_mut(rank) {
                 Some(end) => end,
                 None => sparse.entry(rank).or_insert(0),
@@ -204,12 +189,6 @@ fn total_makespan_ns(
         }
     }
     dense.iter().chain(sparse.values()).map(|&e| e as f64).sum()
-}
-
-/// Run detection over the per-rank STGs. `nranks` sizes the heat maps;
-/// `bins` is the number of time columns.
-pub fn detect(stgs: &[Stg], nranks: usize, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    detect_pool(&ColumnarPool::from_stgs(stgs, None), nranks, bins, cfg, None)
 }
 
 /// Longest total first. `total_cmp`, so a NaN total sorts ahead of the
@@ -223,24 +202,12 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, members: &[u32]) -> f64 {
     members.iter().map(|&m| pool.duration_ns(m as usize)).sum()
 }
 
-/// Intra-process detection (the temporal dimension of paper §3.5): one
-/// rank's STG analysed on its own, yielding a 1-row heat map whose
-/// regions are *time windows* in which this rank ran below its own
-/// fixed-workload baseline.
-///
-/// The rank-to-row-0 folding happens inside the pipeline (every point and
-/// coverage entry takes rank 0), so no remapped copy of the STG — and no
-/// `Fragment` clone — is ever built.
-pub fn detect_intra(stg: &Stg, bins: usize, cfg: &VaproConfig) -> DetectionResult {
-    let pool = ColumnarPool::from_stgs(std::slice::from_ref(stg), None);
-    detect_pool(&pool, 1, bins, cfg, Some(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::oneshot::tests::whole_run;
     use crate::fragment::{Fragment, FragmentKind};
-    use crate::stg::StateKey;
+    use crate::stg::{StateKey, Stg};
     use vapro_pmu::{CounterDelta, CounterId};
     use vapro_sim::{CallSite, VirtualTime};
 
@@ -289,7 +256,7 @@ mod tests {
     #[test]
     fn quiet_run_detects_nothing() {
         let stgs: Vec<Stg> = (0..4).map(|r| stg_with_loop(r, &[100; 20], 1000.0)).collect();
-        let res = detect(&stgs, 4, 16, &VaproConfig::default());
+        let res = whole_run(&stgs, 4, 16, &VaproConfig::default()).result;
         assert!(res.comp_regions.is_empty(), "{:?}", res.comp_regions);
         assert!(res.coverage > 0.5, "coverage {}", res.coverage);
         // One table lane per pooled edge lane, in edge order.
@@ -301,7 +268,7 @@ mod tests {
         // Rank 2 computes 2× slower with the same workload.
         let mut stgs: Vec<Stg> = (0..4).map(|r| stg_with_loop(r, &[100; 20], 1000.0)).collect();
         stgs[2] = stg_with_loop(2, &[200; 20], 1000.0);
-        let res = detect(&stgs, 4, 8, &VaproConfig::default());
+        let res = whole_run(&stgs, 4, 8, &VaproConfig::default()).result;
         assert!(!res.comp_regions.is_empty());
         assert!(res.comp_regions[0].covers_rank(2));
         assert!(!res.comp_regions[0].covers_rank(0));
@@ -316,27 +283,12 @@ mod tests {
         durs.extend([300; 5]);
         durs.extend([100; 15]);
         let stgs = vec![stg_with_loop(0, &durs, 1000.0)];
-        let res = detect(&stgs, 1, 35, &VaproConfig::default());
+        let res = whole_run(&stgs, 1, 35, &VaproConfig::default()).result;
         assert!(!res.comp_regions.is_empty());
         let region = &res.comp_regions[0];
         // The slow window is in the middle of the run.
         assert!(region.bin_range.0 > 0);
         assert!(region.bin_range.1 < 34);
-    }
-
-    #[test]
-    fn detect_intra_works_for_any_rank_id() {
-        // The intra-process entry point: rank 1234's own STG analysed in
-        // isolation still yields a usable one-row heat map.
-        let mut durs = vec![100u64; 10];
-        durs.extend([400; 4]);
-        durs.extend([100; 10]);
-        let stg = stg_with_loop(1234, &durs, 1000.0);
-        let res = detect_intra(&stg, 24, &VaproConfig::default());
-        assert_eq!(res.comp_map.ranks, 1);
-        assert!(!res.comp_regions.is_empty());
-        assert!(res.comp_regions[0].covers_rank(0));
-        assert!(res.coverage > 0.5);
     }
 
     #[test]
@@ -367,7 +319,7 @@ mod tests {
             );
             t += d + 10;
         }
-        let res = detect(&[stg], 1, 16, &VaproConfig::default());
+        let res = whole_run(&[stg], 1, 16, &VaproConfig::default()).result;
         assert!(res.comp_regions.is_empty(), "{:?}", res.comp_regions);
     }
 
@@ -401,7 +353,7 @@ mod tests {
                 args: vec![],
             },
         );
-        let res = detect(&[stg], 1, 8, &VaproConfig::default());
+        let res = whole_run(&[stg], 1, 8, &VaproConfig::default()).result;
         assert!(!res.rare_paths.is_empty());
         assert!(res.rare_paths[0].total_ns >= 1e9);
         assert_eq!(res.rare_paths[0].count, 1);
@@ -430,7 +382,7 @@ mod tests {
     fn coverage_reflects_usable_fraction() {
         // All fragments usable (same workload, ≥5 repeats).
         let stgs = vec![stg_with_loop(0, &[1000; 50], 1000.0)];
-        let res = detect(&stgs, 1, 8, &VaproConfig::default());
+        let res = whole_run(&stgs, 1, 8, &VaproConfig::default()).result;
         assert!(res.coverage > 0.8, "coverage {}", res.coverage);
         // A run with a single non-repeated fragment has no usable cluster.
         let mut stg = Stg::new();
@@ -448,7 +400,7 @@ mod tests {
                 args: vec![],
             },
         );
-        let res2 = detect(&[stg], 1, 8, &VaproConfig::default());
+        let res2 = whole_run(&[stg], 1, 8, &VaproConfig::default()).result;
         assert_eq!(res2.coverage, 0.0);
     }
 }

@@ -81,11 +81,7 @@ impl ContributionReport {
     pub fn major_factors(&self) -> Vec<Factor> {
         let mut majors: Vec<&FactorContribution> =
             self.factors.iter().filter(|f| f.major).collect();
-        majors.sort_by(|a, b| {
-            b.contribution
-                .partial_cmp(&a.contribution)
-                .expect("finite contribution")
-        });
+        majors.sort_by(|a, b| b.contribution.total_cmp(&a.contribution));
         majors.iter().map(|f| f.factor).collect()
     }
 

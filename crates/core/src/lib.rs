@@ -52,7 +52,7 @@ pub use clustering::{
     ClusterOutcome, ClusterRef, ClusterTable, LaneClustering, LaneClusters,
 };
 pub use columnar::{ColumnarPool, LaneView, PoolView};
-pub use detect::pipeline::{detect, detect_columnar, detect_intra, DetectionResult};
+pub use detect::pipeline::{detect_columnar, DetectionResult};
 pub use intern::{Sym, SymbolTable};
 pub use collector::Collector;
 pub use config::{FaultTolerance, LateDataPolicy, StgMode, VaproConfig};

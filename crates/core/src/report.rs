@@ -3,14 +3,10 @@
 //! diagnosis ran — the impact and duration of each contributing factor,
 //! rendered as text and as JSON.
 
-use crate::columnar::ColumnarPool;
-use crate::config::VaproConfig;
+use crate::detect::ingestor::RegionDiagnosis;
 use crate::detect::pipeline::DetectionResult;
-use crate::diagnose::batch::DiagnosisBatch;
 use crate::diagnose::driver::RegionOfInterest;
-use crate::diagnose::progressive::DiagnosisReport;
 use crate::fragment::FragmentKind;
-use crate::stg::Stg;
 use serde::Serialize;
 
 /// One region's entry in the final report.
@@ -122,27 +118,28 @@ pub struct VaproReport {
 }
 
 impl VaproReport {
-    /// Build the report: each detected region is diagnosed (computation
-    /// regions only — communication/IO variance carries no PMU breakdown,
-    /// paper §4 applies the model to computation time). The STGs are
-    /// pooled and indexed once for all regions, and not at all for a run
-    /// without a computation region.
-    pub fn build(detection: &DetectionResult, stgs: &[Stg], cfg: &VaproConfig) -> VaproReport {
-        let pool = (!detection.comp_regions.is_empty()).then(|| ColumnarPool::from_stgs(stgs, None));
-        let batch = pool.as_ref().map(|pool| DiagnosisBatch::new(pool, cfg));
+    /// Build the report from one analysed window: its detection and the
+    /// diagnoses the analysis attached (a [`WindowReport`]'s two
+    /// halves). A computation region carries the culprits of the
+    /// diagnosis with its [`RegionOfInterest`]; one past
+    /// [`VaproConfig::diagnose_top_k`], or whose drill-down found
+    /// nothing, carries none. Communication and IO regions are never
+    /// diagnosed: paper §4 applies the factor model to computation time.
+    ///
+    /// [`WindowReport`]: crate::detect::WindowReport
+    /// [`VaproConfig::diagnose_top_k`]: crate::config::VaproConfig::diagnose_top_k
+    pub fn build(detection: &DetectionResult, diagnoses: &[RegionDiagnosis]) -> VaproReport {
         let mut regions = Vec::new();
-        let categories = [
-            ("computation", &detection.comp_regions, true),
-            ("communication", &detection.comm_regions, false),
-            ("io", &detection.io_regions, false),
+        let categories: [(_, _, &[RegionDiagnosis]); 3] = [
+            ("computation", &detection.comp_regions, diagnoses),
+            ("communication", &detection.comm_regions, &[]),
+            ("io", &detection.io_regions, &[]),
         ];
-        for (category, list, diagnosable) in categories {
+        for (category, list, diagnoses) in categories {
             for r in list.iter() {
-                let diagnosis: Option<DiagnosisReport> = match &batch {
-                    Some(batch) if diagnosable => batch.diagnose(&RegionOfInterest::from(r)),
-                    _ => None,
-                };
-                let (culprits, factor_impacts, periods) = match &diagnosis {
+                let roi = RegionOfInterest::from(r);
+                let diagnosis = diagnoses.iter().find(|d| d.roi == roi).map(|d| &d.report);
+                let (culprits, factor_impacts, periods) = match diagnosis {
                     Some(d) => (
                         d.culprits.iter().map(|f| f.to_string()).collect(),
                         d.steps
@@ -246,9 +243,10 @@ impl VaproReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::pipeline::detect;
+    use crate::config::VaproConfig;
+    use crate::detect::oneshot::tests::whole_run;
     use crate::fragment::Fragment;
-    use crate::stg::StateKey;
+    use crate::stg::{StateKey, Stg};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vapro_pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, WorkloadSpec};
@@ -297,8 +295,8 @@ mod tests {
     fn report_combines_detection_and_diagnosis() {
         let cfg = VaproConfig::default().with_counters(events::s3_memory_set());
         let stgs = noisy_stgs();
-        let det = detect(&stgs, 4, 24, &cfg);
-        let report = VaproReport::build(&det, &stgs, &cfg);
+        let run = whole_run(&stgs, 4, 24, &cfg);
+        let report = VaproReport::build(&run.result, &run.diagnoses);
         assert!(!report.regions.is_empty(), "variance not reported");
         let top = report.top_of(FragmentKind::Computation).unwrap();
         assert!(top.ranks.0 <= 1 && top.ranks.1 >= 1, "rank 1 missing: {top:?}");
@@ -315,10 +313,22 @@ mod tests {
     fn quiet_detection_yields_an_empty_report() {
         let cfg = VaproConfig::default();
         let stgs: Vec<Stg> = vec![Stg::new()];
-        let det = detect(&stgs, 1, 8, &cfg);
-        let report = VaproReport::build(&det, &stgs, &cfg);
+        let run = whole_run(&stgs, 1, 8, &cfg);
+        let report = VaproReport::build(&run.result, &run.diagnoses);
         assert!(report.regions.is_empty());
         assert!(report.to_text().contains("no performance variance"));
+    }
+
+    #[test]
+    fn regions_past_the_top_k_carry_no_culprits() {
+        let cfg = VaproConfig {
+            diagnose_top_k: 0,
+            ..VaproConfig::default().with_counters(events::s3_memory_set())
+        };
+        let run = whole_run(&noisy_stgs(), 4, 24, &cfg);
+        let report = VaproReport::build(&run.result, &run.diagnoses);
+        assert!(!report.regions.is_empty(), "variance not reported");
+        assert!(report.regions.iter().all(|r| r.culprits.is_empty()), "{:?}", report.regions);
     }
 
     #[test]
@@ -344,8 +354,8 @@ mod tests {
     fn regions_rank_by_loss() {
         let cfg = VaproConfig::default().with_counters(events::s3_memory_set());
         let stgs = noisy_stgs();
-        let det = detect(&stgs, 4, 24, &cfg);
-        let report = VaproReport::build(&det, &stgs, &cfg);
+        let run = whole_run(&stgs, 4, 24, &cfg);
+        let report = VaproReport::build(&run.result, &run.diagnoses);
         for w in report.regions.windows(2) {
             assert!(w[0].loss_s >= w[1].loss_s);
         }

@@ -138,6 +138,13 @@ impl Stg {
         &self.edges
     }
 
+    /// Every attached fragment: the vertices' in state order, then the
+    /// edges' in edge order.
+    pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
+        let vertex_frags = self.vertices.iter().flat_map(|v| &v.fragments);
+        vertex_frags.chain(self.edges.iter().flat_map(|e| &e.fragments))
+    }
+
     /// Total fragments attached anywhere.
     pub fn total_fragments(&self) -> usize {
         self.vertices.iter().map(|v| v.fragments.len()).sum::<usize>()

@@ -882,9 +882,7 @@ impl FragmentBatch {
     pub fn per_period(stg: &Stg, rank: usize, period: VirtualTime) -> Vec<FragmentBatch> {
         let p = period.ns().max(1);
         let period_of = |f: &Fragment| (f.start.ns() / p) as usize;
-        let vertex_frags = stg.vertices().iter().flat_map(|v| &v.fragments);
-        let edge_frags = stg.edges().iter().flat_map(|e| &e.fragments);
-        let Some(last) = vertex_frags.chain(edge_frags).map(period_of).max() else {
+        let Some(last) = stg.fragments().map(period_of).max() else {
             return Vec::new();
         };
         let windows = (0..=last as u64).map(|k| Window {

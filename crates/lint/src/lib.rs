@@ -65,9 +65,9 @@ pub struct EntryLine {
 
 /// The checked-in rule scope for this workspace.
 ///
-/// * R3 covers normalization, heatmap, region ranking and clustering —
-///   everywhere a float ordering decides detection output — plus the
-///   `crates/stats` estimators.
+/// * R3 covers normalization, heatmap, region ranking, clustering and
+///   baseline ranking — where a float ordering decides output — plus
+///   the `crates/stats` estimators.
 /// * R5 roots are the doors hostile bytes come through — the one wire
 ///   validator and `decode` on top of it, the server and fleet
 ///   `push_encoded`, fleet registration and routing — and the VOPR
@@ -93,6 +93,7 @@ pub fn workspace_config() -> LintConfig {
     let wire = "crates/core/src/wire.rs";
     LintConfig {
         r3_files: vec![
+            "crates/core/src/baseline.rs".into(),
             "crates/core/src/detect/normalize.rs".into(),
             "crates/core/src/detect/heatmap.rs".into(),
             "crates/core/src/detect/region.rs".into(),

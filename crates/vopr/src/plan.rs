@@ -274,16 +274,7 @@ fn period_of(stgs: &[Stg], periods: usize) -> u64 {
 
 /// Latest fragment end across the run, ns.
 fn t_end_ns(stgs: &[Stg]) -> u64 {
-    stgs.iter()
-        .flat_map(|s| {
-            s.vertices()
-                .iter()
-                .flat_map(|v| v.fragments.iter())
-                .chain(s.edges().iter().flat_map(|e| e.fragments.iter()))
-        })
-        .map(|f| f.end.ns())
-        .max()
-        .unwrap_or(0)
+    stgs.iter().flat_map(Stg::fragments).map(|f| f.end.ns()).max().unwrap_or(0)
 }
 
 /// The ingestion config every plan runs under: production straggler

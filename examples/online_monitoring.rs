@@ -1,7 +1,7 @@
-//! Online monitoring: the analysis-server view of a long run — overlapped
-//! 15-second windows, per-window detection, tree aggregation of per-server
-//! heat-map slabs, and the combined text report (paper Fig. 2, steps 5-7
-//! and Fig. 8's periodic analysis).
+//! Online monitoring: the analysis-server view of a long run — frames
+//! streamed into overlapped 15-second windows analysed as they close,
+//! tree aggregation of per-server heat-map slabs, and the combined text
+//! report (paper Fig. 2, steps 5-7 and Fig. 8's periodic analysis).
 //!
 //! ```sh
 //! cargo run --release --example online_monitoring
@@ -9,8 +9,8 @@
 
 use vapro::apps::{npb::lu, AppParams};
 use vapro::core::detect::heatmap::tree_aggregate;
-use vapro::core::{analyze_windows, HeatMap, VaproConfig, VaproReport};
-use vapro::harness::{run_bare, run_under_vapro};
+use vapro::core::{HeatMap, VaproConfig, VaproReport};
+use vapro::harness::{run_bare, run_under_vapro, serve};
 use vapro::pmu::events;
 use vapro::sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
@@ -35,8 +35,9 @@ fn main() {
     let run = run_under_vapro(&cfg, &vcfg, |ctx| lu::run(ctx, &params));
     println!("monitored makespan: {}", run.makespan);
 
-    // The overlapped windows analyse in parallel (rayon).
-    let reports = analyze_windows(&run.stgs, ranks, 24, &vcfg);
+    // Clients ship one frame per reporting period; the server analyses
+    // each window as soon as every rank has shipped past its end.
+    let reports = serve(&run.stgs, vcfg.report_period, 24, vcfg.clone());
     println!("analysed {} overlapped windows of {}", reports.len(), vcfg.report_period);
     for r in &reports {
         let flagged = r
@@ -86,6 +87,6 @@ fn main() {
     print!("{}", vapro::core::viz::render_heatmap(&root, 8));
 
     // The combined end-of-run report with per-region diagnosis.
-    let report = VaproReport::build(&run.detection, &run.stgs, &vcfg);
+    let report = VaproReport::build(&run.detection, &run.diagnoses);
     println!("\n{}", report.to_text());
 }
