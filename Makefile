@@ -16,8 +16,11 @@ OFFLINE := --offline
 # `benchmark/` against the workspace), the committed `repro all` output,
 # the VOPR fault-injection simulation, the allocator census of the
 # window path (`alloc-census`), then vapro-core's unit tests
-# twenty times over (`test-repeat`). Throughput is measured by `make benchmark`, and gated
-# base-vs-head by `benchmark compare` in CI.
+# twenty times over (`test-repeat`). `lint` and `vopr` rewrite the
+# committed LINT_report.json and VOPR_report.json, so the gate ends by
+# failing if either moved (`git diff --exit-code`, as CI checks them).
+# Throughput is measured by `make benchmark`, and gated base-vs-head by
+# `benchmark compare` in CI.
 check:
 	$(CARGO) build --release $(OFFLINE)
 	$(CARGO) test -q $(OFFLINE)
@@ -33,6 +36,7 @@ check:
 	$(MAKE) vopr
 	$(MAKE) alloc-census
 	$(MAKE) test-repeat
+	git diff --exit-code -- VOPR_report.json LINT_report.json
 
 # Workspace static analysis, three rules over one site-finding pass and
 # a whole-workspace call graph: R3 float-hygiene (per file), R5

@@ -124,7 +124,7 @@ impl Interceptor for Collector {
         let state = self.stg.state(key);
 
         // Close the computation fragment since the previous exit.
-        let from = match self.prev.take() {
+        match self.prev.take() {
             Some(p) => {
                 let duration_ns = ev.time.saturating_since(p.time).ns() as f64;
                 let record = !self.sampling
@@ -136,7 +136,7 @@ impl Interceptor for Collector {
                         .counters
                         .delta_since(&p.counters)
                         .project(self.cfg.detection_counters);
-                    let edge = self.stg_transition(p.state, state);
+                    let edge = self.stg.transition(p.state, state);
                     let frag = Fragment {
                         rank: self.rank,
                         kind: FragmentKind::Computation,
@@ -149,17 +149,14 @@ impl Interceptor for Collector {
                 } else {
                     self.sampled_out += 1;
                     // The transition itself is still part of the STG.
-                    let _ = self.stg_transition(p.state, state);
+                    self.stg.transition(p.state, state);
                 }
-                p.state
             }
             None => {
                 let start = self.stg.state(StateKey::Start);
-                let _ = self.stg_transition(start, state);
-                start
+                self.stg.transition(start, state);
             }
-        };
-        let _ = from;
+        }
 
         self.inflight = Some(Inflight {
             state,
@@ -171,13 +168,9 @@ impl Interceptor for Collector {
 
     fn on_exit(&mut self, ev: &ExitEvent) {
         let inflight = self.inflight.take().expect("exit without matching enter");
-        let counters = ev.counters.project(self.cfg.detection_counters);
-        // The invocation fragment: elapsed time + args. Its counter field
-        // holds the *exit snapshot delta placeholder*: for vertex fragments
-        // Vapro analyses elapsed time and arguments, not PMU values
-        // (paper §3.3), so we store an empty-projection of the deltas and
-        // keep args authoritative.
-        let _ = counters;
+        // The invocation fragment: elapsed time + args. For vertex
+        // fragments Vapro analyses elapsed time and arguments, not PMU
+        // values (paper §3.3), so its counter field stays empty.
         let frag = Fragment {
             rank: self.rank,
             kind: inflight.kind,
@@ -208,12 +201,6 @@ impl Interceptor for Collector {
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
-    }
-}
-
-impl Collector {
-    fn stg_transition(&mut self, from: StateId, to: StateId) -> crate::stg::EdgeId {
-        self.stg.transition(from, to)
     }
 }
 

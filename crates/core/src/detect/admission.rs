@@ -13,14 +13,14 @@ use crate::config::{LateDataPolicy, VaproConfig};
 use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
-use crate::vopr::fault_points::{hit, FaultPoint};
 use crate::detect::arena::frame_resident_bytes;
 use crate::wire::{FrameHeader, FrameView, WireError, SEQ_UNSEQUENCED};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Transport-fault accounting of one ingestor: every frame the decode or
-/// admission path rejected, counted instead of dropped on the floor. The
+/// admission path rejected, counted instead of dropped on the floor, and
+/// every rank birth, dead-rank latch and evicting close it handled. The
 /// `Display` impl renders the one-line summary a server would log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestStats {
@@ -51,10 +51,19 @@ pub struct IngestStats {
     pub over_budget_frames: u64,
     /// Bytes those budget rejections were charged ([`frame_charge`]).
     pub over_budget_bytes: u64,
+    /// Ranks that joined the deployment mid-stream
+    /// ([`WindowedIngestor::add_rank`](crate::WindowedIngestor::add_rank)).
+    pub ranks_born: u64,
+    /// Ranks latched dead for trailing the fastest by more than
+    /// `fault.dead_horizon`.
+    pub ranks_declared_dead: u64,
+    /// Window closes whose eviction reclaimed arena bytes.
+    pub evicting_closes: u64,
 }
 
 impl IngestStats {
-    /// Total frames rejected for any reason.
+    /// Total frames rejected for any reason. The membership and
+    /// eviction counters count no frames and are not included.
     pub fn frames_rejected(&self) -> u64 {
         self.corrupt_frames
             + self.bad_version_frames
@@ -85,7 +94,8 @@ impl fmt::Display for IngestStats {
             "ingest: {} admitted, {} corrupt, {} bad-version, {} malformed, \
              {} unknown-rank, {} duplicate, {} late-dropped, \
              {} backpressure-dropped ({} B), {} unknown-tenant, \
-             {} over-budget ({} B)",
+             {} over-budget ({} B), {} born, {} declared-dead, \
+             {} evicting-closes",
             self.frames_admitted,
             self.corrupt_frames,
             self.bad_version_frames,
@@ -98,6 +108,9 @@ impl fmt::Display for IngestStats {
             self.unknown_tenant_frames,
             self.over_budget_frames,
             self.over_budget_bytes,
+            self.ranks_born,
+            self.ranks_declared_dead,
+            self.evicting_closes,
         )
     }
 }
@@ -244,7 +257,7 @@ impl Admission {
     pub(crate) fn add_rank(&mut self) -> usize {
         let rank = self.trackers.len();
         self.trackers.push(RankTracker { mark_ns: self.watermark_ns(), ..RankTracker::default() });
-        hit(FaultPoint::RankBirth);
+        self.stats.ranks_born += 1;
         rank
     }
 
@@ -267,12 +280,10 @@ impl Admission {
         let ahead = frame.window_start_ns > self.watermark_ns();
         let Some(tracker) = self.trackers.get_mut(rank) else {
             self.stats.unknown_rank_frames += 1;
-            hit(FaultPoint::UnknownRankReject);
             return Err(WireError::UnknownRank { rank: rank as u32, nranks: nranks as u32 });
         };
         if tracker.is_duplicate(seq) {
             self.stats.duplicate_frames += 1;
-            hit(FaultPoint::SeqDuplicateReject);
             return Err(WireError::DuplicateSequence { rank: rank as u32, seq });
         }
         // Past here the frame is acknowledged whatever becomes of its
@@ -285,7 +296,6 @@ impl Admission {
         if late {
             // The windows the data belonged to closed without this rank.
             self.stats.dropped_late_frames += 1;
-            hit(FaultPoint::LateDataDrop);
             return Ok(false);
         }
         if let (true, Some(cap)) = (ahead, self.max_buffered_bytes) {
@@ -294,7 +304,6 @@ impl Admission {
                 // loss is visible in every subsequent window's coverage.
                 self.stats.dropped_backpressure_frames += 1;
                 self.stats.dropped_backpressure_bytes += charge;
-                hit(FaultPoint::BackpressureDrop);
                 return Ok(false);
             }
             *self.buffered_ahead.entry(frame.window_end_ns).or_insert(0) += charge;
@@ -331,7 +340,7 @@ impl Admission {
         for t in &mut self.trackers {
             if !t.dead && fastest.saturating_sub(t.mark_ns) > dead_h {
                 t.dead = true;
-                hit(FaultPoint::DeadRankLatch);
+                self.stats.ranks_declared_dead += 1;
             }
         }
     }
@@ -495,6 +504,40 @@ mod tests {
         // Early windows (closed before the death horizon tripped) were
         // complete.
         assert!(reports[0].coverage.completeness >= 1.0 - 1e-12);
+    }
+
+    #[test]
+    fn births_deaths_and_evictions_are_counted_but_reject_no_frame() {
+        // One ingestor through a birth, a dead-rank latch and evicting
+        // closes: each is counted once where it happens, and none of
+        // them is a rejected frame.
+        let period_ns = 5_000_000_000u64;
+        let mut cfg = VaproConfig {
+            report_period: VirtualTime::from_ns(period_ns),
+            ..VaproConfig::default()
+        };
+        cfg.fault.dead_horizon = Some(VirtualTime::from_ns(3 * period_ns));
+        let stgs: Vec<Stg> = (0..3).map(|r| looped_stg(r, 60, 1_000_000_000, 0..0)).collect();
+        let mut ingestor = WindowedIngestor::new(2, 8, cfg);
+        assert_eq!(ingestor.add_rank(), 2);
+        for (k, period) in period_frames(&stgs, 12, period_ns).into_iter().enumerate() {
+            for (rank, frame) in period.into_iter().enumerate() {
+                if rank == 1 && k >= 2 {
+                    continue; // rank 1 goes silent
+                }
+                let _ = ingestor.push_encoded(&frame).expect("valid frame");
+            }
+        }
+        assert_eq!(ingestor.rank_health()[1], RankHealth::Dead);
+        let stats = ingestor.stats().clone();
+        assert_eq!(stats.ranks_born, 1);
+        assert_eq!(stats.ranks_declared_dead, 1);
+        assert!(stats.evicting_closes > 0, "no close reclaimed arena bytes: {stats}");
+        assert_eq!(stats.frames_rejected(), 0);
+        assert_eq!(stats.frames_admitted, 12 + 2 + 12);
+        let line = stats.to_string();
+        assert!(line.contains("1 born, 1 declared-dead"), "{line}");
+        assert!(line.ends_with(&format!("{} evicting-closes", stats.evicting_closes)), "{line}");
     }
 
     #[test]

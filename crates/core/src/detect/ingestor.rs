@@ -20,7 +20,6 @@ use crate::diagnose::driver::RegionOfInterest;
 use crate::diagnose::progressive::DiagnosisReport;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
-use crate::vopr::fault_points::{hit, FaultPoint};
 use crate::wire::{FrameView, WireError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -395,7 +394,7 @@ impl WindowedIngestor {
             let resident_before = self.arena.resident_bytes();
             self.arena.evict_before(horizon);
             if self.arena.resident_bytes() < resident_before {
-                hit(FaultPoint::ArenaEviction);
+                self.admission.stats.evicting_closes += 1;
             }
         }
         reports

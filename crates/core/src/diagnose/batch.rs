@@ -12,10 +12,9 @@
 //!   lane with one pass over the edge lanes' rank, kind and time
 //!   columns — a window is small enough that the scan costs less than
 //!   any index over it would;
-//! * **cluster memoisation** — each lane is clustered at most once per
-//!   batch (two regions choosing the same lane share the outcome), and
-//!   detection's own [`ClusterTable`] of the edge lanes can seed the
-//!   cache so the streaming server never re-clusters at all;
+//! * **cluster once** — the batch borrows a [`ClusterTable`] with one
+//!   lane per edge pool, in practice detection's own, so diagnosis never
+//!   re-clusters at all;
 //! * **report memoisation** — a region only *selects* a lane; the
 //!   drill-down population (the lane's dominant cluster, with its
 //!   cross-rank normal reference) and therefore the whole
@@ -27,44 +26,32 @@
 //! same pool: both select the lane with the same scan, and clustering is
 //! deterministic — property-tested in `tests/property_tests.rs`.
 
-use crate::clustering::{ClusterTable, LaneClusters};
+use crate::clustering::ClusterTable;
 use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
 use crate::diagnose::driver::{busiest_edge, RegionOfInterest};
 use crate::diagnose::progressive::{diagnose_cluster, DiagnosisReport};
 use std::sync::OnceLock;
 
-/// The reusable state of a batch: the sealed pool and the memoised
-/// cluster outcomes and reports, one slot per edge lane.
+/// The reusable state of a batch: the sealed pool, its edge lanes'
+/// clusterings and the memoised reports, one slot per edge lane.
 pub struct DiagnosisBatch<'m> {
     pools: &'m ColumnarPool,
     cfg: &'m VaproConfig,
-    /// Lazily clustered one-lane tables, aligned with the edge pools.
-    /// Unused when `seeded` is present.
-    clusters: Vec<OnceLock<ClusterTable>>,
-    /// Detection's table, one lane per edge pool — exact reuse, since
+    /// One lane per edge pool — detection's table is exact reuse, since
     /// detection clusters each pool with the same (proxy-counter,
     /// threshold, min-size) parameters.
-    seeded: Option<&'m ClusterTable>,
+    clusters: &'m ClusterTable,
     /// Memoised per-pool drill-down results, aligned with the edge pools.
     reports: Vec<OnceLock<Option<DiagnosisReport>>>,
 }
 
 impl<'m> DiagnosisBatch<'m> {
-    /// A batch over the pool. Clustering is lazy: a lane is clustered
-    /// the first time a region selects it.
-    pub fn new(pools: &'m ColumnarPool, cfg: &'m VaproConfig) -> DiagnosisBatch<'m> {
-        let n = pools.num_edges();
-        let clusters = (0..n).map(|_| OnceLock::new()).collect();
-        let reports = (0..n).map(|_| OnceLock::new()).collect();
-        DiagnosisBatch { pools, cfg, clusters, seeded: None, reports }
-    }
-
-    /// Like [`DiagnosisBatch::new`], but reuse cluster outcomes computed
+    /// A batch over the pool, reusing cluster outcomes computed
     /// elsewhere — typically
     /// [`DetectionResult::edge_clusters`](crate::detect::pipeline::DetectionResult::edge_clusters)
-    /// from a detection pass over the *same* pool, in which case no
-    /// lane is ever clustered twice.
+    /// from a detection pass over the *same* pool, so no lane is ever
+    /// clustered twice.
     ///
     /// # Panics
     /// When `outcomes` is not aligned with the pool's edge lanes.
@@ -78,25 +65,8 @@ impl<'m> DiagnosisBatch<'m> {
             pools.num_edges(),
             "cluster outcomes must align with the pool's edge lanes"
         );
-        let mut batch = DiagnosisBatch::new(pools, cfg);
-        batch.seeded = Some(outcomes);
-        batch
-    }
-
-    fn outcome(&self, pool_idx: usize) -> LaneClusters<'_> {
-        if let Some(seeded) = self.seeded {
-            return seeded.lane(pool_idx);
-        }
-        let table = self.clusters[pool_idx].get_or_init(|| {
-            let mut table = ClusterTable::new(self.cfg.min_cluster_size);
-            table.push_lane(
-                &self.pools.edge(pool_idx).2,
-                &self.cfg.proxy_counters,
-                self.cfg.cluster_threshold,
-            );
-            table
-        });
-        table.lane(0)
+        let reports = (0..pools.num_edges()).map(|_| OnceLock::new()).collect();
+        DiagnosisBatch { pools, cfg, clusters: outcomes, reports }
     }
 
     /// Diagnose one region. Same contract as
@@ -114,8 +84,7 @@ impl<'m> DiagnosisBatch<'m> {
     /// The progressive drill-down over one pool's dominant cluster.
     fn diagnose_pool(&self, pool_idx: usize) -> Option<DiagnosisReport> {
         let pool = self.pools.edge(pool_idx).2;
-        let outcome = self.outcome(pool_idx);
-        let cluster = outcome.usable().max_by_key(|c| c.members.len())?;
+        let cluster = self.clusters.lane(pool_idx).usable().max_by_key(|c| c.members.len())?;
         diagnose_cluster(
             pool,
             cluster.members,
@@ -132,6 +101,15 @@ mod tests {
     use crate::diagnose::driver::diagnose_region;
     use crate::diagnose::driver::tests::stgs_with_noise;
     use vapro_sim::VirtualTime;
+
+    /// The edge lanes' clusterings, as detection computes them.
+    fn edge_clusters(sealed: &ColumnarPool, cfg: &VaproConfig) -> ClusterTable {
+        let mut table = ClusterTable::new(cfg.min_cluster_size);
+        for e in 0..sealed.num_edges() {
+            table.push_lane(&sealed.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
+        }
+        table
+    }
 
     fn rois_grid(nranks: usize, t_max: u64, cols: usize) -> Vec<RegionOfInterest> {
         let mut rois = Vec::new();
@@ -159,7 +137,8 @@ mod tests {
             t_end: VirtualTime::from_ms(40),
         });
         let sealed = ColumnarPool::from_stgs(&stgs, None);
-        let batch = DiagnosisBatch::new(&sealed, &cfg);
+        let clusters = edge_clusters(&sealed, &cfg);
+        let batch = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters);
         let mut diagnosed = 0;
         for roi in &rois {
             let got = batch.diagnose(roi);
@@ -181,30 +160,14 @@ mod tests {
             t_end: VirtualTime::from_ms(40),
         };
         let sealed = ColumnarPool::from_stgs(&stgs, None);
+        let clusters = edge_clusters(&sealed, &cfg);
         let before = clone_count::on_this_thread();
-        let report = DiagnosisBatch::new(&sealed, &cfg).diagnose(&roi);
+        let report = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters).diagnose(&roi);
         assert!(report.is_some());
         assert_eq!(
             clone_count::on_this_thread() - before,
             0,
             "batched diagnosis must not clone fragments"
         );
-    }
-
-    #[test]
-    fn seeded_clusters_match_lazy_clustering() {
-        let stgs = stgs_with_noise(4, 25, 0, (0, 25_000_000));
-        let cfg = VaproConfig::default();
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
-        let mut outcomes = ClusterTable::new(cfg.min_cluster_size);
-        for e in 0..sealed.num_edges() {
-            outcomes.push_lane(&sealed.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
-        }
-        let rois = rois_grid(4, 40_000_000, 3);
-        let seeded = DiagnosisBatch::with_clusters(&sealed, &cfg, &outcomes);
-        let lazy = DiagnosisBatch::new(&sealed, &cfg);
-        for roi in &rois {
-            assert_eq!(seeded.diagnose(roi), lazy.diagnose(roi), "roi {roi:?}");
-        }
     }
 }

@@ -340,7 +340,6 @@ impl FleetIngestor {
         let Some(tenant) = self.tenants.get_mut(&key.tenant) else {
             let e = WireError::UnknownTenant { tenant: key.tenant };
             self.unattributed.count_decode_error(&e);
-            crate::vopr::fault_points::hit(crate::vopr::fault_points::FaultPoint::UnknownTenantReject);
             return Err(e);
         };
         let requested = tenant.in_flight_bytes.saturating_add(charge);
@@ -352,9 +351,6 @@ impl FleetIngestor {
             };
             tenant.stats.count_decode_error(&e);
             tenant.stats.over_budget_bytes += charge;
-            crate::vopr::fault_points::hit(
-                crate::vopr::fault_points::FaultPoint::TenantOverBudgetReject,
-            );
             return Err(e);
         }
         tenant.stats.frames_admitted += 1;

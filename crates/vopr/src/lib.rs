@@ -6,13 +6,15 @@
 //! One seeded event loop drives ranks, the wire codec, the
 //! `WindowedIngestor`/`AnalysisStage` pipeline, and the `FleetIngestor`
 //! through a single interleaved fault schedule (the [`plan`] module's
-//! [`TransportEvent`] model). Three registries make a run auditable
-//! instead of merely green:
+//! [`TransportEvent`] model). Three tallies make a run auditable instead
+//! of merely green:
 //!
-//! * **Fault points** — every server-side rejection/recovery site
-//!   (`vapro_core::vopr::fault_points`) counts its executions; the
-//!   report gates on ≥ 80 % of them firing, so a suite that silently
-//!   stopped exercising, say, backpressure, fails loudly.
+//! * **Fault points** — every server-side rejection/recovery site bumps
+//!   a counter in its ingestor's `IngestStats`; the driver adds up the
+//!   stats of every ingestor it drives ([`report::FAULT_POINTS`] names
+//!   one counter per point), and the report gates on ≥ 80 % of the
+//!   points firing, so a suite that silently stopped exercising, say,
+//!   backpressure, fails loudly.
 //! * **Invariants** — every correctness property is a named, counted
 //!   check ([`invariant::InvariantTracker`]); required invariants must
 //!   execute at least once.
@@ -21,7 +23,8 @@
 //!   disabled dedup, over-eager eviction, out-of-order release). Each
 //!   must be flagged within a bounded seed budget; the canary-mutation
 //!   score is the harness's measured ability to detect real bugs and
-//!   is a hard gate at 100 %.
+//!   is a hard gate at 100 %. Arming is the one process-wide switch, so
+//!   runs take [`with_run_lock`]'s lock.
 //!
 //! The centrepiece oracle is [`model::AdmissionModel`]: an independent
 //! reimplementation of the admission contract that predicts every
@@ -42,7 +45,7 @@ pub mod report;
 use invariant::InvariantTracker;
 use journal::Journal;
 use model::{outcome_name, AdmissionModel, Delivery, Outcome};
-use report::{CanaryOutcome, VoprReport};
+use report::{tally, CanaryOutcome, FaultTally, VoprReport, FAULT_POINTS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use plan::{
@@ -52,17 +55,16 @@ use plan::{
 };
 use std::collections::BTreeMap;
 use vapro_core::detect::window::{windows_covering, Window};
-use vapro_core::vopr::{canary, fault_points};
+use vapro_core::vopr::canary;
 use vapro_core::{
     FleetConfig, FleetIngestor, FleetReport, FragmentBatch, IngestStats, JobKey, VaproConfig,
     WindowReport, WindowedIngestor, WireError,
 };
 use vapro_sim::VirtualTime;
 
-/// Global run lock: fault-point counters and canary arming are
-/// process-wide statics, so concurrent suites (e.g. parallel tests)
-/// must serialise. Poisoning is tolerated — a panicked run already
-/// recorded its failure.
+/// Global run lock: canary arming is a process-wide static, so a suite
+/// must not run while another arms a canary (e.g. parallel tests).
+/// Poisoning is tolerated — a panicked run already recorded its failure.
 static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Seeds a canary hunt may spend per canary before declaring it missed.
@@ -113,6 +115,7 @@ struct Cx<'a> {
     seed: u64,
     inv: &'a mut InvariantTracker,
     journal: &'a mut Journal,
+    faults: &'a mut FaultTally,
     log: Option<&'a mut Vec<String>>,
 }
 
@@ -301,7 +304,10 @@ fn drive_solo(cx: &mut Cx<'_>, label: &str, run: &Schedule) -> Drive {
         }
     }
 
+    // Counted before `finish`, which admits and evicts nothing and so
+    // can latch no rank the last admission's liveness pass did not.
     let stats = ing.stats().clone();
+    tally(cx.faults, &stats);
     let max_seen_ns = ing.arena().max_end_ns();
     let arena_bytes = (ing.arena().resident_bytes(), ing.arena().high_water_bytes());
     if poisoned {
@@ -410,7 +416,7 @@ fn extra_frame(
 ) -> TransportEvent {
     let period_ns = (window.end.ns() - window.start.ns()).max(1);
     TransportEvent::Frame(FrameMeta {
-        charge: if malformed { bytes.len() as u64 } else { charge_of(&bytes) },
+        charge: charge_of(&bytes),
         bytes,
         rank,
         period: (window.start.ns() / period_ns) as usize,
@@ -542,6 +548,11 @@ fn drive_fleet(
     }
     let (report, flushed) = fleet.into_report();
     windows.extend(flushed);
+    let job_stats = report.jobs.iter().map(|j| &j.stats);
+    let tenant_stats = report.tenants.iter().map(|t| &t.stats);
+    for stats in job_stats.chain(tenant_stats).chain([&report.unattributed]) {
+        tally(cx.faults, stats);
+    }
     let mut by_key: BTreeMap<JobKey, Vec<WindowReport>> = BTreeMap::new();
     for w in windows {
         by_key.entry(w.key).or_default().push(w.report);
@@ -926,16 +937,23 @@ const SCENARIOS: &[Scenario] = &[
     ("budget_fleet", budget_fleet),
 ];
 
-/// One suite run over one seed: its tracker and journal.
+/// One suite run over one seed: its tracker, journal and the fault
+/// points its ingestors counted.
 pub struct SuiteRun {
     pub seed: u64,
     pub tracker: InvariantTracker,
     pub journal: Journal,
+    pub faults: FaultTally,
 }
 
 impl SuiteRun {
     fn new(seed: u64) -> SuiteRun {
-        SuiteRun { seed, tracker: InvariantTracker::new(), journal: Journal::new() }
+        SuiteRun {
+            seed,
+            tracker: InvariantTracker::new(),
+            journal: Journal::new(),
+            faults: [0; FAULT_POINTS.len()],
+        }
     }
 
     /// Run one scenario body. A panic inside it is caught and recorded
@@ -954,6 +972,7 @@ impl SuiteRun {
                 seed: self.seed,
                 inv: &mut self.tracker,
                 journal: &mut self.journal,
+                faults: &mut self.faults,
                 log,
             });
         }))
@@ -1007,8 +1026,7 @@ fn lock_run() -> MutexGuard<'static, ()> {
 }
 
 /// Run `f` holding the global run lock — for integration tests that
-/// drive the suite directly and must not race another suite's
-/// fault-point counters or canary arming.
+/// drive the suite directly and must not run while a canary is armed.
 pub fn with_run_lock<T>(f: impl FnOnce() -> T) -> T {
     let _guard = lock_run();
     f()
@@ -1046,18 +1064,20 @@ pub fn run_vopr(profile: Profile, seeds: Option<Vec<u64>>, mut log: Option<&mut 
     let seeds = seeds.unwrap_or_else(|| profile.seeds());
 
     canary::arm(None);
-    fault_points::reset();
 
     let mut merged = InvariantTracker::new();
+    let mut hits: FaultTally = [0; FAULT_POINTS.len()];
     let mut first_journal: Option<Journal> = None;
     for &seed in &seeds {
         let run = run_suite(seed, log.as_deref_mut());
+        for (total, n) in hits.iter_mut().zip(run.faults) {
+            *total += n;
+        }
         if first_journal.is_none() {
             first_journal = Some(run.journal);
         }
         merged.merge(run.tracker);
     }
-    let hits = fault_points::snapshot();
 
     // Determinism: replaying the first seed must reproduce its journal
     // hash and event count exactly.
@@ -1074,8 +1094,8 @@ pub fn run_vopr(profile: Profile, seeds: Option<Vec<u64>>, mut log: Option<&mut 
         _ => (0, 0, true),
     };
 
-    // The canary hunt runs after measurement so armed mutations cannot
-    // pollute the coverage counters above.
+    // The replay above and the canary hunt below count their own fault
+    // points, which the report leaves out.
     let canaries: Option<Vec<CanaryOutcome>> = if canary::compiled() {
         Some(canary::CANARIES.iter().map(|&c| hunt_canary(c)).collect())
     } else {

@@ -50,9 +50,8 @@ pub fn template_frame_charge(period_ns: u64) -> u64 {
     charge_of(&template_batch(0, period_ns).encode())
 }
 
-/// What admission charges a well-formed frame ([`frame_charge`]). Only
-/// for frames the transport left intact: a frame that fails to parse
-/// would register a wire fault point here as well as at the server.
+/// What admission charges a frame ([`frame_charge`]); one that fails to
+/// parse is charged its length.
 pub fn charge_of(bytes: &[u8]) -> u64 {
     FrameView::parse(bytes).map_or(bytes.len() as u64, |frame| frame_charge(&frame))
 }

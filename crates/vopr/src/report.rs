@@ -8,10 +8,40 @@
 use crate::invariant::InvariantTracker;
 use crate::invariant::Violation;
 use std::collections::BTreeMap;
-use vapro_core::vopr::fault_points;
+use vapro_core::IngestStats;
 
 /// The fraction of registered fault points a passing run must hit.
 pub const COVERAGE_GATE: f64 = 0.8;
+
+/// Reads one fault point's count off an ingestor's stats.
+pub type StatsCounter = fn(&IngestStats) -> u64;
+
+/// Every counted fault point, sorted by its report name: the
+/// [`IngestStats`] counter its handling site bumps. A run's coverage is
+/// which of these the driven ingestors' stats show non-zero.
+pub const FAULT_POINTS: [(&str, StatsCounter); 11] = [
+    ("arena_eviction", |s| s.evicting_closes),
+    ("backpressure_drop", |s| s.dropped_backpressure_frames),
+    ("dead_rank_latch", |s| s.ranks_declared_dead),
+    ("late_data_drop", |s| s.dropped_late_frames),
+    ("rank_birth", |s| s.ranks_born),
+    ("seq_duplicate_reject", |s| s.duplicate_frames),
+    ("tenant_over_budget_reject", |s| s.over_budget_frames),
+    ("unknown_rank_reject", |s| s.unknown_rank_frames),
+    ("unknown_tenant_reject", |s| s.unknown_tenant_frames),
+    ("wire_corrupt_reject", |s| s.corrupt_frames),
+    ("wire_structural_reject", |s| s.bad_version_frames + s.malformed_frames),
+];
+
+/// Fault-point hits, indexed like [`FAULT_POINTS`].
+pub type FaultTally = [u64; FAULT_POINTS.len()];
+
+/// Add one ingestor's stats to `hits`.
+pub fn tally(hits: &mut FaultTally, stats: &IngestStats) {
+    for (hit, (_, count)) in hits.iter_mut().zip(FAULT_POINTS) {
+        *hit += count(stats);
+    }
+}
 
 /// One canary's hunt outcome.
 #[derive(Debug, Clone)]
@@ -48,24 +78,21 @@ impl VoprReport {
     pub fn assemble(
         profile: &str,
         seeds: &[u64],
-        hits: &[u64; fault_points::COUNT],
+        hits: &FaultTally,
         tracker: &InvariantTracker,
         journal_hash: u64,
         journal_events: u64,
         determinism_ok: bool,
         canaries: Option<Vec<CanaryOutcome>>,
     ) -> VoprReport {
-        let fault_pts: BTreeMap<&'static str, u64> = fault_points::ALL
-            .iter()
-            .zip(hits.iter())
-            .map(|(&p, &n)| (fault_points::name(p), n))
-            .collect();
+        let fault_pts: BTreeMap<&'static str, u64> =
+            FAULT_POINTS.iter().zip(hits).map(|(&(name, _), &n)| (name, n)).collect();
         let hit_count = hits.iter().filter(|&&n| n > 0).count();
         VoprReport {
             profile: profile.to_string(),
             seeds: seeds.to_vec(),
             fault_points: fault_pts,
-            coverage: hit_count as f64 / fault_points::COUNT as f64,
+            coverage: hit_count as f64 / FAULT_POINTS.len() as f64,
             invariants: tracker.counts().clone(),
             missing_required: tracker.missing_required(),
             violations: tracker.violations().to_vec(),
@@ -220,11 +247,34 @@ mod tests {
         let mut tracker = InvariantTracker::new();
         tracker.enter("clean_solo", 7);
         tracker.check("window_tiling", true, String::new);
-        let mut hits = [0u64; fault_points::COUNT];
-        for h in hits.iter_mut() {
-            *h = 3;
-        }
+        let hits: FaultTally = [3; FAULT_POINTS.len()];
         VoprReport::assemble("pr", &[7, 8], &hits, &tracker, 0xDEAD, 42, true, canaries)
+    }
+
+    #[test]
+    fn fault_point_names_are_unique_and_sorted() {
+        let names: Vec<&str> = FAULT_POINTS.iter().map(|&(name, _)| name).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+    }
+
+    #[test]
+    fn tally_folds_every_structural_reject_into_one_point() {
+        let stats = IngestStats {
+            bad_version_frames: 2,
+            malformed_frames: 3,
+            corrupt_frames: 5,
+            ranks_born: 1,
+            ..IngestStats::default()
+        };
+        let mut hits: FaultTally = [0; FAULT_POINTS.len()];
+        tally(&mut hits, &stats);
+        tally(&mut hits, &stats);
+        let by_name: BTreeMap<&str, u64> =
+            FAULT_POINTS.iter().zip(hits).map(|(&(name, _), n)| (name, n)).collect();
+        assert_eq!(by_name["wire_structural_reject"], 10);
+        assert_eq!(by_name["wire_corrupt_reject"], 10);
+        assert_eq!(by_name["rank_birth"], 2);
+        assert_eq!(by_name.values().sum::<u64>(), 22);
     }
 
     #[test]

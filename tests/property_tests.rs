@@ -10,8 +10,8 @@ use vapro::core::detect::heatmap::HeatMap;
 use vapro::core::detect::normalize::PerfPoint;
 use vapro::core::detect::region::grow_regions;
 use vapro::core::{
-    diagnose_region, ColumnarPool, DiagnosisBatch, Fragment, FragmentKind, RegionOfInterest,
-    StateKey, Stg, VaproConfig,
+    diagnose_region, ClusterTable, ColumnarPool, DiagnosisBatch, Fragment, FragmentKind,
+    RegionOfInterest, StateKey, Stg, VaproConfig,
 };
 use vapro::pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown, WorkloadSpec};
 use vapro::sim::{CallSite, VirtualTime};
@@ -326,7 +326,11 @@ proptest! {
             t_end: VirtualTime::from_ns(t_max.max(1)),
         });
         let pool = ColumnarPool::from_stgs(&stgs, None);
-        let batch = DiagnosisBatch::new(&pool, &cfg);
+        let mut clusters = ClusterTable::new(cfg.min_cluster_size);
+        for e in 0..pool.num_edges() {
+            clusters.push_lane(&pool.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
+        }
+        let batch = DiagnosisBatch::with_clusters(&pool, &cfg, &clusters);
         for roi in &rois {
             prop_assert_eq!(batch.diagnose(roi), diagnose_region(&stgs, roi, &cfg));
         }
