@@ -4,7 +4,7 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test test-repeat alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
+.PHONY: check test test-repeat examples alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
 
 # The full gate: release build, the root package's tests, every
 # workspace crate's tests (`test`), a release-profile compile of
@@ -32,6 +32,7 @@ check:
 	$(MAKE) tsan
 	$(MAKE) soak
 	$(MAKE) benchmark-test
+	$(MAKE) examples
 	$(MAKE) repro-check
 	$(MAKE) vopr
 	$(MAKE) alloc-census
@@ -83,6 +84,15 @@ tsan:
 
 test:
 	$(CARGO) test -q $(OFFLINE) --workspace
+
+# Every program under examples/, run in release (≈0.4 s together); fails
+# on the first one that exits non-zero.
+examples:
+	@for f in examples/*.rs; do \
+		e=$$(basename $$f .rs); \
+		$(CARGO) run --release $(OFFLINE) -q --example $$e > /dev/null \
+			|| { echo "examples: $$e failed"; exit 1; }; \
+	done
 
 # vapro-core's unit tests 20 times (≈0.7 s a run): the stage, pool and
 # ingestor tests assert bounds that depend on thread scheduling, and an

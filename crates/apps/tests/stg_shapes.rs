@@ -22,7 +22,7 @@ fn stgs_for(app: &vapro_apps::AppSpec, ranks: usize, iterations: usize) -> Vec<v
     );
     res.into_tools::<Collector>()
         .into_iter()
-        .map(Collector::into_stg)
+        .map(|c| c.finish().0)
         .collect()
 }
 

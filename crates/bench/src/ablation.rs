@@ -10,7 +10,7 @@
 //! * **STG mode** — context-free vs context-aware states, edges, hook
 //!   cost and coverage on the same run.
 
-use crate::common::{header, hottest_edge, shipped_bytes_per_sec, vapro_cf, ExpOpts};
+use crate::common::{header, hottest_edge, run_pool, shipped_bytes_per_sec, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::clustering::cluster_pool;
@@ -42,7 +42,7 @@ pub fn threshold_sweep(opts: &ExpOpts) -> Vec<ThresholdRow> {
     let run = run_under_vapro(&SimConfig::new(ranks).with_seed(opts.seed), &vapro_cf(), |ctx| {
         vapro_apps::amg::run(ctx, &params)
     });
-    let pooled = ColumnarPool::from_stgs(&run.stgs, None);
+    let pooled = run_pool(&run.shipped);
     // Edge lanes hold computation fragments only (STG Definition 1).
     let pool = hottest_edge(&pooled).expect("AMG has edges");
     let tot_ins = CounterSet::from_ids(&[CounterId::TotIns]);
@@ -110,7 +110,7 @@ pub fn sampling_tradeoff(opts: &ExpOpts) -> (SamplingRow, SamplingRow) {
         SamplingRow {
             sampling,
             coverage: run.detection.coverage,
-            bytes_per_sec: shipped_bytes_per_sec(&run.stgs, cfg.report_period, run.makespan),
+            bytes_per_sec: shipped_bytes_per_sec(&run.shipped, run.makespan),
             sampled_out: expected.saturating_sub(recorded) as u64,
         }
     };

@@ -2,8 +2,7 @@
 //! formatting helpers.
 
 use vapro_core::diagnose::{diagnose_cluster, DiagnosisReport};
-use vapro_core::wire::shipped_bytes;
-use vapro_core::{ColumnarPool, LaneView, PoolView, Stg, VaproConfig};
+use vapro_core::{ColumnarPool, FragmentBatch, LaneView, PoolView, VaproConfig};
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, TargetSet, VirtualTime};
 
 /// Options common to every experiment.
@@ -103,6 +102,12 @@ pub fn maybe_json(opts: &ExpOpts, name: &str, value: serde_json::Value) -> Strin
     )
 }
 
+/// Every fragment a run's clients shipped (`shipped`, indexed by rank)
+/// in one pool.
+pub fn run_pool(shipped: &[Vec<FragmentBatch>]) -> ColumnarPool {
+    ColumnarPool::from_batches(shipped.iter().flatten(), None)
+}
+
 /// The pooled edge lane with the most total time (the last one on a tie).
 pub fn hottest_edge(pool: &ColumnarPool) -> Option<LaneView<'_>> {
     (0..pool.num_edges())
@@ -114,19 +119,18 @@ pub fn hottest_edge(pool: &ColumnarPool) -> Option<LaneView<'_>> {
 /// pooled across ranks — the inter-process comparison of the case
 /// studies (§6.5): slow ranks' fragments against healthy ranks' fragments
 /// of the same state.
-pub fn diagnose_hottest_edge(stgs: &[Stg]) -> Option<DiagnosisReport> {
-    let pool = ColumnarPool::from_stgs(stgs, None);
-    let lane = hottest_edge(&pool)?;
+pub fn diagnose_hottest_edge(pool: &ColumnarPool) -> Option<DiagnosisReport> {
+    let lane = hottest_edge(pool)?;
     let members: Vec<u32> = (0..lane.len() as u32).collect();
     diagnose_cluster(lane, &members, 1.2, 0.25, 0.05)
 }
 
 /// Mean bytes a rank of the run ships, per virtual second of
-/// `makespan`: its encoded frames, one per report period
-/// ([`shipped_bytes`]) — the §6.2 storage rate.
-pub fn shipped_bytes_per_sec(stgs: &[Stg], period: VirtualTime, makespan: VirtualTime) -> f64 {
-    let total: u64 = stgs.iter().enumerate().map(|(rank, stg)| shipped_bytes(stg, rank, period)).sum();
-    total as f64 / stgs.len().max(1) as f64 / makespan.as_secs_f64().max(1e-9)
+/// `makespan`: the encoded length of its frames, one per report period
+/// (`shipped`, indexed by rank) — the §6.2 storage rate.
+pub fn shipped_bytes_per_sec(shipped: &[Vec<FragmentBatch>], makespan: VirtualTime) -> f64 {
+    let total: usize = shipped.iter().flatten().map(|frame| frame.encode().len()).sum();
+    total as f64 / shipped.len().max(1) as f64 / makespan.as_secs_f64().max(1e-9)
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ mod tests {
         let (cf, _) = build_stgs(&opts);
         // Some edge must carry at least `iterations` fragments (the
         // loop-back edge of the repeated sub-loop).
-        let max_edge = cf.edges().iter().map(|e| e.fragments.len()).max().unwrap();
+        let max_edge = cf.edges().iter().map(|e| e.count).max().unwrap();
         assert!(max_edge >= 5, "max edge fragments {max_edge}");
     }
 }

@@ -3,10 +3,11 @@
 //! and under memory noise. The paper's point: TOT_INS stays flat (a good
 //! workload proxy); TSC inflates (it *is* the variance).
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{header, hottest_edge, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
-use vapro_pmu::CounterId;
+use vapro_core::{ColumnarPool, PoolView};
+use vapro_pmu::{CounterId, CounterSet};
 use vapro_sim::{NoiseKind, SimConfig, TargetSet};
 
 /// Series of (TOT_INS, TSC) per execution of the busiest fixed-workload
@@ -31,16 +32,14 @@ pub fn series_under(opts: &ExpOpts, noise: NoiseKind) -> Vec<(f64, f64)> {
     let run = run_under_vapro(&cfg, &vapro_cf(), |ctx| {
         vapro_apps::npb::cg::run(ctx, &params)
     });
-    let stg = &run.stgs[0];
+    let pool = ColumnarPool::from_batches(&run.shipped[0], None);
     // The hottest edge = the dominant repeated fixed-workload snippet.
-    let edge = stg.hottest_edge().expect("CG has edges");
-    edge.fragments
-        .iter()
-        .map(|f| {
-            (
-                f.counters.get_or_zero(CounterId::TotIns),
-                f.counters.get_or_zero(CounterId::Tsc),
-            )
+    let edge = hottest_edge(&pool).expect("CG has edges");
+    let set = CounterSet::from_ids(&[CounterId::TotIns, CounterId::Tsc]);
+    (0..edge.len())
+        .map(|i| {
+            let c = edge.project_counters(i, set);
+            (c.get_or_zero(CounterId::TotIns), c.get_or_zero(CounterId::Tsc))
         })
         .collect()
 }

@@ -4,12 +4,11 @@
 //! (backend-bound excess, suspension excess) space; its marker is the
 //! major factor behind its slowdown.
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{header, hottest_edge, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{analyze_contributions, ols_impacts, Factor, FactorValues};
-use vapro_core::fragment::Fragment;
-use vapro_core::ColumnarPool;
+use vapro_core::{ColumnarPool, PoolView};
 use vapro_pmu::CounterSet;
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
@@ -34,9 +33,9 @@ pub struct BreakdownRun {
     pub ols_shares: (f64, f64),
 }
 
-/// Collect the fixed-workload fragments of CG's hottest edge under both
-/// noises active at once, with the S2-backend counter set live.
-fn noisy_fragments(opts: &ExpOpts) -> Vec<Fragment> {
+/// Rank 0's shipped fragments of CG under both noises active at once,
+/// with the S2-backend counter set live.
+fn noisy_rank0(opts: &ExpOpts) -> ColumnarPool {
     let ranks = opts.resolve_ranks(8, 16);
     let iters = opts.resolve_iters(30);
     let params = AppParams::default().with_iterations(iters);
@@ -74,18 +73,17 @@ fn noisy_fragments(opts: &ExpOpts) -> Vec<Fragment> {
     let run = run_under_vapro(&cfg, &vapro_cfg, |ctx| {
         vapro_apps::npb::cg::run(ctx, &params)
     });
-    let stg = &run.stgs[0];
-    let edge = stg.hottest_edge().expect("CG has edges");
-    edge.fragments.clone()
+    ColumnarPool::from_batches(&run.shipped[0], None)
 }
 
 /// Run the breakdown analysis.
 pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
-    let fragments = noisy_fragments(opts);
-    let pool = ColumnarPool::single_lane(&fragments);
-    let members: Vec<u32> = (0..fragments.len() as u32).collect();
+    let pool = noisy_rank0(opts);
+    // The fixed-workload fragments of CG's hottest edge.
+    let edge = hottest_edge(&pool).expect("CG has edges");
+    let members: Vec<u32> = (0..edge.len() as u32).collect();
     let factors = [Factor::BackendBound, Factor::Suspension];
-    let fv = FactorValues::from_members(&pool.all(), &members, CounterSet::all(), &factors)
+    let fv = FactorValues::from_members(&edge, &members, CounterSet::all(), &factors)
         .expect("counters present");
     let (be_col, sp_col) = (fv.column(0), fv.column(1));
     let report =

@@ -4,11 +4,11 @@
 //! and the regression flags involuntary context switches as highly
 //! significant (p < 0.001).
 
-use crate::common::{computing_noise, header, vapro_cf, ExpOpts};
+use crate::common::{computing_noise, header, hottest_edge, vapro_cf, ExpOpts};
 use vapro::harness::{run_bare, run_under_vapro_binned};
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{ols_impacts, Factor, FactorValues};
-use vapro_core::ColumnarPool;
+use vapro_core::{ColumnarPool, PoolView};
 use vapro_pmu::CounterSet;
 use vapro_sim::{NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
@@ -67,12 +67,11 @@ pub fn analyze(opts: &ExpOpts) -> Fig13Run {
 
     // Regression over a victim rank's hottest-edge fragments.
     let invol_cs_p = victim_ranks.first().and_then(|&victim| {
-        let stg = &run.stgs[victim];
-        let edge = stg.hottest_edge()?;
-        let pool = ColumnarPool::single_lane(&edge.fragments);
-        let members: Vec<u32> = (0..edge.fragments.len() as u32).collect();
+        let pool = ColumnarPool::from_batches(&run.shipped[victim], None);
+        let edge = hottest_edge(&pool)?;
+        let members: Vec<u32> = (0..edge.len() as u32).collect();
         let factors = [Factor::InvoluntaryCs, Factor::VoluntaryCs, Factor::SoftPageFault];
-        let fv = FactorValues::from_members(&pool.all(), &members, CounterSet::all(), &factors)?;
+        let fv = FactorValues::from_members(&edge, &members, CounterSet::all(), &factors)?;
         let (impacts, _) = ols_impacts(&fv, 0.05)?;
         impacts
             .iter()

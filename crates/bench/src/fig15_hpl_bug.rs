@@ -5,7 +5,7 @@
 //! attributes the slowdown to backend bound (paper: 96.6 %), refined to
 //! L2 + DRAM bound (48.2 % + 38.0 %).
 
-use crate::common::{diagnose_hottest_edge, header, vapro_cf, ExpOpts};
+use crate::common::{diagnose_hottest_edge, header, run_pool, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro_binned;
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{DiagnosisReport, Factor};
@@ -68,7 +68,7 @@ pub fn analyze(opts: &ExpOpts) -> Fig15Run {
     // Progressive diagnosis over a bugged rank's DGEMM fragments, pooled
     // with healthy ranks' fragments of the same state (inter-process
     // comparison — the capability the paper stresses perf/vSensor lack).
-    let diagnosis = diagnose_hottest_edge(&run.stgs);
+    let diagnosis = diagnose_hottest_edge(&run_pool(&run.shipped));
 
     Fig15Run { map, bugged_ranks, bugged_perf, healthy_perf, diagnosis }
 }

@@ -4,7 +4,7 @@
 //! (paper: 97.2 %), nearly all of it memory bound. Replacing the node
 //! gave the paper a 1.24× speedup.
 
-use crate::common::{diagnose_hottest_edge, header, vapro_cf, ExpOpts};
+use crate::common::{diagnose_hottest_edge, header, run_pool, vapro_cf, ExpOpts};
 use vapro::harness::{run_bare, run_under_vapro_binned};
 use vapro_apps::AppParams;
 use vapro_core::diagnose::{DiagnosisReport, Factor};
@@ -50,7 +50,7 @@ pub fn analyze(opts: &ExpOpts) -> Fig17Run {
         .is_some_and(|r| slow_ranks.iter().any(|&v| r.covers_rank(v)));
 
     // Diagnose the pooled hottest edge (inter-process comparison).
-    let diagnosis = diagnose_hottest_edge(&run.stgs);
+    let diagnosis = diagnose_hottest_edge(&run_pool(&run.shipped));
 
     // The fix: replace the node (run on a healthy machine).
     let fixed = run_bare(&base, |ctx| vapro_apps::nekbone::run(ctx, &params));

@@ -7,7 +7,7 @@ use crate::common::{header, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::fragment::FragmentKind;
-use vapro_core::stg::StateKey;
+use vapro_core::{ColumnarPool, PoolView};
 use vapro_sim::{NoiseKind, SimConfig, TargetSet};
 
 /// Per-operation series: (op index, seconds, is_write).
@@ -25,17 +25,13 @@ pub fn io_series(opts: &ExpOpts) -> Vec<(usize, f64, bool)> {
         vapro_apps::raxml::run(ctx, &params)
     });
     // Rank 0's IO vertices, ordered by time.
-    let stg = &run.stgs[0];
+    let pool = ColumnarPool::from_batches(&run.shipped[0], None);
     let mut ops: Vec<(u64, f64, bool)> = Vec::new();
-    for v in stg.vertices() {
-        let is_write = match &v.key {
-            StateKey::Site(site) => site.label().contains("write"),
-            _ => false,
-        };
-        for f in &v.fragments {
-            if f.kind == FragmentKind::Io {
-                ops.push((f.start.ns(), f.duration().ns() as f64 * 1e-9, is_write));
-            }
+    for v in 0..pool.num_vertices() {
+        let (label, lane) = pool.vertex(v);
+        let is_write = label.contains("write");
+        for i in (0..lane.len()).filter(|&i| lane.kind(i) == FragmentKind::Io) {
+            ops.push((lane.start(i).ns(), lane.duration_ns(i) * 1e-9, is_write));
         }
     }
     ops.sort_by_key(|o| o.0);

@@ -6,7 +6,7 @@
 //! normalised performance stays 1.0); the cross-run comparison catches
 //! exactly that case.
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{header, run_pool, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
 use vapro_core::BaselineProfile;
@@ -53,13 +53,13 @@ pub fn submissions(opts: &ExpOpts) -> Vec<SubmissionRow> {
     };
 
     let baseline_run = run_once(opts.seed, false);
-    let baseline = BaselineProfile::build(&baseline_run.stgs, &cfg);
+    let baseline = BaselineProfile::build(&run_pool(&baseline_run.shipped), &cfg);
 
     (0..runs)
         .map(|run| {
             let degraded = run % 2 == 1;
             let r = run_once(opts.seed + 100 + run as u64, degraded);
-            let cmp = baseline.compare(&r.stgs, &cfg);
+            let cmp = baseline.compare(&run_pool(&r.shipped), &cfg);
             SubmissionRow {
                 run,
                 degraded,

@@ -6,10 +6,8 @@
 use crate::common::{header, shipped_bytes_per_sec, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
-use vapro_core::detect::window::Window;
 use vapro_core::wire::{FrameComposition, FrameView};
-use vapro_core::FragmentBatch;
-use vapro_sim::{SimConfig, Topology, VirtualTime};
+use vapro_sim::{SimConfig, Topology};
 
 /// The paper's deployment ratio: one analysis server per 256 clients.
 pub const CLIENTS_PER_SERVER: usize = 256;
@@ -38,12 +36,10 @@ pub fn measure(opts: &ExpOpts) -> StorageRun {
     let proc_run = run_under_vapro(&proc_cfg, &vapro_cf(), |ctx| {
         vapro_apps::npb::cg::run(ctx, &params)
     });
-    let period = Window { start: VirtualTime::ZERO, end: vapro_cf().report_period };
-    let bytes = FragmentBatch::from_stg_starting_in(&proc_run.stgs[0], 0, period).encode();
+    let bytes = proc_run.shipped[0][0].encode();
     let view = FrameView::parse(&bytes).expect("own frame parses");
     let (frame, frame_frags) = (view.composition(), view.len());
-    let process_rate =
-        shipped_bytes_per_sec(&proc_run.stgs, vapro_cf().report_period, proc_run.makespan);
+    let process_rate = shipped_bytes_per_sec(&proc_run.shipped, proc_run.makespan);
 
     let threads = 8;
     let thr_cfg = SimConfig::new(threads)
@@ -52,8 +48,7 @@ pub fn measure(opts: &ExpOpts) -> StorageRun {
     let thr_run = run_under_vapro(&thr_cfg, &vapro_cf(), |ctx| {
         vapro_apps::pagerank::run(ctx, &params)
     });
-    let thread_rate =
-        shipped_bytes_per_sec(&thr_run.stgs, vapro_cf().report_period, thr_run.makespan);
+    let thread_rate = shipped_bytes_per_sec(&thr_run.shipped, thr_run.makespan);
 
     StorageRun {
         process_rate,

@@ -9,12 +9,12 @@
 //! whose threads have *approximately equal* (but genuinely different)
 //! partition workloads that the 5 % threshold merges — the paper's 0.74.
 
-use crate::common::{header, vapro_cf, ExpOpts};
+use crate::common::{header, run_pool, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::{AppKind, AppParams};
 use vapro_core::clustering::cluster_pool;
 use vapro_core::fragment::DEFAULT_PROXY;
-use vapro_core::{ColumnarPool, PoolView};
+use vapro_core::PoolView;
 use vapro_sim::{SimConfig, Topology};
 use vapro_stats::{v_measure, VMeasure};
 
@@ -51,7 +51,7 @@ fn evaluate(name: &'static str, truth: Truth, opts: &ExpOpts) -> Table2Row {
     let cfg = SimConfig::new(ranks).with_topology(topo).with_seed(opts.seed);
     let run = run_under_vapro(&cfg, &vapro_cf(), |ctx| (app.run)(ctx, &params));
 
-    let pool = ColumnarPool::from_stgs(&run.stgs, None);
+    let pool = run_pool(&run.shipped);
     let mut class_labels: Vec<usize> = Vec::new();
     let mut cluster_labels: Vec<usize> = Vec::new();
     let mut label_base = 0usize;

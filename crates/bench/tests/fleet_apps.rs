@@ -12,40 +12,27 @@
 use vapro::harness::run_under_vapro;
 use vapro_apps::{find_app, AppParams};
 use vapro_vopr::plan::reports_identical;
-use vapro_core::detect::window::Window;
 use vapro_core::wire::FragmentBatch;
-use vapro_core::{analyze_windows, FleetConfig, FleetIngestor, JobKey, Stg, VaproConfig};
+use vapro_core::{analyze_windows, FleetConfig, FleetIngestor, JobKey, VaproConfig};
 use vapro_sim::{SimConfig, VirtualTime};
 
 const BINS: usize = 8;
 
-/// Latest fragment end across a run, ns.
-fn t_end_ns(stgs: &[Stg]) -> u64 {
-    stgs.iter().flat_map(Stg::fragments).map(|f| f.end.ns()).max().unwrap_or(0)
+/// Latest fragment end across a run's frames, ns.
+fn t_end_ns(shipped: &[Vec<FragmentBatch>]) -> u64 {
+    shipped.iter().flatten().flat_map(FragmentBatch::fragments).map(|f| f.end.ns()).max().unwrap_or(0)
 }
 
-/// Slice one app run into sequenced per-rank, per-period frames
-/// stamped with the job's routing identity, in period-major order.
-fn frames_of(stgs: &[Stg], period_ns: u64, tenant: u32, job: u32) -> Vec<Vec<u8>> {
-    let t_end = t_end_ns(stgs);
-    let mut out = Vec::new();
-    let mut k = 0u64;
-    while k * period_ns < t_end {
-        let period = Window {
-            start: VirtualTime::from_ns(k * period_ns),
-            end: VirtualTime::from_ns((k + 1) * period_ns),
-        };
-        for (rank, stg) in stgs.iter().enumerate() {
-            out.push(
-                FragmentBatch::from_stg_starting_in(stg, rank, period)
-                    .with_seq(k + 1)
-                    .with_job(tenant, job)
-                    .encode(),
-            );
-        }
-        k += 1;
-    }
-    out
+/// A run's frames, sequenced per rank and stamped with the job's
+/// routing identity, in period-major order.
+fn frames_of(shipped: &[Vec<FragmentBatch>], tenant: u32, job: u32) -> Vec<Vec<u8>> {
+    let periods = shipped.iter().map(Vec::len).max().unwrap_or(0);
+    let frame = |k: usize, batch: &FragmentBatch| {
+        batch.clone().with_seq(k as u64 + 1).with_job(tenant, job).encode()
+    };
+    (0..periods)
+        .flat_map(|k| shipped.iter().filter_map(move |frames| frames.get(k)).map(move |b| frame(k, b)))
+        .collect()
 }
 
 #[test]
@@ -63,30 +50,32 @@ fn stream_three_mini_apps(apps: [&str; 3], collector: VaproConfig) {
     let params = AppParams::default().with_iterations(6);
 
     // Run each app under the collector on its own simulated cluster.
-    let runs: Vec<Vec<Stg>> = apps
-        .iter()
-        .enumerate()
-        .map(|(j, name)| {
-            let spec = find_app(name).unwrap_or_else(|| panic!("{name} not in the registry"));
-            let sim = SimConfig::new(nranks).with_seed(0x5EED + j as u64);
-            run_under_vapro(&sim, &collector, |ctx| (spec.run)(ctx, &params)).stgs
-        })
-        .collect();
+    let run_all = |cfg: &VaproConfig| -> Vec<Vec<Vec<FragmentBatch>>> {
+        apps.iter()
+            .enumerate()
+            .map(|(j, name)| {
+                let spec = find_app(name).unwrap_or_else(|| panic!("{name} not in the registry"));
+                let sim = SimConfig::new(nranks).with_seed(0x5EED + j as u64);
+                run_under_vapro(&sim, cfg, |ctx| (spec.run)(ctx, &params)).shipped
+            })
+            .collect()
+    };
 
     // One shared analysis cadence for the whole fleet: the longest run
-    // split into 6 reporting periods.
-    let period_ns =
-        (runs.iter().map(|stgs| t_end_ns(stgs)).max().unwrap_or(0) / 6).max(1);
+    // split into 6 reporting periods. The simulated runs do not depend
+    // on the report period, so a second pass ships at that cadence.
+    let period_ns = (run_all(&collector).iter().map(|run| t_end_ns(run)).max().unwrap_or(0) / 6).max(1);
     let cfg = VaproConfig {
         report_period: VirtualTime::from_ns(period_ns),
         ..collector.clone()
     };
+    let runs = run_all(&cfg);
 
     // Each app ships as its own job under its own tenant.
     let streams: Vec<Vec<Vec<u8>>> = runs
         .iter()
         .enumerate()
-        .map(|(j, stgs)| frames_of(stgs, period_ns, 1 + j as u32, j as u32))
+        .map(|(j, shipped)| frames_of(shipped, 1 + j as u32, j as u32))
         .collect();
 
     let mut fleet = FleetIngestor::new(FleetConfig {
@@ -120,13 +109,13 @@ fn stream_three_mini_apps(apps: [&str; 3], collector: VaproConfig) {
 
     // Every job's streamed windows equal its one-shot analysis, bit for
     // bit, no matter what the other jobs were doing on the same plane.
-    for (j, (name, stgs)) in apps.iter().zip(&runs).enumerate() {
+    for (j, (name, shipped)) in apps.iter().zip(&runs).enumerate() {
         let key = JobKey { tenant: 1 + j as u32, job: j as u32 };
         let (mine, rest): (Vec<_>, Vec<_>) =
             std::mem::take(&mut windows).into_iter().partition(|w| w.key == key);
         windows = rest;
         let mine_reports: Vec<_> = mine.into_iter().map(|w| w.report).collect();
-        let reference = analyze_windows(stgs, nranks, BINS, &cfg);
+        let reference = analyze_windows(shipped.iter().flatten(), nranks, BINS, &cfg);
         reports_identical(&mine_reports, &reference)
             .unwrap_or_else(|e| panic!("{name} diverged from one-shot: {e}"));
         let summary = report

@@ -25,7 +25,7 @@
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use vapro_vopr::plan::{reports_identical, synthetic_stgs};
+use vapro_vopr::plan::{reports_identical, synthetic_stgs, whole_run_batches};
 use vapro_core::detect::window::Window;
 use vapro_core::fragment::clone_count;
 use vapro_core::wire::FragmentBatch;
@@ -111,7 +111,7 @@ fn soak_windowed(periods: usize, frags_per_rank: usize) -> (usize, u64) {
         "arena high water grew from {high_water_mid} at the midpoint to {high_water}"
     );
 
-    let reference = analyze_windows(&stgs, nranks, 16, &cfg);
+    let reference = analyze_windows(&whole_run_batches(&stgs), nranks, 16, &cfg);
     reports_identical(&reports, &reference).expect("soak stream diverged from one-shot");
     (reports.len(), high_water)
 }

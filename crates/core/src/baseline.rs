@@ -14,7 +14,6 @@ use crate::clustering::cluster_pool;
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
 use crate::fragment::Fragment;
-use crate::stg::Stg;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -118,9 +117,9 @@ fn signatures_of(
 }
 
 impl BaselineProfile {
-    /// Build a profile from a run's per-rank STGs.
-    pub fn build(stgs: &[Stg], cfg: &VaproConfig) -> BaselineProfile {
-        let pool = ColumnarPool::from_stgs(stgs, None);
+    /// Build a profile from a run's pooled fragments
+    /// ([`ColumnarPool::from_batches`] over every shipped frame).
+    pub fn build(pool: &ColumnarPool, cfg: &VaproConfig) -> BaselineProfile {
         let mut states = BTreeMap::new();
         for i in 0..pool.num_vertices() {
             let (label, frags) = pool.vertex(i);
@@ -147,8 +146,8 @@ impl BaselineProfile {
     /// Compare a later run against this baseline: clusters match when
     /// they live at the same state and their seed vectors are within the
     /// clustering threshold of each other.
-    pub fn compare(&self, stgs: &[Stg], cfg: &VaproConfig) -> RunComparison {
-        let current = BaselineProfile::build(stgs, cfg);
+    pub fn compare(&self, pool: &ColumnarPool, cfg: &VaproConfig) -> RunComparison {
+        let current = BaselineProfile::build(pool, cfg);
         let mut matched = Vec::new();
         let mut unmatched_current = 0usize;
         let mut matched_baseline = 0usize;
@@ -201,8 +200,9 @@ impl BaselineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::oneshot::tests::whole_pool;
     use crate::fragment::FragmentKind;
-    use crate::stg::StateKey;
+    use crate::stg::{StateKey, Stg};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vapro_pmu::{CpuConfig, CpuModel, JitterModel, NoiseEnv, WorkloadSpec};
@@ -247,8 +247,8 @@ mod tests {
     #[test]
     fn identical_runs_compare_near_unity() {
         let cfg = VaproConfig::default();
-        let base = BaselineProfile::build(&run_stg(NoiseEnv::quiet(), 1), &cfg);
-        let cmp = base.compare(&run_stg(NoiseEnv::quiet(), 2), &cfg);
+        let base = BaselineProfile::build(&whole_pool(&run_stg(NoiseEnv::quiet(), 1)), &cfg);
+        let cmp = base.compare(&whole_pool(&run_stg(NoiseEnv::quiet(), 2)), &cfg);
         assert!(!cmp.matched.is_empty());
         let slow = cmp.overall_slowdown();
         assert!((slow - 1.0).abs() < 0.02, "slowdown {slow}");
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn degraded_run_is_flagged_as_a_regression() {
         let cfg = VaproConfig::default();
-        let base = BaselineProfile::build(&run_stg(NoiseEnv::quiet(), 1), &cfg);
+        let base = BaselineProfile::build(&whole_pool(&run_stg(NoiseEnv::quiet(), 1)), &cfg);
         // The whole later run suffers memory contention — in-run detection
         // sees nothing (every fragment equally slow), but the baseline
         // comparison does.
@@ -270,7 +270,7 @@ mod tests {
         );
         let in_run = crate::detect::oneshot::tests::whole_run(&degraded, 2, 16, &cfg).result;
         assert!(in_run.comp_regions.is_empty(), "uniform slowdown wrongly flagged");
-        let cmp = base.compare(&degraded, &cfg);
+        let cmp = base.compare(&whole_pool(&degraded), &cfg);
         let slow = cmp.overall_slowdown();
         assert!(slow > 1.2, "slowdown {slow}");
         assert!(!cmp.regressions(1.2).is_empty());
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn changed_workload_is_unmatched_not_miscompared() {
         let cfg = VaproConfig::default();
-        let base = BaselineProfile::build(&run_stg(NoiseEnv::quiet(), 1), &cfg);
+        let base = BaselineProfile::build(&whole_pool(&run_stg(NoiseEnv::quiet(), 1)), &cfg);
         // A run whose workload doubled (input change): TOT_INS signature
         // misses the baseline cluster by far more than the threshold.
         let model = CpuModel::with_jitter(CpuConfig::default(), JitterModel::default());
@@ -308,7 +308,7 @@ mod tests {
                 },
             );
         }
-        let cmp = base.compare(&[stg], &cfg);
+        let cmp = base.compare(&whole_pool(&[stg]), &cfg);
         assert!(cmp.matched.is_empty(), "{:?}", cmp.matched);
         assert!(cmp.unmatched_current > 0);
         assert!(cmp.unmatched_baseline > 0);
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn profile_roundtrips_through_json() {
         let cfg = VaproConfig::default();
-        let base = BaselineProfile::build(&run_stg(NoiseEnv::quiet(), 1), &cfg);
+        let base = BaselineProfile::build(&whole_pool(&run_stg(NoiseEnv::quiet(), 1)), &cfg);
         let json = base.to_json();
         let back = BaselineProfile::from_json(&json).unwrap();
         // JSON float formatting can shift the last ULP; compare within

@@ -15,14 +15,24 @@
 //! Counters are projected to the configured active set at collection
 //! time — a fragment only ever carries what the PMU was programmed for,
 //! which is what makes progressive diagnosis necessary (paper §4.3).
-//! What a collector's STG costs to ship — the storage overhead numbers
-//! of §6.2 (12.8 / 47.4 KB per second per thread/process) — is
-//! [`shipped_bytes`](crate::wire::shipped_bytes) over it.
+//!
+//! The client ships as it runs. The STG holds only the fragments of the
+//! open report period; fragments close in start order, so the first one
+//! to close with a later start completes it. The collector then seals
+//! the open period, and any empty ones after it, into one frame each
+//! ([`FragmentBatch::from_stg_starting_in`]) in its outbox, which stands
+//! in for the network, and clears the STG's fragments.
+//! [`Collector::finish`] seals the last period; a run that closed no
+//! fragment ships nothing. Client memory is bounded by one period's
+//! fragments, and what a rank costs to ship (§6.2's 12.8 / 47.4 KB per
+//! second per thread/process) is the encoded length of its outbox.
 
 use crate::config::VaproConfig;
+use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
 use crate::sampling::BackoffSampler;
 use crate::stg::{StateId, StateKey, Stg};
+use crate::wire::FragmentBatch;
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -33,7 +43,12 @@ use vapro_sim::{EnterEvent, ExitEvent, Interceptor, InvocationKind, VirtualTime}
 pub struct Collector {
     cfg: VaproConfig,
     rank: usize,
+    /// Topology and counts of the run; fragments of the open period.
     stg: Stg,
+    /// Index of the open report period.
+    open: u64,
+    /// One frame per sealed report period, in period order.
+    outbox: Vec<FragmentBatch>,
     /// State we are "coming from": the previous invocation's state and its
     /// exit snapshot.
     prev: Option<PrevExit>,
@@ -68,6 +83,8 @@ impl Collector {
             cfg,
             rank,
             stg: Stg::new(),
+            open: 0,
+            outbox: Vec::new(),
             prev: None,
             inflight: None,
             sampler,
@@ -86,19 +103,45 @@ impl Collector {
         &self.cfg
     }
 
-    /// The STG built so far.
+    /// The STG built so far, holding the open period's fragments.
     pub fn stg(&self) -> &Stg {
         &self.stg
     }
 
-    /// Consume the collector, returning the STG.
-    pub fn into_stg(self) -> Stg {
-        self.stg
+    /// End the run: seal the open period, unless no fragment ever
+    /// closed, and return the STG (topology and counts) and every frame
+    /// shipped.
+    pub fn finish(mut self) -> (Stg, Vec<FragmentBatch>) {
+        if self.stg.total_fragments() > 0 {
+            self.seal();
+        }
+        (self.stg, self.outbox)
     }
 
     /// Fragments skipped by the sampling policy.
     pub fn sampled_out(&self) -> u64 {
         self.sampled_out
+    }
+
+    /// Make the period `start` lies in the open one, sealing every
+    /// period before it.
+    fn open_period_of(&mut self, start: VirtualTime) {
+        let period = start.ns() / self.cfg.report_period.ns().max(1);
+        while self.open < period {
+            self.seal();
+        }
+    }
+
+    /// Ship the open period's frame and open the next period.
+    fn seal(&mut self) {
+        let p = self.cfg.report_period.ns().max(1);
+        let window = Window {
+            start: VirtualTime::from_ns(self.open * p),
+            end: VirtualTime::from_ns((self.open + 1) * p),
+        };
+        self.outbox.push(FragmentBatch::from_stg_starting_in(&self.stg, self.rank, window));
+        self.stg.clear_fragments();
+        self.open += 1;
     }
 
     fn classify(kind: &InvocationKind) -> FragmentKind {
@@ -145,6 +188,7 @@ impl Interceptor for Collector {
                         counters: delta,
                         args: Vec::new(),
                     };
+                    self.open_period_of(frag.start);
                     self.stg.attach_edge_fragment(edge, frag);
                 } else {
                     self.sampled_out += 1;
@@ -179,6 +223,7 @@ impl Interceptor for Collector {
             counters: Default::default(),
             args: inflight.args,
         };
+        self.open_period_of(frag.start);
         self.stg.attach_vertex_fragment(inflight.state, frag);
         self.prev = Some(PrevExit {
             state: inflight.state,
@@ -207,7 +252,6 @@ impl Interceptor for Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{shipped_bytes, FragmentBatch};
     use vapro_pmu::{CounterId, CounterSnapshot};
     use vapro_sim::{CallPath, CallSite};
 
@@ -284,10 +328,10 @@ mod tests {
         let stg = c.stg();
         assert_eq!(stg.num_states(), 2); // start + loop
         let id = stg.find_state(&StateKey::Site(a)).unwrap();
-        assert_eq!(stg.vertices()[id].fragments.len(), 50);
+        assert_eq!(stg.vertices()[id].count, 50);
         // Self-loop edge with 49 computation fragments.
         let selfloop = stg.edges().iter().find(|e| e.from == id && e.to == id).unwrap();
-        assert_eq!(selfloop.fragments.len(), 49);
+        assert_eq!(selfloop.count, 49);
     }
 
     #[test]
@@ -310,45 +354,138 @@ mod tests {
         assert_eq!(c.stg().num_states(), 3);
     }
 
+    /// `n` invocations of one site, 40 ns apart.
+    fn run_loop(cfg: VaproConfig, n: usize) -> Collector {
+        let mut c = Collector::new(0, cfg);
+        for i in 0..n as u64 {
+            c.on_enter(&enter(CallSite("x"), i * 40 + 10, (i * 100) as f64));
+            c.on_exit(&exit(i * 40 + 20, (i * 100) as f64));
+        }
+        c
+    }
+
+    /// What a client ships: the encoded length of its frames.
+    fn frame_bytes(shipped: &[FragmentBatch]) -> usize {
+        shipped.iter().map(|b| b.encode().len()).sum()
+    }
+
     #[test]
     fn storage_accounting_grows_with_fragments() {
-        let mut c = Collector::new(0, VaproConfig::default());
-        let a = CallSite("x");
-        c.on_enter(&enter(a, 10, 0.0));
-        c.on_exit(&exit(20, 0.0));
-        let shipped = |c: &Collector| shipped_bytes(c.stg(), 0, c.config().report_period);
-        let one = shipped(&c);
-        c.on_enter(&enter(a, 40, 0.0));
-        c.on_exit(&exit(50, 0.0));
-        assert!(shipped(&c) > one);
+        let shipped = |n| frame_bytes(&run_loop(VaproConfig::default(), n).finish().1);
+        assert!(shipped(2) > shipped(1));
+        assert!(shipped(1) > 0);
     }
 
     #[test]
     fn byte_accounting_matches_encoded_batch_size() {
-        use crate::detect::window::Window;
-        // A collector's shipped bytes are what its data costs on the
-        // binary wire: the frames of every report period, each encoded
-        // from its own start-partitioned batch, byte for byte.
-        let cfg =
-            VaproConfig { report_period: VirtualTime::from_ns(4_000), ..VaproConfig::default() };
-        let mut c = Collector::new(0, cfg);
-        let sites = [CallSite("a"), CallSite("b")];
-        let mut t = 0u64;
-        for i in 0..500usize {
-            c.on_enter(&enter(sites[i % 2], t + 10, (i * 100) as f64));
-            c.on_exit(&exit(t + 25, (i * 100) as f64));
-            t += 40;
+        // The frames a client ships mid-run are byte for byte the
+        // start-partitioned cuts of the whole run's STG: one frame per
+        // 4 µs period of a 20 µs run.
+        let cfg = |ns| VaproConfig { report_period: VirtualTime::from_ns(ns), ..VaproConfig::default() };
+        let whole = run_loop(cfg(1_000_000), 500);
+        let (_, shipped) = run_loop(cfg(4_000), 500).finish();
+        assert_eq!(shipped.len(), 5);
+        for (k, frame) in (0u64..).zip(&shipped) {
+            let window = Window {
+                start: VirtualTime::from_ns(k * 4_000),
+                end: VirtualTime::from_ns((k + 1) * 4_000),
+            };
+            let cut = FragmentBatch::from_stg_starting_in(whole.stg(), 0, window);
+            assert_eq!(frame.encode(), cut.encode(), "period {k}");
         }
-        let encoded: usize = (0..5u64)
-            .map(|k| {
+        assert_eq!(whole.stg().fragments().count(), shipped.iter().map(FragmentBatch::len).sum::<usize>());
+    }
+
+    /// A batch's groups — location labels and the fragments starting in
+    /// `window` — in batch order, groups left empty dropped.
+    fn groups_in(batch: &FragmentBatch, window: Window) -> Vec<(Vec<&str>, Vec<&Fragment>)> {
+        let starts_in = |f: &&Fragment| f.start >= window.start && f.start < window.end;
+        let vertices = batch.vertex_groups.iter().map(|g| (vec![batch.label(g.label)], &g.fragments));
+        let edges =
+            batch.edge_groups.iter().map(|g| (vec![batch.label(g.from), batch.label(g.to)], &g.fragments));
+        let groups = vertices.chain(edges).map(|(at, frags)| (at, frags.iter().filter(starts_in).collect()));
+        groups.filter(|(_, frags): &(_, Vec<_>)| !frags.is_empty()).collect()
+    }
+
+    /// Three sites in a loop of 40 ns iterations, with a 5 µs stall in
+    /// the middle: `n` invocations into a collector over `cfg`.
+    fn stalled_loop(cfg: VaproConfig, n: u64) -> Collector {
+        let sites = [CallSite("a"), CallSite("b"), CallSite("c")];
+        let mut c = Collector::new(0, cfg);
+        for i in 0..n {
+            let t = i * 40 + if i >= n / 2 { 5_000 } else { 0 };
+            c.on_enter(&enter(sites[(i * 7 % 3) as usize], t + 10, (i * 100) as f64));
+            c.on_exit(&exit(t + 25 + i % 4, (i * 100) as f64));
+        }
+        c
+    }
+
+    #[test]
+    fn streamed_periods_equal_the_whole_run_cut_by_start() {
+        let period = 1_000u64;
+        for sampling in [false, true] {
+            let cfg = VaproConfig {
+                sampling_enabled: sampling,
+                sampling_min_ns: 30.0,
+                ..VaproConfig::default()
+            };
+            let streamed_cfg = VaproConfig { report_period: VirtualTime::from_ns(period), ..cfg.clone() };
+            let (_, long) = stalled_loop(cfg, 200).finish();
+            let streamed = stalled_loop(streamed_cfg, 200);
+            assert_eq!(streamed.sampled_out() > 0, sampling);
+            let (_, streamed) = streamed.finish();
+            assert_eq!(long.len(), 1);
+            let long = &long[0];
+            let last_start = long.fragments().map(|f| f.start.ns()).max().unwrap();
+            assert_eq!(streamed.len() as u64, last_start / period + 1);
+            assert!(streamed.iter().any(FragmentBatch::is_empty), "the stall ships empty periods");
+            for (k, batch) in (0u64..).zip(&streamed) {
                 let window = Window {
-                    start: VirtualTime::from_ns(k * 4_000),
-                    end: VirtualTime::from_ns((k + 1) * 4_000),
+                    start: VirtualTime::from_ns(k * period),
+                    end: VirtualTime::from_ns((k + 1) * period),
                 };
-                FragmentBatch::from_stg_starting_in(c.stg(), 0, window).encode().len()
-            })
-            .sum();
-        assert_eq!(shipped_bytes(c.stg(), 0, VirtualTime::from_ns(4_000)), encoded as u64);
+                assert_eq!((batch.window_start_ns, batch.window_end_ns), (window.start.ns(), window.end.ns()));
+                let own = groups_in(batch, window);
+                assert_eq!(own.iter().map(|(_, f)| f.len()).sum::<usize>(), batch.len(), "period {k}");
+                assert_eq!(own, groups_in(long, window), "sampling {sampling}, period {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_without_fragments_ships_nothing() {
+        let short = VaproConfig { report_period: VirtualTime::from_ns(10), ..VaproConfig::default() };
+        assert!(Collector::new(0, short.clone()).finish().1.is_empty());
+        // An enter that never exits closes no fragment either.
+        let mut c = Collector::new(0, short);
+        c.on_enter(&enter(CallSite("a"), 1_000, 0.0));
+        let (stg, shipped) = c.finish();
+        assert!(shipped.is_empty());
+        assert_eq!((stg.num_states(), stg.total_fragments()), (2, 0));
+    }
+
+    #[test]
+    fn the_client_holds_at_most_one_period() {
+        // 100 ns iterations, 1 µs periods: the STG never holds more than
+        // the fullest period's fragments, however long the run.
+        let cfg = VaproConfig { report_period: VirtualTime::from_ns(1_000), ..VaproConfig::default() };
+        let peak = |periods: u64| {
+            let mut c = Collector::new(0, cfg.clone());
+            let mut most = 0;
+            for i in 0..periods * 10 {
+                c.on_enter(&enter(CallSite("loop"), i * 100 + 10, (i * 100) as f64));
+                most = most.max(c.stg().fragments().count());
+                c.on_exit(&exit(i * 100 + 20, (i * 100) as f64));
+                most = most.max(c.stg().fragments().count());
+            }
+            let (_, shipped) = c.finish();
+            assert_eq!(shipped.len() as u64, periods);
+            (most, shipped.iter().map(FragmentBatch::len).max().unwrap())
+        };
+        let (short, long) = (peak(5), peak(50));
+        assert_eq!(short, long);
+        assert_eq!(short.0, short.1);
+        assert_eq!(short.0, 20);
     }
 
     #[test]
@@ -370,9 +507,9 @@ mod tests {
         let stg = c.stg();
         let id = stg.find_state(&StateKey::Site(a)).unwrap();
         let selfloop = stg.edges().iter().find(|e| e.from == id && e.to == id).unwrap();
-        assert!(selfloop.fragments.len() < 1999);
+        assert!(selfloop.count < 1999);
         // Vertex fragments are never sampled out (they are the cheap part).
-        assert_eq!(stg.vertices()[id].fragments.len(), 2000);
+        assert_eq!(stg.vertices()[id].count, 2000);
     }
 
     #[test]
@@ -399,9 +536,8 @@ mod tests {
             t += 40;
         }
         let stg = c.stg();
-        let vertex_total: usize =
-            stg.vertices().iter().map(|v| v.fragments.len()).sum();
-        let edge_total: usize = stg.edges().iter().map(|e| e.fragments.len()).sum();
+        let vertex_total: usize = stg.vertices().iter().map(|v| v.count).sum();
+        let edge_total: usize = stg.edges().iter().map(|e| e.count).sum();
         assert_eq!(vertex_total, n);
         assert_eq!(edge_total, n - 1);
     }
@@ -418,9 +554,9 @@ mod tests {
             c.on_exit(&exit(t + 13, (i * 100) as f64));
             t += 20;
         }
-        let stg = c.stg();
+        let (_, shipped) = c.finish();
         let mut all: Vec<(u64, u64)> =
-            stg.fragments().map(|f| (f.start.ns(), f.end.ns())).collect();
+            shipped.iter().flat_map(FragmentBatch::fragments).map(|f| (f.start.ns(), f.end.ns())).collect();
         all.sort();
         for w in all.windows(2) {
             assert_eq!(w[0].1, w[1].0, "gap or overlap between {:?} and {:?}", w[0], w[1]);

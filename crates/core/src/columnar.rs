@@ -13,10 +13,11 @@
 //! from* and *what the analysis reads*. It has two sources:
 //! [`ColumnarPool::refill_from_merged`] gathers a window out of the
 //! streaming arena (sorted, evicted, recycled), and
-//! [`ColumnarPool::from_stgs`] gathers per-rank STGs directly (no arena,
-//! sort, eviction or stage — which is what keeps
+//! [`ColumnarPool::from_batches`] gathers shipped frames directly (no
+//! wire, arena, sort, eviction or stage — which is what keeps
 //! [`analyze_windows`](crate::detect::oneshot::analyze_windows) an
-//! independent test reference; the figures detect through the arena).
+//! independent test reference; the figures detect through the arena,
+//! and read lane statistics of a run's frames through this one).
 //! Either way a location has one identity, its label, and lanes come in
 //! label order, so the two sources cannot disagree about which is which.
 //!
@@ -52,7 +53,7 @@
 use crate::detect::arena::ArenaView;
 use crate::detect::window::Window;
 use crate::fragment::{Fragment, FragmentKind};
-use crate::stg::Stg;
+use crate::wire::FragmentBatch;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vapro_pmu::{CounterDelta, CounterId, CounterSet};
@@ -310,40 +311,40 @@ impl ColumnarPool {
         pool
     }
 
-    /// Gather per-rank STGs into a fresh pool: the fragments overlapping
-    /// `window` (all of them for `None`), pooled by
-    /// [`StateKey::label`](crate::stg::StateKey::label) — the identity a
-    /// location has on the wire — with lanes in label order, STGs in
-    /// slice order and each STG's fragments in attach order. For
-    /// rank-indexed STGs that is the arena's canonical order, so a
-    /// streamed window and the same window gathered here are equal
-    /// column for column.
-    pub fn from_stgs(stgs: &[Stg], window: Option<Window>) -> ColumnarPool {
+    /// Gather shipped frames into a fresh pool: the fragments
+    /// overlapping `window` (all of them for `None`), pooled by label —
+    /// the identity a location has on the wire — with lanes in label
+    /// order, batches in iteration order and each batch's fragments in
+    /// group order. Batches taken rank by rank, each rank's in period
+    /// order, give the arena's canonical order, so a streamed window and
+    /// the same window gathered here are equal column for column.
+    pub fn from_batches<'b>(
+        batches: impl IntoIterator<Item = &'b FragmentBatch>,
+        window: Option<Window>,
+    ) -> ColumnarPool {
         let keep = |f: &&Fragment| window.is_none_or(|w| w.overlaps(f.start, f.end));
-        let mut vertices: BTreeMap<Arc<str>, Vec<&Fragment>> = BTreeMap::new();
-        let mut edges: BTreeMap<(Arc<str>, Arc<str>), Vec<&Fragment>> = BTreeMap::new();
-        for stg in stgs {
-            let labels: Vec<Arc<str>> =
-                stg.vertices().iter().map(|v| Arc::from(v.key.label())).collect();
-            for (v, label) in stg.vertices().iter().zip(&labels) {
-                let lane = vertices.entry(Arc::clone(label)).or_default();
-                lane.extend(v.fragments.iter().filter(keep));
+        let mut vertices: BTreeMap<&str, Vec<&Fragment>> = BTreeMap::new();
+        let mut edges: BTreeMap<(&str, &str), Vec<&Fragment>> = BTreeMap::new();
+        for batch in batches {
+            for g in &batch.vertex_groups {
+                let lane = vertices.entry(batch.label(g.label)).or_default();
+                lane.extend(g.fragments.iter().filter(keep));
             }
-            for e in stg.edges() {
-                let key = (Arc::clone(&labels[e.from]), Arc::clone(&labels[e.to]));
-                edges.entry(key).or_default().extend(e.fragments.iter().filter(keep));
+            for g in &batch.edge_groups {
+                let key = (batch.label(g.from), batch.label(g.to));
+                edges.entry(key).or_default().extend(g.fragments.iter().filter(keep));
             }
         }
         let mut pool = ColumnarPool::new();
         pool.reserve(vertices.values().chain(edges.values()).map(Vec::len).sum());
         for (label, frags) in vertices.into_iter().filter(|(_, frags)| !frags.is_empty()) {
-            pool.begin_vertex(label);
+            pool.begin_vertex(Arc::from(label));
             for f in frags {
                 pool.push(f);
             }
         }
         for ((from, to), frags) in edges.into_iter().filter(|(_, frags)| !frags.is_empty()) {
-            pool.begin_edge(from, to);
+            pool.begin_edge(Arc::from(from), Arc::from(to));
             for f in frags {
                 pool.push(f);
             }

@@ -410,7 +410,7 @@ mod tests {
         // able to kill the server).
         let stg = looped_stg(7, 5, 1_000_000, 0..0);
         let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
-        let encoded = FragmentBatch::from_stg(&stg, 7, window).encode();
+        let encoded = FragmentBatch::from_stg_starting_in(&stg, 7, window).encode();
         let mut ingestor = WindowedIngestor::new(2, 8, VaproConfig::default());
         let err = ingestor.push_encoded(&encoded).unwrap_err();
         assert_eq!(err, WireError::UnknownRank { rank: 7, nranks: 2 });
@@ -419,7 +419,7 @@ mod tests {
         assert_eq!(ingestor.stats().frames_rejected(), 1);
         assert_eq!(ingestor.stats().frames_admitted, 0);
         // The stream stays healthy afterwards: a valid rank still admits.
-        let ok = FragmentBatch::from_stg(&looped_stg(1, 5, 1_000_000, 0..0), 1, window);
+        let ok = FragmentBatch::from_stg_starting_in(&looped_stg(1, 5, 1_000_000, 0..0), 1, window);
         let _ = ingestor.push_encoded(&ok.encode()).expect("valid rank admits");
         assert_eq!(ingestor.stats().frames_admitted, 1);
     }

@@ -137,9 +137,9 @@ impl ArenaPool {
     /// tiebreak is lexicographic over `(counter index, value bits)`
     /// pairs, not "set mask, then values": a value that differs at an
     /// early counter decides before a later counter one side lacks.
-    /// Where (rank, time) is unique — every rank-indexed STG the
-    /// one-shot path consumes — the order equals what
-    /// [`ColumnarPool::from_stgs`] produces, which is what makes the
+    /// Where (rank, time) is unique — every run's frames the one-shot
+    /// path consumes — the order equals what
+    /// [`ColumnarPool::from_batches`] produces, which is what makes the
     /// incremental reports bit-identical to the one-shot windowed
     /// analysis.
     fn row_order(a: &Row, b: &Row, vals: &[f64], args: &[f64]) -> Ordering {
@@ -621,7 +621,7 @@ pub struct ArenaView<'a> {
 impl ArenaView<'_> {
     /// Append the selection to `out`, one lane per location that has a
     /// selected fragment: vertex lanes then edge lanes, each list in
-    /// label order (what [`ColumnarPool::from_stgs`] produces, so every
+    /// label order (what [`ColumnarPool::from_batches`] produces, so every
     /// downstream label, series and rare-path order matches the one-shot
     /// path), and fragments in [`ArenaPool::row_order`] — (rank, time)
     /// first with a content tiebreaker, so a sealed window never depends
@@ -760,7 +760,7 @@ pub(crate) mod tests {
         let cfg = VaproConfig::default();
         let stg = looped_stg(0, 20, 1_000_000, 0..0);
         let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
-        let encoded = FragmentBatch::from_stg(&stg, 0, window).encode();
+        let encoded = FragmentBatch::from_stg_starting_in(&stg, 0, window).encode();
         let mut arena = IngestArena::new();
         // Decoding constructs fragments (it doesn't clone), pushing moves
         // them, and sealing a window copies fields into columns.
@@ -1042,7 +1042,7 @@ pub(crate) mod tests {
             let e = stg.transition(s, s);
             stg.attach_edge_fragment(e, mk(ins));
             let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
-            FragmentBatch::from_stg(&stg, 0, window)
+            FragmentBatch::from_stg_starting_in(&stg, 0, window)
         };
         let sealed = |batches: Vec<FragmentBatch>| -> ColumnarPool {
             let mut arena = IngestArena::new();

@@ -129,7 +129,7 @@ pub(crate) fn analyze_view_columnar(
 /// When clients ship exactly their data span, the union of all reports
 /// (stream + [`WindowedIngestor::finish`]) is bit-identical to the
 /// one-shot [`analyze_windows`](crate::detect::oneshot::analyze_windows)
-/// over the same STGs.
+/// over the same frames.
 ///
 /// **Fault tolerance** (`cfg.fault`, off by default): with a
 /// `dead_horizon` set, a rank whose shipping mark trails the fastest
@@ -438,7 +438,7 @@ mod tests {
     use super::*;
     use crate::detect::arena::tests::{looped_stg, period_frames, stg_over};
     use crate::detect::oneshot::analyze_windows;
-    use crate::detect::oneshot::tests::assert_results_identical;
+    use crate::detect::oneshot::tests::{assert_results_identical, whole_batches};
     use crate::detect::window::windows_covering;
     use crate::stg::{StateKey, Stg};
     use crate::wire::FragmentBatch;
@@ -452,7 +452,7 @@ mod tests {
             report_period: VirtualTime::from_secs(5),
             ..VaproConfig::default()
         };
-        let reference = analyze_windows(stgs, 3, 8, &cfg);
+        let reference = analyze_windows(&whole_batches(stgs), 3, 8, &cfg);
 
         // Period-major shipping (every rank ships period k before any
         // rank ships k+1) — the paper's reporting pattern. Pool views
@@ -543,7 +543,7 @@ mod tests {
             ..VaproConfig::default()
         };
         let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
-        let reports = analyze_windows(&stgs, 4, 8, &cfg);
+        let reports = analyze_windows(&whole_batches(&stgs), 4, 8, &cfg);
         assert!(reports.iter().all(|r| r.diagnoses.len() <= cfg.diagnose_top_k));
         let diagnosed: Vec<&RegionDiagnosis> =
             reports.iter().flat_map(|r| &r.diagnoses).collect();

@@ -2,12 +2,12 @@
 //! one-shot test compares the streaming path against (the figures run
 //! [`WindowedIngestor`]).
 //!
-//! [`analyze_windows`] gathers each window straight out of the per-rank
-//! STGs ([`ColumnarPool::from_stgs`]) and hands it to the same
+//! [`analyze_windows`] gathers each window straight out of the shipped
+//! frames ([`ColumnarPool::from_batches`]) and hands it to the same
 //! [`analyze_view_columnar`] the streaming path ends in. Nothing here
-//! goes through the wire, the arena, its sort, eviction or the stage:
-//! the whole run is resident, which is what makes it a trustworthy
-//! reference for everything upstream of the kernel in
+//! goes through the encoder, the arena, its sort, eviction or the
+//! stage: the whole run is resident, which is what makes it a
+//! trustworthy reference for everything upstream of the kernel in
 //! [`WindowedIngestor`], whose reports (stream + `finish`) must equal
 //! these bit for bit.
 //!
@@ -18,25 +18,29 @@ use crate::config::VaproConfig;
 use crate::detect::ingestor::{analyze_view_columnar, WindowReport};
 use crate::detect::window::windows_covering;
 use crate::report::WindowCoverage;
-use crate::stg::Stg;
+use crate::wire::FragmentBatch;
 use rayon::prelude::*;
 use vapro_sim::VirtualTime;
 
 /// Analyse the run in overlapped windows of `cfg.report_period`: each
-/// window's fragments (from every rank's STG) are detected
-/// independently; windows run in parallel. Per-window populations are
-/// transposed field by field — zero `Fragment` clones.
-pub fn analyze_windows(
-    stgs: &[Stg],
+/// window's fragments (from every batch, taken rank by rank and each
+/// rank's in period order) are detected independently; windows run in
+/// parallel. Per-window populations are transposed field by field —
+/// zero `Fragment` clones.
+pub fn analyze_windows<'b, B>(
+    batches: B,
     nranks: usize,
     bins_per_window: usize,
     cfg: &VaproConfig,
-) -> Vec<WindowReport> {
-    let t_end = stgs.iter().flat_map(Stg::fragments).map(|f| f.end).max();
+) -> Vec<WindowReport>
+where
+    B: IntoIterator<Item = &'b FragmentBatch> + Clone + Sync,
+{
+    let t_end = batches.clone().into_iter().flat_map(FragmentBatch::fragments).map(|f| f.end).max();
     windows_covering(VirtualTime::ZERO, t_end.unwrap_or(VirtualTime::ZERO), cfg.report_period)
         .into_par_iter()
         .map(|window| {
-            let pool = ColumnarPool::from_stgs(stgs, Some(window));
+            let pool = ColumnarPool::from_batches(batches.clone(), Some(window));
             let coverage = WindowCoverage::full(nranks);
             analyze_view_columnar(&pool, window, nranks, bins_per_window, cfg, coverage)
         })
@@ -50,6 +54,18 @@ pub(crate) mod tests {
     use crate::detect::pipeline::DetectionResult;
     use crate::detect::window::Window;
     use crate::fragment::Fragment;
+    use crate::stg::Stg;
+
+    /// Each rank's hand-built STG cut as one frame covering all time.
+    pub(crate) fn whole_batches(stgs: &[Stg]) -> Vec<FragmentBatch> {
+        let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
+        stgs.iter().enumerate().map(cut).collect()
+    }
+
+    /// Every fragment of the rank-indexed STGs in one pool.
+    pub(crate) fn whole_pool(stgs: &[Stg]) -> ColumnarPool {
+        ColumnarPool::from_batches(&whole_batches(stgs), None)
+    }
 
     /// The whole run gathered from the STGs into one pool and analysed
     /// as a single window: detection plus the top regions' diagnoses.
@@ -59,9 +75,8 @@ pub(crate) mod tests {
         bins: usize,
         cfg: &VaproConfig,
     ) -> WindowReport {
-        let pool = ColumnarPool::from_stgs(stgs, None);
-        let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
-        analyze_view_columnar(&pool, window, nranks, bins, cfg, WindowCoverage::full(nranks))
+        let pool = whole_pool(stgs);
+        analyze_view_columnar(&pool, Window::ALL, nranks, bins, cfg, WindowCoverage::full(nranks))
     }
 
     pub(crate) fn assert_results_identical(a: &DetectionResult, b: &DetectionResult) {
@@ -85,7 +100,7 @@ pub(crate) mod tests {
             ..VaproConfig::default()
         };
         let stgs = vec![looped_stg(0, 40, 1_000_000_000, 20..25)];
-        let reports = analyze_windows(&stgs, 1, 8, &cfg);
+        let reports = analyze_windows(&whole_batches(&stgs), 1, 8, &cfg);
         assert!(reports.len() > 2, "windows: {}", reports.len());
         // Windows overlapping the slow span see variance; early ones don't.
         let early = &reports[0];
@@ -130,7 +145,7 @@ pub(crate) mod tests {
             .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
             .collect();
         stgs[1] = looped_stg(1, 30, 1_000_000_000, 10..16);
-        let reports = analyze_windows(&stgs, 3, 8, &cfg);
+        let reports = analyze_windows(&whole_batches(&stgs), 3, 8, &cfg);
         let t_end = VirtualTime::from_ns(stgs.iter().flat_map(|s| s.edges()).flat_map(|e| e.fragments.iter()).map(|f| f.end.ns()).max().unwrap());
         let windows = windows_covering(VirtualTime::ZERO, t_end, cfg.report_period);
         assert_eq!(reports.len(), windows.len());
@@ -156,15 +171,16 @@ pub(crate) mod tests {
             .collect();
         let windows =
             windows_covering(VirtualTime::ZERO, VirtualTime::from_secs(25), cfg.report_period);
-        let large: Vec<Stg> = (0..4).map(|r| looped_stg(r, 2_100, 1_000, 50..90)).collect();
+        let batches = whole_batches(&stgs);
+        let large = whole_batches(&(0..4).map(|r| looped_stg(r, 2_100, 1_000, 50..90)).collect::<Vec<_>>());
         // Detection runs on the calling thread whatever the pool's size,
         // so the thread-local clone counter sees every clone it makes —
         // here over small windows and one whole-run pool of 8k+ rows.
         let before = clone_count::on_this_thread();
         for window in windows {
-            let _ = detect_columnar(&ColumnarPool::from_stgs(&stgs, Some(window)), 2, 8, &cfg);
+            let _ = detect_columnar(&ColumnarPool::from_batches(&batches, Some(window)), 2, 8, &cfg);
         }
-        let pool = ColumnarPool::from_stgs(&large, None);
+        let pool = ColumnarPool::from_batches(&large, None);
         assert!(pool.len() >= 8_192, "{} rows", pool.len());
         let _ = detect_columnar(&pool, 4, 16, &cfg);
         assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
@@ -179,7 +195,7 @@ pub(crate) mod tests {
             ..VaproConfig::default()
         };
         let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
-        let reports = analyze_windows(&stgs, 4, 8, &cfg);
+        let reports = analyze_windows(&whole_batches(&stgs), 4, 8, &cfg);
         assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
         assert!(reports.iter().all(|r| r.diagnoses.is_empty()));
     }

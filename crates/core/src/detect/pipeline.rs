@@ -66,8 +66,8 @@ enum Location<'k> {
     Edge(&'k str, &'k str),
 }
 
-/// Run detection over a sealed pool — a streamed window, or STGs
-/// gathered by [`ColumnarPool::from_stgs`].
+/// Run detection over a sealed pool — a streamed window, or shipped
+/// frames gathered by [`ColumnarPool::from_batches`].
 ///
 /// Locations (vertices, then edges, both in label order) are analysed
 /// one after another on the calling thread, each running the cluster →
@@ -205,7 +205,7 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, members: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::oneshot::tests::whole_run;
+    use crate::detect::oneshot::tests::{whole_pool, whole_run};
     use crate::fragment::{Fragment, FragmentKind};
     use crate::stg::{StateKey, Stg};
     use vapro_pmu::{CounterDelta, CounterId};
@@ -260,7 +260,7 @@ mod tests {
         assert!(res.comp_regions.is_empty(), "{:?}", res.comp_regions);
         assert!(res.coverage > 0.5, "coverage {}", res.coverage);
         // One table lane per pooled edge lane, in edge order.
-        assert_eq!(res.edge_clusters.num_lanes(), ColumnarPool::from_stgs(&stgs, None).num_edges());
+        assert_eq!(res.edge_clusters.num_lanes(), whole_pool(&stgs).num_edges());
     }
 
     #[test]
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn stg_lanes_are_sorted_by_label() {
         let stgs: Vec<Stg> = (0..3).map(|r| stg_with_loop(r, &[100; 4], 1000.0)).collect();
-        let pool = ColumnarPool::from_stgs(&stgs, None);
+        let pool = whole_pool(&stgs);
         let vlabels: Vec<&str> = (0..pool.num_vertices()).map(|i| pool.vertex(i).0).collect();
         assert!(vlabels.is_sorted(), "{vlabels:?}");
         let elabels: Vec<(&str, &str)> = (0..pool.num_edges())

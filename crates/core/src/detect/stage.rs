@@ -344,9 +344,8 @@ mod tests {
 
     /// A pool of `rows` fragments: one rank looping over one site.
     fn pool_of(rows: usize) -> ColumnarPool {
-        let everything = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
         let mut arena = IngestArena::new();
-        arena.push_batch(FragmentBatch::from_stg(&looped_stg(0, rows, 1_000_000, 0..0), 0, everything));
+        arena.push_batch(FragmentBatch::from_stg_starting_in(&looped_stg(0, rows, 1_000_000, 0..0), 0, Window::ALL));
         ColumnarPool::from_merged(&arena.full_view())
     }
 

@@ -14,6 +14,9 @@ pub struct Window {
 }
 
 impl Window {
+    /// Every start time there is: the window of a whole-run cut.
+    pub const ALL: Window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(u64::MAX) };
+
     /// The `k`-th half-overlapped window of length `period` counted from
     /// time zero: starts advance by `period / 2`. The one place window
     /// geometry is defined — [`windows_covering`] and the streaming

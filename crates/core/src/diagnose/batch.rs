@@ -1,8 +1,8 @@
 //! Batched region diagnosis: pool once, cluster once — then diagnose
 //! every region.
 //!
-//! [`diagnose_region`](crate::diagnose::diagnose_region) re-pools all
-//! STGs and re-clusters the winning lane *per region*, which is
+//! [`diagnose_region`](crate::diagnose::diagnose_region) scans the
+//! whole pool and re-clusters the winning lane *per region*, which is
 //! affordable for a user clicking one heat-map region but not for a
 //! server diagnosing every region of every closed window.
 //! [`DiagnosisBatch`] amortises both across regions:
@@ -98,6 +98,7 @@ impl<'m> DiagnosisBatch<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::oneshot::tests::whole_pool;
     use crate::diagnose::driver::diagnose_region;
     use crate::diagnose::driver::tests::stgs_with_noise;
     use vapro_sim::VirtualTime;
@@ -136,13 +137,13 @@ mod tests {
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
         });
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        let sealed = whole_pool(&stgs);
         let clusters = edge_clusters(&sealed, &cfg);
         let batch = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters);
         let mut diagnosed = 0;
         for roi in &rois {
             let got = batch.diagnose(roi);
-            assert_eq!(got, diagnose_region(&stgs, roi, &cfg), "roi {roi:?}");
+            assert_eq!(got, diagnose_region(&sealed, roi, &cfg), "roi {roi:?}");
             diagnosed += usize::from(got.is_some());
         }
         assert!(diagnosed > 0);
@@ -159,7 +160,7 @@ mod tests {
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
         };
-        let sealed = ColumnarPool::from_stgs(&stgs, None);
+        let sealed = whole_pool(&stgs);
         let clusters = edge_clusters(&sealed, &cfg);
         let before = clone_count::on_this_thread();
         let report = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters).diagnose(&roi);

@@ -15,7 +15,6 @@ use crate::config::VaproConfig;
 use crate::detect::region::VarianceRegion;
 use crate::diagnose::progressive::{diagnose_cluster, DiagnosisReport};
 use crate::fragment::FragmentKind;
-use crate::stg::Stg;
 use vapro_sim::VirtualTime;
 
 /// A region of interest on the heat map: ranks × virtual-time window.
@@ -69,7 +68,8 @@ pub(crate) fn busiest_edge(pool: &ColumnarPool, roi: &RegionOfInterest) -> Optio
     best.map(|(e, _)| e)
 }
 
-/// Diagnose one region of interest over the given STGs.
+/// Diagnose one region of interest over a run's pooled fragments
+/// ([`ColumnarPool::from_batches`] over every shipped frame).
 ///
 /// The fragment population is the largest fixed-workload cluster among
 /// computation fragments that (a) overlap the region on affected ranks
@@ -81,12 +81,11 @@ pub(crate) fn busiest_edge(pool: &ColumnarPool, roi: &RegionOfInterest) -> Optio
 /// the winner — that [`DiagnosisBatch`](crate::diagnose::DiagnosisBatch)
 /// is property-tested against; many regions over one run want the batch.
 pub fn diagnose_region(
-    stgs: &[Stg],
+    pooled: &ColumnarPool,
     roi: &RegionOfInterest,
     cfg: &VaproConfig,
 ) -> Option<DiagnosisReport> {
-    let pooled = ColumnarPool::from_stgs(stgs, None);
-    let pool = pooled.edge(busiest_edge(&pooled, roi)?).2;
+    let pool = pooled.edge(busiest_edge(pooled, roi)?).2;
 
     // The diagnosis population: the whole pool's dominant cluster — it
     // contains the region's abnormal fragments plus the out-of-region /
@@ -108,9 +107,10 @@ pub fn diagnose_region(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::detect::oneshot::tests::whole_pool;
     use crate::diagnose::factor::Factor;
     use crate::fragment::Fragment;
-    use crate::stg::StateKey;
+    use crate::stg::{StateKey, Stg};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vapro_pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, WorkloadSpec};
@@ -173,7 +173,7 @@ pub(crate) mod tests {
             t_end: VirtualTime::from_ms(40),
         };
         let cfg = VaproConfig::default();
-        let rep = diagnose_region(&stgs, &roi, &cfg).expect("diagnosis ran");
+        let rep = diagnose_region(&whole_pool(&stgs), &roi, &cfg).expect("diagnosis ran");
         assert!(rep.steps[0].report.of(Factor::BackendBound).unwrap().major);
         assert!(
             rep.culprits
@@ -197,8 +197,9 @@ pub(crate) mod tests {
             t_start: VirtualTime::from_ms(10),
             t_end: VirtualTime::from_ms(40),
         };
+        let pool = whole_pool(&stgs);
         let before = clone_count::on_this_thread();
-        let rep = diagnose_region(&stgs, &roi, &VaproConfig::default());
+        let rep = diagnose_region(&pool, &roi, &VaproConfig::default());
         assert!(rep.is_some());
         assert_eq!(clone_count::on_this_thread() - before, 0);
     }
@@ -211,7 +212,7 @@ pub(crate) mod tests {
             t_start: VirtualTime::ZERO,
             t_end: VirtualTime::from_secs(10),
         };
-        assert!(diagnose_region(&stgs, &roi, &VaproConfig::default()).is_none());
+        assert!(diagnose_region(&whole_pool(&stgs), &roi, &VaproConfig::default()).is_none());
     }
 
     #[test]
@@ -223,7 +224,7 @@ pub(crate) mod tests {
             t_start: VirtualTime::from_secs(100),
             t_end: VirtualTime::from_secs(200),
         };
-        assert!(diagnose_region(&stgs, &roi, &VaproConfig::default()).is_none());
+        assert!(diagnose_region(&whole_pool(&stgs), &roi, &VaproConfig::default()).is_none());
     }
 
     #[test]

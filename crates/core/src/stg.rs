@@ -5,6 +5,11 @@
 //! transitions between states, i.e. the computation snippets between
 //! consecutive invocations. Vertex fragments are invocation executions;
 //! edge fragments are computation-snippet executions.
+//!
+//! A collector's graph keeps its topology and a cumulative fragment
+//! count per location for the whole run, but only the fragments of the
+//! open report period: [`Stg::clear_fragments`] drops them once the
+//! period is sealed into a frame.
 
 use crate::config::StgMode;
 use crate::fragment::Fragment;
@@ -51,8 +56,11 @@ pub type EdgeId = usize;
 pub struct Vertex {
     /// The state's key.
     pub key: StateKey,
-    /// Invocation (communication / IO) fragments attached here.
+    /// Invocation (communication / IO) fragments attached here and not
+    /// yet cleared.
     pub fragments: Vec<Fragment>,
+    /// Fragments ever attached here, cleared ones included.
+    pub count: usize,
 }
 
 /// One edge: a state transition plus the computation fragments observed on it.
@@ -62,8 +70,11 @@ pub struct Edge {
     pub from: StateId,
     /// Destination state.
     pub to: StateId,
-    /// Computation fragments attached to this transition.
+    /// Computation fragments attached to this transition and not yet
+    /// cleared.
     pub fragments: Vec<Fragment>,
+    /// Fragments ever attached here, cleared ones included.
+    pub count: usize,
 }
 
 /// The state transition graph of one rank.
@@ -87,7 +98,7 @@ impl Stg {
             return id;
         }
         let id = self.vertices.len();
-        self.vertices.push(Vertex { key: key.clone(), fragments: Vec::new() });
+        self.vertices.push(Vertex { key: key.clone(), fragments: Vec::new(), count: 0 });
         self.states.insert(key, id);
         id
     }
@@ -98,19 +109,30 @@ impl Stg {
             return id;
         }
         let id = self.edges.len();
-        self.edges.push(Edge { from, to, fragments: Vec::new() });
+        self.edges.push(Edge { from, to, fragments: Vec::new(), count: 0 });
         self.edge_ids.insert((from, to), id);
         id
     }
 
     /// Attach an invocation fragment to a vertex.
     pub fn attach_vertex_fragment(&mut self, state: StateId, frag: Fragment) {
-        self.vertices[state].fragments.push(frag);
+        let v = &mut self.vertices[state];
+        v.fragments.push(frag);
+        v.count += 1;
     }
 
     /// Attach a computation fragment to an edge.
     pub fn attach_edge_fragment(&mut self, edge: EdgeId, frag: Fragment) {
-        self.edges[edge].fragments.push(frag);
+        let e = &mut self.edges[edge];
+        e.fragments.push(frag);
+        e.count += 1;
+    }
+
+    /// Drop every attached fragment, keeping the topology, the counts
+    /// and each location's capacity.
+    pub fn clear_fragments(&mut self) {
+        self.vertices.iter_mut().for_each(|v| v.fragments.clear());
+        self.edges.iter_mut().for_each(|e| e.fragments.clear());
     }
 
     /// Number of states.
@@ -138,36 +160,21 @@ impl Stg {
         &self.edges
     }
 
-    /// Every attached fragment: the vertices' in state order, then the
-    /// edges' in edge order.
+    /// Every attached fragment not yet cleared: the vertices' in state
+    /// order, then the edges' in edge order.
     pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
         let vertex_frags = self.vertices.iter().flat_map(|v| &v.fragments);
         vertex_frags.chain(self.edges.iter().flat_map(|e| &e.fragments))
     }
 
-    /// Total fragments attached anywhere.
+    /// Fragments ever attached anywhere, cleared ones included.
     pub fn total_fragments(&self) -> usize {
-        self.vertices.iter().map(|v| v.fragments.len()).sum::<usize>()
-            + self.edges.iter().map(|e| e.fragments.len()).sum::<usize>()
+        self.vertices.iter().map(|v| v.count).sum::<usize>()
+            + self.edges.iter().map(|e| e.count).sum::<usize>()
     }
 
-    /// The edge whose fragments account for the most total time — the
-    /// dominant computation snippet. Edges between back-to-back
-    /// invocations carry many but near-empty fragments, so picking by
-    /// fragment *count* selects noise; picking by time selects the
-    /// snippet a user would care about.
-    pub fn hottest_edge(&self) -> Option<&Edge> {
-        self.edges
-            .iter()
-            .filter(|e| !e.fragments.is_empty())
-            .max_by(|a, b| {
-                let ta: u64 = a.fragments.iter().map(|f| f.duration().ns()).sum();
-                let tb: u64 = b.fragments.iter().map(|f| f.duration().ns()).sum();
-                ta.cmp(&tb)
-            })
-    }
-
-    /// A DOT-format dump for inspection (the Fig. 4 style view).
+    /// A DOT-format dump for inspection (the Fig. 4 style view), each
+    /// location labelled with its fragment count over the run.
     pub fn to_dot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("digraph stg {\n");
@@ -177,12 +184,12 @@ impl Stg {
                 "  s{} [label=\"{} ({})\"];",
                 i,
                 v.key.label(),
-                v.fragments.len()
+                v.count
             )
             .expect("write to string");
         }
         for e in &self.edges {
-            writeln!(out, "  s{} -> s{} [label=\"{}\"];", e.from, e.to, e.fragments.len())
+            writeln!(out, "  s{} -> s{} [label=\"{}\"];", e.from, e.to, e.count)
                 .expect("write to string");
         }
         out.push_str("}\n");
@@ -259,6 +266,11 @@ mod tests {
         assert_eq!(g.vertices()[a].fragments.len(), 1);
         assert_eq!(g.edges()[e].fragments.len(), 2);
         assert_eq!(g.total_fragments(), 3);
+        g.clear_fragments();
+        assert_eq!(g.fragments().count(), 0);
+        assert_eq!((g.vertices()[a].count, g.edges()[e].count), (1, 2));
+        assert_eq!(g.total_fragments(), 3);
+        assert!(g.edges()[e].fragments.capacity() >= 2);
     }
 
     #[test]

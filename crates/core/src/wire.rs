@@ -6,7 +6,11 @@
 //! state label appears once, referenced by dense id — reusing the
 //! [`SymbolTable`] interner), and the fragments grouped per STG location.
 //! Edges are `(from, to)` id pairs, so a state label containing `" -> "`
-//! can never collide with a transition label.
+//! can never collide with a transition label. A client cuts one from its
+//! STG the moment a report period completes
+//! ([`FragmentBatch::from_stg_starting_in`], called by the
+//! [`Collector`](crate::collector::Collector)); the STG then drops those
+//! fragments, so the frames shipped are the only copy of the run's data.
 //!
 //! There is one serialisation, [`FragmentBatch::encode`]: a compact
 //! **columnar (SoA) binary layout** with length-prefixed framing (see
@@ -843,116 +847,36 @@ fn check_offsets(base_ns: u64, mut col: UintColumn<'_>, n: usize) -> Result<(), 
     Ok(())
 }
 
-/// The bytes a rank's client ships over a run: the encoded length of
-/// its frames, one per report period ([`FragmentBatch::per_period`]).
-pub fn shipped_bytes(stg: &Stg, rank: usize, period: VirtualTime) -> u64 {
-    let mut frame = Vec::new();
-    FragmentBatch::per_period(stg, rank, period)
-        .iter()
-        .map(|batch| {
-            frame.clear();
-            batch.encode_into(&mut frame);
-            frame.len() as u64
-        })
-        .sum()
-}
-
 impl FragmentBatch {
-    /// Extract a rank's batch for `window` from its STG: every fragment
-    /// *overlapping* the window. Used for one-shot analyses; periodic
-    /// shipping should use [`FragmentBatch::from_stg_starting_in`] so
-    /// consecutive batches partition the fragments.
-    pub fn from_stg(stg: &Stg, rank: usize, window: Window) -> FragmentBatch {
-        Self::one_batch(stg, rank, window, |f| window.overlaps(f.start, f.end))
-    }
-
-    /// Extract the batch a client ships for one reporting period: the
-    /// fragments whose *start* lies in `[window.start, window.end)`.
-    /// Unlike [`FragmentBatch::from_stg`], consecutive periods partition
-    /// the fragment population — nothing is shipped twice.
+    /// The batch a client ships for one report period: the fragments of
+    /// `stg` whose *start* lies in `[window.start, window.end)`, grouped
+    /// by location in STG order, so consecutive periods partition the
+    /// fragment population. Labels are interned on first use, so only
+    /// states that appear (as a non-empty vertex or an edge endpoint)
+    /// enter the dictionary.
     pub fn from_stg_starting_in(stg: &Stg, rank: usize, window: Window) -> FragmentBatch {
-        Self::one_batch(stg, rank, window, |f| f.start >= window.start && f.start < window.end)
-    }
-
-    /// Every batch a client ships over a run, one per report period:
-    /// batch `k` equals [`FragmentBatch::from_stg_starting_in`] over
-    /// `[k·period, (k+1)·period)`, for `k` from 0 through the period of
-    /// the latest fragment start — empty periods included, since a
-    /// client ships each one. Built in one walk over the STG.
-    pub fn per_period(stg: &Stg, rank: usize, period: VirtualTime) -> Vec<FragmentBatch> {
-        let p = period.ns().max(1);
-        let period_of = |f: &Fragment| (f.start.ns() / p) as usize;
-        let Some(last) = stg.fragments().map(period_of).max() else {
-            return Vec::new();
+        let kept = |frags: &[Fragment]| -> Vec<Fragment> {
+            frags.iter().filter(|f| f.start >= window.start && f.start < window.end).cloned().collect()
         };
-        let windows = (0..=last as u64).map(|k| Window {
-            start: VirtualTime::from_ns(k * p),
-            end: VirtualTime::from_ns((k + 1) * p),
-        });
-        Self::partition(stg, rank, windows.collect(), |f| Some(period_of(f)))
-    }
-
-    /// The one batch of `window` holding the fragments `keep` accepts.
-    fn one_batch(
-        stg: &Stg,
-        rank: usize,
-        window: Window,
-        keep: impl Fn(&Fragment) -> bool,
-    ) -> FragmentBatch {
-        let mut batches = Self::partition(stg, rank, vec![window], |f| keep(f).then_some(0));
-        batches.pop().unwrap_or_else(|| Self::empty(rank, window))
-    }
-
-    /// One batch per window of `windows`, in one walk over the STG:
-    /// batch `k` holds the fragments `batch_of` sends to `k` (`None`
-    /// ships a fragment nowhere), grouped by location in STG order.
-    /// Labels are interned on first use, so only states that appear (as
-    /// a non-empty vertex or an edge endpoint) enter a batch's
-    /// dictionary.
-    fn partition(
-        stg: &Stg,
-        rank: usize,
-        windows: Vec<Window>,
-        batch_of: impl Fn(&Fragment) -> Option<usize>,
-    ) -> Vec<FragmentBatch> {
-        let mut batches: Vec<FragmentBatch> =
-            windows.iter().map(|&w| Self::empty(rank, w)).collect();
-        let mut dicts: Vec<SymbolTable<String>> = windows.iter().map(|_| SymbolTable::new()).collect();
-        // The location each batch's last group belongs to: a location's
-        // fragments are contiguous in the walk, so one mark per batch
-        // says whether a fragment opens a group or joins one.
-        let mut open: Vec<Option<usize>> = vec![None; windows.len()];
         let label = |state: usize| stg.vertices()[state].key.label();
+        let mut batch = Self::empty(rank, window);
+        let mut dict: SymbolTable<String> = SymbolTable::new();
         for (id, v) in stg.vertices().iter().enumerate() {
-            for f in &v.fragments {
-                let Some(k) = batch_of(f).filter(|&k| k < batches.len()) else { continue };
-                if open[k] != Some(id) {
-                    open[k] = Some(id);
-                    let label = dicts[k].intern(label(id));
-                    batches[k].vertex_groups.push(VertexGroup { label, fragments: Vec::new() });
-                }
-                let group = batches[k].vertex_groups.last_mut().expect("opened above");
-                group.fragments.push(f.clone());
+            let fragments = kept(&v.fragments);
+            if !fragments.is_empty() {
+                let label = dict.intern(label(id));
+                batch.vertex_groups.push(VertexGroup { label, fragments });
             }
         }
-        open.fill(None);
-        for (id, e) in stg.edges().iter().enumerate() {
-            for f in &e.fragments {
-                let Some(k) = batch_of(f).filter(|&k| k < batches.len()) else { continue };
-                if open[k] != Some(id) {
-                    open[k] = Some(id);
-                    let from = dicts[k].intern(label(e.from));
-                    let to = dicts[k].intern(label(e.to));
-                    batches[k].edge_groups.push(EdgeGroup { from, to, fragments: Vec::new() });
-                }
-                let group = batches[k].edge_groups.last_mut().expect("opened above");
-                group.fragments.push(f.clone());
+        for e in stg.edges() {
+            let fragments = kept(&e.fragments);
+            if !fragments.is_empty() {
+                let (from, to) = (dict.intern(label(e.from)), dict.intern(label(e.to)));
+                batch.edge_groups.push(EdgeGroup { from, to, fragments });
             }
         }
-        for (batch, dict) in batches.iter_mut().zip(dicts) {
-            batch.labels = dict.into_keys();
-        }
-        batches
+        batch.labels = dict.into_keys();
+        batch
     }
 
     /// A batch of `window` with no fragments.
@@ -1013,7 +937,9 @@ impl FragmentBatch {
         self.len() == 0
     }
 
-    pub(crate) fn fragments(&self) -> impl Iterator<Item = &Fragment> {
+    /// Every fragment of the batch: the vertex groups', then the edge
+    /// groups', in group order.
+    pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
         self.vertex_groups
             .iter()
             .flat_map(|g| g.fragments.iter())
@@ -1742,20 +1668,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_extraction_respects_the_window() {
-        let stg = sample_stg(3);
-        let all = FragmentBatch::from_stg(&stg, 3, full_window());
-        assert_eq!(all.len(), 20);
-        let half = FragmentBatch::from_stg(
-            &stg,
-            3,
-            Window { start: VirtualTime::ZERO, end: VirtualTime::from_ns(1000) },
-        );
-        assert!(half.len() < all.len());
-        assert!(!half.is_empty());
-    }
-
-    #[test]
     fn start_partitioned_batches_cover_each_fragment_once() {
         let stg = sample_stg(0);
         // 900 ns falls inside the 800..950 fragment, so the boundary is
@@ -1765,22 +1677,18 @@ mod tests {
         let b1 = FragmentBatch::from_stg_starting_in(&stg, 0, w1);
         let b2 = FragmentBatch::from_stg_starting_in(&stg, 0, w2);
         assert_eq!(b1.len() + b2.len(), stg.total_fragments());
-        // The overlap extraction, by contrast, double-ships the fragment
-        // straddling the boundary.
-        let o1 = FragmentBatch::from_stg(&stg, 0, w1);
-        let o2 = FragmentBatch::from_stg(&stg, 0, w2);
-        assert!(o1.len() + o2.len() > stg.total_fragments());
+        assert_eq!((b1.len(), b2.len()), (9, 11));
     }
 
     /// The sample frame every codec test mutates: rank 2, sequence 7,
     /// routed to tenant 5 / job 6.
     fn stamped_batch() -> FragmentBatch {
-        FragmentBatch::from_stg(&sample_stg(2), 2, full_window()).with_seq(7).with_job(5, 6)
+        FragmentBatch::from_stg_starting_in(&sample_stg(2), 2, full_window()).with_seq(7).with_job(5, 6)
     }
 
     #[test]
     fn binary_roundtrip_is_lossless() {
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
+        let batch = FragmentBatch::from_stg_starting_in(&sample_stg(1), 1, full_window());
         assert_eq!((batch.seq, batch.tenant_id, batch.job_id), (0, DEFAULT_TENANT, DEFAULT_JOB));
         let bytes = batch.encode();
         assert_eq!(bytes[8], WIRE_VERSION);
@@ -1798,7 +1706,7 @@ mod tests {
         // fixed header, dictionary, heads and shape table plus a few
         // bytes a row — not the 27-byte fixed record of a row-oriented
         // layout.
-        let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
+        let batch = FragmentBatch::from_stg_starting_in(&sample_stg(1), 1, full_window());
         let bytes = batch.encode();
         let parts = FrameView::parse(&bytes).unwrap().composition();
         assert_eq!(parts.total(), bytes.len());
@@ -1809,27 +1717,6 @@ mod tests {
         assert_eq!((parts.values, parts.args), (4 + 10 * 8, 4 + 1 + 10));
         let fixed = parts.header + parts.dictionary + parts.heads + parts.shapes;
         assert!(fixed < 120, "fixed overhead {fixed} B");
-    }
-
-    #[test]
-    fn per_period_batches_are_the_start_partitioned_batches() {
-        // 200 ns periods over a 2 µs timeline: ten batches, built in one
-        // walk, each equal to its own filtered extraction.
-        let stg = sample_stg(4);
-        let period = VirtualTime::from_ns(200);
-        let batches = FragmentBatch::per_period(&stg, 4, period);
-        assert_eq!(batches.len(), 10);
-        for (k, batch) in batches.iter().enumerate() {
-            let window = Window {
-                start: VirtualTime::from_ns(k as u64 * 200),
-                end: VirtualTime::from_ns((k as u64 + 1) * 200),
-            };
-            assert_eq!(batch, &FragmentBatch::from_stg_starting_in(&stg, 4, window), "period {k}");
-        }
-        assert!(FragmentBatch::per_period(&Stg::new(), 0, period).is_empty());
-        // A period past the timeline: one batch of everything.
-        let one = FragmentBatch::per_period(&stg, 4, VirtualTime::from_secs(1));
-        assert_eq!(one, vec![FragmentBatch::from_stg_starting_in(&stg, 4, full_window())]);
     }
 
     #[test]
@@ -2014,7 +1901,7 @@ mod tests {
         let (start, end) = (VirtualTime::from_ns(3_000), VirtualTime::from_ns(3_100));
         let f = Fragment { rank: 2, kind: FragmentKind::Io, start, end, counters: c, args: vec![] };
         stg.attach_edge_fragment(e, f);
-        let clean = FragmentBatch::from_stg(&stg, 2, full_window()).with_seq(1).encode();
+        let clean = FragmentBatch::from_stg_starting_in(&stg, 2, full_window()).with_seq(1).encode();
         let at = fields(&clean);
         assert_eq!(clean[at.rankw], 0, "every row is at the header rank");
         assert_eq!(clean[at.argw], 1, "the args are one-byte integers");
@@ -2110,7 +1997,7 @@ mod tests {
         let kind = FragmentKind::Computation;
         let f = Fragment { rank: 0, kind, start, end: start, counters: c, args: vec![] };
         stg.attach_edge_fragment(e, f);
-        let bytes = FragmentBatch::from_stg(&stg, 0, full_window()).encode();
+        let bytes = FragmentBatch::from_stg_starting_in(&stg, 0, full_window()).encode();
         let view = FrameView::parse(&bytes).unwrap();
         assert_eq!(view.composition().values, 4 + 4 * 8, "only +0.0 is elided");
         let row = view.rows().next().unwrap();
@@ -2147,7 +2034,7 @@ mod tests {
         };
         stg.attach_edge_fragment(self_e, mk(1.0));
         stg.attach_edge_fragment(ab, mk(2.0));
-        let batch = FragmentBatch::from_stg(&stg, 0, full_window());
+        let batch = FragmentBatch::from_stg_starting_in(&stg, 0, full_window());
         // Two distinct edge groups survive the roundtrip, keyed by label
         // *pairs*: ("a -> b","a -> b") and ("a","b").
         let back = FragmentBatch::decode(&batch.encode()).unwrap();

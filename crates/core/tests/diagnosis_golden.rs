@@ -18,7 +18,9 @@ use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use vapro_core::detect::window::Window;
 use vapro_core::diagnose::{diagnose_region, DiagnosisReport, RegionOfInterest};
-use vapro_core::{Fragment, FragmentBatch, FragmentKind, StateKey, Stg, VaproConfig, WindowedIngestor};
+use vapro_core::{
+    ColumnarPool, Fragment, FragmentBatch, FragmentKind, StateKey, Stg, VaproConfig, WindowedIngestor,
+};
 use vapro_pmu::{CpuConfig, CpuModel, JitterModel, Locality, NoiseEnv, WorkloadSpec};
 use vapro_sim::{CallSite, VirtualTime};
 
@@ -179,10 +181,13 @@ fn fold_one_shot(h: &mut Fnv, stgs: &[Stg]) -> usize {
             t_end: VirtualTime::from_ns(ITERATIONS * SLOT_NS),
         },
     ];
+    let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
+    let batches: Vec<FragmentBatch> = stgs.iter().enumerate().map(cut).collect();
+    let pool = ColumnarPool::from_batches(&batches, None);
     let mut diagnosed = 0;
     for roi in &rois {
         fold_roi(h, roi);
-        match diagnose_region(stgs, roi, &cfg) {
+        match diagnose_region(&pool, roi, &cfg) {
             Some(r) => {
                 fold_report(h, &r);
                 diagnosed += 1;

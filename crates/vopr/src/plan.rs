@@ -56,6 +56,13 @@ pub fn charge_of(bytes: &[u8]) -> u64 {
     FrameView::parse(bytes).map_or(bytes.len() as u64, |frame| frame_charge(&frame))
 }
 
+/// Each rank's STG cut as one frame covering all time — how a fixture
+/// built as STGs reaches the one-shot references, which read frames.
+pub fn whole_run_batches(stgs: &[Stg]) -> Vec<FragmentBatch> {
+    let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
+    stgs.iter().enumerate().map(cut).collect()
+}
+
 /// Build per-rank STGs for a synthetic run: `sites` call sites per rank,
 /// each a self-loop carrying computation fragments of a site-specific
 /// workload class (±0.3 % PMU-style jitter), with an invocation fragment
@@ -460,7 +467,7 @@ pub fn plan_events(plan: &FaultPlan) -> Vec<TransportEvent> {
 /// bit-identity reference for clean streamed runs.
 pub fn one_shot_reference(plan: &FaultPlan) -> Vec<WindowReport> {
     let cfg = plan_config(plan.period_ns());
-    analyze_windows(&plan.stgs(), plan.total_ranks(), 8, &cfg)
+    analyze_windows(&whole_run_batches(&plan.stgs()), plan.total_ranks(), 8, &cfg)
 }
 
 /// Field-wise equality of one report pair, as a `Result` naming the
@@ -696,7 +703,7 @@ mod tests {
         assert_eq!(total, 4 * 180);
         // All ranks share the same states, so pooling crosses ranks.
         use vapro_core::PoolView;
-        let pool = vapro_core::ColumnarPool::from_stgs(&stgs, None);
+        let pool = vapro_core::ColumnarPool::from_batches(&whole_run_batches(&stgs), None);
         for v in 0..pool.num_vertices() {
             let lane = pool.vertex(v).1;
             let ranks: std::collections::HashSet<_> = (0..lane.len()).map(|i| lane.rank(i)).collect();

@@ -37,7 +37,7 @@ fn main() {
 
     // Clients ship one frame per reporting period; the server analyses
     // each window as soon as every rank has shipped past its end.
-    let reports = serve(&run.stgs, vcfg.report_period, 24, vcfg.clone());
+    let reports = serve(&run.shipped, 24, vcfg.clone());
     println!("analysed {} overlapped windows of {}", reports.len(), vcfg.report_period);
     for r in &reports {
         let flagged = r

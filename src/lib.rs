@@ -47,8 +47,12 @@ pub mod harness {
 
     /// Everything one monitored run produces.
     pub struct VaproRun {
-        /// Per-rank STGs built by the collectors.
+        /// Per-rank STGs built by the collectors: topology and fragment
+        /// counts; the fragments themselves went out in `shipped`.
         pub stgs: Vec<Stg>,
+        /// Every frame each rank's client shipped, indexed by rank, then
+        /// report period.
+        pub shipped: Vec<Vec<FragmentBatch>>,
         /// Per-rank execution times.
         pub rank_clocks: Vec<VirtualTime>,
         /// The slowest rank's clock.
@@ -86,12 +90,12 @@ pub mod harness {
         let makespan = result.makespan();
         let invocations = result.total_invocations();
         let collectors = result.into_tools::<Collector>();
-        let stgs: Vec<Stg> = collectors.into_iter().map(Collector::into_stg).collect();
+        let (stgs, shipped): (Vec<Stg>, Vec<_>) = collectors.into_iter().map(Collector::finish).unzip();
         // One window covers the run: a period of its last fragment end + 1 ns.
-        let t_end = stgs.iter().flat_map(Stg::fragments).map(|f| f.end.ns()).max();
+        let t_end = shipped.iter().flatten().flat_map(FragmentBatch::fragments).map(|f| f.end.ns()).max();
         let report_period = VirtualTime::from_ns(t_end.unwrap_or(0) + 1);
         let server_cfg = VaproConfig { report_period, ..vapro_cfg.clone() };
-        let reports = serve(&stgs, vapro_cfg.report_period, bins, server_cfg);
+        let reports = serve(&shipped, bins, server_cfg);
         let (detection, diagnoses) = match reports.into_iter().last() {
             Some(report) => (report.result, report.diagnoses),
             // No fragments, no window: an empty pool's detection.
@@ -99,6 +103,7 @@ pub mod harness {
         };
         VaproRun {
             stgs,
+            shipped,
             rank_clocks,
             makespan,
             detection,
@@ -107,18 +112,16 @@ pub mod harness {
         }
     }
 
-    /// Every rank's STG shipped as its client ships it — one
-    /// [`FragmentBatch::per_period`] frame per `period`, period `k` of
-    /// every rank before `k + 1` — into a [`WindowedIngestor`] over `cfg`,
-    /// and every report it emits: the pushes' and `finish`'s (which of
-    /// them returns a window depends on the analysis stage's timing).
-    pub fn serve(stgs: &[Stg], period: VirtualTime, bins: usize, cfg: VaproConfig) -> Vec<WindowReport> {
-        let ship = |(rank, stg)| FragmentBatch::per_period(stg, rank, period);
-        let per_rank: Vec<Vec<FragmentBatch>> = stgs.iter().enumerate().map(ship).collect();
-        let periods = per_rank.iter().map(Vec::len).max().unwrap_or(0);
-        let mut server = WindowedIngestor::new(stgs.len(), bins, cfg);
+    /// Every rank's shipped frames (indexed by rank, then period) pushed
+    /// encoded, period `k` of every rank before `k + 1`, into a
+    /// [`WindowedIngestor`] over `cfg`, and every report it emits: the
+    /// pushes' and `finish`'s (which of them returns a window depends on
+    /// the analysis stage's timing).
+    pub fn serve(shipped: &[Vec<FragmentBatch>], bins: usize, cfg: VaproConfig) -> Vec<WindowReport> {
+        let periods = shipped.iter().map(Vec::len).max().unwrap_or(0);
+        let mut server = WindowedIngestor::new(shipped.len(), bins, cfg);
         let mut reports = Vec::new();
-        for batch in (0..periods).flat_map(|k| per_rank.iter().filter_map(move |b| b.get(k))) {
+        for batch in (0..periods).flat_map(|k| shipped.iter().filter_map(move |b| b.get(k))) {
             reports.extend(server.push_encoded(&batch.encode()).expect("own frame admitted"));
         }
         reports.extend(server.finish());
@@ -165,21 +168,20 @@ pub mod harness {
 mod tests {
     use super::harness::*;
     use vapro_apps::AppParams;
-    use vapro_core::wire::shipped_bytes;
     use vapro_core::{
         detect_columnar, ColumnarPool, DetectionResult, DiagnosisBatch, FragmentBatch,
         RegionDiagnosis, RegionOfInterest, VaproConfig,
     };
     use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
-    /// The whole run gathered straight from the STGs into one pool —
-    /// no wire, arena or stage — then detected, and its top regions
-    /// diagnosed over the same pool.
+    /// The whole run gathered straight from the shipped frames into one
+    /// pool — no encoding, arena or stage — then detected, and its top
+    /// regions diagnosed over the same pool.
     fn whole_run_reference(
         run: &VaproRun,
         cfg: &VaproConfig,
     ) -> (DetectionResult, Vec<RegionDiagnosis>) {
-        let pool = ColumnarPool::from_stgs(&run.stgs, None);
+        let pool = ColumnarPool::from_batches(run.shipped.iter().flatten(), None);
         let detection = detect_columnar(&pool, run.rank_clocks.len(), DEFAULT_BINS, cfg);
         let batch = DiagnosisBatch::with_clusters(&pool, cfg, &detection.edge_clusters);
         let diagnoses = detection.comp_regions.iter().take(cfg.diagnose_top_k).filter_map(|r| {
@@ -252,8 +254,7 @@ mod tests {
         let cfg = VaproConfig { pipeline_depth: 0, ..VaproConfig::default() };
         let run = cg_run(&SimConfig::new(8), &cfg);
         assert!(run.makespan < cfg.report_period, "{}", run.makespan);
-        let periods = |stg| FragmentBatch::per_period(stg, 0, cfg.report_period).len();
-        assert!(run.stgs.iter().all(|stg| periods(stg) == 1));
+        assert!(run.shipped.iter().all(|frames| frames.len() == 1));
         assert!(run.detection.coverage > 0.3, "coverage {}", run.detection.coverage);
         assert_identical(&run.detection, &whole_run_reference(&run, &cfg).0);
     }
@@ -263,6 +264,7 @@ mod tests {
         let cfg = VaproConfig::default();
         let run = run_under_vapro(&SimConfig::new(2), &cfg, |_| {});
         assert!(run.stgs.iter().all(|stg| stg.total_fragments() == 0));
+        assert!(run.shipped.iter().all(Vec::is_empty));
         assert!(run.detection.series.is_empty());
         assert!(run.detection.comp_regions.is_empty() && run.diagnoses.is_empty());
         assert_eq!(run.detection.coverage, 0.0);
@@ -275,11 +277,11 @@ mod tests {
         let run = run_under_vapro(&SimConfig::new(4), &cfg, |ctx| {
             vapro_apps::npb::cg::run(ctx, &AppParams::default().with_iterations(4))
         });
-        assert_eq!(run.stgs.len(), 4);
+        assert_eq!((run.stgs.len(), run.shipped.len()), (4, 4));
         assert!(run.detection.coverage > 0.3);
         assert!(run.invocations > 0);
-        let shipped = |(rank, stg)| shipped_bytes(stg, rank, cfg.report_period);
-        assert!(run.stgs.iter().enumerate().map(shipped).all(|b| b > 0));
+        let bytes = |frames: &Vec<FragmentBatch>| frames.iter().map(|b| b.encode().len()).sum::<usize>();
+        assert!(run.shipped.iter().map(bytes).all(|b| b > 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use vapro::core::diagnose::{diagnose_progressively, Factor};
 use vapro::core::fragment::Fragment;
-use vapro::core::VaproConfig;
+use vapro::core::{ColumnarPool, PoolView, VaproConfig};
 use vapro::harness::run_under_vapro;
 use vapro::apps::AppParams;
 use vapro::pmu::{events, CounterSet};
@@ -32,12 +32,23 @@ fn diagnose_under(
     let cfg = SimConfig::new(4).with_noise(schedule);
     let vcfg = VaproConfig::default().with_counters(counters);
     let run = run_under_vapro(&cfg, &vcfg, |ctx| vapro::apps::npb::cg::run(ctx, &params));
-    let stg = &run.stgs[0];
-    let edge = stg.hottest_edge()?;
-    let pool: Vec<Fragment> = edge.fragments.clone();
+    // Rank 0's edge lane with the most total time.
+    let pool = ColumnarPool::from_batches(&run.shipped[0], None);
+    let busy = |e: &usize| {
+        let lane = pool.edge(*e).2;
+        (0..lane.len()).map(|i| lane.end(i).saturating_since(lane.start(i)).ns()).sum::<u64>()
+    };
+    let edge = pool.edge((0..pool.num_edges()).max_by_key(busy)?).2;
     let mut provider = move |set: CounterSet| -> Vec<Fragment> {
-        pool.iter()
-            .map(|f| Fragment { counters: f.counters.project(set), ..f.clone() })
+        (0..edge.len())
+            .map(|i| Fragment {
+                rank: edge.rank(i),
+                kind: edge.kind(i),
+                start: edge.start(i),
+                end: edge.end(i),
+                counters: edge.project_counters(i, set),
+                args: edge.args(i).to_vec(),
+            })
             .collect()
     };
     diagnose_progressively(&mut provider, 1.2, 0.25, 0.05)
@@ -160,7 +171,8 @@ fn detected_region_feeds_straight_into_region_diagnosis() {
         .find(|r| r.covers_rank(2))
         .expect("memory noise detected on rank 2");
     let roi: RegionOfInterest = region.into();
-    let rep = diagnose_region(&run.stgs, &roi, &vcfg).expect("region diagnosed");
+    let pool = ColumnarPool::from_batches(run.shipped.iter().flatten(), None);
+    let rep = diagnose_region(&pool, &roi, &vcfg).expect("region diagnosed");
     assert!(rep.steps[0].report.of(Factor::BackendBound).unwrap().major);
     assert!(
         rep.culprits

@@ -175,7 +175,7 @@ fn windowed_server_analysis_runs_over_a_long_horizon() {
     });
     // At scale 20 a run spans multiple 15-second reporting periods.
     assert!(run.makespan > VirtualTime::from_secs(15), "makespan {}", run.makespan);
-    let reports = analyze_windows(&run.stgs, 4, 16, &VaproConfig::default());
+    let reports = analyze_windows(run.shipped.iter().flatten(), 4, 16, &VaproConfig::default());
     assert!(reports.len() >= 2, "only {} windows", reports.len());
     for r in &reports {
         assert!(r.result.comp_regions.is_empty(), "quiet run flagged in {:?}", r.window);

@@ -9,9 +9,10 @@ use vapro::core::clustering::{cluster_vectors, cluster_vectors_unpruned};
 use vapro::core::detect::heatmap::HeatMap;
 use vapro::core::detect::normalize::PerfPoint;
 use vapro::core::detect::region::grow_regions;
+use vapro::core::detect::window::Window;
 use vapro::core::{
-    diagnose_region, ClusterTable, ColumnarPool, DiagnosisBatch, Fragment, FragmentKind,
-    RegionOfInterest, StateKey, Stg, VaproConfig,
+    diagnose_region, ClusterTable, ColumnarPool, DiagnosisBatch, Fragment, FragmentBatch,
+    FragmentKind, RegionOfInterest, StateKey, Stg, VaproConfig,
 };
 use vapro::pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown, WorkloadSpec};
 use vapro::sim::{CallSite, VirtualTime};
@@ -325,14 +326,16 @@ proptest! {
             t_start: VirtualTime::ZERO,
             t_end: VirtualTime::from_ns(t_max.max(1)),
         });
-        let pool = ColumnarPool::from_stgs(&stgs, None);
+        let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
+        let batches: Vec<FragmentBatch> = stgs.iter().enumerate().map(cut).collect();
+        let pool = ColumnarPool::from_batches(&batches, None);
         let mut clusters = ClusterTable::new(cfg.min_cluster_size);
         for e in 0..pool.num_edges() {
             clusters.push_lane(&pool.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
         }
         let batch = DiagnosisBatch::with_clusters(&pool, &cfg, &clusters);
         for roi in &rois {
-            prop_assert_eq!(batch.diagnose(roi), diagnose_region(&stgs, roi, &cfg));
+            prop_assert_eq!(batch.diagnose(roi), diagnose_region(&pool, roi, &cfg));
         }
     }
 
