@@ -150,18 +150,28 @@ soak:
 # The one throughput driver (BENCHMARK.json; its own package and target
 # dir): encoded frames in, WindowReports out, four workloads, results in
 # benchmark/out/. `benchmark-test` is its unit and pipeline tests.
+#
+# `benchmark/Cargo.lock` is frozen with the package, but cargo rewrites it
+# whenever a workspace crate's dependency list has moved since; both
+# targets that build the package therefore put the file back afterwards,
+# whatever the build's exit status.
+FROZEN_LOCK := benchmark/Cargo.lock
+keep_frozen_lock = saved=$$(mktemp) && cp $(FROZEN_LOCK) $$saved && \
+	{ $(1); status=$$?; cp $$saved $(FROZEN_LOCK); rm -f $$saved; exit $$status; }
+
 benchmark:
-	$(CARGO) run --release $(OFFLINE) --quiet --manifest-path benchmark/Cargo.toml -- run --seed 1
+	@$(call keep_frozen_lock,$(CARGO) run --release $(OFFLINE) --quiet --manifest-path benchmark/Cargo.toml -- run --seed 1)
 
 benchmark-test:
-	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml
+	@$(call keep_frozen_lock,$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml)
 
 # How a performance claim is measured on a small box (choosing-metrics
 # guide §8): `make benchmark-pairs BASE=<rev> [N=10] [SEED=1] [WORKLOAD=…]`
 # exports BASE under the git-ignored .bench_build/, builds it and the
 # working tree, runs N pairs of `benchmark run` alternating which side
 # goes first, and prints per metric × workload the medians, [Q1–Q3], the
-# pairs the change won and every run.
+# pairs the change won and every run. It restores each tree's frozen
+# `benchmark/Cargo.lock` after building it, as the two targets above do.
 benchmark-pairs:
 	@test -n "$(BASE)" || { echo "usage: make benchmark-pairs BASE=<rev> [N=10] [SEED=1] [WORKLOAD=name]"; exit 2; }
 	python3 scripts/benchmark_pairs.py --base $(BASE) --pairs $(or $(N),10) --seed $(or $(SEED),1) \

@@ -15,6 +15,11 @@
 //!
 //! The loop over the sorted array is linear (each fragment is visited once
 //! as a member); only the initial sort is `O(n log n)`.
+//!
+//! A window clusters many small lanes (6–30 vectors on the benchmark's
+//! streams), so what a lane costs besides its rows matters: the kernel's
+//! work lanes live in a `ClusterScratch` the caller keeps, and a
+//! window's detection recycles one with the window's sealed pool.
 
 use crate::fragment::Fragment;
 use vapro_pmu::CounterId;
@@ -210,10 +215,44 @@ impl ClusterTable {
         proxy_counters: &[CounterId],
         threshold: f64,
     ) -> LaneClusters<'_> {
+        self.push_lane_with(pool, proxy_counters, threshold, &mut ClusterScratch::default())
+    }
+
+    /// [`ClusterTable::push_lane`] with the kernel's work lanes borrowed
+    /// from `scratch`: a caller clustering lane after lane allocates them
+    /// once, at its largest lane.
+    pub(crate) fn push_lane_with<P: crate::columnar::PoolView + ?Sized>(
+        &mut self,
+        pool: &P,
+        proxy_counters: &[CounterId],
+        threshold: f64,
+        scratch: &mut ClusterScratch,
+    ) -> LaneClusters<'_> {
         self.members.reserve(pool.len());
-        cluster_pool_into(pool, proxy_counters, threshold, self);
+        cluster_pool_into(pool, proxy_counters, threshold, self, scratch);
         self.lane_ends.push(self.member_ends.len());
         self.lane(self.num_lanes() - 1)
+    }
+
+    /// Forget every lane and split usable from rare at `min_cluster_size`
+    /// from now on, keeping the strips' capacity: how a recycled table
+    /// starts a window.
+    pub(crate) fn reset(&mut self, min_cluster_size: usize) {
+        self.clear();
+        self.min_cluster_size = min_cluster_size;
+    }
+
+    /// Room for `lanes` more non-empty lanes holding `members` more
+    /// members between them, and for the one cluster of `dim`-wide seed
+    /// each of them has at least: a window's table is sized once, and
+    /// only lanes that split into several clusters grow it further.
+    pub(crate) fn reserve(&mut self, lanes: usize, members: usize, dim: usize) {
+        self.lane_ends.reserve(lanes);
+        self.member_ends.reserve(lanes);
+        self.members.reserve(members);
+        self.seed_ends.reserve(lanes);
+        self.seeds.reserve(lanes * dim);
+        self.seed_norms.reserve(lanes);
     }
 }
 
@@ -319,6 +358,16 @@ fn total_cmp_key(x: f64) -> u64 {
     (mapped as u64) ^ (1u64 << 63)
 }
 
+/// The `f64` whose [`total_cmp_key`] is `key`, bit for bit (the mapping
+/// flips the low 63 bits of negatives, which leaves the sign bit it
+/// decides by alone, so applying it again undoes it): the sort key is
+/// the norm, and the kernel keeps no second copy.
+#[inline(always)]
+fn norm_of_key(key: u64) -> f64 {
+    let mapped = (key ^ (1u64 << 63)) as i64;
+    f64::from_bits((mapped ^ ((((mapped >> 63) as u64) >> 1) as i64)) as u64)
+}
+
 fn check_dimensions(vectors: &[Vec<f64>], threshold: f64) {
     assert!(threshold > 0.0 && threshold < 1.0, "threshold out of range");
     if let Some(first) = vectors.first() {
@@ -389,27 +438,48 @@ pub fn cluster_lanes(
     min_cluster_size: usize,
 ) -> ClusterOutcome {
     let mut sink = OwnedClusters::default();
-    cluster_lanes_into(data, n, dim, threshold, &mut sink);
+    let (mut keyed, mut skip) = (Vec::new(), Vec::new());
+    cluster_lanes_into(data, n, dim, threshold, &mut sink, &mut keyed, &mut skip);
     split_by_size(sink.clusters, min_cluster_size)
+}
+
+/// The clustering kernel's work lanes: a lane's workload matrix, its
+/// sort keys and the scan's skip chain. Cleared, never shrunk, between
+/// lanes, so a caller that clusters lane after lane — a window's
+/// detection, with the scratch it recycles beside the window's pool —
+/// allocates them once instead of three times a lane.
+#[derive(Debug, Default)]
+pub(crate) struct ClusterScratch {
+    /// The lane's workload vectors, row-major, zero-padded to one width.
+    data: Vec<f64>,
+    /// `(total_cmp_key(norm), row)`, sorted: the norm-ordered rows.
+    keyed: Vec<(u64, u32)>,
+    /// The absorb scan's skip chain over sorted positions.
+    skip: Vec<u32>,
 }
 
 /// The kernel every entry point lowers to: cluster a row-major `n × dim`
 /// matrix into `sink`. The whole pipeline runs over adjacent memory:
 ///
-/// 1. norms and sort keys are built in one streaming pass over the flat
-///    strip, each key the `(total_cmp_key(norm), index)` pair;
+/// 1. sort keys are built in one streaming pass over the flat strip,
+///    each the `(total_cmp_key(norm), index)` pair — the key is the
+///    norm, recovered bit for bit by [`norm_of_key`];
 /// 2. the pairs are sorted with `sort_unstable` — integer order on the
 ///    pair is norm order with index tie-break, which is exactly a
 ///    *stable* `sort_by(total_cmp)` with no float comparisons at all;
-/// 3. the absorb scan walks the sorted norm lane sequentially and
-///    evaluates distances row against row, with the kernel specialised
-///    for the small dimensions workload proxies actually have.
+/// 3. the absorb scan walks the sorted pairs sequentially and evaluates
+///    distances row against row, with the kernel specialised for the
+///    small dimensions workload proxies actually have.
+///
+/// `keyed` and `skip` are work lanes whose contents are overwritten.
 fn cluster_lanes_into<S: ClusterSink>(
     data: &[f64],
     n: usize,
     dim: usize,
     threshold: f64,
     sink: &mut S,
+    keyed: &mut Vec<(u64, u32)>,
+    skip: &mut Vec<u32>,
 ) {
     assert!(threshold > 0.0 && threshold < 1.0, "threshold out of range");
     assert_eq!(data.len(), n * dim, "lane data must be a dense n x dim matrix");
@@ -418,54 +488,44 @@ fn cluster_lanes_into<S: ClusterSink>(
         return;
     }
 
-    // One streaming pass: norms and (total-order key, index) pairs.
-    let mut norms: Vec<f64> = Vec::with_capacity(n);
-    let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+    keyed.clear();
+    keyed.reserve(n);
     for i in 0..n {
         let row = &data[i * dim..(i + 1) * dim];
         let norm = row.iter().map(|x| x * x).sum::<f64>().sqrt();
-        norms.push(norm);
         keyed.push((total_cmp_key(norm), i as u32));
     }
     keyed.sort_unstable();
 
-    // Sorted norm lane: the scan's window check then streams forward.
-    let mut snorms: Vec<f64> = Vec::with_capacity(n);
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for &(_, idx) in &keyed {
-        snorms.push(norms[idx as usize]);
-        order.push(idx);
-    }
-
     match dim {
-        1 => greedy_scan(data, &snorms, &order, 1, threshold, dist_sq_fixed::<1>, sink),
-        2 => greedy_scan(data, &snorms, &order, 2, threshold, dist_sq_fixed::<2>, sink),
-        3 => greedy_scan(data, &snorms, &order, 3, threshold, dist_sq_fixed::<3>, sink),
-        4 => greedy_scan(data, &snorms, &order, 4, threshold, dist_sq_fixed::<4>, sink),
-        _ => greedy_scan(data, &snorms, &order, dim, threshold, dist_sq, sink),
+        1 => greedy_scan(data, keyed, 1, threshold, dist_sq_fixed::<1>, sink, skip),
+        2 => greedy_scan(data, keyed, 2, threshold, dist_sq_fixed::<2>, sink, skip),
+        3 => greedy_scan(data, keyed, 3, threshold, dist_sq_fixed::<3>, sink, skip),
+        4 => greedy_scan(data, keyed, 4, threshold, dist_sq_fixed::<4>, sink, skip),
+        _ => greedy_scan(data, keyed, dim, threshold, dist_sq, sink, skip),
     }
 }
 
 /// Algorithm 1's greedy absorb scan over the norm-sorted order. The
-/// sorted norm lane streams forward; vector rows are gathered from
-/// `data` through the sorted index lane. The float semantics are the
-/// original ones verbatim — same bound and cutoff formulas, same
-/// left-to-right distance summation, members reported to the sink in
+/// sorted `(key, row)` lane streams forward; vector rows are gathered
+/// from `data` through it. The float semantics are the original ones
+/// verbatim — same bound and cutoff formulas, same left-to-right
+/// distance summation, members reported to the sink in
 /// seed-then-ascending-sorted-position order — so the outcome is
 /// bit-identical to the exhaustive reference.
 fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     data: &[f64],
-    snorms: &[f64],
-    order: &[u32],
+    keyed: &[(u64, u32)],
     dim: usize,
     threshold: f64,
     dist: F,
     sink: &mut S,
+    skip: &mut Vec<u32>,
 ) {
-    let n = snorms.len();
+    let n = keyed.len();
     // Row of the vector at sorted position `p`.
     let row = |p: usize| {
-        let i = order[p] as usize;
+        let i = keyed[p].1 as usize;
         &data[i * dim..(i + 1) * dim]
     };
     // skip[p] = next possibly-unassigned sorted position ≥ p. The hot
@@ -473,7 +533,8 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     // (the next position was never absorbed) is the overwhelmingly
     // common case — and only falls back to the path-compressing chain
     // walk when clusters interleave.
-    let mut skip: Vec<u32> = (0..=n as u32).collect();
+    skip.clear();
+    skip.extend(0..=n as u32);
     let advance = |skip: &mut [u32], next: u32| {
         if skip[next as usize] == next {
             next
@@ -485,13 +546,13 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
     let mut pos = 0u32;
     loop {
         // Seed: smallest-norm unprocessed fragment (Algorithm 1, line 4).
-        pos = advance(&mut skip, pos);
+        pos = advance(skip, pos);
         let p = pos as usize;
         if p >= n {
             break;
         }
         let seed = row(p);
-        let seed_norm = snorms[p];
+        let seed_norm = norm_of_key(keyed[p].0);
         let bound = (threshold * seed_norm).max(1e-9);
         let bound_sq = bound * bound;
         // Break margin: the norm prune must only drop candidates that are
@@ -501,17 +562,19 @@ fn greedy_scan<F: Fn(&[f64], &[f64]) -> f64, S: ClusterSink>(
         let norm_cutoff = bound + (seed_norm + seed_norm * threshold) * 1e-12;
 
         // The norm window bounds the membership.
-        let window_end = p + 1 + snorms[p + 1..].partition_point(|&v| v - seed_norm <= norm_cutoff);
-        sink.member(order[p]);
+        let window_end = p
+            + 1
+            + keyed[p + 1..].partition_point(|&(key, _)| norm_of_key(key) - seed_norm <= norm_cutoff);
+        sink.member(keyed[p].1);
         skip[p] = pos + 1;
-        let mut j = advance(&mut skip, pos + 1);
+        let mut j = advance(skip, pos + 1);
         while (j as usize) < window_end {
             let jj = j as usize;
             if dist(seed, row(jj)) <= bound_sq {
-                sink.member(order[jj]);
+                sink.member(keyed[jj].1);
                 skip[jj] = j + 1;
             }
-            j = advance(&mut skip, j + 1);
+            j = advance(skip, j + 1);
         }
         sink.close_cluster(seed, seed_norm);
     }
@@ -586,27 +649,30 @@ pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     min_cluster_size: usize,
 ) -> ClusterOutcome {
     let mut sink = OwnedClusters::default();
-    cluster_pool_into(pool, proxy_counters, threshold, &mut sink);
+    cluster_pool_into(pool, proxy_counters, threshold, &mut sink, &mut ClusterScratch::default());
     split_by_size(sink.clusters, min_cluster_size)
 }
 
-/// Workload values go straight into one flat matrix; no per-fragment
-/// vector is ever materialised, and pooled fragments stay where their
-/// owner keeps them.
+/// Workload values go straight into one flat matrix, the scratch's; no
+/// per-fragment vector is ever materialised, and pooled fragments stay
+/// where their owner keeps them.
 fn cluster_pool_into<P: crate::columnar::PoolView + ?Sized, S: ClusterSink>(
     pool: &P,
     proxy_counters: &[CounterId],
     threshold: f64,
     sink: &mut S,
+    scratch: &mut ClusterScratch,
 ) {
+    let ClusterScratch { data, keyed, skip } = scratch;
     let n = pool.len();
     // Mixed-kind inputs could have ragged dimensions; pad to the max.
     let dim = pool.workload_dim(proxy_counters);
-    let mut data = Vec::with_capacity(n * dim);
+    data.clear();
+    data.reserve(n * dim);
     for i in 0..n {
-        pool.extend_workload_lane(i, proxy_counters, dim, &mut data);
+        pool.extend_workload_lane(i, proxy_counters, dim, data);
     }
-    cluster_lanes_into(&data, n, dim, threshold, sink);
+    cluster_lanes_into(data, n, dim, threshold, sink, keyed, skip);
 }
 
 fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
@@ -857,6 +923,7 @@ mod tests {
                     "key order diverged for {a:?} vs {b:?}"
                 );
             }
+            assert_eq!(norm_of_key(total_cmp_key(a)).to_bits(), a.to_bits(), "{a:?} did not round-trip");
         }
     }
 

@@ -5,15 +5,15 @@
 //! shipping watermark passes goes through one door: sealed into a
 //! recycled [`ColumnarPool`] on the admission thread, submitted to the
 //! in-order [`AnalysisStage`], analysed by [`analyze_view_columnar`]
-//! ([`detect_columnar`] + [`DiagnosisBatch`]) and emitted as a
-//! [`WindowReport`] in window order.
+//! (detection + [`DiagnosisBatch`]) on the work buffers recycled beside
+//! that pool, and emitted as a [`WindowReport`] in window order.
 
 use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::VaproConfig;
 use crate::detect::admission::{frame_charge, Admission, IngestStats, RankHealth};
 use crate::detect::arena::IngestArena;
-use crate::detect::pipeline::{detect_columnar, DetectionResult};
-use crate::detect::stage::AnalysisStage;
+use crate::detect::pipeline::{detect_with, AnalysisScratch, DetectionResult};
+use crate::detect::stage::{AnalysisStage, WindowScratch};
 use crate::detect::window::Window;
 use crate::diagnose::batch::DiagnosisBatch;
 use crate::diagnose::driver::RegionOfInterest;
@@ -93,12 +93,11 @@ fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize>
 }
 
 /// Per-window analysis: detection and diagnosis over a sealed window's
-/// contiguous lanes. Every window the ingestor closes goes through
-/// here, and so does every window of the one-shot oracle
-/// ([`crate::detect::oneshot`]), which gathers its pool from the STGs
-/// instead of the arena — the streaming-equals-one-shot tests therefore
-/// check everything upstream of this call. The caller supplies the
-/// transport-side coverage.
+/// lanes. Every window the ingestor closes goes through here, and so
+/// does every window of the one-shot oracle ([`crate::detect::oneshot`]),
+/// which gathers its pool from the frames instead of the arena — the
+/// stream ≡ one-shot tests check everything upstream of this call. The
+/// caller supplies the coverage and the work buffers (overwritten).
 pub(crate) fn analyze_view_columnar(
     pool: &ColumnarPool,
     window: Window,
@@ -106,10 +105,11 @@ pub(crate) fn analyze_view_columnar(
     bins: usize,
     cfg: &VaproConfig,
     mut coverage: WindowCoverage,
+    scratch: &mut AnalysisScratch,
 ) -> WindowReport {
     let all = pool.all();
     coverage.ranks_absent = ranks_absent(nranks, (0..all.len()).map(|i| all.rank(i)));
-    let result = detect_columnar(pool, nranks, bins, cfg);
+    let result = detect_with(pool, nranks, bins, cfg, scratch);
     let diagnoses = diagnose_top_regions(pool, &result, cfg);
     WindowReport { window, result, diagnoses, coverage }
 }
@@ -151,14 +151,14 @@ pub struct WindowedIngestor {
     /// Windows emitted so far; window `k` is
     /// [`Window::nth`]`(k, cfg.report_period)`.
     closed: usize,
-    /// Recycled per-window columnar scratch: each closing window pops a
-    /// pool, refills it from the arena, and pushes it back with capacity
-    /// intact — steady-state window close allocates no new lanes. Shared
-    /// with the analysis stage's pool tasks (they return finished pools),
-    /// and guarded by the vendored non-poisoning `parking_lot::Mutex`:
+    /// Recycled per-window scratch: each closing window pops a pool and
+    /// its analysis buffers, refills the pool from the arena, and the
+    /// analysis pushes both back with capacity intact — steady-state
+    /// window close allocates no new lanes. Shared with the stage's pool
+    /// tasks, and guarded by the vendored non-poisoning `parking_lot::Mutex`:
     /// recycling can never be silently disabled by a poisoned lock.
-    scratch_pools: Arc<Mutex<Vec<ColumnarPool>>>,
-    /// How many scratch pools have ever been allocated (pop found the
+    scratch_pools: Arc<Mutex<Vec<WindowScratch>>>,
+    /// How many window scratches have ever been allocated (pop found the
     /// stack empty). Bounded by the pipeline depth plus the one being
     /// sealed in steady state — the recycling proof the tests assert.
     scratch_pools_allocated: AtomicU64,
@@ -269,23 +269,24 @@ impl WindowedIngestor {
     }
 
     /// Seal one closed window: snapshot its fragments out of the arena
-    /// into a recycled columnar pool (a fresh one, counted, when the
-    /// stack is empty). Sealing must precede both eviction (a ready
+    /// into a recycled scratch's columnar pool (a fresh scratch, counted,
+    /// when the stack is empty). Sealing must precede both eviction (a ready
     /// window may still need fragments at the reclamation horizon) and
     /// the next admission (the snapshot defines bit-identity), which is
     /// why it stays synchronous with `close_ready` even when the
     /// analysis itself is pipelined.
-    fn seal(&self, window: Window) -> ColumnarPool {
+    fn seal(&self, window: Window) -> WindowScratch {
         let recycled = self.scratch_pools.lock().pop();
-        let mut pool = recycled.unwrap_or_else(|| {
+        let mut scratch = recycled.unwrap_or_else(|| {
             self.scratch_pools_allocated.fetch_add(1, Ordering::Relaxed);
-            ColumnarPool::new()
+            WindowScratch::default()
         });
-        pool.refill_from_merged(&self.arena.window_view(window));
-        pool
+        scratch.pool.refill_from_merged(&self.arena.window_view(window));
+        scratch
     }
 
-    /// How many columnar scratch pools were ever allocated. Recycling
+    /// How many window scratches (columnar pool plus analysis work
+    /// buffers) were ever allocated. Recycling
     /// keeps this bounded by the stage's concurrency, not the window
     /// count — the test-visible proof that a steady-state window close
     /// reuses lanes instead of allocating.
@@ -308,12 +309,12 @@ impl WindowedIngestor {
             ));
         }
         for (window, coverage) in windows {
-            let pool = self.seal(window);
+            let scratch = self.seal(window);
             if let Some(stage) = self.stage.as_mut() {
                 // nranks travels per sealed window: a rank born between
                 // two closes must widen later windows' heatmaps but not
                 // retroactively widen ones already sealed.
-                stage.submit(window, coverage, self.admission.nranks(), pool);
+                stage.submit(window, coverage, self.admission.nranks(), scratch);
             }
         }
     }

@@ -37,6 +37,6 @@ pub use heatmap::HeatMap;
 pub use ingestor::{WindowReport, WindowedIngestor};
 pub use normalize::{CategorySeries, PerfPoint};
 pub use oneshot::analyze_windows;
-pub use pipeline::{DetectionResult, RarePath};
+pub use pipeline::{DetectionResult, RareLocation, RarePath};
 pub use region::{grow_regions, VarianceRegion};
 pub use window::{windows_covering, Window};

@@ -52,6 +52,25 @@ impl CategorySeries {
         }
     }
 
+    /// Empty series with room for one point per row of `kinds` in its
+    /// row's category — everything a window's normalisation can append,
+    /// so the series are sized once, from one pass over the kind column.
+    pub(crate) fn with_room_for(kinds: &[FragmentKind]) -> CategorySeries {
+        let (mut computation, mut communication, mut io) = (0usize, 0usize, 0usize);
+        for kind in kinds {
+            match kind {
+                FragmentKind::Computation => computation += 1,
+                FragmentKind::Communication | FragmentKind::Other => communication += 1,
+                FragmentKind::Io => io += 1,
+            }
+        }
+        CategorySeries {
+            computation: Vec::with_capacity(computation),
+            communication: Vec::with_capacity(communication),
+            io: Vec::with_capacity(io),
+        }
+    }
+
     /// Total points across categories.
     pub fn len(&self) -> usize {
         self.computation.len() + self.communication.len() + self.io.len()
@@ -65,8 +84,11 @@ impl CategorySeries {
 
 /// Normalise one location's pooled fragments given its clustering. Only
 /// usable clusters contribute (rare ones go to the rare-path report).
-/// Appends into `out` according to each fragment's kind. `rank_override`
-/// replaces every point's rank (only the benchmark's probes pass one).
+/// Appends into `out` according to each fragment's kind (a pool's kinds
+/// are per-row bytes off the wire and may be mixed); the window's
+/// detection sizes `out` once beforehand
+/// (`CategorySeries::with_room_for`). `rank_override` replaces every
+/// point's rank (only the benchmark's probes pass one).
 ///
 /// Generic over [`PoolView`], like the clustering it follows, and over
 /// where that clustering lives: an owned
@@ -79,26 +101,14 @@ pub fn normalize_cluster_outcome_view<P: PoolView + ?Sized, C: LaneClustering + 
     rank_override: Option<usize>,
 ) {
     for members in outcome.usable_members() {
-        // The fastest fragment in the cluster is the benchmark. The same
-        // pass counts the members per category (a pool's kinds are
-        // per-row bytes off the wire and may be mixed), so each series
-        // is sized for exactly what this cluster can add to it.
+        // The fastest fragment in the cluster is the benchmark.
         let mut min_dur = f64::INFINITY;
-        let (mut computation, mut communication, mut io) = (0usize, 0usize, 0usize);
         for m in members.iter().map(|&m| m as usize) {
             min_dur = min_dur.min(pool.duration_ns(m));
-            match pool.kind(m) {
-                FragmentKind::Computation => computation += 1,
-                FragmentKind::Communication | FragmentKind::Other => communication += 1,
-                FragmentKind::Io => io += 1,
-            }
         }
         if !min_dur.is_finite() {
             continue;
         }
-        out.computation.reserve(computation);
-        out.communication.reserve(communication);
-        out.io.reserve(io);
         for m in members.iter().map(|&m| m as usize) {
             let dur = pool.duration_ns(m);
             // Zero-duration fragments carry no performance signal.

@@ -16,6 +16,7 @@
 use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
 use crate::detect::ingestor::{analyze_view_columnar, WindowReport};
+use crate::detect::pipeline::AnalysisScratch;
 use crate::detect::window::windows_covering;
 use crate::report::WindowCoverage;
 use crate::wire::FragmentBatch;
@@ -42,7 +43,8 @@ where
         .map(|window| {
             let pool = ColumnarPool::from_batches(batches.clone(), Some(window));
             let coverage = WindowCoverage::full(nranks);
-            analyze_view_columnar(&pool, window, nranks, bins_per_window, cfg, coverage)
+            let scratch = &mut AnalysisScratch::default();
+            analyze_view_columnar(&pool, window, nranks, bins_per_window, cfg, coverage, scratch)
         })
         .collect()
 }
@@ -76,7 +78,8 @@ pub(crate) mod tests {
         cfg: &VaproConfig,
     ) -> WindowReport {
         let pool = whole_pool(stgs);
-        analyze_view_columnar(&pool, Window::ALL, nranks, bins, cfg, WindowCoverage::full(nranks))
+        let coverage = WindowCoverage::full(nranks);
+        analyze_view_columnar(&pool, Window::ALL, nranks, bins, cfg, coverage, &mut AnalysisScratch::default())
     }
 
     pub(crate) fn assert_results_identical(a: &DetectionResult, b: &DetectionResult) {

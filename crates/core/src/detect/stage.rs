@@ -39,9 +39,12 @@
 //! task (a job finishing inside `FleetIngestor::into_report`'s fan-out)
 //! never starves the pool it waits on.
 //!
-//! Every finished window's [`ColumnarPool`] goes back into the
-//! ingestor's shared scratch stack, so steady-state sealing allocates
-//! no new lanes (PR 6's recycling guarantee, across threads).
+//! Every finished window's [`WindowScratch`] — its [`ColumnarPool`] and
+//! the analysis work buffers that travel with it — goes back into the
+//! ingestor's shared scratch stack, so steady-state sealing and
+//! analysis allocate no new lanes, across threads. The scratch is a
+//! value the task owns, not a thread-local: the stage owns no thread,
+//! and a window's buffers are wherever its pool is.
 //!
 //! **Where a report's memory lives.** A [`WindowReport`] is allocated by
 //! whichever thread ran `analyze` — a pool worker for every window above
@@ -52,12 +55,15 @@
 //! next `malloc` contends for it), which is why the report is a few flat
 //! tables and not a tree of small `Vec`s: ≈17 blocks plus what it found
 //! (DESIGN.md §13; `tests/report_heap_shape.rs` holds the count).
-//! Everything else the analysis allocates — clustering work lanes, the
-//! diagnosis scratch — is born and freed on the analysing thread.
+//! The clustering work lanes, the vertex lanes' cluster table and the
+//! makespan lane are recycled with the window's scratch; what else the
+//! analysis allocates — the diagnosis scratch — is born and freed on the
+//! analysing thread.
 
 use crate::columnar::ColumnarPool;
 use crate::config::VaproConfig;
 use crate::detect::ingestor::{analyze_view_columnar, WindowReport};
+use crate::detect::pipeline::AnalysisScratch;
 use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -74,12 +80,24 @@ use std::thread;
 /// Offering work to a parked pool worker costs ≈13 µs before the worker
 /// contributes (futex wake plus the owner waiting out the worker's last
 /// item); handing it a whole window costs ≈25 µs (that wake, the queue,
-/// the report's trip back through the reorder buffer). Analysis costs
-/// ≈0.25 µs a row, so below ≈100 rows the hand-off costs more than the
-/// work it moves. `fleet_small`'s ≈48-row windows sit below it, every
-/// stream workload's (≥ ≈770 rows) above; DESIGN.md §13 has the
-/// measurement.
+/// the report's trip back through the reorder buffer). Analysis —
+/// detection plus diagnosis — costs ≈0.12–0.26 µs a row, so below ≈100
+/// rows the hand-off costs more than the work it moves. `fleet_small`'s
+/// ≈52-row windows sit below it, every stream workload's (≥ ≈510 rows)
+/// above; DESIGN.md §13 has the measurement.
 const INLINE_ROWS_MAX: usize = 128;
+
+/// What a window borrows from the ingestor's recycling stack for its
+/// seal and analysis, and gives back when its report is done: the
+/// columnar pool the seal fills and the analysis work buffers. Both keep
+/// their capacity from window to window.
+#[derive(Debug, Default)]
+pub(crate) struct WindowScratch {
+    /// The window's fragments in columnar form, sealed at close time.
+    pub(crate) pool: ColumnarPool,
+    /// Detection's work buffers (contents overwritten by each window).
+    pub(crate) analysis: AnalysisScratch,
+}
 
 /// One sealed window travelling through the stage: the immutable
 /// analysis input snapshotted at close time. Its sequence number travels
@@ -94,8 +112,9 @@ struct SealedWindow {
     /// rank born mid-stream widens later windows without retroactively
     /// widening ones already sealed.
     nranks: usize,
-    /// The window's fragments in columnar form, owned by the task.
-    pool: ColumnarPool,
+    /// The window's sealed pool and the analysis buffers, owned by the
+    /// task.
+    scratch: WindowScratch,
 }
 
 /// Mutable stage state behind one mutex: the reorder buffer and the
@@ -128,28 +147,23 @@ struct StageShared {
     /// Immutable analysis context for [`analyze_view_columnar`].
     cfg: VaproConfig,
     bins: usize,
-    /// The ingestor's recycled columnar scratch: finished pools return
-    /// here with their lane capacity intact.
-    scratch: Arc<Mutex<Vec<ColumnarPool>>>,
+    /// The ingestor's recycled window scratch: finished windows' pools
+    /// and work buffers return here with their capacity intact.
+    scratch: Arc<Mutex<Vec<WindowScratch>>>,
 }
 
 impl StageShared {
-    /// Task body: analyse a sealed window, recycle its pool, park the
+    /// Task body: analyse a sealed window, recycle its scratch, park the
     /// report for in-order release.
     fn analyze(&self, seq: u64, task: SealedWindow) {
+        let SealedWindow { window, coverage, nranks, mut scratch } = task;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            analyze_view_columnar(
-                &task.pool,
-                task.window,
-                task.nranks,
-                self.bins,
-                &self.cfg,
-                task.coverage,
-            )
+            let WindowScratch { pool, analysis } = &mut scratch;
+            analyze_view_columnar(pool, window, nranks, self.bins, &self.cfg, coverage, analysis)
         }));
         // Capacity goes back to the sealing side before the report is
         // parked: the next seal can reuse these lanes immediately.
-        self.scratch.lock().push(task.pool);
+        self.scratch.lock().push(scratch);
         {
             let mut state = self.state.lock();
             state.completed.insert(seq, outcome);
@@ -220,7 +234,7 @@ impl AnalysisStage {
         depth: usize,
         cfg: VaproConfig,
         bins: usize,
-        scratch: Arc<Mutex<Vec<ColumnarPool>>>,
+        scratch: Arc<Mutex<Vec<WindowScratch>>>,
     ) -> AnalysisStage {
         AnalysisStage {
             shared: Arc::new(StageShared {
@@ -247,9 +261,9 @@ impl AnalysisStage {
         window: Window,
         coverage: WindowCoverage,
         nranks: usize,
-        pool: ColumnarPool,
+        scratch: WindowScratch,
     ) {
-        let sealed = SealedWindow { window, coverage, nranks, pool };
+        let sealed = SealedWindow { window, coverage, nranks, scratch };
         #[cfg(feature = "vopr-canary")]
         if crate::vopr::canary::armed(crate::vopr::canary::Canary::ReorderRelease) {
             // Park every other submission and sequence it *after* its
@@ -285,7 +299,7 @@ impl AnalysisStage {
         drop(state);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.depth == 0 || sealed.pool.len() < INLINE_ROWS_MAX {
+        if self.depth == 0 || sealed.scratch.pool.len() < INLINE_ROWS_MAX {
             self.shared.analyze(seq, sealed);
             return;
         }
@@ -342,11 +356,12 @@ mod tests {
     use std::time::Duration;
     use vapro_sim::VirtualTime;
 
-    /// A pool of `rows` fragments: one rank looping over one site.
-    fn pool_of(rows: usize) -> ColumnarPool {
+    /// A window scratch whose pool holds `rows` fragments: one rank
+    /// looping over one site.
+    fn pool_of(rows: usize) -> WindowScratch {
         let mut arena = IngestArena::new();
         arena.push_batch(FragmentBatch::from_stg_starting_in(&looped_stg(0, rows, 1_000_000, 0..0), 0, Window::ALL));
-        ColumnarPool::from_merged(&arena.full_view())
+        WindowScratch { pool: ColumnarPool::from_merged(&arena.full_view()), ..WindowScratch::default() }
     }
 
     /// Push `n` half-overlapping windows, window `k` holding `rows(k)`

@@ -172,7 +172,7 @@ impl VaproReport {
             rare_paths: detection
                 .rare_paths
                 .iter()
-                .map(|p| (p.location.clone(), p.count, p.total_ns * 1e-9))
+                .map(|p| (p.location.to_string(), p.count, p.total_ns * 1e-9))
                 .collect(),
         }
     }

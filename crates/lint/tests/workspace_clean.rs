@@ -125,7 +125,7 @@ const FORMER_R2_SCOPE: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/core/src/detect/ingestor.rs", &["push_encoded", "push_frame"]),
-    ("crates/core/src/detect/arena.rs", &["push_frame", "absorb", "append", "key_id", "pool_at"]),
+    ("crates/core/src/detect/arena.rs", &["push_frame", "absorb", "append", "key_id", "location"]),
     ("crates/core/src/detect/admission.rs", &["admit", "is_duplicate", "gaps", "count_decode_error"]),
     ("crates/core/src/fleet.rs", &["push_encoded", "register_job", "shard_of", "harvest"]),
     (

@@ -2,7 +2,8 @@
 """Alternated base-vs-working-tree pairs of `benchmark run` (make benchmark-pairs).
 
 Exports BASE's committed files under the git-ignored .bench_build/,
-builds the benchmark package there and in the working tree, runs both
+builds the benchmark package there and in the working tree (putting each
+tree's frozen benchmark/Cargo.lock back afterwards), runs both
 N times — which side goes first alternates pair by pair, because this
 host's speed steps between two levels every few seconds — and prints,
 per workload x end-to-end metric: each side's median and [Q1-Q3], in how
@@ -41,8 +42,15 @@ def export_base(rev):
 
 
 def build(tree):
-    sh("cargo", "build", "--release", "--offline", "--quiet",
-       "--manifest-path", tree / "benchmark" / "Cargo.toml")
+    """Build tree's benchmark binary, leaving its frozen Cargo.lock as it was:
+    cargo rewrites the lock when a workspace crate's dependencies moved."""
+    lock = tree / "benchmark" / "Cargo.lock"
+    frozen = lock.read_bytes()
+    try:
+        sh("cargo", "build", "--release", "--offline", "--quiet",
+           "--manifest-path", tree / "benchmark" / "Cargo.toml")
+    finally:
+        lock.write_bytes(frozen)
     return tree / "benchmark" / "target" / "release" / "vapro-benchmark"
 
 
