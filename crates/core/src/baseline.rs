@@ -314,6 +314,64 @@ mod tests {
         assert!(cmp.unmatched_baseline > 0);
     }
 
+    fn fixed_profile() -> BaselineProfile {
+        let sig = |seed: Vec<f64>, best_ns, median_ns, count| ClusterSignature {
+            seed,
+            best_ns,
+            median_ns,
+            count,
+        };
+        BaselineProfile {
+            states: BTreeMap::from([
+                ("b:MPI_Barrier".to_string(), vec![sig(vec![1.5e6, 0.25], 1000.0, 1250.5, 12)]),
+                (
+                    "b:MPI_Barrier -> b:MPI_Barrier".to_string(),
+                    vec![sig(vec![2e6], 3.0, 4.125, 7), sig(Vec::new(), 0.1, 0.2, 1)],
+                ),
+            ]),
+        }
+    }
+
+    /// The exact JSON text of a fixed profile, and that it reads back.
+    #[test]
+    fn profile_json_text_is_pinned() {
+        let profile = fixed_profile();
+        let text = profile.to_json();
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"states":{"b:MPI_Barrier":[{"best_ns":1000.0,"count":12,"median_ns":1250.5,"seed":[1500000.0,0.25]}],"#,
+                r#""b:MPI_Barrier -> b:MPI_Barrier":[{"best_ns":3.0,"count":7,"median_ns":4.125,"seed":[2000000.0]},"#,
+                r#"{"best_ns":0.1,"count":1,"median_ns":0.2,"seed":[]}]}}"#,
+            )
+        );
+        assert_eq!(BaselineProfile::from_json(&text).unwrap(), profile);
+    }
+
+    /// A profile file comes from outside the program: every malformed
+    /// one is an `Err`, never a panic or a default.
+    #[test]
+    fn malformed_profiles_are_errors() {
+        let cases = [
+            ("missing states", r#"{}"#),
+            ("states not an object", r#"{"states":[]}"#),
+            ("count as a string", r#"{"states":{"a":[{"seed":[1.0],"best_ns":1.0,"median_ns":1.0,"count":"3"}]}}"#),
+            ("negative count", r#"{"states":{"a":[{"seed":[1.0],"best_ns":1.0,"median_ns":1.0,"count":-3}]}}"#),
+            ("fractional count", r#"{"states":{"a":[{"seed":[1.0],"best_ns":1.0,"median_ns":1.0,"count":1.5}]}}"#),
+            ("seed not an array", r#"{"states":{"a":[{"seed":5,"best_ns":1.0,"median_ns":1.0,"count":3}]}}"#),
+            ("seed element not a number", r#"{"states":{"a":[{"seed":["x"],"best_ns":1.0,"median_ns":1.0,"count":3}]}}"#),
+            ("missing best_ns", r#"{"states":{"a":[{"seed":[1.0],"median_ns":1.0,"count":3}]}}"#),
+            ("signature not an object", r#"{"states":{"a":[7]}}"#),
+            ("trailing garbage", r#"{"states":{}} x"#),
+            ("not JSON", "states"),
+            ("empty", ""),
+        ];
+        for (what, text) in cases {
+            assert!(BaselineProfile::from_json(text).is_err(), "{what}: {text} was accepted");
+        }
+        assert_eq!(BaselineProfile::from_json(r#"{"states":{}}"#).unwrap(), BaselineProfile::default());
+    }
+
     #[test]
     fn profile_roundtrips_through_json() {
         let cfg = VaproConfig::default();

@@ -350,6 +350,55 @@ mod tests {
         assert_eq!((regions[1].loss_s, regions[2].loss_s), (2.0, 0.5));
     }
 
+    /// The exact JSON text of a small fixed report: a diagnosed
+    /// computation region, an undiagnosed communication one and a rare
+    /// path. Keys print sorted, tuples print as arrays.
+    #[test]
+    fn report_json_text_is_pinned() {
+        let report = VaproReport {
+            coverage: 0.875,
+            regions: vec![
+                RegionReport {
+                    category: "computation",
+                    ranks: (1, 3),
+                    t_start_s: 0.5,
+                    t_end_s: 2.0,
+                    mean_perf: 0.4,
+                    loss_s: 1.25,
+                    culprits: vec!["DramBound".to_string(), "L3Bound".to_string()],
+                    factor_impacts: vec![
+                        ("BackendBound".to_string(), 0.9),
+                        ("DramBound".to_string(), 1e-7),
+                    ],
+                    diagnosis_periods: 3,
+                },
+                RegionReport {
+                    category: "communication",
+                    ranks: (0, 0),
+                    t_start_s: 0.0,
+                    t_end_s: 0.1,
+                    mean_perf: 0.75,
+                    loss_s: 0.03,
+                    culprits: Vec::new(),
+                    factor_impacts: Vec::new(),
+                    diagnosis_periods: 0,
+                },
+            ],
+            rare_paths: vec![("a:MPI_Send -> b:\"x\"".to_string(), 2, 0.004)],
+        };
+        assert_eq!(
+            report.to_json().to_string(),
+            concat!(
+                r#"{"coverage":0.875,"rare_paths":[["a:MPI_Send -> b:\"x\"",2,0.004]],"regions":["#,
+                r#"{"category":"computation","culprits":["DramBound","L3Bound"],"diagnosis_periods":3,"#,
+                r#""factor_impacts":[["BackendBound",0.9],["DramBound",1e-7]],"loss_s":1.25,"mean_perf":0.4,"#,
+                r#""ranks":[1,3],"t_end_s":2.0,"t_start_s":0.5},"#,
+                r#"{"category":"communication","culprits":[],"diagnosis_periods":0,"factor_impacts":[],"#,
+                r#""loss_s":0.03,"mean_perf":0.75,"ranks":[0,0],"t_end_s":0.1,"t_start_s":0.0}]}"#,
+            )
+        );
+    }
+
     #[test]
     fn regions_rank_by_loss() {
         let cfg = VaproConfig::default().with_counters(events::s3_memory_set());

@@ -117,6 +117,27 @@ mod tests {
         assert_eq!(j["ranks"], 4);
         assert_eq!(j["bins"], 8);
         assert!(j["perf"][2][0].as_f64().unwrap() < 0.5);
+        assert_eq!(
+            j.to_string(),
+            concat!(
+                r#"{"bin_ns":100,"bins":8,"perf":[[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0],"#,
+                r#"[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0],[0.3,0.3,0.3,0.3,0.3,0.3,0.3,0.3],"#,
+                r#"[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]],"ranks":4,"t0_ns":0}"#,
+            )
+        );
+        // Uncovered cells print as null.
+        let mut sparse = HeatMap::new(VirtualTime::from_ns(50), 100, 2, 2);
+        sparse.add_point(&PerfPoint {
+            rank: 1,
+            start: VirtualTime::from_ns(50),
+            end: VirtualTime::from_ns(150),
+            perf: 0.625,
+            loss_ns: 10.0,
+        });
+        assert_eq!(
+            heatmap_json(&sparse).to_string(),
+            r#"{"bin_ns":100,"bins":2,"perf":[[null,null],[0.625,null]],"ranks":2,"t0_ns":50}"#
+        );
     }
 
     #[test]
