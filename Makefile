@@ -18,7 +18,10 @@ OFFLINE := --offline
 # window path (`alloc-census`), then vapro-core's unit tests
 # twenty times over (`test-repeat`). `lint` and `vopr` rewrite the
 # committed LINT_report.json and VOPR_report.json, so the gate ends by
-# failing if either moved (`git diff --exit-code`, as CI checks them).
+# failing if either moved (`git diff --exit-code`, as CI checks them),
+# or if any tracked file under the frozen `benchmark/` did — its
+# Cargo.lock included, which every target that builds the package must
+# put back (`keep_frozen_lock`).
 # Throughput is measured by `make benchmark`, and gated base-vs-head by
 # `benchmark compare` in CI.
 check:
@@ -37,7 +40,7 @@ check:
 	$(MAKE) vopr
 	$(MAKE) alloc-census
 	$(MAKE) test-repeat
-	git diff --exit-code -- VOPR_report.json LINT_report.json
+	git diff --exit-code -- VOPR_report.json LINT_report.json benchmark/
 
 # Workspace static analysis, three rules over one site-finding pass and
 # a whole-workspace call graph: R3 float-hygiene (per file), R5

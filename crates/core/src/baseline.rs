@@ -14,11 +14,11 @@ use crate::clustering::cluster_pool;
 use crate::columnar::{ColumnarPool, LaneView, PoolView};
 use crate::config::VaproConfig;
 use crate::fragment::Fragment;
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 
 /// One cluster's persisted signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSignature {
     /// The seed workload vector (smallest-norm member).
     pub seed: Vec<f64>,
@@ -30,8 +30,31 @@ pub struct ClusterSignature {
     pub count: usize,
 }
 
+impl ClusterSignature {
+    fn to_json(&self) -> Value {
+        json!({
+            "seed": self.seed.clone(),
+            "best_ns": self.best_ns,
+            "median_ns": self.median_ns,
+            "count": self.count,
+        })
+    }
+
+    /// The signature a JSON object's fields hold: a missing field is an
+    /// `Err` like a wrong type or a count that is no `usize`.
+    fn from_json(mut fields: Map<String, Value>) -> Result<Self, serde_json::Error> {
+        let mut field = |key: &str| fields.remove(key).unwrap_or(Value::Null);
+        Ok(ClusterSignature {
+            seed: serde_json::from_value(field("seed"))?,
+            best_ns: serde_json::from_value(field("best_ns"))?,
+            median_ns: serde_json::from_value(field("median_ns"))?,
+            count: serde_json::from_value(field("count"))?,
+        })
+    }
+}
+
 /// The persisted profile of one (good) run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BaselineProfile {
     /// Signatures per state/transition label.
     pub states: BTreeMap<String, Vec<ClusterSignature>>,
@@ -135,12 +158,28 @@ impl BaselineProfile {
     /// Serialise to JSON (what a deployment would write next to the job's
     /// artefacts).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("serialisable profile")
+        let signatures = |sigs: &[ClusterSignature]| sigs.iter().map(ClusterSignature::to_json).collect();
+        let states: Map<String, Value> =
+            self.states.iter().map(|(label, sigs)| (label.clone(), signatures(sigs))).collect();
+        json!({ "states": states }).to_string()
     }
 
-    /// Load from JSON.
+    /// Load from JSON. The text comes from outside the program: anything
+    /// but a profile [`BaselineProfile::to_json`] could have written
+    /// (fields it does not name aside) is an `Err`, never a panic.
     pub fn from_json(s: &str) -> Result<BaselineProfile, serde_json::Error> {
-        serde_json::from_str(s)
+        let mut root: Map<String, Value> = serde_json::from_str(s)?;
+        let states = root.remove("states").unwrap_or(Value::Null);
+        let states: BTreeMap<String, Vec<Map<String, Value>>> =
+            serde_json::from_value(states)?;
+        let states = states
+            .into_iter()
+            .map(|(label, sigs)| {
+                let sigs = sigs.into_iter().map(ClusterSignature::from_json);
+                Ok((label, sigs.collect::<Result<_, _>>()?))
+            })
+            .collect::<Result<_, serde_json::Error>>()?;
+        Ok(BaselineProfile { states })
     }
 
     /// Compare a later run against this baseline: clusters match when

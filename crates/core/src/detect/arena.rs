@@ -328,15 +328,40 @@ fn gallop<T>(items: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
     known.saturating_add(unknown.partition_point(pred))
 }
 
-/// The live locations one arena key heads: the vertex of that state and
-/// the edges leaving it, by location id. Edges are a B-tree keyed by the
-/// key id they enter: a lookup costs O(log d) integer comparisons for a
-/// key with d out-edges (one or two in an SPMD loop), whatever ids a
-/// sender picks, and no hash of sender-influenced ids is computed.
+/// One arena key: a state label and the live locations that use it —
+/// the vertex of that state and the edges leaving it, by location id,
+/// and a count of the edges entering it. Edges are a B-tree keyed by
+/// the key id they enter: a lookup costs O(log d) integer comparisons
+/// for a key with d out-edges (one or two in an SPMD loop), whatever
+/// ids a sender picks, and no hash of sender-influenced ids is
+/// computed.
 #[derive(Debug, Default)]
-struct KeyLocations {
+struct Key {
+    /// The label; `None` while the slot is free.
+    label: Option<Arc<str>>,
     vertex: Option<usize>,
     edges: BTreeMap<usize, usize>,
+    /// Live edge locations entering this key.
+    entering: usize,
+}
+
+/// Free key `key` once no live location heads or enters it: its label
+/// leaves the lookup table and its slot goes to the next label issued.
+/// A free slot, or one still in use, is left as it is.
+fn release_key(
+    keys: &mut [Key],
+    key_ids: &mut HashMap<Arc<str>, usize>,
+    free_keys: &mut Vec<usize>,
+    key: usize,
+) {
+    let Some(slot) = keys.get_mut(key) else { return };
+    if slot.vertex.is_some() || !slot.edges.is_empty() || slot.entering > 0 {
+        return;
+    }
+    if let Some(label) = slot.label.take() {
+        key_ids.remove(&label);
+        free_keys.push(key);
+    }
 }
 
 /// Server-side fragment storage: each shipped frame's rows appended
@@ -348,14 +373,14 @@ struct KeyLocations {
 /// lock.
 #[derive(Debug, Default)]
 pub struct IngestArena {
-    /// Arena state labels; key ids index into this.
-    keys: Vec<Arc<str>>,
+    /// Arena keys, by key id.
+    keys: Vec<Key>,
     /// Label → key id. Labels are the one thing a sender names freely,
     /// so this is the one hashed lookup, behind std's keyed,
     /// flooding-resistant hasher.
     key_ids: HashMap<Arc<str>, usize>,
-    /// Per key id (parallel to `keys`): the locations that key heads.
-    key_locations: Vec<KeyLocations>,
+    /// Ids of freed keys, handed to the next labels issued.
+    free_keys: Vec<usize>,
     /// Every location's pool, by location id. A freed id's pool is empty
     /// and keeps its buffers' capacity for the location that reuses it.
     pools: Vec<ArenaPool>,
@@ -412,9 +437,13 @@ impl IngestArena {
             return id;
         }
         let owned: Arc<str> = Arc::from(label);
-        let id = self.keys.len();
-        self.keys.push(Arc::clone(&owned));
-        self.key_locations.push(KeyLocations::default());
+        let id = self.free_keys.pop().unwrap_or(self.keys.len());
+        if id == self.keys.len() {
+            self.keys.push(Key::default());
+        }
+        if let Some(slot) = self.keys.get_mut(id) {
+            slot.label = Some(Arc::clone(&owned));
+        }
         self.key_ids.insert(owned, id);
         id
     }
@@ -424,7 +453,8 @@ impl IngestArena {
     /// order — when it is asked for while not live. `None` only for a
     /// key id the arena never issued, which `absorb` never passes.
     fn location(&mut self, key: usize, to: Option<usize>) -> Option<usize> {
-        let at_key = self.key_locations.get_mut(key)?;
+        let label = |keys: &[Key], key: usize| keys.get(key)?.label.clone();
+        let at_key = self.keys.get(key)?;
         let known = match to {
             None => at_key.vertex,
             Some(to) => at_key.edges.get(&to).copied(),
@@ -432,9 +462,9 @@ impl IngestArena {
         if known.is_some() {
             return known;
         }
-        let from = Arc::clone(self.keys.get(key)?);
+        let from = label(&self.keys, key)?;
         let to_label = match to {
-            Some(to) => Some(Arc::clone(self.keys.get(to)?)),
+            Some(to) => Some(label(&self.keys, to)?),
             None => None,
         };
         let id = match self.free_ids.pop() {
@@ -451,11 +481,12 @@ impl IngestArena {
         match (to, to_label) {
             (Some(to), Some(to_label)) => {
                 self.edge_order.insert((from, to_label), id);
-                at_key.edges.insert(to, id);
+                self.keys.get_mut(key)?.edges.insert(to, id);
+                self.keys.get_mut(to)?.entering += 1;
             }
             _ => {
                 self.vertex_order.insert(from, id);
-                at_key.vertex = Some(id);
+                self.keys.get_mut(key)?.vertex = Some(id);
             }
         }
         Some(id)
@@ -503,11 +534,12 @@ impl IngestArena {
     /// row is appended — and `rows` are the groups' fragments in one
     /// run, `count` per group.
     ///
-    /// A label is resolved (and, the first time this arena sees it,
-    /// copied into the key table) only when a non-empty group
+    /// A label is resolved (and, when no live location uses it, copied
+    /// into the key table) only when a group that will keep its rows
     /// references it: a frame's label table is sender-controlled, so
-    /// entries that carry no fragments must not grow the key tables.
-    /// A group naming a label the table lacks is dropped, rows and all.
+    /// entries that carry no fragments must not grow the key tables. A
+    /// group naming a label the table lacks is dropped, rows and all,
+    /// and issues no key for its other end.
     fn absorb<'l, V, A>(
         &mut self,
         nlabels: usize,
@@ -525,9 +557,12 @@ impl IngestArena {
         heads.clear();
         heads.extend(groups.filter(|&(_, _, count)| count > 0));
         for &(label, to, _) in &heads {
-            for id in [Some(label), to].into_iter().flatten() {
-                if let Some(slot) = ids.get_mut(id as usize) {
-                    *slot = PENDING;
+            let ends = [Some(label), to].into_iter().flatten();
+            if ends.clone().all(|id| (id as usize) < nlabels) {
+                for id in ends {
+                    if let Some(slot) = ids.get_mut(id as usize) {
+                        *slot = PENDING;
+                    }
                 }
             }
         }
@@ -620,15 +655,17 @@ impl IngestArena {
     /// untouched.
     ///
     /// `max_end_ns` is deliberately untouched (the window cover is
-    /// defined by the data watermark, not by what is resident), as are
-    /// the key tables (every label that carried a fragment stays). A
+    /// defined by the data watermark, not by what is resident). A
     /// location drained empty is forgotten — dropped from the label
     /// order and from its key's slots — and its id goes to the free
-    /// list with its pool's buffers, for the next location born.
+    /// list with its pool's buffers, for the next location born. A key
+    /// the last such location headed or entered is freed with it, so
+    /// the key table holds the live locations' labels and no more.
     pub fn evict_before(&mut self, horizon_ns: u64) {
         let IngestArena {
             keys,
-            key_locations,
+            key_ids,
+            free_keys,
             pools,
             homes,
             free_ids,
@@ -650,20 +687,28 @@ impl IngestArena {
             pool.args.clear();
             (pool.sorted_len, pool.max_dur_ns) = (0, 0);
             let Some(&(key, to)) = homes.get(id) else { continue };
-            let (Some(at_key), Some(from)) = (key_locations.get_mut(key), keys.get(key)) else {
-                continue;
-            };
-            match to {
-                None => {
-                    at_key.vertex = None;
-                    vertex_order.remove(from);
-                }
-                Some(to) => {
-                    at_key.edges.remove(&to);
-                    if let Some(to_label) = keys.get(to) {
-                        edge_order.remove(&(Arc::clone(from), Arc::clone(to_label)));
+            let label = |key: usize| keys.get(key).and_then(|k| k.label.clone());
+            let (from, to_label) = (label(key), to.and_then(label));
+            match (to, from, to_label) {
+                (None, Some(from), _) => {
+                    vertex_order.remove(&from);
+                    if let Some(at_key) = keys.get_mut(key) {
+                        at_key.vertex = None;
                     }
                 }
+                (Some(to), Some(from), Some(to_label)) => {
+                    edge_order.remove(&(from, to_label));
+                    if let Some(at_key) = keys.get_mut(key) {
+                        at_key.edges.remove(&to);
+                    }
+                    if let Some(entered) = keys.get_mut(to) {
+                        entered.entering = entered.entering.saturating_sub(1);
+                    }
+                }
+                _ => continue,
+            }
+            for key in [Some(key), to].into_iter().flatten() {
+                release_key(keys, key_ids, free_keys, key);
             }
             free_ids.push(id);
         }
@@ -952,6 +997,27 @@ pub(crate) mod tests {
         assert!(arena.keys.is_empty(), "a label without fragments was issued a key");
         assert!(arena.key_ids.is_empty());
         assert!(arena.is_empty() && arena.pools.is_empty());
+    }
+
+    #[test]
+    fn a_dropped_group_leaves_no_key_behind() {
+        // An edge whose target id is past the label table is dropped, and
+        // its source label, which names no live location, gets no key.
+        use crate::wire::EdgeGroup;
+        let mut arena = IngestArena::new();
+        arena.push_batch(FragmentBatch {
+            rank: 0,
+            seq: 0,
+            tenant_id: 0,
+            job_id: 0,
+            window_start_ns: 0,
+            window_end_ns: 1_000,
+            labels: vec!["from".to_string()],
+            vertex_groups: Vec::new(),
+            edge_groups: vec![EdgeGroup { from: 0, to: 9, fragments: vec![walk_fragment(0, 0, 10)] }],
+        });
+        assert!(arena.is_empty() && arena.pools.is_empty());
+        assert!(arena.keys.is_empty() && arena.key_ids.is_empty(), "a dropped group's label was keyed");
     }
 
     #[test]
@@ -1253,15 +1319,28 @@ pub(crate) mod tests {
 
     /// Check that the arena's location bookkeeping matches its pools —
     /// every location holding rows sits once in the label order and once
-    /// in its key's slots, every other id is free — and return how many
+    /// in its key's slots, every other id is free, and the key table
+    /// holds exactly the live locations' labels — and return how many
     /// locations are live.
     fn live_locations(arena: &IngestArena) -> usize {
         let live = arena.pools.iter().filter(|p| !p.rows.is_empty()).count();
         let slots: usize =
-            arena.key_locations.iter().map(|k| usize::from(k.vertex.is_some()) + k.edges.len()).sum();
+            arena.keys.iter().map(|k| usize::from(k.vertex.is_some()) + k.edges.len()).sum();
+        let entering: usize = arena.keys.iter().map(|k| k.entering).sum();
         assert_eq!(arena.vertex_order.len() + arena.edge_order.len(), live, "order entries");
         assert_eq!(slots, live, "key slots");
+        assert_eq!(entering, arena.edge_order.len(), "entering counts");
         assert_eq!(arena.free_ids.len() + live, arena.pools.len(), "free ids");
+        let labels: std::collections::BTreeSet<&Arc<str>> = arena
+            .vertex_order
+            .keys()
+            .chain(arena.edge_order.keys().flat_map(|(from, to)| [from, to]))
+            .collect();
+        assert_eq!(arena.key_ids.len(), labels.len(), "keys beyond the live locations' labels");
+        assert!(labels.iter().all(|l| arena.key_ids.contains_key(*l)), "a live label lost its key");
+        let issued = arena.keys.iter().filter(|k| k.label.is_some()).count();
+        assert_eq!(issued, arena.key_ids.len(), "key slots and lookup disagree");
+        assert_eq!(arena.free_keys.len() + issued, arena.keys.len(), "free keys");
         live
     }
 
@@ -1270,8 +1349,9 @@ pub(crate) mod tests {
         // Every period ships one vertex and one edge whose labels no
         // earlier period used: a sender naming L labels could otherwise
         // leave up to L² edge locations behind. Once eviction drains
-        // them, the pools, the label order and the key slots hold only
-        // what is live, so a close's walk does not grow with the stream.
+        // them, the pools, the label order, the key slots and the key
+        // table hold only what is live, so neither a close's walk nor
+        // the arena's memory grows with the stream.
         use crate::wire::{EdgeGroup, VertexGroup};
         const PERIODS: u64 = 400;
         let mut arena = IngestArena::new();
@@ -1294,7 +1374,10 @@ pub(crate) mod tests {
             arena.evict_before(k * ORDER_PERIOD);
         }
         assert!(arena.pools.len() <= 4, "{} pools after {PERIODS} periods", arena.pools.len());
+        // Two periods' locations at most are live at once: five labels.
+        assert!(arena.keys.len() <= 5, "{} key slots after {PERIODS} periods", arena.keys.len());
         assert_eq!(live_locations(&arena), 2);
+        assert_eq!(arena.key_ids.len(), 3, "s399, s400 and v399 stay keyed");
         assert_eq!(arena.len(), 2);
     }
 

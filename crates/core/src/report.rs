@@ -7,10 +7,10 @@ use crate::detect::ingestor::RegionDiagnosis;
 use crate::detect::pipeline::DetectionResult;
 use crate::diagnose::driver::RegionOfInterest;
 use crate::fragment::FragmentKind;
-use serde::Serialize;
+use serde_json::{json, Value};
 
 /// One region's entry in the final report.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct RegionReport {
     /// Reporting category ("computation", "communication", "io").
     pub category: &'static str,
@@ -32,6 +32,23 @@ pub struct RegionReport {
     pub factor_impacts: Vec<(String, f64)>,
     /// Data-shipping periods the diagnosis consumed.
     pub diagnosis_periods: usize,
+}
+
+impl RegionReport {
+    fn to_json(&self) -> Value {
+        let impacts = self.factor_impacts.iter().map(|(f, share)| json!([f.as_str(), *share]));
+        json!({
+            "category": self.category,
+            "ranks": json!([self.ranks.0, self.ranks.1]),
+            "t_start_s": self.t_start_s,
+            "t_end_s": self.t_end_s,
+            "mean_perf": self.mean_perf,
+            "loss_s": self.loss_s,
+            "culprits": self.culprits.clone(),
+            "factor_impacts": impacts.collect::<Value>(),
+            "diagnosis_periods": self.diagnosis_periods,
+        })
+    }
 }
 
 /// Largest loss first. `total_cmp`, so a NaN loss sorts ahead of the
@@ -107,7 +124,7 @@ impl WindowCoverage {
 }
 
 /// The complete report of one analysis.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct VaproReport {
     /// Detection coverage.
     pub coverage: f64,
@@ -224,9 +241,16 @@ impl VaproReport {
         out
     }
 
-    /// Render as JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("serialisable report")
+    /// Render as JSON: one object per struct, keys sorted, tuples as
+    /// arrays.
+    pub fn to_json(&self) -> Value {
+        let rare_paths =
+            self.rare_paths.iter().map(|(loc, count, secs)| json!([loc.as_str(), *count, *secs]));
+        json!({
+            "coverage": self.coverage,
+            "regions": self.regions.iter().map(RegionReport::to_json).collect::<Value>(),
+            "rare_paths": rare_paths.collect::<Value>(),
+        })
     }
 
     /// The top region of a category, if any.

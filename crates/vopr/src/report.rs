@@ -7,6 +7,7 @@
 
 use crate::invariant::InvariantTracker;
 use crate::invariant::Violation;
+use serde_json::Value;
 use std::collections::BTreeMap;
 use vapro_core::IngestStats;
 
@@ -220,23 +221,9 @@ fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, String
     out.push('\n');
 }
 
-/// Minimal JSON string escaping: quotes, backslashes, control bytes.
+/// `s` as a JSON string literal.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Value::from(s).to_string()
 }
 
 #[cfg(test)]
@@ -316,6 +303,6 @@ mod tests {
         assert!(a.contains("\"fault_point_coverage\": 1.0000"));
         assert!(a.contains("\"canary_score\": 1.00"));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(Value::from("a\"b\\c\n").to_string(), "\"a\\\"b\\\\c\\n\"");
     }
 }
