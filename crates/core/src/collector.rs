@@ -20,8 +20,9 @@
 //! open report period; fragments close in start order, so the first one
 //! to close with a later start completes it. The collector then seals
 //! the open period, and any empty ones after it, into one frame each
-//! ([`FragmentBatch::from_stg_starting_in`]) in its outbox, which stands
-//! in for the network, and clears the STG's fragments.
+//! ([`FragmentBatch::from_stg_starting_in`]), numbered from 1 per rank,
+//! in its outbox, which stands in for the network, and clears the STG's
+//! fragments.
 //! [`Collector::finish`] seals the last period; a run that closed no
 //! fragment ships nothing. Client memory is bounded by one period's
 //! fragments, and what a rank costs to ship (§6.2's 12.8 / 47.4 KB per
@@ -132,14 +133,16 @@ impl Collector {
         }
     }
 
-    /// Ship the open period's frame and open the next period.
+    /// Ship the open period's frame, numbered `open + 1` (frames count
+    /// from 1 per rank), and open the next period.
     fn seal(&mut self) {
         let p = self.cfg.report_period.ns().max(1);
         let window = Window {
             start: VirtualTime::from_ns(self.open * p),
             end: VirtualTime::from_ns((self.open + 1) * p),
         };
-        self.outbox.push(FragmentBatch::from_stg_starting_in(&self.stg, self.rank, window));
+        let frame = FragmentBatch::from_stg_starting_in(&self.stg, self.rank, window);
+        self.outbox.push(frame.with_seq(self.open + 1));
         self.stg.clear_fragments();
         self.open += 1;
     }
@@ -390,7 +393,7 @@ mod tests {
                 start: VirtualTime::from_ns(k * 4_000),
                 end: VirtualTime::from_ns((k + 1) * 4_000),
             };
-            let cut = FragmentBatch::from_stg_starting_in(whole.stg(), 0, window);
+            let cut = FragmentBatch::from_stg_starting_in(whole.stg(), 0, window).with_seq(k + 1);
             assert_eq!(frame.encode(), cut.encode(), "period {k}");
         }
         assert_eq!(whole.stg().fragments().count(), shipped.iter().map(FragmentBatch::len).sum::<usize>());

@@ -178,17 +178,6 @@ impl VaproConfig {
         self
     }
 
-    /// Use an extended workload proxy for clustering. The proxies are
-    /// automatically added to the active counter set (they must be
-    /// collected to be clustered on).
-    pub fn with_proxy(mut self, proxies: &[vapro_pmu::CounterId]) -> Self {
-        assert!(!proxies.is_empty(), "need at least one proxy counter");
-        self.detection_counters =
-            self.detection_counters.union(CounterSet::from_ids(proxies));
-        self.proxy_counters = proxies.to_vec();
-        self
-    }
-
     /// Basic sanity of the thresholds and the report period.
     pub fn is_valid(&self) -> bool {
         self.cluster_threshold > 0.0

@@ -14,7 +14,7 @@ use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
 use crate::detect::arena::frame_resident_bytes;
-use crate::wire::{FrameHeader, FrameView, WireError, SEQ_UNSEQUENCED};
+use crate::wire::{FrameHeader, FrameView, WireError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -151,18 +151,13 @@ impl RankTracker {
         if canary::armed(canary::Canary::DedupDisabled) {
             return false;
         }
-        seq != SEQ_UNSEQUENCED && (seq <= self.contig || self.pending.contains_key(&seq))
+        seq <= self.contig || self.pending.contains_key(&seq)
     }
 
-    /// Record an admitted frame. Unsequenced frames advance the mark
-    /// immediately (the legacy contract); sequenced frames advance it
-    /// only along the contiguous prefix, so a reordered early frame can
-    /// never be overtaken by the watermark while still in flight.
+    /// Record an admitted frame. The mark advances only along the
+    /// contiguous prefix, so a reordered early frame can never be
+    /// overtaken by the watermark while still in flight.
     fn admit(&mut self, seq: u64, window_end_ns: u64) {
-        if seq == SEQ_UNSEQUENCED {
-            self.mark_ns = self.mark_ns.max(window_end_ns);
-            return;
-        }
         self.pending.insert(seq, window_end_ns);
         while let Some(end) = self.pending.remove(&(self.contig + 1)) {
             self.contig += 1;
@@ -419,9 +414,34 @@ mod tests {
         assert_eq!(ingestor.stats().frames_rejected(), 1);
         assert_eq!(ingestor.stats().frames_admitted, 0);
         // The stream stays healthy afterwards: a valid rank still admits.
-        let ok = FragmentBatch::from_stg_starting_in(&looped_stg(1, 5, 1_000_000, 0..0), 1, window);
+        let ok = FragmentBatch::from_stg_starting_in(&looped_stg(1, 5, 1_000_000, 0..0), 1, window)
+            .with_seq(1);
         let _ = ingestor.push_encoded(&ok.encode()).expect("valid rank admits");
         assert_eq!(ingestor.stats().frames_admitted, 1);
+    }
+
+    #[test]
+    fn a_frame_numbered_zero_is_never_admitted() {
+        // Senders number frames from 1, so 0 sits below every rank's
+        // contiguous prefix: a counted duplicate that leaves the arena
+        // as it was, before and after the rank's first real frame.
+        let stg = looped_stg(0, 5, 1_000_000, 0..0);
+        let window = Window { start: VirtualTime::ZERO, end: VirtualTime::from_secs(1) };
+        let frame = |seq| FragmentBatch::from_stg_starting_in(&stg, 0, window).with_seq(seq).encode();
+        // Rank 1 never ships, so no window closes and nothing is evicted.
+        let mut ingestor = WindowedIngestor::new(2, 8, VaproConfig::default());
+        for (admitted, first) in [(0, None), (1, Some(frame(1)))] {
+            if let Some(first) = first {
+                ingestor.push_encoded(&first).expect("seq 1 admits");
+            }
+            let (rows, bytes) = (ingestor.arena().len(), ingestor.arena().resident_bytes());
+            let err = ingestor.push_encoded(&frame(0)).unwrap_err();
+            assert_eq!(err, WireError::DuplicateSequence { rank: 0, seq: 0 });
+            assert_eq!(ingestor.stats().duplicate_frames, admitted + 1);
+            assert_eq!(ingestor.stats().frames_admitted, admitted);
+            assert_eq!((ingestor.arena().len(), ingestor.arena().resident_bytes()), (rows, bytes));
+        }
+        assert!(!ingestor.arena().is_empty());
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::report::WindowCoverage;
 use crate::vopr::canary;
 use crate::wire::{FrameView, WireError};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One region's diagnosis attached to a window report.
@@ -161,7 +160,7 @@ pub struct WindowedIngestor {
     /// How many window scratches have ever been allocated (pop found the
     /// stack empty). Bounded by the pipeline depth plus the one being
     /// sealed in steady state — the recycling proof the tests assert.
-    scratch_pools_allocated: AtomicU64,
+    scratch_pools_allocated: u64,
     /// The bounded in-order analysis stage every sealed window goes
     /// through, built lazily on the first one. At
     /// `cfg.pipeline_depth` 0 it analyses on the submitting thread.
@@ -183,7 +182,7 @@ impl WindowedIngestor {
             cfg,
             closed: 0,
             scratch_pools: Arc::new(Mutex::new(Vec::new())),
-            scratch_pools_allocated: AtomicU64::new(0),
+            scratch_pools_allocated: 0,
             stage: None,
         }
     }
@@ -275,10 +274,10 @@ impl WindowedIngestor {
     /// the next admission (the snapshot defines bit-identity), which is
     /// why it stays synchronous with `close_ready` even when the
     /// analysis itself is pipelined.
-    fn seal(&self, window: Window) -> WindowScratch {
+    fn seal(&mut self, window: Window) -> WindowScratch {
         let recycled = self.scratch_pools.lock().pop();
         let mut scratch = recycled.unwrap_or_else(|| {
-            self.scratch_pools_allocated.fetch_add(1, Ordering::Relaxed);
+            self.scratch_pools_allocated += 1;
             WindowScratch::default()
         });
         scratch.pool.refill_from_merged(&self.arena.window_view(window));
@@ -291,7 +290,7 @@ impl WindowedIngestor {
     /// count — the test-visible proof that a steady-state window close
     /// reuses lanes instead of allocating.
     pub fn scratch_pools_allocated(&self) -> u64 {
-        self.scratch_pools_allocated.load(Ordering::Relaxed)
+        self.scratch_pools_allocated
     }
 
     /// Seal `windows` on this thread and hand them to the analysis
@@ -470,7 +469,7 @@ mod tests {
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
             for (rank, stg) in stgs.iter().enumerate() {
-                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
+                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1);
                 reports.extend(
                     ingestor.push_encoded(&batch.encode()).expect("valid frame"),
                 );
@@ -563,7 +562,7 @@ mod tests {
                 end: VirtualTime::from_ms(20 * (k + 1)),
             };
             for (rank, stg) in stgs.iter().enumerate() {
-                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period);
+                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1);
                 streamed.extend(ingestor.push_encoded(&batch.encode()).expect("valid frame"));
             }
         }
@@ -596,7 +595,7 @@ mod tests {
                 start: VirtualTime::from_secs(5 * k),
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
-            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
+            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period).with_seq(k + 1);
             let reports = ingestor.push_encoded(&batch.encode()).expect("valid frame");
             closed_during_stream += reports.len();
         }
@@ -749,7 +748,7 @@ mod tests {
                 start: VirtualTime::from_secs(5 * k),
                 end: VirtualTime::from_secs(5 * (k + 1)),
             };
-            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period);
+            let batch = FragmentBatch::from_stg_starting_in(&stg, 0, period).with_seq(k + 1);
             reports.extend(ingestor.push_encoded(&batch.encode()).expect("valid frame"));
         }
         // With rank 1's mark stuck at zero nothing closes mid-stream…

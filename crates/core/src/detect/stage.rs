@@ -101,7 +101,7 @@ pub(crate) struct WindowScratch {
 
 /// One sealed window travelling through the stage: the immutable
 /// analysis input snapshotted at close time. Its sequence number travels
-/// beside it, so the `ReorderRelease` canary can park one unsequenced.
+/// beside it, so the `ReorderRelease` canary can release one out of order.
 struct SealedWindow {
     window: Window,
     /// Transport-side coverage, snapshotted when the window closed (the

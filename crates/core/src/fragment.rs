@@ -57,7 +57,7 @@ pub mod clone_count {
     /// while waiting on the analysis stage, land here; a pool worker's
     /// share lands on that worker's counter, which lives as long as the
     /// process and is never read. So a zero delta proves a path
-    /// clone-free only if the path runs on the caller: `detect`,
+    /// clone-free only if the path runs on the caller:
     /// `detect_columnar` and `DiagnosisBatch::diagnose` always do, and
     /// so does a depth-0 ingestor.
     pub fn on_this_thread() -> u64 {

@@ -36,7 +36,7 @@
 //! frame   := payload_len:u32 payload
 //! payload := magic "VPRW" | version:u8 (=4)
 //!          | crc32:u32             -- IEEE CRC-32 of every payload byte
-//!          | seq:u64                  after the crc field (0 = unsequenced)
+//!          | seq:u64                  after the crc field (from 1; 0 never admitted)
 //!          | tenant_id:u32 | job_id:u32   -- fleet routing stamp
 //!          | rank:u32 | window_start_ns:u64 | window_end_ns:u64
 //!          | nlabels:u32 | lenw:w (1..=4) | nlabels × (len:lenw, utf-8 bytes)
@@ -71,8 +71,8 @@
 //! after the checksum field, so a bit-flipped frame is rejected as
 //! [`WireError::BadChecksum`] instead of being misparsed, plus a per-rank
 //! monotonic sequence number so the server can deduplicate retransmitted
-//! batches and detect gaps left by dropped frames. Sequence `0` means
-//! "unsequenced": the frame opts out of duplicate/gap tracking. The
+//! batches and detect gaps left by dropped frames. Every sender numbers
+//! its frames from 1 per rank; `0` is never admitted. The
 //! magic and the version byte sit *before* the checksum field and are
 //! **validated, not checksummed**: the decoder accepts exactly one value
 //! for each ([`WIRE_MAGIC`], [`WIRE_VERSION`]) and rejects anything else
@@ -94,9 +94,6 @@ pub const WIRE_MAGIC: [u8; 4] = *b"VPRW";
 /// The one wire-format version byte this codec writes and accepts:
 /// narrow columns, row shapes and elided `+0.0` counter values.
 pub const WIRE_VERSION: u8 = 4;
-/// The sequence number meaning "unsequenced": the sender opted out of
-/// duplicate and gap tracking.
-pub const SEQ_UNSEQUENCED: u64 = 0;
 /// The tenant of a batch nobody stamped ([`FragmentBatch::with_job`]):
 /// single-tenant deployments never mention tenancy.
 pub const DEFAULT_TENANT: u32 = 0;
@@ -364,8 +361,8 @@ pub struct EdgeGroup {
 pub struct FragmentBatch {
     /// Originating rank.
     pub rank: usize,
-    /// Per-rank monotonic sequence number; [`SEQ_UNSEQUENCED`] (0) opts
-    /// out of duplicate/gap tracking. Sequenced senders start at 1.
+    /// Per-rank monotonic sequence number, numbered from 1; 0 is never
+    /// admitted.
     pub seq: u64,
     /// Owning tenant, for fleet routing and admission
     /// ([`DEFAULT_TENANT`] until stamped).
@@ -392,7 +389,7 @@ pub struct FragmentBatch {
 pub struct FrameHeader {
     /// Originating rank.
     pub rank: usize,
-    /// Per-rank sequence number ([`SEQ_UNSEQUENCED`] opts out).
+    /// Per-rank sequence number, numbered from 1; 0 is never admitted.
     pub seq: u64,
     /// Owning tenant.
     pub tenant_id: u32,
@@ -879,11 +876,13 @@ impl FragmentBatch {
         batch
     }
 
-    /// A batch of `window` with no fragments.
+    /// A batch of `window` with no fragments, not yet numbered: `seq` is
+    /// 0, which is never admitted, until [`with_seq`](Self::with_seq)
+    /// stamps it from 1.
     fn empty(rank: usize, window: Window) -> FragmentBatch {
         FragmentBatch {
             rank,
-            seq: SEQ_UNSEQUENCED,
+            seq: 0,
             tenant_id: DEFAULT_TENANT,
             job_id: DEFAULT_JOB,
             window_start_ns: window.start.ns(),
@@ -894,9 +893,8 @@ impl FragmentBatch {
         }
     }
 
-    /// Stamp the batch with a sequence number (builder style). Sequenced
-    /// senders number their frames 1, 2, 3, … per rank; `0` keeps the
-    /// batch unsequenced.
+    /// Stamp the batch with a sequence number (builder style). Senders
+    /// number their frames 1, 2, 3, … per rank; 0 is never admitted.
     pub fn with_seq(mut self, seq: u64) -> FragmentBatch {
         self.seq = seq;
         self

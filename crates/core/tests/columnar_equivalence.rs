@@ -189,7 +189,8 @@ proptest! {
         batches in vec(batch_strategy_up_to(48), 1..5),
         arrival in vec(0u64..1 << 32, 5..6),
     ) {
-        let frames: Vec<Vec<u8>> = batches.iter().map(|b| b.encode()).collect();
+        let frames: Vec<Vec<u8>> =
+            (1u64..).zip(&batches).map(|(k, b)| b.clone().with_seq(k).encode()).collect();
         let mut shuffled: Vec<usize> = (0..frames.len()).collect();
         shuffled.sort_by_key(|&i| arrival[i]);
 

@@ -1,5 +1,6 @@
-//! `LINT_report.json` rendering — hand-rolled so the lint crate carries
-//! zero external dependencies. The report is the reviewable waiver
+//! `LINT_report.json` rendering, laid out by hand one entry a line so
+//! diffs stay reviewable; strings are escaped and the committed report
+//! is read back through `serde_json`. The report is the reviewable waiver
 //! budget: the driver compares waived counts against the committed
 //! report, rule by rule, and fails on any increase that was not
 //! explicitly accepted.
@@ -10,6 +11,8 @@
 //! tree with a `path` array (`entry → helper → site` function names).
 
 use std::collections::BTreeMap;
+
+use serde_json::Value;
 
 use crate::{ReportFinding, WorkspaceReport};
 
@@ -113,33 +116,15 @@ pub fn render_json(report: &WorkspaceReport) -> String {
     out
 }
 
-/// Extract the per-rule waived counts from the `rules` section of a
-/// committed report. The parse targets exactly what [`render_json`]
-/// writes; anything foreign yields an empty map, which the driver's
-/// ratchet reads as a budget of zero for every rule.
+/// Extract the per-rule waived counts (`rules.<R>.waived`) of a
+/// committed report. Text that is not JSON, or has no `rules` object,
+/// yields an empty map, which the driver's ratchet reads as a budget of
+/// zero for every rule.
 pub fn baseline_rule_waived(json: &str) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    let Some(start) = json.find("\"rules\": {") else { return out };
-    let body = &json[start + "\"rules\": {".len()..];
-    // The section closes with a brace at two-space indent; the per-rule
-    // lines sit at four spaces, so this cannot match one of them.
-    let Some(end) = body.find("\n  }") else { return out };
-    for line in body[..end].lines() {
-        let line = line.trim().trim_end_matches(',');
-        // `"R5": {"unwaived": 0, "waived": 3}`
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((rule, rest)) = rest.split_once('"') else { continue };
-        let Some(pos) = rest.find("\"waived\":") else { continue };
-        let digits: String = rest[pos + "\"waived\":".len()..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if let Ok(n) = digits.parse() {
-            out.insert(rule.to_string(), n);
-        }
-    }
-    out
+    let Ok(report) = serde_json::from_str::<Value>(json) else { return BTreeMap::new() };
+    let Some(rules) = report.get("rules").and_then(Value::as_object) else { return BTreeMap::new() };
+    let waived = |counts: &Value| counts.get("waived").and_then(Value::as_u64);
+    rules.iter().filter_map(|(rule, counts)| Some((rule.clone(), waived(counts)?))).collect()
 }
 
 /// The per-rule ratchet: every rule whose waived count in `report`
@@ -163,31 +148,18 @@ pub fn waiver_growth(baseline: &str, report: &WorkspaceReport) -> Vec<String> {
         .collect()
 }
 
+/// `s` as a JSON string literal, quotes included.
 pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Value::from(s).to_string()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rules::Finding;
     use crate::Hop;
 
-    fn finding(rule: &str, file: &str, line: u32, waived: Option<&str>) -> ReportFinding {
+    pub(crate) fn finding(rule: &str, file: &str, line: u32, waived: Option<&str>) -> ReportFinding {
         ReportFinding {
             finding: Finding {
                 rule: rule.into(),
@@ -262,6 +234,9 @@ mod tests {
         // Foreign content is a budget of zero, not an open gate.
         assert!(baseline_rule_waived("{\"waived\": 22}").is_empty());
         assert!(baseline_rule_waived("not json").is_empty());
+        // So is a truncated report, though its `rules` section is whole.
+        assert!(baseline_rule_waived(&committed[..committed.len() - 3]).is_empty());
+        assert!(baseline_rule_waived("{\"rules\": [1]}").is_empty());
     }
 
     /// A committed report can list a rule the lint no longer has (R6,

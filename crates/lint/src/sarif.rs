@@ -3,7 +3,7 @@
 //! Its consumer is CI's lint job: `make lint` writes
 //! `target/vapro-lint.sarif` and the `upload-sarif` step
 //! (`github/codeql-action/upload-sarif`) publishes it to code scanning.
-//! Hand-rolled like the JSON report (the lint crate stays serde-free).
+//! Laid out by hand like the JSON report, strings escaped the same way.
 //! Unwaived findings are `error`-level results; waived findings are
 //! emitted with an in-source suppression carrying the waiver reason, so
 //! code scanning shows them as reviewed rather than open. Entry-tree
@@ -101,4 +101,72 @@ fn physical(file: &str, line: u32) -> String {
         q(file),
         line.max(1)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::tests::finding;
+    use crate::Hop;
+    use serde_json::Value;
+
+    fn hop(file: &str, line: u32, func: &str) -> Hop {
+        Hop { file: file.into(), line, func: func.into() }
+    }
+
+    /// A location's file and start line.
+    fn at(location: &Value) -> (&str, u64) {
+        let physical = &location["physicalLocation"];
+        let uri = physical["artifactLocation"]["uri"].as_str().unwrap();
+        (uri, physical["region"]["startLine"].as_u64().unwrap())
+    }
+
+    #[test]
+    fn findings_become_levelled_suppressed_and_flowing_results() {
+        let mut in_tree = finding("R5", "a.rs", 9, None);
+        in_tree.path = vec![hop("a.rs", 1, "entry"), hop("b.rs", 5, "helper"), hop("a.rs", 8, "site")];
+        let findings = vec![
+            finding("LINT", "d.rs", 0, None),
+            finding("R7", "c.rs", 4, Some("guard \"scoped\" to the call")),
+            in_tree,
+        ];
+        let text = render_sarif(&WorkspaceReport { findings, ..WorkspaceReport::default() });
+        let sarif: Value = serde_json::from_str(&text).expect("SARIF is JSON");
+        assert_eq!(sarif["version"].as_str(), Some("2.1.0"));
+        let run = &sarif["runs"][0];
+        let rules = run["tool"]["driver"]["rules"].as_array().unwrap();
+        let results = run["results"].as_array().unwrap();
+        // Sorted by file: a.rs, c.rs, d.rs.
+        let files: Vec<_> = results.iter().map(|r| at(&r["locations"][0]).0).collect();
+        assert_eq!(files, ["a.rs", "c.rs", "d.rs"]);
+        for r in results {
+            let index = r["ruleIndex"].as_u64().unwrap() as usize;
+            assert_eq!(rules[index]["id"], r["ruleId"]);
+        }
+
+        // An unwaived finding is an error, unsuppressed; its call path is
+        // one thread flow, entry first.
+        let (tree, waived, file_level) = (&results[0], &results[1], &results[2]);
+        assert_eq!(tree["level"].as_str(), Some("error"));
+        assert!(tree.get("suppressions").is_none());
+        let flow = tree["codeFlows"][0]["threadFlows"][0]["locations"].as_array().unwrap();
+        let hops: Vec<_> = flow
+            .iter()
+            .map(|l| (at(&l["location"]), l["location"]["message"]["text"].as_str().unwrap()))
+            .collect();
+        assert_eq!(hops, [(("a.rs", 1), "entry"), (("b.rs", 5), "helper"), (("a.rs", 8), "site")]);
+        assert_eq!(at(&tree["locations"][0]), ("a.rs", 9));
+
+        // A waived one is a note, suppressed in source with its reason.
+        assert_eq!(waived["level"].as_str(), Some("note"));
+        let suppressions = waived["suppressions"].as_array().unwrap();
+        assert_eq!(suppressions.len(), 1);
+        assert_eq!(suppressions[0]["kind"].as_str(), Some("inSource"));
+        assert_eq!(suppressions[0]["justification"].as_str(), Some("guard \"scoped\" to the call"));
+        assert!(waived.get("codeFlows").is_none());
+
+        // Line 0 (a file-level finding) is anchored at line 1.
+        assert_eq!(file_level["level"].as_str(), Some("error"));
+        assert_eq!(at(&file_level["locations"][0]), ("d.rs", 1));
+    }
 }

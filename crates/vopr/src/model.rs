@@ -16,9 +16,6 @@
 use std::collections::BTreeMap;
 use vapro_core::{LateDataPolicy, VaproConfig};
 
-/// Sequence number that opts out of dedup/ordering.
-const SEQ_UNSEQUENCED: u64 = 0;
-
 /// Everything the oracle may know about one delivery: transport-side
 /// metadata, never server state. `corrupted`/`malformed` reflect what
 /// the fault injector actually did to the bytes — the oracle holds the
@@ -87,13 +84,9 @@ struct RankModel {
 }
 
 impl RankModel {
-    /// Record an accepted delivery: unsequenced frames advance the mark
-    /// directly, sequenced frames only along the contiguous prefix.
+    /// Record an accepted delivery: the mark advances only along the
+    /// contiguous prefix.
     fn accept(&mut self, seq: u64, window_end_ns: u64) {
-        if seq == SEQ_UNSEQUENCED {
-            self.mark_ns = self.mark_ns.max(window_end_ns);
-            return;
-        }
         self.pending.insert(seq, window_end_ns);
         while let Some(end) = self.pending.remove(&self.contig.saturating_add(1)) {
             self.contig = self.contig.saturating_add(1);
@@ -152,9 +145,7 @@ impl AdmissionModel {
         let Some(rank) = self.ranks.get(d.rank) else {
             return Outcome::RejectedUnknownRank;
         };
-        if d.seq != SEQ_UNSEQUENCED
-            && (d.seq <= rank.contig || rank.pending.contains_key(&d.seq))
-        {
+        if d.seq <= rank.contig || rank.pending.contains_key(&d.seq) {
             return Outcome::RejectedDuplicate;
         }
         if rank.dead && self.drop_late {

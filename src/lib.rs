@@ -170,7 +170,7 @@ mod tests {
     use vapro_apps::AppParams;
     use vapro_core::{
         detect_columnar, ColumnarPool, DetectionResult, DiagnosisBatch, FragmentBatch,
-        RegionDiagnosis, RegionOfInterest, VaproConfig,
+        RegionDiagnosis, RegionOfInterest, VaproConfig, WindowCoverage, WindowedIngestor, WireError,
     };
     use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
@@ -243,6 +243,48 @@ mod tests {
                 assert_eq!(!detection.comp_regions.is_empty(), regions, "depth {depth}");
                 assert_eq!(!diagnoses.is_empty(), regions, "depth {depth}");
             }
+        }
+    }
+
+    #[test]
+    fn collector_frames_are_numbered_from_one_per_rank() {
+        let cfg = VaproConfig { report_period: VirtualTime::from_ms(50), ..VaproConfig::default() };
+        let run = cg_run(&SimConfig::new(8), &cfg);
+        for frames in &run.shipped {
+            assert!(frames.len() > 1, "{} frames", frames.len());
+            let seqs: Vec<u64> = frames.iter().map(|f| f.seq).collect();
+            assert_eq!(seqs, (1..=frames.len() as u64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_retransmitted_collector_frame_is_rejected() {
+        // Every frame arrives twice, as from a client retransmitting after
+        // a lost ack: each second copy is a counted duplicate, and the
+        // windows are those of a single push.
+        let cfg = VaproConfig { report_period: VirtualTime::from_ms(50), ..VaproConfig::default() };
+        let run = cg_run(&SimConfig::new(8), &cfg);
+        let once = serve(&run.shipped, DEFAULT_BINS, cfg.clone());
+        let mut server = WindowedIngestor::new(run.shipped.len(), DEFAULT_BINS, cfg);
+        let mut twice = Vec::new();
+        let periods = run.shipped.iter().map(Vec::len).max().unwrap_or(0);
+        for frame in (0..periods).flat_map(|k| run.shipped.iter().filter_map(move |f| f.get(k))) {
+            let bytes = frame.encode();
+            twice.extend(server.push_encoded(&bytes).expect("first copy admitted"));
+            let dup = server.push_encoded(&bytes).unwrap_err();
+            assert_eq!(dup, WireError::DuplicateSequence { rank: frame.rank as u32, seq: frame.seq });
+        }
+        let sent = run.shipped.iter().map(Vec::len).sum::<usize>() as u64;
+        assert_eq!(server.stats().duplicate_frames, sent);
+        twice.extend(server.finish());
+        assert!(once.len() > 1, "{} windows", once.len());
+        assert_eq!(twice.len(), once.len());
+        for (got, want) in twice.iter().zip(&once) {
+            assert_eq!(got.window, want.window);
+            assert_identical(&got.result, &want.result);
+            assert_eq!(got.diagnoses, want.diagnoses);
+            let uncounted = WindowCoverage { duplicate_frames: 0, ..got.coverage.clone() };
+            assert_eq!(uncounted, want.coverage);
         }
     }
 
