@@ -122,7 +122,7 @@ pub fn hottest_edge(pool: &ColumnarPool) -> Option<LaneView<'_>> {
 pub fn diagnose_hottest_edge(pool: &ColumnarPool) -> Option<DiagnosisReport> {
     let lane = hottest_edge(pool)?;
     let members: Vec<u32> = (0..lane.len() as u32).collect();
-    diagnose_cluster(lane, &members, 1.2, 0.25, 0.05)
+    diagnose_cluster(lane, &members)
 }
 
 /// Mean bytes a rank of the run ships, per virtual second of

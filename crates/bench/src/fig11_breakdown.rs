@@ -7,7 +7,9 @@
 use crate::common::{header, hottest_edge, vapro_cf, ExpOpts};
 use vapro::harness::run_under_vapro;
 use vapro_apps::AppParams;
-use vapro_core::diagnose::{analyze_contributions, ols_impacts, Factor, FactorValues};
+use vapro_core::diagnose::{
+    analyze_contributions, ols_impacts, Factor, FactorValues, ABNORMAL_RATIO, MAJOR_SHARE,
+};
 use vapro_core::{ColumnarPool, PoolView};
 use vapro_pmu::CounterSet;
 use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
@@ -86,13 +88,12 @@ pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
     let fv = FactorValues::from_members(&edge, &members, CounterSet::all(), &factors)
         .expect("counters present");
     let (be_col, sp_col) = (fv.column(0), fv.column(1));
-    let report =
-        analyze_contributions(&fv, 1.2, 0.25).expect("both noisy and clean fragments");
+    let report = analyze_contributions(&fv).expect("both noisy and clean fragments");
 
     // Reference values (mean over normal fragments) for the scatter.
     let min_dur = fv.durations.iter().cloned().fold(f64::INFINITY, f64::min);
     let normal: Vec<usize> = (0..fv.len())
-        .filter(|&i| fv.durations[i] <= 1.2 * min_dur)
+        .filter(|&i| fv.durations[i] <= ABNORMAL_RATIO * min_dur)
         .collect();
     let ref_be: f64 = normal.iter().map(|&i| be_col[i]).sum::<f64>() / normal.len() as f64;
     let ref_sp: f64 = normal.iter().map(|&i| sp_col[i]).sum::<f64>() / normal.len() as f64;
@@ -101,13 +102,13 @@ pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
         .map(|i| {
             let be = be_col[i] - ref_be;
             let sp = sp_col[i] - ref_sp;
-            let abnormal = fv.durations[i] > 1.2 * min_dur;
+            let abnormal = fv.durations[i] > ABNORMAL_RATIO * min_dur;
             let slow = (fv.durations[i] - min_dur).max(1.0);
             let label = if !abnormal {
                 "Normal"
             } else {
-                let be_major = be > 0.25 * slow;
-                let sp_major = sp > 0.25 * slow;
+                let be_major = be > MAJOR_SHARE * slow;
+                let sp_major = sp > MAJOR_SHARE * slow;
                 match (be_major, sp_major) {
                     (true, true) => "BE+SP",
                     (true, false) => "BE",
@@ -124,7 +125,7 @@ pub fn analyze(opts: &ExpOpts) -> BreakdownRun {
     let sp_share = report.of(Factor::Suspension).map_or(0.0, |c| c.impact_share);
 
     // OLS-based shares: regress duration on the two factor times.
-    let (impacts, _r2) = ols_impacts(&fv, 0.05).expect("enough fragments");
+    let (impacts, _r2) = ols_impacts(&fv).expect("enough fragments");
     let be_ols = impacts
         .iter()
         .find(|i| i.factor == Factor::BackendBound)

@@ -72,7 +72,7 @@ pub fn analyze(opts: &ExpOpts) -> Fig13Run {
         let members: Vec<u32> = (0..edge.len() as u32).collect();
         let factors = [Factor::InvoluntaryCs, Factor::VoluntaryCs, Factor::SoftPageFault];
         let fv = FactorValues::from_members(&edge, &members, CounterSet::all(), &factors)?;
-        let (impacts, _) = ols_impacts(&fv, 0.05)?;
+        let (impacts, _) = ols_impacts(&fv)?;
         impacts
             .iter()
             .find(|i| i.factor == Factor::InvoluntaryCs)

@@ -1,5 +1,7 @@
 //! All tunables in one place, defaulting to the constants the paper's
-//! implementation uses (§3.4, §3.5, §4.3, §6.2).
+//! implementation uses (§3.4, §3.5, §6.2). The diagnosis thresholds of
+//! §4.3 are not tunables: they are constants in
+//! [`diagnose`](crate::diagnose).
 
 use vapro_pmu::{events, CounterSet};
 use vapro_sim::VirtualTime;
@@ -13,24 +15,8 @@ pub enum StgMode {
     /// default.
     ContextFree,
     /// Key by full call-path: needs a call-stack backtrace per hook
-    /// (≈10× the hook cost), finer states.
+    /// (2.5× the hook cost), finer states.
     ContextAware,
-}
-
-/// What the ingestor does with a frame from a rank already declared
-/// [`Dead`](crate::detect::admission::RankHealth::Dead) (it revived, or its
-/// data was badly delayed in transit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LateDataPolicy {
-    /// Admit the fragments into the arena: still-open windows pick them
-    /// up; windows already closed without them stay closed. The default —
-    /// data is precious on a production run.
-    #[default]
-    Readmit,
-    /// Discard the frame, counting it in the window coverage as
-    /// `dropped_late_frames`. Keeps closed-window provenance simple: a
-    /// dead rank stays absent.
-    Drop,
 }
 
 /// Death and memory policy for the streaming ingest path
@@ -45,10 +31,11 @@ pub struct FaultTolerance {
     /// A rank whose shipping mark trails the fastest rank's by more than
     /// this is declared `Dead` and excluded
     /// from the low-watermark, so windows keep closing without it. Death
-    /// is latched: later frames are handled per [`LateDataPolicy`].
+    /// is latched: a later frame from the rank (it revived, or its data
+    /// was badly delayed in transit) is acknowledged but its fragments are
+    /// dropped and counted as `dropped_late_frames`, so a dead rank stays
+    /// absent from every window it could still reach.
     pub dead_horizon: Option<VirtualTime>,
-    /// What to do with frames from a rank already declared dead.
-    pub late_data: LateDataPolicy,
     /// Cap on bytes buffered for frames arriving *ahead* of the
     /// watermark (a fast rank running away from a straggler), each
     /// charged its [`frame_charge`](crate::detect::frame_charge): the
@@ -60,12 +47,10 @@ pub struct FaultTolerance {
 
 impl FaultTolerance {
     /// A production-style preset: declare a rank dead after three
-    /// periods, drop late data, cap ahead-of-watermark buffering at
-    /// 64 MiB.
+    /// periods, cap ahead-of-watermark buffering at 64 MiB.
     pub fn production(period: VirtualTime) -> Self {
         FaultTolerance {
             dead_horizon: Some(VirtualTime::from_ns(period.ns().saturating_mul(3))),
-            late_data: LateDataPolicy::Drop,
             max_buffered_bytes: Some(64 << 20),
         }
     }
@@ -86,12 +71,6 @@ pub struct VaproConfig {
     /// Normalised-performance threshold below which a heat-map cell is
     /// variance-suspect (paper: 0.85).
     pub perf_threshold: f64,
-    /// A fragment is *abnormal* when it costs more than this multiple of
-    /// the fastest fragment in its cluster (paper: 1.2).
-    pub ka_abnormal: f64,
-    /// A factor is *major* when it contributes more than this share of
-    /// the overall variance (paper: 0.25).
-    pub major_factor_threshold: f64,
     /// Server reporting period (paper: 15 s).
     pub report_period: VirtualTime,
     /// How many top (by quantified loss) computation regions each closed
@@ -104,12 +83,6 @@ pub struct VaproConfig {
     /// add load/store or cache metrics for sharper separation at extra
     /// collection overhead.
     pub proxy_counters: Vec<vapro_pmu::CounterId>,
-    /// Per-hook virtual cost in ns. Context-aware mode pays extra for
-    /// backtracing on top of this.
-    pub hook_cost_ns: f64,
-    /// Multiplier on `hook_cost_ns` in context-aware mode (the cost of
-    /// unwinding the call stack).
-    pub backtrace_cost_factor: f64,
     /// Enable binary-exponential-backoff sampling of short fragments.
     pub sampling_enabled: bool,
     /// Fragments shorter than this are subject to sampling back-off.
@@ -136,14 +109,10 @@ impl Default for VaproConfig {
             cluster_threshold: 0.05,
             min_cluster_size: 5,
             perf_threshold: 0.85,
-            ka_abnormal: 1.2,
-            major_factor_threshold: 0.25,
             report_period: VirtualTime::from_secs(15),
             diagnose_top_k: 3,
             detection_counters: events::detection_set(),
             proxy_counters: vec![vapro_pmu::CounterId::TotIns],
-            hook_cost_ns: 250.0,
-            backtrace_cost_factor: 2.5,
             sampling_enabled: false,
             sampling_min_ns: 2_000.0,
             fault: FaultTolerance::default(),
@@ -151,6 +120,13 @@ impl Default for VaproConfig {
         }
     }
 }
+
+/// Modelled virtual cost of one hook pair in context-free mode, ns.
+const HOOK_COST_NS: f64 = 250.0;
+
+/// Multiplier on `HOOK_COST_NS` in context-aware mode: the cost of
+/// unwinding the call stack at every hook.
+const BACKTRACE_COST_FACTOR: f64 = 2.5;
 
 impl VaproConfig {
     /// The context-aware preset.
@@ -163,11 +139,12 @@ impl VaproConfig {
         VaproConfig::default()
     }
 
-    /// Effective per-hook cost for the configured mode.
+    /// Modelled per-hook cost for the configured mode: `HOOK_COST_NS`,
+    /// times `BACKTRACE_COST_FACTOR` in context-aware mode.
     pub fn effective_hook_cost_ns(&self) -> f64 {
         match self.stg_mode {
-            StgMode::ContextFree => self.hook_cost_ns,
-            StgMode::ContextAware => self.hook_cost_ns * self.backtrace_cost_factor,
+            StgMode::ContextFree => HOOK_COST_NS,
+            StgMode::ContextAware => HOOK_COST_NS * BACKTRACE_COST_FACTOR,
         }
     }
 
@@ -184,9 +161,6 @@ impl VaproConfig {
             && self.cluster_threshold < 1.0
             && self.min_cluster_size >= 2
             && (0.0..1.0).contains(&self.perf_threshold)
-            && self.ka_abnormal > 1.0
-            && (0.0..1.0).contains(&self.major_factor_threshold)
-            && self.hook_cost_ns >= 0.0
             && self.report_period.ns() > 0
     }
 }
@@ -201,8 +175,6 @@ mod tests {
         assert_eq!(c.cluster_threshold, 0.05);
         assert_eq!(c.min_cluster_size, 5);
         assert_eq!(c.perf_threshold, 0.85);
-        assert_eq!(c.ka_abnormal, 1.2);
-        assert_eq!(c.major_factor_threshold, 0.25);
         assert_eq!(c.report_period, VirtualTime::from_secs(15));
         assert!(c.is_valid());
     }
@@ -213,7 +185,6 @@ mod tests {
         assert_eq!(c.fault, FaultTolerance::default());
         assert_eq!(c.fault.dead_horizon, None);
         assert_eq!(c.fault.max_buffered_bytes, None);
-        assert_eq!(c.fault.late_data, LateDataPolicy::Readmit);
         let prod = FaultTolerance::production(VirtualTime::from_secs(15));
         assert_eq!(prod.dead_horizon, Some(VirtualTime::from_secs(45)));
         let ok = VaproConfig { fault: prod, ..VaproConfig::default() };

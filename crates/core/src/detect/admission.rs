@@ -9,7 +9,7 @@
 //! is total: hostile input is counted in [`IngestStats`] and rejected,
 //! never a panic (lint rule R5).
 
-use crate::config::{LateDataPolicy, VaproConfig};
+use crate::config::VaproConfig;
 use crate::detect::window::Window;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
@@ -37,7 +37,8 @@ pub struct IngestStats {
     pub unknown_rank_frames: u64,
     /// Retransmitted frames deduplicated by their sequence number.
     pub duplicate_frames: u64,
-    /// Frames from dead ranks discarded under [`LateDataPolicy::Drop`].
+    /// Frames from ranks already latched dead: acknowledged, their
+    /// fragments discarded.
     pub dropped_late_frames: u64,
     /// Frames dropped by the ahead-of-watermark buffer cap.
     pub dropped_backpressure_frames: u64,
@@ -123,7 +124,7 @@ pub enum RankHealth {
     Live,
     /// Trailing the fastest rank by more than `dead_horizon`: excluded
     /// from the watermark so windows keep closing. Latched — a dead rank
-    /// stays dead; its late frames follow [`LateDataPolicy`].
+    /// stays dead; its late frames are acknowledged and dropped.
     Dead,
 }
 
@@ -201,8 +202,6 @@ pub(crate) struct Admission {
     /// `fault.dead_horizon`, ns: how far behind the fastest rank a rank
     /// may trail before it is latched dead.
     dead_horizon_ns: Option<u64>,
-    /// `fault.late_data` is [`LateDataPolicy::Drop`].
-    drop_late: bool,
     /// `fault.max_buffered_bytes`.
     max_buffered_bytes: Option<u64>,
     /// The window step (half a report period): how far the
@@ -221,7 +220,6 @@ impl Admission {
             trackers: (0..nranks).map(|_| RankTracker::default()).collect(),
             stats: IngestStats::default(),
             dead_horizon_ns: cfg.fault.dead_horizon.map(|h| h.ns()),
-            drop_late: cfg.fault.late_data == LateDataPolicy::Drop,
             max_buffered_bytes: cfg.fault.max_buffered_bytes,
             step_ns: Window::nth(1, cfg.report_period).start.ns(),
             buffered_ahead: BTreeMap::new(),
@@ -258,7 +256,7 @@ impl Admission {
 
     /// Admission control over one validated frame's header, charged
     /// `charge` bytes ([`frame_charge`]): rank validation, dedup,
-    /// dead-rank late policy, backpressure. `Ok(true)` means absorb the
+    /// dead-rank drop, backpressure. `Ok(true)` means absorb the
     /// fragments; `Ok(false)` is a policy drop — acknowledged (the mark
     /// advances) and counted, but its fragments are discarded, and `Ok`
     /// because it is the server's own choice. `Err` for unknown ranks
@@ -286,7 +284,7 @@ impl Admission {
         // duplicates, no gap is reported) and the mark advances — the
         // rank *did* ship this span, and stalling the watermark would
         // turn one overload into permanent blockage.
-        let late = tracker.dead && self.drop_late;
+        let late = tracker.dead;
         tracker.admit(seq, frame.window_end_ns);
         if late {
             // The windows the data belonged to closed without this rank.
@@ -450,14 +448,13 @@ mod tests {
         // dead horizon configured, windows past its death keep closing
         // mid-stream, report the rank dead/absent, and completeness
         // drops below 1.0. A late frame from the revived rank is dropped
-        // and counted under LateDataPolicy::Drop.
+        // and counted.
         let period_ns = 5_000_000_000u64;
         let mut cfg = VaproConfig {
             report_period: VirtualTime::from_ns(period_ns),
             ..VaproConfig::default()
         };
         cfg.fault.dead_horizon = Some(VirtualTime::from_ns(3 * period_ns));
-        cfg.fault.late_data = LateDataPolicy::Drop;
         let stgs: Vec<Stg> =
             (0..4).map(|r| looped_stg(r, 60, 1_000_000_000, 0..0)).collect();
 

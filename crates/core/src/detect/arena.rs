@@ -644,11 +644,7 @@ impl IngestArena {
     /// can feed two windows; both of them have closed by the time the
     /// horizon passes its end). Closed windows can never reopen: the
     /// `closed` counter is monotone and `close_ready`/`finish` only
-    /// ever analyse window indices ≥ `closed`. Late frames readmitted
-    /// under `LateDataPolicy::Readmit` are unaffected — data for
-    /// still-open windows ends after the horizon and is retained;
-    /// data only closed windows could have used is exactly what this
-    /// reclaims.
+    /// ever analyse window indices ≥ `closed`.
     ///
     /// Each pool drops its dead rows and compacts its heaps
     /// (`ArenaPool::evict_before`); one that lost nothing is left

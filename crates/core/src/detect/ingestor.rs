@@ -134,8 +134,8 @@ pub(crate) fn analyze_view_columnar(
 /// `dead_horizon` set, a rank whose shipping mark trails the fastest
 /// rank's by more than the horizon is declared [`RankHealth::Dead`] and
 /// excluded from the low-watermark, so one crashed client can no longer
-/// stall window closing forever; its subsequent frames are re-admitted
-/// or dropped per [`LateDataPolicy`](crate::config::LateDataPolicy).
+/// stall window closing forever; its subsequent frames are acknowledged
+/// and dropped, counted as `dropped_late_frames`.
 /// Sequenced frames are deduplicated and advance the shipping mark only
 /// along the contiguous sequence prefix, so reordered delivery can never
 /// close a window whose data is still in flight. Every rejected frame is

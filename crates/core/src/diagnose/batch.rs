@@ -37,7 +37,6 @@ use std::sync::OnceLock;
 /// clusterings and the memoised reports, one slot per edge lane.
 pub struct DiagnosisBatch<'m> {
     pools: &'m ColumnarPool,
-    cfg: &'m VaproConfig,
     /// One lane per edge pool — detection's table is exact reuse, since
     /// detection clusters each pool with the same (proxy-counter,
     /// threshold, min-size) parameters.
@@ -53,11 +52,14 @@ impl<'m> DiagnosisBatch<'m> {
     /// from a detection pass over the *same* pool, so no lane is ever
     /// clustered twice.
     ///
+    /// `_cfg` is unread: the drill-down's thresholds are constants. It
+    /// stays only because the frozen `benchmark/src/layers.rs` passes it.
+    ///
     /// # Panics
     /// When `outcomes` is not aligned with the pool's edge lanes.
     pub fn with_clusters(
         pools: &'m ColumnarPool,
-        cfg: &'m VaproConfig,
+        _cfg: &VaproConfig,
         outcomes: &'m ClusterTable,
     ) -> DiagnosisBatch<'m> {
         assert_eq!(
@@ -66,7 +68,7 @@ impl<'m> DiagnosisBatch<'m> {
             "cluster outcomes must align with the pool's edge lanes"
         );
         let reports = (0..pools.num_edges()).map(|_| OnceLock::new()).collect();
-        DiagnosisBatch { pools, cfg, clusters: outcomes, reports }
+        DiagnosisBatch { pools, clusters: outcomes, reports }
     }
 
     /// Diagnose one region. Same contract as
@@ -85,13 +87,7 @@ impl<'m> DiagnosisBatch<'m> {
     fn diagnose_pool(&self, pool_idx: usize) -> Option<DiagnosisReport> {
         let pool = self.pools.edge(pool_idx).2;
         let cluster = self.clusters.lane(pool_idx).usable().max_by_key(|c| c.members.len())?;
-        diagnose_cluster(
-            pool,
-            cluster.members,
-            self.cfg.ka_abnormal,
-            self.cfg.major_factor_threshold,
-            0.05,
-        )
+        diagnose_cluster(pool, cluster.members)
     }
 }
 

@@ -16,6 +16,14 @@
 use crate::diagnose::factor::Factor;
 use crate::diagnose::quantify::FactorValues;
 
+/// `k_a`: a fragment is *abnormal* when it costs more than this multiple
+/// of the fastest fragment in its cluster (paper §4.3).
+pub const ABNORMAL_RATIO: f64 = 1.2;
+
+/// A factor is *major* when it contributes more than this share of the
+/// overall slowdown (paper §4.3).
+pub const MAJOR_SHARE: f64 = 0.25;
+
 /// One factor's contribution summary.
 #[derive(Debug, Clone)]
 pub struct FactorContribution {
@@ -91,25 +99,20 @@ impl ContributionReport {
     }
 }
 
-/// Run the contribution analysis. `ka` is the abnormality threshold
-/// (1.2), `major_threshold` the major-factor share (0.25).
+/// Run the contribution analysis: fragments past [`ABNORMAL_RATIO`] times
+/// the fastest are abnormal, factors past [`MAJOR_SHARE`] are major.
 ///
 /// Returns `None` when the cluster has no abnormal/normal split to
 /// compare (everything normal, or everything abnormal).
-pub fn analyze_contributions(
-    fv: &FactorValues<'_>,
-    ka: f64,
-    major_threshold: f64,
-) -> Option<ContributionReport> {
-    assert!(ka > 1.0, "ka must exceed 1");
+pub fn analyze_contributions(fv: &FactorValues<'_>) -> Option<ContributionReport> {
     let n = fv.len();
     if n < 2 {
         return None;
     }
     let durations = &fv.durations;
     let min_dur = durations.iter().copied().fold(f64::INFINITY, f64::min);
-    let abnormal = |d: f64| d > ka * min_dur;
-    let normal = |d: f64| d <= ka * min_dur;
+    let abnormal = |d: f64| d > ABNORMAL_RATIO * min_dur;
+    let normal = |d: f64| d <= ABNORMAL_RATIO * min_dur;
     let abnormal_count = durations.iter().filter(|&&d| abnormal(d)).count();
     let normal_count = durations.iter().filter(|&&d| normal(d)).count();
     if abnormal_count == 0 || normal_count == 0 {
@@ -151,7 +154,7 @@ pub fn analyze_contributions(
                 }
                 contribution += v - reference;
                 let slow = (d - ref_dur).max(0.0);
-                if f.time_quantifiable() && slow > 0.0 && v - reference > major_threshold * slow {
+                if f.time_quantifiable() && slow > 0.0 && v - reference > MAJOR_SHARE * slow {
                     affected += d;
                 }
             }
@@ -161,7 +164,7 @@ pub fn analyze_contributions(
                 f64::NAN
             };
             let major = if f.time_quantifiable() {
-                total_slowdown_ns > 0.0 && contribution > major_threshold * total_slowdown_ns
+                total_slowdown_ns > 0.0 && contribution > MAJOR_SHARE * total_slowdown_ns
             } else {
                 // Count factors become major when their relative excess is
                 // large (they cannot be compared in time directly).
@@ -197,7 +200,7 @@ mod tests {
     #[test]
     fn clean_cluster_has_no_split() {
         let v = fv(&[Factor::BackendBound], (0..10).map(|_| (100.0, vec![60.0])).collect());
-        assert!(analyze_contributions(&v, 1.2, 0.25).is_none());
+        assert!(analyze_contributions(&v).is_none());
     }
 
     #[test]
@@ -208,7 +211,7 @@ mod tests {
         rows.push((200.0, vec![160.0]));
         rows.push((200.0, vec![160.0]));
         let v = fv(&[Factor::BackendBound], rows);
-        let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
+        let rep = analyze_contributions(&v).unwrap();
         assert_eq!(rep.abnormal_count, 2);
         assert_eq!(rep.normal_count, 8);
         assert!((rep.total_slowdown_ns - 200.0).abs() < 1e-9);
@@ -228,7 +231,7 @@ mod tests {
         rows.push((200.0, vec![150.0, 15.0]));
         rows.push((200.0, vec![150.0, 15.0]));
         let v = fv(&[Factor::BackendBound, Factor::Suspension], rows);
-        let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
+        let rep = analyze_contributions(&v).unwrap();
         assert!(rep.of(Factor::BackendBound).unwrap().major);
         assert!(!rep.of(Factor::Suspension).unwrap().major);
         let shares: f64 = rep
@@ -247,7 +250,7 @@ mod tests {
         rows.push((200.0, vec![160.0]));
         rows.push((200.0, vec![160.0]));
         let v = fv(&[Factor::BackendBound], rows);
-        let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
+        let rep = analyze_contributions(&v).unwrap();
         let total: f64 = 8.0 * 100.0 + 2.0 * 200.0;
         let expect = 400.0 / total;
         let got = rep.of(Factor::BackendBound).unwrap().duration_share;
@@ -261,7 +264,7 @@ mod tests {
         rows.push((250.0, vec![50.0]));
         rows.push((250.0, vec![50.0]));
         let v = fv(&[Factor::InvoluntaryCs], rows);
-        let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
+        let rep = analyze_contributions(&v).unwrap();
         let ics = rep.of(Factor::InvoluntaryCs).unwrap();
         assert!(ics.major);
         assert!(ics.impact_share.is_nan()); // counts aren't time shares
@@ -279,7 +282,7 @@ mod tests {
             (300.0, vec![3.0]),
         ];
         let v = fv(&[Factor::BackendBound], rows);
-        let rep = analyze_contributions(&v, 1.2, 0.25).unwrap();
+        let rep = analyze_contributions(&v).unwrap();
         assert_eq!(rep.abnormal_count, 2);
         assert_eq!(rep.normal_count, 3);
     }
@@ -291,8 +294,8 @@ mod tests {
         // even the min is the lone fragment and everything else abnormal,
         // analysis still works. True rejection needs an empty side:
         let v = fv(&[Factor::BackendBound], rows);
-        assert!(analyze_contributions(&v, 1.2, 0.25).is_some());
+        assert!(analyze_contributions(&v).is_some());
         let lone = fv(&[Factor::BackendBound], vec![(100.0, vec![1.0])]);
-        assert!(analyze_contributions(&lone, 1.2, 0.25).is_none());
+        assert!(analyze_contributions(&lone).is_none());
     }
 }

@@ -101,7 +101,7 @@ pub fn diagnose_region(
         .usable
         .iter()
         .max_by_key(|c| c.members.len())?;
-    diagnose_cluster(pool, &cluster.members, cfg.ka_abnormal, cfg.major_factor_threshold, 0.05)
+    diagnose_cluster(pool, &cluster.members)
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@ pub mod progressive;
 pub mod quantify;
 
 pub use batch::DiagnosisBatch;
-pub use contribution::{analyze_contributions, ContributionReport, FactorContribution};
+pub use contribution::{
+    analyze_contributions, ContributionReport, FactorContribution, ABNORMAL_RATIO, MAJOR_SHARE,
+};
 pub use driver::{diagnose_region, RegionOfInterest};
 pub use factor::{Factor, Stage};
 pub use progressive::{diagnose_cluster, diagnose_progressively, DiagnosisReport, StageStep};
-pub use quantify::{factor_value, ols_impacts, FactorValues, OlsImpact};
+pub use quantify::{factor_value, ols_impacts, FactorValues, OlsImpact, FG_ALPHA};

@@ -63,16 +63,8 @@ impl DiagnosisReport {
 }
 
 /// Run the drill-down over one cluster: `members` index rows of `lane`.
-pub fn diagnose_cluster(
-    lane: LaneView<'_>,
-    members: &[u32],
-    ka: f64,
-    major_threshold: f64,
-    alpha: f64,
-) -> Option<DiagnosisReport> {
-    descend(|set, frontier| {
-        analyze_step(&lane, members, set, frontier, ka, major_threshold, alpha)
-    })
+pub fn diagnose_cluster(lane: LaneView<'_>, members: &[u32]) -> Option<DiagnosisReport> {
+    descend(|set, frontier| analyze_step(&lane, members, set, frontier))
 }
 
 /// Run the drill-down over a cluster re-collected at every step.
@@ -82,15 +74,12 @@ pub fn diagnose_cluster(
 /// period per stage.
 pub fn diagnose_progressively(
     provider: &mut dyn FnMut(CounterSet) -> Vec<Fragment>,
-    ka: f64,
-    major_threshold: f64,
-    alpha: f64,
 ) -> Option<DiagnosisReport> {
     descend(|set, frontier| {
         let fragments = provider(set);
         let pool = ColumnarPool::single_lane(&fragments);
         let members: Vec<u32> = (0..fragments.len() as u32).collect();
-        analyze_step(&pool.all(), &members, set, frontier, ka, major_threshold, alpha)
+        analyze_step(&pool.all(), &members, set, frontier)
     })
 }
 
@@ -103,21 +92,18 @@ fn analyze_step(
     members: &[u32],
     set: CounterSet,
     frontier: &[Factor],
-    ka: f64,
-    major_threshold: f64,
-    alpha: f64,
 ) -> Option<(ContributionReport, Vec<OlsImpact>)> {
     let fv = FactorValues::from_members(lane, members, set, frontier)?;
-    let report = analyze_contributions(&fv, ka, major_threshold)?;
+    let report = analyze_contributions(&fv)?;
     let count_factors: Vec<Factor> =
         frontier.iter().copied().filter(|f| !f.time_quantifiable()).collect();
     let ols = if count_factors.is_empty() {
         None
     } else if count_factors.len() == frontier.len() {
-        ols_impacts(&fv, alpha)
+        ols_impacts(&fv)
     } else {
         FactorValues::from_members(lane, members, set, &count_factors)
-            .and_then(|cfv| ols_impacts(&cfv, alpha))
+            .and_then(|cfv| ols_impacts(&cfv))
     };
     Some((report, ols.map(|(impacts, _)| impacts).unwrap_or_default()))
 }
@@ -227,7 +213,7 @@ mod tests {
             NoiseEnv { mem_contention: 2.0, ..NoiseEnv::default() },
             40,
         );
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05).unwrap();
+        let rep = diagnose_progressively(&mut provider).unwrap();
         // S1 → backend; S2 → memory; S3 → DRAM.
         assert!(rep.culprits.contains(&Factor::DramBound), "culprits {:?}", rep.culprits);
         assert_eq!(rep.periods, 3);
@@ -242,7 +228,7 @@ mod tests {
             NoiseEnv { cpu_steal: 0.5, ..NoiseEnv::default() },
             40,
         );
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05).unwrap();
+        let rep = diagnose_progressively(&mut provider).unwrap();
         assert!(
             rep.culprits.contains(&Factor::InvoluntaryCs),
             "culprits {:?}",
@@ -276,13 +262,13 @@ mod tests {
         )(CounterSet::all());
         let pool = ColumnarPool::single_lane(&frags);
         let members: Vec<u32> = (0..frags.len() as u32).collect();
-        let in_place = diagnose_cluster(pool.all(), &members, 1.2, 0.25, 0.05).unwrap();
+        let in_place = diagnose_cluster(pool.all(), &members).unwrap();
         let mut recollect = provider_for(
             WorkloadSpec::compute_bound(3e6),
             NoiseEnv { cpu_steal: 0.5, ..NoiseEnv::default() },
             40,
         );
-        let recollected = diagnose_progressively(&mut recollect, 1.2, 0.25, 0.05).unwrap();
+        let recollected = diagnose_progressively(&mut recollect).unwrap();
         assert_eq!(in_place, recollected);
         assert!(in_place.steps.len() >= 3);
     }
@@ -302,7 +288,7 @@ mod tests {
             NoiseEnv { l2_bug_prob: 1.0, l2_bug_severity: 0.6, ..NoiseEnv::default() },
             40,
         );
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05).unwrap();
+        let rep = diagnose_progressively(&mut provider).unwrap();
         let has_l2_or_dram = rep
             .culprits
             .iter()
@@ -317,7 +303,7 @@ mod tests {
     fn quiet_cluster_yields_no_diagnosis() {
         let mut provider =
             provider_for(WorkloadSpec::mixed(1e6), NoiseEnv::quiet(), 30);
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05);
+        let rep = diagnose_progressively(&mut provider);
         // No abnormal fragments → no report (nothing to diagnose).
         assert!(rep.is_none());
     }
@@ -329,7 +315,7 @@ mod tests {
             NoiseEnv { mem_contention: 2.0, ..NoiseEnv::default() },
             40,
         );
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05).unwrap();
+        let rep = diagnose_progressively(&mut provider).unwrap();
         assert_eq!(rep.periods, rep.steps.len());
         // Counter sets widen down the stages.
         for w in rep.steps.windows(2) {
@@ -344,7 +330,7 @@ mod tests {
             NoiseEnv { mem_contention: 2.0, ..NoiseEnv::default() },
             40,
         );
-        let rep = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05).unwrap();
+        let rep = diagnose_progressively(&mut provider).unwrap();
         let share = rep.impact_share(Factor::MemoryBound).unwrap();
         assert!(share > 0.5, "memory share {share}");
         assert!(rep.top_culprit().is_some());

@@ -9,9 +9,9 @@
 //! * **OLS-based** — OS events (page faults, context switches, signals)
 //!   have counts but no time formula. [`ols_impacts`] normalises all
 //!   factor values to [0, 1], screens multicollinearity with the
-//!   Farrar–Glauber test (removing factors one by one), regresses fragment
-//!   execution time on the survivors, keeps significant terms (p < 0.05),
-//!   and rescales coefficients back into time impacts. Factors removed as
+//!   Farrar–Glauber test at [`FG_ALPHA`] (removing factors one by one),
+//!   regresses fragment execution time on the survivors, and reads each
+//!   coefficient as a time impact with its p-value. Factors removed as
 //!   multicollinear inherit an impact estimate through their strongest
 //!   retained correlate.
 
@@ -20,6 +20,10 @@ use crate::diagnose::factor::Factor;
 use vapro_pmu::{CounterDelta, CounterId, CounterSet, TopDown, TopDownL2};
 use vapro_stats::fg::remove_multicollinear;
 use vapro_stats::{OlsFit, OlsTerm};
+
+/// Significance level of the Farrar–Glauber multicollinearity screen
+/// ahead of every OLS fit (paper §4.2).
+pub const FG_ALPHA: f64 = 0.05;
 
 /// Per-member values of a factor set, column-major: times (ns) for
 /// quantifiable factors, raw event counts for the rest.
@@ -227,11 +231,11 @@ impl PartialEq for OlsImpact {
 
 impl Eq for OlsImpact {}
 
-/// Run the OLS-based estimation over a cluster's factor values.
-/// Returns the significant impacts (p < `alpha` among in-model factors,
-/// plus proxy estimates for removed ones), the model R², and the indices
-/// of factors removed by the Farrar–Glauber screen.
-pub fn ols_impacts(fv: &FactorValues<'_>, alpha: f64) -> Option<(Vec<OlsImpact>, f64)> {
+/// Run the OLS-based estimation over a cluster's factor values, after
+/// a Farrar–Glauber screen at [`FG_ALPHA`]. Returns one impact per
+/// factor (the in-model ones with their p-values, then proxy estimates
+/// for the ones the screen removed) and the model R².
+pub fn ols_impacts(fv: &FactorValues<'_>) -> Option<(Vec<OlsImpact>, f64)> {
     let k = fv.factors.len();
     if fv.len() < k + 3 {
         return None;
@@ -243,7 +247,7 @@ pub fn ols_impacts(fv: &FactorValues<'_>, alpha: f64) -> Option<(Vec<OlsImpact>,
     }
 
     // Farrar–Glauber screen: drop multicollinear factors one at a time.
-    let fg = remove_multicollinear(&columns, alpha);
+    let fg = remove_multicollinear(&columns, FG_ALPHA);
     if fg.kept.is_empty() {
         return None;
     }
@@ -429,7 +433,7 @@ mod tests {
             Factor::SoftPageFault,
         ];
         let fv = values(&frags, &factors).unwrap();
-        let (impacts, r2) = ols_impacts(&fv, 0.05).unwrap();
+        let (impacts, r2) = ols_impacts(&fv).unwrap();
         assert!(r2 > 0.8, "R² = {r2}");
         let invol = impacts.iter().find(|i| i.factor == Factor::InvoluntaryCs).unwrap();
         assert!(invol.in_model);
@@ -470,7 +474,7 @@ mod tests {
         // OLS: impact of suspension time (quantifiable, but the regression
         // must agree with the direct formula).
         let fv = values(&frags, &[Factor::Suspension]).unwrap();
-        let (impacts, _) = ols_impacts(&fv, 0.05).unwrap();
+        let (impacts, _) = ols_impacts(&fv).unwrap();
         let ols_est = impacts[0].impact_ns;
         let rel = (ols_est - susp_delta).abs() / susp_delta;
         assert!(rel < 0.2, "formula {susp_delta} vs OLS {ols_est}");
@@ -489,7 +493,7 @@ mod tests {
             f.counters.put(CounterId::PageFaultsHard, 0.0);
         }
         let fv = values(&frags, &[Factor::SoftPageFault, Factor::PageFault]).unwrap();
-        let (impacts, _) = ols_impacts(&fv, 0.05).unwrap();
+        let (impacts, _) = ols_impacts(&fv).unwrap();
         assert_eq!(impacts.len(), 2);
         let removed: Vec<_> = impacts.iter().filter(|i| !i.in_model).collect();
         assert_eq!(removed.len(), 1);
@@ -507,6 +511,6 @@ mod tests {
     fn too_few_fragments_for_ols_is_none() {
         let frags = make_cluster(4, NoiseEnv::quiet());
         let fv = values(&frags, &[Factor::Retiring, Factor::Suspension]).unwrap();
-        assert!(ols_impacts(&fv, 0.05).is_none());
+        assert!(ols_impacts(&fv).is_none());
     }
 }

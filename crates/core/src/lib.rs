@@ -55,7 +55,7 @@ pub use columnar::{ColumnarPool, LaneView, PoolView};
 pub use detect::pipeline::{detect_columnar, DetectionResult};
 pub use intern::{Sym, SymbolTable};
 pub use collector::Collector;
-pub use config::{FaultTolerance, LateDataPolicy, StgMode, VaproConfig};
+pub use config::{FaultTolerance, StgMode, VaproConfig};
 pub use detect::heatmap::HeatMap;
 pub use detect::region::VarianceRegion;
 pub use detect::admission::{IngestStats, RankHealth};

@@ -77,7 +77,7 @@ pub struct WindowCoverage {
     pub corrupt_frames: u64,
     /// Retransmitted frames deduplicated by sequence number.
     pub duplicate_frames: u64,
-    /// Frames from dead ranks discarded under `LateDataPolicy::Drop`.
+    /// Frames from ranks already latched dead, discarded.
     pub dropped_late_frames: u64,
     /// Frames dropped by the ahead-of-watermark buffer cap.
     pub dropped_backpressure_frames: u64,

@@ -354,6 +354,13 @@ const BYTES_PER_ADDED_FRAGMENT: f64 = 44.0;
 /// it is a reviewed act.
 const CALLS_PER_QUIET_CLOSE: f64 = 44.0;
 
+/// The same ratchet on a finding closing push (a window closed that
+/// carries a region, a rare path or a diagnosis): 84.7 calls measured
+/// over 8 and over 32 call sites, at n and at 4n, rounded up. This is
+/// where diagnosis's copies show. Lower it when a change lowers the
+/// count; a change that raises it must say why.
+const CALLS_PER_FINDING_CLOSE: f64 = 85.0;
+
 /// One measured `push_encoded`: the period its frame shipped, its
 /// allocator cost, how many windows it closed and whether any of them
 /// found something.
@@ -406,9 +413,9 @@ fn steady_state(sites: usize, iterations: u64) -> Vec<Push> {
 
 /// Allocator calls and bytes of a steady-state plant cycle at n and at
 /// 4n fragments per location over the same `sites` call sites. Calls
-/// per closing push may not grow, calls per admitted non-closing frame
-/// must be equal, and the bytes may grow by at most the ceiling per
-/// added fragment and closed window.
+/// per closing push may not grow and stay under their ceilings, an
+/// admitted non-closing frame makes none, and the bytes may grow by at
+/// most the ceiling per added fragment and closed window.
 fn assert_close_path_is_flat(sites: usize) {
     let small = steady_state(sites, CENSUS_ITERATIONS);
     let large = steady_state(sites, 4 * CENSUS_ITERATIONS);
@@ -425,9 +432,14 @@ fn assert_close_path_is_flat(sites: usize) {
         assert_eq!((windows, found), (four_n.windows, four_n.found), "period {period}");
         let (calls, calls_4n) = (n.cost.calls, four_n.cost.calls);
         let kind = if windows == 0 {
+            // The ratchet on a push that closes nothing: admitting a frame
+            // makes no allocator call at all (0 measured over 8 and 32
+            // call sites, at n and at 4n). A change that raises it must
+            // say why.
             assert_eq!(
-                calls, calls_4n,
-                "{sites} sites, period {period}: admitting a frame made {calls} allocator calls at n, {calls_4n} at 4n"
+                (calls, calls_4n),
+                (0, 0),
+                "{sites} sites, period {period}: admitting a frame made allocator calls (at n, at 4n)"
             );
             0
         } else {
@@ -472,6 +484,11 @@ fn assert_close_path_is_flat(sites: usize) {
     assert!(
         calls <= CALLS_PER_QUIET_CLOSE,
         "{sites} sites: {calls:.1} allocator calls per quiet closing push > {CALLS_PER_QUIET_CLOSE}"
+    );
+    let calls = per(found.2, found.0);
+    assert!(
+        calls <= CALLS_PER_FINDING_CLOSE,
+        "{sites} sites: {calls:.1} allocator calls per finding closing push > {CALLS_PER_FINDING_CLOSE}"
     );
 }
 

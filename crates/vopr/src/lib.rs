@@ -750,8 +750,8 @@ fn zombie_solo(cx: &mut Cx<'_>) {
     let dropped_late = drive.stats.dropped_late_frames;
     cx.inv.check("late_data_dropped", dropped_late >= LATE_FRAMES, || {
         format!(
-            "{LATE_FRAMES} late zombie frames delivered but only {dropped_late} dropped under \
-             the late policy"
+            "{LATE_FRAMES} late zombie frames delivered but only {dropped_late} dropped as \
+             dead-rank data"
         )
     });
 }

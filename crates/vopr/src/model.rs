@@ -1,5 +1,5 @@
 //! The independent admission oracle: a from-scratch reimplementation of
-//! the `WindowedIngestor` admission contract — dedup, late-data policy,
+//! the `WindowedIngestor` admission contract — dedup, dead-rank drops,
 //! backpressure, liveness latching, and the shipping low-watermark —
 //! over transport metadata alone. The oracle never reads the server's
 //! bookkeeping and never decodes a frame; it predicts what the server
@@ -14,7 +14,7 @@
 //! nonsensical delivery yields a rejection prediction, never a crash.
 
 use std::collections::BTreeMap;
-use vapro_core::{LateDataPolicy, VaproConfig};
+use vapro_core::VaproConfig;
 
 /// Everything the oracle may know about one delivery: transport-side
 /// metadata, never server state. `corrupted`/`malformed` reflect what
@@ -50,7 +50,7 @@ pub enum Outcome {
     RejectedUnknownRank,
     /// Decoded, rejected at admission: sequence number already seen.
     RejectedDuplicate,
-    /// Accepted but discarded under the dead-rank late-data policy.
+    /// Accepted but discarded because its rank is already latched dead.
     DroppedLate,
     /// Accepted but discarded by the ahead-of-watermark byte cap.
     DroppedBackpressure,
@@ -102,7 +102,6 @@ impl RankModel {
 pub struct AdmissionModel {
     ranks: Vec<RankModel>,
     dead_horizon_ns: Option<u64>,
-    drop_late: bool,
     cap: Option<u64>,
     /// Ahead-of-watermark bytes, keyed by shipped window end — released
     /// once the watermark passes them, exactly as the server releases
@@ -116,7 +115,6 @@ impl AdmissionModel {
         AdmissionModel {
             ranks: (0..nranks).map(|_| RankModel::default()).collect(),
             dead_horizon_ns: cfg.fault.dead_horizon.map(|h| h.ns()),
-            drop_late: cfg.fault.late_data == LateDataPolicy::Drop,
             cap: cfg.fault.max_buffered_bytes,
             buffered: BTreeMap::new(),
             buffered_bytes: 0,
@@ -133,7 +131,7 @@ impl AdmissionModel {
 
     /// Pure classification against current state, mirroring the server's
     /// decode-then-admit order: structural decode failures first, then
-    /// checksum, then rank validation, dedup, the dead-rank late policy,
+    /// checksum, then rank validation, dedup, the dead-rank drop,
     /// and last the backpressure cap.
     fn classify(&self, d: &Delivery) -> Outcome {
         if d.malformed {
@@ -148,7 +146,7 @@ impl AdmissionModel {
         if d.seq <= rank.contig || rank.pending.contains_key(&d.seq) {
             return Outcome::RejectedDuplicate;
         }
-        if rank.dead && self.drop_late {
+        if rank.dead {
             return Outcome::DroppedLate;
         }
         if d.window_start_ns > self.watermark_ns() {
@@ -242,7 +240,7 @@ impl AdmissionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vapro_core::{FaultTolerance, LateDataPolicy};
+    use vapro_core::FaultTolerance;
     use vapro_sim::VirtualTime;
 
     fn cfg(period_ns: u64, cap: Option<u64>) -> VaproConfig {
@@ -250,7 +248,6 @@ mod tests {
             report_period: VirtualTime::from_ns(period_ns),
             fault: FaultTolerance {
                 dead_horizon: Some(VirtualTime::from_ns(period_ns * 4)),
-                late_data: LateDataPolicy::Drop,
                 max_buffered_bytes: cap,
             },
             ..VaproConfig::default()
@@ -290,7 +287,7 @@ mod tests {
         assert!(m.is_dead(1), "rank 1 never shipped and must latch dead");
         // Dead ranks stop gating the watermark...
         assert_eq!(m.watermark_ns(), 800);
-        // ...and their late data is dropped under the Drop policy.
+        // ...and their late data is dropped.
         assert_eq!(m.predict(&frame(1, 1, 0, 100)), Outcome::DroppedLate);
     }
 

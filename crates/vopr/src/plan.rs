@@ -26,8 +26,8 @@ use vapro_core::detect::frame_charge;
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FrameView;
 use vapro_core::{
-    analyze_windows, FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey,
-    LateDataPolicy, StateKey, Stg, VaproConfig, WindowReport,
+    analyze_windows, FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey, StateKey, Stg,
+    VaproConfig, WindowReport,
 };
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::{CallSite, VirtualTime};
@@ -284,14 +284,13 @@ fn t_end_ns(stgs: &[Stg]) -> u64 {
 }
 
 /// The ingestion config every plan runs under: production straggler
-/// policy scaled to `period_ns` (dead after 4 periods, drop late data),
+/// policy scaled to `period_ns` (dead after 4 periods),
 /// unbounded buffering unless the caller arms a cap.
 pub fn plan_config(period_ns: u64) -> VaproConfig {
     VaproConfig {
         report_period: VirtualTime::from_ns(period_ns),
         fault: FaultTolerance {
             dead_horizon: Some(VirtualTime::from_ns(period_ns.saturating_mul(4))),
-            late_data: LateDataPolicy::Drop,
             max_buffered_bytes: None,
         },
         ..VaproConfig::default()

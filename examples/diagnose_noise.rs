@@ -46,7 +46,7 @@ fn main() {
             .collect()
     };
 
-    let report = diagnose_progressively(&mut provider, 1.2, 0.25, 0.05)
+    let report = diagnose_progressively(&mut provider)
         .expect("variance present");
 
     println!("progressive diagnosis ({} periods):\n", report.periods);

@@ -51,7 +51,7 @@ fn diagnose_under(
             })
             .collect()
     };
-    diagnose_progressively(&mut provider, 1.2, 0.25, 0.05)
+    diagnose_progressively(&mut provider)
 }
 
 #[test]
