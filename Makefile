@@ -4,19 +4,20 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test test-repeat examples alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
+.PHONY: check test test-repeat doc examples alloc-census lint lint-accept miri tsan soak vopr vopr-nightly benchmark benchmark-test benchmark-pairs repro-check clippy clean
 
 # The full gate: release build, the root package's tests, every
 # workspace crate's tests (`test`), a release-profile compile of
 # vapro-core's tests on its own (no feature unification through
 # vapro-bench, no debug_assertions), workspace clippy over all targets
-# with warnings denied (as CI runs it), the static-analysis pass, sanitizer runs (skipped gracefully
+# with warnings denied (as CI runs it), rustdoc over the workspace with
+# warnings denied (`doc`), the static-analysis pass, sanitizer runs (skipped gracefully
 # where the toolchain component is absent), the long-stream soak, the
 # benchmark package's own tests (the only step that compiles
 # `benchmark/` against the workspace), the committed `repro all` output,
 # the VOPR fault-injection simulation, the allocator census of the
-# window path (`alloc-census`), then vapro-core's unit tests
-# twenty times over (`test-repeat`). `lint` and `vopr` rewrite the
+# window path (`alloc-census`), then vapro-core's unit tests and its
+# stream ≡ one-shot tests twenty times over (`test-repeat`). `lint` and `vopr` rewrite the
 # committed LINT_report.json and VOPR_report.json, so the gate ends by
 # failing if either moved (`git diff --exit-code`, as CI checks them),
 # or if any tracked file under the frozen `benchmark/` did — its
@@ -30,6 +31,7 @@ check:
 	$(MAKE) test
 	$(CARGO) test --release $(OFFLINE) -p vapro-core --no-run
 	$(MAKE) clippy
+	$(MAKE) doc
 	$(MAKE) lint
 	$(MAKE) miri
 	$(MAKE) tsan
@@ -97,12 +99,14 @@ examples:
 			|| { echo "examples: $$e failed"; exit 1; }; \
 	done
 
-# vapro-core's unit tests 20 times (≈0.7 s a run): the stage, pool and
-# ingestor tests assert bounds that depend on thread scheduling, and an
-# assertion that fails one run in four must fail the PR, not the next one.
+# vapro-core's unit tests and its stream ≡ one-shot tests
+# (`tests/reference_equivalence.rs`, at the default pipeline depth) 20
+# times: the stage, pool and ingestor tests assert bounds that depend on
+# thread scheduling, and an assertion that fails one run in four must
+# fail the PR, not the next one.
 test-repeat:
 	@for i in $$(seq 1 20); do \
-		$(CARGO) test -q $(OFFLINE) -p vapro-core --lib \
+		$(CARGO) test -q $(OFFLINE) -p vapro-core --lib --test reference_equivalence \
 			|| { echo "test-repeat: run $$i of 20 failed"; exit 1; }; \
 	done
 
@@ -123,6 +127,12 @@ alloc-census:
 
 clippy:
 	$(CARGO) clippy $(OFFLINE) --workspace --all-targets -- -D warnings
+
+# rustdoc over every workspace crate with warnings denied (as CI runs
+# it): a doc link to a moved or private item fails here instead of
+# rendering as plain text.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc $(OFFLINE) --no-deps --workspace
 
 # VOPR deterministic simulation run (PR profile, canaries compiled) —
 # the one seeded fault-injection harness: clean transports must stay

@@ -11,9 +11,9 @@
 
 use vapro::harness::run_under_vapro;
 use vapro_apps::{find_app, AppParams};
-use vapro_vopr::plan::reports_identical;
+use vapro_vopr::reference::{analyze_windows, reports_identical};
 use vapro_core::wire::FragmentBatch;
-use vapro_core::{analyze_windows, FleetConfig, FleetIngestor, JobKey, VaproConfig};
+use vapro_core::{FleetConfig, FleetIngestor, JobKey, VaproConfig};
 use vapro_sim::{SimConfig, VirtualTime};
 
 const BINS: usize = 8;

@@ -25,13 +25,13 @@
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use vapro_vopr::plan::{reports_identical, synthetic_stgs, whole_run_batches};
+use vapro_vopr::plan::synthetic_stgs;
+use vapro_vopr::reference::{analyze_windows, reports_identical, whole_run_batches};
 use vapro_core::detect::window::Window;
 use vapro_core::fragment::clone_count;
 use vapro_core::wire::FragmentBatch;
 use vapro_core::{
-    analyze_windows, FleetConfig, FleetIngestor, FleetWindow, JobKey, Stg, VaproConfig,
-    WindowedIngestor,
+    FleetConfig, FleetIngestor, FleetWindow, JobKey, Stg, VaproConfig, WindowedIngestor,
 };
 use vapro_sim::VirtualTime;
 

@@ -239,7 +239,7 @@ impl BaselineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::oneshot::tests::whole_pool;
+    use crate::detect::pipeline::tests::whole_pool;
     use crate::fragment::FragmentKind;
     use crate::stg::{StateKey, Stg};
     use rand::SeedableRng;
@@ -307,7 +307,7 @@ mod tests {
             NoiseEnv { mem_contention: 1.5, ..NoiseEnv::default() },
             3,
         );
-        let in_run = crate::detect::oneshot::tests::whole_run(&degraded, 2, 16, &cfg).result;
+        let in_run = crate::detect::pipeline::tests::whole_run(&degraded, 2, 16, &cfg).result;
         assert!(in_run.comp_regions.is_empty(), "uniform slowdown wrongly flagged");
         let cmp = base.compare(&whole_pool(&degraded), &cfg);
         let slow = cmp.overall_slowdown();

@@ -640,8 +640,9 @@ pub fn cluster_vectors_unpruned(
 
 /// Cluster any pooled population by its fragments' workload vectors
 /// (computation fragments use `proxy_counters`; invocation fragments use
-/// their argument vectors), read through the [`PoolView`] accessors, as
-/// an owned outcome — the one-shot form of [`ClusterTable::push_lane`].
+/// their argument vectors), read through the
+/// [`PoolView`](crate::PoolView) accessors, as an owned outcome — the
+/// one-shot form of [`ClusterTable::push_lane`].
 pub fn cluster_pool<P: crate::columnar::PoolView + ?Sized>(
     pool: &P,
     proxy_counters: &[CounterId],

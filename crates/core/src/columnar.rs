@@ -14,10 +14,11 @@
 //! [`ColumnarPool::refill_from_merged`] gathers a window out of the
 //! streaming arena (sorted, evicted, recycled), and
 //! [`ColumnarPool::from_batches`] gathers shipped frames directly (no
-//! wire, arena, sort, eviction or stage — which is what keeps
-//! [`analyze_windows`](crate::detect::oneshot::analyze_windows) an
-//! independent test reference; the figures detect through the arena,
-//! and read lane statistics of a run's frames through this one).
+//! wire, arena, sort, eviction or stage — which is what keeps the
+//! one-shot reference, `vapro_vopr::reference::analyze_windows`, an
+//! independent check on the streaming server; the figures detect
+//! through the arena, and read lane statistics of a run's frames
+//! through this one).
 //! Either way a location has one identity, its label, and lanes come in
 //! label order, so the two sources cannot disagree about which is which.
 //!

@@ -2,7 +2,7 @@
 //! how far every rank has shipped, who is still alive, and what each
 //! closed window's data is worth.
 //!
-//! [`Admission`] reads frame headers only — rank, sequence number,
+//! `Admission` reads frame headers only — rank, sequence number,
 //! shipped span, byte size — never fragments, which is what lets
 //! `crates/vopr/src/model.rs` model it independently over transport
 //! metadata alone and compare outcomes frame by frame. Everything here
@@ -390,7 +390,6 @@ mod tests {
     use super::*;
     use crate::detect::arena::tests::{looped_stg, period_frames};
     use crate::detect::ingestor::{WindowReport, WindowedIngestor};
-    use crate::detect::oneshot::tests::assert_results_identical;
     use crate::detect::window::windows_covering;
     use crate::stg::Stg;
     use crate::wire::{FragmentBatch, DEFAULT_TENANT};
@@ -614,7 +613,7 @@ mod tests {
         assert_eq!(got.len(), reference.len());
         for (g, w) in got.iter().zip(&reference) {
             assert_eq!(g.window, w.window);
-            assert_results_identical(&g.result, &w.result);
+            assert_eq!(g.result, w.result);
             assert_eq!(g.diagnoses, w.diagnoses);
             // Everything in coverage except the duplicate counter (which
             // records the retransmissions themselves) matches.

@@ -72,7 +72,7 @@ fn resident_bytes(rows: u64, payload: u64) -> u64 {
 }
 
 /// What absorbing every row of `frame` adds to an arena's resident
-/// bytes: [`row_resident_bytes`] summed over its rows.
+/// bytes: `row_resident_bytes` summed over its rows.
 pub fn frame_resident_bytes(frame: &FrameView<'_>) -> u64 {
     resident_bytes(frame.len() as u64, frame.expanded_values() as u64)
 }

@@ -1,12 +1,13 @@
 //! The streaming ingestor: window bookkeeping, seal, close and finish.
 //!
 //! [`WindowedIngestor`] admits shipped frames ([`FrameView`]) through its
-//! [`Admission`] plane into the [`IngestArena`], and every window the
+//! admission plane into the [`IngestArena`], and every window the
 //! shipping watermark passes goes through one door: sealed into a
 //! recycled [`ColumnarPool`] on the admission thread, submitted to the
-//! in-order [`AnalysisStage`], analysed by [`analyze_view_columnar`]
+//! in-order analysis stage, analysed by `analyze_view_columnar`
 //! (detection + [`DiagnosisBatch`]) on the work buffers recycled beside
 //! that pool, and emitted as a [`WindowReport`] in window order.
+//! [`analyze_pool`] is the same analysis over any other sealed pool.
 
 use crate::columnar::{ColumnarPool, PoolView};
 use crate::config::VaproConfig;
@@ -15,8 +16,7 @@ use crate::detect::arena::IngestArena;
 use crate::detect::pipeline::{detect_with, AnalysisScratch, DetectionResult};
 use crate::detect::stage::{AnalysisStage, WindowScratch};
 use crate::detect::window::Window;
-use crate::diagnose::batch::DiagnosisBatch;
-use crate::diagnose::driver::RegionOfInterest;
+use crate::diagnose::batch::{DiagnosisBatch, RegionOfInterest};
 use crate::diagnose::progressive::DiagnosisReport;
 use crate::report::WindowCoverage;
 use crate::vopr::canary;
@@ -37,7 +37,7 @@ pub struct RegionDiagnosis {
 /// The analysis output of one window: detection plus the diagnoses of
 /// its top-K (by quantified loss) computation variance regions, and the
 /// data provenance the analysis ran on.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct WindowReport {
     /// The analysed window.
     pub window: Window,
@@ -93,8 +93,8 @@ fn ranks_absent(nranks: usize, ranks: impl Iterator<Item = usize>) -> Vec<usize>
 
 /// Per-window analysis: detection and diagnosis over a sealed window's
 /// lanes. Every window the ingestor closes goes through here, and so
-/// does every window of the one-shot oracle ([`crate::detect::oneshot`]),
-/// which gathers its pool from the frames instead of the arena — the
+/// does every pool [`analyze_pool`] is handed — the one-shot reference
+/// gathers its windows from the frames instead of the arena, so the
 /// stream ≡ one-shot tests check everything upstream of this call. The
 /// caller supplies the coverage and the work buffers (overwritten).
 pub(crate) fn analyze_view_columnar(
@@ -113,6 +113,23 @@ pub(crate) fn analyze_view_columnar(
     WindowReport { window, result, diagnoses, coverage }
 }
 
+/// Analyse one sealed pool as the server analyses a closed window —
+/// detection plus the diagnoses of its top-K computation regions —
+/// with every rank reporting ([`WindowCoverage::full`]) and work
+/// buffers of its own. For a pool gathered some other way than the
+/// arena seal, such as [`ColumnarPool::from_batches`] over shipped
+/// frames.
+pub fn analyze_pool(
+    pool: &ColumnarPool,
+    window: Window,
+    nranks: usize,
+    bins: usize,
+    cfg: &VaproConfig,
+) -> WindowReport {
+    let coverage = WindowCoverage::full(nranks);
+    analyze_view_columnar(pool, window, nranks, bins, cfg, coverage, &mut AnalysisScratch::default())
+}
+
 /// Incremental windowed ingestion: push batches as clients ship them;
 /// half-overlapped analysis windows are detected on rayon **as they
 /// close**, rather than re-pooling the whole run at every report.
@@ -120,15 +137,16 @@ pub(crate) fn analyze_view_columnar(
 /// A window closes when *every* rank has shipped past its end. Each
 /// batch's `window_end_ns` declares "this rank has reported every
 /// fragment starting before here" (start-partitioned shipping,
-/// [`FragmentBatch::from_stg_starting_in`]); the minimum of those
+/// [`crate::FragmentBatch::from_stg_starting_in`]); the minimum of those
 /// per-rank marks is the shipping low-watermark, and a window whose end
 /// it passes can no longer gain fragments — one fast client racing ahead
 /// never closes a window that slower clients still owe data to.
 ///
 /// When clients ship exactly their data span, the union of all reports
 /// (stream + [`WindowedIngestor::finish`]) is bit-identical to the
-/// one-shot [`analyze_windows`](crate::detect::oneshot::analyze_windows)
-/// over the same frames.
+/// one-shot reference over the same frames
+/// (`vapro_vopr::reference::analyze_windows`: [`analyze_pool`] over
+/// each window gathered straight from the frames).
 ///
 /// **Fault tolerance** (`cfg.fault`, off by default): with a
 /// `dead_horizon` set, a rank whose shipping mark trails the fastest
@@ -401,13 +419,12 @@ impl WindowedIngestor {
     }
 
     /// End of stream: analyse the remaining windows. The union of all
-    /// reports equals exactly what
-    /// [`analyze_windows`](crate::detect::oneshot::analyze_windows) —
-    /// i.e. [`windows_covering`](crate::detect::window::windows_covering)
-    /// up to the data watermark — produces,
-    /// **regardless of shipping marks**: a rank that went silent without
-    /// ever shipping its final mark cannot strand the tail windows. An
-    /// ingestor that saw no fragments reports nothing.
+    /// reports covers exactly the one-shot reference's windows —
+    /// [`windows_covering`](crate::detect::window::windows_covering)
+    /// up to the data watermark — **regardless of shipping marks**: a
+    /// rank that went silent without ever shipping its final mark cannot
+    /// strand the tail windows. An ingestor that saw no fragments reports
+    /// nothing.
     pub fn finish(mut self) -> Vec<WindowReport> {
         self.admission.update_liveness();
         let t_end = self.arena.max_end_ns();
@@ -436,145 +453,11 @@ impl WindowedIngestor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::arena::tests::{looped_stg, period_frames, stg_over};
-    use crate::detect::oneshot::analyze_windows;
-    use crate::detect::oneshot::tests::{assert_results_identical, whole_batches};
+    use crate::detect::arena::tests::{looped_stg, period_frames};
     use crate::detect::window::windows_covering;
-    use crate::stg::{StateKey, Stg};
+    use crate::stg::Stg;
     use crate::wire::FragmentBatch;
-    use vapro_sim::{CallPath, CallSite, VirtualTime};
-
-    /// Three ranks ship `stgs` as start-partitioned 5 s batches through
-    /// the binary wire; the incremental ingestor's reports must equal the
-    /// one-shot windowed analysis of the same STGs. Returns them.
-    fn stream_matching_oneshot(stgs: &[Stg]) -> Vec<WindowReport> {
-        let cfg = VaproConfig {
-            report_period: VirtualTime::from_secs(5),
-            ..VaproConfig::default()
-        };
-        let reference = analyze_windows(&whole_batches(stgs), 3, 8, &cfg);
-
-        // Period-major shipping (every rank ships period k before any
-        // rank ships k+1) — the paper's reporting pattern. Pool views
-        // keep (rank, time) order, so arrival order doesn't matter for
-        // the bit-exactness. Empty batches past the data end ship too:
-        // they advance the shipping marks far beyond the watermark, and
-        // the closing rule must still not emit windows the one-shot
-        // cover lacks.
-        let mut ingestor = WindowedIngestor::new(3, 8, cfg.clone());
-        let mut reports = Vec::new();
-        for k in 0..20u64 {
-            let period = Window {
-                start: VirtualTime::from_secs(5 * k),
-                end: VirtualTime::from_secs(5 * (k + 1)),
-            };
-            for (rank, stg) in stgs.iter().enumerate() {
-                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1);
-                reports.extend(
-                    ingestor.push_encoded(&batch.encode()).expect("valid frame"),
-                );
-            }
-        }
-        reports.extend(ingestor.finish());
-
-        assert_eq!(reports.len(), reference.len());
-        for (got, want) in reports.iter().zip(&reference) {
-            assert_eq!(got.window, want.window);
-            assert_results_identical(&got.result, &want.result);
-            assert_eq!(got.diagnoses, want.diagnoses);
-        }
-        reports
-    }
-
-    #[test]
-    fn incremental_ingestor_matches_batch_windowing() {
-        let mut stgs: Vec<Stg> = (0..3)
-            .map(|r| looped_stg(r, 30, 1_000_000_000, 0..0))
-            .collect();
-        stgs[2] = looped_stg(2, 30, 1_000_000_000, 12..18);
-        let reports = stream_matching_oneshot(&stgs);
-        // And the variance was actually found in some window.
-        assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
-    }
-
-    #[test]
-    fn call_paths_of_different_depth_stream_like_oneshot() {
-        // `StateKey`'s derived order puts the shallower path first
-        // (frame lists compare before sites); their labels sort the other
-        // way round ("main/solve/a.c…" < "main/z.c…"). A location has one
-        // order, its label's, whichever side pooled it.
-        let shallow = StateKey::Path(CallPath::new(&["main"], CallSite("z.c:1:X")));
-        let deep = StateKey::Path(CallPath::new(&["main", "solve"], CallSite("a.c:2:Y")));
-        assert!(shallow < deep && shallow.label() > deep.label());
-        let stgs: Vec<Stg> = (0..3)
-            .map(|r| {
-                let slow = if r == 2 { 12..18 } else { 0..0 };
-                stg_over([shallow.clone(), deep.clone()], false, r, 30, 1_000_000_000, slow)
-            })
-            .collect();
-        let reports = stream_matching_oneshot(&stgs);
-        assert!(reports.iter().any(|r| !r.result.comp_regions.is_empty()));
-    }
-
-    #[test]
-    fn a_label_sorting_below_start_streams_like_oneshot() {
-        // `StateKey::Start` is the smallest key, but its label `<start>`
-        // is not the smallest label: a digit-leading site sorts below it.
-        // The entry edge carries a fragment, so both lanes exist.
-        let site = StateKey::Site(CallSite("0a.c:1:X"));
-        assert!(StateKey::Start < site && StateKey::Start.label() > site.label());
-        let stgs: Vec<Stg> = (0..3)
-            .map(|r| stg_over([site.clone(), site.clone()], true, r, 30, 1_000_000_000, 0..0))
-            .collect();
-        let reports = stream_matching_oneshot(&stgs);
-        assert!(reports.iter().any(|r| r.result.edge_clusters.num_lanes() == 2));
-    }
-
-    #[test]
-    fn windows_ship_top_k_diagnoses() {
-        // Diagnosable data (full S3 memory counter set, memory contention
-        // on rank 2 mid-run): windows overlapping the noise must ship
-        // region diagnoses, capped at `diagnose_top_k`, and the streaming
-        // ingestor must ship exactly the one-shot reports — detection
-        // output unchanged, diagnoses included.
-        use crate::diagnose::driver::tests::stgs_with_noise;
-        let cfg = VaproConfig {
-            report_period: VirtualTime::from_ms(40),
-            ..VaproConfig::default()
-        };
-        let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
-        let reports = analyze_windows(&whole_batches(&stgs), 4, 8, &cfg);
-        assert!(reports.iter().all(|r| r.diagnoses.len() <= cfg.diagnose_top_k));
-        let diagnosed: Vec<&RegionDiagnosis> =
-            reports.iter().flat_map(|r| &r.diagnoses).collect();
-        assert!(!diagnosed.is_empty(), "no window shipped a diagnosis");
-        for d in &diagnosed {
-            assert!(!d.report.culprits.is_empty());
-            assert!(d.roi.ranks.0 <= d.roi.ranks.1);
-        }
-
-        // Stream the same run through the wire-format ingestor.
-        let mut ingestor = WindowedIngestor::new(4, 8, cfg.clone());
-        let mut streamed = Vec::new();
-        for k in 0..5u64 {
-            let period = Window {
-                start: VirtualTime::from_ms(20 * k),
-                end: VirtualTime::from_ms(20 * (k + 1)),
-            };
-            for (rank, stg) in stgs.iter().enumerate() {
-                let batch = FragmentBatch::from_stg_starting_in(stg, rank, period).with_seq(k + 1);
-                streamed.extend(ingestor.push_encoded(&batch.encode()).expect("valid frame"));
-            }
-        }
-        streamed.extend(ingestor.finish());
-        assert_eq!(streamed.len(), reports.len());
-        for (got, want) in streamed.iter().zip(&reports) {
-            assert_eq!(got.window, want.window);
-            assert_results_identical(&got.result, &want.result);
-            assert_eq!(got.diagnoses, want.diagnoses);
-        }
-        assert!(streamed.iter().any(|r| !r.diagnoses.is_empty()));
-    }
+    use vapro_sim::VirtualTime;
 
     #[test]
     fn ingestor_closes_windows_incrementally() {
@@ -604,24 +487,6 @@ mod tests {
         assert!(closed_during_stream >= 4, "only {closed_during_stream} closed early");
         let tail = ingestor.finish();
         assert!(tail.len() <= 2, "{} windows left to finish", tail.len());
-    }
-
-    fn assert_report_sequences_identical(got: &[WindowReport], want: &[WindowReport]) {
-        assert_eq!(got.len(), want.len(), "window count diverged");
-        for (g, w) in got.iter().zip(want) {
-            assert_eq!(g.window, w.window);
-            assert_eq!(g.result.series, w.result.series);
-            assert_eq!(g.result.rare_paths, w.result.rare_paths);
-            assert_eq!(g.result.comp_map, w.result.comp_map);
-            assert_eq!(g.result.comm_map, w.result.comm_map);
-            assert_eq!(g.result.io_map, w.result.io_map);
-            assert_eq!(g.result.comp_regions, w.result.comp_regions);
-            assert_eq!(g.result.comm_regions, w.result.comm_regions);
-            assert_eq!(g.result.io_regions, w.result.io_regions);
-            assert_eq!(g.result.edge_clusters, w.result.edge_clusters);
-            assert_eq!(g.diagnoses, w.diagnoses);
-            assert_eq!(g.coverage, w.coverage);
-        }
     }
 
     #[test]
@@ -685,8 +550,8 @@ mod tests {
         // At depth 0 every window a push closes is emitted by that push,
         // so the burst is visible exactly: one push closed ≥ 3 windows.
         assert!(inline_burst >= 3, "catch-up push closed only {inline_burst} windows");
-        assert_report_sequences_identical(&piped, &inline);
-        assert_report_sequences_identical(&narrow, &inline);
+        assert_eq!(piped, inline);
+        assert_eq!(narrow, inline);
     }
 
     #[test]

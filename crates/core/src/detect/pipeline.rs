@@ -88,6 +88,36 @@ pub struct DetectionResult {
     pub edge_clusters: ClusterTable,
 }
 
+/// Equal when every field is, `coverage` compared by bits so equality
+/// stays reflexive when it is NaN. Every field is named, so one added
+/// later cannot be left out of the comparison.
+impl PartialEq for DetectionResult {
+    fn eq(&self, other: &DetectionResult) -> bool {
+        let DetectionResult {
+            comp_map,
+            comm_map,
+            io_map,
+            comp_regions,
+            comm_regions,
+            io_regions,
+            rare_paths,
+            series,
+            coverage,
+            edge_clusters,
+        } = self;
+        *comp_map == other.comp_map
+            && *comm_map == other.comm_map
+            && *io_map == other.io_map
+            && *comp_regions == other.comp_regions
+            && *comm_regions == other.comm_regions
+            && *io_regions == other.io_regions
+            && *rare_paths == other.rare_paths
+            && *series == other.series
+            && coverage.to_bits() == other.coverage.to_bits()
+            && *edge_clusters == other.edge_clusters
+    }
+}
+
 /// The work buffers of one window's detection that its report does not
 /// keep: the clustering kernel's lanes, the vertex lanes' cluster table
 /// (a vertex lane's clustering is read once and forgotten; diagnosis
@@ -120,8 +150,8 @@ pub fn detect_columnar(
 /// one after another on the calling thread, each running the cluster →
 /// rare-path → normalise chain and appending straight into the window's
 /// series and table. What runs in parallel is windows: the analysis
-/// stage, `analyze_windows` and the fleet's per-job finish hand whole
-/// windows to the pool.
+/// stage, the one-shot reference and the fleet's per-job finish hand
+/// whole windows to the pool.
 pub(crate) fn detect_with(
     pool: &ColumnarPool,
     nranks: usize,
@@ -251,13 +281,85 @@ fn cluster_time<P: PoolView + ?Sized>(pool: &P, members: &[u32]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::detect::oneshot::tests::{whole_pool, whole_run};
+    use crate::detect::ingestor::{analyze_pool, WindowReport};
+    use crate::detect::window::Window;
     use crate::fragment::{Fragment, FragmentKind};
     use crate::stg::{StateKey, Stg};
+    use crate::wire::FragmentBatch;
     use vapro_pmu::{CounterDelta, CounterId};
     use vapro_sim::{CallSite, VirtualTime};
+
+    /// Each rank's hand-built STG cut as one frame covering all time.
+    fn whole_batches(stgs: &[Stg]) -> Vec<FragmentBatch> {
+        let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
+        stgs.iter().enumerate().map(cut).collect()
+    }
+
+    /// Every fragment of the rank-indexed STGs in one pool.
+    pub(crate) fn whole_pool(stgs: &[Stg]) -> ColumnarPool {
+        ColumnarPool::from_batches(&whole_batches(stgs), None)
+    }
+
+    /// The whole run gathered from the STGs into one pool and analysed
+    /// as a single window: detection plus the top regions' diagnoses.
+    pub(crate) fn whole_run(
+        stgs: &[Stg],
+        nranks: usize,
+        bins: usize,
+        cfg: &VaproConfig,
+    ) -> WindowReport {
+        analyze_pool(&whole_pool(stgs), Window::ALL, nranks, bins, cfg)
+    }
+
+    #[cfg(any(debug_assertions, feature = "clone-count"))]
+    #[test]
+    fn window_views_clone_no_fragments() {
+        use crate::detect::arena::tests::looped_stg;
+        use crate::detect::window::windows_covering;
+        use crate::fragment::clone_count;
+        let cfg = VaproConfig {
+            report_period: VirtualTime::from_secs(5),
+            ..VaproConfig::default()
+        };
+        let stgs: Vec<Stg> = (0..2)
+            .map(|r| looped_stg(r, 20, 1_000_000_000, 5..9))
+            .collect();
+        let windows =
+            windows_covering(VirtualTime::ZERO, VirtualTime::from_secs(25), cfg.report_period);
+        let batches = whole_batches(&stgs);
+        let large = whole_batches(&(0..4).map(|r| looped_stg(r, 2_100, 1_000, 50..90)).collect::<Vec<_>>());
+        // Detection runs on the calling thread whatever the pool's size,
+        // so the thread-local clone counter sees every clone it makes —
+        // here over small windows and one whole-run pool of 8k+ rows.
+        let before = clone_count::on_this_thread();
+        for window in windows {
+            let _ = detect_columnar(&ColumnarPool::from_batches(&batches, Some(window)), 2, 8, &cfg);
+        }
+        let pool = ColumnarPool::from_batches(&large, None);
+        assert!(pool.len() >= 8_192, "{} rows", pool.len());
+        let _ = detect_columnar(&pool, 4, 16, &cfg);
+        assert_eq!(clone_count::on_this_thread(), before, "fragment cloned on window path");
+    }
+
+    #[test]
+    fn results_compare_coverage_by_bits() {
+        let stgs = [stg_with_loop(0, &[100; 12], 1000.0)];
+        let run = || whole_run(&stgs, 1, 8, &VaproConfig::default()).result;
+        let (mut a, mut b) = (run(), run());
+        assert_eq!(a, b);
+        // Reflexive even when the coverage is NaN…
+        a.coverage = f64::NAN;
+        b.coverage = f64::NAN;
+        let same = &a;
+        assert_eq!(a, *same);
+        assert_eq!(a, b);
+        // …and a sign bit is a difference, as in every report type.
+        a.coverage = 0.0;
+        b.coverage = -0.0;
+        assert_ne!(a, b);
+    }
 
     /// Build a one-rank STG: a loop of invocations at `site` with
     /// computation fragments of the given durations between them.

@@ -1,17 +1,16 @@
-//! Batched region diagnosis: pool once, cluster once — then diagnose
-//! every region.
+//! Region diagnosis (paper §3.5): a [`RegionOfInterest`] — a detected
+//! variance region, or one a user selects on the heat map — and the
+//! batch that diagnoses every region of a window: pool once, cluster
+//! once, then diagnose.
 //!
-//! [`diagnose_region`](crate::diagnose::diagnose_region) scans the
-//! whole pool and re-clusters the winning lane *per region*, which is
-//! affordable for a user clicking one heat-map region but not for a
-//! server diagnosing every region of every closed window.
-//! [`DiagnosisBatch`] amortises both across regions:
+//! A server diagnoses every region of every closed window, so
+//! [`DiagnosisBatch`] amortises the work across regions:
 //!
 //! * **pool once** — the caller builds (or already has) the sealed
 //!   [`ColumnarPool`]; the batch only borrows it. A region picks its
 //!   lane with one pass over the edge lanes' rank, kind and time
-//!   columns — a window is small enough that the scan costs less than
-//!   any index over it would;
+//!   columns ([`RegionOfInterest::busiest_edge`]) — a window is small
+//!   enough that the scan costs less than any index over it would;
 //! * **cluster once** — the batch borrows a [`ClusterTable`] with one
 //!   lane per edge pool, in practice detection's own, so diagnosis never
 //!   re-clusters at all;
@@ -22,16 +21,71 @@
 //!   runs the progressive drill-down at most once per batch no matter
 //!   how many regions land on it.
 //!
-//! The per-region result is bit-identical to `diagnose_region` on the
-//! same pool: both select the lane with the same scan, and clustering is
-//! deterministic — property-tested in `tests/property_tests.rs`.
+//! The per-region result is bit-identical to the naive per-region
+//! reference (`vapro_vopr::reference::diagnose_region`: scan every
+//! lane, re-cluster the winner) on the same pool: both select the lane
+//! with the same scan, and clustering is deterministic —
+//! property-tested in `tests/property_tests.rs`.
 
 use crate::clustering::ClusterTable;
-use crate::columnar::ColumnarPool;
+use crate::columnar::{ColumnarPool, LaneView};
 use crate::config::VaproConfig;
-use crate::diagnose::driver::{busiest_edge, RegionOfInterest};
+use crate::detect::region::VarianceRegion;
 use crate::diagnose::progressive::{diagnose_cluster, DiagnosisReport};
+use crate::fragment::FragmentKind;
 use std::sync::OnceLock;
+use vapro_sim::VirtualTime;
+
+/// A region of interest on the heat map: ranks × virtual-time window.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionOfInterest {
+    /// Inclusive rank range.
+    pub ranks: (usize, usize),
+    /// Time window start.
+    pub t_start: VirtualTime,
+    /// Time window end.
+    pub t_end: VirtualTime,
+}
+
+impl From<&VarianceRegion> for RegionOfInterest {
+    fn from(r: &VarianceRegion) -> Self {
+        RegionOfInterest { ranks: r.rank_range, t_start: r.t_start, t_end: r.t_end }
+    }
+}
+
+impl RegionOfInterest {
+    /// Elapsed ns of `lane`'s computation fragments on the region's ranks
+    /// whose spans overlap its time window: one pass over the lane's
+    /// columns. A `u64` sum, so the scan order cannot perturb it.
+    fn claim_on(&self, lane: &LaneView<'_>) -> u64 {
+        let (t_start, t_end) = (self.t_start.ns(), self.t_end.ns());
+        let ranks = self.ranks.0..=self.ranks.1;
+        let rows = lane.kinds().iter().zip(lane.ranks()).zip(lane.starts().iter().zip(lane.ends()));
+        rows.filter(|&((&kind, &rank), (&start, &end))| {
+            kind == FragmentKind::Computation
+                && ranks.contains(&(rank as usize))
+                && start < t_end
+                && end > t_start
+        })
+        .map(|(_, (&start, &end))| end.saturating_sub(start))
+        .sum()
+    }
+
+    /// The edge lane of `pool` the region is diagnosed on: the one its
+    /// computation fragments spend the most time in, the first on a tie
+    /// (strict improvement, in edge order). `None` when the region
+    /// overlaps no edge lane.
+    pub fn busiest_edge(&self, pool: &ColumnarPool) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
+        for e in 0..pool.num_edges() {
+            let in_region = self.claim_on(&pool.edge(e).2);
+            if in_region > 0 && best.is_none_or(|(_, t)| in_region > t) {
+                best = Some((e, in_region));
+            }
+        }
+        best.map(|(e, _)| e)
+    }
+}
 
 /// The reusable state of a batch: the sealed pool, its edge lanes'
 /// clusterings and the memoised reports, one slot per edge lane.
@@ -71,13 +125,15 @@ impl<'m> DiagnosisBatch<'m> {
         DiagnosisBatch { pools, clusters: outcomes, reports }
     }
 
-    /// Diagnose one region. Same contract as
-    /// [`diagnose_region`](crate::diagnose::diagnose_region): the
-    /// population is the dominant fixed-workload cluster of the edge
-    /// pool with the most in-region computation time; `None` when no
-    /// pool overlaps the region or the winner has no usable cluster.
+    /// Diagnose one region. The population is the dominant
+    /// fixed-workload cluster of the edge pool with the most in-region
+    /// computation time ([`RegionOfInterest::busiest_edge`]) — it holds
+    /// the region's abnormal fragments plus the out-of-region and
+    /// other-rank normal ones that give the reference values. `None`
+    /// when no pool overlaps the region, the winner has no usable
+    /// cluster, or the cluster shows no abnormal/normal contrast.
     pub fn diagnose(&self, roi: &RegionOfInterest) -> Option<DiagnosisReport> {
-        let pool_idx = busiest_edge(self.pools, roi)?;
+        let pool_idx = roi.busiest_edge(self.pools)?;
         // The region's only contribution was choosing the pool; the
         // drill-down is memoised per pool.
         self.reports[pool_idx].get_or_init(|| self.diagnose_pool(pool_idx)).clone()
@@ -94,77 +150,20 @@ impl<'m> DiagnosisBatch<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::oneshot::tests::whole_pool;
-    use crate::diagnose::driver::diagnose_region;
-    use crate::diagnose::driver::tests::stgs_with_noise;
-    use vapro_sim::VirtualTime;
-
-    /// The edge lanes' clusterings, as detection computes them.
-    fn edge_clusters(sealed: &ColumnarPool, cfg: &VaproConfig) -> ClusterTable {
-        let mut table = ClusterTable::new(cfg.min_cluster_size);
-        for e in 0..sealed.num_edges() {
-            table.push_lane(&sealed.edge(e).2, &cfg.proxy_counters, cfg.cluster_threshold);
-        }
-        table
-    }
-
-    fn rois_grid(nranks: usize, t_max: u64, cols: usize) -> Vec<RegionOfInterest> {
-        let mut rois = Vec::new();
-        for r in 0..nranks {
-            for c in 0..cols {
-                let w = t_max / cols as u64;
-                rois.push(RegionOfInterest {
-                    ranks: (r, r),
-                    t_start: VirtualTime::from_ns(c as u64 * w),
-                    t_end: VirtualTime::from_ns((c as u64 + 1) * w),
-                });
-            }
-        }
-        rois
-    }
 
     #[test]
-    fn batch_matches_per_region_driver() {
-        let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
-        let cfg = VaproConfig::default();
-        let mut rois = rois_grid(4, 60_000_000, 4);
-        rois.push(RegionOfInterest {
-            ranks: (2, 2),
-            t_start: VirtualTime::from_ms(10),
-            t_end: VirtualTime::from_ms(40),
-        });
-        let sealed = whole_pool(&stgs);
-        let clusters = edge_clusters(&sealed, &cfg);
-        let batch = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters);
-        let mut diagnosed = 0;
-        for roi in &rois {
-            let got = batch.diagnose(roi);
-            assert_eq!(got, diagnose_region(&sealed, roi, &cfg), "roi {roi:?}");
-            diagnosed += usize::from(got.is_some());
-        }
-        assert!(diagnosed > 0);
-    }
-
-    #[cfg(any(debug_assertions, feature = "clone-count"))]
-    #[test]
-    fn batch_diagnosis_clones_no_fragments() {
-        use crate::fragment::clone_count;
-        let stgs = stgs_with_noise(4, 30, 2, (10_000_000, 40_000_000));
-        let cfg = VaproConfig::default();
-        let roi = RegionOfInterest {
-            ranks: (2, 2),
-            t_start: VirtualTime::from_ms(10),
-            t_end: VirtualTime::from_ms(40),
+    fn roi_converts_from_variance_region() {
+        let r = VarianceRegion {
+            cells: vec![(1, 2)],
+            rank_range: (1, 3),
+            bin_range: (2, 4),
+            t_start: VirtualTime::from_ms(5),
+            t_end: VirtualTime::from_ms(9),
+            loss_ns: 1.0,
+            mean_perf: 0.5,
         };
-        let sealed = whole_pool(&stgs);
-        let clusters = edge_clusters(&sealed, &cfg);
-        let before = clone_count::on_this_thread();
-        let report = DiagnosisBatch::with_clusters(&sealed, &cfg, &clusters).diagnose(&roi);
-        assert!(report.is_some());
-        assert_eq!(
-            clone_count::on_this_thread() - before,
-            0,
-            "batched diagnosis must not clone fragments"
-        );
+        let roi: RegionOfInterest = (&r).into();
+        assert_eq!(roi.ranks, (1, 3));
+        assert_eq!(roi.t_start, VirtualTime::from_ms(5));
     }
 }

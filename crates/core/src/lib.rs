@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // One `unsafe` block, allowed in place: the call into the CRC fold
 // after its CPU features were detected (`wire::crc32::checksum`).
 #![deny(unsafe_code)]
@@ -12,7 +13,7 @@
 //!
 //! Pipeline (paper Fig. 2):
 //!
-//! 1. **Intercepting** — [`collector::Collector`] plugs into the runtime's
+//! 1. **Intercepting** — [`Collector`] plugs into the runtime's
 //!    interception layer and slices execution into fragments;
 //! 2. **Building STG** — fragments attach to the vertices (invocations) and
 //!    edges (computation snippets) of a [`stg::Stg`], keyed by call-site
@@ -29,18 +30,18 @@
 //!    factor by formula or OLS, and drills down stage by stage;
 //! 7. **Visualization** — [`viz`] renders heat maps and serialises reports.
 
-pub mod baseline;
+mod baseline;
 pub mod clustering;
-pub mod collector;
-pub mod columnar;
-pub mod config;
+mod collector;
+mod columnar;
+mod config;
 pub mod detect;
 pub mod diagnose;
 pub mod fleet;
 pub mod fragment;
-pub mod intern;
-pub mod report;
-pub mod sampling;
+mod intern;
+mod report;
+mod sampling;
 pub mod stg;
 pub mod viz;
 pub mod vopr;
@@ -60,9 +61,8 @@ pub use detect::heatmap::HeatMap;
 pub use detect::region::VarianceRegion;
 pub use detect::admission::{IngestStats, RankHealth};
 pub use detect::arena::{ArenaView, IngestArena};
-pub use detect::ingestor::{RegionDiagnosis, WindowReport, WindowedIngestor};
-pub use detect::oneshot::analyze_windows;
-pub use diagnose::{diagnose_region, DiagnosisBatch, DiagnosisReport, RegionOfInterest};
+pub use detect::ingestor::{analyze_pool, RegionDiagnosis, WindowReport, WindowedIngestor};
+pub use diagnose::{DiagnosisBatch, DiagnosisReport, RegionOfInterest};
 pub use fleet::{
     FleetConfig, FleetIngestor, FleetReport, FleetWindow, InterferenceFinding, JobKey,
     JobSummary, TenantSummary,

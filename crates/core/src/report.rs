@@ -5,7 +5,7 @@
 
 use crate::detect::ingestor::RegionDiagnosis;
 use crate::detect::pipeline::DetectionResult;
-use crate::diagnose::driver::RegionOfInterest;
+use crate::diagnose::batch::RegionOfInterest;
 use crate::fragment::FragmentKind;
 use serde_json::{json, Value};
 
@@ -268,7 +268,7 @@ impl VaproReport {
 mod tests {
     use super::*;
     use crate::config::VaproConfig;
-    use crate::detect::oneshot::tests::whole_run;
+    use crate::detect::pipeline::tests::whole_run;
     use crate::fragment::Fragment;
     use crate::stg::{StateKey, Stg};
     use rand::SeedableRng;

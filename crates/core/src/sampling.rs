@@ -13,10 +13,10 @@ use std::collections::HashMap;
 
 /// Per-state exponential backoff sampler.
 #[derive(Debug, Default)]
-pub struct BackoffSampler {
+pub(crate) struct BackoffSampler {
     states: HashMap<u64, StateBackoff>,
     /// Fragments shorter than this (ns) are eligible for backoff.
-    pub min_duration_ns: f64,
+    min_duration_ns: f64,
 }
 
 #[derive(Debug, Default)]
@@ -35,14 +35,14 @@ const MAX_K: u32 = 10;
 
 impl BackoffSampler {
     /// A sampler skipping fragments shorter than `min_duration_ns`.
-    pub fn new(min_duration_ns: f64) -> Self {
+    pub(crate) fn new(min_duration_ns: f64) -> Self {
         BackoffSampler { states: HashMap::new(), min_duration_ns }
     }
 
     /// Decide whether to record this occurrence of `state_hash` whose
     /// previous fragment lasted `duration_ns`. Long fragments are always
     /// recorded and relax the state's backoff; short ones tighten it.
-    pub fn should_record(&mut self, state_hash: u64, duration_ns: f64) -> bool {
+    pub(crate) fn should_record(&mut self, state_hash: u64, duration_ns: f64) -> bool {
         let st = self.states.entry(state_hash).or_default();
         if duration_ns >= self.min_duration_ns {
             // Long fragment: always record, decay the backoff.
@@ -67,16 +67,18 @@ impl BackoffSampler {
             false
         }
     }
-
-    /// Current backoff exponent of a state (for tests/telemetry).
-    pub fn backoff_of(&self, state_hash: u64) -> u32 {
-        self.states.get(&state_hash).map_or(0, |s| s.k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BackoffSampler {
+        /// Current backoff exponent of a state.
+        fn backoff_of(&self, state_hash: u64) -> u32 {
+            self.states.get(&state_hash).map_or(0, |s| s.k)
+        }
+    }
 
     #[test]
     fn long_fragments_are_always_recorded() {

@@ -10,19 +10,20 @@
 //! must reproduce them bit for bit.
 //!
 //! Three planted causes (memory contention, CPU steal, the HPL L2 bug),
-//! each diagnosed through `diagnose_region` and through a
-//! `WindowedIngestor` stream.
+//! each diagnosed through the per-region reference `diagnose_region`
+//! and through a `WindowedIngestor` stream.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use vapro_core::detect::window::Window;
-use vapro_core::diagnose::{diagnose_region, DiagnosisReport, RegionOfInterest};
+use vapro_core::diagnose::{DiagnosisReport, RegionOfInterest};
 use vapro_core::{
     ColumnarPool, Fragment, FragmentBatch, FragmentKind, StateKey, Stg, VaproConfig, WindowedIngestor,
 };
 use vapro_pmu::{CpuConfig, CpuModel, JitterModel, Locality, NoiseEnv, WorkloadSpec};
 use vapro_sim::{CallSite, VirtualTime};
+use vapro_vopr::reference::diagnose_region;
 
 /// FNV-1a over little-endian `u64` words.
 struct Fnv(u64);

@@ -12,50 +12,22 @@
 //! * Same-node jobs with correlated variance produce an interference
 //!   finding; isolated jobs do not.
 
+mod common;
+
+use common::looped_stg;
 use proptest::prelude::*;
 use vapro_core::detect::window::Window;
 use vapro_core::detect::ingestor::{WindowReport, WindowedIngestor};
 use vapro_core::fleet::{FleetConfig, FleetIngestor, JobKey};
-use vapro_core::fragment::{Fragment, FragmentKind};
-use vapro_core::stg::{StateKey, Stg};
+use vapro_core::stg::Stg;
 use vapro_core::detect::frame_charge;
 use vapro_core::wire::{FragmentBatch, FrameView, WireError};
 use vapro_core::VaproConfig;
-use vapro_pmu::{CounterDelta, CounterId};
-use vapro_sim::{CallSite, VirtualTime};
+use vapro_sim::VirtualTime;
 
 /// What admission charges a valid frame against caps and budgets.
 fn charge(frame: &[u8]) -> u64 {
     frame_charge(&FrameView::parse(frame).expect("valid frame"))
-}
-
-/// A single-site looping STG: `n` iterations of ~`period_ns`, the
-/// `slow_range` iterations 3x slower (same shape the server tests use).
-fn looped_stg(rank: usize, n: usize, period_ns: u64, slow_range: std::ops::Range<usize>) -> Stg {
-    let mut stg = Stg::new();
-    let start = stg.state(StateKey::Start);
-    let site = stg.state(StateKey::Site(CallSite("w:MPI_Barrier")));
-    stg.transition(start, site);
-    let e = stg.transition(site, site);
-    let mut t = 0u64;
-    for i in 0..n {
-        let d = if slow_range.contains(&i) { period_ns * 3 } else { period_ns };
-        let mut c = CounterDelta::default();
-        c.put(CounterId::TotIns, 1000.0);
-        stg.attach_edge_fragment(
-            e,
-            Fragment {
-                rank,
-                kind: FragmentKind::Computation,
-                start: VirtualTime::from_ns(t),
-                end: VirtualTime::from_ns(t + d),
-                counters: c,
-                args: vec![],
-            },
-        );
-        t += d + 10;
-    }
-    stg
 }
 
 /// Period-major frames for one job: every rank ships period `k`
@@ -91,25 +63,6 @@ fn skewed_job_frames(
         }
     }
     frames
-}
-
-fn assert_reports_identical(got: &[WindowReport], want: &[WindowReport]) {
-    assert_eq!(got.len(), want.len(), "window count diverged");
-    for (g, w) in got.iter().zip(want) {
-        assert_eq!(g.window, w.window);
-        assert_eq!(g.result.series, w.result.series);
-        assert_eq!(g.result.rare_paths, w.result.rare_paths);
-        assert_eq!(g.result.comp_map, w.result.comp_map);
-        assert_eq!(g.result.comm_map, w.result.comm_map);
-        assert_eq!(g.result.io_map, w.result.io_map);
-        assert_eq!(g.result.comp_regions, w.result.comp_regions);
-        assert_eq!(g.result.comm_regions, w.result.comm_regions);
-        assert_eq!(g.result.io_regions, w.result.io_regions);
-        assert_eq!(g.result.coverage.to_bits(), w.result.coverage.to_bits());
-        assert_eq!(g.result.edge_clusters, w.result.edge_clusters);
-        assert_eq!(g.diagnoses, w.diagnoses);
-        assert_eq!(g.coverage, w.coverage);
-    }
 }
 
 proptest! {
@@ -181,7 +134,7 @@ proptest! {
 
         prop_assert!(got.iter().all(|w| w.key == key), "windows tagged with the job key");
         let got_reports: Vec<WindowReport> = got.into_iter().map(|w| w.report).collect();
-        assert_reports_identical(&got_reports, &want);
+        assert_eq!(got_reports, want);
         prop_assert_eq!(report.jobs.len(), 1);
         prop_assert_eq!(&report.jobs[0].stats, &want_stats);
         if capped && lead == 2 && nranks > 1 {
@@ -249,7 +202,7 @@ fn over_budget_tenant_is_rejected_while_clean_tenant_closes_windows() {
     // alone — the greedy tenant never stalled or corrupted it.
     assert!(got.iter().all(|w| w.key == clean_key));
     let got_reports: Vec<WindowReport> = got.into_iter().map(|w| w.report).collect();
-    assert_reports_identical(&got_reports, &want);
+    assert_eq!(got_reports, want);
 
     // And the report attributes the rejections to the greedy tenant.
     let greedy = report.tenants.iter().find(|t| t.tenant == 2).expect("summarised");

@@ -32,6 +32,10 @@
 //! compares prediction to observation frame by frame and the shipping
 //! watermark after every push.
 //!
+//! The [`reference`](mod@reference) module holds the other oracles: the
+//! one-shot analysis a clean stream must reproduce and the per-region
+//! diagnosis the server's batch must agree with.
+//!
 //! Every run appends each observable event to a [`journal::Journal`];
 //! the same seed must produce the same journal hash (the determinism
 //! gate) and any failure prints the seed plus a copy-pasteable repro.
@@ -40,6 +44,7 @@ pub mod invariant;
 pub mod journal;
 pub mod model;
 pub mod plan;
+pub mod reference;
 pub mod report;
 
 use invariant::InvariantTracker;
@@ -49,10 +54,10 @@ use report::{tally, CanaryOutcome, FaultTally, VoprReport, FAULT_POINTS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use plan::{
-    charge_of, first_period, fleet_job_events, one_shot_reference, plan_config, plan_events,
-    report_pair_identical, reports_identical, template_batch, template_frame_charge,
-    FaultPlan, FleetPlan, FrameMeta, JobPlan, TransportEvent,
+    charge_of, first_period, fleet_job_events, plan_config, plan_events, template_batch,
+    template_frame_charge, FaultPlan, FleetPlan, FrameMeta, JobPlan, TransportEvent,
 };
+use reference::{one_shot_reference, report_pair_identical, reports_identical};
 use std::collections::BTreeMap;
 use vapro_core::detect::window::{windows_covering, Window};
 use vapro_core::vopr::canary;

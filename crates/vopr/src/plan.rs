@@ -15,10 +15,10 @@
 //! per-delivery *prediction* possible: the admission oracle says what
 //! the server must do with each delivery before the driver pushes it.
 //!
-//! Also here, because every consumer of the model needs them: the
-//! synthetic run the plans ship ([`synthetic_stgs`]), the one-shot
-//! reference a clean stream must reproduce ([`one_shot_reference`]) and
-//! the bit-identity comparison ([`reports_identical`]).
+//! Also here, because every consumer of the model needs it: the
+//! synthetic run the plans ship ([`synthetic_stgs`]). The one-shot
+//! reference a clean stream must reproduce and the bit-identity
+//! comparison live in [`crate::reference`].
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -26,8 +26,7 @@ use vapro_core::detect::frame_charge;
 use vapro_core::detect::window::Window;
 use vapro_core::wire::FrameView;
 use vapro_core::{
-    analyze_windows, FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey, StateKey, Stg,
-    VaproConfig, WindowReport,
+    FaultTolerance, Fragment, FragmentBatch, FragmentKind, JobKey, StateKey, Stg, VaproConfig,
 };
 use vapro_pmu::{CounterDelta, CounterId};
 use vapro_sim::{CallSite, VirtualTime};
@@ -54,13 +53,6 @@ pub fn template_frame_charge(period_ns: u64) -> u64 {
 /// parse is charged its length.
 pub fn charge_of(bytes: &[u8]) -> u64 {
     FrameView::parse(bytes).map_or(bytes.len() as u64, |frame| frame_charge(&frame))
-}
-
-/// Each rank's STG cut as one frame covering all time — how a fixture
-/// built as STGs reaches the one-shot references, which read frames.
-pub fn whole_run_batches(stgs: &[Stg]) -> Vec<FragmentBatch> {
-    let cut = |(rank, stg)| FragmentBatch::from_stg_starting_in(stg, rank, Window::ALL);
-    stgs.iter().enumerate().map(cut).collect()
 }
 
 /// Build per-rank STGs for a synthetic run: `sites` call sites per rank,
@@ -462,57 +454,6 @@ pub fn plan_events(plan: &FaultPlan) -> Vec<TransportEvent> {
     generate_events(&stgs, period_of(&stgs, plan.periods), plan.seed, &axes)
 }
 
-/// The one-shot windowed analysis of a plan's full synthetic data — the
-/// bit-identity reference for clean streamed runs.
-pub fn one_shot_reference(plan: &FaultPlan) -> Vec<WindowReport> {
-    let cfg = plan_config(plan.period_ns());
-    analyze_windows(&whole_run_batches(&plan.stgs()), plan.total_ranks(), 8, &cfg)
-}
-
-/// Field-wise equality of one report pair, as a `Result` naming the
-/// first diverging field group.
-pub fn report_pair_identical(g: &WindowReport, w: &WindowReport) -> Result<(), String> {
-    if g.window != w.window {
-        return Err(format!("window {:?} vs {:?}", g.window, w.window));
-    }
-    let same = g.result.series == w.result.series
-        && g.result.rare_paths == w.result.rare_paths
-        && g.result.comp_map == w.result.comp_map
-        && g.result.comm_map == w.result.comm_map
-        && g.result.io_map == w.result.io_map
-        && g.result.comp_regions == w.result.comp_regions
-        && g.result.comm_regions == w.result.comm_regions
-        && g.result.io_regions == w.result.io_regions
-        && g.result.coverage.to_bits() == w.result.coverage.to_bits()
-        && g.result.edge_clusters == w.result.edge_clusters;
-    if !same {
-        return Err(format!("detection diverged in window {:?}", g.window));
-    }
-    if g.diagnoses != w.diagnoses {
-        return Err(format!("diagnoses diverged in window {:?}", g.window));
-    }
-    if g.coverage != w.coverage {
-        return Err(format!(
-            "coverage diverged in window {:?}: {:?} vs {:?}",
-            g.window, g.coverage, w.coverage
-        ));
-    }
-    Ok(())
-}
-
-/// Field-wise equality of two report sequences (streamed vs one-shot,
-/// fleet vs solo), as a `Result` so callers can surface the first
-/// divergence.
-pub fn reports_identical(got: &[WindowReport], want: &[WindowReport]) -> Result<(), String> {
-    if got.len() != want.len() {
-        return Err(format!("{} reports vs {} expected", got.len(), want.len()));
-    }
-    for (g, w) in got.iter().zip(want) {
-        report_pair_identical(g, w)?;
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Fleet plans: the same seeded fault injection aimed at the
 // multi-tenant plane, each job with its *own* fault axes.
@@ -702,7 +643,8 @@ mod tests {
         assert_eq!(total, 4 * 180);
         // All ranks share the same states, so pooling crosses ranks.
         use vapro_core::PoolView;
-        let pool = vapro_core::ColumnarPool::from_batches(&whole_run_batches(&stgs), None);
+        let batches = crate::reference::whole_run_batches(&stgs);
+        let pool = vapro_core::ColumnarPool::from_batches(&batches, None);
         for v in 0..pool.num_vertices() {
             let lane = pool.vertex(v).1;
             let ranks: std::collections::HashSet<_> = (0..lane.len()).map(|i| lane.rank(i)).collect();

@@ -39,9 +39,10 @@ pub mod harness {
     //! The high-level entry point: run an app under Vapro's collector and
     //! analyse the result as an analysis server does, in one window.
 
+    use vapro_core::detect::window::Window;
     use vapro_core::{
-        detect_columnar, Collector, ColumnarPool, DetectionResult, FragmentBatch, RegionDiagnosis,
-        Stg, VaproConfig, WindowReport, WindowedIngestor,
+        analyze_pool, Collector, ColumnarPool, DetectionResult, FragmentBatch, RegionDiagnosis, Stg,
+        VaproConfig, WindowReport, WindowedIngestor,
     };
     use vapro_sim::{run_simulation, Interceptor, RankCtx, SimConfig, SimResult, VirtualTime};
 
@@ -96,11 +97,11 @@ pub mod harness {
         let report_period = VirtualTime::from_ns(t_end.unwrap_or(0) + 1);
         let server_cfg = VaproConfig { report_period, ..vapro_cfg.clone() };
         let reports = serve(&shipped, bins, server_cfg);
-        let (detection, diagnoses) = match reports.into_iter().last() {
-            Some(report) => (report.result, report.diagnoses),
-            // No fragments, no window: an empty pool's detection.
-            None => (detect_columnar(&ColumnarPool::new(), stgs.len(), bins, vapro_cfg), vec![]),
-        };
+        // No fragments, no window: an empty pool's analysis.
+        let report = reports.into_iter().last().unwrap_or_else(|| {
+            analyze_pool(&ColumnarPool::new(), Window::ALL, stgs.len(), bins, vapro_cfg)
+        });
+        let (detection, diagnoses) = (report.result, report.diagnoses);
         VaproRun {
             stgs,
             shipped,
@@ -168,42 +169,19 @@ pub mod harness {
 mod tests {
     use super::harness::*;
     use vapro_apps::AppParams;
+    use vapro_core::detect::window::Window;
     use vapro_core::{
-        detect_columnar, ColumnarPool, DetectionResult, DiagnosisBatch, FragmentBatch,
-        RegionDiagnosis, RegionOfInterest, VaproConfig, WindowCoverage, WindowedIngestor, WireError,
+        analyze_pool, ColumnarPool, FragmentBatch, VaproConfig, WindowCoverage, WindowReport,
+        WindowedIngestor, WireError,
     };
     use vapro_sim::{NoiseEvent, NoiseKind, NoiseSchedule, SimConfig, TargetSet, VirtualTime};
 
     /// The whole run gathered straight from the shipped frames into one
-    /// pool — no encoding, arena or stage — then detected, and its top
-    /// regions diagnosed over the same pool.
-    fn whole_run_reference(
-        run: &VaproRun,
-        cfg: &VaproConfig,
-    ) -> (DetectionResult, Vec<RegionDiagnosis>) {
+    /// pool — no encoding, arena or stage — and analysed as one window:
+    /// detection, and its top regions diagnosed over the same pool.
+    fn whole_run_reference(run: &VaproRun, cfg: &VaproConfig) -> WindowReport {
         let pool = ColumnarPool::from_batches(run.shipped.iter().flatten(), None);
-        let detection = detect_columnar(&pool, run.rank_clocks.len(), DEFAULT_BINS, cfg);
-        let batch = DiagnosisBatch::with_clusters(&pool, cfg, &detection.edge_clusters);
-        let diagnoses = detection.comp_regions.iter().take(cfg.diagnose_top_k).filter_map(|r| {
-            let roi = RegionOfInterest::from(r);
-            batch.diagnose(&roi).map(|report| RegionDiagnosis { roi, report })
-        });
-        let diagnoses = diagnoses.collect();
-        drop(batch);
-        (detection, diagnoses)
-    }
-
-    fn assert_identical(a: &DetectionResult, b: &DetectionResult) {
-        assert_eq!(a.series, b.series);
-        assert_eq!(a.rare_paths, b.rare_paths);
-        assert_eq!(a.comp_map, b.comp_map);
-        assert_eq!(a.comm_map, b.comm_map);
-        assert_eq!(a.io_map, b.io_map);
-        assert_eq!(a.comp_regions, b.comp_regions);
-        assert_eq!(a.comm_regions, b.comm_regions);
-        assert_eq!(a.io_regions, b.io_regions);
-        assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-        assert_eq!(a.edge_clusters, b.edge_clusters);
+        analyze_pool(&pool, Window::ALL, run.rank_clocks.len(), DEFAULT_BINS, cfg)
     }
 
     /// 8-rank CG, 20 iterations (≈313 ms of virtual time).
@@ -237,11 +215,11 @@ mod tests {
             };
             for (sim, cfg, regions) in [(&quiet, quiet_cfg, false), (&noisy, noisy_cfg, true)] {
                 let run = cg_run(sim, &cfg);
-                let (detection, diagnoses) = whole_run_reference(&run, &cfg);
-                assert_identical(&run.detection, &detection);
-                assert_eq!(run.diagnoses, diagnoses);
-                assert_eq!(!detection.comp_regions.is_empty(), regions, "depth {depth}");
-                assert_eq!(!diagnoses.is_empty(), regions, "depth {depth}");
+                let reference = whole_run_reference(&run, &cfg);
+                assert_eq!(run.detection, reference.result);
+                assert_eq!(run.diagnoses, reference.diagnoses);
+                assert_eq!(!reference.result.comp_regions.is_empty(), regions, "depth {depth}");
+                assert_eq!(!reference.diagnoses.is_empty(), regions, "depth {depth}");
             }
         }
     }
@@ -281,7 +259,7 @@ mod tests {
         assert_eq!(twice.len(), once.len());
         for (got, want) in twice.iter().zip(&once) {
             assert_eq!(got.window, want.window);
-            assert_identical(&got.result, &want.result);
+            assert_eq!(got.result, want.result);
             assert_eq!(got.diagnoses, want.diagnoses);
             let uncounted = WindowCoverage { duplicate_frames: 0, ..got.coverage.clone() };
             assert_eq!(uncounted, want.coverage);
@@ -298,7 +276,7 @@ mod tests {
         assert!(run.makespan < cfg.report_period, "{}", run.makespan);
         assert!(run.shipped.iter().all(|frames| frames.len() == 1));
         assert!(run.detection.coverage > 0.3, "coverage {}", run.detection.coverage);
-        assert_identical(&run.detection, &whole_run_reference(&run, &cfg).0);
+        assert_eq!(run.detection, whole_run_reference(&run, &cfg).result);
     }
 
     #[test]
@@ -310,7 +288,7 @@ mod tests {
         assert!(run.detection.series.is_empty());
         assert!(run.detection.comp_regions.is_empty() && run.diagnoses.is_empty());
         assert_eq!(run.detection.coverage, 0.0);
-        assert_identical(&run.detection, &whole_run_reference(&run, &cfg).0);
+        assert_eq!(run.detection, whole_run_reference(&run, &cfg).result);
     }
 
     #[test]

@@ -146,7 +146,8 @@ fn detected_region_feeds_straight_into_region_diagnosis() {
     // The full user journey: run → detect → take the top region →
     // diagnose that region of interest (paper §3.5's "users are able to
     // select regions of interest on the heat map for diagnosis").
-    use vapro::core::diagnose::{diagnose_region, RegionOfInterest};
+    use vapro::core::diagnose::RegionOfInterest;
+    use vapro_vopr::reference::diagnose_region;
     let params = AppParams::default().with_iterations(24);
     let mut schedule = NoiseSchedule::quiet();
     for w in 0..300u64 {

@@ -167,7 +167,7 @@ fn detection_is_deterministic() {
 
 #[test]
 fn windowed_server_analysis_runs_over_a_long_horizon() {
-    use vapro::core::analyze_windows;
+    use vapro_vopr::reference::analyze_windows;
     let params = AppParams::default().with_iterations(30).with_scale(50.0);
     let cfg = SimConfig::new(4);
     let run = run_under_vapro(&cfg, &VaproConfig::default(), |ctx| {

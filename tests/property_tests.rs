@@ -11,12 +11,13 @@ use vapro::core::detect::normalize::PerfPoint;
 use vapro::core::detect::region::grow_regions;
 use vapro::core::detect::window::Window;
 use vapro::core::{
-    diagnose_region, ClusterTable, ColumnarPool, DiagnosisBatch, Fragment, FragmentBatch,
-    FragmentKind, RegionOfInterest, StateKey, Stg, VaproConfig,
+    ClusterTable, ColumnarPool, DiagnosisBatch, Fragment, FragmentBatch, FragmentKind,
+    RegionOfInterest, StateKey, Stg, VaproConfig,
 };
 use vapro::pmu::{events, CpuConfig, CpuModel, JitterModel, NoiseEnv, TopDown, WorkloadSpec};
 use vapro::sim::{CallSite, VirtualTime};
 use vapro::stats::{v_measure, OlsFit};
+use vapro_vopr::reference::diagnose_region;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
